@@ -241,9 +241,17 @@ func runOnline(cfg onlineConfig) error {
 	// phase above already moved it, so report deltas from here.
 	base := telemetry.Default().Snapshot().Counters
 	start := time.Now()
-	if err := mig.Start(); err != nil {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := mig.StartContext(ctx); err != nil {
 		return err
 	}
+	// An early return (an application operation that failed) must not leave
+	// the conversion running behind it.
+	defer func() {
+		cancel()
+		mig.Wait()
+	}()
 
 	stopProgress := make(chan struct{})
 	var progWG sync.WaitGroup

@@ -55,8 +55,9 @@ func TestStripeAccessAllocationFree(t *testing.T) {
 		copy(block, s.Block(c))
 		s.SetBlock(c, block)
 		s.Zero(c)
+		copy(block, s.Column(c.Col))
 	}); n != 0 {
-		t.Errorf("Block/SetBlock/Zero allocate %.1f times per call, want 0", n)
+		t.Errorf("Block/SetBlock/Zero/Column allocate %.1f times per call, want 0", n)
 	}
 }
 

@@ -118,6 +118,52 @@ func TestStripeBasics(t *testing.T) {
 	}()
 }
 
+// TestStripeColumn: Column is the column's blocks in row order, aliasing the
+// same storage Block hands out, so a ranged disk call over it fills (or
+// drains) exactly that column's cells.
+func TestStripeColumn(t *testing.T) {
+	g := Geometry{Rows: 3, Cols: 4, P: 5}
+	const bs = 8
+	s := NewStripe(g, bs)
+	for i := 0; i < g.Elements(); i++ {
+		c := g.CoordOf(i)
+		for k := range s.Block(c) {
+			s.Block(c)[k] = byte(16*c.Row + c.Col)
+		}
+	}
+	for col := 0; col < g.Cols; col++ {
+		column := s.Column(col)
+		if len(column) != g.Rows*bs {
+			t.Fatalf("column %d holds %d bytes, want %d", col, len(column), g.Rows*bs)
+		}
+		for r := 0; r < g.Rows; r++ {
+			if &column[r*bs] != &s.Block(Coord{r, col})[0] {
+				t.Fatalf("Column(%d) block %d does not alias Block(%d,%d)", col, r, r, col)
+			}
+			if column[r*bs] != byte(16*r+col) {
+				t.Fatalf("Column(%d) block %d holds %#x", col, r, column[r*bs])
+			}
+		}
+	}
+	// Writing through the column is writing the cells, and only those.
+	for k := range s.Column(2) {
+		s.Column(2)[k] = 0xEE
+	}
+	if s.Block(Coord{1, 2})[bs-1] != 0xEE || s.Block(Coord{1, 1})[0] != 0x11 || s.Block(Coord{0, 3})[0] != 0x03 {
+		t.Fatal("a column write missed its cells or touched a neighbour's")
+	}
+	s.ZeroColumn(2)
+	if s.Block(Coord{2, 2})[0] != 0 || s.Block(Coord{2, 3})[0] != 0x23 {
+		t.Fatal("ZeroColumn cleared the wrong cells")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("out-of-range Column should panic")
+		}
+	}()
+	s.Column(g.Cols)
+}
+
 func TestEncodeVerifyToy(t *testing.T) {
 	s := NewStripe(toy{}.Geometry(), 4)
 	s.FillRandom(toy{}, rand.New(rand.NewSource(1)))

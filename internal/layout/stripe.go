@@ -8,12 +8,15 @@ import (
 	"code56/internal/xorblk"
 )
 
-// Stripe holds the blocks of one stripe of an array code. Blocks are stored
-// row-major; every block has the same size.
+// Stripe holds the blocks of one stripe of an array code. Every block has
+// the same size. The backing memory is column-major — a column's rows are
+// contiguous, as they are on the disk holding that column — so Column hands
+// a whole column to one ranged disk call.
 type Stripe struct {
 	Geom      Geometry
 	BlockSize int
-	blocks    [][]byte
+	backing   []byte   // column-major: block (r, c) starts at (c*Rows+r)*BlockSize
+	blocks    [][]byte // views into backing, indexed by Geom.Index
 }
 
 // NewStripe allocates a zeroed stripe for the given geometry. All blocks are
@@ -22,10 +25,16 @@ func NewStripe(g Geometry, blockSize int) *Stripe {
 	if blockSize <= 0 {
 		panic(fmt.Sprintf("layout: invalid block size %d", blockSize))
 	}
-	backing := make([]byte, g.Elements()*blockSize)
-	s := &Stripe{Geom: g, BlockSize: blockSize, blocks: make([][]byte, g.Elements())}
+	s := &Stripe{
+		Geom:      g,
+		BlockSize: blockSize,
+		backing:   make([]byte, g.Elements()*blockSize),
+		blocks:    make([][]byte, g.Elements()),
+	}
 	for i := range s.blocks {
-		s.blocks[i], backing = backing[:blockSize:blockSize], backing[blockSize:]
+		c := g.CoordOf(i)
+		off := (c.Col*g.Rows + c.Row) * blockSize
+		s.blocks[i] = s.backing[off : off+blockSize : off+blockSize]
 	}
 	return s
 }
@@ -80,6 +89,18 @@ func (s *Stripe) Block(c Coord) []byte {
 	return s.blocks[s.Geom.Index(c)]
 }
 
+// Column returns the Rows blocks of column col as one contiguous slice, row
+// 0 first. The returned slice aliases the stripe's storage.
+//
+//c56:noalloc
+func (s *Stripe) Column(col int) []byte {
+	if col < 0 || col >= s.Geom.Cols {
+		panic(fmt.Sprintf("layout: column %d outside %dx%d stripe", col, s.Geom.Rows, s.Geom.Cols))
+	}
+	n := s.Geom.Rows * s.BlockSize
+	return s.backing[col*n : (col+1)*n : (col+1)*n]
+}
+
 // SetBlock copies b into the block at c. b must be exactly BlockSize long.
 //
 //c56:noalloc
@@ -93,9 +114,7 @@ func (s *Stripe) SetBlock(c Coord, b []byte) {
 // Clone returns a deep copy of the stripe.
 func (s *Stripe) Clone() *Stripe {
 	out := NewStripe(s.Geom, s.BlockSize)
-	for i, b := range s.blocks {
-		copy(out.blocks[i], b)
-	}
+	copy(out.backing, s.backing)
 	return out
 }
 
@@ -112,8 +131,9 @@ func (s *Stripe) Zero(c Coord) {
 // ZeroColumn clears every block in column col, modeling a failed disk whose
 // contents are unknown (reconstruction must never read them).
 func (s *Stripe) ZeroColumn(col int) {
-	for r := 0; r < s.Geom.Rows; r++ {
-		s.Zero(Coord{r, col})
+	blocks := s.Column(col)
+	for i := range blocks {
+		blocks[i] = 0
 	}
 }
 
@@ -132,12 +152,7 @@ func (s *Stripe) Equal(o *Stripe) bool {
 	if s.Geom != o.Geom || s.BlockSize != o.BlockSize {
 		return false
 	}
-	for i := range s.blocks {
-		if !xorblk.Equal(s.blocks[i], o.blocks[i]) {
-			return false
-		}
-	}
-	return true
+	return xorblk.Equal(s.backing, o.backing)
 }
 
 // Encode computes every parity element of the stripe from the data elements

@@ -125,20 +125,22 @@ var noallocTrusted = map[string]bool{
 	"code56/internal/bufpool.GetZero": true,
 	"code56/internal/bufpool.Put":     true,
 
-	"code56/internal/telemetry.Counter.Inc":       true,
-	"code56/internal/telemetry.Counter.Add":       true,
-	"code56/internal/telemetry.Counter.Value":     true,
-	"code56/internal/telemetry.Gauge.Set":         true,
-	"code56/internal/telemetry.Gauge.Add":         true,
-	"code56/internal/telemetry.Gauge.Value":       true,
-	"code56/internal/telemetry.Histogram.Observe": true,
-	"code56/internal/telemetry.Rate.Add":          true,
-	"code56/internal/telemetry.Rate.Inc":          true,
+	"code56/internal/telemetry.Counter.Inc":        true,
+	"code56/internal/telemetry.Counter.Add":        true,
+	"code56/internal/telemetry.Counter.Value":      true,
+	"code56/internal/telemetry.Gauge.Set":          true,
+	"code56/internal/telemetry.Gauge.Add":          true,
+	"code56/internal/telemetry.Gauge.Value":        true,
+	"code56/internal/telemetry.Histogram.Observe":  true,
+	"code56/internal/telemetry.Histogram.ObserveN": true,
+	"code56/internal/telemetry.Rate.Add":           true,
+	"code56/internal/telemetry.Rate.Inc":           true,
 
 	"code56/internal/layout.Geometry.Index":            true,
 	"code56/internal/layout.Geometry.CoordOf":          true,
 	"code56/internal/layout.Geometry.Contains":         true,
 	"code56/internal/layout.Stripe.Block":              true,
+	"code56/internal/layout.Stripe.Column":             true,
 	"code56/internal/layout.Stripe.SetBlock":           true,
 	"code56/internal/layout.Stripe.Zero":               true,
 	"code56/internal/layout.StripePool.Get":            true,
@@ -148,6 +150,8 @@ var noallocTrusted = map[string]bool{
 	"code56/internal/layout.Encoder.Verify":            true,
 	"code56/internal/vdisk.Disk.Read":                  true,
 	"code56/internal/vdisk.Disk.Write":                 true,
+	"code56/internal/vdisk.Disk.ReadBlocks":            true,
+	"code56/internal/vdisk.Disk.WriteBlocks":           true,
 	"code56/internal/vdisk.Disk.Failed":                true,
 	"code56/internal/vdisk.Array.Disk":                 true,
 	"code56/internal/vdisk.Array.BlockSize":            true,

@@ -43,6 +43,8 @@ type OnlineMigrator struct {
 	code    *core.Code56
 	rows    int64 // RAID-5 rows covered by the conversion
 	stripes int64
+	// runs is the conversion's read schedule for one stripe (see convRun).
+	runs []convRun
 
 	// writeMu serializes application writes: a RAID-5 read-modify-write
 	// spans several blocks and must not interleave with another write.
@@ -186,6 +188,7 @@ func NewOnlineMigrator(a *raid5.Array, rows int64) (*OnlineMigrator, error) {
 		code:        code,
 		rows:        rows,
 		stripes:     rows / int64(p-1),
+		runs:        conversionRuns(code),
 		parallelism: 1,
 		inProgress:  make(map[int64]bool),
 		dirtySet:    make(map[int64]bool),
@@ -710,52 +713,136 @@ func (m *OnlineMigrator) worker() {
 	}
 }
 
+// convRun is one ranged read of the conversion: consecutive rows of one data
+// column, each covered by a diagonal chain. A column's horizontal parity
+// belongs to no diagonal chain and is not read, so it splits the column's
+// p-2 data cells into at most two runs.
+type convRun struct {
+	col, row int        // the run's first block
+	cells    []convCell // one per block, in row order
+}
+
+// convCell says where one block of a run goes.
+type convCell struct {
+	chain int // its diagonal chain: the row of that chain's parity on the new disk
+	// first marks the chain's first contributor in schedule order: it is
+	// copied into the chain's accumulator, the rest are XORed in, so the XOR
+	// tally matches the planner's n-1 accounting (and the plan's Metrics
+	// aggregates) exactly.
+	first bool
+}
+
+// conversionRuns lays out one stripe's conversion reads column by column.
+func conversionRuns(code *core.Code56) []convRun {
+	p := code.P()
+	chainOf := make([][]int, p-1) // [col][row]; -1 where no diagonal chain covers the cell
+	for col := range chainOf {
+		chainOf[col] = make([]int, p-1)
+		for row := range chainOf[col] {
+			chainOf[col][row] = -1
+		}
+	}
+	for i, ch := range code.Chains()[p-1:] {
+		for _, c := range ch.Covers {
+			chainOf[c.Col][c.Row] = i
+		}
+	}
+	seen := make([]bool, p-1)
+	var runs []convRun
+	for col := 0; col < p-1; col++ {
+		for row := 0; row < p-1; row++ {
+			chain := chainOf[col][row]
+			if chain < 0 {
+				continue
+			}
+			if row == 0 || chainOf[col][row-1] < 0 {
+				runs = append(runs, convRun{col: col, row: row})
+			}
+			r := &runs[len(runs)-1]
+			r.cells = append(r.cells, convCell{chain: chain, first: !seen[chain]})
+			seen[chain] = true
+		}
+	}
+	return runs
+}
+
+// yieldToWrites parks the calling conversion worker while application writes
+// are in flight (they take priority, per the paper). It returns the migration
+// error raised elsewhere, if any — including context cancellation — which
+// aborts the stripe being converted: its diagonal parities sit above the
+// watermark and are redone on resume.
+func (m *OnlineMigrator) yieldToWrites() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for m.pendingWrites > 0 && m.err == nil {
+		m.cond.Wait()
+	}
+	return m.err
+}
+
 // convertStripe computes and writes the p-1 diagonal parity blocks of one
 // stripe (the conversion thread's body in Algorithm 2: read the data
-// blocks, calculate the diagonal parity per Equation 2, write it).
+// blocks, calculate the diagonal parity per Equation 2, write it). The data
+// is read one column run per disk call and each block is folded into its
+// chain's accumulator as soon as its run is in; the accumulators are the new
+// disk's column, written with one call. The worker let pending writes through
+// before claiming (or redoing) the stripe; they get one more chance before
+// the parity goes out. Writers never wait for any of this: a write that lands
+// in between marks the stripe dirty and the worker redoes it.
 func (m *OnlineMigrator) convertStripe(st int64) error {
-	p := m.code.P()
-	g := m.code.Geometry()
-	base := st * int64(g.Rows)
-	buf := bufpool.Get(m.r5.BlockSize())
-	defer bufpool.Put(buf)
-	parity := bufpool.Get(m.r5.BlockSize())
+	bs := m.r5.BlockSize()
+	rows := m.code.P() - 1
+	base := st * int64(rows)
+	run := bufpool.Get(rows * bs)
+	defer bufpool.Put(run)
+	parity := bufpool.Get(rows * bs)
 	defer bufpool.Put(parity)
-	newDisk := m.r5.Disks().Disk(p - 1)
-	for i := 0; i < p-1; i++ {
-		// Writes may be waiting between chains; let them through. A
-		// migration error elsewhere (including context cancellation) aborts
-		// this stripe — its partial diagonal writes sit above the watermark
-		// and are redone on resume.
-		m.mu.Lock()
-		for m.pendingWrites > 0 && m.err == nil {
-			m.cond.Wait()
-		}
-		if err := m.err; err != nil {
-			m.mu.Unlock()
-			return err
-		}
-		m.mu.Unlock()
-
-		// The first contributor is copied, the rest are folded in, so the
-		// XOR tally matches the planner's n-1 accounting (and the plan's
-		// Metrics aggregates) exactly.
-		ch := m.code.Chains()[p-1+i] // diagonal chain i
-		for j, c := range ch.Covers {
-			dst := parity
-			if j > 0 {
-				dst = buf
-			}
-			if err := m.readOrRepair(base+int64(c.Row), c.Col, dst); err != nil {
-				return fmt.Errorf("migrate: converting stripe %d: %w", st, err)
-			}
-			if j > 0 {
-				xorblk.Xor(parity, buf)
-				m.tel.xors.Inc()
-			}
-		}
-		if err := newDisk.Write(base+int64(ch.Parity.Row), parity); err != nil {
+	for i := range m.runs {
+		r := &m.runs[i]
+		blocks := run[:len(r.cells)*bs]
+		if err := m.readRun(base+int64(r.row), r.col, blocks); err != nil {
 			return fmt.Errorf("migrate: converting stripe %d: %w", st, err)
+		}
+		var xors int64
+		for k, c := range r.cells {
+			acc := parity[c.chain*bs : (c.chain+1)*bs]
+			if c.first {
+				copy(acc, blocks[k*bs:(k+1)*bs])
+				continue
+			}
+			xorblk.Xor(acc, blocks[k*bs:(k+1)*bs])
+			xors++
+		}
+		m.tel.xors.Add(xors)
+	}
+	if err := m.yieldToWrites(); err != nil {
+		return err
+	}
+	if err := m.r5.Disks().Disk(rows).WriteBlocks(base, parity); err != nil {
+		return fmt.Errorf("migrate: converting stripe %d: %w", st, err)
+	}
+	return nil
+}
+
+// healable reports whether a read error is one the RAID-5 redundancy can
+// repair in place: a latent sector error, or a transient that survived the
+// disk's retry policy.
+func healable(err error) bool {
+	return errors.Is(err, vdisk.ErrLatent) || errors.Is(err, vdisk.ErrTransient)
+}
+
+// readRun reads consecutive cells of one disk for the conversion with a
+// single disk call. A run that hits a healable error is read again block by
+// block through readOrRepair, so healing keeps its single path.
+func (m *OnlineMigrator) readRun(row int64, disk int, blocks []byte) error {
+	err := m.r5.Disks().Disk(disk).ReadBlocks(row, blocks)
+	if err == nil || !healable(err) {
+		return err
+	}
+	bs := m.r5.BlockSize()
+	for k := 0; k*bs < len(blocks); k++ {
+		if err := m.readOrRepair(row+int64(k), disk, blocks[k*bs:(k+1)*bs]); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -770,11 +857,7 @@ func (m *OnlineMigrator) convertStripe(st int64) error {
 // Replace and Rebuild a new migrator resumes from there with ResumeFrom.
 func (m *OnlineMigrator) readOrRepair(row int64, disk int, buf []byte) error {
 	err := m.r5.Disks().Disk(disk).Read(row, buf)
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, vdisk.ErrLatent) || errors.Is(err, vdisk.ErrTransient):
-	default:
+	if err == nil || !healable(err) {
 		return err
 	}
 	// The in-place heal must not interleave with an application write to the
@@ -790,11 +873,7 @@ func (m *OnlineMigrator) readOrRepair(row int64, disk int, buf []byte) error {
 	// Re-check under the lock: a racing write may already have rewritten the
 	// block (clearing the latent error), in which case its current content is
 	// the value to convert and there is nothing to heal.
-	switch rerr := m.r5.Disks().Disk(disk).Read(row, buf); {
-	case rerr == nil:
-		return nil
-	case errors.Is(rerr, vdisk.ErrLatent) || errors.Is(rerr, vdisk.ErrTransient):
-	default:
+	if rerr := m.r5.Disks().Disk(disk).Read(row, buf); rerr == nil || !healable(rerr) {
 		return rerr
 	}
 	if rerr := m.r5.ReconstructBlock(row, disk, buf); rerr != nil {
@@ -863,56 +942,86 @@ func (m *OnlineMigrator) Write(logical int64, data []byte) error {
 	return err
 }
 
+// writeLocked performs one application write under writeMu: the RAID-5
+// read-modify-write and, for a converted stripe, the diagonal parity update.
 func (m *OnlineMigrator) writeLocked(logical, row int64, disk int, data []byte, needDiag bool) error {
-	blockSize := m.r5.BlockSize()
-	old := bufpool.Get(blockSize)
-	defer bufpool.Put(old)
-	if err := m.r5.Disks().Disk(disk).Read(row, old); err != nil {
-		// Serve the old value degraded: read-modify-write must go on even
-		// when the block's disk failed or the sector is bad — the RAID-5
-		// write path below handles the actual update.
-		if !errors.Is(err, vdisk.ErrFailed) && !errors.Is(err, vdisk.ErrLatent) &&
-			!errors.Is(err, vdisk.ErrTransient) {
-			return err
-		}
-		if rerr := m.r5.ReconstructBlock(row, disk, old); rerr != nil {
-			return fmt.Errorf("migrate: degraded old-value read: %w", rerr)
-		}
-	}
-	if err := m.r5.WriteBlock(logical, data); err != nil {
-		return err
-	}
 	if !needDiag {
-		return nil
+		return m.r5.WriteBlock(logical, data)
 	}
-	// Apply the XOR delta to the diagonal parity of the block's chain.
+	blockSize := m.r5.BlockSize()
+	// The RAID-5 write hands back the old value it read (degraded if it must:
+	// read-modify-write goes on even when the block's disk failed or the
+	// sector is bad); XORed with the new data it is the delta the block's
+	// diagonal chain has to absorb.
 	delta := bufpool.Get(blockSize)
 	defer bufpool.Put(delta)
-	xorblk.XorInto(delta, old, data)
+	if err := m.r5.SwapBlock(logical, data, delta); err != nil {
+		return err
+	}
+	xorblk.Xor(delta, data)
 	m.tel.redirectXORs.Add(2) // delta + fold into the diagonal parity
 	rows := int64(m.code.P() - 1)
-	inRow := int(row % rows)
-	chainIdx := m.code.DiagonalChainOf(inRow, disk)
-	addr := (row/rows)*rows + int64(chainIdx)
+	base := (row / rows) * rows
+	chain := m.code.DiagonalChainOf(int(row%rows), disk)
 	newDisk := m.r5.Disks().Disk(m.code.P() - 1)
 	parity := bufpool.Get(blockSize)
 	defer bufpool.Put(parity)
-	if err := newDisk.Read(addr, parity); err != nil {
+	switch err := newDisk.Read(base+int64(chain), parity); {
+	case err == nil:
+		xorblk.Xor(parity, delta)
+	case healable(err):
+		// The old diagonal parity is unreadable, and the data and horizontal
+		// parity are already written: recompute it from its chain, which
+		// holds the new data by now. Writing it whole clears the bad sector.
+		if err := m.diagonalFromChain(base, chain, parity, delta); err != nil {
+			return fmt.Errorf("migrate: recomputing diagonal parity %d of stripe %d: %w", chain, row/rows, err)
+		}
+	default:
 		return err
 	}
-	xorblk.Xor(parity, delta)
-	return newDisk.Write(addr, parity)
+	return newDisk.Write(base+int64(chain), parity)
+}
+
+// diagonalFromChain computes one diagonal parity of the stripe starting at
+// row base from the cells its chain covers, each read through the RAID-5
+// redundancy if it must be. tmp is scratch of one block.
+func (m *OnlineMigrator) diagonalFromChain(base int64, chain int, parity, tmp []byte) error {
+	ch := m.code.Chains()[m.code.P()-1+chain]
+	for j, c := range ch.Covers {
+		dst := parity
+		if j > 0 {
+			dst = tmp
+		}
+		row := base + int64(c.Row)
+		if err := m.r5.Disks().Disk(c.Col).Read(row, dst); err != nil {
+			if !healable(err) && !errors.Is(err, vdisk.ErrFailed) {
+				return err
+			}
+			if err := m.r5.ReconstructBlock(row, c.Col, dst); err != nil {
+				return err
+			}
+		}
+		if j > 0 {
+			xorblk.Xor(parity, tmp)
+			m.tel.redirectXORs.Inc()
+		}
+	}
+	return nil
 }
 
 // Downgrade converts a Code 5-6 RAID-6 back to a RAID-5 (the paper's
-// RAID-6→RAID-5 direction): it detaches the diagonal-parity disk and
-// returns it. The remaining disks form the original RAID-5 unchanged.
+// RAID-6→RAID-5 direction): it detaches the diagonal-parity disk and closes
+// its store. The remaining disks form the original RAID-5 unchanged.
 func Downgrade(a *raid6.Array) error {
 	if _, ok := a.Code().(*core.Code56); !ok {
 		return fmt.Errorf("migrate: downgrade requires Code 5-6, got %s", a.Code().Name())
 	}
-	if a.Disks().RemoveLast() == nil {
+	d := a.Disks().RemoveLast()
+	if d == nil {
 		return errors.New("migrate: empty array")
+	}
+	if err := d.Close(); err != nil {
+		return fmt.Errorf("migrate: closing the detached disk: %w", err)
 	}
 	return nil
 }

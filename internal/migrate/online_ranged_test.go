@@ -1,0 +1,375 @@
+package migrate
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"code56/internal/core"
+	"code56/internal/raid5"
+	"code56/internal/telemetry"
+	"code56/internal/vdisk"
+	"code56/internal/vdisk/filestore"
+	"code56/internal/xorblk"
+)
+
+// newFilledRAID5 builds a RAID-5 of m disks over the backend (nil = memory)
+// holding `rows` rows of seeded random data, written through WriteBlock so
+// the horizontal parities are in place.
+func newFilledRAID5(t *testing.T, m, blockSize int, layout raid5.Layout, rows, seed int64, backend vdisk.Backend) *raid5.Array {
+	t.Helper()
+	disks, err := vdisk.NewArrayBackend(m, blockSize, backend)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := raid5.Wrap(disks, m, layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(seed))
+	b := make([]byte, blockSize)
+	for L := int64(0); L < rows*int64(m-1); L++ {
+		r.Read(b)
+		if err := a.WriteBlock(L, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return a
+}
+
+// convertQuiet runs a migration with no foreground I/O to completion.
+func convertQuiet(t *testing.T, a *raid5.Array, rows int64, reg *telemetry.Registry) *OnlineMigrator {
+	t.Helper()
+	mig, err := NewOnlineMigrator(a, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reg != nil {
+		mig.SetTelemetry(reg, nil)
+	}
+	if err := mig.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := mig.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	return mig
+}
+
+// TestConversionTalliesMatchPlan: moving the conversion's I/O in column runs
+// changes how many calls carry it, not how much there is. Per disk, the
+// blocks read and written by an undisturbed online conversion — and its XOR
+// count — equal the offline planner's for the same conversion, at three
+// sizes and in both orientations.
+func TestConversionTalliesMatchPlan(t *testing.T) {
+	const stripes = 6
+	for _, p := range []int{5, 7, 13} {
+		for _, o := range []struct {
+			orient core.Orientation
+			layout raid5.Layout
+		}{{core.Left, raid5.LeftAsymmetric}, {core.Right, raid5.RightAsymmetric}} {
+			name := fmt.Sprintf("p=%d/%s", p, o.layout)
+			code, err := core.NewOriented(p, o.orient)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan := mustPlan(t, Conversion{M: p - 1, SourceLayout: o.layout, Code: code, Approach: Direct})
+			if stripes%plan.Period != 0 {
+				t.Fatalf("%s: %d stripes is not a whole number of the plan's %d-stripe periods", name, stripes, plan.Period)
+			}
+			periods := int64(stripes / plan.Period)
+
+			rows := int64(stripes * (p - 1))
+			a := newFilledRAID5(t, p-1, 32, o.layout, rows, int64(p), nil)
+			reg := telemetry.NewRegistry()
+			a.SetTelemetry(reg, nil)
+			a.Disks().ResetStats()
+			mig := convertQuiet(t, a, rows, reg)
+
+			for d := 0; d < p; d++ {
+				var reads, writes int64
+				for _, ph := range plan.PhaseIO {
+					reads += int64(ph.Reads[d])
+					writes += int64(ph.Writes[d])
+				}
+				if st := a.Disks().Disk(d).Stats(); st.Reads != reads*periods || st.Writes != writes*periods {
+					t.Errorf("%s disk %d: conversion moved %d reads / %d writes, plan says %d / %d",
+						name, d, st.Reads, st.Writes, reads*periods, writes*periods)
+				}
+			}
+			if got, want := reg.Counter("migrate.conversion_xors").Value(), int64(plan.XORs)*periods; got != want {
+				t.Errorf("%s: migrate.conversion_xors = %d, plan says %d", name, got, want)
+			}
+			if want := int64(stripes * (p - 1) * (p - 3)); int64(plan.XORs)*periods != want {
+				t.Errorf("%s: plan XORs %d, paper's (p-1)(p-3) per stripe gives %d", name, int64(plan.XORs)*periods, want)
+			}
+			if got, want := mig.StripeConversionBytes(), int64((p-1)*(p-2)+(p-1))*32; got != want {
+				t.Errorf("%s: StripeConversionBytes = %d, want %d", name, got, want)
+			}
+			r6, err := mig.Result()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for st := int64(0); st < stripes; st++ {
+				if ok, err := r6.VerifyStripe(st); err != nil || !ok {
+					t.Fatalf("%s: stripe %d does not verify (ok=%v err=%v)", name, st, ok, err)
+				}
+			}
+		}
+	}
+}
+
+// convertPerBlock is the reference the column-run conversion is held to: the
+// conversion as Algorithm 2 states it, one diagonal chain at a time and one
+// block per disk call, the first cover read into the parity and the rest
+// folded in.
+func convertPerBlock(t *testing.T, a *raid5.Array, code *core.Code56, stripes int64) {
+	t.Helper()
+	p := code.P()
+	newDisk, err := a.Disks().Attach()
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, parity := make([]byte, a.BlockSize()), make([]byte, a.BlockSize())
+	for st := int64(0); st < stripes; st++ {
+		base := st * int64(p-1)
+		for _, ch := range code.Chains()[p-1:] {
+			for j, c := range ch.Covers {
+				dst := parity
+				if j > 0 {
+					dst = buf
+				}
+				if err := a.Disks().Disk(c.Col).Read(base+int64(c.Row), dst); err != nil {
+					t.Fatal(err)
+				}
+				if j > 0 {
+					xorblk.Xor(parity, buf)
+				}
+			}
+			if err := newDisk.Write(base+int64(ch.Parity.Row), parity); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestConversionImagesMatchPerBlockReference converts two identical arrays,
+// one through the migrator and one chain by chain with single-block I/O, and
+// requires every disk byte to match — over a prime number of stripes, in
+// both orientations.
+func TestConversionImagesMatchPerBlockReference(t *testing.T) {
+	for _, c := range []struct {
+		p       int
+		orient  core.Orientation
+		layout  raid5.Layout
+		stripes int64
+	}{
+		{5, core.Left, raid5.LeftAsymmetric, 257},
+		{7, core.Right, raid5.RightSymmetric, 31},
+	} {
+		const block = 64
+		rows := c.stripes * int64(c.p-1)
+		code, err := core.NewOriented(c.p, c.orient)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranged := newFilledRAID5(t, c.p-1, block, c.layout, rows, 31, nil)
+		single := newFilledRAID5(t, c.p-1, block, c.layout, rows, 31, nil)
+		convertQuiet(t, ranged, rows, nil)
+		convertPerBlock(t, single, code, c.stripes)
+
+		br, bs := make([]byte, block), make([]byte, block)
+		for d := 0; d < c.p; d++ {
+			for addr := int64(0); addr < rows; addr++ {
+				if err := ranged.Disks().Disk(d).Read(addr, br); err != nil {
+					t.Fatal(err)
+				}
+				if err := single.Disks().Disk(d).Read(addr, bs); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(br, bs) {
+					t.Fatalf("p=%d %s: disk %d block %d differs between the column-run conversion and the per-block reference", c.p, c.layout, d, addr)
+				}
+			}
+		}
+	}
+}
+
+// TestConversionHealsLatentMidRun: a latent sector in the middle of a column
+// run fails the ranged read, the run is read again block by block through
+// readOrRepair, and exactly that one block is healed — once.
+func TestConversionHealsLatentMidRun(t *testing.T) {
+	const rows = 8 // two stripes at p=5
+	a, want := newLoadedRAID5(t, 4, rows, 81)
+	// At p=5 disk 0 keeps its horizontal parity in row 3 of each stripe, so
+	// rows 0-2 are one run; row 1 is its middle.
+	if got := a.ParityDisk(3); got != 0 {
+		t.Fatalf("row 3 parity on disk %d, want 0", got)
+	}
+	a.Disks().Disk(0).InjectLatentError(1)
+	reg := telemetry.NewRegistry()
+	a.SetTelemetry(reg, nil)
+	a.Disks().ResetStats()
+	mig := convertQuiet(t, a, rows, reg)
+
+	if got := mig.Stats().FaultsRepaired; got != 1 {
+		t.Errorf("FaultsRepaired = %d, want 1", got)
+	}
+	if got := reg.Counter("migrate.fault_repairs").Value(); got != 1 {
+		t.Errorf("migrate.fault_repairs = %d, want 1", got)
+	}
+	if got := a.Disks().Disk(0).Stats().Writes; got != 1 {
+		t.Errorf("disk 0 took %d writes, want the one heal", got)
+	}
+	if got := reg.Counter("migrate.conversion_xors").Value(); got != 2*perStripeXORs(mig) {
+		t.Errorf("migrate.conversion_xors = %d, want %d: the fallback must fold each block once", got, 2*perStripeXORs(mig))
+	}
+	buf := make([]byte, 32)
+	if err := a.Disks().Disk(0).Read(1, buf); err != nil {
+		t.Fatalf("latent block not rewritten: %v", err)
+	}
+	verifyConverted(t, mig, want, rows/4, "latent-mid-run")
+}
+
+// TestWriteRecomputesUnreadableDiagonalParity is the regression test for the
+// TestRunOnlineWithFaults "flake": a write below the watermark whose
+// diagonal-parity read on the added disk hit a latent (or persistent
+// transient) error returned that error after the data and horizontal parity
+// were already on disk, leaving the stripe inconsistent. The parity is now
+// recomputed from its chain and written whole, which also clears the sector.
+func TestWriteRecomputesUnreadableDiagonalParity(t *testing.T) {
+	const rows = 8
+	a, want := newLoadedRAID5(t, 4, rows, 82)
+	mig := convertQuiet(t, a, rows, nil)
+
+	const logical = 13 // stripe 1
+	row, disk := a.Locate(logical)
+	stripeRows := int64(mig.Code().P() - 1)
+	chain := mig.Code().DiagonalChainOf(int(row%stripeRows), disk)
+	parityAddr := (row/stripeRows)*stripeRows + int64(chain)
+	newDisk := a.Disks().Disk(4)
+	newDisk.InjectLatentError(parityAddr)
+	// A second bad sector on the chain, in another row: the recompute reads
+	// it through the RAID-5 redundancy.
+	for _, c := range mig.Code().Chains()[4+chain].Covers {
+		if r := (row/stripeRows)*stripeRows + int64(c.Row); r != row {
+			a.Disks().Disk(c.Col).InjectLatentError(r)
+			break
+		}
+	}
+
+	data := bytes.Repeat([]byte{0xC5}, 32)
+	if err := mig.Write(logical, data); err != nil {
+		t.Fatalf("write over an unreadable diagonal parity: %v", err)
+	}
+	want[logical] = data
+	if err := newDisk.Read(parityAddr, make([]byte, 32)); err != nil {
+		t.Errorf("diagonal parity block still unreadable after the write: %v", err)
+	}
+	r6, err := mig.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The covered cell's bad sector is still there (a write does not heal its
+	// neighbours); scrub it so VerifyStripe can read the whole stripe.
+	if _, err := r6.Scrub(rows / stripeRows); err != nil {
+		t.Fatal(err)
+	}
+	verifyConverted(t, mig, want, rows/stripeRows, "diagonal-recompute")
+
+	// A fail-stopped added disk is not healable: the error surfaces.
+	newDisk.Fail()
+	if err := mig.Write(logical, data); !errors.Is(err, vdisk.ErrFailed) {
+		t.Errorf("write with the added disk failed = %v, want ErrFailed", err)
+	}
+}
+
+// TestForegroundWriteIOCount: a write to a converted stripe costs three reads
+// and three writes — data, horizontal parity, diagonal parity — the old data
+// being read once, by the RAID-5 read-modify-write that hands it on; a write
+// to a stripe not yet converted is the plain RAID-5 two and two.
+func TestForegroundWriteIOCount(t *testing.T) {
+	const rows = 8
+	a, _ := newLoadedRAID5(t, 4, rows, 83)
+	mig, err := NewOnlineMigrator(a, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := bytes.Repeat([]byte{0x5C}, 32)
+	a.Disks().ResetStats()
+	if err := mig.Write(5, data); err != nil {
+		t.Fatal(err)
+	}
+	if st := a.Disks().TotalStats(); st.Reads != 2 || st.Writes != 2 {
+		t.Errorf("write before conversion: %d reads / %d writes, want 2 / 2", st.Reads, st.Writes)
+	}
+	if err := mig.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := mig.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	a.Disks().ResetStats()
+	if err := mig.Write(5, bytes.Repeat([]byte{0x6D}, 32)); err != nil {
+		t.Fatal(err)
+	}
+	if st := a.Disks().TotalStats(); st.Reads != 3 || st.Writes != 3 {
+		t.Errorf("write after conversion: %d reads / %d writes, want 3 / 3", st.Reads, st.Writes)
+	}
+	if st := mig.Stats(); st.DiagonalUpdates != 1 {
+		t.Errorf("DiagonalUpdates = %d, want 1", st.DiagonalUpdates)
+	}
+}
+
+// TestDowngradeClosesDetachedDisk: on a file backend the detached
+// diagonal-parity disk's image must not stay open — Downgrade closes its
+// store, so the store refuses further I/O and the image can be removed.
+func TestDowngradeClosesDetachedDisk(t *testing.T) {
+	const rows = 8
+	dir := t.TempDir()
+	fb, err := filestore.NewBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := newFilledRAID5(t, 4, 32, raid5.LeftAsymmetric, rows, 84, fb)
+	defer a.Disks().Close()
+	mig := convertQuiet(t, a, rows, nil)
+	r6, err := mig.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	detached := r6.Disks().Disk(4)
+	if err := Downgrade(r6); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.Disks().Len(); got != 4 {
+		t.Fatalf("%d disks after downgrade, want 4", got)
+	}
+	if _, err := detached.Store().ReadAt(make([]byte, 32), 0); !errors.Is(err, os.ErrClosed) {
+		t.Errorf("detached disk's store read = %v, want os.ErrClosed", err)
+	}
+	if err := os.Remove(filepath.Join(dir, filestore.DiskFileName(4))); err != nil {
+		t.Errorf("removing the detached image: %v", err)
+	}
+	// The RAID-5 that remains is untouched and serves on.
+	if ok, err := a.VerifyRow(0); err != nil || !ok {
+		t.Errorf("remaining RAID-5 row 0: ok=%v err=%v", ok, err)
+	}
+
+	// A close that fails is reported: an image already closed cannot be
+	// closed again.
+	mig = convertQuiet(t, a, rows, nil)
+	if r6, err = mig.Result(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r6.Disks().Disk(4).Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := Downgrade(r6); !errors.Is(err, os.ErrClosed) {
+		t.Errorf("Downgrade over an already-closed image = %v, want os.ErrClosed", err)
+	}
+}

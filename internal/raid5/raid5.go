@@ -58,6 +58,12 @@ func (l Layout) String() string {
 // and the paper's motivation for migrating to RAID-6.
 var ErrDoubleFailure = errors.New("raid5: more than one failed disk")
 
+// ErrDoubleFault is ErrDoubleFailure at sector granularity: a peer read to
+// reconstruct a block of a row is itself unreadable (a latent sector error,
+// or a transient that outlived the retries), so the row holds two bad blocks
+// and single parity cannot serve either. The disk error is wrapped alongside.
+var ErrDoubleFault = errors.New("raid5: second unreadable block in the row")
+
 // tel holds the array's bound telemetry instruments (see README
 // "Telemetry" for the metric reference).
 type tel struct {
@@ -234,7 +240,7 @@ func (a *Array) reconstructInto(row int64, disk int, buf []byte) error {
 			}
 			// A latent or transient error on a peer is a second fault in
 			// this row — beyond single-parity tolerance.
-			return fmt.Errorf("raid5: reconstructing (row %d, disk %d) needs disk %d: %w", row, disk, i, err)
+			return fmt.Errorf("%w: reconstructing (row %d, disk %d) needs disk %d: %w", ErrDoubleFault, row, disk, i, err)
 		}
 		xorblk.Xor(buf, tmp)
 		a.tel.xors.Inc()
@@ -246,8 +252,22 @@ func (a *Array) reconstructInto(row int64, disk int, buf []byte) error {
 // parity is updated with the XOR delta of old and new data. Degraded
 // states (one failed disk) are handled by reconstruct-write.
 func (a *Array) WriteBlock(logical int64, data []byte) error {
+	return a.SwapBlock(logical, data, nil)
+}
+
+// SwapBlock is WriteBlock that also hands back the block's previous contents
+// in old (one block long, or nil for none): the read-modify-write has read
+// them already, so a caller maintaining a further parity over the block — the
+// online migrator's diagonal parity — need not read them again. Where the
+// write itself does without the old data (the block is unreadable, or a disk
+// is down), a non-nil old is filled by reconstruction from the row, or by one
+// extra read when only the parity disk is down.
+func (a *Array) SwapBlock(logical int64, data, old []byte) error {
 	if len(data) != a.blockSize {
 		return fmt.Errorf("raid5: write of %d bytes, want %d", len(data), a.blockSize)
+	}
+	if old != nil && len(old) != a.blockSize {
+		return fmt.Errorf("raid5: old-value buffer of %d bytes, want %d", len(old), a.blockSize)
 	}
 	a.tel.blockWrites.Inc()
 	row, disk := a.Locate(logical)
@@ -258,15 +278,21 @@ func (a *Array) WriteBlock(logical int64, data []byte) error {
 
 	switch {
 	case !dataDisk.Failed() && !parityDisk.Failed():
-		old := bufpool.Get(a.blockSize)
-		defer bufpool.Put(old)
-		if err := dataDisk.Read(row, old); err != nil {
+		prev := old
+		if prev == nil {
+			prev = bufpool.Get(a.blockSize)
+			defer bufpool.Put(prev)
+		}
+		if err := dataDisk.Read(row, prev); err != nil {
 			if !isDegradable(err) {
 				return err
 			}
 			// The old data is unreadable (latent/transient): fall back to
 			// reconstruct-write, which never needs it. Writing the new
 			// data clears any latent error on the block.
+			if err := a.reconstructOld(row, disk, old); err != nil {
+				return err
+			}
 			return a.reconstructWrite(row, disk, pd, data, true)
 		}
 		parity := bufpool.Get(a.blockSize)
@@ -279,7 +305,7 @@ func (a *Array) WriteBlock(logical int64, data []byte) error {
 			return a.reconstructWrite(row, disk, pd, data, true)
 		}
 		// parity ^= old ^ new
-		xorblk.Xor(parity, old)
+		xorblk.Xor(parity, prev)
 		xorblk.Xor(parity, data)
 		a.tel.xors.Add(2)
 		if err := dataDisk.Write(row, data); err != nil {
@@ -289,13 +315,34 @@ func (a *Array) WriteBlock(logical int64, data []byte) error {
 		return parityDisk.Write(row, parity)
 
 	case dataDisk.Failed():
+		if err := a.reconstructOld(row, disk, old); err != nil {
+			return err
+		}
 		return a.reconstructWrite(row, disk, pd, data, false)
 
 	default:
 		// Parity disk failed: just write the data; parity is lost until
 		// rebuild.
+		if old != nil {
+			if err := dataDisk.Read(row, old); err != nil {
+				return err
+			}
+		}
 		return dataDisk.Write(row, data)
 	}
+}
+
+// reconstructOld serves SwapBlock's old value when the block cannot be read
+// directly: a degraded read of (row, disk) into old. A nil old asks for
+// nothing.
+func (a *Array) reconstructOld(row int64, disk int, old []byte) error {
+	if old == nil {
+		return nil
+	}
+	if err := a.ReconstructBlock(row, disk, old); err != nil {
+		return fmt.Errorf("raid5: degraded old-value read: %w", err)
+	}
+	return nil
 }
 
 // reconstructWrite writes logical data by full-row reconstruction: the new
@@ -317,7 +364,7 @@ func (a *Array) reconstructWrite(row int64, disk, pd int, data []byte, writeData
 			if errors.Is(err, vdisk.ErrFailed) {
 				return fmt.Errorf("%w: disks %d and %d", ErrDoubleFailure, disk, i)
 			}
-			return fmt.Errorf("raid5: reconstruct-write (row %d, disk %d) needs disk %d: %w", row, disk, i, err)
+			return fmt.Errorf("%w: reconstruct-write (row %d, disk %d) needs disk %d: %w", ErrDoubleFault, row, disk, i, err)
 		}
 		xorblk.Xor(parity, tmp)
 		a.tel.xors.Inc()

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+
+	"code56/internal/vdisk"
 )
 
 var layouts = []Layout{LeftAsymmetric, LeftSymmetric, RightAsymmetric, RightSymmetric}
@@ -221,6 +223,43 @@ func TestLatentErrorRecovery(t *testing.T) {
 	}
 }
 
+// TestSecondBadBlockInRowIsDoubleFault: a bad sector on a peer read to
+// reconstruct another block of the row is beyond single parity, for a read
+// and for both reconstruct-write entries, and says so with ErrDoubleFault
+// around the disk's own error.
+func TestSecondBadBlockInRowIsDoubleFault(t *testing.T) {
+	a, _ := New(4, 16, LeftAsymmetric)
+	for L := int64(0); L < 12; L++ {
+		if err := a.WriteBlock(L, bytes.Repeat([]byte{byte(L + 1)}, 16)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	row, disk := a.Locate(5)
+	peer := 0
+	for peer == disk || peer == a.ParityDisk(row) {
+		peer++
+	}
+	isDouble := func(err error) bool {
+		return errors.Is(err, ErrDoubleFault) && errors.Is(err, vdisk.ErrLatent)
+	}
+	buf := make([]byte, 16)
+	a.Disks().Disk(peer).InjectLatentError(row)
+	a.Disks().Disk(disk).InjectLatentError(row)
+	if err := a.ReadBlock(5, buf); !isDouble(err) {
+		t.Errorf("read with a bad peer: %v", err)
+	}
+	if err := a.WriteBlock(5, buf); !isDouble(err) {
+		t.Errorf("write over a bad block with a bad peer: %v", err)
+	}
+	if err := a.Disks().Disk(disk).Write(row, buf); err != nil { // clears the sector
+		t.Fatal(err)
+	}
+	a.Disks().Disk(a.ParityDisk(row)).InjectLatentError(row)
+	if err := a.WriteBlock(5, buf); !isDouble(err) {
+		t.Errorf("write with bad parity and a bad peer: %v", err)
+	}
+}
+
 // TestRMWTouchesTwoDisks asserts the single-write I/O profile the paper's
 // Table III builds on: an update in a healthy array costs 2 reads + 2
 // writes on exactly the data disk and the parity disk.
@@ -247,6 +286,68 @@ func TestRMWTouchesTwoDisks(t *testing.T) {
 				t.Errorf("disk %d touched: %+v", i, s)
 			}
 		}
+	}
+}
+
+// TestSwapBlockHandsBackOldValue: SwapBlock is WriteBlock plus the block's
+// previous contents, at no extra I/O while the array is healthy (the
+// read-modify-write read them anyway), and by reconstruction or one extra
+// read in every degraded state. The row verifies and the new data reads back
+// afterwards in all of them.
+func TestSwapBlockHandsBackOldValue(t *testing.T) {
+	const logical = 7
+	first := []byte("0123456789abcdef")
+	second := []byte("fedcba9876543210")
+	for _, c := range []struct {
+		name          string
+		damage        func(a *Array, row int64, disk, pd int)
+		reads, writes int64 // the swap's I/O across all disks
+	}{
+		{"healthy", func(*Array, int64, int, int) {}, 2, 2},
+		{"old data latent", func(a *Array, row int64, disk, pd int) { a.Disks().Disk(disk).InjectLatentError(row) }, 4 + 3, 2}, // the failed read is not counted
+		{"old parity latent", func(a *Array, row int64, disk, pd int) { a.Disks().Disk(pd).InjectLatentError(row) }, 1 + 3, 2},
+		{"data disk failed", func(a *Array, row int64, disk, pd int) { a.Disks().Disk(disk).Fail() }, 4 + 3, 1},
+		{"parity disk failed", func(a *Array, row int64, disk, pd int) { a.Disks().Disk(pd).Fail() }, 1, 1},
+	} {
+		a, _ := New(5, 16, LeftAsymmetric)
+		for L := int64(0); L < 12; L++ { // rows 0-2, so the peers hold data too
+			if err := a.WriteBlock(L, bytes.Repeat([]byte{byte(L + 1)}, 16)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := a.WriteBlock(logical, first); err != nil {
+			t.Fatal(err)
+		}
+		row, disk := a.Locate(logical)
+		pd := a.ParityDisk(row)
+		c.damage(a, row, disk, pd)
+		a.Disks().ResetStats()
+		old := make([]byte, 16)
+		if err := a.SwapBlock(logical, second, old); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !bytes.Equal(old, first) {
+			t.Errorf("%s: old value %q, want %q", c.name, old, first)
+		}
+		if st := a.Disks().TotalStats(); st.Reads != c.reads || st.Writes != c.writes {
+			t.Errorf("%s: swap cost %d reads / %d writes, want %d / %d", c.name, st.Reads, st.Writes, c.reads, c.writes)
+		}
+		got := make([]byte, 16)
+		if err := a.ReadBlock(logical, got); err != nil || !bytes.Equal(got, second) {
+			t.Errorf("%s: read back %q (err %v), want %q", c.name, got, err, second)
+		}
+		if len(a.failedDisks()) == 0 {
+			if ok, err := a.VerifyRow(row); err != nil || !ok {
+				t.Errorf("%s: row does not verify after the swap (ok=%v err=%v)", c.name, ok, err)
+			}
+		}
+	}
+	a, _ := New(5, 16, LeftAsymmetric)
+	if err := a.SwapBlock(0, first, make([]byte, 8)); err == nil {
+		t.Error("SwapBlock accepted a short old-value buffer")
+	}
+	if err := a.SwapBlock(0, first[:8], nil); err == nil {
+		t.Error("SwapBlock accepted short data")
 	}
 }
 

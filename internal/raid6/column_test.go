@@ -1,0 +1,189 @@
+package raid6
+
+import (
+	"bytes"
+	"context"
+	"math/rand"
+	"sync/atomic"
+	"testing"
+
+	"code56/internal/core"
+	"code56/internal/parallel"
+	"code56/internal/telemetry"
+	"code56/internal/vdisk"
+)
+
+// callCounter is a memory backend whose stores count the calls that reach
+// them: block I/Os are what Stats counts, store calls are what a file
+// backend turns into syscalls.
+type callCounter struct{ reads, writes atomic.Int64 }
+
+type countedStore struct {
+	*vdisk.MemStore
+	c *callCounter
+}
+
+func (s countedStore) ReadAt(p []byte, off int64) (int, error) {
+	s.c.reads.Add(1)
+	return s.MemStore.ReadAt(p, off)
+}
+
+func (s countedStore) WriteAt(p []byte, off int64) (int, error) {
+	s.c.writes.Add(1)
+	return s.MemStore.WriteAt(p, off)
+}
+
+func (c *callCounter) Open(id, blockSize int) (vdisk.BlockStore, error) {
+	return countedStore{vdisk.NewMemStore(blockSize), c}, nil
+}
+
+// take returns the calls counted since the last take.
+func (c *callCounter) take() (reads, writes int64) {
+	return c.reads.Swap(0), c.writes.Swap(0)
+}
+
+// newCountedArray is a Code 5-6 array (p=5: 4 rows, 5 columns) over counting
+// stores, holding `stripes` stripes written with WriteStripe.
+func newCountedArray(t *testing.T, stripes int64, rotate bool) (*Array, *callCounter, [][][]byte) {
+	t.Helper()
+	code := core.MustNew(5)
+	c := &callCounter{}
+	disks, err := vdisk.NewArrayBackend(code.Geometry().Cols, 64, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := Wrap(code, disks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.SetRotation(rotate)
+	r := rand.New(rand.NewSource(9))
+	data := make([][][]byte, stripes)
+	for st := range data {
+		data[st] = randBlocks(r, a.DataPerStripe(), 64)
+		if err := a.WriteStripe(int64(st), data[st]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return a, c, data
+}
+
+// TestStripeOpsMoveOneColumnPerStoreCall: full-stripe write, stripe load,
+// scrub and rebuild move a column's rows with one store call, while Stats
+// goes on counting every block.
+func TestStripeOpsMoveOneColumnPerStoreCall(t *testing.T) {
+	const stripes = 3
+	for _, rotate := range []bool{false, true} {
+		a, c, data := newCountedArray(t, stripes, rotate)
+		rows, cols := int64(a.geom.Rows), int64(a.geom.Cols)
+		expect := func(what string, wantReads, wantWrites, blockReads, blockWrites int64) {
+			t.Helper()
+			reads, writes := c.take()
+			st := a.Disks().TotalStats()
+			a.Disks().ResetStats()
+			if reads != wantReads || writes != wantWrites {
+				t.Errorf("rotate=%v %s: %d read / %d write store calls, want %d / %d", rotate, what, reads, writes, wantReads, wantWrites)
+			}
+			if st.Reads != blockReads || st.Writes != blockWrites {
+				t.Errorf("rotate=%v %s: Stats %d reads / %d writes, want %d / %d", rotate, what, st.Reads, st.Writes, blockReads, blockWrites)
+			}
+		}
+		expect("WriteStripe x3", 0, stripes*cols, 0, stripes*rows*cols)
+
+		if ok, err := a.VerifyStripe(1); err != nil || !ok {
+			t.Fatalf("VerifyStripe: ok=%v err=%v", ok, err)
+		}
+		expect("VerifyStripe", cols, 0, rows*cols, 0)
+
+		rep, err := a.ScrubContextMode(context.Background(), stripes, ScrubCheck, parallel.WithWorkers(1))
+		if err != nil || !rep.Clean() {
+			t.Fatalf("scrub: %+v, %v", rep, err)
+		}
+		expect("scrub", stripes*cols, 0, stripes*rows*cols, 0)
+
+		for _, d := range []int{0, 2} {
+			a.Disks().Disk(d).Fail()
+			a.Disks().Disk(d).Replace()
+		}
+		if err := a.RebuildContext(context.Background(), stripes, []int{0, 2}, parallel.WithWorkers(1)); err != nil {
+			t.Fatal(err)
+		}
+		expect("rebuild of two disks", stripes*cols, stripes*2, stripes*rows*cols, stripes*rows*2)
+
+		for st := int64(0); st < stripes; st++ {
+			got, err := a.ReadStripe(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range got {
+				if !bytes.Equal(got[i], data[st][i]) {
+					t.Fatalf("rotate=%v: stripe %d block %d wrong after rebuild", rotate, st, i)
+				}
+			}
+		}
+	}
+}
+
+// TestColumnReadFallsBackToCells: a column that fails on one bad sector is
+// read again cell by cell and loses only that cell; a fail-stopped disk loses
+// its whole column to a single refused call; and a disk that dies in the
+// middle of its column's run is treated like the failed disk it has become.
+func TestColumnReadFallsBackToCells(t *testing.T) {
+	a, _, data := newCountedArray(t, 2, false)
+	reg := telemetry.NewRegistry()
+	a.SetTelemetry(reg, nil)
+	rows := int64(a.geom.Rows)
+	check := func(ctx string) {
+		t.Helper()
+		got, err := a.ReadStripe(1)
+		if err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		for i := range got {
+			if !bytes.Equal(got[i], data[1][i]) {
+				t.Fatalf("%s: block %d wrong", ctx, i)
+			}
+		}
+	}
+
+	// Three bad sectors in two columns of stripe 1. The block counts show
+	// that the other cells of those columns were read, one by one.
+	a.Disks().Disk(1).InjectLatentError(rows + 2)
+	a.Disks().Disk(3).InjectLatentError(rows + 0)
+	a.Disks().Disk(3).InjectLatentError(rows + 3)
+	a.Disks().ResetStats()
+	check("latent cells")
+	if got := a.Disks().Disk(1).Stats().Reads; got != rows-1 {
+		t.Errorf("disk 1: %d blocks read, want %d (every cell but the bad one, singly; the failed run counts nothing)", got, rows-1)
+	}
+	if got := a.Disks().Disk(3).Stats().Reads; got != rows-2 {
+		t.Errorf("disk 3: %d blocks read, want %d", got, rows-2)
+	}
+	if got := a.Disks().Disk(0).Stats().Reads; got != rows {
+		t.Errorf("disk 0: %d blocks read, want its whole column (%d)", got, rows)
+	}
+	rep, err := a.Scrub(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.LatentFound != 3 || rep.LatentRepaired != 3 {
+		t.Errorf("scrub found %d and repaired %d latent blocks, want 3 and 3", rep.LatentFound, rep.LatentRepaired)
+	}
+
+	// A failed disk: one refused call erases the column.
+	a.Disks().Disk(1).Fail()
+	errsBefore := reg.Counter("vdisk.read_errors").Value()
+	check("failed disk")
+	if got := reg.Counter("vdisk.read_errors").Value() - errsBefore; got != 1 {
+		t.Errorf("loading a stripe around a failed disk made %d refused reads, want 1", got)
+	}
+
+	// A second disk dies three blocks into its column's run.
+	if err := a.Disks().Disk(4).SetFaults(vdisk.FaultConfig{Seed: 1, FailAtIO: 3}); err != nil {
+		t.Fatal(err)
+	}
+	check("disk failing mid-column")
+	if !a.Disks().Disk(4).Failed() {
+		t.Error("disk 4 should have fail-stopped at its third block")
+	}
+}

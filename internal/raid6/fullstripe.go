@@ -39,12 +39,8 @@ func (a *Array) rebuildStripe(st int64, disks []int) error {
 		return fmt.Errorf("%w: stripe %d: %v", ErrTooManyFailures, st, err)
 	}
 	for _, d := range disks {
-		col := a.colOnDisk(st, d)
-		for r := 0; r < a.geom.Rows; r++ {
-			c := layout.Coord{Row: r, Col: col}
-			if err := a.writeCell(st, c, s.Block(c)); err != nil {
-				return err
-			}
+		if err := a.writeColumn(st, a.colOnDisk(st, d), s); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -72,12 +68,9 @@ func (a *Array) WriteStripe(stripe int64, data [][]byte) error {
 		s.SetBlock(a.dataCells[i], b)
 	}
 	a.enc.Encode(s)
-	for r := 0; r < a.geom.Rows; r++ {
-		for j := 0; j < a.geom.Cols; j++ {
-			c := layout.Coord{Row: r, Col: j}
-			if err := a.writeCell(stripe, c, s.Block(c)); err != nil {
-				return err
-			}
+	for j := 0; j < a.geom.Cols; j++ {
+		if err := a.writeColumn(stripe, j, s); err != nil {
+			return err
 		}
 	}
 	return nil

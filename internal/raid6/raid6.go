@@ -204,7 +204,22 @@ func (a *Array) failedColumns() []int {
 	return f
 }
 
-// loadStripe reads every cell of stripe s from non-failed disks and returns
+// readColumn reads column col of the stripe into s with one ranged disk
+// call: a column's rows are contiguous on its disk.
+//
+//c56:noalloc
+func (a *Array) readColumn(stripe int64, col int, s *layout.Stripe) error {
+	return a.diskFor(stripe, col).ReadBlocks(a.blockAddr(stripe, layout.Coord{Col: col}), s.Column(col))
+}
+
+// writeColumn writes column col of s to the stripe with one ranged disk call.
+//
+//c56:noalloc
+func (a *Array) writeColumn(stripe int64, col int, s *layout.Stripe) error {
+	return a.diskFor(stripe, col).WriteBlocks(a.blockAddr(stripe, layout.Coord{Col: col}), s.Column(col))
+}
+
+// loadStripe reads every column of stripe s from non-failed disks and returns
 // the stripe plus the erasure set of unreadable cells. The stripe comes from
 // the array's pool — callers hand it back with a.stripes.Put when done. The
 // erasure set is nil while the stripe is fully readable, so the healthy path
@@ -214,25 +229,46 @@ func (a *Array) failedColumns() []int {
 func (a *Array) loadStripe(stripe int64) (*layout.Stripe, layout.ErasureSet, error) {
 	s := a.stripes.Get()
 	var es layout.ErasureSet
-	for r := 0; r < a.geom.Rows; r++ {
-		for j := 0; j < a.geom.Cols; j++ {
-			c := layout.Coord{Row: r, Col: j}
-			err := a.readCell(stripe, c, s.Block(c))
-			switch {
-			case err == nil:
-			case isDegradable(err):
-				s.Zero(c)
-				if es == nil {
-					es = make(layout.ErasureSet) //lint:allow noalloc erasure bookkeeping exists only once cells are unreadable
-				}
-				es[c] = true //lint:allow noalloc erasure bookkeeping exists only once cells are unreadable
-			default:
-				a.stripes.Put(s)
-				return nil, nil, err
-			}
+	for j := 0; j < a.geom.Cols; j++ {
+		var err error
+		if es, err = a.loadColumn(stripe, j, s, es); err != nil {
+			a.stripes.Put(s)
+			return nil, nil, err
 		}
 	}
 	return s, es, nil
+}
+
+// loadColumn reads one column of the stripe into s and adds its unreadable
+// cells to es. A fail-stopped disk erases the whole column; a column that
+// fails on a bad sector is read again cell by cell, so only the cells that
+// are really unreadable are erased.
+//
+//c56:noalloc
+func (a *Array) loadColumn(stripe int64, col int, s *layout.Stripe, es layout.ErasureSet) (layout.ErasureSet, error) {
+	colErr := a.readColumn(stripe, col, s)
+	if colErr == nil || !isDegradable(colErr) {
+		return es, colErr
+	}
+	diskFailed := errors.Is(colErr, vdisk.ErrFailed)
+	for r := 0; r < a.geom.Rows; r++ {
+		c := layout.Coord{Row: r, Col: col}
+		if !diskFailed {
+			err := a.readCell(stripe, c, s.Block(c))
+			if err == nil {
+				continue
+			}
+			if !isDegradable(err) {
+				return es, err
+			}
+		}
+		s.Zero(c)
+		if es == nil {
+			es = make(layout.ErasureSet) //lint:allow noalloc erasure bookkeeping exists only once cells are unreadable
+		}
+		es[c] = true //lint:allow noalloc erasure bookkeeping exists only once cells are unreadable
+	}
+	return es, nil
 }
 
 // isDegradable reports whether a read error can be served by

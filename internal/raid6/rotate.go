@@ -128,10 +128,18 @@ func (a *Array) scrubStripe(st int64, repair bool) (res scrubResult, _ error) {
 	s := a.stripes.Get()
 	defer a.stripes.Put(s)
 	var latent []layout.Coord
-	for r := 0; r < a.geom.Rows; r++ {
-		for j := 0; j < a.geom.Cols; j++ {
+	for j := 0; j < a.geom.Cols; j++ {
+		err := a.readColumn(st, j, s)
+		if err == nil {
+			continue
+		}
+		if !errors.Is(err, vdisk.ErrLatent) {
+			return res, err
+		}
+		// A bad sector somewhere in the column: find it cell by cell.
+		for r := 0; r < a.geom.Rows; r++ {
 			c := layout.Coord{Row: r, Col: j}
-			err := a.diskFor(st, c.Col).Read(a.blockAddr(st, c), s.Block(c))
+			err := a.readCell(st, c, s.Block(c))
 			switch {
 			case err == nil:
 			case errors.Is(err, vdisk.ErrLatent):

@@ -17,15 +17,16 @@ func TestInstrumentsAllocationFree(t *testing.T) {
 	r := reg.Rate("alloctest.rate")
 	r.Inc() // warm the clock path
 	for name, fn := range map[string]func(){
-		"Counter.Inc":       func() { c.Inc() },
-		"Counter.Add":       func() { c.Add(3) },
-		"Counter.Value":     func() { _ = c.Value() },
-		"Gauge.Set":         func() { g.Set(7) },
-		"Gauge.Add":         func() { g.Add(-2) },
-		"Gauge.Value":       func() { _ = g.Value() },
-		"Histogram.Observe": func() { h.Observe(12.5) },
-		"Rate.Inc":          func() { r.Inc() },
-		"Rate.Add":          func() { r.Add(4) },
+		"Counter.Inc":        func() { c.Inc() },
+		"Counter.Add":        func() { c.Add(3) },
+		"Counter.Value":      func() { _ = c.Value() },
+		"Gauge.Set":          func() { g.Set(7) },
+		"Gauge.Add":          func() { g.Add(-2) },
+		"Gauge.Value":        func() { _ = g.Value() },
+		"Histogram.Observe":  func() { h.Observe(12.5) },
+		"Histogram.ObserveN": func() { h.ObserveN(12.5, 3) },
+		"Rate.Inc":           func() { r.Inc() },
+		"Rate.Add":           func() { r.Add(4) },
 	} {
 		if n := testing.AllocsPerRun(200, fn); n != 0 {
 			t.Errorf("%s allocates %.1f times per call, want 0", name, n)

@@ -117,15 +117,21 @@ func newHistogram(bounds []float64) *Histogram {
 // Observe records one value.
 //
 //c56:noalloc
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
+func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
+
+// ObserveN records n observations of the same value in one update (a
+// ranged disk I/O carries n blocks of one size).
+//
+//c56:noalloc
+func (h *Histogram) ObserveN(v float64, n int64) {
+	if h == nil || n <= 0 {
 		return
 	}
 	i := sort.SearchFloat64s(h.bounds, v)
-	h.buckets[i].Add(1)
+	h.buckets[i].Add(n)
 	for {
 		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
+		next := math.Float64bits(math.Float64frombits(old) + v*float64(n))
 		if h.sum.CompareAndSwap(old, next) {
 			return
 		}

@@ -46,9 +46,11 @@ func TestCounterGaugeBasics(t *testing.T) {
 func TestHistogram(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat", []float64{1, 10, 100})
-	for _, v := range []float64{0.5, 5, 5, 50, 500} {
+	for _, v := range []float64{0.5, 50, 500} {
 		h.Observe(v)
 	}
+	h.ObserveN(5, 2) // two observations of one value in one update
+	h.ObserveN(7, 0) // records nothing
 	s := h.Snapshot()
 	want := []int64{1, 2, 1, 1}
 	for i, w := range want {

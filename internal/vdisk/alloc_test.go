@@ -18,7 +18,8 @@ func TestHealthyDiskIOAllocationFree(t *testing.T) {
 		buf[i] = byte(i)
 	}
 	d := a.Disk(0)
-	if err := d.Write(5, buf); err != nil { // warm the backing page map
+	run := make([]byte, 3*a.BlockSize())
+	if err := d.WriteBlocks(4, run); err != nil { // warm the backing page map
 		t.Fatal(err)
 	}
 	for name, fn := range map[string]func(){
@@ -30,6 +31,16 @@ func TestHealthyDiskIOAllocationFree(t *testing.T) {
 		"Disk.Write": func() {
 			if err := d.Write(5, buf); err != nil {
 				t.Fatalf("Write: %v", err)
+			}
+		},
+		"Disk.ReadBlocks": func() {
+			if err := d.ReadBlocks(4, run); err != nil {
+				t.Fatalf("ReadBlocks: %v", err)
+			}
+		},
+		"Disk.WriteBlocks": func() {
+			if err := d.WriteBlocks(4, run); err != nil {
+				t.Fatalf("WriteBlocks: %v", err)
 			}
 		},
 		"Disk.Failed":     func() { _ = d.Failed() },

@@ -8,7 +8,7 @@ import (
 
 // Telemetry metric names (see README "Telemetry" for the full reference):
 //
-//	vdisk.reads / vdisk.writes           counters, monotonic, all disks
+//	vdisk.reads / vdisk.writes           counters, monotonic, all disks; blocks
 //	vdisk.read_errors                    counter, failed/latent/transient reads
 //	vdisk.write_errors                   counter, failed/transient writes
 //	vdisk.latent_errors                  counter, latent-sector read hits
@@ -16,11 +16,14 @@ import (
 //	vdisk.retries                        counter, transient retry attempts
 //	vdisk.failures / vdisk.replacements  counters, Fail()/Replace() calls
 //	vdisk.syncs                          counter, durability barriers (Sync)
-//	vdisk.io_bytes                       histogram, bytes per served I/O
-//	vdisk.io_rate                        rate, served I/Os (IOPS windows)
+//	vdisk.io_bytes                       histogram, bytes per served block I/O
+//	vdisk.io_rate                        rate, served block I/Os (IOPS windows)
 //	vdisk.disk.<id>.reads / .writes      gauges, mirror Stats (resettable)
 //	vdisk.disk.<id>.read_latency_us      histogram, per-disk read latency
 //	vdisk.disk.<id>.write_latency_us     histogram, per-disk write latency
+//
+// Everything above counts blocks — a ranged call of n blocks adds n — except
+// the two latency histograms, which take one observation per store call.
 //
 // Trace events: vdisk.fail, vdisk.replace, vdisk.scheduled_fail,
 // vdisk.latent_injected, vdisk.latent_hit — each with a "disk" attribute.

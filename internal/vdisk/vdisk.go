@@ -121,13 +121,36 @@ func (d *Disk) ID() int { return d.id }
 // BlockSize returns the disk's block size in bytes.
 func (d *Disk) BlockSize() int { return d.blockSize }
 
-// Read copies block b into buf. buf must be exactly one block long.
-// Transient faults from the injector are retried per the SetRetry policy
-// before the error is surfaced.
+// Read copies block b into buf. buf must be exactly one block long. It is
+// the one-block case of ReadBlocks.
 //
 //c56:noalloc
 func (d *Disk) Read(b int64, buf []byte) error {
-	if b < 0 || len(buf) != d.blockSize {
+	if len(buf) != d.blockSize {
+		return fmt.Errorf("%w: read block %d, buf %d", ErrBadBlock, b, len(buf))
+	}
+	return d.ReadBlocks(b, buf)
+}
+
+// ReadBlocks copies the n = len(buf)/BlockSize consecutive blocks starting at
+// b into buf with a single store call. It counts as n block I/Os everywhere
+// the paper's accounting looks (Stats, vdisk.reads, vdisk.io_rate,
+// vdisk.io_bytes, FailAtIO); only the per-disk latency histogram sees one
+// observation, the store call's. The run is all or nothing: every block
+// passes the fault and latent checks, in address order, before the store is
+// touched, so the first bad block fails the whole call with the error a
+// single Read of it would return, and no I/O is counted. The injector has
+// still been consulted for every block up to and including that one, as the
+// one-block reads up to it would have: each is an attempt on FailAtIO's clock
+// and a draw that may have discovered a latent sector, so a caller that falls
+// back to reading the run block by block meets the injector further along
+// than Stats shows. Transient faults from the injector are retried per the
+// SetRetry policy before the error is surfaced. buf must hold a positive
+// whole number of blocks.
+//
+//c56:noalloc
+func (d *Disk) ReadBlocks(b int64, buf []byte) error {
+	if b < 0 || len(buf) == 0 || len(buf)%d.blockSize != 0 {
 		return fmt.Errorf("%w: read block %d, buf %d", ErrBadBlock, b, len(buf))
 	}
 	max, base := d.retryPolicy()
@@ -149,31 +172,34 @@ func (d *Disk) readAttempt(b int64, buf []byte) error {
 	// measure device service time only, excluding queueing behind other
 	// callers (see diskTel).
 	start := time.Now()
-	if err := d.faultCheck(b, false); err != nil {
-		d.tel.readErrs.Inc()
-		return err
-	}
-	if d.latent[b] {
-		d.tel.readErrs.Inc()
-		d.tel.latent.Inc()
-		d.tel.tr.Event("vdisk.latent_hit", telemetry.A("disk", d.id), telemetry.A("block", b))
-		return fmt.Errorf("%w: disk %d block %d", ErrLatent, d.id, b)
+	n := int64(len(buf) / d.blockSize)
+	for blk := b; blk < b+n; blk++ {
+		if err := d.faultCheck(blk, false); err != nil {
+			d.tel.readErrs.Inc()
+			return err
+		}
+		if d.latent[blk] {
+			d.tel.readErrs.Inc()
+			d.tel.latent.Inc()
+			d.tel.tr.Event("vdisk.latent_hit", telemetry.A("disk", d.id), telemetry.A("block", blk))
+			return fmt.Errorf("%w: disk %d block %d", ErrLatent, d.id, blk)
+		}
 	}
 	if _, err := d.store.ReadAt(buf, b*int64(d.blockSize)); err != nil {
 		d.tel.readErrs.Inc()
 		return fmt.Errorf("vdisk: disk %d block %d: %w", d.id, b, err)
 	}
-	d.stats.Reads++
+	d.stats.Reads += n
 	d.tel.reads.Set(d.stats.Reads)
-	d.tel.allReads.Inc()
-	d.tel.ioRate.Inc()
-	d.tel.ioBytes.Observe(float64(d.blockSize))
+	d.tel.allReads.Add(n)
+	d.tel.ioRate.Add(n)
+	d.tel.ioBytes.ObserveN(float64(d.blockSize), n)
 	d.tel.readLat.Observe(float64(time.Since(start).Nanoseconds()) / 1e3)
 	return nil
 }
 
 // faultCheck runs the fail-stop state and the armed injector against one
-// I/O attempt. Caller holds d.mu.
+// block's I/O attempt. Caller holds d.mu.
 //
 //c56:requires mu
 //c56:noalloc
@@ -210,13 +236,28 @@ func (d *Disk) faultCheck(b int64, write bool) error {
 	return nil
 }
 
-// Write stores data as block b. data must be exactly one block long.
-// Writing clears any latent error on the block. Transient faults from the
-// injector are retried per the SetRetry policy.
+// Write stores data as block b. data must be exactly one block long. It is
+// the one-block case of WriteBlocks.
 //
 //c56:noalloc
 func (d *Disk) Write(b int64, data []byte) error {
-	if b < 0 || len(data) != d.blockSize {
+	if len(data) != d.blockSize {
+		return fmt.Errorf("%w: write block %d, data %d", ErrBadBlock, b, len(data))
+	}
+	return d.WriteBlocks(b, data)
+}
+
+// WriteBlocks stores data as the n = len(data)/BlockSize consecutive blocks
+// starting at b with a single store call, counted as n block I/Os (see
+// ReadBlocks, also for what a failed run leaves on the injector's clock).
+// Every block passes the fault check before the store is touched, so a
+// faulted run writes nothing. Writing clears any latent error
+// on the blocks. Transient faults from the injector are retried per the
+// SetRetry policy. data must hold a positive whole number of blocks.
+//
+//c56:noalloc
+func (d *Disk) WriteBlocks(b int64, data []byte) error {
+	if b < 0 || len(data) == 0 || len(data)%d.blockSize != 0 {
 		return fmt.Errorf("%w: write block %d, data %d", ErrBadBlock, b, len(data))
 	}
 	max, base := d.retryPolicy()
@@ -235,20 +276,25 @@ func (d *Disk) writeAttempt(b int64, data []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	start := time.Now() // after the lock: service time only, see diskTel
-	if err := d.faultCheck(b, true); err != nil {
-		d.tel.writeErrs.Inc()
-		return err
+	n := int64(len(data) / d.blockSize)
+	for blk := b; blk < b+n; blk++ {
+		if err := d.faultCheck(blk, true); err != nil {
+			d.tel.writeErrs.Inc()
+			return err
+		}
 	}
 	if _, err := d.store.WriteAt(data, b*int64(d.blockSize)); err != nil {
 		d.tel.writeErrs.Inc()
 		return fmt.Errorf("vdisk: disk %d block %d: %w", d.id, b, err)
 	}
-	delete(d.latent, b)
-	d.stats.Writes++
+	for blk := b; blk < b+n; blk++ {
+		delete(d.latent, blk)
+	}
+	d.stats.Writes += n
 	d.tel.writes.Set(d.stats.Writes)
-	d.tel.allWrites.Inc()
-	d.tel.ioRate.Inc()
-	d.tel.ioBytes.Observe(float64(d.blockSize))
+	d.tel.allWrites.Add(n)
+	d.tel.ioRate.Add(n)
+	d.tel.ioBytes.ObserveN(float64(d.blockSize), n)
 	d.tel.writeLat.Observe(float64(time.Since(start).Nanoseconds()) / 1e3)
 	return nil
 }
