@@ -134,6 +134,7 @@ var noallocTrusted = map[string]bool{
 	"code56/internal/telemetry.Histogram.Observe":  true,
 	"code56/internal/telemetry.Histogram.ObserveN": true,
 	"code56/internal/telemetry.Rate.Add":           true,
+	"code56/internal/telemetry.Rate.AddAt":         true,
 	"code56/internal/telemetry.Rate.Inc":           true,
 
 	"code56/internal/layout.Geometry.Index":            true,

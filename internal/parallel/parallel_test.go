@@ -219,23 +219,41 @@ func TestForEachBoundsConcurrency(t *testing.T) {
 
 func TestForEachFirstErrorWins(t *testing.T) {
 	boom := errors.New("boom")
-	var after atomic.Int64
-	err := ForEach(context.Background(), 10_000, func(i int64) error {
-		if i == 5 {
+	// The loop is too long to run dry (2^40 items), so ForEach can return
+	// only because every worker saw the stop flag. To know it was seen across
+	// workers, item 5 fails only once each of the other three workers is
+	// parked inside an item past it; they are let go as it fails, and keep
+	// claiming items until the cancellation reaches them. A cancellation that
+	// does not propagate shows as this test timing out.
+	const workers = 4
+	var (
+		parked  atomic.Int64
+		allIn   = make(chan struct{})
+		release = make(chan struct{})
+	)
+	err := ForEach(context.Background(), 1<<40, func(i int64) error {
+		switch {
+		case i == 5:
+			<-allIn
+			close(release)
 			return boom
-		}
-		if i > 5 {
-			after.Add(1)
+		case i > 5:
+			select {
+			case <-release: // the failure is out: run through
+			default:
+				if parked.Add(1) == workers-1 {
+					close(allIn)
+				}
+				<-release
+			}
 		}
 		return nil
-	}, WithWorkers(4))
+	}, WithWorkers(workers))
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
-	// Cancellation is prompt: nowhere near all 10k items may run after the
-	// failure (each worker may finish only its in-flight item).
-	if a := after.Load(); a > 9000 {
-		t.Errorf("%d items ran after the error; cancellation did not propagate", a)
+	if p := parked.Load(); p != workers-1 {
+		t.Errorf("%d workers were in flight when the error was returned, want %d", p, workers-1)
 	}
 
 	// Serial path: error stops immediately.

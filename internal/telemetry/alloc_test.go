@@ -1,6 +1,9 @@
 package telemetry
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
 // The instruments' mutating paths carry //c56:noalloc annotations —
 // they sit on every per-I/O hot path in the repository — and c56-lint
@@ -16,6 +19,7 @@ func TestInstrumentsAllocationFree(t *testing.T) {
 	h := reg.Histogram("alloctest.histogram", []float64{1, 10, 100})
 	r := reg.Rate("alloctest.rate")
 	r.Inc() // warm the clock path
+	at := time.Now()
 	for name, fn := range map[string]func(){
 		"Counter.Inc":        func() { c.Inc() },
 		"Counter.Add":        func() { c.Add(3) },
@@ -27,6 +31,7 @@ func TestInstrumentsAllocationFree(t *testing.T) {
 		"Histogram.ObserveN": func() { h.ObserveN(12.5, 3) },
 		"Rate.Inc":           func() { r.Inc() },
 		"Rate.Add":           func() { r.Add(4) },
+		"Rate.AddAt":         func() { r.AddAt(at, 4) },
 	} {
 		if n := testing.AllocsPerRun(200, fn); n != 0 {
 			t.Errorf("%s allocates %.1f times per call, want 0", name, n)

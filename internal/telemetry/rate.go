@@ -45,7 +45,19 @@ func (r *Rate) Add(d int64) {
 	if r == nil || d <= 0 {
 		return
 	}
-	sec := r.nowFunc()().Unix()
+	r.AddAt(r.nowFunc()(), d)
+}
+
+// AddAt is Add for a caller that has just read the clock for its own
+// purposes (a latency measurement's end time): the events are recorded at t
+// and the clock is not read again.
+//
+//c56:noalloc
+func (r *Rate) AddAt(t time.Time, d int64) {
+	if r == nil || d <= 0 {
+		return
+	}
+	sec := t.Unix()
 	r.mu.Lock()
 	b := &r.buckets[sec%rateBuckets]
 	if b.sec != sec {

@@ -6,10 +6,11 @@ import (
 	"time"
 )
 
-// fakeClock drives a Rate deterministically.
+// fakeClock drives a Rate deterministically and counts how often it is read.
 type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
+	mu    sync.Mutex
+	t     time.Time
+	reads int
 }
 
 func newFakeClock() *fakeClock {
@@ -19,6 +20,7 @@ func newFakeClock() *fakeClock {
 func (c *fakeClock) now() time.Time {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.reads++
 	return c.t
 }
 
@@ -74,6 +76,47 @@ func TestRateCurrentSecondCounts(t *testing.T) {
 	// 5 events in the half-elapsed current second → 10/s.
 	if s.Rate1s < 9.9 || s.Rate1s > 10.1 {
 		t.Fatalf("rate1s = %g, want 10", s.Rate1s)
+	}
+}
+
+// TestRateAddAtUsesTheCallersClockRead pins the disk hot path's clock budget:
+// AddAt files the events under the second of the time it is handed and never
+// reads the clock itself; Add is AddAt at one clock read.
+func TestRateAddAtUsesTheCallersClockRead(t *testing.T) {
+	clk := newFakeClock()
+	rt := newRate()
+	rt.now = clk.now
+
+	stamp := clk.t.Add(500 * time.Millisecond)
+	clk.advance(3 * time.Second) // the rate's own clock is 3 s ahead of stamp
+	rt.AddAt(stamp, 5)
+	if clk.reads != 0 {
+		t.Fatalf("AddAt read the clock %d times, want 0", clk.reads)
+	}
+	rt.Add(2)
+	if clk.reads != 1 {
+		t.Fatalf("Add read the clock %d times, want 1", clk.reads)
+	}
+	clk.advance(500 * time.Millisecond)
+	s := rt.Snapshot()
+	if s.Total != 7 {
+		t.Fatalf("total = %d, want 7", s.Total)
+	}
+	// The current second holds Add's 2 events over its elapsed half; AddAt's 5
+	// sit three buckets back, inside the 10 s window only.
+	if s.Rate1s < 3.9 || s.Rate1s > 4.1 {
+		t.Fatalf("rate1s = %g, want 4 (AddAt's events belong to stamp's second)", s.Rate1s)
+	}
+	if want := 7 / 9.5; s.Rate10s < want-0.01 || s.Rate10s > want+0.01 {
+		t.Fatalf("rate10s = %g, want %g", s.Rate10s, want)
+	}
+
+	var nr *Rate
+	nr.AddAt(stamp, 1) // must not panic
+	rt.AddAt(stamp, 0)
+	rt.AddAt(stamp, -3)
+	if got := rt.Snapshot().Total; got != 7 {
+		t.Fatalf("total = %d after non-positive AddAt, want 7", got)
 	}
 }
 

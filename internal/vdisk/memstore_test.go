@@ -1,0 +1,446 @@
+package vdisk
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+)
+
+// pageMapModel is the reference the slab store is held to: the map of
+// heap-allocated pages MemStore was before the slabs, semantics unchanged. A
+// page exists from the first write that touches it until a Trim covers it
+// whole; everything else reads zero.
+type pageMapModel struct {
+	ps    int64
+	pages map[int64][]byte
+	size  int64
+}
+
+// each calls f once per page the range [off, off+n) touches, with the page,
+// the offset in it, the byte count, and the bytes of the range done before.
+func (m *pageMapModel) each(off, n int64, f func(page, po, c, done int64)) {
+	for done := int64(0); done < n; {
+		page, po := (off+done)/m.ps, (off+done)%m.ps
+		c := min(n-done, m.ps-po)
+		f(page, po, c, done)
+		done += c
+	}
+}
+
+func (m *pageMapModel) read(p []byte, off int64) {
+	clear(p)
+	m.each(off, int64(len(p)), func(page, po, c, done int64) {
+		if d, ok := m.pages[page]; ok {
+			copy(p[done:done+c], d[po:])
+		}
+	})
+}
+
+func (m *pageMapModel) write(p []byte, off int64) {
+	m.each(off, int64(len(p)), func(page, po, c, done int64) {
+		if m.pages[page] == nil {
+			m.pages[page] = make([]byte, m.ps)
+		}
+		copy(m.pages[page][po:], p[done:done+c])
+	})
+	m.size = max(m.size, off+int64(len(p)))
+}
+
+// trim walks the pages, not the range, so a range far larger than the
+// contents costs nothing.
+func (m *pageMapModel) trim(off, n int64) {
+	for page, d := range m.pages {
+		lo, hi := max(off, page*m.ps), min(off+n, (page+1)*m.ps)
+		if hi-lo == m.ps {
+			delete(m.pages, page)
+		} else if hi > lo {
+			clear(d[lo-page*m.ps : hi-page*m.ps])
+		}
+	}
+}
+
+func (m *pageMapModel) extents() []int64 {
+	out := make([]int64, 0, len(m.pages))
+	for b := range m.pages {
+		out = append(out, b)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// modelRun drives one MemStore and its model through the same operations and
+// compares every observable after each.
+type modelRun struct {
+	t    testing.TB
+	s    *MemStore
+	m    *pageMapModel
+	fill byte
+}
+
+func newModelRun(t testing.TB, pageSize int) *modelRun {
+	return &modelRun{t: t, s: NewMemStore(pageSize), m: &pageMapModel{ps: int64(pageSize), pages: map[int64][]byte{}}}
+}
+
+func (r *modelRun) write(off int64, n int) {
+	r.fill++
+	p := bytes.Repeat([]byte{r.fill | 1}, n) // never zero: a write is distinguishable from a hole
+	if got, err := r.s.WriteAt(p, off); err != nil || got != n {
+		r.t.Fatalf("WriteAt(%d bytes, %d) = %d, %v", n, off, got, err)
+	}
+	r.m.write(p, off)
+	r.check(off, n)
+}
+
+func (r *modelRun) trim(off, n int64) {
+	if err := r.s.Trim(off, n); err != nil {
+		r.t.Fatalf("Trim(%d, %d): %v", off, n, err)
+	}
+	r.m.trim(off, n)
+	r.check(off, int(min(n, 2*slabPages*r.m.ps)))
+}
+
+func (r *modelRun) reset() {
+	if err := r.s.Reset(); err != nil {
+		r.t.Fatal(err)
+	}
+	r.m.pages, r.m.size = map[int64][]byte{}, 0
+	r.check(0, 0)
+}
+
+// check compares Size, PagesInUse, Extents, and the bytes of [off, off+n)
+// widened by a page on either side (so a neighbour the operation should not
+// have touched is read too).
+func (r *modelRun) check(off int64, n int) {
+	r.t.Helper()
+	if size, err := r.s.Size(); err != nil || size != r.m.size {
+		r.t.Fatalf("Size = %d, %v; model %d", size, err, r.m.size)
+	}
+	if got := r.s.PagesInUse(); got != len(r.m.pages) {
+		r.t.Fatalf("PagesInUse = %d, model %d", got, len(r.m.pages))
+	}
+	if got, want := r.s.Extents(int(r.m.ps)), r.m.extents(); !slices.Equal(got, want) {
+		r.t.Fatalf("Extents = %v, model %v", got, want)
+	}
+	lo := max(0, off-r.m.ps)
+	r.compare(lo, int(off-lo)+n+int(r.m.ps))
+}
+
+func (r *modelRun) compare(off int64, n int) {
+	r.t.Helper()
+	got, want := bytes.Repeat([]byte{0xAA}, n), make([]byte, n)
+	if k, err := r.s.ReadAt(got, off); err != nil || k != n {
+		r.t.Fatalf("ReadAt(%d bytes, %d) = %d, %v", n, off, k, err)
+	}
+	r.m.read(want, off)
+	if !bytes.Equal(got, want) {
+		i := 0
+		for got[i] == want[i] {
+			i++
+		}
+		r.t.Fatalf("ReadAt(%d bytes, %d): byte %d = %#x, model %#x", n, off, off+int64(i), got[i], want[i])
+	}
+}
+
+// apply decodes one operation from five bytes. Offsets land in the first
+// three slabs (unaligned, so runs straddle page and slab boundaries) or, one
+// time in eight, around slab 1000, which leaves a long nil stretch in the
+// directory; lengths reach five pages.
+func (r *modelRun) apply(op [5]byte) {
+	ps := r.m.ps
+	off := (int64(op[1])<<16 | int64(op[2])<<8 | int64(op[3])) % (3 * slabPages * ps)
+	if op[0]&0x38 == 0 {
+		off += 1000 * slabPages * ps
+	}
+	n := int64(op[4]) * 5 * ps / 255
+	switch op[0] % 8 {
+	case 0, 1, 2:
+		r.write(off, int(n))
+	case 3:
+		r.write(off/ps*ps, int((n/ps+1)*ps)) // whole pages
+	case 4:
+		r.compare(off, int(n))
+	case 5:
+		r.trim(off, n)
+	case 6:
+		r.trim(off/ps*ps, (n/ps+1)*ps) // whole pages
+	case 7:
+		if op[4] < 8 { // rarely: most streams should build up state
+			r.reset()
+		} else {
+			r.trim(off, 70*ps) // more than a slab
+		}
+	}
+}
+
+// finish compares every byte the model holds and the slab around it.
+func (r *modelRun) finish() {
+	for _, page := range r.m.extents() {
+		r.compare(page/slabPages*slabPages*r.m.ps, slabPages*int(r.m.ps))
+	}
+}
+
+func TestMemStoreMatchesPageMapModel(t *testing.T) {
+	for _, ps := range []int{512, 4096, 16384} {
+		t.Run(fmt.Sprint(ps), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(ps)))
+			r := newModelRun(t, ps)
+			for i := 0; i < 3000; i++ {
+				var op [5]byte
+				rng.Read(op[:])
+				r.apply(op)
+			}
+			r.finish()
+		})
+	}
+}
+
+func FuzzMemStore(f *testing.F) {
+	f.Add(uint8(0), []byte{0, 0, 0, 0, 255, 5, 0, 1, 0, 60, 4, 0, 0, 0, 255})
+	f.Add(uint8(1), []byte{3, 0, 255, 240, 200, 6, 0, 255, 240, 10, 7, 0, 0, 0, 0})
+	f.Add(uint8(2), []byte{8, 1, 2, 3, 4, 15, 1, 2, 3, 200, 7, 0, 0, 0, 9})
+	f.Fuzz(func(t *testing.T, sizeSel uint8, ops []byte) {
+		r := newModelRun(t, []int{512, 4096, 16384}[sizeSel%3])
+		for ops = ops[:min(len(ops), 5*400)]; len(ops) >= 5; ops = ops[5:] {
+			r.apply([5]byte(ops))
+		}
+		r.finish()
+	})
+}
+
+// TestMemStoreEdges names the cases the random streams reach only by luck.
+func TestMemStoreEdges(t *testing.T) {
+	const ps = 512
+	r := newModelRun(t, ps)
+	sb := int64(slabPages * ps)
+	r.write(sb-ps-3, 2*ps+6)  // last page of slab 0, first two of slab 1, unaligned
+	r.trim(sb-ps, 2*ps)       // whole pages on both sides of the boundary
+	r.trim(sb-ps-3, 3)        // partial: the page stays allocated
+	r.write(0, int(2*sb))     // two full slabs in one call
+	r.trim(1, 2*sb-2)         // everything but the first and last byte's pages
+	r.trim(0, 1<<40)          // far past the directory
+	r.write(5*sb+7, 0)        // empty write: size moves, nothing is allocated
+	r.compare(1<<40, int(ps)) // read far past the directory
+	r.finish()
+
+	if _, err := r.s.WriteAt(make([]byte, ps), -1); err == nil {
+		t.Error("write at a negative offset succeeded")
+	}
+	if _, err := r.s.ReadAt(make([]byte, ps), -1); err == nil {
+		t.Error("read at a negative offset succeeded")
+	}
+	// Past the directory's bound the write is refused whole, not grown into.
+	before := r.s.PagesInUse()
+	if _, err := r.s.WriteAt(make([]byte, 2*ps), maxSlabs*sb-ps); err == nil {
+		t.Error("write past the address space succeeded")
+	}
+	if _, err := r.s.WriteAt(make([]byte, ps), maxSlabs*sb); err == nil {
+		t.Error("write past the address space succeeded")
+	}
+	if r.s.PagesInUse() != before {
+		t.Error("a refused write allocated pages")
+	}
+
+	// A block size other than the page size lists the dense range from Size.
+	s := NewMemStore(ps)
+	if _, err := s.WriteAt([]byte{1}, 5*ps); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Extents(2 * ps); !slices.Equal(got, []int64{0, 1, 2}) {
+		t.Errorf("Extents at twice the page size = %v, want [0 1 2]", got)
+	}
+}
+
+// ReadAt and WriteAt carry //c56:noalloc; WriteAt's one suppressed site is
+// the first write into a slab, so the runtime half pins a write into an
+// allocated one.
+func TestMemStoreIOAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	const ps = 4096
+	s := NewMemStore(ps)
+	run := make([]byte, 4*ps)
+	off := int64(slabPages-2) * ps // straddles slabs 0 and 1
+	if _, err := s.WriteAt(run, off); err != nil {
+		t.Fatal(err)
+	}
+	for name, fn := range map[string]func(){
+		"MemStore.ReadAt": func() {
+			if _, err := s.ReadAt(run, off); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"MemStore.ReadAt/hole": func() {
+			if _, err := s.ReadAt(run, 1<<40); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"MemStore.WriteAt": func() {
+			if _, err := s.WriteAt(run, off); err != nil {
+				t.Fatal(err)
+			}
+		},
+	} {
+		if n := testing.AllocsPerRun(200, fn); n != 0 {
+			t.Errorf("%s allocates %.1f times per call, want 0", name, n)
+		}
+	}
+}
+
+// heapGrowth returns how much the live heap grew across build, and what build
+// returned (kept alive until the second reading).
+func heapGrowth[T any](build func() T) (int64, T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	v := build()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(v)
+	return int64(after.HeapAlloc) - int64(before.HeapAlloc), v
+}
+
+// TestMemStoreStaysSparse: one block far out costs one slab and the directory
+// up to it, not the address space before it; a snapshot round trip keeps it so.
+func TestMemStoreStaysSparse(t *testing.T) {
+	const ps, far, limit = 4096, int64(1) << 24, 4 << 20
+	blk := bytes.Repeat([]byte{0x5A}, ps)
+	grew, a := heapGrowth(func() *Array {
+		a := NewArray(1, ps)
+		if err := a.Disk(0).Write(far, blk); err != nil {
+			t.Fatal(err)
+		}
+		return a
+	})
+	if got := a.Disk(0).BlocksInUse(); got != 1 {
+		t.Errorf("BlocksInUse = %d, want 1", got)
+	}
+	if grew >= limit {
+		t.Errorf("one block at block %d grew the heap by %d bytes, want < %d", far, grew, limit)
+	}
+
+	var snap bytes.Buffer
+	if err := a.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Len() > 2*ps {
+		t.Errorf("snapshot of one block is %d bytes", snap.Len())
+	}
+	grew, b := heapGrowth(func() *Array {
+		b, err := Load(bytes.NewReader(snap.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	})
+	if got := b.Disk(0).BlocksInUse(); got != 1 {
+		t.Errorf("restored BlocksInUse = %d, want 1", got)
+	}
+	if grew >= limit {
+		t.Errorf("restoring one block grew the heap by %d bytes, want < %d", grew, limit)
+	}
+	got := make([]byte, ps)
+	if err := b.Disk(0).Read(far, got); err != nil || !bytes.Equal(got, blk) {
+		t.Errorf("restored block differs (err %v)", err)
+	}
+}
+
+// TestMemStoreReadersWhileDirectoryGrows is for the race detector: readers
+// stay on slab 0 while a writer appends slabs, reallocating the directory
+// under them, and trims them away again.
+func TestMemStoreReadersWhileDirectoryGrows(t *testing.T) {
+	const ps = 512
+	s := NewMemStore(ps)
+	want := bytes.Repeat([]byte{7}, 3*ps)
+	if _, err := s.WriteAt(want, ps); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got := make([]byte, len(want))
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if _, err := s.ReadAt(got, ps); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("read of slab 0 during growth: err %v, equal %v", err, bytes.Equal(got, want))
+					return
+				}
+				s.PagesInUse()
+				s.Extents(ps)
+			}
+		}()
+	}
+	blk := make([]byte, ps)
+	for si := int64(1); si <= 2000; si++ {
+		if _, err := s.WriteAt(blk, si*slabPages*ps); err != nil {
+			t.Fatal(err)
+		}
+		if si%3 == 0 {
+			if err := s.Trim(si*slabPages*ps, ps); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	close(done)
+	wg.Wait()
+	if got, want := s.PagesInUse(), 3+2000-2000/3; got != want {
+		t.Errorf("PagesInUse = %d, want %d", got, want)
+	}
+}
+
+// benchStore is a MemStore the size of one benchmark disk (50 MB of 4 KiB
+// pages), fully written.
+func benchStore(b *testing.B) (s *MemStore, pages int) {
+	const ps = 4096
+	pages = 12800
+	s = NewMemStore(ps)
+	blk := bytes.Repeat([]byte{1}, ps)
+	for p := 0; p < pages; p++ {
+		if _, err := s.WriteAt(blk, int64(p)*ps); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return s, pages
+}
+
+// benchMemStoreIO times io over runs of 1 and 4 blocks, walking the store in
+// address order and in a seeded random order of run-aligned addresses.
+func benchMemStoreIO(b *testing.B, io func(s *MemStore, p []byte, off int64) (int, error)) {
+	const ps = 4096
+	s, pages := benchStore(b)
+	for _, run := range []int{1, 4} {
+		starts := make([]int64, pages/run)
+		for i := range starts {
+			starts[i] = int64(i*run) * ps
+		}
+		for _, order := range []string{"seq", "rand"} {
+			if order == "rand" {
+				rand.New(rand.NewSource(1)).Shuffle(len(starts), func(i, j int) { starts[i], starts[j] = starts[j], starts[i] })
+			}
+			b.Run(fmt.Sprintf("%dblk/%s", run, order), func(b *testing.B) {
+				p := make([]byte, run*ps)
+				b.SetBytes(int64(len(p)))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := io(s, p, starts[i%len(starts)]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+func BenchmarkMemStoreReadAt(b *testing.B)  { benchMemStoreIO(b, (*MemStore).ReadAt) }
+func BenchmarkMemStoreWriteAt(b *testing.B) { benchMemStoreIO(b, (*MemStore).WriteAt) }

@@ -2,7 +2,8 @@ package vdisk
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"os"
 	"sync"
 )
 
@@ -74,15 +75,47 @@ func (MemBackend) Open(id, blockSize int) (BlockStore, error) {
 	return NewMemStore(blockSize), nil
 }
 
-// MemStore is the in-memory BlockStore: a sparse page map. It is the
-// extraction of the original Disk block map behind the BlockStore seam,
-// and remains the zero-configuration default for tests and simulations.
+// slabPages is the number of pages in one slab: the width of the uint64
+// occupancy word, so "which pages of this slab hold data" is one load and
+// "how many did this write add" one popcount.
+const slabPages = 64
+
+// maxSlabs bounds the directory (8 bytes a slab, so 128 MiB at most): a
+// write past slab maxSlabs-1 is refused instead of growing the directory
+// until the process dies — a block address read from a corrupt snapshot
+// would otherwise do that. At 4 KiB pages the bound is 4 TiB per disk.
+const maxSlabs = 1 << 24
+
+// slab is slabPages contiguous pages and their occupancy word. Pages whose
+// bit is clear are kept all-zero, so a read never consults the word: it is
+// one copy out of data whatever the occupancy.
+type slab struct {
+	used uint64 // bit i set: page i was written and not trimmed since
+	data []byte // slabPages*pageSize bytes
+}
+
+// errMemClosed is what I/O on a closed MemStore returns; it matches
+// os.ErrClosed, as the filestore's does.
+var errMemClosed = fmt.Errorf("vdisk: mem store: %w", os.ErrClosed)
+
+// MemStore is the in-memory BlockStore: sparse, page-granular, backed by
+// fixed-size slabs behind a directory indexed by slab number (DESIGN §4.13).
+// A ranged read or write is one copy per slab it touches, with no hashing
+// and, once the slab exists, no allocation. It is the zero-configuration
+// default for tests and simulations, and the reference medium the benchmark
+// prices every other layer against.
 type MemStore struct {
-	mu       sync.RWMutex
-	pageSize int              // fixed at construction
-	pages    map[int64][]byte //c56:guardedby mu
+	mu        sync.RWMutex
+	pageSize  int // fixed at construction
+	slabBytes int // slabPages*pageSize
+	// slabs is the directory: slabs[i] covers bytes [i*slabBytes,
+	// (i+1)*slabBytes) and is nil while none of its pages is in use.
+	slabs []*slab //c56:guardedby mu
+	// inUse counts the set occupancy bits over all slabs.
+	inUse int //c56:guardedby mu
 	// size is the high-water mark in bytes.
-	size int64 //c56:guardedby mu
+	size   int64 //c56:guardedby mu
+	closed bool  //c56:guardedby mu
 }
 
 // NewMemStore returns an empty in-memory store with the given page size
@@ -91,66 +124,93 @@ func NewMemStore(pageSize int) *MemStore {
 	if pageSize <= 0 {
 		panic(fmt.Sprintf("vdisk: invalid mem store page size %d", pageSize))
 	}
-	return &MemStore{pageSize: pageSize, pages: make(map[int64][]byte)}
+	return &MemStore{pageSize: pageSize, slabBytes: slabPages * pageSize}
 }
 
 // ReadAt fills p from offset off; unwritten ranges read as zero.
+//
+//c56:noalloc
 func (s *MemStore) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("vdisk: mem store read at negative offset %d", off)
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	ps := int64(s.pageSize)
-	n := 0
-	for n < len(p) {
-		pos := off + int64(n)
-		page, po := pos/ps, pos%ps
-		c := len(p) - n
-		if rem := int(ps - po); c > rem {
-			c = rem
-		}
+	if s.closed {
+		return 0, errMemClosed
+	}
+	for n := 0; n < len(p); {
+		si, so, c := s.locate(off+int64(n), int64(len(p)-n))
 		dst := p[n : n+c]
-		if data, ok := s.pages[page]; ok {
-			copy(dst, data[po:int(po)+c])
+		if si < int64(len(s.slabs)) && s.slabs[si] != nil {
+			copy(dst, s.slabs[si].data[so:])
 		} else {
-			for i := range dst {
-				dst[i] = 0
-			}
+			clear(dst)
 		}
 		n += c
 	}
-	return n, nil
+	return len(p), nil
 }
 
-// WriteAt stores p at offset off, allocating pages as needed.
+// locate returns the slab holding byte pos, pos's offset in it, and how many
+// of the n bytes starting there lie in that slab.
+//
+//c56:noalloc
+func (s *MemStore) locate(pos, n int64) (si int64, so, c int) {
+	sb := int64(s.slabBytes)
+	si, so = pos/sb, int(pos%sb)
+	return si, so, int(min(n, sb-int64(so)))
+}
+
+// WriteAt stores p at offset off, allocating a slab when the first of its
+// pages is written.
+//
+//c56:noalloc
 func (s *MemStore) WriteAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("vdisk: mem store write at negative offset %d", off)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ps := int64(s.pageSize)
-	n := 0
-	for n < len(p) {
-		pos := off + int64(n)
-		page, po := pos/ps, pos%ps
-		c := len(p) - n
-		if rem := int(ps - po); c > rem {
-			c = rem
+	if s.closed {
+		return 0, errMemClosed
+	}
+	if space := maxSlabs * int64(s.slabBytes); off > space-int64(len(p)) {
+		return 0, fmt.Errorf("vdisk: mem store write [%d,+%d) past the %d-byte address space", off, len(p), space)
+	}
+	for n := 0; n < len(p); {
+		si, so, c := s.locate(off+int64(n), int64(len(p)-n))
+		if si >= int64(len(s.slabs)) || s.slabs[si] == nil {
+			s.addSlab(si) //lint:allow noalloc first write into a slab: once per 64 pages, not steady state
 		}
-		data, ok := s.pages[page]
-		if !ok {
-			data = make([]byte, s.pageSize)
-			s.pages[page] = data
-		}
-		copy(data[po:int(po)+c], p[n:n+c])
+		sl := s.slabs[si]
+		copy(sl.data[so:], p[n:n+c])
+		touched := pageMask(so/s.pageSize, (so+c-1)/s.pageSize)
+		s.inUse += bits.OnesCount64(touched &^ sl.used)
+		sl.used |= touched
 		n += c
 	}
 	if end := off + int64(len(p)); end > s.size {
 		s.size = end
 	}
-	return n, nil
+	return len(p), nil
+}
+
+// addSlab allocates slab si, growing the directory to reach it.
+//
+//c56:requires mu
+func (s *MemStore) addSlab(si int64) {
+	if grow := si + 1 - int64(len(s.slabs)); grow > 0 {
+		s.slabs = append(s.slabs, make([]*slab, grow)...)
+	}
+	s.slabs[si] = &slab{data: make([]byte, s.slabBytes)}
+}
+
+// pageMask returns the occupancy bits of pages first..last of a slab.
+//
+//c56:noalloc
+func pageMask(first, last int) uint64 {
+	return ^uint64(0) >> (slabPages - 1 - (last - first)) << first
 }
 
 // Size returns the high-water mark in bytes.
@@ -163,39 +223,54 @@ func (s *MemStore) Size() (int64, error) {
 // Sync is a no-op: memory has no separate durable medium.
 func (s *MemStore) Sync() error { return nil }
 
-// Close discards the pages.
+// Close discards the contents; ReadAt, WriteAt, Trim and Reset fail with
+// os.ErrClosed afterwards.
 func (s *MemStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.pages = make(map[int64][]byte)
-	s.size = 0
+	s.drop()
+	s.closed = true
 	return nil
 }
 
-// Trim deallocates the fully covered pages and zeroes the partial edges.
+// drop releases every slab and zeroes the counters.
+//
+//c56:requires mu
+func (s *MemStore) drop() {
+	s.slabs, s.inUse, s.size = nil, 0, 0
+}
+
+// Trim deallocates the fully covered pages and zeroes the partial edges. A
+// slab left with no page in use is released.
 func (s *MemStore) Trim(off, length int64) error {
 	if off < 0 || length < 0 {
 		return fmt.Errorf("vdisk: mem store trim [%d,+%d)", off, length)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ps := int64(s.pageSize)
-	end := off + length
+	if s.closed {
+		return errMemClosed
+	}
+	// Nothing is allocated past the directory, so the walk stops there.
+	end := min(off+length, int64(len(s.slabs))*int64(s.slabBytes))
 	for pos := off; pos < end; {
-		page, po := pos/ps, pos%ps
-		c := ps - po
-		if rem := end - pos; c > rem {
-			c = rem
+		si, so, c := s.locate(pos, end-pos)
+		pos += int64(c)
+		sl := s.slabs[si]
+		if sl == nil {
+			continue
 		}
-		if po == 0 && c == ps {
-			delete(s.pages, page)
-		} else if data, ok := s.pages[page]; ok {
-			seg := data[po : po+c]
-			for i := range seg {
-				seg[i] = 0
+		// The pages wholly inside [so, so+c) lose their bit; the bytes of
+		// every page in the range, whole or partial, read zero afterwards.
+		if first, past := (so+s.pageSize-1)/s.pageSize, (so+c)/s.pageSize; past > first {
+			freed := pageMask(first, past-1) & sl.used
+			s.inUse -= bits.OnesCount64(freed)
+			if sl.used &^= freed; sl.used == 0 {
+				s.slabs[si] = nil
+				continue
 			}
 		}
-		pos += c
+		clear(sl.data[so : so+c])
 	}
 	return nil
 }
@@ -204,16 +279,18 @@ func (s *MemStore) Trim(off, length int64) error {
 func (s *MemStore) Reset() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.pages = make(map[int64][]byte)
-	s.size = 0
+	if s.closed {
+		return errMemClosed
+	}
+	s.drop()
 	return nil
 }
 
-// Extents returns the allocated block addresses, sorted. When blockSize
-// differs from the store's page size the page map granularity does not
-// line up, so enumeration falls back to the dense range implied by Size
-// (the Disk always constructs its MemStore with its own block size, so
-// the exact path is the one taken in practice).
+// Extents returns the allocated block addresses, ascending. When blockSize
+// differs from the store's page size the occupancy bits do not line up, so
+// enumeration falls back to the dense range implied by Size (the Disk
+// always constructs its MemStore with its own block size, so the exact path
+// is the one taken in practice).
 func (s *MemStore) Extents(blockSize int) []int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -225,18 +302,22 @@ func (s *MemStore) Extents(blockSize int) []int64 {
 		}
 		return out
 	}
-	out := make([]int64, 0, len(s.pages))
-	for b := range s.pages {
-		out = append(out, b)
+	out := make([]int64, 0, s.inUse)
+	for si, sl := range s.slabs {
+		if sl == nil {
+			continue
+		}
+		for w := sl.used; w != 0; w &= w - 1 {
+			out = append(out, int64(si)*slabPages+int64(bits.TrailingZeros64(w)))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-// PagesInUse returns the number of allocated pages (BlocksInUse's exact
-// source for memory-backed disks).
+// PagesInUse returns the number of allocated pages: Disk.BlocksInUse for
+// memory-backed disks, kept as a counter so asking costs no walk.
 func (s *MemStore) PagesInUse() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.pages)
+	return s.inUse
 }

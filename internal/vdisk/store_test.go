@@ -3,6 +3,7 @@ package vdisk_test
 import (
 	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -25,8 +26,8 @@ func storeBackends(t *testing.T) map[string]vdisk.Backend {
 }
 
 // TestStoreContract drives the BlockStore contract — sparse zero reads,
-// roundtrips, unaligned spans, size high-water, trim, reset — identically
-// over both backends.
+// roundtrips, unaligned spans, size high-water, trim, reset, refusal after
+// close — identically over both backends.
 func TestStoreContract(t *testing.T) {
 	for name, backend := range storeBackends(t) {
 		t.Run(name, func(t *testing.T) {
@@ -34,7 +35,7 @@ func TestStoreContract(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer s.Close()
+			defer s.Close() // early exits; the contract's own Close is below
 
 			// Unwritten ranges read as zero, even far past any write.
 			buf := make([]byte, 1024)
@@ -116,6 +117,23 @@ func TestStoreContract(t *testing.T) {
 
 			if err := s.Sync(); err != nil {
 				t.Fatalf("sync: %v", err)
+			}
+
+			// Close: the store is unusable after, and says so.
+			if err := s.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+			if _, err := s.ReadAt(got, 512); !errors.Is(err, os.ErrClosed) {
+				t.Errorf("read after close: %v, want os.ErrClosed", err)
+			}
+			if _, err := s.WriteAt(blk, 512); !errors.Is(err, os.ErrClosed) {
+				t.Errorf("write after close: %v, want os.ErrClosed", err)
+			}
+			if err := tr.Trim(512, 512); !errors.Is(err, os.ErrClosed) {
+				t.Errorf("trim after close: %v, want os.ErrClosed", err)
+			}
+			if err := rs.Reset(); !errors.Is(err, os.ErrClosed) {
+				t.Errorf("reset after close: %v, want os.ErrClosed", err)
 			}
 		})
 	}

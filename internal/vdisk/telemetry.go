@@ -28,7 +28,7 @@ import (
 // Trace events: vdisk.fail, vdisk.replace, vdisk.scheduled_fail,
 // vdisk.latent_injected, vdisk.latent_hit — each with a "disk" attribute.
 
-// latencyBucketsUS covers the sub-microsecond map hit through a slow
+// latencyBucketsUS covers the sub-microsecond slab copy through a slow
 // multi-millisecond contended access.
 var latencyBucketsUS = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000}
 

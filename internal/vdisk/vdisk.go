@@ -192,9 +192,10 @@ func (d *Disk) readAttempt(b int64, buf []byte) error {
 	d.stats.Reads += n
 	d.tel.reads.Set(d.stats.Reads)
 	d.tel.allReads.Add(n)
-	d.tel.ioRate.Add(n)
 	d.tel.ioBytes.ObserveN(float64(d.blockSize), n)
-	d.tel.readLat.Observe(float64(time.Since(start).Nanoseconds()) / 1e3)
+	end := time.Now() // read once: the rate's timestamp and the latency's end
+	d.tel.ioRate.AddAt(end, n)
+	d.tel.readLat.Observe(float64(end.Sub(start).Nanoseconds()) / 1e3)
 	return nil
 }
 
@@ -293,9 +294,10 @@ func (d *Disk) writeAttempt(b int64, data []byte) error {
 	d.stats.Writes += n
 	d.tel.writes.Set(d.stats.Writes)
 	d.tel.allWrites.Add(n)
-	d.tel.ioRate.Add(n)
 	d.tel.ioBytes.ObserveN(float64(d.blockSize), n)
-	d.tel.writeLat.Observe(float64(time.Since(start).Nanoseconds()) / 1e3)
+	end := time.Now() // read once, as in readAttempt
+	d.tel.ioRate.AddAt(end, n)
+	d.tel.writeLat.Observe(float64(end.Sub(start).Nanoseconds()) / 1e3)
 	return nil
 }
 
@@ -427,11 +429,15 @@ func (d *Disk) ResetStats() {
 }
 
 // BlocksInUse returns the number of blocks holding written data. It is
-// backend-dependent: stores listing extents (MemStore) report allocated
-// blocks exactly; others report the high-water block count from Size.
+// backend-dependent: a MemStore reports its allocated pages exactly, from
+// its counter; so does any other store listing extents, by their number;
+// the rest report the high-water block count from Size.
 func (d *Disk) BlocksInUse() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
+	if m, ok := d.store.(*MemStore); ok && m.pageSize == d.blockSize {
+		return m.PagesInUse()
+	}
 	if l, ok := d.store.(ExtentLister); ok {
 		return len(l.Extents(d.blockSize))
 	}
