@@ -28,55 +28,17 @@ type DecodeStats struct {
 }
 
 // PeelDecode recovers erased elements by repeatedly finding a parity chain
-// with exactly one erased member and solving it. It mutates s in place and
-// removes recovered coordinates from es. It returns ErrUnrecoverable if
-// peeling gets stuck before es is empty; in that case s holds the partial
-// recovery and es the still-missing cells.
+// with exactly one erased member and solving it: it compiles the schedule for
+// es (Decoder.Compile) and runs it. It mutates s in place and removes
+// recovered coordinates from es. It returns ErrUnrecoverable if peeling gets
+// stuck before es is empty; in that case s holds the partial recovery, es the
+// still-missing cells and the stats the work done so far.
 //
 // Peeling is exactly the recovery-chain procedure the RAID-6 papers
 // describe (e.g. Code 5-6's Algorithm 1 and RDP's zig-zag reconstruction),
 // generalized to any erasure pattern.
 func PeelDecode(code Code, s *Stripe, es ErasureSet) (DecodeStats, error) {
-	var st DecodeStats
-	read := make(map[Coord]bool)
-	chains := code.Chains()
-	for len(es) > 0 {
-		progress := false
-		for _, ch := range chains {
-			missing, ok := soleMissing(ch, es)
-			if !ok {
-				continue
-			}
-			solveChain(s, ch, missing, read, &st)
-			delete(es, missing)
-			progress = true
-		}
-		if !progress {
-			return st, fmt.Errorf("%w: peeling stuck with %d cells missing (%s)", ErrUnrecoverable, len(es), code.Name())
-		}
-	}
-	st.BlocksRead = len(read)
-	return st, nil
-}
-
-// soleMissing returns the single erased member of the chain, if exactly one
-// member is erased.
-func soleMissing(ch Chain, es ErasureSet) (Coord, bool) {
-	var missing Coord
-	count := 0
-	if es[ch.Parity] {
-		missing = ch.Parity
-		count++
-	}
-	for _, m := range ch.Covers {
-		if es[m] {
-			if count++; count > 1 {
-				return Coord{}, false
-			}
-			missing = m
-		}
-	}
-	return missing, count == 1
+	return NewDecoder(code).Compile(es).apply(s, es)
 }
 
 // SolveChain reconstructs the missing member of ch in place as the XOR of
@@ -100,24 +62,17 @@ func SolveChainTracked(s *Stripe, ch Chain, missing Coord, read map[Coord]bool, 
 }
 
 // solveChain reconstructs the missing member of ch as the XOR of all other
-// members, updating read-set and stats.
+// members in one fused fold, updating read-set and stats.
 func solveChain(s *Stripe, ch Chain, missing Coord, read map[Coord]bool, st *DecodeStats) {
-	dst := s.Block(missing)
-	for i := range dst {
-		dst[i] = 0
-	}
-	n := 0
+	srcs := make([][]byte, 0, len(ch.Covers)+1)
 	for _, m := range ch.Members() {
 		if m == missing {
 			continue
 		}
-		xorblk.Xor(dst, s.Block(m))
+		srcs = append(srcs, s.Block(m))
 		read[m] = true
-		n++
 	}
-	if n > 0 {
-		st.XORs += n - 1
-	}
+	st.XORs += xorblk.XorMulti(s.Block(missing), srcs...)
 	st.Recovered++
 }
 
@@ -127,6 +82,12 @@ func solveChain(s *Stripe, ch Chain, missing Coord, read map[Coord]bool, st *Dec
 // diagonal chains under double column failure). It mutates s in place; on
 // success es is emptied.
 func SolveDecode(code Code, s *Stripe, es ErasureSet) (DecodeStats, error) {
+	return solveDecode(code, s, es, make([]uint64, (s.Geom.Elements()+63)/64))
+}
+
+// solveDecode is SolveDecode counting BlocksRead over read, a bitset of the
+// cells an earlier phase already read, which it extends.
+func solveDecode(code Code, s *Stripe, es ErasureSet, read []uint64) (DecodeStats, error) {
 	var st DecodeStats
 	st.UsedElimination = true
 	if len(es) == 0 {
@@ -139,7 +100,6 @@ func SolveDecode(code Code, s *Stripe, es ErasureSet) (DecodeStats, error) {
 		idx[c] = len(unknowns)
 		unknowns = append(unknowns, c)
 	}
-	read := make(map[Coord]bool)
 
 	// Build one equation per chain that touches an unknown:
 	// XOR(unknown members) = XOR(known members).
@@ -163,7 +123,8 @@ func SolveDecode(code Code, s *Stripe, es ErasureSet) (DecodeStats, error) {
 					konst = make([]byte, s.BlockSize)
 				}
 				xorblk.Xor(konst, s.Block(m))
-				read[m] = true
+				i := s.Geom.Index(m)
+				read[i/64] |= 1 << (i % 64)
 				st.XORs++
 			}
 		}
@@ -221,7 +182,7 @@ func SolveDecode(code Code, s *Stripe, es ErasureSet) (DecodeStats, error) {
 	for c := range es {
 		delete(es, c)
 	}
-	st.BlocksRead = len(read)
+	st.BlocksRead = popcount(read)
 	return st, nil
 }
 
@@ -229,26 +190,17 @@ func SolveDecode(code Code, s *Stripe, es ErasureSet) (DecodeStats, error) {
 // stuck, Gaussian elimination on the remaining cells. This is the
 // general-purpose entry point used by the RAID-6 driver.
 func Reconstruct(code Code, s *Stripe, es ErasureSet) (DecodeStats, error) {
-	st, err := PeelDecode(code, s, es)
+	plan := NewDecoder(code).Compile(es)
+	st, err := plan.apply(s, es)
 	if err == nil {
 		return st, nil
 	}
-	st2, err := SolveDecode(code, s, es)
+	st2, err := solveDecode(code, s, es, plan.read)
 	st.XORs += st2.XORs
-	st.BlocksRead += st2.BlocksRead // approximation: sets may overlap across phases
+	st.BlocksRead = popcount(plan.read) // both phases' reads, each cell once
 	st.Recovered += st2.Recovered
 	st.UsedElimination = true
 	return st, err
 }
 
 func bitGet(bs []uint64, i int) bool { return bs[i/64]&(1<<(i%64)) != 0 }
-
-func popcount(bs []uint64) int {
-	n := 0
-	for _, w := range bs {
-		for ; w != 0; w &= w - 1 {
-			n++
-		}
-	}
-	return n
-}

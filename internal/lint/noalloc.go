@@ -149,6 +149,13 @@ var noallocTrusted = map[string]bool{
 	"code56/internal/layout.Encoder.Encode":            true,
 	"code56/internal/layout.Encoder.EncodeInterleaved": true,
 	"code56/internal/layout.Encoder.Verify":            true,
+	"code56/internal/layout.Columns.Len":               true,
+	"code56/internal/layout.Columns.At":                true,
+	"code56/internal/layout.Columns.Has":               true,
+	"code56/internal/layout.Columns.With":              true,
+	"code56/internal/layout.Decoder.ColumnPlan":        true,
+	"code56/internal/layout.Plan.SourceRuns":           true,
+	"code56/internal/layout.Plan.Run":                  true,
 	"code56/internal/vdisk.Disk.Read":                  true,
 	"code56/internal/vdisk.Disk.Write":                 true,
 	"code56/internal/vdisk.Disk.ReadBlocks":            true,

@@ -88,6 +88,50 @@ func TestDegradedReadAllocationFree(t *testing.T) {
 	}
 }
 
+// TestDegradedReadDoubleFailureAllocationFree: with two disks down a read is
+// served from the cached recovery plan — pooled stripe scratch, pooled cover
+// pointers, no erasure map.
+func TestDegradedReadDoubleFailureAllocationFree(t *testing.T) {
+	skipIfRace(t)
+	a := newWarmArray(t, 2)
+	_, cell := a.Locate(0)
+	a.Disks().Disk(cell.Col).Fail()
+	a.Disks().Disk((cell.Col + 2) % a.geom.Cols).Fail()
+	buf := make([]byte, a.BlockSize())
+	if n := testing.AllocsPerRun(100, func() {
+		if err := a.ReadBlock(0, buf); err != nil {
+			t.Fatalf("degraded ReadBlock: %v", err)
+		}
+	}); n != 0 {
+		t.Errorf("double-erasure ReadBlock allocates %.1f times per call, want 0", n)
+	}
+}
+
+// TestRebuildStripeAllocationFree: rebuilding two replaced disks runs the
+// cached schedule over a pooled stripe.
+func TestRebuildStripeAllocationFree(t *testing.T) {
+	skipIfRace(t)
+	a := newWarmArray(t, 2)
+	disks := []int{1, 3}
+	for _, d := range disks {
+		a.Disks().Disk(d).Fail()
+		a.Disks().Disk(d).Replace()
+	}
+	if err := a.Rebuild(2, disks...); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := a.rebuildStripe(1, disks); err != nil {
+			t.Fatalf("rebuildStripe: %v", err)
+		}
+	}); n != 0 {
+		t.Errorf("rebuildStripe allocates %.1f times per call, want 0", n)
+	}
+	if ok, err := a.VerifyStripe(1); err != nil || !ok {
+		t.Fatalf("stripe 1 after rebuilds: ok=%v err=%v", ok, err)
+	}
+}
+
 func TestWriteBlockRMWAllocationFree(t *testing.T) {
 	skipIfRace(t)
 	a := newWarmArray(t, 2)

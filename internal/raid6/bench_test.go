@@ -80,17 +80,33 @@ func BenchmarkReadBlockHealthy(b *testing.B) {
 	}
 }
 
+// BenchmarkReadBlockDegraded reads every logical block in turn around one
+// failed disk (the horizontal-chain plan) and around two, the second at the
+// repo benchmark's two shapes and failure pair.
 func BenchmarkReadBlockDegraded(b *testing.B) {
-	a := benchArray(b, 4)
-	a.Disks().Disk(0).Fail()
-	blocks := int64(a.DataPerStripe() * 4)
-	buf := make([]byte, 4096)
-	b.SetBytes(4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := a.ReadBlock(int64(i)%blocks, buf); err != nil {
-			b.Fatal(err)
-		}
+	for _, tc := range []struct {
+		name         string
+		p, blockSize int
+		fail         []int
+	}{
+		{"one_p7_4k", 7, 4096, []int{0}},
+		{"two_p5_4k", 5, 4096, []int{0, 2}},
+		{"two_p13_16k", 13, 16384, []int{0, 2}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			a, _, want := newFilledArray(b, core.MustNew(tc.p), tc.blockSize, 4, false)
+			for _, d := range tc.fail {
+				a.Disks().Disk(d).Fail()
+			}
+			buf := make([]byte, tc.blockSize)
+			b.SetBytes(int64(tc.blockSize))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := a.ReadBlock(int64(i%len(want)), buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

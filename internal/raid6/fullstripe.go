@@ -17,31 +17,56 @@ func (a *Array) RebuildParallel(stripes int64, workers int, disks ...int) error 
 	return a.RebuildContext(context.Background(), stripes, disks, parallel.WithWorkers(workers))
 }
 
-// rebuildStripe reconstructs the given disks' cells of one stripe.
+// rebuildStripe reconstructs the given disks' cells of one stripe. It reads
+// only the other columns and runs the cached recovery schedule of the
+// rebuilt ones; if some other cell is unreadable too, or the columns have no
+// plan, the full decoder takes the exact erasure set.
+//
+//c56:noalloc
 func (a *Array) rebuildStripe(st int64, disks []int) error {
-	s, es, err := a.loadStripe(st)
-	if err != nil {
+	var cols layout.Columns
+	for _, d := range disks {
+		cols = cols.With(a.colOnDisk(st, d))
+	}
+	s := a.stripes.Get()
+	defer a.stripes.Put(s)
+	var es layout.ErasureSet
+	for j := 0; j < a.geom.Cols; j++ {
+		if cols.Has(j) {
+			continue
+		}
+		var err error
+		if es, err = a.loadColumn(st, j, s, es); err != nil {
+			return err
+		}
+	}
+	if plan := a.dec.ColumnPlan(cols); plan != nil && es == nil {
+		plan.Run(s)
+	} else if err := a.reconstructColumns(st, s, es, cols); err != nil { //lint:allow noalloc a rebuild around further damage decodes the exact erasure set; the cached schedule is the steady state
 		return err
 	}
-	defer a.stripes.Put(s)
-	if es == nil {
-		es = make(layout.ErasureSet, len(disks)*a.geom.Rows)
+	for i := 0; i < cols.Len(); i++ {
+		if err := a.writeColumn(st, cols.At(i), s); err != nil {
+			return err
+		}
 	}
-	for _, d := range disks {
-		col := a.colOnDisk(st, d)
+	return nil
+}
+
+// reconstructColumns is rebuildStripe's fallback: the general decoder over
+// the rebuilt columns plus whatever else loading found unreadable (es, which
+// may be nil).
+func (a *Array) reconstructColumns(st int64, s *layout.Stripe, es layout.ErasureSet, cols layout.Columns) error {
+	if es == nil {
+		es = make(layout.ErasureSet, cols.Len()*a.geom.Rows)
+	}
+	for i := 0; i < cols.Len(); i++ {
 		for r := 0; r < a.geom.Rows; r++ {
-			c := layout.Coord{Row: r, Col: col}
-			s.Zero(c)
-			es[c] = true
+			es[layout.Coord{Row: r, Col: cols.At(i)}] = true
 		}
 	}
 	if _, err := layout.Reconstruct(a.code, s, es); err != nil {
-		return fmt.Errorf("%w: stripe %d: %v", ErrTooManyFailures, st, err)
-	}
-	for _, d := range disks {
-		if err := a.writeColumn(st, a.colOnDisk(st, d), s); err != nil {
-			return err
-		}
+		return fmt.Errorf("%w: stripe %d: %w", ErrTooManyFailures, st, err)
 	}
 	return nil
 }
@@ -56,7 +81,7 @@ func (a *Array) WriteStripe(stripe int64, data [][]byte) error {
 	if len(data) != len(a.dataCells) {
 		return fmt.Errorf("raid6: full-stripe write of %d blocks, want %d", len(data), len(a.dataCells))
 	}
-	if len(a.failedColumns()) > 0 {
+	if a.failedColumns().Len() > 0 {
 		return fmt.Errorf("%w: full-stripe write needs a healthy array", ErrTooManyFailures)
 	}
 	s := a.stripes.Get()
@@ -86,7 +111,7 @@ func (a *Array) ReadStripe(stripe int64) ([][]byte, error) {
 	defer a.stripes.Put(s)
 	if len(es) > 0 {
 		if _, err := layout.Reconstruct(a.code, s, es); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrTooManyFailures, err)
+			return nil, fmt.Errorf("%w: %w", ErrTooManyFailures, err)
 		}
 	}
 	out := make([][]byte, len(a.dataCells))

@@ -120,6 +120,18 @@ func (a *Array) RebuildContext(ctx context.Context, stripes int64, disks []int, 
 	if len(disks) > a.code.FaultTolerance() {
 		return fmt.Errorf("%w: %d disks", ErrTooManyFailures, len(disks))
 	}
+	// Checked once, here: a bad index met inside a pool worker would panic
+	// in a goroutine no caller can recover.
+	for i, d := range disks {
+		if d < 0 || d >= a.geom.Cols {
+			return fmt.Errorf("raid6: rebuild of disk %d, want an index in [0, %d)", d, a.geom.Cols)
+		}
+		for _, e := range disks[:i] {
+			if e == d {
+				return fmt.Errorf("raid6: rebuild lists disk %d twice", d)
+			}
+		}
+	}
 	sp := a.tel.tr.StartSpan("raid6.rebuild",
 		telemetry.A("disks", fmt.Sprint(disks)), telemetry.A("stripes", stripes))
 	err := parallel.ForEachBatch(ctx, stripes, a.stripeBytes(), func(st int64) error {

@@ -42,11 +42,13 @@ type Array struct {
 	// paths allocation-free: the code's chains and per-cell covering-chain
 	// indices are resolved once (Code.Chains may rebuild its slice per
 	// call and layout.ChainsCovering allocates), the encoder carries the
-	// pre-resolved chain order plus pooled scratch, and stripes for
+	// pre-resolved chain order plus pooled scratch, the decoder the compiled
+	// recovery plans of every column set met so far, and stripes for
 	// load/encode/scrub cycles are recycled instead of allocated.
 	chains   []layout.Chain
 	covering [][]int // chain indices covering cell i (geom.Index order)
 	enc      *layout.Encoder
+	dec      *layout.Decoder
 	stripes  *layout.StripePool
 	// batches pools the stripe-pointer slices the interleaved bulk encoder
 	// claims per ForEachBatchRange range, keeping that path allocation-free.
@@ -60,7 +62,7 @@ type tel struct {
 	blockReads    *telemetry.Counter // ReadBlock/ReadCell calls served
 	blockWrites   *telemetry.Counter // WriteBlock calls served
 	degradedReads *telemetry.Counter // reads answered by reconstruction
-	degradedFast  *telemetry.Counter // degraded reads served by one chain
+	degradedFast  *telemetry.Counter // degraded reads served from a recovery plan
 	parityUpdates *telemetry.Counter // parity cells written
 	xors          *telemetry.Counter // block XOR operations
 	stripeEncodes *telemetry.Counter // full-stripe parity generations
@@ -120,6 +122,7 @@ func newArray(code layout.Code, disks *vdisk.Array, blockSize int) *Array {
 		chains:     code.Chains(),
 		covering:   covering,
 		enc:        layout.NewEncoder(code),
+		dec:        layout.NewDecoder(code),
 		stripes:    layout.NewStripePool(g, blockSize),
 	}
 	a.batches.New = func() any { return &stripeBatch{} }
@@ -191,14 +194,16 @@ func (a *Array) writeCell(stripe int64, c layout.Coord, data []byte) error {
 	return a.diskFor(stripe, c.Col).Write(a.blockAddr(stripe, c), data)
 }
 
-// failedColumns returns the failed disk indices.
+// failedColumns returns the failed disks. It stops at layout.MaxColumns of
+// them, one past any code's fault tolerance: beyond that the set only has to
+// say "too many".
 //
 //c56:noalloc
-func (a *Array) failedColumns() []int {
-	var f []int
-	for i := 0; i < a.geom.Cols; i++ {
+func (a *Array) failedColumns() layout.Columns {
+	var f layout.Columns
+	for i := 0; i < a.geom.Cols && f.Len() < layout.MaxColumns; i++ {
 		if a.disks.Disk(i).Failed() {
-			f = append(f, i) //lint:allow noalloc enumerating failures allocates only when disks are down
+			f = f.With(i)
 		}
 	}
 	return f
@@ -282,9 +287,7 @@ func isDegradable(err error) bool {
 }
 
 // ReadBlock reads logical data block L, reconstructing if the holding disk
-// (or a needed block) is unavailable. A single unreadable cell is rebuilt
-// through one parity chain — horizontal first (see degradedRead); wider
-// damage falls back to whole-stripe reconstruction.
+// (or a needed block) is unavailable (see degradedRead).
 //
 //c56:noalloc
 func (a *Array) ReadBlock(logical int64, buf []byte) error {
@@ -315,18 +318,21 @@ func (a *Array) ReadCell(stripe int64, cell layout.Coord, buf []byte) error {
 	return a.degradedRead(stripe, cell, buf)
 }
 
-// degradedRead serves a read whose direct cell access failed. It first
-// tries to rebuild the single cell through one parity chain, preferring
-// horizontal chains — a horizontal rebuild costs p-3 XORs and p-2 reads in
-// Code 5-6, the paper's single-block decode bound, and never touches the
-// diagonal-parity disk. If no single chain has all its other members
-// readable (multiple failures intersecting every chain), it falls back to
-// loading the whole stripe and running the full decoder.
+// degradedRead serves a read whose direct cell access failed, from the
+// recovery plan of the failed columns plus the cell's own: it reads only the
+// surviving cells whose XOR is the cell — its stretch of the recovery chains,
+// a run of adjacent rows of a column per disk call — and folds them into buf.
+// With one column lost that is the cell's horizontal chain, p-2 reads and
+// p-3 XORs in Code 5-6, the paper's single-block decode bound, and it never
+// touches the diagonal-parity disk. If a source turns out unreadable, or the
+// columns have no plan (more of them than the code tolerates, or a pattern
+// peeling cannot solve), it falls back to loading the whole stripe and
+// running the full decoder on exactly the unreadable cells.
 //
 //c56:noalloc
 func (a *Array) degradedRead(stripe int64, cell layout.Coord, buf []byte) error {
 	a.tel.degradedReads.Inc()
-	if a.reconstructCell(stripe, cell, buf) {
+	if a.readFromPlan(stripe, cell, buf) {
 		a.tel.degradedFast.Inc()
 		return nil
 	}
@@ -335,80 +341,89 @@ func (a *Array) degradedRead(stripe int64, cell layout.Coord, buf []byte) error 
 		return err
 	}
 	defer a.stripes.Put(s)
-	if _, err := layout.Reconstruct(a.code, s, es); err != nil { //lint:allow noalloc multi-erasure fallback decodes the whole stripe; the single-chain fast path is the steady state
-		return fmt.Errorf("%w: %v", ErrTooManyFailures, err)
+	if _, err := layout.Reconstruct(a.code, s, es); err != nil { //lint:allow noalloc the fallback decodes the whole stripe; reads served from a plan are the steady state
+		return fmt.Errorf("%w: %w", ErrTooManyFailures, err)
 	}
 	copy(buf, s.Block(cell))
 	return nil
 }
 
-// reconstructCell tries to rebuild one cell from a single parity chain,
-// horizontal chains first. It reports whether any chain succeeded; on
-// success buf holds the cell's contents.
+// lostColumns maps failed disks to the logical columns they hold in the
+// stripe and adds col. It returns the empty set when the result would not
+// fit, which no plan serves either.
 //
 //c56:noalloc
-func (a *Array) reconstructCell(stripe int64, cell layout.Coord, buf []byte) bool {
-	for _, horizontal := range [2]bool{true, false} {
-		for _, ch := range a.chains {
-			if (ch.Kind == layout.ParityH) != horizontal || !chainContains(ch, cell) {
-				continue
-			}
-			if a.xorChainInto(stripe, ch, cell, buf) {
-				return true
-			}
-		}
+func (a *Array) lostColumns(stripe int64, failed layout.Columns, col int) layout.Columns {
+	if failed.Len() >= layout.MaxColumns {
+		return layout.Columns{}
 	}
-	return false
+	var cols layout.Columns
+	for i := 0; i < failed.Len(); i++ {
+		cols = cols.With(a.colOnDisk(stripe, failed.At(i)))
+	}
+	return cols.With(col)
 }
 
-// chainContains reports whether cell is a member (parity or cover) of ch.
+// readFromPlan rebuilds one cell into buf from its plan sources. It reports
+// false, leaving buf dirty, if there is no plan or a source read fails.
 //
 //c56:noalloc
-func chainContains(ch layout.Chain, cell layout.Coord) bool {
-	if ch.Parity == cell {
-		return true
-	}
-	for _, m := range ch.Covers {
-		if m == cell {
-			return true
-		}
-	}
-	return false
-}
-
-// xorChainInto XORs every member of ch except cell into buf. It reports
-// false (leaving buf dirty) if any member read fails. The parity and covers
-// are walked directly (ch.Members would allocate the combined slice) and the
-// read scratch is rented from bufpool, keeping the single-chain degraded
-// read allocation-free.
-//
-//c56:noalloc
-func (a *Array) xorChainInto(stripe int64, ch layout.Chain, cell layout.Coord, buf []byte) bool {
-	for i := range buf {
-		buf[i] = 0
-	}
-	tmp := bufpool.Get(a.blockSize)
-	defer bufpool.Put(tmp)
-	xorMember := func(m layout.Coord) bool {
-		if m == cell {
-			return true
-		}
-		if err := a.readCell(stripe, m, tmp); err != nil {
-			return false
-		}
-		xorblk.Xor(buf, tmp)
-		a.tel.xors.Inc()
-		return true
-	}
-	if !xorMember(ch.Parity) {
+func (a *Array) readFromPlan(stripe int64, cell layout.Coord, buf []byte) bool {
+	plan := a.dec.ColumnPlan(a.lostColumns(stripe, a.failedColumns(), cell.Col))
+	if plan == nil {
 		return false
 	}
-	for _, m := range ch.Covers {
-		if !xorMember(m) {
-			return false
+	// The sources pass through a scratch of a few blocks, each batch folded
+	// into buf while it is still in cache: a cell deep in the recovery chains
+	// of a wide array has more sources than a cache level holds.
+	bs := a.blockSize
+	var batch [foldBatchMax][]byte
+	k := min(max(foldBatchBytes/bs, 4), foldBatchMax)
+	scratch := bufpool.Get(k * bs)
+	defer bufpool.Put(scratch)
+	n, folded := 0, 0 // blocks waiting in scratch, blocks folded into buf
+	for _, run := range plan.SourceRuns(cell) {
+		disk := a.diskFor(stripe, run.Col)
+		for row, end := run.Row, run.Row+run.N; row < end; {
+			take := min(end-row, k-n)
+			dst := scratch[n*bs : (n+take)*bs]
+			if disk.ReadBlocks(a.blockAddr(stripe, layout.Coord{Row: row, Col: run.Col}), dst) != nil {
+				return false
+			}
+			for i := 0; i < take; i++ {
+				batch[n+i] = dst[i*bs : (i+1)*bs]
+			}
+			n, row = n+take, row+take
+			if n == k {
+				foldBatch(buf, batch[:n], folded == 0)
+				n, folded = 0, folded+n
+			}
 		}
 	}
+	if n > 0 || folded == 0 { // no source at all is the zero block
+		foldBatch(buf, batch[:n], folded == 0)
+		folded += n
+	}
+	a.tel.xors.Add(int64(max(folded-1, 0)))
 	return true
+}
+
+// A degraded read folds its sources in batches of foldBatchBytes, at least 4
+// and at most foldBatchMax blocks.
+const (
+	foldBatchBytes = 64 << 10
+	foldBatchMax   = 16
+)
+
+// foldBatch XORs srcs into buf, which the first batch of a fold overwrites.
+//
+//c56:noalloc
+func foldBatch(buf []byte, srcs [][]byte, first bool) {
+	if first {
+		xorblk.XorMulti(buf, srcs...)
+	} else {
+		xorblk.AccumulateMulti(buf, srcs...)
+	}
 }
 
 // WriteBlock writes logical data block L. In a healthy array it performs
@@ -423,7 +438,7 @@ func (a *Array) WriteBlock(logical int64, data []byte) error {
 	}
 	a.tel.blockWrites.Inc()
 	stripe, cell := a.Locate(logical)
-	if len(a.failedColumns()) == 0 {
+	if a.failedColumns().Len() == 0 {
 		return a.writeRMW(stripe, cell, data)
 	}
 	return a.writeDegraded(stripe, cell, data) //lint:allow noalloc degraded writes reconstruct the whole stripe; RMW is the steady state
@@ -481,7 +496,7 @@ func (a *Array) writeDegraded(stripe int64, cell layout.Coord, data []byte) erro
 	}
 	defer a.stripes.Put(s)
 	if _, err := layout.Reconstruct(a.code, s, es); err != nil {
-		return fmt.Errorf("%w: %v", ErrTooManyFailures, err)
+		return fmt.Errorf("%w: %w", ErrTooManyFailures, err)
 	}
 	s.SetBlock(cell, data)
 	a.enc.Encode(s)

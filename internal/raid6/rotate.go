@@ -32,6 +32,8 @@ func (a *Array) diskFor(stripe int64, col int) *vdisk.Disk {
 
 // colOnDisk inverts diskFor: the logical column that disk d serves in the
 // given stripe.
+//
+//c56:noalloc
 func (a *Array) colOnDisk(stripe int64, d int) int {
 	if a.rotate {
 		return ((d-int(stripe%int64(a.geom.Cols)))%a.geom.Cols + a.geom.Cols) % a.geom.Cols

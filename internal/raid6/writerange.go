@@ -25,7 +25,7 @@ func (a *Array) WriteRange(logical int64, data []byte) error {
 	if nBlocks == 0 {
 		return nil
 	}
-	if len(a.failedColumns()) > 0 {
+	if a.failedColumns().Len() > 0 {
 		for i := int64(0); i < nBlocks; i++ {
 			if err := a.WriteBlock(logical+i, data[i*int64(a.blockSize):(i+1)*int64(a.blockSize)]); err != nil {
 				return err

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 )
@@ -160,6 +161,26 @@ func TestOptionConstructorsMatchPositional(t *testing.T) {
 	}
 	if a.Disks().Disk(0).BlockSize() != 128 {
 		t.Fatal("NewRAID6Array block size ignored")
+	}
+}
+
+// TestRebuildArrayRejectsBadDisks: the facade forwards its disk list to
+// RebuildContext, which must refuse an out-of-range or repeated index with an
+// error — once, before the workers start, where a caller can still see it.
+func TestRebuildArrayRejectsBadDisks(t *testing.T) {
+	code, err := NewCode(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewRAID6Array(code, WithBlockSize(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, disks := range [][]int{{7}, {-2}, {1, 1}} {
+		err := RebuildArray(context.Background(), a, 4, disks, WithWorkers(4))
+		if err == nil || !strings.Contains(err.Error(), "disk") {
+			t.Errorf("RebuildArray(%v): %v, want an error naming the disk", disks, err)
+		}
 	}
 }
 
