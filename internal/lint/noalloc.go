@@ -134,7 +134,7 @@ var noallocTrusted = map[string]bool{
 	"code56/internal/telemetry.Histogram.Observe":  true,
 	"code56/internal/telemetry.Histogram.ObserveN": true,
 	"code56/internal/telemetry.Rate.Add":           true,
-	"code56/internal/telemetry.Rate.AddAt":         true,
+	"code56/internal/telemetry.Rate.AddSec":        true,
 	"code56/internal/telemetry.Rate.Inc":           true,
 
 	"code56/internal/layout.Geometry.Index":            true,
@@ -160,11 +160,15 @@ var noallocTrusted = map[string]bool{
 	"code56/internal/vdisk.Disk.Write":                 true,
 	"code56/internal/vdisk.Disk.ReadBlocks":            true,
 	"code56/internal/vdisk.Disk.WriteBlocks":           true,
+	"code56/internal/vdisk.Disk.Swap":                  true,
+	"code56/internal/vdisk.Disk.Xor":                   true,
 	"code56/internal/vdisk.Disk.Failed":                true,
 	"code56/internal/vdisk.Array.Disk":                 true,
 	"code56/internal/vdisk.Array.BlockSize":            true,
 	"code56/internal/vdisk.BlockStore.ReadAt":          true,
 	"code56/internal/vdisk.BlockStore.WriteAt":         true,
+	"code56/internal/vdisk.Xorer.XorAt":                true,
+	"code56/internal/vdisk.MemStore.XorAt":             true,
 }
 
 // noallocTrustedPkgs are packages trusted wholesale: pure-computation

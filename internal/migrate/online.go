@@ -942,17 +942,17 @@ func (m *OnlineMigrator) Write(logical int64, data []byte) error {
 	return err
 }
 
-// writeLocked performs one application write under writeMu: the RAID-5
-// read-modify-write and, for a converted stripe, the diagonal parity update.
+// writeLocked performs one application write under writeMu: the RAID-5 small
+// write and, for a converted stripe, the diagonal parity update.
 func (m *OnlineMigrator) writeLocked(logical, row int64, disk int, data []byte, needDiag bool) error {
 	if !needDiag {
 		return m.r5.WriteBlock(logical, data)
 	}
 	blockSize := m.r5.BlockSize()
-	// The RAID-5 write hands back the old value it read (degraded if it must:
-	// read-modify-write goes on even when the block's disk failed or the
-	// sector is bad); XORed with the new data it is the delta the block's
-	// diagonal chain has to absorb.
+	// The RAID-5 write hands back the old value it swapped out (degraded if it
+	// must: the write goes on even when the block's disk failed or the sector
+	// is bad); XORed with the new data it is the delta the block's diagonal
+	// chain has to absorb.
 	delta := bufpool.Get(blockSize)
 	defer bufpool.Put(delta)
 	if err := m.r5.SwapBlock(logical, data, delta); err != nil {
@@ -964,20 +964,17 @@ func (m *OnlineMigrator) writeLocked(logical, row int64, disk int, data []byte, 
 	base := (row / rows) * rows
 	chain := m.code.DiagonalChainOf(int(row%rows), disk)
 	newDisk := m.r5.Disks().Disk(m.code.P() - 1)
+	err := newDisk.Xor(base+int64(chain), delta)
+	if err == nil || !healable(err) {
+		return err
+	}
+	// The old diagonal parity is unreadable, and the data and horizontal
+	// parity are already written: recompute it from its chain, which holds the
+	// new data by now. Writing it whole clears the bad sector.
 	parity := bufpool.Get(blockSize)
 	defer bufpool.Put(parity)
-	switch err := newDisk.Read(base+int64(chain), parity); {
-	case err == nil:
-		xorblk.Xor(parity, delta)
-	case healable(err):
-		// The old diagonal parity is unreadable, and the data and horizontal
-		// parity are already written: recompute it from its chain, which
-		// holds the new data by now. Writing it whole clears the bad sector.
-		if err := m.diagonalFromChain(base, chain, parity, delta); err != nil {
-			return fmt.Errorf("migrate: recomputing diagonal parity %d of stripe %d: %w", chain, row/rows, err)
-		}
-	default:
-		return err
+	if err := m.diagonalFromChain(base, chain, parity, delta); err != nil {
+		return fmt.Errorf("migrate: recomputing diagonal parity %d of stripe %d: %w", chain, row/rows, err)
 	}
 	return newDisk.Write(base+int64(chain), parity)
 }

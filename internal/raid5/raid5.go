@@ -141,6 +141,8 @@ func (a *Array) Layout() Layout { return a.layout }
 func (a *Array) BlockSize() int { return a.blockSize }
 
 // ParityDisk returns the disk holding row's parity block.
+//
+//c56:noalloc
 func (a *Array) ParityDisk(row int64) int {
 	r := int(row % int64(a.m))
 	switch a.layout {
@@ -153,6 +155,8 @@ func (a *Array) ParityDisk(row int64) int {
 
 // DataDisk returns the disk holding in-row data position k (0 <= k < m-1)
 // of the given row.
+//
+//c56:noalloc
 func (a *Array) DataDisk(row int64, k int) int {
 	pd := a.ParityDisk(row)
 	switch a.layout {
@@ -167,6 +171,8 @@ func (a *Array) DataDisk(row int64, k int) int {
 }
 
 // Locate maps a logical data block to its (row, disk) location.
+//
+//c56:noalloc
 func (a *Array) Locate(logical int64) (row int64, disk int) {
 	row = logical / int64(a.m-1)
 	k := int(logical % int64(a.m-1))
@@ -203,6 +209,8 @@ func (a *Array) ReadBlock(logical int64, buf []byte) error {
 // isDegradable reports whether a read error can be served by
 // reconstruction: fail-stopped disks, latent sector errors, and transient
 // faults that survived the disk's retry policy.
+//
+//c56:noalloc
 func isDegradable(err error) bool {
 	return errors.Is(err, vdisk.ErrFailed) || errors.Is(err, vdisk.ErrLatent) ||
 		errors.Is(err, vdisk.ErrTransient)
@@ -248,20 +256,31 @@ func (a *Array) reconstructInto(row int64, disk int, buf []byte) error {
 	return nil
 }
 
-// WriteBlock writes logical data block L using read-modify-write: the
-// parity is updated with the XOR delta of old and new data. Degraded
-// states (one failed disk) are handled by reconstruct-write.
+// WriteBlock writes logical data block L as a small write: the data block is
+// swapped for its new contents and the parity absorbs the XOR delta of old
+// and new. Degraded states (one failed disk) are handled by reconstruct-write.
+//
+//c56:noalloc
 func (a *Array) WriteBlock(logical int64, data []byte) error {
 	return a.SwapBlock(logical, data, nil)
 }
 
 // SwapBlock is WriteBlock that also hands back the block's previous contents
-// in old (one block long, or nil for none): the read-modify-write has read
-// them already, so a caller maintaining a further parity over the block — the
-// online migrator's diagonal parity — need not read them again. Where the
-// write itself does without the old data (the block is unreadable, or a disk
-// is down), a non-nil old is filled by reconstruction from the row, or by one
-// extra read when only the parity disk is down.
+// in old (one block long, or nil for none): the small write has them already,
+// so a caller maintaining a further parity over the block — the online
+// migrator's diagonal parity — need not read them again. Where the write
+// itself does without the old data (the block is unreadable, or a disk is
+// down), a non-nil old is filled by reconstruction from the row.
+//
+// The healthy write is two disk operations, each atomic on its disk: Swap on
+// the data block, Xor of the delta into the parity. Folds commute, so
+// concurrent small writes to one row, even to one block, leave the parity
+// consistent with the data that ended up stored. The data is written before
+// the parity is touched: a parity that then cannot be read is recomputed from
+// the row, and a hard error from it leaves the row as a failed parity write
+// does — new data, stale parity.
+//
+//c56:noalloc
 func (a *Array) SwapBlock(logical int64, data, old []byte) error {
 	if len(data) != a.blockSize {
 		return fmt.Errorf("raid5: write of %d bytes, want %d", len(data), a.blockSize)
@@ -278,41 +297,42 @@ func (a *Array) SwapBlock(logical int64, data, old []byte) error {
 
 	switch {
 	case !dataDisk.Failed() && !parityDisk.Failed():
+		delta := bufpool.Get(a.blockSize)
+		defer bufpool.Put(delta)
 		prev := old
 		if prev == nil {
-			prev = bufpool.Get(a.blockSize)
-			defer bufpool.Put(prev)
+			prev = delta
 		}
-		if err := dataDisk.Read(row, prev); err != nil {
+		if err := dataDisk.Swap(row, data, prev); err != nil {
 			if !isDegradable(err) {
 				return err
 			}
-			// The old data is unreadable (latent/transient): fall back to
-			// reconstruct-write, which never needs it. Writing the new
-			// data clears any latent error on the block.
+			// The block cannot be swapped (latent/transient) and nothing has
+			// been written: fall back to reconstruct-write, which never needs
+			// the old data. Writing the new data clears any latent error on
+			// the block.
 			if err := a.reconstructOld(row, disk, old); err != nil {
 				return err
 			}
 			return a.reconstructWrite(row, disk, pd, data, true)
 		}
-		parity := bufpool.Get(a.blockSize)
-		defer bufpool.Put(parity)
-		if err := parityDisk.Read(row, parity); err != nil {
+		if old == nil {
+			xorblk.Xor(delta, data)
+		} else {
+			xorblk.XorInto(delta, old, data)
+		}
+		a.tel.xors.Inc()
+		if err := parityDisk.Xor(row, delta); err != nil {
 			if !isDegradable(err) {
 				return err
 			}
-			// The old parity is unreadable: recompute it from scratch.
-			return a.reconstructWrite(row, disk, pd, data, true)
+			// The old parity is unreadable: recompute it from the row, whose
+			// data block is written already.
+			return a.reconstructWrite(row, disk, pd, data, false)
 		}
-		// parity ^= old ^ new
-		xorblk.Xor(parity, prev)
-		xorblk.Xor(parity, data)
-		a.tel.xors.Add(2)
-		if err := dataDisk.Write(row, data); err != nil {
-			return err
-		}
+		a.tel.xors.Inc()
 		a.tel.parityUpdates.Inc()
-		return parityDisk.Write(row, parity)
+		return nil
 
 	case dataDisk.Failed():
 		if err := a.reconstructOld(row, disk, old); err != nil {
@@ -323,12 +343,10 @@ func (a *Array) SwapBlock(logical int64, data, old []byte) error {
 	default:
 		// Parity disk failed: just write the data; parity is lost until
 		// rebuild.
-		if old != nil {
-			if err := dataDisk.Read(row, old); err != nil {
-				return err
-			}
+		if old == nil {
+			return dataDisk.Write(row, data)
 		}
-		return dataDisk.Write(row, data)
+		return dataDisk.Swap(row, data, old)
 	}
 }
 
@@ -348,8 +366,8 @@ func (a *Array) reconstructOld(row int64, disk int, old []byte) error {
 // reconstructWrite writes logical data by full-row reconstruction: the new
 // parity is the XOR of the new data and the row's other data blocks, so
 // neither the old data nor the old parity is read. writeData is false when
-// the data disk itself is failed (only the parity is written; the data is
-// restored at rebuild time).
+// only the parity is to be written: the data disk itself is failed (the data
+// is restored at rebuild time), or the data is on its disk already.
 func (a *Array) reconstructWrite(row int64, disk, pd int, data []byte, writeData bool) error {
 	parity := bufpool.Get(a.blockSize)
 	defer bufpool.Put(parity)

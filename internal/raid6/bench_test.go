@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"code56/internal/core"
+	"code56/internal/vdisk"
 )
 
 func benchArray(b *testing.B, stripes int) *Array {
@@ -22,17 +23,61 @@ func benchArray(b *testing.B, stripes int) *Array {
 	return a
 }
 
+// BenchmarkWriteBlockRMW prices the small write. warm cycles through four
+// stripes that stay in cache; cold draws random blocks of a p=5 array of 4096
+// stripes (64 MiB of data, the repo benchmark's rmw_write_kops shape), so the
+// three blocks each write touches come from memory — once over plain MemStores
+// and once with their in-place fold hidden.
 func BenchmarkWriteBlockRMW(b *testing.B) {
-	a := benchArray(b, 4)
-	blocks := int64(a.DataPerStripe() * 4)
-	data := make([]byte, 4096)
-	rand.New(rand.NewSource(2)).Read(data)
-	b.SetBytes(4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := a.WriteBlock(int64(i)%blocks, data); err != nil {
-			b.Fatal(err)
+	b.Run("warm_p7_4k", func(b *testing.B) {
+		a := benchArray(b, 4)
+		blocks := int64(a.DataPerStripe() * 4)
+		data := make([]byte, 4096)
+		rand.New(rand.NewSource(2)).Read(data)
+		b.SetBytes(4096)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := a.WriteBlock(int64(i)%blocks, data); err != nil {
+				b.Fatal(err)
+			}
 		}
+	})
+	for _, tc := range []struct {
+		name    string
+		backend vdisk.Backend
+	}{
+		{"cold_p5_4k", vdisk.MemBackend{}},
+		{"cold_p5_4k_portable_fold", foldless{}}, // XorAt hidden: read, fold, write
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			const stripes = 4096
+			code := core.MustNew(5)
+			disks, err := vdisk.NewArrayBackend(code.Geometry().Cols, 4096, tc.backend)
+			if err != nil {
+				b.Fatal(err)
+			}
+			a, err := Wrap(code, disks)
+			if err != nil {
+				b.Fatal(err)
+			}
+			r := rand.New(rand.NewSource(2))
+			full := make([]byte, a.DataPerStripe()*4096)
+			for st := int64(0); st < stripes; st++ {
+				r.Read(full)
+				if err := a.WriteRange(st*int64(a.DataPerStripe()), full); err != nil {
+					b.Fatal(err)
+				}
+			}
+			blocks := int64(a.DataPerStripe() * stripes)
+			data := full[:4096]
+			b.SetBytes(4096)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := a.WriteBlock(r.Int63n(blocks), data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

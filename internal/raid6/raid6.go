@@ -39,17 +39,23 @@ type Array struct {
 	encodeXORs int64
 
 	// The fields below are derived caches that keep the per-stripe hot
-	// paths allocation-free: the code's chains and per-cell covering-chain
-	// indices are resolved once (Code.Chains may rebuild its slice per
-	// call and layout.ChainsCovering allocates), the encoder carries the
+	// paths allocation-free: the code's chains and each cell's update cascade
+	// are resolved once (Code.Chains may rebuild its slice per call and
+	// layout.ChainsCovering allocates), the encoder carries the
 	// pre-resolved chain order plus pooled scratch, the decoder the compiled
 	// recovery plans of every column set met so far, and stripes for
 	// load/encode/scrub cycles are recycled instead of allocated.
-	chains   []layout.Chain
-	covering [][]int // chain indices covering cell i (geom.Index order)
-	enc      *layout.Encoder
-	dec      *layout.Decoder
-	stripes  *layout.StripePool
+	chains []layout.Chain
+	// cascade[i] lists the chains whose parity absorbs a change of cell i
+	// (geom.Index order): the chains covering the cell, then those covering
+	// their parities, and so on (RDP's diagonals cover the row-parity column;
+	// HDP's horizontal chains cover the anti-diagonal parities). The chain
+	// graph is acyclic, so the list is finite; a chain reached along two
+	// paths is listed twice, and its parity absorbs the delta twice.
+	cascade [][]int
+	enc     *layout.Encoder
+	dec     *layout.Decoder
+	stripes *layout.StripePool
 	// batches pools the stripe-pointer slices the interleaved bulk encoder
 	// claims per ForEachBatchRange range, keeping that path allocation-free.
 	batches sync.Pool
@@ -104,13 +110,6 @@ func New(code layout.Code, blockSize int) *Array {
 // newArray builds an Array and its derived hot-path caches.
 func newArray(code layout.Code, disks *vdisk.Array, blockSize int) *Array {
 	g := code.Geometry()
-	covering := make([][]int, g.Elements())
-	for r := 0; r < g.Rows; r++ {
-		for j := 0; j < g.Cols; j++ {
-			c := layout.Coord{Row: r, Col: j}
-			covering[g.Index(c)] = layout.ChainsCovering(code, c)
-		}
-	}
 	a := &Array{
 		code:       code,
 		disks:      disks,
@@ -120,13 +119,29 @@ func newArray(code layout.Code, disks *vdisk.Array, blockSize int) *Array {
 		tel:        bindTel(nil, nil),
 		encodeXORs: encodeXORCount(code),
 		chains:     code.Chains(),
-		covering:   covering,
+		cascade:    updateCascades(code),
 		enc:        layout.NewEncoder(code),
 		dec:        layout.NewDecoder(code),
 		stripes:    layout.NewStripePool(g, blockSize),
 	}
 	a.batches.New = func() any { return &stripeBatch{} }
 	return a
+}
+
+// updateCascades resolves Array.cascade for every cell of the code.
+func updateCascades(code layout.Code) [][]int {
+	g := code.Geometry()
+	chains := code.Chains()
+	cascade := make([][]int, g.Elements())
+	for i := range cascade {
+		for queue := []layout.Coord{g.CoordOf(i)}; len(queue) > 0; queue = queue[1:] {
+			for _, ci := range layout.ChainsCovering(code, queue[0]) {
+				cascade[i] = append(cascade[i], ci)
+				queue = append(queue, chains[ci].Parity)
+			}
+		}
+	}
+	return cascade
 }
 
 // stripeBatch is one worker's claimed run of loaded stripes, pooled by the
@@ -194,9 +209,24 @@ func (a *Array) writeCell(stripe int64, c layout.Coord, data []byte) error {
 	return a.diskFor(stripe, c.Col).Write(a.blockAddr(stripe, c), data)
 }
 
+// swapCell stores data as one cell and hands back the cell's old contents.
+//
+//c56:noalloc
+func (a *Array) swapCell(stripe int64, c layout.Coord, data, old []byte) error {
+	return a.diskFor(stripe, c.Col).Swap(a.blockAddr(stripe, c), data, old)
+}
+
+// xorCell folds delta into one cell where it lies.
+//
+//c56:noalloc
+func (a *Array) xorCell(stripe int64, c layout.Coord, delta []byte) error {
+	return a.diskFor(stripe, c.Col).Xor(a.blockAddr(stripe, c), delta)
+}
+
 // failedColumns returns the failed disks. It stops at layout.MaxColumns of
 // them, one past any code's fault tolerance: beyond that the set only has to
-// say "too many".
+// say "too many". Every write asks it to learn "none"; Disk.Failed is an
+// atomic load, so that answer costs one load a column.
 //
 //c56:noalloc
 func (a *Array) failedColumns() layout.Columns {
@@ -426,9 +456,8 @@ func foldBatch(buf []byte, srcs [][]byte, first bool) {
 	}
 }
 
-// WriteBlock writes logical data block L. In a healthy array it performs
-// read-modify-write: read the old data, XOR the delta into every covering
-// parity. With failures present it falls back to stripe
+// WriteBlock writes logical data block L. In a healthy array it is a small
+// write (see writeRMW); with failures present it falls back to stripe
 // reconstruct-modify-write.
 //
 //c56:noalloc
@@ -444,47 +473,28 @@ func (a *Array) WriteBlock(logical int64, data []byte) error {
 	return a.writeDegraded(stripe, cell, data) //lint:allow noalloc degraded writes reconstruct the whole stripe; RMW is the steady state
 }
 
+// writeRMW is the small write: Swap the data cell for its new contents, turn
+// the old contents into the delta, and fold the delta into every parity of the
+// cell's cascade with Disk.Xor — three disk operations for Code 5-6, whose
+// data cells sit in exactly two chains. Each operation is atomic on its disk
+// and the folds commute, so concurrent small writes to one stripe, even to one
+// cell, leave every parity consistent with the data that ended up stored.
+//
 //c56:noalloc
 func (a *Array) writeRMW(stripe int64, cell layout.Coord, data []byte) error {
-	old := bufpool.Get(a.blockSize)
-	defer bufpool.Put(old)
-	if err := a.readCell(stripe, cell, old); err != nil {
-		return err
-	}
 	delta := bufpool.Get(a.blockSize)
 	defer bufpool.Put(delta)
-	xorblk.XorInto(delta, old, data)
-	a.tel.xors.Inc()
-	if err := a.writeCell(stripe, cell, data); err != nil {
+	if err := a.swapCell(stripe, cell, data, delta); err != nil {
 		return err
 	}
-	// Propagate the delta through every chain covering the changed cell.
-	// Parity cells can themselves be covered by other chains (RDP's
-	// diagonals cover the row-parity column; HDP's horizontal chains cover
-	// the anti-diagonal parities), so updates cascade; the chain graph is
-	// acyclic, so this terminates. Every affected parity absorbs the same
-	// block delta, so the cascade queue holds only coordinates — a small
-	// fixed array keeps the healthy write path allocation-free.
-	var queueArr [16]layout.Coord
-	queue := queueArr[:0]
-	queue = append(queue, cell) //lint:allow noalloc the cascade queue lives in the fixed 16-slot array
-	parity := old               // the old data is folded into delta already; reuse as scratch
-	for len(queue) > 0 {
-		at := queue[0]
-		queue = queue[1:]
-		for _, ci := range a.covering[a.geom.Index(at)] {
-			p := a.chains[ci].Parity
-			if err := a.readCell(stripe, p, parity); err != nil {
-				return err
-			}
-			xorblk.Xor(parity, delta)
-			a.tel.xors.Inc()
-			if err := a.writeCell(stripe, p, parity); err != nil {
-				return err
-			}
-			a.tel.parityUpdates.Inc()
-			queue = append(queue, p) //lint:allow noalloc the cascade queue lives in the fixed 16-slot array
+	xorblk.Xor(delta, data)
+	a.tel.xors.Inc()
+	for _, ci := range a.cascade[a.geom.Index(cell)] {
+		if err := a.xorCell(stripe, a.chains[ci].Parity, delta); err != nil {
+			return err
 		}
+		a.tel.xors.Inc()
+		a.tel.parityUpdates.Inc()
 	}
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"code56/internal/bufpool"
-	"code56/internal/layout"
 	"code56/internal/xorblk"
 )
 
@@ -63,56 +62,45 @@ func (a *Array) WriteRange(logical int64, data []byte) error {
 	return nil
 }
 
-// writePartialStripe applies a run of new blocks within one stripe,
-// aggregating the delta per parity cell before touching it.
+// writePartialStripe applies a run of new blocks within one stripe: each data
+// cell is swapped for its new contents, its delta is aggregated per parity,
+// and each touched parity absorbs its aggregate with one Disk.Xor. The
+// aggregates are kept and folded in chain order — diagonal parities share a
+// disk, so the order decides that disk's injector draws and must not vary
+// from run to run.
 func (a *Array) writePartialStripe(stripe, first int64, data []byte) error {
-	count := int64(len(data) / a.blockSize)
-	// Aggregate deltas per parity cell, cascading through chains that
-	// cover other parities (RDP, HDP). The per-parity accumulators are
-	// rented from bufpool and returned once flushed.
-	deltas := make(map[layout.Coord][]byte, len(a.chains))
+	bs := int64(a.blockSize)
+	// acc[ci] is the delta chain ci's parity has to absorb, rented when the
+	// first changed cell reaches the chain.
+	acc := make([][]byte, len(a.chains))
 	defer func() {
-		for _, d := range deltas {
-			bufpool.Put(d)
+		for _, d := range acc {
+			if d != nil {
+				bufpool.Put(d)
+			}
 		}
 	}()
-	var propagate func(at layout.Coord, delta []byte)
-	propagate = func(at layout.Coord, delta []byte) {
-		for _, ci := range a.covering[a.geom.Index(at)] {
-			p := a.chains[ci].Parity
-			acc, ok := deltas[p]
-			if !ok {
-				acc = bufpool.GetZero(a.blockSize)
-				deltas[p] = acc
-			}
-			xorblk.Xor(acc, delta)
-			propagate(p, delta)
-		}
-	}
-
-	old := bufpool.Get(a.blockSize)
-	defer bufpool.Put(old)
 	delta := bufpool.Get(a.blockSize)
 	defer bufpool.Put(delta)
-	for i := int64(0); i < count; i++ {
+	for i := int64(0); i < int64(len(data))/bs; i++ {
 		cell := a.dataCells[first+i]
-		b := data[i*int64(a.blockSize) : (i+1)*int64(a.blockSize)]
-		if err := a.readCell(stripe, cell, old); err != nil {
+		b := data[i*bs : (i+1)*bs]
+		if err := a.swapCell(stripe, cell, b, delta); err != nil {
 			return err
 		}
-		xorblk.XorInto(delta, old, b)
-		if err := a.writeCell(stripe, cell, b); err != nil {
-			return err
+		xorblk.Xor(delta, b)
+		for _, ci := range a.cascade[a.geom.Index(cell)] {
+			if acc[ci] == nil {
+				acc[ci] = bufpool.GetZero(a.blockSize)
+			}
+			xorblk.Xor(acc[ci], delta)
 		}
-		propagate(cell, delta)
 	}
-	parity := old // old data already folded into delta; reuse as scratch
-	for p, d := range deltas {
-		if err := a.readCell(stripe, p, parity); err != nil {
-			return err
+	for ci, d := range acc {
+		if d == nil {
+			continue
 		}
-		xorblk.Xor(parity, d)
-		if err := a.writeCell(stripe, p, parity); err != nil {
+		if err := a.xorCell(stripe, a.chains[ci].Parity, d); err != nil {
 			return err
 		}
 	}

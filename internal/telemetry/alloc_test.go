@@ -19,7 +19,7 @@ func TestInstrumentsAllocationFree(t *testing.T) {
 	h := reg.Histogram("alloctest.histogram", []float64{1, 10, 100})
 	r := reg.Rate("alloctest.rate")
 	r.Inc() // warm the clock path
-	at := time.Now()
+	sec := time.Now().Unix()
 	for name, fn := range map[string]func(){
 		"Counter.Inc":        func() { c.Inc() },
 		"Counter.Add":        func() { c.Add(3) },
@@ -31,7 +31,7 @@ func TestInstrumentsAllocationFree(t *testing.T) {
 		"Histogram.ObserveN": func() { h.ObserveN(12.5, 3) },
 		"Rate.Inc":           func() { r.Inc() },
 		"Rate.Add":           func() { r.Add(4) },
-		"Rate.AddAt":         func() { r.AddAt(at, 4) },
+		"Rate.AddSec":        func() { r.AddSec(sec, 4) },
 	} {
 		if n := testing.AllocsPerRun(200, fn); n != 0 {
 			t.Errorf("%s allocates %.1f times per call, want 0", name, n)

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -10,9 +11,12 @@ import (
 // to cover the 60 s window plus the partially filled current second.
 const rateBuckets = 64
 
+// rateBucket counts the events of one unix second. Both words are atomic so
+// that adding to the current second takes no lock; sec is written only under
+// Rate.mu (by roll), n by every Add.
 type rateBucket struct {
-	sec int64 // unix second this bucket counts, 0 when never used
-	n   int64
+	sec atomic.Int64 // unix second this bucket counts, 0 when never used
+	n   atomic.Int64
 }
 
 // Rate is a windowed event-rate instrument: a ring of per-second buckets
@@ -22,14 +26,14 @@ type rateBucket struct {
 // now?" directly — it is what the live observability plane and the
 // c56-migrate watch mode display for migration stripes/s and vdisk IOPS.
 //
-// Add is a short critical section on a per-instrument mutex (no
-// allocation), cheap enough for per-I/O call sites that already serialize
-// on their own locks. The zero value is not usable; obtain instances from
-// Registry.Rate.
+// Add is two atomic adds; only the first event of a new second takes mu, to
+// turn the ring's oldest bucket over. Every disk of the process shares
+// vdisk.io_rate, so a lock here would be the one lock all block I/O meets.
+// The zero value is not usable; obtain instances from Registry.Rate.
 type Rate struct {
-	mu      sync.Mutex
-	buckets [rateBuckets]rateBucket //c56:guardedby mu
-	total   int64                   //c56:guardedby mu
+	mu      sync.Mutex // serializes bucket rollover
+	buckets [rateBuckets]rateBucket
+	total   atomic.Int64
 	// now is the clock, replaceable by tests for deterministic windows. It
 	// is fixed at construction, so it needs no guard.
 	now func() time.Time
@@ -45,26 +49,39 @@ func (r *Rate) Add(d int64) {
 	if r == nil || d <= 0 {
 		return
 	}
-	r.AddAt(r.nowFunc()(), d)
+	r.AddSec(r.nowFunc()().Unix(), d)
 }
 
-// AddAt is Add for a caller that has just read the clock for its own
-// purposes (a latency measurement's end time): the events are recorded at t
-// and the clock is not read again.
+// AddSec is Add for a caller that has just read the clock for its own
+// purposes (a latency measurement's end time): the events are recorded in
+// unix second sec and the clock is not read again.
 //
 //c56:noalloc
-func (r *Rate) AddAt(t time.Time, d int64) {
+func (r *Rate) AddSec(sec, d int64) {
 	if r == nil || d <= 0 {
 		return
 	}
-	sec := t.Unix()
-	r.mu.Lock()
 	b := &r.buckets[sec%rateBuckets]
-	if b.sec != sec {
-		b.sec, b.n = sec, 0
+	if b.sec.Load() != sec {
+		r.roll(b, sec)
 	}
-	b.n += d
-	r.total += d
+	b.n.Add(d)
+	r.total.Add(d)
+}
+
+// roll hands bucket b to second sec. The count is zeroed before the second
+// is published, so a reader that sees the new second sees only its events;
+// one that still sees the old second may read a count of zero for it, but
+// that second is rateBuckets old and outside every window. A second older
+// than the bucket's (a caller 64 s late) is counted where it lands.
+//
+//c56:noalloc
+func (r *Rate) roll(b *rateBucket, sec int64) {
+	r.mu.Lock()
+	if b.sec.Load() < sec {
+		b.n.Store(0)
+		b.sec.Store(sec)
+	}
 	r.mu.Unlock()
 }
 
@@ -110,29 +127,29 @@ func (r *Rate) Snapshot() RateSnapshot {
 	nowSec := now.Unix()
 	frac := now.Sub(now.Truncate(time.Second)).Seconds()
 
-	r.mu.Lock()
-	s := RateSnapshot{Total: r.total}
+	s := RateSnapshot{Total: r.total.Load()}
 	var sum1, sum10, sum60 int64
 	var wSum float64
-	for i := 0; i < rateBuckets; i++ {
-		b := r.buckets[i]
-		if b.sec == 0 {
+	for i := range r.buckets {
+		// The second is read before its count: see roll.
+		sec := r.buckets[i].sec.Load()
+		n := r.buckets[i].n.Load()
+		if sec == 0 {
 			continue
 		}
-		age := nowSec - b.sec // 0 = current second
+		age := nowSec - sec // 0 = current second
 		if age < 0 || age >= 60 {
 			continue
 		}
 		if age < 1 {
-			sum1 += b.n
+			sum1 += n
 		}
 		if age < 10 {
-			sum10 += b.n
+			sum10 += n
 		}
-		sum60 += b.n
-		wSum += expNeg(float64(age)/ewmaTau) * float64(b.n)
+		sum60 += n
+		wSum += expNeg(float64(age)/ewmaTau) * float64(n)
 	}
-	r.mu.Unlock()
 
 	// Each window spans its completed seconds plus the fraction of the
 	// current one that has elapsed.

@@ -79,19 +79,19 @@ func TestRateCurrentSecondCounts(t *testing.T) {
 	}
 }
 
-// TestRateAddAtUsesTheCallersClockRead pins the disk hot path's clock budget:
-// AddAt files the events under the second of the time it is handed and never
-// reads the clock itself; Add is AddAt at one clock read.
-func TestRateAddAtUsesTheCallersClockRead(t *testing.T) {
+// TestRateAddSecUsesTheCallersSecond pins the disk hot path's clock budget:
+// AddSec files the events under the second it is handed and never reads the
+// clock itself; Add is AddSec at one clock read.
+func TestRateAddSecUsesTheCallersSecond(t *testing.T) {
 	clk := newFakeClock()
 	rt := newRate()
 	rt.now = clk.now
 
 	stamp := clk.t.Add(500 * time.Millisecond)
 	clk.advance(3 * time.Second) // the rate's own clock is 3 s ahead of stamp
-	rt.AddAt(stamp, 5)
+	rt.AddSec(stamp.Unix(), 5)
 	if clk.reads != 0 {
-		t.Fatalf("AddAt read the clock %d times, want 0", clk.reads)
+		t.Fatalf("AddSec read the clock %d times, want 0", clk.reads)
 	}
 	rt.Add(2)
 	if clk.reads != 1 {
@@ -102,21 +102,21 @@ func TestRateAddAtUsesTheCallersClockRead(t *testing.T) {
 	if s.Total != 7 {
 		t.Fatalf("total = %d, want 7", s.Total)
 	}
-	// The current second holds Add's 2 events over its elapsed half; AddAt's 5
+	// The current second holds Add's 2 events over its elapsed half; AddSec's 5
 	// sit three buckets back, inside the 10 s window only.
 	if s.Rate1s < 3.9 || s.Rate1s > 4.1 {
-		t.Fatalf("rate1s = %g, want 4 (AddAt's events belong to stamp's second)", s.Rate1s)
+		t.Fatalf("rate1s = %g, want 4 (AddSec's events belong to stamp's second)", s.Rate1s)
 	}
 	if want := 7 / 9.5; s.Rate10s < want-0.01 || s.Rate10s > want+0.01 {
 		t.Fatalf("rate10s = %g, want %g", s.Rate10s, want)
 	}
 
 	var nr *Rate
-	nr.AddAt(stamp, 1) // must not panic
-	rt.AddAt(stamp, 0)
-	rt.AddAt(stamp, -3)
+	nr.AddSec(stamp.Unix(), 1) // must not panic
+	rt.AddSec(stamp.Unix(), 0)
+	rt.AddSec(stamp.Unix(), -3)
 	if got := rt.Snapshot().Total; got != 7 {
-		t.Fatalf("total = %d after non-positive AddAt, want 7", got)
+		t.Fatalf("total = %d after non-positive AddSec, want 7", got)
 	}
 }
 
@@ -200,5 +200,40 @@ func TestRateConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := rt.Snapshot().Total; got != workers*each {
 		t.Fatalf("total = %d, want %d", got, workers*each)
+	}
+}
+
+// TestRateConcurrentRollover has several goroutines walk the same run of
+// seconds, so each second's first events race to turn its bucket over: no
+// event may be lost to a bucket zeroed under it.
+func TestRateConcurrentRollover(t *testing.T) {
+	clk := newFakeClock()
+	rt := newRate()
+	rt.now = clk.now
+	const workers, seconds, each = 8, 20, 200
+	base := clk.t.Unix()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for s := int64(0); s < seconds; s++ {
+				for i := 0; i < each; i++ {
+					rt.AddSec(base+s, 1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	clk.advance((seconds-1)*time.Second + 500*time.Millisecond)
+	s := rt.Snapshot()
+	if s.Total != workers*seconds*each {
+		t.Fatalf("total = %d, want %d", s.Total, workers*seconds*each)
+	}
+	if got, want := s.Rate60s*59.5, float64(workers*seconds*each); got < want-0.5 || got > want+0.5 {
+		t.Fatalf("the 60 s window holds %.1f events, want %.0f", got, want)
+	}
+	if got, want := s.Rate1s*0.5, float64(workers*each); got < want-0.5 || got > want+0.5 {
+		t.Fatalf("the last second holds %.1f events, want %.0f", got, want)
 	}
 }

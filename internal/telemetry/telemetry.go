@@ -127,7 +127,14 @@ func (h *Histogram) ObserveN(v float64, n int64) {
 	if h == nil || n <= 0 {
 		return
 	}
-	i := sort.SearchFloat64s(h.bounds, v)
+	// A scan, not a binary search: every histogram in the repository has at
+	// most 13 bounds and most observations land in the first few. The
+	// condition is written so that NaN falls through to the overflow bucket,
+	// as sort.SearchFloat64s placed it.
+	i := 0
+	for i < len(h.bounds) && !(h.bounds[i] >= v) {
+		i++
+	}
 	h.buckets[i].Add(n)
 	for {
 		old := h.sum.Load()

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"math"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -40,6 +42,26 @@ func TestCounterGaugeBasics(t *testing.T) {
 	nr.Counter("via.default").Inc()
 	if Default().Counter("via.default").Value() != 1 {
 		t.Fatal("nil registry should fall back to Default()")
+	}
+}
+
+// TestHistogramBucketChoice holds ObserveN's bound scan to the binary search
+// it replaced, on every bound, both sides of each, the infinities and NaN.
+func TestHistogramBucketChoice(t *testing.T) {
+	bounds := []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000}
+	values := []float64{math.Inf(-1), -1, 0, math.Inf(1), math.NaN(), 7000}
+	for _, b := range bounds {
+		values = append(values, math.Nextafter(b, 0), b, math.Nextafter(b, 1e9))
+	}
+	for _, v := range values {
+		h := newHistogram(bounds)
+		h.Observe(v)
+		want := sort.SearchFloat64s(bounds, v)
+		for i, c := range h.Snapshot().Counts {
+			if (c == 1) != (i == want) {
+				t.Fatalf("Observe(%g) counted %d in bucket %d; the value belongs in bucket %d", v, c, i, want)
+			}
+		}
 	}
 }
 

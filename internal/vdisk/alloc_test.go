@@ -22,6 +22,11 @@ func TestHealthyDiskIOAllocationFree(t *testing.T) {
 	if err := d.WriteBlocks(4, run); err != nil { // warm the backing page map
 		t.Fatal(err)
 	}
+	old := make([]byte, a.BlockSize())
+	portable := NewDiskStore(9, a.BlockSize(), noFold{NewMemStore(a.BlockSize())})
+	if err := portable.Write(5, buf); err != nil {
+		t.Fatal(err)
+	}
 	for name, fn := range map[string]func(){
 		"Disk.Read": func() {
 			if err := d.Read(5, buf); err != nil {
@@ -41,6 +46,21 @@ func TestHealthyDiskIOAllocationFree(t *testing.T) {
 		"Disk.WriteBlocks": func() {
 			if err := d.WriteBlocks(4, run); err != nil {
 				t.Fatalf("WriteBlocks: %v", err)
+			}
+		},
+		"Disk.Swap": func() {
+			if err := d.Swap(5, buf, old); err != nil {
+				t.Fatalf("Swap: %v", err)
+			}
+		},
+		"Disk.Xor": func() {
+			if err := d.Xor(5, buf); err != nil {
+				t.Fatalf("Xor: %v", err)
+			}
+		},
+		"Disk.Xor/portable": func() {
+			if err := portable.Xor(5, buf); err != nil {
+				t.Fatalf("Xor over a store without XorAt: %v", err)
 			}
 		},
 		"Disk.Failed":     func() { _ = d.Failed() },

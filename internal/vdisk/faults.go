@@ -139,9 +139,8 @@ func (a *Array) SetFaults(cfg FaultConfig) error {
 		c := cfg
 		a.faults = &c
 	}
-	disks := append([]*Disk(nil), a.disks...)
 	a.mu.Unlock()
-	for _, d := range disks {
+	for _, d := range a.all() {
 		dc := cfg
 		if dc != (FaultConfig{}) {
 			dc.Seed = derivedSeed(cfg.Seed, d.ID())
@@ -161,9 +160,8 @@ func (a *Array) SetRetry(max int, base time.Duration) error {
 	}
 	a.mu.Lock()
 	a.retryMax, a.retryBase = max, base
-	disks := append([]*Disk(nil), a.disks...)
 	a.mu.Unlock()
-	for _, d := range disks {
+	for _, d := range a.all() {
 		if err := d.SetRetry(max, base); err != nil {
 			return err
 		}

@@ -8,6 +8,9 @@ import (
 	"slices"
 	"sync"
 	"testing"
+
+	"code56/internal/telemetry"
+	"code56/internal/xorblk"
 )
 
 // pageMapModel is the reference the slab store is held to: the map of
@@ -95,6 +98,21 @@ func (r *modelRun) write(off int64, n int) {
 	r.check(off, n)
 }
 
+// fold holds the in-place XorAt to what a store without it gets from
+// Disk.Xor: read, XOR, write.
+func (r *modelRun) fold(off int64, n int) {
+	r.fill++
+	p := bytes.Repeat([]byte{r.fill | 1}, n)
+	if got, err := r.s.XorAt(p, off); err != nil || got != n {
+		r.t.Fatalf("XorAt(%d bytes, %d) = %d, %v", n, off, got, err)
+	}
+	cur := make([]byte, n)
+	r.m.read(cur, off)
+	xorblk.Xor(cur, p)
+	r.m.write(cur, off)
+	r.check(off, n)
+}
+
 func (r *modelRun) trim(off, n int64) {
 	if err := r.s.Trim(off, n); err != nil {
 		r.t.Fatalf("Trim(%d, %d): %v", off, n, err)
@@ -148,7 +166,8 @@ func (r *modelRun) compare(off int64, n int) {
 // apply decodes one operation from five bytes. Offsets land in the first
 // three slabs (unaligned, so runs straddle page and slab boundaries) or, one
 // time in eight, around slab 1000, which leaves a long nil stretch in the
-// directory; lengths reach five pages.
+// directory; lengths reach five pages. Bit 6 of the first byte turns a write
+// into a fold.
 func (r *modelRun) apply(op [5]byte) {
 	ps := r.m.ps
 	off := (int64(op[1])<<16 | int64(op[2])<<8 | int64(op[3])) % (3 * slabPages * ps)
@@ -156,11 +175,15 @@ func (r *modelRun) apply(op [5]byte) {
 		off += 1000 * slabPages * ps
 	}
 	n := int64(op[4]) * 5 * ps / 255
+	put := r.write
+	if op[0]&0x40 != 0 {
+		put = r.fold
+	}
 	switch op[0] % 8 {
 	case 0, 1, 2:
-		r.write(off, int(n))
+		put(off, int(n))
 	case 3:
-		r.write(off/ps*ps, int((n/ps+1)*ps)) // whole pages
+		put(off/ps*ps, int((n/ps+1)*ps)) // whole pages
 	case 4:
 		r.compare(off, int(n))
 	case 5:
@@ -202,6 +225,9 @@ func FuzzMemStore(f *testing.F) {
 	f.Add(uint8(0), []byte{0, 0, 0, 0, 255, 5, 0, 1, 0, 60, 4, 0, 0, 0, 255})
 	f.Add(uint8(1), []byte{3, 0, 255, 240, 200, 6, 0, 255, 240, 10, 7, 0, 0, 0, 0})
 	f.Add(uint8(2), []byte{8, 1, 2, 3, 4, 15, 1, 2, 3, 200, 7, 0, 0, 0, 9})
+	// A fold into slabs nothing was written to, at slab 1000 and across the
+	// boundary of slabs 0 and 1; then a fold over what the first left.
+	f.Add(uint8(1), []byte{0x40, 0, 0, 9, 120, 0x4B, 3, 255, 240, 255, 0x42, 0, 0, 0, 255})
 	f.Fuzz(func(t *testing.T, sizeSel uint8, ops []byte) {
 		r := newModelRun(t, []int{512, 4096, 16384}[sizeSel%3])
 		for ops = ops[:min(len(ops), 5*400)]; len(ops) >= 5; ops = ops[5:] {
@@ -223,6 +249,10 @@ func TestMemStoreEdges(t *testing.T) {
 	r.trim(1, 2*sb-2)         // everything but the first and last byte's pages
 	r.trim(0, 1<<40)          // far past the directory
 	r.write(5*sb+7, 0)        // empty write: size moves, nothing is allocated
+	r.fold(3*sb-3, ps+6)      // fold into two slabs nothing was written to
+	r.fold(3*sb-3, ps+6)      // and over its own result
+	r.fold(1, int(sb))        // over written and trimmed pages alike
+	r.fold(6*sb, 0)           // empty fold: size moves, nothing is allocated
 	r.compare(1<<40, int(ps)) // read far past the directory
 	r.finish()
 
@@ -254,9 +284,9 @@ func TestMemStoreEdges(t *testing.T) {
 	}
 }
 
-// ReadAt and WriteAt carry //c56:noalloc; WriteAt's one suppressed site is
-// the first write into a slab, so the runtime half pins a write into an
-// allocated one.
+// ReadAt, WriteAt and XorAt carry //c56:noalloc; the one suppressed site
+// WriteAt and XorAt share is the first write into a slab, so the runtime half
+// pins a write and a fold into an allocated one.
 func TestMemStoreIOAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -281,6 +311,11 @@ func TestMemStoreIOAllocationFree(t *testing.T) {
 		},
 		"MemStore.WriteAt": func() {
 			if _, err := s.WriteAt(run, off); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"MemStore.XorAt": func() {
+			if _, err := s.XorAt(run, off); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -444,3 +479,32 @@ func benchMemStoreIO(b *testing.B, io func(s *MemStore, p []byte, off int64) (in
 
 func BenchmarkMemStoreReadAt(b *testing.B)  { benchMemStoreIO(b, (*MemStore).ReadAt) }
 func BenchmarkMemStoreWriteAt(b *testing.B) { benchMemStoreIO(b, (*MemStore).WriteAt) }
+
+// BenchmarkDiskOverStore prices the disk layer as a tax over its store: 4 KiB
+// reads of the same seeded random addresses through Disk.Read (lock, fault and
+// latent checks, accounting, two clock reads) and straight from
+// MemStore.ReadAt, over one benchmark disk's worth of blocks.
+func BenchmarkDiskOverStore(b *testing.B) {
+	const bs = 4096
+	store, pages := benchStore(b)
+	d := NewDiskStore(0, bs, store)
+	d.SetTelemetry(telemetry.NewRegistry(), nil)
+	addrs := rand.New(rand.NewSource(1)).Perm(pages)
+	buf := make([]byte, bs)
+	b.Run("disk", func(b *testing.B) {
+		b.SetBytes(bs)
+		for i := 0; i < b.N; i++ {
+			if err := d.Read(int64(addrs[i%pages]), buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("store", func(b *testing.B) {
+		b.SetBytes(bs)
+		for i := 0; i < b.N; i++ {
+			if _, err := store.ReadAt(buf, int64(addrs[i%pages])*bs); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

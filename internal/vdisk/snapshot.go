@@ -38,13 +38,13 @@ func (a *Array) Save(w io.Writer) error {
 	if _, err := bw.Write(snapshotMagic[:]); err != nil {
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(a.disks))); err != nil {
+	if err := binary.Write(bw, binary.LittleEndian, uint32(len(a.all()))); err != nil {
 		return err
 	}
 	if err := binary.Write(bw, binary.LittleEndian, uint32(a.blockSize)); err != nil {
 		return err
 	}
-	for _, d := range a.disks {
+	for _, d := range a.all() {
 		if err := d.save(bw); err != nil {
 			return err
 		}
@@ -171,18 +171,21 @@ func LoadBackend(r io.Reader, backend Backend) (*Array, error) {
 		return nil, fmt.Errorf("%w: implausible geometry (%d disks, %d-byte blocks)", ErrBadSnapshot, diskCount, blockSize)
 	}
 	a := &Array{blockSize: int(blockSize), backend: backend}
+	var disks []*Disk
 	maxID := -1
 	for i := uint32(0); i < diskCount; i++ {
 		d, err := loadDisk(br, int(blockSize), backend)
 		if err != nil {
+			a.disks.Store(&disks)
 			_ = a.Close()
 			return nil, err
 		}
-		a.disks = append(a.disks, d)
+		disks = append(disks, d)
 		if d.id > maxID {
 			maxID = d.id
 		}
 	}
+	a.disks.Store(&disks)
 	a.nextID = maxID + 1
 	return a, nil
 }
@@ -202,7 +205,7 @@ func loadDisk(r io.Reader, blockSize int, backend Backend) (*Disk, error) {
 	}
 	d := NewDiskStore(int(id), blockSize, store)
 	d.mu.Lock()
-	d.failed = failed != 0
+	d.setFailed(failed != 0)
 	d.mu.Unlock()
 	var nBlocks uint32
 	if err := binary.Read(r, binary.LittleEndian, &nBlocks); err != nil {

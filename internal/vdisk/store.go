@@ -5,6 +5,8 @@ import (
 	"math/bits"
 	"os"
 	"sync"
+
+	"code56/internal/xorblk"
 )
 
 // BlockStore is the media a Disk performs I/O against. The vdisk layer
@@ -35,8 +37,8 @@ type BlockStore interface {
 	Close() error
 }
 
-// Optional BlockStore capabilities. Disk methods probe for these with type
-// assertions and fall back to portable behavior when absent.
+// Optional BlockStore capabilities. Disk probes for these with type
+// assertions and falls back to portable behavior when absent.
 type (
 	// Trimmer deallocates a byte range: subsequent reads return zeros.
 	// Without it, Disk.Trim falls back to writing zeros.
@@ -54,6 +56,13 @@ type (
 	// all-zero blocks.
 	ExtentLister interface {
 		Extents(blockSize int) []int64
+	}
+	// Xorer folds p into the bytes at off where they lie (store ^= p), with
+	// WriteAt's effect on Size and allocation: unwritten bytes count as zero,
+	// so folding into them stores p. Without it, Disk.Xor reads the block,
+	// folds it in scratch and writes it back.
+	Xorer interface {
+		XorAt(p []byte, off int64) (int, error)
 	}
 )
 
@@ -167,6 +176,23 @@ func (s *MemStore) locate(pos, n int64) (si int64, so, c int) {
 //
 //c56:noalloc
 func (s *MemStore) WriteAt(p []byte, off int64) (int, error) {
+	return s.put(p, off, false)
+}
+
+// XorAt folds p into the bytes at offset off (the Xorer capability): one XOR
+// straight into the slab, where a read, a fold and a WriteAt would move the
+// block three times. It allocates and marks pages exactly as WriteAt does.
+//
+//c56:noalloc
+func (s *MemStore) XorAt(p []byte, off int64) (int, error) {
+	return s.put(p, off, true)
+}
+
+// put is WriteAt (fold false) and XorAt (fold true): the walk, the occupancy
+// and the high-water mark are the same, only the move into the slab differs.
+//
+//c56:noalloc
+func (s *MemStore) put(p []byte, off int64, fold bool) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("vdisk: mem store write at negative offset %d", off)
 	}
@@ -184,7 +210,11 @@ func (s *MemStore) WriteAt(p []byte, off int64) (int, error) {
 			s.addSlab(si) //lint:allow noalloc first write into a slab: once per 64 pages, not steady state
 		}
 		sl := s.slabs[si]
-		copy(sl.data[so:], p[n:n+c])
+		if fold {
+			xorblk.Xor(sl.data[so:so+c], p[n:n+c])
+		} else {
+			copy(sl.data[so:], p[n:n+c])
+		}
 		touched := pageMask(so/s.pageSize, (so+c-1)/s.pageSize)
 		s.inUse += bits.OnesCount64(touched &^ sl.used)
 		sl.used |= touched

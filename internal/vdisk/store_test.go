@@ -135,6 +135,17 @@ func TestStoreContract(t *testing.T) {
 			if err := rs.Reset(); !errors.Is(err, os.ErrClosed) {
 				t.Errorf("reset after close: %v, want os.ErrClosed", err)
 			}
+			// The in-place fold is optional; the memory store has it.
+			x, ok := s.(vdisk.Xorer)
+			if !ok {
+				if name == "mem" {
+					t.Error("the memory store does not offer XorAt")
+				}
+				return
+			}
+			if _, err := x.XorAt(blk, 512); !errors.Is(err, os.ErrClosed) {
+				t.Errorf("fold after close: %v, want os.ErrClosed", err)
+			}
 		})
 	}
 }

@@ -107,9 +107,8 @@ func (d *Disk) SetTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) {
 func (a *Array) SetTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) {
 	a.mu.Lock()
 	a.reg, a.tr = reg, tr
-	disks := append([]*Disk(nil), a.disks...)
 	a.mu.Unlock()
-	for _, d := range disks {
+	for _, d := range a.all() {
 		d.bindTelemetry(reg, tr)
 	}
 }

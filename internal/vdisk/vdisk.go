@@ -12,11 +12,14 @@ package vdisk
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"code56/internal/bufpool"
 	"code56/internal/telemetry"
+	"code56/internal/xorblk"
 )
 
 // Error values returned by disk operations.
@@ -66,9 +69,14 @@ type Disk struct {
 	mu sync.RWMutex
 	// store is fixed at construction (Replace wipes media through the
 	// store's Resetter rather than swapping the store), so it carries no
-	// guard annotation.
+	// guard annotation and Store reads it without the lock. xorer is the
+	// same store's in-place fold, nil when it has none.
 	store  BlockStore
+	xorer  Xorer
 	failed bool //c56:guardedby mu
+	// isFailed mirrors failed for Failed, which the arrays ask of every disk
+	// before every write. It is written only under mu, by setFailed.
+	isFailed atomic.Bool
 	// failedErr caches the wrapped fail-stop error, built on first use:
 	// every I/O against a failed disk returns the same value, so the
 	// degraded-read hot path (reconstruct around the failure, possibly for
@@ -111,6 +119,7 @@ func NewDiskStore(id, blockSize int, store BlockStore) *Disk {
 		store:     store,
 		latent:    make(map[int64]bool),
 	}
+	d.xorer, _ = store.(Xorer)
 	d.bindTelemetry(nil, nil)
 	return d
 }
@@ -153,88 +162,7 @@ func (d *Disk) ReadBlocks(b int64, buf []byte) error {
 	if b < 0 || len(buf) == 0 || len(buf)%d.blockSize != 0 {
 		return fmt.Errorf("%w: read block %d, buf %d", ErrBadBlock, b, len(buf))
 	}
-	max, base := d.retryPolicy()
-	for attempt := 0; ; attempt++ {
-		err := d.readAttempt(b, buf)
-		if err == nil || !errors.Is(err, ErrTransient) || attempt >= max {
-			return err
-		}
-		d.tel.retries.Inc()
-		time.Sleep(backoff(base, attempt+1))
-	}
-}
-
-//c56:noalloc
-func (d *Disk) readAttempt(b int64, buf []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	// The latency clock starts after the lock is acquired: the histograms
-	// measure device service time only, excluding queueing behind other
-	// callers (see diskTel).
-	start := time.Now()
-	n := int64(len(buf) / d.blockSize)
-	for blk := b; blk < b+n; blk++ {
-		if err := d.faultCheck(blk, false); err != nil {
-			d.tel.readErrs.Inc()
-			return err
-		}
-		if d.latent[blk] {
-			d.tel.readErrs.Inc()
-			d.tel.latent.Inc()
-			d.tel.tr.Event("vdisk.latent_hit", telemetry.A("disk", d.id), telemetry.A("block", blk))
-			return fmt.Errorf("%w: disk %d block %d", ErrLatent, d.id, blk)
-		}
-	}
-	if _, err := d.store.ReadAt(buf, b*int64(d.blockSize)); err != nil {
-		d.tel.readErrs.Inc()
-		return fmt.Errorf("vdisk: disk %d block %d: %w", d.id, b, err)
-	}
-	d.stats.Reads += n
-	d.tel.reads.Set(d.stats.Reads)
-	d.tel.allReads.Add(n)
-	d.tel.ioBytes.ObserveN(float64(d.blockSize), n)
-	end := time.Now() // read once: the rate's timestamp and the latency's end
-	d.tel.ioRate.AddAt(end, n)
-	d.tel.readLat.Observe(float64(end.Sub(start).Nanoseconds()) / 1e3)
-	return nil
-}
-
-// faultCheck runs the fail-stop state and the armed injector against one
-// block's I/O attempt. Caller holds d.mu.
-//
-//c56:requires mu
-//c56:noalloc
-func (d *Disk) faultCheck(b int64, write bool) error {
-	if d.failed {
-		if d.failedErr == nil {
-			d.failedErr = fmt.Errorf("%w: disk %d", ErrFailed, d.id)
-		}
-		return d.failedErr
-	}
-	f := d.faults
-	if f == nil {
-		return nil
-	}
-	f.ios++
-	if f.cfg.FailAtIO > 0 && f.ios >= f.cfg.FailAtIO {
-		d.failed = true
-		d.tel.fails.Inc()
-		d.tel.tr.Event("vdisk.scheduled_fail", telemetry.A("disk", d.id), telemetry.A("at_io", f.ios))
-		return fmt.Errorf("%w: disk %d (scheduled failure at I/O %d)", ErrFailed, d.id, f.ios)
-	}
-	prob := f.cfg.ReadTransientProb
-	if write {
-		prob = f.cfg.WriteTransientProb
-	}
-	if prob > 0 && f.rng.Float64() < prob {
-		d.tel.transients.Inc()
-		return fmt.Errorf("%w: disk %d block %d", ErrTransient, d.id, b)
-	}
-	if !write && f.cfg.LatentProb > 0 && !d.latent[b] && f.rng.Float64() < f.cfg.LatentProb {
-		d.latent[b] = true                                                                          //lint:allow noalloc latent-error injection is a simulated-fault path, not steady state
-		d.tel.tr.Event("vdisk.latent_injected", telemetry.A("disk", d.id), telemetry.A("block", b)) //lint:allow noalloc fault-path trace event
-	}
-	return nil
+	return d.do(opRead, b, buf, nil)
 }
 
 // Write stores data as block b. data must be exactly one block long. It is
@@ -261,44 +189,335 @@ func (d *Disk) WriteBlocks(b int64, data []byte) error {
 	if b < 0 || len(data) == 0 || len(data)%d.blockSize != 0 {
 		return fmt.Errorf("%w: write block %d, data %d", ErrBadBlock, b, len(data))
 	}
+	return d.do(opWrite, b, data, nil)
+}
+
+// Swap stores data as block b and hands the block's previous contents back in
+// old: the first half of a parity array's small write, whose old data is the
+// delta every covering parity must absorb. It is one locked disk operation
+// that counts as one read and one write everywhere ReadBlocks and WriteBlocks
+// count (Stats, vdisk.reads and vdisk.writes, vdisk.io_bytes, vdisk.io_rate,
+// two attempts on FailAtIO's clock) and is all or nothing: the read-side
+// checks (fail-stop, injector, latent sector) and then the write-side ones run
+// before the store is touched, in the order a Read followed by a Write would
+// meet the injector, so a Swap that fails has stored nothing and counted
+// nothing, and a seeded fault run replays draw for draw. No other operation on
+// the disk — a Write, a Fail, a Replace — can fall between the two halves.
+// Transient faults are retried per the SetRetry policy. data and old must be
+// one block long each and must not overlap.
+//
+//c56:noalloc
+func (d *Disk) Swap(b int64, data, old []byte) error {
+	if b < 0 || len(data) != d.blockSize || len(old) != d.blockSize {
+		return fmt.Errorf("%w: swap block %d, data %d, old %d", ErrBadBlock, b, len(data), len(old))
+	}
+	return d.do(opSwap, b, data, old)
+}
+
+// Xor folds delta into block b where it lies (block ^= delta): the other half
+// of a small write, applied to each parity covering the changed data. Like
+// Swap it is one locked, all-or-nothing operation counted as one read and one
+// write, with the same order of checks and the same retry policy; a latent
+// sector fails it with ErrLatent, since the old contents are part of the
+// result. A store that can fold in place (Xorer) is asked to; any other is
+// read, folded in pooled scratch and written back inside the same operation.
+// A block never written reads as zero, so folding into it stores delta. Folds
+// commute, so concurrent Xors of one block leave the same bytes in either
+// order. delta must be one block long.
+//
+//c56:noalloc
+func (d *Disk) Xor(b int64, delta []byte) error {
+	if b < 0 || len(delta) != d.blockSize {
+		return fmt.Errorf("%w: xor block %d, delta %d", ErrBadBlock, b, len(delta))
+	}
+	return d.do(opXor, b, delta, nil)
+}
+
+// ioOp selects one of the disk's four block operations.
+type ioOp uint8
+
+const (
+	opRead ioOp = iota
+	opWrite
+	opSwap
+	opXor
+)
+
+// do runs one operation and, if the injector failed it transiently, runs it
+// again under the retry policy. The policy is looked up only then: a served
+// I/O never takes the lock a second time to read it.
+//
+//c56:noalloc
+func (d *Disk) do(op ioOp, b int64, p, old []byte) error {
+	err := d.attempt(op, b, p, old)
+	if err == nil || !errors.Is(err, ErrTransient) {
+		return err
+	}
 	max, base := d.retryPolicy()
-	for attempt := 0; ; attempt++ {
-		err := d.writeAttempt(b, data)
-		if err == nil || !errors.Is(err, ErrTransient) || attempt >= max {
-			return err
-		}
+	for retry := 1; retry <= max; retry++ {
 		d.tel.retries.Inc()
-		time.Sleep(backoff(base, attempt+1))
+		time.Sleep(backoff(base, retry))
+		if err = d.attempt(op, b, p, old); err == nil || !errors.Is(err, ErrTransient) {
+			break
+		}
+	}
+	return err
+}
+
+// attempt makes one try at an operation under the disk's lock. The latency
+// clock starts after the lock is acquired: the histograms measure device
+// service time only, excluding queueing behind other callers (see diskTel).
+//
+//c56:noalloc
+func (d *Disk) attempt(op ioOp, b int64, p, old []byte) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	start := ioClock()
+	switch op {
+	case opRead:
+		return d.readLocked(b, p, start)
+	case opWrite:
+		return d.writeLocked(b, p, start)
+	case opSwap:
+		return d.swapLocked(b, p, old, start)
+	default:
+		return d.xorLocked(b, p, start)
 	}
 }
 
+// epoch anchors the I/O clock: time.Since of a Time carrying a monotonic
+// reading is one clock read, where time.Now is two (wall and monotonic).
+var (
+	epoch         = time.Now()
+	epochUnixNano = epoch.UnixNano()
+)
+
+// ioClock returns the monotonic time elapsed since epoch.
+//
 //c56:noalloc
-func (d *Disk) writeAttempt(b int64, data []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	start := time.Now() // after the lock: service time only, see diskTel
+func ioClock() time.Duration { return time.Since(epoch) }
+
+// unixSecond returns the wall-clock second of ioClock reading t.
+//
+//c56:noalloc
+func unixSecond(t time.Duration) int64 {
+	return (epochUnixNano + int64(t)) / int64(time.Second)
+}
+
+// micros is the latency histograms' unit.
+//
+//c56:noalloc
+func micros(d time.Duration) float64 { return float64(d) / 1e3 }
+
+//c56:requires mu
+//c56:noalloc
+func (d *Disk) readLocked(b int64, buf []byte, start time.Duration) error {
+	n := int64(len(buf) / d.blockSize)
+	if err := d.checkRead(b, n); err != nil {
+		return err
+	}
+	if _, err := d.store.ReadAt(buf, b*int64(d.blockSize)); err != nil {
+		return d.storeErr(d.tel.readErrs, b, err)
+	}
+	end := ioClock() // read once: the rate's second and the latency's end
+	d.served(n, 0, end)
+	d.tel.readLat.Observe(micros(end - start))
+	return nil
+}
+
+//c56:requires mu
+//c56:noalloc
+func (d *Disk) writeLocked(b int64, data []byte, start time.Duration) error {
 	n := int64(len(data) / d.blockSize)
+	if err := d.checkWrite(b, n); err != nil {
+		return err
+	}
+	if _, err := d.store.WriteAt(data, b*int64(d.blockSize)); err != nil {
+		return d.storeErr(d.tel.writeErrs, b, err)
+	}
+	end := ioClock()
+	d.served(0, n, end)
+	d.tel.writeLat.Observe(micros(end - start))
+	for blk := b; blk < b+n; blk++ {
+		delete(d.latent, blk)
+	}
+	return nil
+}
+
+//c56:requires mu
+//c56:noalloc
+func (d *Disk) swapLocked(b int64, data, old []byte, start time.Duration) error {
+	if err := d.checkRead(b, 1); err != nil {
+		return err
+	}
+	if err := d.checkWrite(b, 1); err != nil {
+		return err
+	}
+	off := b * int64(d.blockSize)
+	if _, err := d.store.ReadAt(old, off); err != nil {
+		return d.storeErr(d.tel.readErrs, b, err)
+	}
+	mid := ioClock()
+	if _, err := d.store.WriteAt(data, off); err != nil {
+		return d.storeErr(d.tel.writeErrs, b, err)
+	}
+	d.servedPair(start, mid)
+	return nil
+}
+
+//c56:requires mu
+//c56:noalloc
+func (d *Disk) xorLocked(b int64, delta []byte, start time.Duration) error {
+	if err := d.checkRead(b, 1); err != nil {
+		return err
+	}
+	if err := d.checkWrite(b, 1); err != nil {
+		return err
+	}
+	off := b * int64(d.blockSize)
+	if d.xorer != nil {
+		// One store call: it is observed as a write, the half that changes
+		// the medium.
+		if _, err := d.xorer.XorAt(delta, off); err != nil {
+			return d.storeErr(d.tel.writeErrs, b, err)
+		}
+		end := ioClock()
+		d.served(1, 1, end)
+		d.tel.writeLat.Observe(micros(end - start))
+		return nil
+	}
+	cur := bufpool.Get(d.blockSize)
+	defer bufpool.Put(cur)
+	if _, err := d.store.ReadAt(cur, off); err != nil {
+		return d.storeErr(d.tel.readErrs, b, err)
+	}
+	mid := ioClock()
+	xorblk.Xor(cur, delta)
+	if _, err := d.store.WriteAt(cur, off); err != nil {
+		return d.storeErr(d.tel.writeErrs, b, err)
+	}
+	d.servedPair(start, mid)
+	return nil
+}
+
+// servedPair books an operation that made two store calls, a read from start
+// to mid and a write from mid to now, as one I/O of each kind. There is no
+// latent mark to clear: the block passed checkRead.
+//
+//c56:requires mu
+//c56:noalloc
+func (d *Disk) servedPair(start, mid time.Duration) {
+	end := ioClock()
+	d.served(1, 1, end)
+	d.tel.readLat.Observe(micros(mid - start))
+	d.tel.writeLat.Observe(micros(end - mid))
+}
+
+// checkRead runs the read side's checks on blocks [b, b+n) in address order:
+// fail-stop state and injector, then the latent-sector table.
+//
+//c56:requires mu
+//c56:noalloc
+func (d *Disk) checkRead(b, n int64) error {
+	for blk := b; blk < b+n; blk++ {
+		if err := d.faultCheck(blk, false); err != nil {
+			d.tel.readErrs.Inc()
+			return err
+		}
+		if d.latent[blk] {
+			d.tel.readErrs.Inc()
+			d.tel.latent.Inc()
+			d.tel.tr.Event("vdisk.latent_hit", telemetry.A("disk", d.id), telemetry.A("block", blk))
+			return fmt.Errorf("%w: disk %d block %d", ErrLatent, d.id, blk)
+		}
+	}
+	return nil
+}
+
+// checkWrite runs the write side's checks on blocks [b, b+n).
+//
+//c56:requires mu
+//c56:noalloc
+func (d *Disk) checkWrite(b, n int64) error {
 	for blk := b; blk < b+n; blk++ {
 		if err := d.faultCheck(blk, true); err != nil {
 			d.tel.writeErrs.Inc()
 			return err
 		}
 	}
-	if _, err := d.store.WriteAt(data, b*int64(d.blockSize)); err != nil {
-		d.tel.writeErrs.Inc()
-		return fmt.Errorf("vdisk: disk %d block %d: %w", d.id, b, err)
-	}
-	for blk := b; blk < b+n; blk++ {
-		delete(d.latent, blk)
-	}
-	d.stats.Writes += n
-	d.tel.writes.Set(d.stats.Writes)
-	d.tel.allWrites.Add(n)
-	d.tel.ioBytes.ObserveN(float64(d.blockSize), n)
-	end := time.Now() // read once, as in readAttempt
-	d.tel.ioRate.AddAt(end, n)
-	d.tel.writeLat.Observe(float64(end.Sub(start).Nanoseconds()) / 1e3)
 	return nil
+}
+
+// storeErr counts and wraps a failed store call.
+func (d *Disk) storeErr(errs *telemetry.Counter, b int64, err error) error {
+	errs.Inc()
+	return fmt.Errorf("vdisk: disk %d block %d: %w", d.id, b, err)
+}
+
+// served counts block I/Os the store has just completed, at clock reading end.
+//
+//c56:requires mu
+//c56:noalloc
+func (d *Disk) served(reads, writes int64, end time.Duration) {
+	if reads > 0 {
+		d.stats.Reads += reads
+		d.tel.reads.Set(d.stats.Reads)
+		d.tel.allReads.Add(reads)
+	}
+	if writes > 0 {
+		d.stats.Writes += writes
+		d.tel.writes.Set(d.stats.Writes)
+		d.tel.allWrites.Add(writes)
+	}
+	d.tel.ioBytes.ObserveN(float64(d.blockSize), reads+writes)
+	d.tel.ioRate.AddSec(unixSecond(end), reads+writes)
+}
+
+// faultCheck runs the fail-stop state and the armed injector against one
+// block's I/O attempt. Caller holds d.mu.
+//
+//c56:requires mu
+//c56:noalloc
+func (d *Disk) faultCheck(b int64, write bool) error {
+	if d.failed {
+		if d.failedErr == nil {
+			d.failedErr = fmt.Errorf("%w: disk %d", ErrFailed, d.id)
+		}
+		return d.failedErr
+	}
+	f := d.faults
+	if f == nil {
+		return nil
+	}
+	f.ios++
+	if f.cfg.FailAtIO > 0 && f.ios >= f.cfg.FailAtIO {
+		d.setFailed(true)
+		d.tel.fails.Inc()
+		d.tel.tr.Event("vdisk.scheduled_fail", telemetry.A("disk", d.id), telemetry.A("at_io", f.ios))
+		return fmt.Errorf("%w: disk %d (scheduled failure at I/O %d)", ErrFailed, d.id, f.ios)
+	}
+	prob := f.cfg.ReadTransientProb
+	if write {
+		prob = f.cfg.WriteTransientProb
+	}
+	if prob > 0 && f.rng.Float64() < prob {
+		d.tel.transients.Inc()
+		return fmt.Errorf("%w: disk %d block %d", ErrTransient, d.id, b)
+	}
+	if !write && f.cfg.LatentProb > 0 && !d.latent[b] && f.rng.Float64() < f.cfg.LatentProb {
+		d.latent[b] = true                                                                          //lint:allow noalloc latent-error injection is a simulated-fault path, not steady state
+		d.tel.tr.Event("vdisk.latent_injected", telemetry.A("disk", d.id), telemetry.A("block", b)) //lint:allow noalloc fault-path trace event
+	}
+	return nil
+}
+
+// setFailed changes the fail-stop state and its lock-free mirror together.
+//
+//c56:requires mu
+//c56:noalloc
+func (d *Disk) setFailed(v bool) {
+	d.failed = v
+	d.isFailed.Store(v)
 }
 
 // Trim discards block b's contents; subsequent reads return zeros. It is
@@ -345,11 +564,7 @@ func (d *Disk) Close() error {
 }
 
 // Store exposes the disk's BlockStore (snapshot plumbing and tests).
-func (d *Disk) Store() BlockStore {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.store
-}
+func (d *Disk) Store() BlockStore { return d.store }
 
 // Fail marks the disk fail-stopped: every subsequent I/O errors until
 // Replace is called.
@@ -360,17 +575,13 @@ func (d *Disk) Fail() {
 		d.tel.fails.Inc()
 		d.tel.tr.Event("vdisk.fail", telemetry.A("disk", d.id))
 	}
-	d.failed = true
+	d.setFailed(true)
 }
 
 // Failed reports whether the disk is fail-stopped.
 //
 //c56:noalloc
-func (d *Disk) Failed() bool {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.failed
-}
+func (d *Disk) Failed() bool { return d.isFailed.Load() }
 
 // Replace swaps in a fresh drive: contents, latent errors and any armed
 // fault injector are discarded (new hardware does not inherit the old
@@ -388,12 +599,12 @@ func (d *Disk) Replace() {
 	defer d.mu.Unlock()
 	if r, ok := d.store.(Resetter); ok {
 		if err := r.Reset(); err != nil {
-			d.failed = true
+			d.setFailed(true)
 			d.failedErr = fmt.Errorf("%w: disk %d (replace: %v)", ErrFailed, d.id, err)
 			return
 		}
 	}
-	d.failed = false
+	d.setFailed(false)
 	d.failedErr = nil
 	d.latent = make(map[int64]bool)
 	d.faults = nil
@@ -455,11 +666,15 @@ type Array struct {
 	// blockSize is fixed at construction and shared by every disk, so it
 	// carries no guard annotation.
 	blockSize int
-	disks     []*Disk             //c56:guardedby mu
-	nextID    int                 //c56:guardedby mu
-	backend   Backend             //c56:guardedby mu
-	reg       *telemetry.Registry //c56:guardedby mu
-	tr        *telemetry.Tracer   //c56:guardedby mu
+	// disks is republished whole after every change (Attach, RemoveLast,
+	// both under mu) and never modified in place, so Disk(i) — asked several
+	// times per block I/O — is one atomic load and any slice it yields stays
+	// valid without the lock.
+	disks   atomic.Pointer[[]*Disk]
+	nextID  int                 //c56:guardedby mu
+	backend Backend             //c56:guardedby mu
+	reg     *telemetry.Registry //c56:guardedby mu
+	tr      *telemetry.Tracer   //c56:guardedby mu
 
 	// faults/retryMax/retryBase remember the array-wide fault scenario and
 	// retry policy so disks attached later with Add() join them.
@@ -499,18 +714,31 @@ func NewArrayFrom(blockSize int, b Backend, ids []int) (*Array, error) {
 		b = MemBackend{}
 	}
 	a := &Array{blockSize: blockSize, backend: b}
+	disks := make([]*Disk, 0, len(ids))
 	for _, id := range ids {
 		s, err := b.Open(id, blockSize)
 		if err != nil {
+			a.disks.Store(&disks)
 			_ = a.Close()
 			return nil, fmt.Errorf("vdisk: opening store for disk %d: %w", id, err)
 		}
-		a.disks = append(a.disks, NewDiskStore(id, blockSize, s))
+		disks = append(disks, NewDiskStore(id, blockSize, s))
 		if id >= a.nextID {
 			a.nextID = id + 1
 		}
 	}
+	a.disks.Store(&disks)
 	return a, nil
+}
+
+// all returns the current disks; the slice is never modified.
+//
+//c56:noalloc
+func (a *Array) all() []*Disk {
+	if p := a.disks.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // Backend returns the array's store backend (MemBackend for the default
@@ -528,20 +756,12 @@ func (a *Array) Backend() Backend {
 func (a *Array) BlockSize() int { return a.blockSize }
 
 // Len returns the number of disks.
-func (a *Array) Len() int {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return len(a.disks)
-}
+func (a *Array) Len() int { return len(a.all()) }
 
 // Disk returns disk i.
 //
 //c56:noalloc
-func (a *Array) Disk(i int) *Disk {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.disks[i]
-}
+func (a *Array) Disk(i int) *Disk { return a.all()[i] }
 
 // Add appends a fresh disk and returns it (the "add a new disk to the
 // array" step of the paper's Algorithm 2). It panics if the backend cannot
@@ -581,7 +801,8 @@ func (a *Array) Attach() (*Disk, error) {
 		_ = d.SetRetry(a.retryMax, a.retryBase)
 	}
 	a.nextID++
-	a.disks = append(a.disks, d)
+	disks := append(slices.Clone(a.all()), d)
+	a.disks.Store(&disks)
 	return d, nil
 }
 
@@ -591,10 +812,7 @@ func (a *Array) Attach() (*Disk, error) {
 // journal parks the migration at its watermark); the first store error is
 // returned.
 func (a *Array) Sync() error {
-	a.mu.RLock()
-	disks := append([]*Disk(nil), a.disks...)
-	a.mu.RUnlock()
-	for _, d := range disks {
+	for _, d := range a.all() {
 		if d.Failed() {
 			continue
 		}
@@ -608,11 +826,8 @@ func (a *Array) Sync() error {
 // Close releases every disk's backing store and returns the first error.
 // The array is unusable after.
 func (a *Array) Close() error {
-	a.mu.RLock()
-	disks := append([]*Disk(nil), a.disks...)
-	a.mu.RUnlock()
 	var first error
-	for _, d := range disks {
+	for _, d := range a.all() {
 		if err := d.Close(); err != nil && first == nil {
 			first = err
 		}
@@ -625,23 +840,21 @@ func (a *Array) Close() error {
 func (a *Array) RemoveLast() *Disk {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if len(a.disks) == 0 {
+	disks := a.all()
+	if len(disks) == 0 {
 		return nil
 	}
-	d := a.disks[len(a.disks)-1]
-	a.disks = a.disks[:len(a.disks)-1]
-	return d
+	rest := slices.Clone(disks[:len(disks)-1])
+	a.disks.Store(&rest)
+	return disks[len(disks)-1]
 }
 
 // FailedDisks returns the slot indices of fail-stopped disks, in order.
 // It is the substrate of the observability plane's array health checker: an
 // empty result means every disk accepts I/O.
 func (a *Array) FailedDisks() []int {
-	a.mu.RLock()
-	disks := append([]*Disk(nil), a.disks...)
-	a.mu.RUnlock()
 	var failed []int
-	for i, d := range disks {
+	for i, d := range a.all() {
 		if d.Failed() {
 			failed = append(failed, i)
 		}
@@ -651,10 +864,8 @@ func (a *Array) FailedDisks() []int {
 
 // TotalStats sums the stats of all disks.
 func (a *Array) TotalStats() Stats {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
 	var t Stats
-	for _, d := range a.disks {
+	for _, d := range a.all() {
 		s := d.Stats()
 		t.Reads += s.Reads
 		t.Writes += s.Writes
@@ -664,9 +875,7 @@ func (a *Array) TotalStats() Stats {
 
 // ResetStats zeroes every disk's counters.
 func (a *Array) ResetStats() {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	for _, d := range a.disks {
+	for _, d := range a.all() {
 		d.ResetStats()
 	}
 }
