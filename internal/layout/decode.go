@@ -186,21 +186,10 @@ func solveDecode(code Code, s *Stripe, es ErasureSet, read []uint64) (DecodeStat
 	return st, nil
 }
 
-// Reconstruct recovers the erasure set using peeling and, if peeling gets
-// stuck, Gaussian elimination on the remaining cells. This is the
-// general-purpose entry point used by the RAID-6 driver.
+// Reconstruct is Decoder.Reconstruct on a decoder built for the call; a
+// caller that decodes more than once keeps a Decoder.
 func Reconstruct(code Code, s *Stripe, es ErasureSet) (DecodeStats, error) {
-	plan := NewDecoder(code).Compile(es)
-	st, err := plan.apply(s, es)
-	if err == nil {
-		return st, nil
-	}
-	st2, err := solveDecode(code, s, es, plan.read)
-	st.XORs += st2.XORs
-	st.BlocksRead = popcount(plan.read) // both phases' reads, each cell once
-	st.Recovered += st2.Recovered
-	st.UsedElimination = true
-	return st, err
+	return NewDecoder(code).Reconstruct(s, es)
 }
 
 func bitGet(bs []uint64, i int) bool { return bs[i/64]&(1<<(i%64)) != 0 }

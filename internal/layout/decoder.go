@@ -225,6 +225,24 @@ func (d *Decoder) Compile(es ErasureSet) *Plan {
 	return p
 }
 
+// Reconstruct recovers the erasure set by peeling and, if peeling gets stuck,
+// by Gaussian elimination on the cells that remain. It is the general-purpose
+// entry point of the RAID-6 driver for whatever its column plans do not serve.
+// It mutates s in place and removes recovered coordinates from es.
+func (d *Decoder) Reconstruct(s *Stripe, es ErasureSet) (DecodeStats, error) {
+	plan := d.Compile(es)
+	st, err := plan.apply(s, es)
+	if err == nil {
+		return st, nil
+	}
+	st2, err := solveDecode(d.code, s, es, plan.read)
+	st.XORs += st2.XORs
+	st.BlocksRead = popcount(plan.read) // both phases' reads, each cell once
+	st.Recovered += st2.Recovered
+	st.UsedElimination = true
+	return st, err
+}
+
 // compile peels: pass after pass over the chains in d.order, every chain with
 // exactly one lost member recovers it, until nothing is lost or a pass makes
 // no progress. For two lost columns of Code 5-6 the schedule is Algorithm 1's

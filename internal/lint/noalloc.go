@@ -75,6 +75,9 @@ var noallocTrusted = map[string]bool{
 	"sync.Pool.Get":        true,
 	"sync.Pool.Put":        true,
 
+	// bytes: the runtime's memequal, a leaf.
+	"bytes.Equal": true,
+
 	// encoding/binary: the fixed-endian word accessors are inlined
 	// load/stores.
 	"encoding/binary.littleEndian.Uint16":    true,

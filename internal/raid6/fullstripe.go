@@ -65,7 +65,7 @@ func (a *Array) reconstructColumns(st int64, s *layout.Stripe, es layout.Erasure
 			es[layout.Coord{Row: r, Col: cols.At(i)}] = true
 		}
 	}
-	if _, err := layout.Reconstruct(a.code, s, es); err != nil {
+	if _, err := a.dec.Reconstruct(s, es); err != nil {
 		return fmt.Errorf("%w: stripe %d: %w", ErrTooManyFailures, st, err)
 	}
 	return nil
@@ -110,7 +110,7 @@ func (a *Array) ReadStripe(stripe int64) ([][]byte, error) {
 	}
 	defer a.stripes.Put(s)
 	if len(es) > 0 {
-		if _, err := layout.Reconstruct(a.code, s, es); err != nil {
+		if _, err := a.dec.Reconstruct(s, es); err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrTooManyFailures, err)
 		}
 	}

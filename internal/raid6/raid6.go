@@ -371,7 +371,7 @@ func (a *Array) degradedRead(stripe int64, cell layout.Coord, buf []byte) error 
 		return err
 	}
 	defer a.stripes.Put(s)
-	if _, err := layout.Reconstruct(a.code, s, es); err != nil { //lint:allow noalloc the fallback decodes the whole stripe; reads served from a plan are the steady state
+	if _, err := a.dec.Reconstruct(s, es); err != nil { //lint:allow noalloc the fallback decodes the whole stripe; reads served from a plan are the steady state
 		return fmt.Errorf("%w: %w", ErrTooManyFailures, err)
 	}
 	copy(buf, s.Block(cell))
@@ -505,7 +505,7 @@ func (a *Array) writeDegraded(stripe int64, cell layout.Coord, data []byte) erro
 		return err
 	}
 	defer a.stripes.Put(s)
-	if _, err := layout.Reconstruct(a.code, s, es); err != nil {
+	if _, err := a.dec.Reconstruct(s, es); err != nil {
 		return fmt.Errorf("%w: %w", ErrTooManyFailures, err)
 	}
 	s.SetBlock(cell, data)

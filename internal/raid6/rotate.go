@@ -158,7 +158,7 @@ func (a *Array) scrubStripe(st int64, repair bool) (res scrubResult, _ error) {
 		for _, c := range latent {
 			es[c] = true
 		}
-		if _, err := layout.Reconstruct(a.code, s, es); err != nil {
+		if _, err := a.dec.Reconstruct(s, es); err != nil {
 			res.unrecoverable = true
 			return res, nil
 		}
@@ -184,7 +184,7 @@ func (a *Array) scrubStripe(st int64, repair bool) (res scrubResult, _ error) {
 	}
 	es := layout.ErasureSet{cell: true}
 	s.Zero(cell)
-	if _, err := layout.Reconstruct(a.code, s, es); err != nil {
+	if _, err := a.dec.Reconstruct(s, es); err != nil {
 		res.unrecoverable = true
 		return res, nil
 	}

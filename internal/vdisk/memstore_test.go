@@ -84,8 +84,21 @@ type modelRun struct {
 	fill byte
 }
 
+// newModelRun starts an empty store and its model. Slabs released from here
+// on are poisoned, so the store is held to the model on slabs that are
+// anything but zero.
 func newModelRun(t testing.TB, pageSize int) *modelRun {
+	poisonSlabs(t)
 	return &modelRun{t: t, s: NewMemStore(pageSize), m: &pageMapModel{ps: int64(pageSize), pages: map[int64][]byte{}}}
+}
+
+// poisonSlabs makes every slab released until the test ends reach the free
+// pool filled with 0xA5: the next store to take it must answer zeros for the
+// pages it has not written, and only the occupancy word says which those are.
+func poisonSlabs(t testing.TB) {
+	prev := poisonReleased
+	poisonReleased = true
+	t.Cleanup(func() { poisonReleased = prev })
 }
 
 func (r *modelRun) write(off int64, n int) {
@@ -129,6 +142,17 @@ func (r *modelRun) reset() {
 	r.check(0, 0)
 }
 
+// reopen closes the store, which hands its slabs to the pool as Reset does,
+// and carries on with a new one.
+func (r *modelRun) reopen() {
+	if err := r.s.Close(); err != nil {
+		r.t.Fatal(err)
+	}
+	r.s = NewMemStore(int(r.m.ps))
+	r.m.pages, r.m.size = map[int64][]byte{}, 0
+	r.check(0, 0)
+}
+
 // check compares Size, PagesInUse, Extents, and the bytes of [off, off+n)
 // widened by a page on either side (so a neighbour the operation should not
 // have touched is read too).
@@ -163,12 +187,23 @@ func (r *modelRun) compare(off int64, n int) {
 	}
 }
 
+// modelPair is two stores of one page size, which is one free pool: the slabs
+// either releases (Reset, Close, a Trim that empties one) are what the other's
+// next slab is made of, bytes and all.
+type modelPair [2]*modelRun
+
+func newModelPair(t testing.TB, pageSize int) modelPair {
+	return modelPair{newModelRun(t, pageSize), newModelRun(t, pageSize)}
+}
+
 // apply decodes one operation from five bytes. Offsets land in the first
 // three slabs (unaligned, so runs straddle page and slab boundaries) or, one
 // time in eight, around slab 1000, which leaves a long nil stretch in the
 // directory; lengths reach five pages. Bit 6 of the first byte turns a write
-// into a fold.
-func (r *modelRun) apply(op [5]byte) {
+// into a fold, bit 7 picks the store; the other store is then read over the
+// same range, which no operation on this one may have changed.
+func (p modelPair) apply(op [5]byte) {
+	r, other := p[op[0]>>7], p[1-op[0]>>7]
 	ps := r.m.ps
 	off := (int64(op[1])<<16 | int64(op[2])<<8 | int64(op[3])) % (3 * slabPages * ps)
 	if op[0]&0x38 == 0 {
@@ -191,13 +226,59 @@ func (r *modelRun) apply(op [5]byte) {
 	case 6:
 		r.trim(off/ps*ps, (n/ps+1)*ps) // whole pages
 	case 7:
-		if op[4] < 8 { // rarely: most streams should build up state
+		switch { // rarely: most streams should build up state
+		case op[4] < 8:
 			r.reset()
-		} else {
+		case op[4] >= 248:
+			r.reopen()
+		default:
 			r.trim(off, 70*ps) // more than a slab
 		}
 	}
+	other.check(off, int(n))
 }
+
+// finish compares every byte the models hold and the slabs around them, then
+// takes both stores through a snapshot: saved, closed — so that the array
+// Load builds is made of their poisoned slabs — and compared again.
+func (p modelPair) finish() {
+	for _, r := range p {
+		r.finish()
+	}
+	t, ps := p[0].t, int(p[0].m.ps)
+	a, err := NewArrayFrom(ps, pairBackend(p), []int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := a.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := Load(&snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	for i, r := range p {
+		r.s = b.Disk(i).Store().(*MemStore)
+		// A snapshot holds blocks, not the high-water mark of writes that
+		// were trimmed or empty.
+		r.m.size = 0
+		if ext := r.m.extents(); len(ext) > 0 {
+			r.m.size = (ext[len(ext)-1] + 1) * r.m.ps
+		}
+		r.check(0, 0)
+		r.finish()
+	}
+}
+
+// pairBackend opens slot i as the pair's store i.
+type pairBackend modelPair
+
+func (p pairBackend) Open(id, blockSize int) (BlockStore, error) { return p[id].s, nil }
 
 // finish compares every byte the model holds and the slab around it.
 func (r *modelRun) finish() {
@@ -210,13 +291,13 @@ func TestMemStoreMatchesPageMapModel(t *testing.T) {
 	for _, ps := range []int{512, 4096, 16384} {
 		t.Run(fmt.Sprint(ps), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(ps)))
-			r := newModelRun(t, ps)
+			p := newModelPair(t, ps)
 			for i := 0; i < 3000; i++ {
 				var op [5]byte
 				rng.Read(op[:])
-				r.apply(op)
+				p.apply(op)
 			}
-			r.finish()
+			p.finish()
 		})
 	}
 }
@@ -228,12 +309,18 @@ func FuzzMemStore(f *testing.F) {
 	// A fold into slabs nothing was written to, at slab 1000 and across the
 	// boundary of slabs 0 and 1; then a fold over what the first left.
 	f.Add(uint8(1), []byte{0x40, 0, 0, 9, 120, 0x4B, 3, 255, 240, 255, 0x42, 0, 0, 0, 255})
+	// Store 0 writes either side of a slab boundary and resets; store 1, on
+	// those two slabs, writes part of a page, folds into part of another and
+	// reads across both, the unused pages between and the boundary; store 0 is
+	// closed and reopened under it.
+	f.Add(uint8(0), []byte{0x0B, 0, 0, 0, 255, 0x0B, 0, 0x7E, 0, 255, 0x0F, 0, 0, 0, 0,
+		0x88, 0, 0x7F, 0x10, 20, 0xC8, 0, 0x81, 0x10, 20, 0x8C, 0, 0x7C, 0, 255, 0x0F, 0, 0, 0, 250, 0x8C, 0, 0x7C, 0, 255})
 	f.Fuzz(func(t *testing.T, sizeSel uint8, ops []byte) {
-		r := newModelRun(t, []int{512, 4096, 16384}[sizeSel%3])
+		p := newModelPair(t, []int{512, 4096, 16384}[sizeSel%3])
 		for ops = ops[:min(len(ops), 5*400)]; len(ops) >= 5; ops = ops[5:] {
-			r.apply([5]byte(ops))
+			p.apply([5]byte(ops))
 		}
-		r.finish()
+		p.finish()
 	})
 }
 
@@ -254,6 +341,23 @@ func TestMemStoreEdges(t *testing.T) {
 	r.fold(1, int(sb))        // over written and trimmed pages alike
 	r.fold(6*sb, 0)           // empty fold: size moves, nothing is allocated
 	r.compare(1<<40, int(ps)) // read far past the directory
+	r.finish()
+
+	// The same store again on its own poisoned slabs: nothing below may show
+	// a byte of what was there.
+	r.reset()
+	r.write(sb-ps+5, 7)       // part of one page of a recycled slab
+	r.fold(sb+ps+5, 7)        // fold into part of an unused page of another
+	r.compare(sb-3*ps, 6*ps)  // unused, used, slab boundary, unused, used, unused
+	r.write(sb-2*ps-1, 2)     // last byte of one fresh page, first of the next
+	r.fold(2*ps-1, 2*ps+2)    // fresh head, two whole fresh pages, fresh tail
+	r.trim(sb-ps, ps)         // a used page loses its bit and keeps its bytes
+	r.write(sb-ps+9, 1)       // and comes back into use around one byte
+	r.trim(sb-2*ps-1, 2*ps+2) // whole page between two partial edges
+	r.trim(sb+ps, ps)         // the last page in use of slab 1: the slab goes
+	r.fold(sb+ps, 1)          // and its successor is whatever the pool held
+	r.reopen()
+	r.write(sb+1, ps)
 	r.finish()
 
 	if _, err := r.s.WriteAt(make([]byte, ps), -1); err == nil {
@@ -324,6 +428,134 @@ func TestMemStoreIOAllocationFree(t *testing.T) {
 			t.Errorf("%s allocates %.1f times per call, want 0", name, n)
 		}
 	}
+}
+
+// TestMemStoreRecyclesSlabs: the slabs Reset, Close and an emptying Trim
+// release are the ones the next store is built from, and it shows none of
+// their bytes.
+func TestMemStoreRecyclesSlabs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops a share of what it is given")
+	}
+	const ps = 1024 // a page size of this test's own, so the pool holds nobody else's slabs
+	poisonSlabs(t)
+	blk := bytes.Repeat([]byte{0x3C}, ps)
+	fill := func(s *MemStore) map[*byte]bool {
+		for _, pg := range []int64{1, slabPages + 2, 2*slabPages + 3} {
+			if _, err := s.WriteAt(blk, pg*ps); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := map[*byte]bool{}
+		for _, sl := range s.slabs {
+			got[&sl.data[0]] = true
+		}
+		return got
+	}
+	a := NewMemStore(ps)
+	first := fill(a)
+	for _, step := range []struct {
+		name    string
+		release func() error
+	}{
+		{"Reset", a.Reset},
+		{"Trim", func() error { return a.Trim(0, 3*slabPages*ps) }},
+		{"Close", a.Close},
+	} {
+		name := step.name
+		if err := step.release(); err != nil {
+			t.Fatal(err)
+		}
+		b := NewMemStore(ps)
+		for p := range fill(b) {
+			if !first[p] {
+				t.Errorf("after %s: a slab of the next store is not one the first released", name)
+			}
+		}
+		got := make([]byte, 3*slabPages*ps)
+		if _, err := b.ReadAt(got, 0); err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range got {
+			if pg := int64(i / ps); c != 0 && pg != 1 && pg != slabPages+2 && pg != 2*slabPages+3 {
+				t.Fatalf("after %s: byte %d of an unwritten page reads %#x", name, i, c)
+			}
+		}
+		if err := b.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if name != "Close" {
+			fill(a)
+		}
+	}
+}
+
+// TestMemStoreRecyclingAcrossGoroutines is for the race detector: stores on
+// their own goroutines fill, check and release slabs through the one pool, so
+// every slab changes hands between goroutines, poisoned on the way. A store
+// must read its own pattern where it wrote and zeros everywhere else.
+func TestMemStoreRecyclingAcrossGoroutines(t *testing.T) {
+	const ps, workers, rounds = 512, 6, 60
+	poisonSlabs(t)
+	sb := int64(slabPages * ps)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			mine := bytes.Repeat([]byte{byte(w + 1)}, 3*ps)
+			// A run across the boundary of slabs 0 and 1, a few bytes in the
+			// middle of slab 1, a fold into an unused page of slab 2.
+			puts := []struct {
+				put func(*MemStore, []byte, int64) (int, error)
+				off int64
+				n   int
+			}{
+				{(*MemStore).WriteAt, sb - ps - 7, 3 * ps},
+				{(*MemStore).WriteAt, sb + sb/2 + 3, 9},
+				{(*MemStore).XorAt, 2*sb + 5*ps + 1, ps / 2},
+			}
+			s := NewMemStore(ps)
+			got, want := make([]byte, 3*sb), make([]byte, 3*sb)
+			for round := 0; round < rounds; round++ {
+				clear(want)
+				for _, p := range puts {
+					if _, err := p.put(s, mine[:p.n], p.off); err != nil {
+						t.Error(err)
+						return
+					}
+					copy(want[p.off:], mine[:p.n])
+				}
+				if _, err := s.ReadAt(got, 0); err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(got, want) {
+					i := 0
+					for got[i] == want[i] {
+						i++
+					}
+					t.Errorf("store %d, round %d: byte %d reads %#x, want %#x", w, round, i, got[i], want[i])
+					return
+				}
+				var err error
+				switch round % 3 {
+				case 0:
+					err = s.Reset()
+				case 1:
+					err = s.Trim(0, 3*sb)
+				case 2:
+					err = s.Close()
+					s = NewMemStore(ps)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // heapGrowth returns how much the live heap grew across build, and what build

@@ -9,6 +9,7 @@ import (
 	"sort"
 
 	"code56/internal/bufpool"
+	"code56/internal/xorblk"
 )
 
 // Snapshot format: a versioned binary stream so simulated arrays (and
@@ -73,20 +74,11 @@ func (d *Disk) extents() ([]int64, error) {
 		if _, err := d.store.ReadAt(buf, b*int64(d.blockSize)); err != nil {
 			return nil, err
 		}
-		if !allZero(buf) {
+		if !xorblk.IsZero(buf) {
 			addrs = append(addrs, b)
 		}
 	}
 	return addrs, nil
-}
-
-func allZero(p []byte) bool {
-	for _, c := range p {
-		if c != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 func (d *Disk) save(w io.Writer) error {

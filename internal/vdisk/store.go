@@ -95,13 +95,35 @@ const slabPages = 64
 // would otherwise do that. At 4 KiB pages the bound is 4 TiB per disk.
 const maxSlabs = 1 << 24
 
-// slab is slabPages contiguous pages and their occupancy word. Pages whose
-// bit is clear are kept all-zero, so a read never consults the word: it is
-// one copy out of data whatever the occupancy.
+// slab is slabPages contiguous pages and their occupancy word. The word is
+// the truth: the bytes of a page whose bit is clear are unspecified — a slab
+// comes from the free pool as its last owner left it — so a read answers
+// zeros for them without looking, and a write that brings a page into use
+// clears whatever part of it the write does not cover.
 type slab struct {
 	used uint64 // bit i set: page i was written and not trimmed since
 	data []byte // slabPages*pageSize bytes
 }
+
+// slabPools holds the slabs no store is using, one sync.Pool per slab size
+// in bytes (DESIGN §4.13). A slab outlives the store that filled it: Reset,
+// Close and a Trim that empties a slab put it here, addSlab takes from here
+// before it allocates, and what nobody takes the collector frees.
+var slabPools sync.Map // int -> *sync.Pool of *slab
+
+func slabPool(slabBytes int) *sync.Pool {
+	if p, ok := slabPools.Load(slabBytes); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := slabPools.LoadOrStore(slabBytes, new(sync.Pool))
+	return p.(*sync.Pool)
+}
+
+// poisonReleased is false outside this package's tests, which set it to have
+// every slab overwritten with 0xA5 on its way to the free pool: a read or
+// write that trusts the bytes of an unused page then shows the poison, not
+// the zeros a fresh allocation would have hidden it behind.
+var poisonReleased bool
 
 // errMemClosed is what I/O on a closed MemStore returns; it matches
 // os.ErrClosed, as the filestore's does.
@@ -110,13 +132,16 @@ var errMemClosed = fmt.Errorf("vdisk: mem store: %w", os.ErrClosed)
 // MemStore is the in-memory BlockStore: sparse, page-granular, backed by
 // fixed-size slabs behind a directory indexed by slab number (DESIGN §4.13).
 // A ranged read or write is one copy per slab it touches, with no hashing
-// and, once the slab exists, no allocation. It is the zero-configuration
-// default for tests and simulations, and the reference medium the benchmark
-// prices every other layer against.
+// and, once the slab exists, no allocation; slabs are recycled through a free
+// pool shared by every store of the same page size, so replacing or dropping
+// a disk and filling the next allocates nothing either. It is the
+// zero-configuration default for tests and simulations, and the reference
+// medium the benchmark prices every other layer against.
 type MemStore struct {
 	mu        sync.RWMutex
-	pageSize  int // fixed at construction
-	slabBytes int // slabPages*pageSize
+	pageSize  int        // fixed at construction
+	slabBytes int        // slabPages*pageSize
+	free      *sync.Pool // slabPool(slabBytes), fixed at construction
 	// slabs is the directory: slabs[i] covers bytes [i*slabBytes,
 	// (i+1)*slabBytes) and is nil while none of its pages is in use.
 	slabs []*slab //c56:guardedby mu
@@ -133,7 +158,8 @@ func NewMemStore(pageSize int) *MemStore {
 	if pageSize <= 0 {
 		panic(fmt.Sprintf("vdisk: invalid mem store page size %d", pageSize))
 	}
-	return &MemStore{pageSize: pageSize, slabBytes: slabPages * pageSize}
+	sb := slabPages * pageSize
+	return &MemStore{pageSize: pageSize, slabBytes: sb, free: slabPool(sb)}
 }
 
 // ReadAt fills p from offset off; unwritten ranges read as zero.
@@ -152,13 +178,35 @@ func (s *MemStore) ReadAt(p []byte, off int64) (int, error) {
 		si, so, c := s.locate(off+int64(n), int64(len(p)-n))
 		dst := p[n : n+c]
 		if si < int64(len(s.slabs)) && s.slabs[si] != nil {
-			copy(dst, s.slabs[si].data[so:])
+			s.readSlab(s.slabs[si], dst, so)
 		} else {
 			clear(dst)
 		}
 		n += c
 	}
 	return len(p), nil
+}
+
+// readSlab fills dst from offset so of sl: one copy when every page of the
+// range is in use, otherwise page by page, zeros for the pages that are not.
+//
+//c56:noalloc
+func (s *MemStore) readSlab(sl *slab, dst []byte, so int) {
+	ps := s.pageSize
+	if mask := pageMask(so/ps, (so+len(dst)-1)/ps); sl.used&mask == mask {
+		copy(dst, sl.data[so:])
+		return
+	}
+	for n := 0; n < len(dst); {
+		pos := so + n
+		c := min(len(dst)-n, ps-pos%ps)
+		if sl.used>>(pos/ps)&1 != 0 {
+			copy(dst[n:n+c], sl.data[pos:])
+		} else {
+			clear(dst[n : n+c])
+		}
+		n += c
+	}
 }
 
 // locate returns the slab holding byte pos, pos's offset in it, and how many
@@ -171,8 +219,8 @@ func (s *MemStore) locate(pos, n int64) (si int64, so, c int) {
 	return si, so, int(min(n, sb-int64(so)))
 }
 
-// WriteAt stores p at offset off, allocating a slab when the first of its
-// pages is written.
+// WriteAt stores p at offset off, taking a slab when the first of its pages
+// is written.
 //
 //c56:noalloc
 func (s *MemStore) WriteAt(p []byte, off int64) (int, error) {
@@ -210,14 +258,14 @@ func (s *MemStore) put(p []byte, off int64, fold bool) (int, error) {
 			s.addSlab(si) //lint:allow noalloc first write into a slab: once per 64 pages, not steady state
 		}
 		sl := s.slabs[si]
+		if fresh := pageMask(so/s.pageSize, (so+c-1)/s.pageSize) &^ sl.used; fresh != 0 {
+			s.admit(sl, so, c, fresh, fold)
+		}
 		if fold {
 			xorblk.Xor(sl.data[so:so+c], p[n:n+c])
 		} else {
 			copy(sl.data[so:], p[n:n+c])
 		}
-		touched := pageMask(so/s.pageSize, (so+c-1)/s.pageSize)
-		s.inUse += bits.OnesCount64(touched &^ sl.used)
-		sl.used |= touched
 		n += c
 	}
 	if end := off + int64(len(p)); end > s.size {
@@ -226,14 +274,62 @@ func (s *MemStore) put(p []byte, off int64, fold bool) (int, error) {
 	return len(p), nil
 }
 
-// addSlab allocates slab si, growing the directory to reach it.
+// admit brings the pages of fresh into use ahead of a put of [so, so+c) that
+// touches them, clearing what the put will not store itself: nothing when a
+// WriteAt covers its pages whole, the uncovered head and tail of its first
+// and last page otherwise, and every fresh page before a fold, since folding
+// into unwritten bytes stores.
+//
+//c56:noalloc
+//c56:requires mu
+func (s *MemStore) admit(sl *slab, so, c int, fresh uint64, fold bool) {
+	ps := s.pageSize
+	if fold {
+		for w := fresh; w != 0; w &= w - 1 {
+			pg := bits.TrailingZeros64(w)
+			clear(sl.data[pg*ps : (pg+1)*ps])
+		}
+	} else {
+		if first := so / ps; fresh>>first&1 != 0 {
+			clear(sl.data[first*ps : so])
+		}
+		if last := (so + c - 1) / ps; fresh>>last&1 != 0 {
+			clear(sl.data[so+c : (last+1)*ps])
+		}
+	}
+	s.inUse += bits.OnesCount64(fresh)
+	sl.used |= fresh
+}
+
+// addSlab puts a slab with no page in use at si, from the free pool if it
+// has one, growing the directory to reach it.
 //
 //c56:requires mu
 func (s *MemStore) addSlab(si int64) {
 	if grow := si + 1 - int64(len(s.slabs)); grow > 0 {
 		s.slabs = append(s.slabs, make([]*slab, grow)...)
 	}
-	s.slabs[si] = &slab{data: make([]byte, s.slabBytes)}
+	sl, _ := s.free.Get().(*slab)
+	if sl == nil {
+		sl = &slab{data: make([]byte, s.slabBytes)}
+	}
+	s.slabs[si] = sl
+}
+
+// release hands slab si to the free pool, bytes as they are.
+//
+//c56:noalloc
+//c56:requires mu
+func (s *MemStore) release(si int64) {
+	sl := s.slabs[si]
+	s.slabs[si] = nil
+	sl.used = 0
+	if poisonReleased {
+		for i := range sl.data {
+			sl.data[i] = 0xA5
+		}
+	}
+	s.free.Put(sl)
 }
 
 // pageMask returns the occupancy bits of pages first..last of a slab.
@@ -259,15 +355,22 @@ func (s *MemStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.drop()
-	s.closed = true
+	s.slabs, s.closed = nil, true
 	return nil
 }
 
-// drop releases every slab and zeroes the counters.
+// drop releases every slab and zeroes the counters. The directory stays: it
+// is what refilling the store needs.
 //
+//c56:noalloc
 //c56:requires mu
 func (s *MemStore) drop() {
-	s.slabs, s.inUse, s.size = nil, 0, 0
+	for si, sl := range s.slabs {
+		if sl != nil {
+			s.release(int64(si))
+		}
+	}
+	s.inUse, s.size = 0, 0
 }
 
 // Trim deallocates the fully covered pages and zeroes the partial edges. A
@@ -290,22 +393,29 @@ func (s *MemStore) Trim(off, length int64) error {
 		if sl == nil {
 			continue
 		}
-		// The pages wholly inside [so, so+c) lose their bit; the bytes of
-		// every page in the range, whole or partial, read zero afterwards.
-		if first, past := (so+s.pageSize-1)/s.pageSize, (so+c)/s.pageSize; past > first {
+		// The pages wholly inside [so, so+c), first up to past, lose their
+		// bit and keep their bytes; the part of the range in a page it only
+		// partly covers is zeroed.
+		first, past := (so+s.pageSize-1)/s.pageSize, (so+c)/s.pageSize
+		if past > first {
 			freed := pageMask(first, past-1) & sl.used
 			s.inUse -= bits.OnesCount64(freed)
 			if sl.used &^= freed; sl.used == 0 {
-				s.slabs[si] = nil
+				s.release(si)
 				continue
 			}
 		}
-		clear(sl.data[so : so+c])
+		head := min(first*s.pageSize, so+c)
+		clear(sl.data[so:head])
+		clear(sl.data[max(past*s.pageSize, head) : so+c])
 	}
 	return nil
 }
 
-// Reset discards all contents (Disk.Replace's fresh-drive semantics).
+// Reset discards all contents (Disk.Replace's fresh-drive semantics): the
+// slabs go to the free pool, which is where refilling the store finds them.
+//
+//c56:noalloc
 func (s *MemStore) Reset() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

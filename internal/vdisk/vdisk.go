@@ -606,7 +606,7 @@ func (d *Disk) Replace() {
 	}
 	d.setFailed(false)
 	d.failedErr = nil
-	d.latent = make(map[int64]bool)
+	clear(d.latent)
 	d.faults = nil
 	d.tel.replaces.Inc()
 	d.tel.tr.Event("vdisk.replace", telemetry.A("disk", d.id))

@@ -56,3 +56,33 @@ func FuzzXorMulti(f *testing.F) {
 		}
 	})
 }
+
+// FuzzIsZero holds IsZero to the scalar loop it replaced, and Equal to
+// bytes.Equal, on arbitrary bytes at every alignment, zero-padded on both
+// sides so the set bits land anywhere in a block of up to five zero pages.
+func FuzzIsZero(f *testing.F) {
+	f.Add([]byte{}, uint16(0), uint16(0))
+	f.Add([]byte{0, 0, 0}, uint16(5), uint16(4091))
+	f.Add([]byte{0x80}, uint16(4095), uint16(1))
+	f.Add([]byte{0, 1, 0}, uint16(8190), uint16(8200))
+	f.Fuzz(func(t *testing.T, mid []byte, before, after uint16) {
+		lead := int(before) % (2 * len(zeroPage))
+		b := make([]byte, lead+len(mid)+int(after)%(3*len(zeroPage)))
+		copy(b[lead:], mid)
+		for start := 0; start < 8 && start <= len(b); start++ {
+			if got, want := IsZero(b[start:]), isZeroRef(b[start:]); got != want {
+				t.Fatalf("IsZero(%d bytes from offset %d) = %v, the scalar loop says %v", len(b)-start, start, got, want)
+			}
+		}
+		c := bytes.Clone(b)
+		if !Equal(b, c) {
+			t.Fatalf("Equal says a copy of %d bytes differs", len(b))
+		}
+		if len(mid) > 0 {
+			c[lead] ^= 0x10
+			if Equal(b, c) {
+				t.Fatalf("Equal missed a flipped bit at %d of %d", lead, len(b))
+			}
+		}
+	})
+}

@@ -53,3 +53,20 @@ func BenchmarkXorMultiArity(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkIsZero is the verify side of a scrub: one pass over an all-zero
+// block, the case that reads every byte.
+func BenchmarkIsZero(b *testing.B) {
+	for _, size := range []int{4096, 16384} {
+		blk := make([]byte, size)
+		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if !IsZero(blk) {
+					b.Fatal("zero block reported non-zero")
+				}
+			}
+		})
+	}
+}

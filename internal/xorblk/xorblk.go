@@ -38,6 +38,7 @@
 package xorblk
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 )
@@ -272,37 +273,27 @@ func AccumulateMulti(dst []byte, srcs ...[]byte) int {
 	return len(srcs)
 }
 
+// zeroPage is what IsZero compares against: 4 KiB, so it stays in L1 under
+// any block size.
+var zeroPage [4096]byte
+
 // IsZero reports whether every byte of b is zero. Parity verification uses
 // it: XOR of a full, consistent parity chain (including the parity block)
-// must be the zero block.
+// must be the zero block. It is the runtime's vector memequal against a
+// static zero page, a page at a time.
 //
 //c56:noalloc
 func IsZero(b []byte) bool {
-	n := len(b) &^ (wordSize - 1)
-	for i := 0; i < n; i += wordSize {
-		if binary.LittleEndian.Uint64(b[i:]) != 0 {
+	for len(b) > len(zeroPage) {
+		if !bytes.Equal(b[:len(zeroPage)], zeroPage[:]) {
 			return false
 		}
+		b = b[len(zeroPage):]
 	}
-	for i := n; i < len(b); i++ {
-		if b[i] != 0 {
-			return false
-		}
-	}
-	return true
+	return bytes.Equal(b, zeroPage[:len(b)])
 }
 
 // Equal reports whether a and b have identical length and contents.
 //
 //c56:noalloc
-func Equal(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
+func Equal(a, b []byte) bool { return bytes.Equal(a, b) }

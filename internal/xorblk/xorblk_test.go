@@ -2,6 +2,7 @@ package xorblk
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -129,18 +130,45 @@ func TestAccumulateMulti(t *testing.T) {
 	}
 }
 
+// isZeroRef is the loop IsZero was before it became a vector compare against
+// a zero page: a word at a time, then the ragged tail a byte at a time.
+func isZeroRef(b []byte) bool {
+	n := len(b) &^ (wordSize - 1)
+	for i := 0; i < n; i += wordSize {
+		if binary.LittleEndian.Uint64(b[i:]) != 0 {
+			return false
+		}
+	}
+	for i := n; i < len(b); i++ {
+		if b[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestIsZero: empty, all-zero and one set bit in every offset class (first
+// and last byte, either side of a word and of a zero-page boundary), over
+// lengths that are and are not multiples of the word and the page.
 func TestIsZero(t *testing.T) {
 	if !IsZero(nil) {
 		t.Error("nil should be zero")
 	}
-	if !IsZero(make([]byte, 100)) {
-		t.Error("all-zero should be zero")
-	}
-	for _, pos := range []int{0, 7, 8, 9, 99} {
-		b := make([]byte, 100)
-		b[pos] = 1
-		if IsZero(b) {
-			t.Errorf("nonzero at %d not detected", pos)
+	page := len(zeroPage)
+	for _, n := range []int{0, 1, 7, 8, 9, 100, page - 1, page, page + 1, 2 * page, 4*page + 3} {
+		b := make([]byte, n)
+		if !IsZero(b) {
+			t.Errorf("all-zero block of %d bytes not zero", n)
+		}
+		for _, pos := range []int{0, 7, 8, 9, n / 2, page - 1, page, page + 1, 2*page - 1, n - 9, n - 8, n - 1} {
+			if pos < 0 || pos >= n {
+				continue
+			}
+			b[pos] = 1 << (pos % 8)
+			if IsZero(b) || isZeroRef(b) {
+				t.Errorf("%d bytes: set bit at %d not detected (IsZero %v, old loop %v)", n, pos, IsZero(b), isZeroRef(b))
+			}
+			b[pos] = 0
 		}
 	}
 }
