@@ -75,6 +75,8 @@ func MustNew(p int) *Code56 {
 }
 
 // P returns the prime parameter (= number of disks).
+//
+//c56:noalloc
 func (c *Code56) P() int { return c.p }
 
 // Orientation returns the layout orientation.

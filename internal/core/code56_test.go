@@ -382,3 +382,12 @@ func TestLargePrime(t *testing.T) {
 		t.Errorf("no hybrid saving at p=17: %d vs %d", plan.Reads, c.ConventionalReads())
 	}
 }
+
+// P carries //c56:noalloc: the online migrator's per-stripe conversion, which
+// is held to zero allocations, asks it of the code.
+func TestPAllocationFree(t *testing.T) {
+	c := MustNew(13)
+	if n := testing.AllocsPerRun(100, func() { _ = c.P() }); n != 0 {
+		t.Errorf("P allocates %.1f times per call, want 0", n)
+	}
+}

@@ -74,6 +74,7 @@ var noallocTrusted = map[string]bool{
 	"sync.RWMutex.RUnlock": true,
 	"sync.Pool.Get":        true,
 	"sync.Pool.Put":        true,
+	"sync.Cond.Wait":       true,
 
 	// bytes: the runtime's memequal, a leaf.
 	"bytes.Equal": true,
@@ -159,9 +160,12 @@ var noallocTrusted = map[string]bool{
 	"code56/internal/layout.Decoder.ColumnPlan":        true,
 	"code56/internal/layout.Plan.SourceRuns":           true,
 	"code56/internal/layout.Plan.Run":                  true,
+	"code56/internal/core.Code56.P":                    true,
+	"code56/internal/raid5.Array.Disks":                true,
 	"code56/internal/vdisk.Disk.Read":                  true,
 	"code56/internal/vdisk.Disk.Write":                 true,
 	"code56/internal/vdisk.Disk.ReadBlocks":            true,
+	"code56/internal/vdisk.Disk.ReadXor":               true,
 	"code56/internal/vdisk.Disk.WriteBlocks":           true,
 	"code56/internal/vdisk.Disk.Swap":                  true,
 	"code56/internal/vdisk.Disk.Xor":                   true,
@@ -171,6 +175,7 @@ var noallocTrusted = map[string]bool{
 	"code56/internal/vdisk.BlockStore.ReadAt":          true,
 	"code56/internal/vdisk.BlockStore.WriteAt":         true,
 	"code56/internal/vdisk.Xorer.XorAt":                true,
+	"code56/internal/vdisk.Xorer.ReadXorAt":            true,
 	"code56/internal/vdisk.MemStore.XorAt":             true,
 }
 

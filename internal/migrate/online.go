@@ -713,53 +713,43 @@ func (m *OnlineMigrator) worker() {
 	}
 }
 
-// convRun is one ranged read of the conversion: consecutive rows of one data
-// column, each covered by a diagonal chain. A column's horizontal parity
-// belongs to no diagonal chain and is not read, so it splits the column's
-// p-2 data cells into at most two runs.
+// convRun is one ranged read of the conversion: n consecutive rows of one data
+// column, from row on, covered by the n consecutive diagonal chains from chain
+// on — so the run's accumulators are one contiguous slice of the new disk's
+// parity column (a chain's index is the row of its parity there). first says
+// the blocks are their chains' first contributors in schedule order: they are
+// read straight into the accumulators, where later ones are folded in, so the
+// XOR tally is the planner's n-1 a chain (and the plan's Metrics) exactly.
+//
+// Code 5-6 makes such runs long: logical cell (r, j) lies on diagonal
+// (r+j+1) mod p, one further each row down a column, and the value p-1, which
+// is no chain, falls on the column's horizontal-parity cell, which is not
+// read. A column is at most two runs, a stripe 2(p-1)-2.
 type convRun struct {
-	col, row int        // the run's first block
-	cells    []convCell // one per block, in row order
+	col, row, n int
+	chain       int
+	first       bool
 }
 
-// convCell says where one block of a run goes.
-type convCell struct {
-	chain int // its diagonal chain: the row of that chain's parity on the new disk
-	// first marks the chain's first contributor in schedule order: it is
-	// copied into the chain's accumulator, the rest are XORed in, so the XOR
-	// tally matches the planner's n-1 accounting (and the plan's Metrics
-	// aggregates) exactly.
-	first bool
-}
-
-// conversionRuns lays out one stripe's conversion reads column by column.
+// conversionRuns lays out one stripe's conversion reads column by column,
+// starting a new run wherever the next cell would break convRun's invariant.
 func conversionRuns(code *core.Code56) []convRun {
 	p := code.P()
-	chainOf := make([][]int, p-1) // [col][row]; -1 where no diagonal chain covers the cell
-	for col := range chainOf {
-		chainOf[col] = make([]int, p-1)
-		for row := range chainOf[col] {
-			chainOf[col][row] = -1
-		}
-	}
-	for i, ch := range code.Chains()[p-1:] {
-		for _, c := range ch.Covers {
-			chainOf[c.Col][c.Row] = i
-		}
-	}
 	seen := make([]bool, p-1)
 	var runs []convRun
 	for col := 0; col < p-1; col++ {
+		var r *convRun // the run the cell above belongs to, nil if it is not read
 		for row := 0; row < p-1; row++ {
-			chain := chainOf[col][row]
-			if chain < 0 {
+			if code.Kind(row, col) != layout.Data {
+				r = nil
 				continue
 			}
-			if row == 0 || chainOf[col][row-1] < 0 {
-				runs = append(runs, convRun{col: col, row: row})
+			chain := code.DiagonalChainOf(row, col)
+			if r == nil || chain != r.chain+r.n || seen[chain] == r.first {
+				runs = append(runs, convRun{col: col, row: row, chain: chain, first: !seen[chain]})
+				r = &runs[len(runs)-1]
 			}
-			r := &runs[len(runs)-1]
-			r.cells = append(r.cells, convCell{chain: chain, first: !seen[chain]})
+			r.n++
 			seen[chain] = true
 		}
 	}
@@ -771,6 +761,8 @@ func conversionRuns(code *core.Code56) []convRun {
 // error raised elsewhere, if any — including context cancellation — which
 // aborts the stripe being converted: its diagonal parities sit above the
 // watermark and are redone on resume.
+//
+//c56:noalloc
 func (m *OnlineMigrator) yieldToWrites() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -782,43 +774,36 @@ func (m *OnlineMigrator) yieldToWrites() error {
 
 // convertStripe computes and writes the p-1 diagonal parity blocks of one
 // stripe (the conversion thread's body in Algorithm 2: read the data
-// blocks, calculate the diagonal parity per Equation 2, write it). The data
-// is read one column run per disk call and each block is folded into its
-// chain's accumulator as soon as its run is in; the accumulators are the new
-// disk's column, written with one call. The worker let pending writes through
-// before claiming (or redoing) the stripe; they get one more chance before
-// the parity goes out. Writers never wait for any of this: a write that lands
-// in between marks the stripe dirty and the worker redoes it.
+// blocks, calculate the diagonal parity per Equation 2, write it). The only
+// buffer is the new disk's column, one accumulator a chain: each column run
+// lands on its slice of it with one disk call, and the column is written with
+// one. The worker let pending writes through before claiming (or redoing) the
+// stripe; they get one more chance before the parity goes out. Writers never
+// wait for any of this: a write that lands in between marks the stripe dirty
+// and the worker redoes it.
+//
+//c56:noalloc
 func (m *OnlineMigrator) convertStripe(st int64) error {
-	bs := m.r5.BlockSize()
-	rows := m.code.P() - 1
+	disks := m.r5.Disks()
+	bs, rows := disks.BlockSize(), m.code.P()-1
 	base := st * int64(rows)
-	run := bufpool.Get(rows * bs)
-	defer bufpool.Put(run)
 	parity := bufpool.Get(rows * bs)
 	defer bufpool.Put(parity)
+	var xors int64
 	for i := range m.runs {
 		r := &m.runs[i]
-		blocks := run[:len(r.cells)*bs]
-		if err := m.readRun(base+int64(r.row), r.col, blocks); err != nil {
+		if err := m.readRun(r.col, base+int64(r.row), parity[r.chain*bs:(r.chain+r.n)*bs], r.first); err != nil {
 			return fmt.Errorf("migrate: converting stripe %d: %w", st, err)
 		}
-		var xors int64
-		for k, c := range r.cells {
-			acc := parity[c.chain*bs : (c.chain+1)*bs]
-			if c.first {
-				copy(acc, blocks[k*bs:(k+1)*bs])
-				continue
-			}
-			xorblk.Xor(acc, blocks[k*bs:(k+1)*bs])
-			xors++
+		if !r.first {
+			xors += int64(r.n)
 		}
-		m.tel.xors.Add(xors)
 	}
+	m.tel.xors.Add(xors)
 	if err := m.yieldToWrites(); err != nil {
 		return err
 	}
-	if err := m.r5.Disks().Disk(rows).WriteBlocks(base, parity); err != nil {
+	if err := disks.Disk(rows).WriteBlocks(base, parity); err != nil {
 		return fmt.Errorf("migrate: converting stripe %d: %w", st, err)
 	}
 	return nil
@@ -827,23 +812,47 @@ func (m *OnlineMigrator) convertStripe(st int64) error {
 // healable reports whether a read error is one the RAID-5 redundancy can
 // repair in place: a latent sector error, or a transient that survived the
 // disk's retry policy.
+//
+//c56:noalloc
 func healable(err error) bool {
 	return errors.Is(err, vdisk.ErrLatent) || errors.Is(err, vdisk.ErrTransient)
 }
 
-// readRun reads consecutive cells of one disk for the conversion with a
-// single disk call. A run that hits a healable error is read again block by
-// block through readOrRepair, so healing keeps its single path.
-func (m *OnlineMigrator) readRun(row int64, disk int, blocks []byte) error {
-	err := m.r5.Disks().Disk(disk).ReadBlocks(row, blocks)
-	if err == nil || !healable(err) {
-		return err
+// readRun lands one run of the conversion, the blocks of a disk from row on,
+// on its accumulators with a single disk call: read into them if the run is
+// its chains' first contributor, folded into them from where the data lies
+// otherwise. Either call is all or nothing, so a run that hits a healable
+// error is taken again block by block.
+//
+//c56:noalloc
+func (m *OnlineMigrator) readRun(disk int, row int64, acc []byte, first bool) error {
+	d := m.r5.Disks().Disk(disk)
+	var err error
+	if first {
+		err = d.ReadBlocks(row, acc)
+	} else {
+		err = d.ReadXor(row, acc)
 	}
+	if healable(err) {
+		return m.healRun(disk, row, acc, first)
+	}
+	return err
+}
+
+// healRun is readRun block by block through readOrRepair, so healing keeps its
+// single path. That needs each block whole, to rewrite it: one block of scratch.
+func (m *OnlineMigrator) healRun(disk int, row int64, acc []byte, first bool) error {
 	bs := m.r5.BlockSize()
-	for k := 0; k*bs < len(blocks); k++ {
-		if err := m.readOrRepair(row+int64(k), disk, blocks[k*bs:(k+1)*bs]); err != nil {
+	blk := bufpool.Get(bs)
+	defer bufpool.Put(blk)
+	if first {
+		clear(acc) // folding into zeros is reading
+	}
+	for k := 0; k*bs < len(acc); k++ {
+		if err := m.readOrRepair(row+int64(k), disk, blk); err != nil {
 			return err
 		}
+		xorblk.Xor(acc[k*bs:(k+1)*bs], blk)
 	}
 	return nil
 }
@@ -971,38 +980,25 @@ func (m *OnlineMigrator) writeLocked(logical, row int64, disk int, data []byte, 
 	// The old diagonal parity is unreadable, and the data and horizontal
 	// parity are already written: recompute it from its chain, which holds the
 	// new data by now. Writing it whole clears the bad sector.
-	parity := bufpool.Get(blockSize)
+	parity := bufpool.GetZero(blockSize)
 	defer bufpool.Put(parity)
-	if err := m.diagonalFromChain(base, chain, parity, delta); err != nil {
+	if err := m.diagonalFromChain(base, chain, parity); err != nil {
 		return fmt.Errorf("migrate: recomputing diagonal parity %d of stripe %d: %w", chain, row/rows, err)
 	}
 	return newDisk.Write(base+int64(chain), parity)
 }
 
-// diagonalFromChain computes one diagonal parity of the stripe starting at
-// row base from the cells its chain covers, each read through the RAID-5
-// redundancy if it must be. tmp is scratch of one block.
-func (m *OnlineMigrator) diagonalFromChain(base int64, chain int, parity, tmp []byte) error {
-	ch := m.code.Chains()[m.code.P()-1+chain]
-	for j, c := range ch.Covers {
-		dst := parity
-		if j > 0 {
-			dst = tmp
-		}
-		row := base + int64(c.Row)
-		if err := m.r5.Disks().Disk(c.Col).Read(row, dst); err != nil {
-			if !healable(err) && !errors.Is(err, vdisk.ErrFailed) {
-				return err
-			}
-			if err := m.r5.ReconstructBlock(row, c.Col, dst); err != nil {
-				return err
-			}
-		}
-		if j > 0 {
-			xorblk.Xor(parity, tmp)
-			m.tel.redirectXORs.Inc()
+// diagonalFromChain folds the cells one diagonal chain covers, in the stripe
+// starting at row base, into parity, which the caller zeroed: each from where
+// it lies, or through the RAID-5 redundancy if it must be.
+func (m *OnlineMigrator) diagonalFromChain(base int64, chain int, parity []byte) error {
+	covers := m.code.Chains()[m.code.P()-1+chain].Covers
+	for _, c := range covers {
+		if err := m.r5.FoldBlock(base+int64(c.Row), c.Col, parity); err != nil {
+			return err
 		}
 	}
+	m.tel.redirectXORs.Add(int64(len(covers) - 1)) // the first cell is a copy in all but name
 	return nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"code56/internal/core"
+	"code56/internal/layout"
 	"code56/internal/raid5"
 	"code56/internal/telemetry"
 	"code56/internal/vdisk"
@@ -20,7 +21,7 @@ import (
 // newFilledRAID5 builds a RAID-5 of m disks over the backend (nil = memory)
 // holding `rows` rows of seeded random data, written through WriteBlock so
 // the horizontal parities are in place.
-func newFilledRAID5(t *testing.T, m, blockSize int, layout raid5.Layout, rows, seed int64, backend vdisk.Backend) *raid5.Array {
+func newFilledRAID5(t testing.TB, m, blockSize int, layout raid5.Layout, rows, seed int64, backend vdisk.Backend) *raid5.Array {
 	t.Helper()
 	disks, err := vdisk.NewArrayBackend(m, blockSize, backend)
 	if err != nil {
@@ -199,40 +200,170 @@ func TestConversionImagesMatchPerBlockReference(t *testing.T) {
 	}
 }
 
+// TestConversionRunsInvariant: every run of the schedule feeds consecutive
+// chains — a contiguous slice of the parity column — and is all first
+// contributors or all later ones; together the runs cover every data cell
+// once, each chain's first contributor ahead of its others; and there are
+// 2(p-1)-2 of them, the fewest disk calls the layout allows (6 at p=5).
+func TestConversionRunsInvariant(t *testing.T) {
+	for _, p := range []int{5, 7, 11, 13} {
+		for _, orient := range []core.Orientation{core.Left, core.Right} {
+			code, err := core.NewOriented(p, orient)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs := conversionRuns(code)
+			if got, want := len(runs), 2*(p-1)-2; got != want {
+				t.Errorf("p=%d orient=%d: %d runs a stripe, want %d", p, orient, got, want)
+			}
+			covered := map[layout.Coord]bool{}
+			fed := make([]int, p-1) // contributors seen, per chain
+			for _, r := range runs {
+				if r.n < 1 || r.chain < 0 || r.chain+r.n > p-1 {
+					t.Fatalf("p=%d orient=%d: run %+v lies outside the parity column", p, orient, r)
+				}
+				for k := 0; k < r.n; k++ {
+					cell := layout.Coord{Row: r.row + k, Col: r.col}
+					if covered[cell] {
+						t.Errorf("p=%d orient=%d: cell %v is read twice", p, orient, cell)
+					}
+					covered[cell] = true
+					if got := code.DiagonalChainOf(cell.Row, cell.Col); got != r.chain+k {
+						t.Errorf("p=%d orient=%d: run %+v block %d feeds chain %d, its cell lies on chain %d", p, orient, r, k, r.chain+k, got)
+					}
+					if first := fed[r.chain+k] == 0; first != r.first {
+						t.Errorf("p=%d orient=%d: run %+v block %d: first contributor %v, run says %v", p, orient, r, k, first, r.first)
+					}
+					fed[r.chain+k]++
+				}
+			}
+			for i, ch := range code.Chains()[p-1:] {
+				if fed[i] != len(ch.Covers) {
+					t.Errorf("p=%d orient=%d: chain %d fed %d blocks, covers %d", p, orient, i, fed[i], len(ch.Covers))
+				}
+				for _, c := range ch.Covers {
+					if !covered[c] {
+						t.Errorf("p=%d orient=%d: cell %v of chain %d is never read", p, orient, c, i)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestConversionHealsLatentMidRun: a latent sector in the middle of a column
-// run fails the ranged read, the run is read again block by block through
-// readOrRepair, and exactly that one block is healed — once.
+// run fails the ranged call — the read of a first-contributor run, the
+// read-fold of a later one — and leaves the accumulators as they were; the run
+// is taken again block by block through readOrRepair, and exactly that one
+// block is healed, once, and folded, once.
 func TestConversionHealsLatentMidRun(t *testing.T) {
 	const rows = 8 // two stripes at p=5
-	a, want := newLoadedRAID5(t, 4, rows, 81)
-	// At p=5 disk 0 keeps its horizontal parity in row 3 of each stripe, so
-	// rows 0-2 are one run; row 1 is its middle.
-	if got := a.ParityDisk(3); got != 0 {
-		t.Fatalf("row 3 parity on disk %d, want 0", got)
-	}
-	a.Disks().Disk(0).InjectLatentError(1)
-	reg := telemetry.NewRegistry()
-	a.SetTelemetry(reg, nil)
-	a.Disks().ResetStats()
-	mig := convertQuiet(t, a, rows, reg)
+	for _, c := range []struct {
+		name      string
+		disk, row int
+		first     bool
+	}{
+		// At p=5 disk 0 keeps its horizontal parity in row 3 of each stripe, so
+		// rows 0-2 are one run, read before any other: every block a first
+		// contributor. Disk 2's is in row 1, and its rows 2-3 fold into chains
+		// disks 0 and 1 have fed already.
+		{"read run", 0, 1, true},
+		{"folded run", 2, 3, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			a, want := newLoadedRAID5(t, 4, rows, 81)
+			a.Disks().Disk(c.disk).InjectLatentError(int64(c.row))
+			reg := telemetry.NewRegistry()
+			a.SetTelemetry(reg, nil)
+			a.Disks().ResetStats()
+			mig := convertQuiet(t, a, rows, reg)
 
-	if got := mig.Stats().FaultsRepaired; got != 1 {
-		t.Errorf("FaultsRepaired = %d, want 1", got)
+			found := false
+			for _, r := range mig.runs {
+				if r.col == c.disk && r.row <= c.row && c.row < r.row+r.n {
+					found = r.n > 1 && r.first == c.first
+				}
+			}
+			if !found {
+				t.Fatalf("disk %d row %d is not inside a multi-block run with first=%v: %+v", c.disk, c.row, c.first, mig.runs)
+			}
+			if got := mig.Stats().FaultsRepaired; got != 1 {
+				t.Errorf("FaultsRepaired = %d, want 1", got)
+			}
+			if got := reg.Counter("migrate.fault_repairs").Value(); got != 1 {
+				t.Errorf("migrate.fault_repairs = %d, want 1", got)
+			}
+			if got := a.Disks().Disk(c.disk).Stats().Writes; got != 1 {
+				t.Errorf("disk %d took %d writes, want the one heal", c.disk, got)
+			}
+			if got := reg.Counter("migrate.conversion_xors").Value(); got != 2*perStripeXORs(mig) {
+				t.Errorf("migrate.conversion_xors = %d, want %d", got, 2*perStripeXORs(mig))
+			}
+			buf := make([]byte, 32)
+			if err := a.Disks().Disk(c.disk).Read(int64(c.row), buf); err != nil {
+				t.Fatalf("latent block not rewritten: %v", err)
+			}
+			// The accumulators are right only if the fallback folded each block of
+			// the run exactly once, onto what the refused call had left alone.
+			verifyConverted(t, mig, want, rows/4, "latent-mid-run")
+		})
 	}
-	if got := reg.Counter("migrate.fault_repairs").Value(); got != 1 {
-		t.Errorf("migrate.fault_repairs = %d, want 1", got)
+}
+
+// TestConvertStripeAllocationFree is the runtime half of convertStripe's
+// //c56:noalloc: one stripe's conversion rents its parity column from the pool
+// and allocates nothing, at either benchmark geometry.
+func TestConvertStripeAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
 	}
-	if got := a.Disks().Disk(0).Stats().Writes; got != 1 {
-		t.Errorf("disk 0 took %d writes, want the one heal", got)
+	for _, g := range []struct{ p, blockSize int }{{5, 4096}, {13, 16384}} {
+		mig := newStripeConverter(t, g.p, g.blockSize)
+		if n := testing.AllocsPerRun(50, func() {
+			if err := mig.convertStripe(1); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("p=%d: convertStripe allocates %.1f times per stripe, want 0", g.p, n)
+		}
 	}
-	if got := reg.Counter("migrate.conversion_xors").Value(); got != 2*perStripeXORs(mig) {
-		t.Errorf("migrate.conversion_xors = %d, want %d: the fallback must fold each block once", got, 2*perStripeXORs(mig))
+}
+
+// newStripeConverter returns a migrator over four filled stripes of a
+// memory-backed RAID-5 with the diagonal-parity disk attached and no worker
+// running, so a test or benchmark drives convertStripe itself.
+func newStripeConverter(t testing.TB, p, blockSize int) *OnlineMigrator {
+	t.Helper()
+	rows := int64(4 * (p - 1))
+	a := newFilledRAID5(t, p-1, blockSize, raid5.LeftAsymmetric, rows, int64(p), nil)
+	mig, err := NewOnlineMigrator(a, rows)
+	if err != nil {
+		t.Fatal(err)
 	}
-	buf := make([]byte, 32)
-	if err := a.Disks().Disk(0).Read(1, buf); err != nil {
-		t.Fatalf("latent block not rewritten: %v", err)
+	mig.SetTelemetry(telemetry.NewRegistry(), nil)
+	a.Disks().Add()
+	return mig
+}
+
+// BenchmarkConvertStripe times one stripe's conversion on memory-backed disks
+// at the repo benchmark's two geometries (convert_mem and array_ops), in bytes
+// of data converted.
+func BenchmarkConvertStripe(b *testing.B) {
+	for _, g := range []struct {
+		name         string
+		p, blockSize int
+	}{{"p5_4k", 5, 4096}, {"p13_16k", 13, 16384}} {
+		b.Run(g.name, func(b *testing.B) {
+			mig := newStripeConverter(b, g.p, g.blockSize)
+			b.SetBytes(int64((g.p - 1) * (g.p - 2) * g.blockSize))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := mig.convertStripe(int64(i % 4)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	verifyConverted(t, mig, want, rows/4, "latent-mid-run")
 }
 
 // TestWriteRecomputesUnreadableDiagonalParity is the regression test for the

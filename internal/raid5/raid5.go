@@ -129,6 +129,8 @@ func Wrap(disks *vdisk.Array, m int, layout Layout) (*Array, error) {
 
 // Disks exposes the underlying disk array (the migration engine attaches new
 // disks through it).
+//
+//c56:noalloc
 func (a *Array) Disks() *vdisk.Array { return a.disks }
 
 // M returns the number of disks.
@@ -233,27 +235,49 @@ func (a *Array) ReconstructBlock(row int64, disk int, buf []byte) error {
 
 // reconstructInto rebuilds (row, disk) from all other disks into buf.
 func (a *Array) reconstructInto(row int64, disk int, buf []byte) error {
-	for i := range buf {
-		buf[i] = 0
-	}
-	tmp := bufpool.Get(a.blockSize)
-	defer bufpool.Put(tmp)
+	clear(buf)
+	return a.foldPeers("reconstructing", row, disk, -1, buf)
+}
+
+// foldRow XORs the row's block on every disk but skip and skip2 into acc, each
+// from where it lies (vdisk.Disk.ReadXor: no scratch block, no copy), counting
+// it in xors unless that is nil. A read that fails is returned with its disk.
+func (a *Array) foldRow(row int64, skip, skip2 int, acc []byte, xors *telemetry.Counter) (int, error) {
 	for i := 0; i < a.m; i++ {
-		if i == disk {
+		if i == skip || i == skip2 {
 			continue
 		}
-		if err := a.disks.Disk(i).Read(row, tmp); err != nil {
-			if errors.Is(err, vdisk.ErrFailed) {
-				return fmt.Errorf("%w: disks %d and %d", ErrDoubleFailure, disk, i)
-			}
-			// A latent or transient error on a peer is a second fault in
-			// this row — beyond single-parity tolerance.
-			return fmt.Errorf("%w: reconstructing (row %d, disk %d) needs disk %d: %w", ErrDoubleFault, row, disk, i, err)
+		if err := a.disks.Disk(i).ReadXor(row, acc); err != nil {
+			return i, err
 		}
-		xorblk.Xor(buf, tmp)
-		a.tel.xors.Inc()
+		xors.Inc()
+	}
+	return -1, nil
+}
+
+// foldPeers is foldRow on behalf of (row, disk), which is not read: a peer
+// that cannot be is a second fault in the row, past what one parity tolerates.
+func (a *Array) foldPeers(what string, row int64, disk, skip2 int, acc []byte) error {
+	peer, err := a.foldRow(row, disk, skip2, acc, a.tel.xors)
+	if errors.Is(err, vdisk.ErrFailed) {
+		return fmt.Errorf("%w: disks %d and %d", ErrDoubleFailure, disk, peer)
+	} else if err != nil {
+		return fmt.Errorf("%w: %s (row %d, disk %d) needs disk %d: %w", ErrDoubleFault, what, row, disk, peer, err)
 	}
 	return nil
+}
+
+// FoldBlock XORs the physical block at (row, disk) into acc with no block of
+// scratch: from its disk, or, when that read fails as a degraded read may, as
+// the XOR of the row's other blocks, which is the same bytes: ReconstructBlock
+// for a caller that wants only a term of a parity. On error acc is unspecified.
+func (a *Array) FoldBlock(row int64, disk int, acc []byte) error {
+	err := a.disks.Disk(disk).ReadXor(row, acc)
+	if err == nil || !isDegradable(err) {
+		return err
+	}
+	a.tel.degradedReads.Inc()
+	return a.foldPeers("reconstructing", row, disk, -1, acc)
 }
 
 // WriteBlock writes logical data block L as a small write: the data block is
@@ -372,20 +396,8 @@ func (a *Array) reconstructWrite(row int64, disk, pd int, data []byte, writeData
 	parity := bufpool.Get(a.blockSize)
 	defer bufpool.Put(parity)
 	copy(parity, data)
-	tmp := bufpool.Get(a.blockSize)
-	defer bufpool.Put(tmp)
-	for i := 0; i < a.m; i++ {
-		if i == disk || i == pd {
-			continue
-		}
-		if err := a.disks.Disk(i).Read(row, tmp); err != nil {
-			if errors.Is(err, vdisk.ErrFailed) {
-				return fmt.Errorf("%w: disks %d and %d", ErrDoubleFailure, disk, i)
-			}
-			return fmt.Errorf("%w: reconstruct-write (row %d, disk %d) needs disk %d: %w", ErrDoubleFault, row, disk, i, err)
-		}
-		xorblk.Xor(parity, tmp)
-		a.tel.xors.Inc()
+	if err := a.foldPeers("reconstruct-write", row, disk, pd, parity); err != nil {
+		return err
 	}
 	if writeData {
 		if err := a.disks.Disk(disk).Write(row, data); err != nil {
@@ -402,17 +414,8 @@ func (a *Array) WriteParity(row int64) error {
 	pd := a.ParityDisk(row)
 	parity := bufpool.GetZero(a.blockSize)
 	defer bufpool.Put(parity)
-	tmp := bufpool.Get(a.blockSize)
-	defer bufpool.Put(tmp)
-	for i := 0; i < a.m; i++ {
-		if i == pd {
-			continue
-		}
-		if err := a.disks.Disk(i).Read(row, tmp); err != nil {
-			return err
-		}
-		xorblk.Xor(parity, tmp)
-		a.tel.xors.Inc()
+	if _, err := a.foldRow(row, pd, -1, parity, a.tel.xors); err != nil {
+		return err
 	}
 	a.tel.parityUpdates.Inc()
 	return a.disks.Disk(pd).Write(row, parity)
@@ -447,13 +450,8 @@ func (a *Array) Rebuild(disk int, rows int64) error {
 func (a *Array) VerifyRow(row int64) (bool, error) {
 	acc := bufpool.GetZero(a.blockSize)
 	defer bufpool.Put(acc)
-	tmp := bufpool.Get(a.blockSize)
-	defer bufpool.Put(tmp)
-	for i := 0; i < a.m; i++ {
-		if err := a.disks.Disk(i).Read(row, tmp); err != nil {
-			return false, err
-		}
-		xorblk.Xor(acc, tmp)
+	if _, err := a.foldRow(row, -1, -1, acc, nil); err != nil {
+		return false, err
 	}
 	return xorblk.IsZero(acc), nil
 }

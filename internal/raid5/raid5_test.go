@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"code56/internal/telemetry"
 	"code56/internal/vdisk"
 )
 
@@ -257,6 +258,48 @@ func TestSecondBadBlockInRowIsDoubleFault(t *testing.T) {
 	a.Disks().Disk(a.ParityDisk(row)).InjectLatentError(row)
 	if err := a.WriteBlock(5, buf); !isDouble(err) {
 		t.Errorf("write with bad parity and a bad peer: %v", err)
+	}
+}
+
+// TestFoldBlockMatchesReconstructBlock: FoldBlock XORs into the accumulator
+// the bytes ReconstructBlock would hand back — read where the block lies while
+// it can be, folded from the rest of the row when its sector is bad or its disk
+// down, at ReconstructBlock's tallies — and a second bad block in the row is the
+// same double fault.
+func TestFoldBlockMatchesReconstructBlock(t *testing.T) {
+	a, _ := New(4, 16, LeftAsymmetric)
+	reg := telemetry.NewRegistry()
+	a.SetTelemetry(reg, nil)
+	for L := int64(0); L < 12; L++ {
+		if err := a.WriteBlock(L, bytes.Repeat([]byte{byte(L + 1)}, 16)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	row, disk := a.Locate(5)
+	want := bytes.Repeat([]byte{0xF0 ^ 6}, 16)
+	folds := func(state string, xors, degraded int64) {
+		t.Helper()
+		x0, d0 := reg.Counter("raid5.xors").Value(), reg.Counter("raid5.degraded_reads").Value()
+		acc := bytes.Repeat([]byte{0xF0}, 16)
+		if err := a.FoldBlock(row, disk, acc); err != nil || !bytes.Equal(acc, want) {
+			t.Errorf("%s: FoldBlock = %v, accumulator %x, want %x", state, err, acc[:2], want[:2])
+		}
+		if x, d := reg.Counter("raid5.xors").Value()-x0, reg.Counter("raid5.degraded_reads").Value()-d0; x != xors || d != degraded {
+			t.Errorf("%s: %d XORs and %d degraded reads counted, want %d and %d", state, x, d, xors, degraded)
+		}
+	}
+	folds("healthy", 0, 0)
+	a.Disks().Disk(disk).InjectLatentError(row)
+	folds("latent sector", 3, 1)
+	a.Disks().Disk(disk).Fail()
+	folds("failed disk", 3, 1)
+	a.Disks().Disk((disk + 1) % 4).InjectLatentError(row)
+	if err := a.FoldBlock(row, disk, make([]byte, 16)); !errors.Is(err, ErrDoubleFault) || !errors.Is(err, vdisk.ErrLatent) {
+		t.Errorf("FoldBlock with a bad peer: %v, want ErrDoubleFault around ErrLatent", err)
+	}
+	a.Disks().Disk((disk + 1) % 4).Fail()
+	if err := a.FoldBlock(row, disk, make([]byte, 16)); !errors.Is(err, ErrDoubleFailure) {
+		t.Errorf("FoldBlock with a second failed disk: %v, want ErrDoubleFailure", err)
 	}
 }
 

@@ -122,6 +122,7 @@ func TestSmallWriteAllocationFree(t *testing.T) {
 		"Locate":     func() { _, _ = a.Locate(9) },
 		"ParityDisk": func() { _ = a.ParityDisk(2) },
 		"DataDisk":   func() { _ = a.DataDisk(2, 1) },
+		"Disks":      func() { _ = a.Disks() },
 	} {
 		if n := testing.AllocsPerRun(100, fn); n != 0 {
 			t.Errorf("%s allocates %.1f times per call, want 0", name, n)

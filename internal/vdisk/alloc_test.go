@@ -43,6 +43,16 @@ func TestHealthyDiskIOAllocationFree(t *testing.T) {
 				t.Fatalf("ReadBlocks: %v", err)
 			}
 		},
+		"Disk.ReadXor": func() {
+			if err := d.ReadXor(4, run); err != nil {
+				t.Fatalf("ReadXor: %v", err)
+			}
+		},
+		"Disk.ReadXor/portable": func() {
+			if err := portable.ReadXor(4, run); err != nil {
+				t.Fatalf("ReadXor over a store without ReadXorAt: %v", err)
+			}
+		},
 		"Disk.WriteBlocks": func() {
 			if err := d.WriteBlocks(4, run); err != nil {
 				t.Fatalf("WriteBlocks: %v", err)

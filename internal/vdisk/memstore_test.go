@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
@@ -178,12 +179,32 @@ func (r *modelRun) compare(off int64, n int) {
 		r.t.Fatalf("ReadAt(%d bytes, %d) = %d, %v", n, off, k, err)
 	}
 	r.m.read(want, off)
+	r.equal("ReadAt", off, got, want)
+}
+
+// readFold holds ReadXorAt to what a store without it gets from Disk.ReadXor:
+// read, then XOR into the accumulator.
+func (r *modelRun) readFold(off int64, n int) {
+	r.t.Helper()
+	r.fill++
+	got, want := bytes.Repeat([]byte{r.fill}, n), bytes.Repeat([]byte{r.fill}, n)
+	if k, err := r.s.ReadXorAt(got, off); err != nil || k != n {
+		r.t.Fatalf("ReadXorAt(%d bytes, %d) = %d, %v", n, off, k, err)
+	}
+	cur := make([]byte, n)
+	r.m.read(cur, off)
+	xorblk.Xor(want, cur)
+	r.equal("ReadXorAt", off, got, want)
+}
+
+func (r *modelRun) equal(op string, off int64, got, want []byte) {
+	r.t.Helper()
 	if !bytes.Equal(got, want) {
 		i := 0
 		for got[i] == want[i] {
 			i++
 		}
-		r.t.Fatalf("ReadAt(%d bytes, %d): byte %d = %#x, model %#x", n, off, off+int64(i), got[i], want[i])
+		r.t.Fatalf("%s(%d bytes, %d): byte %d = %#x, model %#x", op, len(got), off, off+int64(i), got[i], want[i])
 	}
 }
 
@@ -200,8 +221,9 @@ func newModelPair(t testing.TB, pageSize int) modelPair {
 // three slabs (unaligned, so runs straddle page and slab boundaries) or, one
 // time in eight, around slab 1000, which leaves a long nil stretch in the
 // directory; lengths reach five pages. Bit 6 of the first byte turns a write
-// into a fold, bit 7 picks the store; the other store is then read over the
-// same range, which no operation on this one may have changed.
+// into a fold and a read into a read-fold, bit 7 picks the store; the other
+// store is then read over the same range, which no operation on this one may
+// have changed.
 func (p modelPair) apply(op [5]byte) {
 	r, other := p[op[0]>>7], p[1-op[0]>>7]
 	ps := r.m.ps
@@ -220,7 +242,11 @@ func (p modelPair) apply(op [5]byte) {
 	case 3:
 		put(off/ps*ps, int((n/ps+1)*ps)) // whole pages
 	case 4:
-		r.compare(off, int(n))
+		if op[0]&0x40 != 0 {
+			r.readFold(off, int(n))
+		} else {
+			r.compare(off, int(n))
+		}
 	case 5:
 		r.trim(off, n)
 	case 6:
@@ -315,6 +341,13 @@ func FuzzMemStore(f *testing.F) {
 	// closed and reopened under it.
 	f.Add(uint8(0), []byte{0x0B, 0, 0, 0, 255, 0x0B, 0, 0x7E, 0, 255, 0x0F, 0, 0, 0, 0,
 		0x88, 0, 0x7F, 0x10, 20, 0xC8, 0, 0x81, 0x10, 20, 0x8C, 0, 0x7C, 0, 255, 0x0F, 0, 0, 0, 250, 0x8C, 0, 0x7C, 0, 255})
+	// Read-folds over every kind of page a recycled slab holds: store 0 writes
+	// into slab 0 and resets; store 1, on that slab, writes two pages and
+	// read-folds across the first and the unused pages either side, trims it
+	// and read-folds across it again, then across the second page, the slab
+	// boundary and a slab it never had.
+	f.Add(uint8(0), []byte{0x0B, 0, 0, 0, 255, 0x0F, 0, 0, 0, 0, 0x8B, 0, 0x10, 0, 0, 0x8B, 0, 0x7C, 0, 0,
+		0xCC, 0, 0x0D, 0xF0, 255, 0x8E, 0, 0x10, 0, 0, 0xCC, 0, 0x0F, 0x01, 255, 0xCC, 0, 0x7B, 0x80, 255})
 	f.Fuzz(func(t *testing.T, sizeSel uint8, ops []byte) {
 		p := newModelPair(t, []int{512, 4096, 16384}[sizeSel%3])
 		for ops = ops[:min(len(ops), 5*400)]; len(ops) >= 5; ops = ops[5:] {
@@ -349,6 +382,7 @@ func TestMemStoreEdges(t *testing.T) {
 	r.write(sb-ps+5, 7)       // part of one page of a recycled slab
 	r.fold(sb+ps+5, 7)        // fold into part of an unused page of another
 	r.compare(sb-3*ps, 6*ps)  // unused, used, slab boundary, unused, used, unused
+	r.readFold(sb-3*ps, 6*ps) // and the same folded out: the unused pages fold nothing
 	r.write(sb-2*ps-1, 2)     // last byte of one fresh page, first of the next
 	r.fold(2*ps-1, 2*ps+2)    // fresh head, two whole fresh pages, fresh tail
 	r.trim(sb-ps, ps)         // a used page loses its bit and keeps its bytes
@@ -423,6 +457,11 @@ func TestMemStoreIOAllocationFree(t *testing.T) {
 				t.Fatal(err)
 			}
 		},
+		"MemStore.ReadXorAt": func() {
+			if _, err := s.ReadXorAt(run, off); err != nil {
+				t.Fatal(err)
+			}
+		},
 	} {
 		if n := testing.AllocsPerRun(200, fn); n != 0 {
 			t.Errorf("%s allocates %.1f times per call, want 0", name, n)
@@ -437,55 +476,65 @@ func TestMemStoreRecyclesSlabs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops a share of what it is given")
 	}
-	const ps = 1024 // a page size of this test's own, so the pool holds nobody else's slabs
+	const ps, rounds = 1024, 8 // a page size of this test's own, so the pool holds nobody else's slabs
 	poisonSlabs(t)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection between release and refill empties the pool
 	blk := bytes.Repeat([]byte{0x3C}, ps)
-	fill := func(s *MemStore) map[*byte]bool {
+	// released holds every slab this test has had a store release: a refill
+	// made of these alone allocated nothing. (As map keys they stay live, so no
+	// fresh slab can have the address of one.)
+	released := map[*byte]bool{}
+	fill := func(s *MemStore) (recycled bool) {
 		for _, pg := range []int64{1, slabPages + 2, 2*slabPages + 3} {
 			if _, err := s.WriteAt(blk, pg*ps); err != nil {
 				t.Fatal(err)
 			}
 		}
-		got := map[*byte]bool{}
+		recycled = true
 		for _, sl := range s.slabs {
-			got[&sl.data[0]] = true
+			recycled = recycled && released[&sl.data[0]]
+			released[&sl.data[0]] = true // every store below ends up releasing them
 		}
-		return got
+		return recycled
 	}
-	a := NewMemStore(ps)
-	first := fill(a)
 	for _, step := range []struct {
 		name    string
-		release func() error
+		release func(*MemStore) error
 	}{
-		{"Reset", a.Reset},
-		{"Trim", func() error { return a.Trim(0, 3*slabPages*ps) }},
-		{"Close", a.Close},
+		{"Reset", (*MemStore).Reset},
+		{"Trim", func(s *MemStore) error { return s.Trim(0, 3*slabPages*ps) }},
+		{"Close", (*MemStore).Close},
 	} {
-		name := step.name
-		if err := step.release(); err != nil {
-			t.Fatal(err)
-		}
-		b := NewMemStore(ps)
-		for p := range fill(b) {
-			if !first[p] {
-				t.Errorf("after %s: a slab of the next store is not one the first released", name)
-			}
-		}
-		got := make([]byte, 3*slabPages*ps)
-		if _, err := b.ReadAt(got, 0); err != nil {
-			t.Fatal(err)
-		}
-		for i, c := range got {
-			if pg := int64(i / ps); c != 0 && pg != 1 && pg != slabPages+2 && pg != 2*slabPages+3 {
-				t.Fatalf("after %s: byte %d of an unwritten page reads %#x", name, i, c)
-			}
-		}
-		if err := b.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if name != "Close" {
+		// sync.Pool keeps one item per P where no other P finds it, so a refill
+		// that lands on another P than the release misses one slab: what a store
+		// reads back is held to the contract in every round, taking only released
+		// slabs in one round of a few (a miss is one scheduling event in hundreds).
+		recycled := false
+		for round := 0; round < rounds && !recycled; round++ {
+			a := NewMemStore(ps)
 			fill(a)
+			if err := step.release(a); err != nil {
+				t.Fatal(err)
+			}
+			b := NewMemStore(ps)
+			recycled = fill(b)
+			got := make([]byte, 3*slabPages*ps)
+			if _, err := b.ReadAt(got, 0); err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range got {
+				if pg := int64(i / ps); c != 0 && pg != 1 && pg != slabPages+2 && pg != 2*slabPages+3 {
+					t.Fatalf("after %s: byte %d of an unwritten page reads %#x", step.name, i, c)
+				}
+			}
+			for _, s := range []*MemStore{a, b} {
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if !recycled {
+			t.Errorf("after %s: in %d rounds no next store was made only of slabs released before it", step.name, rounds)
 		}
 	}
 }
@@ -735,6 +784,31 @@ func BenchmarkDiskOverStore(b *testing.B) {
 		b.SetBytes(bs)
 		for i := 0; i < b.N; i++ {
 			if _, err := store.ReadAt(buf, int64(addrs[i%pages])*bs); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	// The same blocks folded into buf from where they lie, and through the
+	// scratch copy a store without ReadXorAt costs.
+	portable := NewDiskStore(0, bs, noFold{store})
+	portable.SetTelemetry(telemetry.NewRegistry(), nil)
+	for _, c := range []struct {
+		name string
+		d    *Disk
+	}{{"disk_readxor", d}, {"disk_readxor_portable", portable}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(bs)
+			for i := 0; i < b.N; i++ {
+				if err := c.d.ReadXor(int64(addrs[i%pages]), buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	b.Run("store_readxor", func(b *testing.B) {
+		b.SetBytes(bs)
+		for i := 0; i < b.N; i++ {
+			if _, err := store.ReadXorAt(buf, int64(addrs[i%pages])*bs); err != nil {
 				b.Fatal(err)
 			}
 		}

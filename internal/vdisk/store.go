@@ -57,12 +57,18 @@ type (
 	ExtentLister interface {
 		Extents(blockSize int) []int64
 	}
-	// Xorer folds p into the bytes at off where they lie (store ^= p), with
-	// WriteAt's effect on Size and allocation: unwritten bytes count as zero,
-	// so folding into them stores p. Without it, Disk.Xor reads the block,
-	// folds it in scratch and writes it back.
+	// Xorer is a store that can XOR where the bytes lie, in either direction,
+	// so that no copy of them passes through scratch. XorAt folds p into the
+	// bytes at off (store ^= p) with WriteAt's effect on Size and allocation:
+	// unwritten bytes count as zero, so folding into them stores p. ReadXorAt
+	// folds the bytes at off into p (p ^= store) with ReadAt's view of the
+	// store: unwritten bytes fold nothing, and a call that fails has not
+	// touched p. Without the capability Disk.Xor reads the block, folds it in
+	// scratch and writes it back, and Disk.ReadXor reads the run into scratch
+	// and folds that.
 	Xorer interface {
 		XorAt(p []byte, off int64) (int, error)
+		ReadXorAt(p []byte, off int64) (int, error)
 	}
 )
 
@@ -166,6 +172,23 @@ func NewMemStore(pageSize int) *MemStore {
 //
 //c56:noalloc
 func (s *MemStore) ReadAt(p []byte, off int64) (int, error) {
+	return s.get(p, off, false)
+}
+
+// ReadXorAt folds the bytes at offset off into p (the Xorer capability): one
+// XOR straight out of the slab, where a ReadAt and a fold would move the run
+// twice. Unwritten ranges fold nothing.
+//
+//c56:noalloc
+func (s *MemStore) ReadXorAt(p []byte, off int64) (int, error) {
+	return s.get(p, off, true)
+}
+
+// get is ReadAt (fold false) and ReadXorAt (fold true): the same walk, and
+// the occupancy word decides what is there either way.
+//
+//c56:noalloc
+func (s *MemStore) get(p []byte, off int64, fold bool) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("vdisk: mem store read at negative offset %d", off)
 	}
@@ -176,36 +199,56 @@ func (s *MemStore) ReadAt(p []byte, off int64) (int, error) {
 	}
 	for n := 0; n < len(p); {
 		si, so, c := s.locate(off+int64(n), int64(len(p)-n))
-		dst := p[n : n+c]
 		if si < int64(len(s.slabs)) && s.slabs[si] != nil {
-			s.readSlab(s.slabs[si], dst, so)
+			s.readSlab(s.slabs[si], p[n:n+c], so, fold)
 		} else {
-			clear(dst)
+			hole(p[n:n+c], fold)
 		}
 		n += c
 	}
 	return len(p), nil
 }
 
-// readSlab fills dst from offset so of sl: one copy when every page of the
-// range is in use, otherwise page by page, zeros for the pages that are not.
+// readSlab moves the bytes at offset so of sl to dst: in one piece when every
+// page of the range is in use, otherwise page by page, the pages that are not
+// being holes.
 //
 //c56:noalloc
-func (s *MemStore) readSlab(sl *slab, dst []byte, so int) {
+func (s *MemStore) readSlab(sl *slab, dst []byte, so int, fold bool) {
 	ps := s.pageSize
 	if mask := pageMask(so/ps, (so+len(dst)-1)/ps); sl.used&mask == mask {
-		copy(dst, sl.data[so:])
+		take(dst, sl.data[so:so+len(dst)], fold)
 		return
 	}
 	for n := 0; n < len(dst); {
 		pos := so + n
 		c := min(len(dst)-n, ps-pos%ps)
 		if sl.used>>(pos/ps)&1 != 0 {
-			copy(dst[n:n+c], sl.data[pos:])
+			take(dst[n:n+c], sl.data[pos:pos+c], fold)
 		} else {
-			clear(dst[n : n+c])
+			hole(dst[n:n+c], fold)
 		}
 		n += c
+	}
+}
+
+// take moves stored bytes to a reader: copied, or folded in.
+//
+//c56:noalloc
+func take(dst, src []byte, fold bool) {
+	if fold {
+		xorblk.Xor(dst, src)
+	} else {
+		copy(dst, src)
+	}
+}
+
+// hole is take for bytes never written: they read as zero and fold nothing.
+//
+//c56:noalloc
+func hole(dst []byte, fold bool) {
+	if !fold {
+		clear(dst)
 	}
 }
 

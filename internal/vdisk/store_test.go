@@ -135,16 +135,23 @@ func TestStoreContract(t *testing.T) {
 			if err := rs.Reset(); !errors.Is(err, os.ErrClosed) {
 				t.Errorf("reset after close: %v, want os.ErrClosed", err)
 			}
-			// The in-place fold is optional; the memory store has it.
+			// XOR in place is optional; the memory store has it.
 			x, ok := s.(vdisk.Xorer)
 			if !ok {
 				if name == "mem" {
-					t.Error("the memory store does not offer XorAt")
+					t.Error("the memory store does not offer XorAt and ReadXorAt")
 				}
 				return
 			}
 			if _, err := x.XorAt(blk, 512); !errors.Is(err, os.ErrClosed) {
 				t.Errorf("fold after close: %v, want os.ErrClosed", err)
+			}
+			acc := bytes.Repeat([]byte{0xAA}, 512)
+			if _, err := x.ReadXorAt(acc, 512); !errors.Is(err, os.ErrClosed) {
+				t.Errorf("read-fold after close: %v, want os.ErrClosed", err)
+			}
+			if !bytes.Equal(acc, bytes.Repeat([]byte{0xAA}, 512)) {
+				t.Error("a refused read-fold changed its accumulator")
 			}
 		})
 	}

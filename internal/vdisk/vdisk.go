@@ -70,7 +70,7 @@ type Disk struct {
 	// store is fixed at construction (Replace wipes media through the
 	// store's Resetter rather than swapping the store), so it carries no
 	// guard annotation and Store reads it without the lock. xorer is the
-	// same store's in-place fold, nil when it has none.
+	// same store's XOR in place, nil when it has none.
 	store  BlockStore
 	xorer  Xorer
 	failed bool //c56:guardedby mu
@@ -165,6 +165,27 @@ func (d *Disk) ReadBlocks(b int64, buf []byte) error {
 	return d.do(opRead, b, buf, nil)
 }
 
+// ReadXor folds the n = len(acc)/BlockSize consecutive blocks starting at b
+// into acc (acc ^= blocks) from where they lie: the read side of a parity
+// computation, whose data is wanted only as a term of a sum. To the disk it is
+// ReadBlocks of the same run — n reads everywhere ReadBlocks counts them, one
+// latency observation, the same checks on every block in address order before
+// the store is touched, the same retry policy, the same position left on the
+// injector's clock by a run that fails — and it is all or nothing: a call
+// that fails leaves acc as it was, so the caller can take the run again block
+// by block. A store that can XOR in place (Xorer) folds straight into acc; any
+// other is read into pooled scratch and folded from there inside the same
+// operation. Blocks never written fold nothing. acc must hold a positive whole
+// number of blocks.
+//
+//c56:noalloc
+func (d *Disk) ReadXor(b int64, acc []byte) error {
+	if b < 0 || len(acc) == 0 || len(acc)%d.blockSize != 0 {
+		return fmt.Errorf("%w: read-xor block %d, acc %d", ErrBadBlock, b, len(acc))
+	}
+	return d.do(opReadXor, b, acc, nil)
+}
+
 // Write stores data as block b. data must be exactly one block long. It is
 // the one-block case of WriteBlocks.
 //
@@ -233,11 +254,12 @@ func (d *Disk) Xor(b int64, delta []byte) error {
 	return d.do(opXor, b, delta, nil)
 }
 
-// ioOp selects one of the disk's four block operations.
+// ioOp selects one of the disk's five block operations.
 type ioOp uint8
 
 const (
 	opRead ioOp = iota
+	opReadXor
 	opWrite
 	opSwap
 	opXor
@@ -274,8 +296,8 @@ func (d *Disk) attempt(op ioOp, b int64, p, old []byte) error {
 	defer d.mu.Unlock()
 	start := ioClock()
 	switch op {
-	case opRead:
-		return d.readLocked(b, p, start)
+	case opRead, opReadXor:
+		return d.readLocked(b, p, op == opReadXor, start)
 	case opWrite:
 		return d.writeLocked(b, p, start)
 	case opSwap:
@@ -309,14 +331,31 @@ func unixSecond(t time.Duration) int64 {
 //c56:noalloc
 func micros(d time.Duration) float64 { return float64(d) / 1e3 }
 
+// readLocked is ReadBlocks (fold false) and ReadXor (fold true): one store
+// call between the same checks and the same accounting.
+//
 //c56:requires mu
 //c56:noalloc
-func (d *Disk) readLocked(b int64, buf []byte, start time.Duration) error {
+func (d *Disk) readLocked(b int64, buf []byte, fold bool, start time.Duration) error {
 	n := int64(len(buf) / d.blockSize)
 	if err := d.checkRead(b, n); err != nil {
 		return err
 	}
-	if _, err := d.store.ReadAt(buf, b*int64(d.blockSize)); err != nil {
+	off := b * int64(d.blockSize)
+	var err error
+	switch {
+	case !fold:
+		_, err = d.store.ReadAt(buf, off)
+	case d.xorer != nil:
+		_, err = d.xorer.ReadXorAt(buf, off)
+	default:
+		run := bufpool.Get(len(buf))
+		if _, err = d.store.ReadAt(run, off); err == nil {
+			xorblk.Xor(buf, run)
+		}
+		bufpool.Put(run)
+	}
+	if err != nil {
 		return d.storeErr(d.tel.readErrs, b, err)
 	}
 	end := ioClock() // read once: the rate's second and the latency's end
