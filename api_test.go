@@ -2,6 +2,7 @@ package code56
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -13,7 +14,10 @@ func TestPublicQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	array := NewRAID6(code, 512)
+	array, err := NewRAID6Array(code, WithBlockSize(512))
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := rand.New(rand.NewSource(1))
 	want := map[int64][]byte{}
 	for L := int64(0); L < int64(array.DataPerStripe()*2); L++ {
@@ -40,7 +44,7 @@ func TestPublicQuickstart(t *testing.T) {
 // TestPublicMigration drives the online migration through the public API
 // and downgrades back.
 func TestPublicMigration(t *testing.T) {
-	r5, err := NewRAID5(4, 512, LeftAsymmetric)
+	r5, err := NewRAID5Array(4, WithBlockSize(512))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +54,7 @@ func TestPublicMigration(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mig, err := NewOnlineMigrator(r5, 8)
+	mig, err := NewMigrator(r5, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,8 +91,11 @@ func TestPublicPlansAndCodes(t *testing.T) {
 	if m.InvalidParityRatio != 0 || m.MigrationRatio != 0 {
 		t.Error("Code 5-6 virtual plan should not invalidate or migrate")
 	}
-	ex := NewExecutor(plan, 64, 1)
-	if err := ex.Run(); err != nil {
+	ex, err := NewPlanExecutor(plan, WithBlockSize(64), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := RunPlan(context.Background(), ex, WithWorkers(1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := ex.VerifyResult(); err != nil {
@@ -159,7 +166,10 @@ func TestPublicRecoveryAndScrub(t *testing.T) {
 		t.Errorf("recovery reads %d/%d, want 9/12", plan.Reads, conv)
 	}
 
-	a := NewRAID6(code, 64)
+	a, err := NewRAID6Array(code, WithBlockSize(64))
+	if err != nil {
+		t.Fatal(err)
+	}
 	a.SetRotation(true)
 	buf := make([]byte, 64)
 	for L := int64(0); L < int64(a.DataPerStripe()*2); L++ {
@@ -168,7 +178,7 @@ func TestPublicRecoveryAndScrub(t *testing.T) {
 		}
 	}
 	a.Disks().Disk(0).InjectLatentError(1)
-	rep, err := a.Scrub(2)
+	rep, err := ScrubArray(context.Background(), a, 2, ScrubRepair, WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,25 +187,29 @@ func TestPublicRecoveryAndScrub(t *testing.T) {
 	}
 }
 
-// TestPublicArrayPersistence round-trips an array through the
-// save/reassemble facade.
+// TestPublicArrayPersistence round-trips an array through the one on-disk
+// format: a file-backed directory, closed and reopened.
 func TestPublicArrayPersistence(t *testing.T) {
+	dir := t.TempDir()
 	code, _ := New(5)
-	a := NewRAID6(code, 64)
+	a, err := NewRAID6Array(code, WithBlockSize(64), WithBackend("file:"+dir))
+	if err != nil {
+		t.Fatal(err)
+	}
 	b := bytes.Repeat([]byte{7}, 64)
 	if err := a.WriteBlock(0, b); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := SaveArray(&buf, a, 1); err != nil {
+	if err := a.Disks().Close(); err != nil {
 		t.Fatal(err)
 	}
-	restored, m, err := LoadArray(&buf)
+	restored, err := OpenRAID6Array(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.CodeName != "code56" {
-		t.Fatalf("manifest %+v", m)
+	defer restored.Disks().Close()
+	if name := restored.Code().Name(); name != "code56" {
+		t.Fatalf("reopened as %s", name)
 	}
 	out := make([]byte, 64)
 	if err := restored.ReadBlock(0, out); err != nil {
@@ -223,21 +237,6 @@ func TestPublicMiscFacade(t *testing.T) {
 	}
 	if k := code.Kind(0, 0); k != KindData {
 		t.Errorf("Kind(0,0) = %v", k)
-	}
-	a := NewRAID6(code, 64)
-	w, err := WrapRAID6(code, a.Disks())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Code().Name() != "code56" {
-		t.Error("wrapped array lost its code")
-	}
-	r5, err := NewRAID5(4, 64, LeftAsymmetric)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := WrapRAID5(r5.Disks(), 4, LeftAsymmetric); err != nil {
-		t.Fatal(err)
 	}
 	plan, err := NewPlan(Conversion{M: 4, SourceLayout: LeftAsymmetric, Code: code, Approach: Direct})
 	if err != nil {

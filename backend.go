@@ -9,7 +9,6 @@ import (
 	"code56/internal/migrate"
 	"code56/internal/raid5"
 	"code56/internal/raid6"
-	"code56/internal/superblock"
 	"code56/internal/vdisk"
 	"code56/internal/vdisk/filestore"
 )
@@ -135,17 +134,13 @@ func newRAID6Backend(code Code, s Settings) (*RAID6, error) {
 		return nil, err
 	}
 	if dir != "" {
+		manifest := durable.ManifestFor(a, 0)
 		err := durable.Save(dir, durable.Meta{
 			Version:   durable.MetaVersion,
 			Kind:      durable.KindRAID6,
 			BlockSize: s.BlockSize,
 			Disks:     cols,
-			Manifest: &superblock.Manifest{
-				Version:   superblock.ManifestVersion,
-				CodeName:  code.Name(),
-				P:         code.Geometry().P,
-				BlockSize: s.BlockSize,
-			},
+			Manifest:  &manifest,
 		})
 		if err != nil {
 			disks.Close()
@@ -186,7 +181,7 @@ func attachJournalIfDurable(m *OnlineMigrator, a *RAID5, s Settings) error {
 // openFileDisks scans dir for disk images and assembles them into a vdisk
 // array, checking the on-media set covers the meta's disk count. extra
 // images beyond it (a mid-migration diagonal-parity disk) are included —
-// WrapRAID5 ignores trailing disks and a resumed migration expects its
+// raid5.Wrap ignores trailing disks and a resumed migration expects its
 // added disk to still be there.
 func openFileDisks(dir string, meta durable.Meta) (*vdisk.Array, error) {
 	fb, err := filestore.NewBackend(dir)
@@ -266,7 +261,7 @@ func OpenRAID6Array(dir string, opts ...Option) (*RAID6, error) {
 	if meta.Kind != durable.KindRAID6 {
 		return nil, fmt.Errorf("code56: %s holds a %s array (use OpenRAID5Array)", dir, meta.Kind)
 	}
-	code, err := superblock.BuildCode(*meta.Manifest)
+	code, err := durable.BuildCode(*meta.Manifest)
 	if err != nil {
 		return nil, err
 	}
@@ -293,7 +288,7 @@ func OpenRAID6Array(dir string, opts ...Option) (*RAID6, error) {
 // (repairing any torn tail), the conversion resumes from the last durable
 // watermark, and stripes converted after that watermark are simply redone
 // (diagonal-parity conversion is idempotent). Start it like a fresh
-// migration (Start / StartMigration), Wait, then Result.
+// migration (StartContext), Wait, then Result.
 //
 // A directory that never began a migration returns ErrNoMigration; one
 // whose migration fully committed returns ErrMigrationComplete (the array
@@ -342,7 +337,7 @@ func ResumeMigration(dir string, opts ...Option) (*OnlineMigrator, error) {
 		a.Disks().Close()
 		j.Close()
 	}
-	m, err := NewOnlineMigrator(a, st.Begin.Rows)
+	m, err := migrate.NewOnlineMigrator(a, st.Begin.Rows)
 	if err != nil {
 		closeAll()
 		return nil, err

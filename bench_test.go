@@ -12,6 +12,7 @@ package code56
 // paper-scale versions.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -385,7 +386,10 @@ func BenchmarkWritePerformance(b *testing.B) {
 // BenchmarkScrub measures scrub throughput (stripes per op) on a clean
 // Code 5-6 array.
 func BenchmarkScrub(b *testing.B) {
-	a := NewRAID6(core.MustNew(7), 4096)
+	a, err := NewRAID6Array(core.MustNew(7))
+	if err != nil {
+		b.Fatal(err)
+	}
 	buf := make([]byte, 4096)
 	const stripes = 32
 	for L := int64(0); L < int64(a.DataPerStripe()*stripes); L++ {
@@ -396,7 +400,7 @@ func BenchmarkScrub(b *testing.B) {
 	b.SetBytes(int64(stripes * a.Code().Geometry().Elements() * 4096))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := a.Scrub(stripes); err != nil {
+		if _, err := ScrubArray(context.Background(), a, stripes, ScrubRepair, WithWorkers(1)); err != nil {
 			b.Fatal(err)
 		}
 	}

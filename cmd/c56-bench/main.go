@@ -1,459 +1,200 @@
-// Command c56-bench measures full-stripe encoding for Code 5-6 against the
-// paper's RAID-6 baselines (RDP, EVENODD) and writes the results as JSON —
-// the machine-readable companion to the paper's Fig. 13 computation-cost
-// comparison.
-//
-// It also measures the XOR kernel hierarchy (every tier the host can run —
-// asm/wide/word/byte, per xorblk.Tiers() — written to BENCH_xor.json with
-// sizes reaching past the non-temporal store threshold) and sweeps the
-// parallel stripe engine: full-array encodes at 1, 2, 4 and 8 workers in
-// both per-stripe and interleaved batch modes, each sampled several times
-// with the median reported, written to BENCH_parallel.json. Both reports
-// carry the host topology (NumCPU, GOMAXPROCS, selected kernel, detected
-// CPU features) so throughput numbers are interpretable after the fact.
+// Command c56-bench is the load client for a running c56-serve: it drives
+// one volume with concurrent clients mixing reads and writes 3:1 for a fixed
+// time and prints the client-observed latency quantiles as JSON. The serve
+// end-to-end smoke in CI uses it as the foreground traffic of a live
+// migration; an operator can point it at any c56-serve. (The repository's
+// benchmark is benchmark/, run with `bash benchmark/run.sh`.)
 //
 // Usage:
 //
-//	c56-bench          # writes BENCH_encode.json + BENCH_xor.json + BENCH_parallel.json
-//	c56-bench -out - -p 7 -block 8192 -xor-out '' -parallel-out ''
+//	c56-bench -load-url http://127.0.0.1:8080 -load-tenant demo -load-vol vol0 -load-duration 5s
 package main
 
 import (
-	"context"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"math/rand"
+	"net/http"
 	"os"
-	"runtime"
 	"sort"
+	"sync"
 	"time"
-
-	code56 "code56"
-	"code56/internal/layout"
-	"code56/internal/obs"
-	"code56/internal/xorblk"
 )
-
-// Result is one code's encoding measurement.
-type Result struct {
-	Code  string `json:"code"`
-	Disks int    `json:"disks"`
-	// DataElements is the number of data blocks per stripe.
-	DataElements int `json:"data_elements"`
-	// XORsPerElement is the encoding cost: block XOR operations per data
-	// block (the paper's Fig. 13 metric, here measured, not derived).
-	XORsPerElement float64 `json:"xors_per_element"`
-	// MBPerSec is the encoding throughput over the stripe's data bytes.
-	MBPerSec float64 `json:"mb_per_s"`
-	// Iterations is how many full-stripe encodes the sample averaged.
-	Iterations int `json:"iterations"`
-}
-
-// Report is the file's top-level object.
-type Report struct {
-	BlockSize int      `json:"block_size"`
-	P         int      `json:"p"`
-	Results   []Result `json:"results"`
-}
-
-// Topology records the host parallelism and the XOR fast path this binary
-// selected at init — the context every throughput number needs: speedups
-// flatten when GOMAXPROCS is 1, and per-size kernel throughput is only
-// comparable between hosts running the same tier.
-type Topology struct {
-	NumCPU     int      `json:"num_cpu"`
-	GOMAXPROCS int      `json:"gomaxprocs"`
-	Kernel     string   `json:"kernel"`
-	Features   []string `json:"features,omitempty"`
-}
-
-// topo snapshots the host topology for a report header.
-func topo() Topology {
-	return Topology{
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Kernel:     xorblk.KernelName,
-		Features:   xorblk.Features(),
-	}
-}
-
-// ParallelResult is one (mode, worker count) full-array encode measurement.
-// MBPerSec is the median of Samples independent measurement windows;
-// AllocsPerStripe is heap allocations per stripe encode across all windows
-// (the zero-allocation hot path keeps it near 0 in steady state). Speedup
-// is relative to the same mode at 1 worker.
-type ParallelResult struct {
-	// Mode is "per-stripe" (EncodeArrayStripes: every chain of a stripe,
-	// then the next stripe) or "interleaved" (EncodeArrayStripesInterleaved:
-	// one chain across a whole claimed batch, so column accesses stream).
-	Mode            string  `json:"mode"`
-	Workers         int     `json:"workers"`
-	MBPerSec        float64 `json:"mb_per_s"`
-	Speedup         float64 `json:"speedup_vs_1"`
-	Iterations      int     `json:"iterations"`
-	Samples         int     `json:"samples"`
-	AllocsPerStripe float64 `json:"allocs_per_stripe"`
-}
-
-// ParallelReport is BENCH_parallel.json's top-level object.
-type ParallelReport struct {
-	Topology
-	Code      string           `json:"code"`
-	BlockSize int              `json:"block_size"`
-	P         int              `json:"p"`
-	Stripes   int64            `json:"stripes"`
-	Results   []ParallelResult `json:"results"`
-}
 
 func main() {
 	var (
-		out      = flag.String("out", "BENCH_encode.json", "output file ('-' for stdout)")
-		block    = flag.Int("block", 4096, "block size in bytes")
-		p        = flag.Int("p", 5, "prime parameter")
-		minTime  = flag.Duration("mintime", 200*time.Millisecond, "minimum measurement time per code")
-		xorOut   = flag.String("xor-out", "BENCH_xor.json", "XOR kernel sweep output file ('-' for stdout, '' to skip)")
-		parOut   = flag.String("parallel-out", "BENCH_parallel.json", "parallel sweep output file ('-' for stdout, '' to skip)")
-		parP     = flag.Int("parallel-p", 13, "prime parameter for the parallel sweep")
-		parBlock = flag.Int("parallel-block", 16384, "block size for the parallel sweep")
-		stripes  = flag.Int64("parallel-stripes", 64, "stripes per full-array encode in the parallel sweep")
-		reps     = flag.Int("parallel-reps", 5, "measurement windows per worker count (median reported, min 3)")
-		maxprocs = flag.Int("maxprocs", 0, "GOMAXPROCS for the sweeps (0 = all CPUs)")
-		backend  = flag.String("backend", "", "block-store backend for the parallel sweep's array: 'mem:' (default) or 'file:<dir>' to measure over durable image files")
-		httpAddr = flag.String("http", "", "serve the observability plane (/metrics, /healthz, /debug/pprof) on this address, e.g. :8080")
-
-		serveOut     = flag.String("serve-out", "", "under-load serve benchmark output file ('-' for stdout, '' to skip): wire p50/p99 latency idle vs during a timetable-shaped online migration")
-		serveDisks   = flag.Int("serve-disks", 4, "serve bench: RAID-5 disks (disks+1 must be prime)")
-		serveStripes = flag.Int64("serve-stripes", 64, "serve bench: Code 5-6 stripes to migrate")
-		serveBlock   = flag.Int("serve-block", 4096, "serve bench: block size in bytes")
-		serveClients = flag.Int("serve-clients", 4, "serve bench / load gen: concurrent client goroutines")
-		serveOps     = flag.Int("serve-ops", 2000, "serve bench: operations per measurement phase")
-		serveBW      = flag.String("serve-bw", "1M", "serve bench: migration bandwidth timetable during the under-load phase (bwtimetable grammar)")
-
-		loadURL      = flag.String("load-url", "", "load-generator mode: drive this running c56-serve base URL (e.g. http://127.0.0.1:8080) instead of benchmarking in-process")
-		loadTenant   = flag.String("load-tenant", "demo", "load gen: tenant to drive")
-		loadVol      = flag.String("load-vol", "vol0", "load gen: volume to drive")
-		loadDuration = flag.Duration("load-duration", 5*time.Second, "load gen: how long to run")
+		loadURL      = flag.String("load-url", "", "base URL of the running c56-serve to drive (e.g. http://127.0.0.1:8080)")
+		loadTenant   = flag.String("load-tenant", "demo", "tenant to drive")
+		loadVol      = flag.String("load-vol", "vol0", "volume to drive")
+		loadDuration = flag.Duration("load-duration", 5*time.Second, "how long to run")
+		clients      = flag.Int("serve-clients", 4, "concurrent client goroutines")
 	)
 	flag.Parse()
-	if *loadURL != "" {
-		if err := runLoadGen(*loadURL, *loadTenant, *loadVol, *serveClients, *loadDuration); err != nil {
-			fmt.Fprintln(os.Stderr, "c56-bench:", err)
-			os.Exit(1)
+	if *loadURL == "" {
+		fmt.Fprintln(os.Stderr, "c56-bench: -load-url is required (the repository benchmark is `bash benchmark/run.sh`)")
+		os.Exit(2)
+	}
+	rep, err := runLoadGen(*loadURL, *loadTenant, *loadVol, *clients, *loadDuration)
+	if err == nil {
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		err = enc.Encode(rep)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "c56-bench:", err)
+		os.Exit(1)
+	}
+}
+
+// LoadReport is the client-side account of one run: operation counts and
+// read and write latency quantiles over the wire.
+type LoadReport struct {
+	Phase      string  `json:"phase"` // always "load"
+	Reads      int     `json:"reads"`
+	Writes     int     `json:"writes"`
+	ReadP50US  float64 `json:"read_p50_us"`
+	ReadP99US  float64 `json:"read_p99_us"`
+	WriteP50US float64 `json:"write_p50_us"`
+	WriteP99US float64 `json:"write_p99_us"`
+	Errors     int     `json:"errors"`
+}
+
+// latRec collects the client-observed latencies.
+type latRec struct {
+	mu     sync.Mutex
+	reads  []float64 // microseconds
+	writes []float64
+	errs   int
+}
+
+func (l *latRec) read(us float64)  { l.mu.Lock(); l.reads = append(l.reads, us); l.mu.Unlock() }
+func (l *latRec) write(us float64) { l.mu.Lock(); l.writes = append(l.writes, us); l.mu.Unlock() }
+func (l *latRec) err()             { l.mu.Lock(); l.errs++; l.mu.Unlock() }
+
+// quantile returns the nearest-rank q-quantile of s (sorted in place);
+// 0 when empty. Nearest-rank keeps small-sample p99s honest: the tail
+// observation is reported, not interpolated away.
+func quantile(s []float64, q float64) float64 {
+	if len(s) == 0 {
+		return 0
+	}
+	sort.Float64s(s)
+	i := int(math.Ceil(q*float64(len(s)))) - 1
+	if i < 0 {
+		i = 0
+	}
+	if i >= len(s) {
+		i = len(s) - 1
+	}
+	return s[i]
+}
+
+// loadClient drives ops mixed 3:1 read:write against one volume URL.
+type loadClient struct {
+	base      string // http://addr/v1/t/<tenant>/v/<vol>
+	blockSize int
+	blocks    int64
+	client    *http.Client
+}
+
+func (c *loadClient) do(rng *rand.Rand, rec *latRec) {
+	blk := rng.Int63n(c.blocks)
+	url := fmt.Sprintf("%s/b/%d", c.base, blk)
+	start := time.Now()
+	if rng.Intn(4) == 0 {
+		payload := make([]byte, c.blockSize)
+		rng.Read(payload)
+		req, err := http.NewRequest(http.MethodPut, url, bytes.NewReader(payload))
+		if err != nil {
+			rec.err()
+			return
 		}
+		resp, err := c.client.Do(req)
+		if err != nil {
+			rec.err()
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNoContent {
+			rec.err()
+			return
+		}
+		rec.write(float64(time.Since(start)) / float64(time.Microsecond))
 		return
 	}
-	_, handle, err := obs.Plane(*httpAddr)
+	resp, err := c.client.Get(url)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "c56-bench:", err)
-		os.Exit(1)
+		rec.err()
+		return
 	}
-	defer handle.Drain()
-	if handle != nil {
-		fmt.Fprintf(os.Stderr, "observability plane listening on http://%s\n", handle.Addr())
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		rec.err()
+		return
 	}
-	// Pin GOMAXPROCS explicitly so the recorded value reflects the sweep's
-	// real parallelism even when the environment (cgroup limits, an
-	// inherited GOMAXPROCS env var) would silently cap it.
-	if *maxprocs > 0 {
-		runtime.GOMAXPROCS(*maxprocs)
-	} else {
-		runtime.GOMAXPROCS(runtime.NumCPU())
-	}
-	if err := run(*out, *block, *p, *minTime); err != nil {
-		fmt.Fprintln(os.Stderr, "c56-bench:", err)
-		os.Exit(1)
-	}
-	if *xorOut != "" {
-		if err := runXor(*xorOut, *minTime); err != nil {
-			fmt.Fprintln(os.Stderr, "c56-bench:", err)
-			os.Exit(1)
-		}
-	}
-	if *parOut != "" {
-		if err := runParallel(*parOut, *parBlock, *parP, *stripes, *minTime, *reps, *backend); err != nil {
-			fmt.Fprintln(os.Stderr, "c56-bench:", err)
-			os.Exit(1)
-		}
-	}
-	if *serveOut != "" {
-		if err := runServe(*serveOut, *serveDisks, *serveStripes, *serveBlock, *serveClients, *serveOps, *serveBW); err != nil {
-			fmt.Fprintln(os.Stderr, "c56-bench:", err)
-			os.Exit(1)
-		}
-	}
+	rec.read(float64(time.Since(start)) / float64(time.Microsecond))
 }
 
-// XorResult is one (tier, size) throughput sample of the XOR kernel sweep.
-type XorResult struct {
-	// Path names the tier exactly as dispatched: "avx512"/"avx2"/"neon"
-	// (hosts with the matching features), "wide", "word", and the "byte"
-	// reference — every tier xorblk.Tiers() reports for this binary.
-	Path string `json:"path"`
-	Size int    `json:"size"`
-	// MBPerSec counts destination bytes processed (one read+xor+write pass).
-	MBPerSec float64 `json:"mb_per_s"`
-	// SpeedupVsWord is this tier's throughput over the word path's at the
-	// same size (the acceptance metric for the fast tiers).
-	SpeedupVsWord float64 `json:"speedup_vs_word"`
-	Iterations    int     `json:"iterations"`
-}
-
-// XorReport is BENCH_xor.json's top-level object. The embedded Topology's
-// Kernel field names the fast path selected for this binary on this host.
-type XorReport struct {
-	Topology
-	Results []XorResult `json:"results"`
-}
-
-// xorSizes spans cache-resident blocks through streaming ones: 256 KiB
-// exceeds most L2s' fair share, and the ≥1 MiB sizes engage the assembly
-// tiers' non-temporal stores (xorblk.NonTemporalThreshold) — the cliff
-// region the cached-store wide path shows in earlier BENCH_xor.json runs.
-var xorSizes = []int{1024, 4096, 16384, 65536, 262144, 1 << 20, 4 << 20}
-
-// runXor measures dst ^= src throughput for every kernel tier this host
-// can run across block sizes and writes BENCH_xor.json.
-func runXor(out string, minTime time.Duration) error {
-	rep := XorReport{Topology: topo()}
-	tiers := xorblk.Tiers()
-	for _, size := range xorSizes {
-		rng := rand.New(rand.NewSource(3))
-		dst := make([]byte, size)
-		src := make([]byte, size)
-		rng.Read(dst)
-		rng.Read(src)
-		var wordMB float64
-		base := len(rep.Results)
-		for _, tier := range tiers {
-			tier.Xor(dst, src) // warm-up
-			iters := 0
-			start := time.Now()
-			for time.Since(start) < minTime {
-				tier.Xor(dst, src)
-				iters++
-			}
-			elapsed := time.Since(start)
-			mb := float64(iters) * float64(size) / 1e6 / elapsed.Seconds()
-			if tier.Name == "word" {
-				wordMB = mb
-			}
-			rep.Results = append(rep.Results, XorResult{
-				Path: tier.Name, Size: size, MBPerSec: mb, Iterations: iters,
-			})
-		}
-		for i := base; i < len(rep.Results); i++ {
-			rep.Results[i].SpeedupVsWord = rep.Results[i].MBPerSec / wordMB
-		}
-	}
-	if err := writeJSON(out, rep); err != nil {
-		return err
-	}
-	if out != "-" {
-		fmt.Printf("wrote XOR kernel sweep (%s fast path, %d tiers, %d results) to %s\n",
-			rep.Kernel, len(tiers), len(rep.Results), out)
-	}
-	return nil
-}
-
-// writeJSON writes v indented to path ('-' for stdout).
-func writeJSON(path string, v any) error {
-	w := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
-}
-
-func run(out string, block, p int, minTime time.Duration) error {
-	c56, err := code56.New(p)
+// runLoadGen drives an already-running c56-serve with clients concurrent
+// closed-loop clients for the given duration.
+func runLoadGen(baseURL, tenant, volName string, clients int, d time.Duration) (LoadReport, error) {
+	volURL := fmt.Sprintf("%s/v1/t/%s/v/%s", baseURL, tenant, volName)
+	resp, err := http.Get(volURL)
 	if err != nil {
-		return err
+		return LoadReport{}, err
 	}
-	rdp, err := code56.NewRDP(p)
-	if err != nil {
-		return err
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return LoadReport{}, fmt.Errorf("GET %s: status %d", volURL, resp.StatusCode)
 	}
-	eo, err := code56.NewEVENODD(p)
-	if err != nil {
-		return err
+	var info struct {
+		BlockSize int   `json:"block_size"`
+		Blocks    int64 `json:"blocks"`
 	}
-	rep := Report{BlockSize: block, P: p}
-	for _, c := range []struct {
-		name string
-		code code56.Code
-	}{
-		{fmt.Sprintf("code56-p%d", p), c56},
-		{fmt.Sprintf("rdp-p%d", p), rdp},
-		{fmt.Sprintf("evenodd-p%d", p), eo},
-	} {
-		rep.Results = append(rep.Results, measure(c.name, c.code, block, minTime))
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		return LoadReport{}, err
 	}
-	w := os.Stdout
-	if out != "-" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	if info.BlockSize <= 0 || info.Blocks <= 0 {
+		return LoadReport{}, fmt.Errorf("GET %s: volume of %d blocks of %d bytes", volURL, info.Blocks, info.BlockSize)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		return err
+	lc := &loadClient{
+		base:      volURL,
+		blockSize: info.BlockSize,
+		blocks:    info.Blocks,
+		client:    &http.Client{Timeout: 30 * time.Second},
 	}
-	if out != "-" {
-		fmt.Printf("wrote %d results to %s\n", len(rep.Results), out)
-	}
-	return nil
-}
-
-// runParallel measures full-array Code 5-6 encodes through the parallel
-// stripe engine at 1, 2, 4 and 8 workers — in per-stripe and interleaved
-// batch modes side by side — and writes BENCH_parallel.json. Each (mode,
-// worker count) pair runs reps independent measurement windows (each at
-// least minTime long) and reports the median throughput, plus heap
-// allocations per stripe encode taken from runtime.MemStats.
-func runParallel(out string, block, p int, stripes int64, minTime time.Duration, reps int, backend string) error {
-	if reps < 3 {
-		reps = 3
-	}
-	code, err := code56.NewCode(p)
-	if err != nil {
-		return err
-	}
-	a, err := code56.NewRAID6Array(code,
-		code56.WithBackend(backend), code56.WithBlockSize(block))
-	if err != nil {
-		return err
-	}
-	rng := rand.New(rand.NewSource(2))
-	blocks := int64(a.DataPerStripe()) * stripes
-	b := make([]byte, block)
-	for L := int64(0); L < blocks; L++ {
-		rng.Read(b)
-		if err := a.WriteBlock(L, b); err != nil {
-			return err
-		}
-	}
-	rep := ParallelReport{
-		Topology:  topo(),
-		Code:      fmt.Sprintf("code56-p%d", p),
-		BlockSize: block,
-		P:         p,
-		Stripes:   stripes,
-	}
-	ctx := context.Background()
-	dataBytes := float64(blocks) * float64(block)
-	modes := []struct {
-		name string
-		fn   func(w int) error
-	}{
-		{"per-stripe", func(w int) error {
-			return code56.EncodeArrayStripes(ctx, a, stripes, code56.WithWorkers(w))
-		}},
-		{"interleaved", func(w int) error {
-			return code56.EncodeArrayStripesInterleaved(ctx, a, stripes, code56.WithWorkers(w))
-		}},
-	}
-	for _, w := range []int{1, 2, 4, 8} {
-		for _, mode := range modes {
-			encode := func() error { return mode.fn(w) }
-			// Warm-up pass primes the buffer pools so the measured windows
-			// see steady state, then reps independent windows of minTime.
-			if err := encode(); err != nil {
-				return err
+	rec := &latRec{}
+	stop := time.Now().Add(d)
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(n int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(31 + int64(n)))
+			for time.Now().Before(stop) {
+				lc.do(rng, rec)
 			}
-			var (
-				samples     []float64
-				totalIters  int
-				totalAllocs uint64
-				ms          runtime.MemStats
-			)
-			for win := 0; win < reps; win++ {
-				runtime.ReadMemStats(&ms)
-				allocsBefore := ms.Mallocs
-				iters := 0
-				start := time.Now()
-				for iters == 0 || time.Since(start) < minTime {
-					if err := encode(); err != nil {
-						return err
-					}
-					iters++
-				}
-				elapsed := time.Since(start)
-				runtime.ReadMemStats(&ms)
-				samples = append(samples, float64(iters)*dataBytes/1e6/elapsed.Seconds())
-				totalIters += iters
-				totalAllocs += ms.Mallocs - allocsBefore
-			}
-			r := ParallelResult{
-				Mode:            mode.name,
-				Workers:         w,
-				MBPerSec:        median(samples),
-				Speedup:         1,
-				Iterations:      totalIters,
-				Samples:         reps,
-				AllocsPerStripe: float64(totalAllocs) / float64(int64(totalIters)*stripes),
-			}
-			for _, prev := range rep.Results {
-				if prev.Mode == mode.name && prev.Workers == 1 {
-					r.Speedup = r.MBPerSec / prev.MBPerSec
-					break
-				}
-			}
-			rep.Results = append(rep.Results, r)
-		}
+		}(i)
 	}
-	if err := writeJSON(out, rep); err != nil {
-		return err
+	wg.Wait()
+	rep := LoadReport{
+		Phase:      "load",
+		Reads:      len(rec.reads),
+		Writes:     len(rec.writes),
+		ReadP50US:  quantile(rec.reads, 0.50),
+		ReadP99US:  quantile(rec.reads, 0.99),
+		WriteP50US: quantile(rec.writes, 0.50),
+		WriteP99US: quantile(rec.writes, 0.99),
+		Errors:     rec.errs,
 	}
-	if out != "-" {
-		fmt.Printf("wrote parallel sweep (%d mode×worker results, %d windows each, GOMAXPROCS=%d, kernel=%s) to %s\n",
-			len(rep.Results), reps, rep.GOMAXPROCS, rep.Kernel, out)
+	if rep.Reads+rep.Writes == 0 {
+		return rep, fmt.Errorf("load generator completed no operations against %s", baseURL)
 	}
-	return nil
-}
-
-// median returns the middle value of s (mean of the middle two for even
-// lengths). s is sorted in place.
-func median(s []float64) float64 {
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
-}
-
-// measure encodes full stripes until minTime has elapsed and averages.
-func measure(name string, code code56.Code, block int, minTime time.Duration) Result {
-	s := layout.NewStripe(code.Geometry(), block)
-	s.FillRandom(code, rand.New(rand.NewSource(1)))
-	data := len(layout.DataElements(code))
-	xors := layout.Encode(code, s) // warm-up; XOR count is deterministic
-	iters := 0
-	start := time.Now()
-	for time.Since(start) < minTime {
-		layout.Encode(code, s)
-		iters++
-	}
-	elapsed := time.Since(start)
-	bytesDone := float64(iters) * float64(data*block)
-	return Result{
-		Code:           name,
-		Disks:          code.Geometry().Cols,
-		DataElements:   data,
-		XORsPerElement: float64(xors) / float64(data),
-		MBPerSec:       bytesDone / 1e6 / elapsed.Seconds(),
-		Iterations:     iters,
-	}
+	return rep, nil
 }

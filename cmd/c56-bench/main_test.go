@@ -1,89 +1,46 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
+	"net/http/httptest"
 	"testing"
 	"time"
+
+	code56 "code56"
+	"code56/internal/serve"
+	"code56/internal/telemetry"
 )
 
-// TestBenchReport runs the harness into a temp file and validates the JSON:
-// all three codes present, sensible XOR costs, positive throughput.
-func TestBenchReport(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_encode.json")
-	if err := run(out, 1024, 5, 5*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(out)
+// TestLoadGen drives the load client against a real serve.Server on
+// loopback: it must learn the volume's geometry from the server, complete
+// reads and writes without an error, and report ordered quantiles.
+func TestLoadGen(t *testing.T) {
+	r5, err := code56.NewRAID5Array(4, code56.WithBlockSize(512))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep Report
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
+	srv := serve.NewServer(telemetry.NewRegistry())
+	tenant, err := srv.AddTenant("demo", serve.QoS{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(rep.Results) != 3 {
-		t.Fatalf("got %d results, want 3", len(rep.Results))
+	if _, err := tenant.AddVolume("vol0", r5, 48); err != nil {
+		t.Fatal(err)
 	}
-	want := map[string]bool{"code56-p5": true, "rdp-p5": true, "evenodd-p5": true}
-	for _, r := range rep.Results {
-		if !want[r.Code] {
-			t.Errorf("unexpected code %q", r.Code)
-		}
-		delete(want, r.Code)
-		if r.XORsPerElement <= 0 || r.XORsPerElement >= 4 {
-			t.Errorf("%s: implausible XORs/element %.3f", r.Code, r.XORsPerElement)
-		}
-		if r.MBPerSec <= 0 {
-			t.Errorf("%s: non-positive throughput %.3f", r.Code, r.MBPerSec)
-		}
-		if r.Iterations <= 0 {
-			t.Errorf("%s: no iterations measured", r.Code)
-		}
-	}
-	for c := range want {
-		t.Errorf("missing code %q", c)
-	}
-}
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
 
-// TestServeBenchReport runs the under-load serve benchmark small and
-// validates its JSON: both phases present, every op accounted for, and
-// stripes genuinely converted while the migrating phase's load ran.
-func TestServeBenchReport(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_serve.json")
-	// 16 stripes of 512-byte blocks at a 256k cap: the 8 KiB-per-stripe
-	// migration is shaped hard enough that the 400-op load overlaps it.
-	if err := runServe(out, 4, 16, 512, 2, 400, "256k"); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(out)
+	rep, err := runLoadGen(hs.URL, "demo", "vol0", 2, 200*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep ServeReport
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
+	if rep.Phase != "load" || rep.Errors != 0 || rep.Reads == 0 || rep.Writes == 0 {
+		t.Fatalf("report %+v", rep)
 	}
-	if len(rep.Phases) != 2 || rep.Phases[0].Phase != "idle" || rep.Phases[1].Phase != "migrating" {
-		t.Fatalf("phases = %+v", rep.Phases)
+	if rep.ReadP50US <= 0 || rep.ReadP99US < rep.ReadP50US || rep.WriteP99US < rep.WriteP50US {
+		t.Fatalf("quantiles implausible: %+v", rep)
 	}
-	for _, ph := range rep.Phases {
-		if ph.Errors != 0 {
-			t.Fatalf("%s phase had %d errors", ph.Phase, ph.Errors)
-		}
-		if ph.Reads+ph.Writes != 400 {
-			t.Fatalf("%s phase completed %d ops, want 400", ph.Phase, ph.Reads+ph.Writes)
-		}
-		if ph.Reads > 0 && (ph.ReadP50US <= 0 || ph.ReadP99US < ph.ReadP50US) {
-			t.Fatalf("%s phase read quantiles implausible: %+v", ph.Phase, ph)
-		}
-	}
-	if rep.Phases[1].MigrationStripesDone == 0 {
-		t.Fatal("migrating phase overlapped no stripe conversions — latencies were not measured under load")
-	}
-	if rep.Timetable != "256k" {
-		t.Fatalf("timetable recorded as %q", rep.Timetable)
+	if _, err := runLoadGen(hs.URL, "demo", "nonesuch", 1, time.Millisecond); err == nil {
+		t.Error("a volume the server does not have was driven")
 	}
 }
 

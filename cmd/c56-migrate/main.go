@@ -44,9 +44,7 @@ func main() {
 		ops      = flag.Int("ops", 2000, "application operations during migration")
 		seed     = flag.Int64("seed", 1, "workload seed")
 		throttle = flag.Duration("throttle", 0, "pause between converted stripes (e.g. 5ms)")
-		parallel = flag.Int("parallel", 1, "concurrent stripe-conversion workers (alias of -workers)")
-		workers  = flag.Int("workers", 0, "worker goroutines for conversion (online) or plan execution (offline); 0 = -parallel")
-		snapshot = flag.String("snapshot", "", "write a disk-array snapshot of the converted array to this file")
+		workers  = flag.Int("workers", 1, "worker goroutines for conversion (online) or plan execution (offline)")
 		online   = flag.Bool("online", true, "convert online with Algorithm 2; false replays the offline plan via the executor")
 		metrics  = flag.String("metrics", "", "dump final telemetry counters to this file ('-' for stdout, '.json' suffix for JSON)")
 		traceOut = flag.String("trace", "", "write a JSON-lines span/event trace to this file ('-' for stderr)")
@@ -64,9 +62,6 @@ func main() {
 		retryBase = flag.Duration("retry-base", 0, "backoff base between retries (doubles each attempt)")
 	)
 	flag.Parse()
-	if *workers == 0 {
-		*workers = *parallel
-	}
 	faults := faultOpts{
 		latent:    *latent,
 		transient: *transient,
@@ -97,7 +92,6 @@ func main() {
 				ops:      *ops,
 				seed:     *seed,
 				throttle: *throttle,
-				snapshot: *snapshot,
 				workers:  *workers,
 				progress: *progress,
 				watch:    *watch,
@@ -141,7 +135,6 @@ type onlineConfig struct {
 	ops                   int
 	seed                  int64
 	throttle              time.Duration
-	snapshot              string
 	workers               int
 	progress, watch       bool
 	backend               string
@@ -333,7 +326,7 @@ func runOnline(cfg onlineConfig) error {
 		if err := r5.Disks().SetFaults(code56.FaultConfig{}); err != nil {
 			return err
 		}
-		rep, err := r6.Scrub(int64(stripes))
+		rep, err := code56.ScrubArray(context.Background(), r6, int64(stripes), code56.ScrubRepair, code56.WithWorkers(1))
 		if err != nil {
 			return err
 		}
@@ -376,17 +369,6 @@ func runOnline(cfg onlineConfig) error {
 	fmt.Printf("total I/O during migration+workload: %d reads, %d writes\n", reads, writes)
 	if err := reportCounters(disks, st, base); err != nil {
 		return err
-	}
-	if cfg.snapshot != "" {
-		f, err := os.Create(cfg.snapshot)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := r5.Disks().Save(f); err != nil {
-			return err
-		}
-		fmt.Printf("snapshot of the converted array written to %s\n", cfg.snapshot)
 	}
 	return nil
 }
@@ -496,7 +478,7 @@ func scrubResumed(r6 *code56.RAID6) error {
 			return fmt.Errorf("stripe %d inconsistent after resume", st)
 		}
 	}
-	rep, err := code56.ScrubArrayMode(context.Background(), r6, stripes, code56.ScrubCheck)
+	rep, err := code56.ScrubArray(context.Background(), r6, stripes, code56.ScrubCheck)
 	if err != nil {
 		return err
 	}
@@ -539,7 +521,10 @@ func runOffline(disks, block int, seed int64, workers int) error {
 		plan.Conv.Label(), plan.Period, plan.DataBlocks, len(plan.Ops),
 		plan.Reused, plan.Invalidated, plan.Migrated, plan.Generated)
 	base := telemetry.Default().Snapshot().Counters
-	ex := code56.NewExecutor(plan, block, seed)
+	ex, err := code56.NewPlanExecutor(plan, code56.WithBlockSize(block), code56.WithSeed(seed))
+	if err != nil {
+		return err
+	}
 	fmt.Printf("executing with %d workers\n", workers)
 	if err := code56.RunPlan(context.Background(), ex, code56.WithWorkers(workers)); err != nil {
 		return err

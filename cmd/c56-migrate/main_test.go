@@ -39,11 +39,18 @@ func TestRunWorkloads(t *testing.T) {
 	}
 }
 
-func TestRunSnapshot(t *testing.T) {
+// TestRunDurableDirectory converts a file-backed array on four workers, then
+// comes back to its directory the way a later process would: -resume finds
+// the migration committed, reopens the RAID-6 and scrubs it clean.
+func TestRunDurableDirectory(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "array")
 	cfg := online(4, 2, "none", 0)
-	cfg.snapshot = filepath.Join(t.TempDir(), "arr.snap")
+	cfg.backend = "file:" + dir
 	cfg.workers = 4
 	if err := runOnline(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := runResume(dir, 1, 0, 0, false, nil); err != nil {
 		t.Fatal(err)
 	}
 }

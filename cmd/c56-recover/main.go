@@ -35,7 +35,7 @@ import (
 
 func main() {
 	var (
-		codeName = flag.String("code", "code56", "code: code56, rdp, evenodd, xcode, pcode, pcode-p, hcode, hdp")
+		codeName = flag.String("code", "code56", "code: code56, code56r, rdp, evenodd, xcode, pcode, pcode-p, hcode, hdp")
 		p        = flag.Int("p", 5, "prime parameter")
 		failSpec = flag.String("fail", "0,1", "comma-separated failed columns")
 		hybrid   = flag.Bool("hybrid", false, "run the hybrid single-disk recovery study")
@@ -79,27 +79,10 @@ func main() {
 	}
 }
 
+// makeCode builds the named code through the one name → constructor table,
+// the one a durable directory's manifest is read with.
 func makeCode(name string, p int) (code56.Code, error) {
-	switch name {
-	case "code56":
-		return code56.New(p)
-	case "rdp":
-		return code56.NewRDP(p)
-	case "evenodd":
-		return code56.NewEVENODD(p)
-	case "xcode":
-		return code56.NewXCode(p)
-	case "pcode":
-		return code56.NewPCode(p)
-	case "pcode-p":
-		return code56.NewPCodeP(p)
-	case "hcode":
-		return code56.NewHCode(p)
-	case "hdp":
-		return code56.NewHDP(p)
-	default:
-		return nil, fmt.Errorf("unknown code %q", name)
-	}
+	return code56.BuildCode(code56.Manifest{CodeName: name, P: p})
 }
 
 func run(codeName string, p int, failSpec string, hybrid, all bool, block int) error {
@@ -220,7 +203,7 @@ func runScrub(codeName string, p, block int, stripes int64, workers int, seed in
 		code.Name(), p, nLatent, nCorrupt, stripes)
 
 	ctx := context.Background()
-	check, err := code56.ScrubArrayMode(ctx, a, stripes, code56.ScrubCheck, code56.WithWorkers(workers))
+	check, err := code56.ScrubArray(ctx, a, stripes, code56.ScrubCheck, code56.WithWorkers(workers))
 	if err != nil {
 		return err
 	}
@@ -230,14 +213,14 @@ func runScrub(codeName string, p, block int, stripes int64, workers int, seed in
 		return fmt.Errorf("check-mode scrub wrote to the array")
 	}
 
-	rep, err := code56.ScrubArrayMode(ctx, a, stripes, code56.ScrubRepair, code56.WithWorkers(workers))
+	rep, err := code56.ScrubArray(ctx, a, stripes, code56.ScrubRepair, code56.WithWorkers(workers))
 	if err != nil {
 		return err
 	}
 	fmt.Printf("repair pass: %d latent repaired, %d corruptions rewritten\n",
 		rep.LatentRepaired, rep.CorruptRepaired)
 
-	final, err := code56.ScrubArrayMode(ctx, a, stripes, code56.ScrubCheck, code56.WithWorkers(workers))
+	final, err := code56.ScrubArray(ctx, a, stripes, code56.ScrubCheck, code56.WithWorkers(workers))
 	if err != nil {
 		return err
 	}

@@ -285,7 +285,7 @@ func verifyMigrations(migrations []*migration) error {
 		if err != nil {
 			return err
 		}
-		rep, err := code56.ScrubArrayMode(context.Background(), r6, m.stripes, code56.ScrubCheck)
+		rep, err := code56.ScrubArray(context.Background(), r6, m.stripes, code56.ScrubCheck)
 		if err != nil {
 			return err
 		}

@@ -14,6 +14,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -231,10 +232,11 @@ func runFaults(seed int64, block int, backend string) error {
 
 	r6.Disks().Disk(1).Replace()
 	const stripes = rows / disks // p-1 = 4 rows per Code 5-6 stripe
-	if err := r6.Rebuild(int64(stripes), 1); err != nil {
+	ctx := context.Background()
+	if err := code56.RebuildArray(ctx, r6, stripes, []int{1}, code56.WithWorkers(1)); err != nil {
 		return err
 	}
-	rep, err := r6.Scrub(int64(stripes))
+	rep, err := code56.ScrubArray(ctx, r6, stripes, code56.ScrubRepair, code56.WithWorkers(1))
 	if err != nil {
 		return err
 	}

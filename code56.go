@@ -21,7 +21,7 @@
 // # Quick start
 //
 //	code, _ := code56.New(5)                     // Code 5-6 for 5 disks
-//	array := code56.NewRAID6(code, 4096)         // simulated RAID-6 array
+//	array, _ := code56.NewRAID6Array(code)       // simulated RAID-6 array
 //	array.WriteBlock(0, block)                   // parity maintained
 //	array.Disks().Disk(1).Fail()                 // two concurrent failures
 //	array.Disks().Disk(3).Fail()
@@ -31,30 +31,30 @@
 // hybrid recovery walkthroughs, and cmd/ for the tools regenerating the
 // paper's tables and figures.
 //
-// # Options and parallelism
+// # One entry point per operation
 //
-// Every facade constructor has an option-based form, and every long-running
-// operation has a context-bound form; both converge on one functional
-// Option type:
+// Every object has one constructor and every long-running operation one
+// function; both take a context where they can run long and a trailing list
+// of functional Options:
 //
-//	code, _ := code56.NewCode(13)                          // defaults
-//	array := code56.NewRAID6Array(code,
-//	        code56.WithBlockSize(64<<10))
-//	err := code56.ScrubArray(ctx, array, stripes,
-//	        code56.WithWorkers(8))                         // parallel scrub
+//	code, _ := code56.New(13)                              // or NewOriented
+//	array, _ := code56.NewRAID6Array(code,
+//	        code56.WithBlockSize(64<<10),
+//	        code56.WithBackend("file:/var/lib/array"))     // durable directory
+//	rep, err := code56.ScrubArray(ctx, array, stripes,
+//	        code56.ScrubRepair, code56.WithWorkers(8))     // parallel scrub
+//	err = code56.RebuildArray(ctx, array, stripes, []int{1, 3})
 //	mig, _ := code56.NewMigrator(r5, rows,
 //	        code56.WithWorkers(4), code56.WithThrottle(time.Millisecond))
-//	err = code56.StartMigration(ctx, mig)                  // cancelable
+//	err = mig.StartContext(ctx)                            // cancelable
 //
-// WithWorkers and WithChunkSize control the stripe engine: independent
-// stripes fan out over a bounded worker pool (internal/parallel), and large
-// blocks split into chunks for the multi-source XOR kernel. Cancelling the
-// context stops cleanly at a stripe boundary; for online migration the
-// array stays consistent and resumable. The positional constructors (New,
-// NewRAID5, NewRAID6, NewExecutor, NewOnlineMigrator) and serial methods
-// (Run, Rebuild, Scrub, Start) are all kept and are equivalent to the
-// option forms with WithWorkers(1) and a background context — nothing is
-// deprecated; the new forms only add knobs.
+// WithWorkers bounds the stripe engine: independent stripes fan out over a
+// worker pool (internal/parallel), and WithWorkers(1) is the serial,
+// in-order path. Cancelling the context stops cleanly at a stripe boundary;
+// for online migration the array stays consistent and resumable. A
+// file-backed array's directory (meta.json, one image per disk, wal.log) is
+// the one on-disk format: reopen it with OpenRAID5Array / OpenRAID6Array and
+// continue an interrupted migration with ResumeMigration.
 package code56
 
 import (
@@ -183,26 +183,3 @@ const (
 	RightAsymmetric = raid5.RightAsymmetric
 	RightSymmetric  = raid5.RightSymmetric
 )
-
-// NewRAID5 creates a RAID-5 array of m fresh simulated disks.
-func NewRAID5(m, blockSize int, l RAID5Layout) (*RAID5, error) {
-	return raid5.New(m, blockSize, l)
-}
-
-// WrapRAID5 builds a RAID-5 view over existing disks (e.g. restored from a
-// snapshot); extra disks beyond the first m are left untouched.
-func WrapRAID5(disks *DiskArray, m int, l RAID5Layout) (*RAID5, error) {
-	return raid5.Wrap(disks, m, l)
-}
-
-// LoadDiskArray restores a disk array from a snapshot produced by
-// DiskArray.Save — including failure states and latent errors — so
-// simulated arrays and in-flight migrations survive process restarts.
-var LoadDiskArray = vdisk.Load
-
-// NewRAID6 creates a RAID-6 array over fresh simulated disks for the code.
-func NewRAID6(code Code, blockSize int) *RAID6 { return raid6.New(code, blockSize) }
-
-// WrapRAID6 builds a RAID-6 view over existing disks (e.g. after a
-// migration).
-func WrapRAID6(code Code, disks *DiskArray) (*RAID6, error) { return raid6.Wrap(code, disks) }

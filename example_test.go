@@ -35,8 +35,8 @@ func ExampleNew() {
 
 // Online migration of a live RAID-5 to a Code 5-6 RAID-6 (the paper's
 // Algorithm 2), then a double failure the old array could not survive.
-func ExampleNewOnlineMigrator() {
-	r5, err := code56.NewRAID5(4, 512, code56.LeftAsymmetric)
+func ExampleNewMigrator() {
+	r5, err := code56.NewRAID5Array(4, code56.WithBlockSize(512))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func ExampleNewOnlineMigrator() {
 		}
 	}
 
-	mig, err := code56.NewOnlineMigrator(r5, rows)
+	mig, err := code56.NewMigrator(r5, rows)
 	if err != nil {
 		log.Fatal(err)
 	}

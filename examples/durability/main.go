@@ -13,6 +13,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -109,7 +110,7 @@ func main() {
 			log.Fatalf("stripe %d inconsistent after resume (err=%v)", st, err)
 		}
 	}
-	rep, err := r6.Scrub(stripes)
+	rep, err := code56.ScrubArray(context.Background(), r6, stripes, code56.ScrubRepair)
 	if err != nil {
 		log.Fatal(err)
 	}

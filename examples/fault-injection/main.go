@@ -10,6 +10,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -76,7 +77,7 @@ func main() {
 
 	// First migration attempt: heals the latent errors, then dies with the
 	// disk. The contiguous watermark only covers fully converted stripes.
-	mig, err := code56.NewOnlineMigrator(r5, rows)
+	mig, err := code56.NewMigrator(r5, rows)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func main() {
 	}
 	fmt.Println("disk 2 replaced and rebuilt")
 
-	mig2, err := code56.NewOnlineMigrator(r5, rows)
+	mig2, err := code56.NewMigrator(r5, rows)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func main() {
 			log.Fatalf("stripe %d inconsistent after resume", s)
 		}
 	}
-	rep, err := r6.ScrubWithMode(stripes, code56.ScrubCheck)
+	rep, err := code56.ScrubArray(context.Background(), r6, stripes, code56.ScrubCheck)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,8 +27,11 @@ func main() {
 		m.WriteRatio, m.TotalIORatio, m.InvalidParityRatio, m.MigrationRatio)
 
 	// Execute the plan against simulated disks and verify the result.
-	ex := code56.NewExecutor(plan, 4096, 99)
-	if err := ex.Run(); err != nil {
+	ex, err := code56.NewPlanExecutor(plan, code56.WithSeed(99))
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := code56.RunPlan(context.Background(), ex); err != nil {
 		log.Fatal(err)
 	}
 	if err := ex.VerifyResult(); err != nil {

@@ -16,7 +16,6 @@ import (
 	"path/filepath"
 
 	"code56/internal/raid5"
-	"code56/internal/superblock"
 	"code56/internal/vdisk/filestore"
 )
 
@@ -42,8 +41,8 @@ var ErrBadMeta = errors.New("durable: bad metadata")
 var ErrNoMeta = errors.New("durable: no metadata")
 
 // Meta is a directory's identity record. For a RAID-5 it carries the
-// layout and the data-row count; for a RAID-6 it embeds the superblock
-// manifest (code name, prime, rotation). The migration's meta flip —
+// layout and the data-row count; for a RAID-6 it embeds the Manifest (code
+// name, prime, rotation). The migration's meta flip —
 // the single atomic step that turns a RAID-5 directory into a RAID-6
 // one — replaces a KindRAID5 Meta with a KindRAID6 one.
 type Meta struct {
@@ -52,7 +51,8 @@ type Meta struct {
 	BlockSize int    `json:"block_size"`
 	// Disks is the image-file count the directory should hold (data +
 	// parity; for a mid-migration RAID-5 the extra diagonal disk is on
-	// media but not yet counted here).
+	// media but not yet counted here). For a RAID-6 it is the code's
+	// column count.
 	Disks int `json:"disks"`
 	// Layout is the RAID-5 parity rotation (md-style name); empty for
 	// RAID-6.
@@ -60,7 +60,7 @@ type Meta struct {
 	// Rows is the RAID-5 data-row count — what a migration will convert.
 	Rows int64 `json:"rows,omitempty"`
 	// Manifest is the RAID-6 identity (code, prime, stripes, rotation).
-	Manifest *superblock.Manifest `json:"manifest,omitempty"`
+	Manifest *Manifest `json:"manifest,omitempty"`
 }
 
 // ParseLayout maps an md-style layout name back to the raid5 constant.
@@ -99,12 +99,17 @@ func (m Meta) Validate() error {
 		if m.Manifest == nil {
 			return fmt.Errorf("%w: raid6 meta without manifest", ErrBadMeta)
 		}
-		if err := m.Manifest.Validate(); err != nil {
-			return fmt.Errorf("%w: %v", ErrBadMeta, err)
+		code, err := m.Manifest.code()
+		if err != nil {
+			return err
 		}
 		if m.Manifest.BlockSize != m.BlockSize {
 			return fmt.Errorf("%w: manifest block size %d vs meta %d",
 				ErrBadMeta, m.Manifest.BlockSize, m.BlockSize)
+		}
+		if cols := code.Geometry().Cols; m.Disks != cols {
+			return fmt.Errorf("%w: %d disks for the %d-column %s(p=%d)",
+				ErrBadMeta, m.Disks, cols, m.Manifest.CodeName, m.Manifest.P)
 		}
 	default:
 		return fmt.Errorf("%w: unknown kind %q", ErrBadMeta, m.Kind)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"code56/internal/raid5"
-	"code56/internal/superblock"
 )
 
 func raid5Meta() Meta {
@@ -52,8 +51,8 @@ func TestSaveIsAtomicReplace(t *testing.T) {
 		Kind:      KindRAID6,
 		BlockSize: 4096,
 		Disks:     5,
-		Manifest: &superblock.Manifest{
-			Version:   superblock.ManifestVersion,
+		Manifest: &Manifest{
+			Version:   ManifestVersion,
 			CodeName:  "code56",
 			P:         5,
 			BlockSize: 4096,
@@ -106,8 +105,8 @@ func TestValidate(t *testing.T) {
 	// Manifest/meta block-size mismatch.
 	m := Meta{
 		Version: MetaVersion, Kind: KindRAID6, BlockSize: 4096, Disks: 5,
-		Manifest: &superblock.Manifest{
-			Version: superblock.ManifestVersion, CodeName: "code56",
+		Manifest: &Manifest{
+			Version: ManifestVersion, CodeName: "code56",
 			P: 5, BlockSize: 512, Stripes: 1,
 		},
 	}

@@ -1,6 +1,9 @@
 package layout
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // The //c56:noalloc annotations in this package are statically verified
 // by c56-lint; these AllocsPerRun assertions are the runtime half of the
@@ -14,10 +17,18 @@ func skipIfRace(t *testing.T) {
 	}
 }
 
+// toyStripe returns a toy-geometry stripe with random data cells and zero
+// parity.
+func toyStripe(seed int64) *Stripe {
+	s := NewStripe(toy{}.Geometry(), 64)
+	s.FillRandom(toy{}, rand.New(rand.NewSource(seed)))
+	return s
+}
+
 func TestEncoderAllocationFree(t *testing.T) {
 	skipIfRace(t)
 	enc := NewEncoder(toy{})
-	s := makeStripes(1, 42)[0]
+	s := toyStripe(42)
 	if n := testing.AllocsPerRun(100, func() { enc.Encode(s) }); n != 0 {
 		t.Errorf("Encode allocates %.1f times per call, want 0", n)
 	}
@@ -48,7 +59,7 @@ func TestGeometryAllocationFree(t *testing.T) {
 
 func TestStripeAccessAllocationFree(t *testing.T) {
 	skipIfRace(t)
-	s := makeStripes(1, 7)[0]
+	s := toyStripe(7)
 	c := Coord{Row: 0, Col: 1}
 	block := make([]byte, s.BlockSize)
 	if n := testing.AllocsPerRun(100, func() {

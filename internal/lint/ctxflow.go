@@ -10,8 +10,8 @@ import (
 // CtxFlow enforces context discipline around the parallel stripe engine.
 //
 // Cancellation in this repository stops at stripe boundaries precisely
-// because every bulk loop funnels through parallel.ForEach/ForEachBatch/
-// XorMulti with the caller's ctx. A *Context entry point that manufactures
+// because every bulk loop funnels through parallel.ForEach/ForEachBatch
+// with the caller's ctx. A *Context entry point that manufactures
 // its own context — or threads the wrong one — silently severs
 // cancellation for everything beneath it: a paused or cancelled migration
 // would keep encoding stripes. Two rules:
@@ -25,7 +25,7 @@ import (
 //     reported, as is storing a manufactured context in a variable or
 //     field.
 //
-//   - every call to parallel.ForEach, ForEachBatch or XorMulti made inside
+//   - every call to parallel.ForEach or ForEachBatch made inside
 //     a function with a context.Context parameter (its own or a captured
 //     one) must thread that parameter — directly, or via a value derived
 //     from it such as `cctx, cancel := context.WithCancel(ctx)`. Passing a
@@ -42,7 +42,6 @@ var CtxFlow = &analysis.Analyzer{
 var parallelCtxFuncs = map[string]bool{
 	"ForEach":      true,
 	"ForEachBatch": true,
-	"XorMulti":     true,
 }
 
 func runCtxFlow(pass *analysis.Pass) error {

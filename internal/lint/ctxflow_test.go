@@ -6,7 +6,7 @@ import (
 	"code56/internal/lint/analysistest"
 )
 
-// TestCtxFlow covers ctx threading into ForEach/ForEachBatch/XorMulti
+// TestCtxFlow covers ctx threading into ForEach/ForEachBatch
 // (direct, derived and closure-captured), the serial-wrapper Background
 // shape, manufactured/stale contexts, the context.TODO ban, the PR 3
 // detached-heal regression, and the package-main exemption.

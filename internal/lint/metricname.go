@@ -27,7 +27,9 @@ import (
 //     registering package's name (per-instance suffixes are a single
 //     snake_case segment — the dynamic instance id supplies the middle);
 //   - a full name may be registered from only one package: the same
-//     constant appearing in two packages is reported at both sites.
+//     constant appearing in two packages is reported at both sites. A main
+//     package asking for a name under another package's prefix is reading
+//     that package's instrument, not registering one.
 //
 // Truly dynamic identities (one gauge per disk) belong in the id argument
 // of Registry.PerInstance, which is the one sanctioned seam for runtime
@@ -119,12 +121,16 @@ func checkMetricArg(pass *analysis.Pass, arg ast.Expr, kind nameKind) {
 				"(lowercase dot-separated snake_case segments, e.g. %q)", name, "raid6.stripe_encodes")
 			return
 		}
-		if pkgName := pass.Pkg.Name(); pkgName != "main" {
-			if first := name[:strings.IndexByte(name, '.')]; first != pkgName {
+		// The first segment names the owner. A program asking for another
+		// package's name reads an instrument that package registers: a
+		// lookup, which neither claims the name nor collides with its owner.
+		pkgName := pass.Pkg.Name()
+		if first := name[:strings.IndexByte(name, '.')]; first != pkgName {
+			if pkgName != "main" {
 				pass.Reportf(arg.Pos(), "metric name %q must be prefixed with its registering package (%q), got segment %q",
 					name, pkgName+".", first)
-				return
 			}
+			return
 		}
 		if kind == fullName {
 			checkDuplicate(pass, arg.Pos(), name)

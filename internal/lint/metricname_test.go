@@ -9,10 +9,12 @@ import (
 // TestMetricName covers constant-ness, the pkg.snake_case convention, the
 // package-prefix rule, the PerInstance seam's prefix/suffix shapes, and
 // cross-package duplicate detection (two packages named metricname at
-// different import paths registering the same name).
+// different import paths registering the same name) — and that a program
+// looking up another package's counter, analyzed before its owner, claims
+// nothing.
 func TestMetricName(t *testing.T) {
 	ResetMetricState()
 	t.Cleanup(ResetMetricState)
 	analysistest.Run(t, analysistest.TestData(), MetricName,
-		"metricname", "dup/metricname", "obs", "trace")
+		"metricname/lookup", "metricname", "dup/metricname", "obs", "trace")
 }

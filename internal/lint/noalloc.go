@@ -120,7 +120,6 @@ var noallocTrusted = map[string]bool{
 	"code56/internal/xorblk.XorWords":        true,
 	"code56/internal/xorblk.XorInto":         true,
 	"code56/internal/xorblk.XorMulti":        true,
-	"code56/internal/xorblk.XorMultiRange":   true,
 	"code56/internal/xorblk.AccumulateMulti": true,
 	"code56/internal/xorblk.IsZero":          true,
 	"code56/internal/xorblk.Equal":           true,
@@ -141,42 +140,41 @@ var noallocTrusted = map[string]bool{
 	"code56/internal/telemetry.Rate.AddSec":        true,
 	"code56/internal/telemetry.Rate.Inc":           true,
 
-	"code56/internal/layout.Geometry.Index":            true,
-	"code56/internal/layout.Geometry.CoordOf":          true,
-	"code56/internal/layout.Geometry.Contains":         true,
-	"code56/internal/layout.Stripe.Block":              true,
-	"code56/internal/layout.Stripe.Column":             true,
-	"code56/internal/layout.Stripe.SetBlock":           true,
-	"code56/internal/layout.Stripe.Zero":               true,
-	"code56/internal/layout.StripePool.Get":            true,
-	"code56/internal/layout.StripePool.Put":            true,
-	"code56/internal/layout.Encoder.Encode":            true,
-	"code56/internal/layout.Encoder.EncodeInterleaved": true,
-	"code56/internal/layout.Encoder.Verify":            true,
-	"code56/internal/layout.Columns.Len":               true,
-	"code56/internal/layout.Columns.At":                true,
-	"code56/internal/layout.Columns.Has":               true,
-	"code56/internal/layout.Columns.With":              true,
-	"code56/internal/layout.Decoder.ColumnPlan":        true,
-	"code56/internal/layout.Plan.SourceRuns":           true,
-	"code56/internal/layout.Plan.Run":                  true,
-	"code56/internal/core.Code56.P":                    true,
-	"code56/internal/raid5.Array.Disks":                true,
-	"code56/internal/vdisk.Disk.Read":                  true,
-	"code56/internal/vdisk.Disk.Write":                 true,
-	"code56/internal/vdisk.Disk.ReadBlocks":            true,
-	"code56/internal/vdisk.Disk.ReadXor":               true,
-	"code56/internal/vdisk.Disk.WriteBlocks":           true,
-	"code56/internal/vdisk.Disk.Swap":                  true,
-	"code56/internal/vdisk.Disk.Xor":                   true,
-	"code56/internal/vdisk.Disk.Failed":                true,
-	"code56/internal/vdisk.Array.Disk":                 true,
-	"code56/internal/vdisk.Array.BlockSize":            true,
-	"code56/internal/vdisk.BlockStore.ReadAt":          true,
-	"code56/internal/vdisk.BlockStore.WriteAt":         true,
-	"code56/internal/vdisk.Xorer.XorAt":                true,
-	"code56/internal/vdisk.Xorer.ReadXorAt":            true,
-	"code56/internal/vdisk.MemStore.XorAt":             true,
+	"code56/internal/layout.Geometry.Index":     true,
+	"code56/internal/layout.Geometry.CoordOf":   true,
+	"code56/internal/layout.Geometry.Contains":  true,
+	"code56/internal/layout.Stripe.Block":       true,
+	"code56/internal/layout.Stripe.Column":      true,
+	"code56/internal/layout.Stripe.SetBlock":    true,
+	"code56/internal/layout.Stripe.Zero":        true,
+	"code56/internal/layout.StripePool.Get":     true,
+	"code56/internal/layout.StripePool.Put":     true,
+	"code56/internal/layout.Encoder.Encode":     true,
+	"code56/internal/layout.Encoder.Verify":     true,
+	"code56/internal/layout.Columns.Len":        true,
+	"code56/internal/layout.Columns.At":         true,
+	"code56/internal/layout.Columns.Has":        true,
+	"code56/internal/layout.Columns.With":       true,
+	"code56/internal/layout.Decoder.ColumnPlan": true,
+	"code56/internal/layout.Plan.SourceRuns":    true,
+	"code56/internal/layout.Plan.Run":           true,
+	"code56/internal/core.Code56.P":             true,
+	"code56/internal/raid5.Array.Disks":         true,
+	"code56/internal/vdisk.Disk.Read":           true,
+	"code56/internal/vdisk.Disk.Write":          true,
+	"code56/internal/vdisk.Disk.ReadBlocks":     true,
+	"code56/internal/vdisk.Disk.ReadXor":        true,
+	"code56/internal/vdisk.Disk.WriteBlocks":    true,
+	"code56/internal/vdisk.Disk.Swap":           true,
+	"code56/internal/vdisk.Disk.Xor":            true,
+	"code56/internal/vdisk.Disk.Failed":         true,
+	"code56/internal/vdisk.Array.Disk":          true,
+	"code56/internal/vdisk.Array.BlockSize":     true,
+	"code56/internal/vdisk.BlockStore.ReadAt":   true,
+	"code56/internal/vdisk.BlockStore.WriteAt":  true,
+	"code56/internal/vdisk.Xorer.XorAt":         true,
+	"code56/internal/vdisk.Xorer.ReadXorAt":     true,
+	"code56/internal/vdisk.MemStore.XorAt":      true,
 }
 
 // noallocTrustedPkgs are packages trusted wholesale: pure-computation

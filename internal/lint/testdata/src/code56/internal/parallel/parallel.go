@@ -15,6 +15,3 @@ func ForEach(ctx context.Context, n int, fn func(int) error, opts ...Option) err
 func ForEachBatch(ctx context.Context, n, itemBytes int, fn func(lo, hi int) error, opts ...Option) error {
 	return nil
 }
-
-// XorMulti folds srcs into dst with the fan-out under ctx.
-func XorMulti(ctx context.Context, dst []byte, srcs [][]byte, opts ...Option) error { return nil }

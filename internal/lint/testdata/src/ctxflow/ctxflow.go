@@ -53,9 +53,9 @@ func StaleContext(ctx context.Context, n int) error {
 	return parallel.ForEach(rootCtx, n, func(int) error { return nil }) // want `does not thread this function's ctx`
 }
 
-// XorMultiStale covers XorMulti with an unthreaded first argument.
-func XorMultiStale(ctx context.Context, dst []byte, srcs [][]byte) error {
-	return parallel.XorMulti(rootCtx, dst, srcs) // want `does not thread this function's ctx`
+// BatchStale covers ForEachBatch with an unthreaded first argument.
+func BatchStale(ctx context.Context, n int) error {
+	return parallel.ForEachBatch(rootCtx, n, 4096, func(lo, hi int) error { return nil }) // want `does not thread this function's ctx`
 }
 
 // closureManufactured: a literal under a ctx-bearing function makes its

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"code56/internal/durable"
-	"code56/internal/superblock"
 	"code56/internal/wal"
 )
 
@@ -326,8 +325,8 @@ func (m *OnlineMigrator) AttachJournal(j *Journal) error {
 		Kind:      durable.KindRAID6,
 		BlockSize: m.r5.BlockSize(),
 		Disks:     p,
-		Manifest: &superblock.Manifest{
-			Version:   superblock.ManifestVersion,
+		Manifest: &durable.Manifest{
+			Version:   durable.ManifestVersion,
 			CodeName:  m.code.Name(),
 			P:         p,
 			BlockSize: m.r5.BlockSize(),

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"code56/internal/parallel"
+	"code56/internal/raid6"
 	"code56/internal/vdisk"
 )
 
@@ -380,7 +382,7 @@ func TestKillAndResumeSurvivesDiskFailure(t *testing.T) {
 	}
 
 	r6 := verifyConverted(t, mig2, want, stripes, "kill-and-resume")
-	rep, err := r6.ScrubWithMode(stripes, 1 /* ScrubCheck */)
+	rep, err := r6.ScrubContextMode(context.Background(), stripes, raid6.ScrubCheck, parallel.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package migrate
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -11,7 +12,9 @@ import (
 
 	"code56/internal/core"
 	"code56/internal/layout"
+	"code56/internal/parallel"
 	"code56/internal/raid5"
+	"code56/internal/raid6"
 	"code56/internal/telemetry"
 	"code56/internal/vdisk"
 	"code56/internal/vdisk/filestore"
@@ -407,7 +410,7 @@ func TestWriteRecomputesUnreadableDiagonalParity(t *testing.T) {
 	}
 	// The covered cell's bad sector is still there (a write does not heal its
 	// neighbours); scrub it so VerifyStripe can read the whole stripe.
-	if _, err := r6.Scrub(rows / stripeRows); err != nil {
+	if _, err := r6.ScrubContextMode(context.Background(), rows/stripeRows, raid6.ScrubRepair, parallel.WithWorkers(1)); err != nil {
 		t.Fatal(err)
 	}
 	verifyConverted(t, mig, want, rows/stripeRows, "diagonal-recompute")

@@ -5,15 +5,19 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"code56/internal/core"
 	"code56/internal/layout"
+	"code56/internal/parallel"
 	"code56/internal/raid5"
 	"code56/internal/raid6"
 	"code56/internal/vdisk"
+	"code56/internal/vdisk/filestore"
 )
 
 // newLoadedRAID5 builds a RAID-5 of m disks with `rows` rows of random data
@@ -292,7 +296,7 @@ func TestDoubleFailureAfterMigration(t *testing.T) {
 	// Rebuild both disks and verify full recovery.
 	r6.Disks().Disk(1).Replace()
 	r6.Disks().Disk(3).Replace()
-	if err := r6.Rebuild(rows/4, 1, 3); err != nil {
+	if err := r6.RebuildContext(context.Background(), rows/4, []int{1, 3}, parallel.WithWorkers(1)); err != nil {
 		t.Fatal(err)
 	}
 	for L, w := range want {
@@ -399,12 +403,36 @@ func TestPauseAroundCompletion(t *testing.T) {
 	mig.Resume()
 }
 
-// TestCrashResumeFromSnapshot: migrate halfway, snapshot the disks
-// ("crash"), restore into a fresh array, resume from the saved cursor, and
-// verify the final RAID-6 — the durability story for long migrations.
+// TestCrashResumeFromSnapshot: migrate a file-backed array halfway, copy its
+// directory aside ("crash"), reopen the copy as a fresh process would, resume
+// from the saved cursor, and verify the final RAID-6 — the durability story
+// for long migrations.
 func TestCrashResumeFromSnapshot(t *testing.T) {
 	const rows = 4 * 10
-	a, want := newLoadedRAID5(t, 4, rows, 23)
+	dir := t.TempDir()
+	fb, err := filestore.NewBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := vdisk.NewArrayBackend(4, 32, fb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	a, err := raid5.Wrap(live, 4, raid5.LeftAsymmetric)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[int64][]byte)
+	r := rand.New(rand.NewSource(23))
+	for L := int64(0); L < rows*3; L++ {
+		b := make([]byte, 32)
+		r.Read(b)
+		want[L] = b
+		if err := a.WriteBlock(L, b); err != nil {
+			t.Fatal(err)
+		}
+	}
 	mig, err := NewOnlineMigrator(a, rows)
 	if err != nil {
 		t.Fatal(err)
@@ -427,21 +455,36 @@ func TestCrashResumeFromSnapshot(t *testing.T) {
 		t.Fatalf("cursor %d after 4 stripes", cursor)
 	}
 
-	// "Crash": snapshot the disks mid-migration.
-	var snap bytes.Buffer
-	if err := a.Disks().Save(&snap); err != nil {
+	// "Crash": copy the disk images aside mid-migration.
+	crashed := t.TempDir()
+	ids, err := filestore.Scan(dir)
+	if err != nil {
 		t.Fatal(err)
+	}
+	for _, id := range ids {
+		img, err := os.ReadFile(filepath.Join(dir, filestore.DiskFileName(id)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(crashed, filestore.DiskFileName(id)), img, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	mig.Resume()
 	if err := mig.Wait(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Restore and resume on a fresh process's state.
-	disks, err := vdisk.Load(&snap)
+	// Reopen the copy and resume on a fresh process's state.
+	cb, err := filestore.NewBackend(crashed)
 	if err != nil {
 		t.Fatal(err)
 	}
+	disks, err := vdisk.NewArrayFrom(32, cb, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disks.Close()
 	restored, err := raid5.Wrap(disks, 4, raid5.LeftAsymmetric)
 	if err != nil {
 		t.Fatal(err)

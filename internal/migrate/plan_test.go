@@ -1,11 +1,13 @@
 package migrate
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
 
 	"code56/internal/core"
+	"code56/internal/parallel"
 	"code56/internal/raid5"
 )
 
@@ -393,7 +395,7 @@ func TestRightLayoutPlansMatch(t *testing.T) {
 		t.Errorf("right-oriented plan reused %d, invalidated %d", ra.Reused, ra.Invalidated)
 	}
 	ex := NewExecutor(ra, 32, 5)
-	if err := ex.Run(); err != nil {
+	if err := ex.RunContext(context.Background(), parallel.WithWorkers(1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := ex.VerifyResult(); err != nil {

@@ -1,6 +1,5 @@
 // Package parallel is the stripe engine's scheduling substrate: a bounded
-// worker pool with first-error cancellation and context support, plus a
-// chunked multi-source XOR that splits one large block across workers.
+// worker pool with first-error cancellation and context support.
 //
 // Stripes of an array are independent — encode, scrub, rebuild and
 // migration all read and write disjoint per-stripe block ranges — so every
@@ -10,9 +9,8 @@
 // pre-partitioned, so a slow stripe (e.g. one needing reconstruction)
 // doesn't leave its worker's whole shard waiting behind it.
 //
-// Callers pass knobs as functional options (WithWorkers, WithChunkSize);
-// the same options are re-exported by the public code56 facade, so one
-// option vocabulary reaches from the CLI flags down to this pool.
+// The one knob, WithWorkers, is re-exported by the public code56 facade, so
+// one option reaches from the CLI flags down to this pool.
 package parallel
 
 import (
@@ -20,50 +18,29 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"code56/internal/xorblk"
 )
 
-// DefaultChunkSize is the per-goroutine granule used when splitting a
-// single large block's XOR across workers: big enough that scheduling cost
-// is noise, small enough to split a typical multi-megabyte block usefully.
-const DefaultChunkSize = 64 * 1024
-
-// DefaultBatchBytes is the per-claim byte budget of ForEachBatch: a worker
-// takes as many contiguous items as fit in this budget before touching the
-// shared claim counter again. Sized to a typical per-core L2 slice (1 MiB),
-// so one batch's stripes stay cache-resident while a worker streams through
-// them, and small enough that the tail imbalance between workers is bounded
-// by one batch.
-const DefaultBatchBytes = 1 << 20
+// batchBytes is the per-claim byte budget of ForEachBatch: a worker takes as
+// many contiguous items as fit in this budget before touching the shared
+// claim counter again. Sized to a typical per-core L2 slice (1 MiB), so one
+// batch's stripes stay cache-resident while a worker streams through them,
+// and small enough that the tail imbalance between workers is bounded by one
+// batch.
+const batchBytes = 1 << 20
 
 // Config is the resolved knob set of one bulk operation.
 type Config struct {
 	// Workers bounds the number of concurrently running goroutines.
 	Workers int
-	// ChunkSize is the byte granule for intra-block splitting (XorMulti).
-	ChunkSize int
-	// BatchBytes is the contiguous-work byte budget per claim (ForEachBatch).
-	BatchBytes int
 }
 
-// Option adjusts a Config. The zero Config resolves to defaults
-// (GOMAXPROCS workers, DefaultChunkSize), so options are always optional.
+// Option adjusts a Config. The zero Config resolves to GOMAXPROCS workers,
+// so options are always optional.
 type Option func(*Config)
 
 // WithWorkers bounds the operation to n concurrent workers. n <= 0 selects
 // GOMAXPROCS.
 func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
-
-// WithChunkSize sets the byte granule for splitting single blocks across
-// workers. b <= 0 selects DefaultChunkSize.
-func WithChunkSize(b int) Option { return func(c *Config) { c.ChunkSize = b } }
-
-// WithBatchBytes sets the contiguous-work byte budget a worker claims at a
-// time in batched loops (ForEachBatch): bulk stripe operations group
-// ceil(BatchBytes / stripeBytes) adjacent stripes into one claim. b <= 0
-// selects DefaultBatchBytes.
-func WithBatchBytes(b int) Option { return func(c *Config) { c.BatchBytes = b } }
 
 // Resolve applies opts to the default Config. Nil options are ignored.
 func Resolve(opts ...Option) Config {
@@ -76,12 +53,6 @@ func Resolve(opts ...Option) Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.ChunkSize <= 0 {
-		c.ChunkSize = DefaultChunkSize
-	}
-	if c.BatchBytes <= 0 {
-		c.BatchBytes = DefaultBatchBytes
-	}
 	return c
 }
 
@@ -89,9 +60,8 @@ func Resolve(opts ...Option) Config {
 // goroutines and returns the first error. The first failure (or ctx
 // becoming done) stops further claims; workers finish their in-flight item
 // and exit, so when ForEach returns no fn is still running. With one worker
-// (or n <= 1) everything runs on the calling goroutine in index order —
-// bulk entry points rely on that to keep their serial wrappers
-// byte-for-byte identical to the pre-engine behavior.
+// (or n <= 1) everything runs on the calling goroutine in index order:
+// WithWorkers(1) is every bulk entry point's serial path.
 func ForEach(ctx context.Context, n int64, fn func(i int64) error, opts ...Option) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -156,18 +126,23 @@ func ForEach(ctx context.Context, n int64, fn func(i int64) error, opts ...Optio
 
 // ForEachBatch is ForEach with cache-aware claiming: items are grouped into
 // batches of contiguous indices sized so one batch's data fits the
-// BatchBytes budget (itemBytes is the caller's per-item working-set size,
+// batchBytes budget (itemBytes is the caller's per-item working-set size,
 // e.g. one stripe's bytes), and a worker claims a whole batch at a time.
 // Per-stripe work items are small relative to scheduling cost — claiming
 // them one by one thrashes the shared counter and bounces adjacent stripes
 // between cores, which is what made tiny-stripe parallel sweeps collapse
 // below 1x. Batching restores streaming access within each worker while
 // keeping work stealing at batch granularity. Results and error semantics
-// are identical to ForEach for any batch size; itemBytes <= 0 or a budget
-// smaller than one item degrades to per-item claiming.
+// are identical to ForEach for any item size; itemBytes <= 0 or an item
+// larger than the budget degrades to per-item claiming.
 func ForEachBatch(ctx context.Context, n, itemBytes int64, fn func(i int64) error, opts ...Option) error {
-	return ForEachBatchRange(ctx, n, itemBytes, func(lo, hi int64) error {
-		for i := lo; i < hi; i++ {
+	batch := int64(1)
+	if itemBytes > 0 {
+		batch = max(batchBytes/itemBytes, 1)
+	}
+	batches := (n + batch - 1) / batch
+	return ForEach(ctx, batches, func(b int64) error {
+		for i, hi := b*batch, min((b+1)*batch, n); i < hi; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
@@ -177,67 +152,4 @@ func ForEachBatch(ctx context.Context, n, itemBytes int64, fn func(i int64) erro
 		}
 		return nil
 	}, opts...)
-}
-
-// ForEachBatchRange is the range-granular form of ForEachBatch: instead of
-// invoking fn once per item inside a claimed batch, it hands the whole
-// contiguous claim [lo, hi) to fn in one call. Callers that can amortize
-// per-call setup across a batch — the interleaved stripe encoder loads hi-lo
-// stripes and walks them chain-by-chain so parity-column reads and writes
-// stream sequentially — use this; per-item callers use ForEachBatch, which
-// is this function plus the inner loop. Batch sizing, claiming, error and
-// cancellation semantics are identical: batches are ceil(BatchBytes /
-// itemBytes) items (itemBytes <= 0 degrades to single-item ranges), the
-// first error stops further claims, and ranges never overlap and cover
-// [0, n) exactly.
-func ForEachBatchRange(ctx context.Context, n, itemBytes int64, fn func(lo, hi int64) error, opts ...Option) error {
-	cfg := Resolve(opts...)
-	batch := int64(1)
-	if itemBytes > 0 {
-		batch = int64(cfg.BatchBytes) / itemBytes
-	}
-	if batch < 1 {
-		batch = 1
-	}
-	batches := (n + batch - 1) / batch
-	return ForEach(ctx, batches, func(b int64) error {
-		lo := b * batch
-		hi := lo + batch
-		if hi > n {
-			hi = n
-		}
-		return fn(lo, hi)
-	}, opts...)
-}
-
-// XorMulti computes dst = XOR of srcs with the block split into ChunkSize
-// ranges distributed over Workers goroutines — the chunked complement to
-// per-stripe fan-out, for workloads with few stripes but very large blocks.
-// It returns the block XOR count of the fold (len(srcs)-1 for non-empty
-// srcs), matching xorblk.XorMulti's accounting regardless of the split.
-func XorMulti(ctx context.Context, dst []byte, srcs [][]byte, opts ...Option) (int, error) {
-	cfg := Resolve(opts...)
-	if len(dst) <= cfg.ChunkSize || cfg.Workers <= 1 {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		return xorblk.XorMulti(dst, srcs...), nil
-	}
-	chunks := (int64(len(dst)) + int64(cfg.ChunkSize) - 1) / int64(cfg.ChunkSize)
-	err := ForEach(ctx, chunks, func(i int64) error {
-		lo := int(i) * cfg.ChunkSize
-		hi := lo + cfg.ChunkSize
-		if hi > len(dst) {
-			hi = len(dst)
-		}
-		xorblk.XorMultiRange(dst, lo, hi, srcs...)
-		return nil
-	}, opts...)
-	if err != nil {
-		return 0, err
-	}
-	if len(srcs) == 0 {
-		return 0, nil
-	}
-	return len(srcs) - 1, nil
 }

@@ -1,16 +1,12 @@
 package parallel
 
 import (
-	"bytes"
 	"context"
 	"errors"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"code56/internal/xorblk"
 )
 
 func TestResolveDefaults(t *testing.T) {
@@ -18,44 +14,35 @@ func TestResolveDefaults(t *testing.T) {
 	if c.Workers != runtime.GOMAXPROCS(0) {
 		t.Errorf("default Workers = %d, want GOMAXPROCS %d", c.Workers, runtime.GOMAXPROCS(0))
 	}
-	if c.ChunkSize != DefaultChunkSize {
-		t.Errorf("default ChunkSize = %d, want %d", c.ChunkSize, DefaultChunkSize)
+	c = Resolve(WithWorkers(3), nil)
+	if c.Workers != 3 {
+		t.Errorf("Resolve(WithWorkers(3)) = %+v", c)
 	}
-	c = Resolve(WithWorkers(3), WithChunkSize(512), nil)
-	if c.Workers != 3 || c.ChunkSize != 512 {
-		t.Errorf("Resolve(WithWorkers(3), WithChunkSize(512)) = %+v", c)
-	}
-	c = Resolve(WithWorkers(-1), WithChunkSize(0))
-	if c.Workers != runtime.GOMAXPROCS(0) || c.ChunkSize != DefaultChunkSize {
+	c = Resolve(WithWorkers(-1))
+	if c.Workers != runtime.GOMAXPROCS(0) {
 		t.Errorf("non-positive options should fall back to defaults, got %+v", c)
-	}
-	if c.BatchBytes != DefaultBatchBytes {
-		t.Errorf("default BatchBytes = %d, want %d", c.BatchBytes, DefaultBatchBytes)
-	}
-	c = Resolve(WithBatchBytes(4096))
-	if c.BatchBytes != 4096 {
-		t.Errorf("WithBatchBytes(4096) = %+v", c)
 	}
 }
 
+// The batch is batchBytes/itemBytes items, so the tests steer it through
+// itemBytes.
 func TestForEachBatchCoversEveryIndexOnce(t *testing.T) {
 	for _, tc := range []struct {
 		workers   int
 		itemBytes int64
-		batch     int
 	}{
-		{1, 1024, 64},         // serial, many items per batch
-		{4, 1024, 64},         // parallel, many items per batch
-		{4, 1 << 21, 1 << 20}, // item bigger than budget: per-item claims
-		{4, 0, 0},             // unknown item size: per-item claims
-		{16, 3000, 1 << 18},   // non-dividing sizes exercise the tail batch
+		{1, batchBytes / 64}, // serial, 64 items per batch
+		{4, batchBytes / 64}, // parallel, 64 items per batch
+		{4, 2 * batchBytes},  // item bigger than budget: per-item claims
+		{4, 0},               // unknown item size: per-item claims
+		{16, 12052},          // 87 items per batch: the tail batch is short
 	} {
 		const n = 1000
 		var hits [n]atomic.Int32
 		err := ForEachBatch(context.Background(), n, tc.itemBytes, func(i int64) error {
 			hits[i].Add(1)
 			return nil
-		}, WithWorkers(tc.workers), WithBatchBytes(tc.batch))
+		}, WithWorkers(tc.workers))
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
@@ -70,13 +57,13 @@ func TestForEachBatchCoversEveryIndexOnce(t *testing.T) {
 func TestForEachBatchStopsOnError(t *testing.T) {
 	sentinel := errors.New("boom")
 	var ran atomic.Int64
-	err := ForEachBatch(context.Background(), 1000, 1024, func(i int64) error {
+	err := ForEachBatch(context.Background(), 1000, batchBytes/64, func(i int64) error {
 		ran.Add(1)
 		if i == 100 {
 			return sentinel
 		}
 		return nil
-	}, WithWorkers(1), WithBatchBytes(64*1024))
+	}, WithWorkers(1))
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want sentinel", err)
 	}
@@ -97,77 +84,7 @@ func TestForEachBatchHonorsContext(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-}
-
-func TestForEachBatchRangeCoversEveryIndexOnce(t *testing.T) {
-	for _, tc := range []struct {
-		workers   int
-		itemBytes int64
-		batch     int
-		wantSpan  int64 // expected hi-lo of every non-tail range
-	}{
-		{1, 1024, 64 * 1024, 64},
-		{4, 1024, 64 * 1024, 64},
-		{4, 1 << 21, 1 << 20, 1}, // item bigger than budget: single-item ranges
-		{4, 0, 0, 1},             // unknown item size: single-item ranges
-		{8, 3000, 1 << 18, 87},   // non-dividing sizes exercise the tail range
-	} {
-		const n = 1000
-		var hits [n]atomic.Int32
-		err := ForEachBatchRange(context.Background(), n, tc.itemBytes, func(lo, hi int64) error {
-			if lo >= hi || hi > n {
-				t.Errorf("%+v: bad range [%d, %d)", tc, lo, hi)
-			}
-			if span := hi - lo; span != tc.wantSpan && hi != n {
-				t.Errorf("%+v: range [%d, %d) has span %d, want %d", tc, lo, hi, span, tc.wantSpan)
-			}
-			for i := lo; i < hi; i++ {
-				hits[i].Add(1)
-			}
-			return nil
-		}, WithWorkers(tc.workers), WithBatchBytes(tc.batch))
-		if err != nil {
-			t.Fatalf("%+v: %v", tc, err)
-		}
-		for i := range hits {
-			if got := hits[i].Load(); got != 1 {
-				t.Fatalf("%+v: index %d covered %d times", tc, i, got)
-			}
-		}
-	}
-}
-
-func TestForEachBatchRangeStopsOnError(t *testing.T) {
-	sentinel := errors.New("boom")
-	var ranges atomic.Int64
-	err := ForEachBatchRange(context.Background(), 1000, 1024, func(lo, hi int64) error {
-		ranges.Add(1)
-		if lo >= 128 {
-			return sentinel
-		}
-		return nil
-	}, WithWorkers(1), WithBatchBytes(64*1024))
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want sentinel", err)
-	}
-	// Serial execution claims ranges in order: [0,64), [64,128), [128,192)
-	// fails — nothing past it runs.
-	if got := ranges.Load(); got != 3 {
-		t.Fatalf("ran %d ranges before stopping, want 3", got)
-	}
-}
-
-func TestForEachBatchRangeHonorsContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	err := ForEachBatchRange(ctx, 1000, 1024, func(lo, hi int64) error {
-		t.Error("fn ran under a cancelled context")
-		return nil
-	}, WithWorkers(4))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if err := ForEachBatchRange(context.Background(), 0, 1024, func(lo, hi int64) error {
+	if err := ForEachBatch(context.Background(), 0, 1024, func(i int64) error {
 		t.Error("fn ran for an empty index space")
 		return nil
 	}); err != nil {
@@ -294,40 +211,5 @@ func TestForEachHonorsContext(t *testing.T) {
 	// n <= 0 is a no-op that still reports cancellation state.
 	if err := ForEach(context.Background(), 0, nil); err != nil {
 		t.Fatalf("n=0: %v", err)
-	}
-}
-
-func TestXorMultiChunkedMatchesKernel(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for _, n := range []int{0, 100, 4096, 200_000, 1<<20 + 37} {
-		srcs := make([][]byte, 6)
-		for i := range srcs {
-			srcs[i] = make([]byte, n)
-			r.Read(srcs[i])
-		}
-		want := make([]byte, n)
-		xorblk.XorMulti(want, srcs...)
-		got := make([]byte, n)
-		ops, err := XorMulti(context.Background(), got, srcs,
-			WithWorkers(4), WithChunkSize(4096))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("n=%d: chunked XorMulti diverges from kernel", n)
-		}
-		if ops != len(srcs)-1 {
-			t.Errorf("n=%d: ops = %d, want %d", n, ops, len(srcs)-1)
-		}
-	}
-}
-
-func TestXorMultiChunkedCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	dst := make([]byte, 1<<20)
-	if _, err := XorMulti(ctx, dst, [][]byte{make([]byte, 1<<20)},
-		WithWorkers(2), WithChunkSize(1024)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

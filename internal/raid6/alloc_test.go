@@ -117,7 +117,7 @@ func TestRebuildStripeAllocationFree(t *testing.T) {
 		a.Disks().Disk(d).Fail()
 		a.Disks().Disk(d).Replace()
 	}
-	if err := a.Rebuild(2, disks...); err != nil {
+	if err := rebuild(a, 2, disks...); err != nil {
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(100, func() {

@@ -1,11 +1,13 @@
 package raid6
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"code56/internal/core"
+	"code56/internal/parallel"
 	"code56/internal/vdisk"
 )
 
@@ -168,15 +170,15 @@ func BenchmarkRebuildDoubleFailure(b *testing.B) {
 		a.Disks().Disk(1).Replace()
 		a.Disks().Disk(4).Replace()
 		b.StartTimer()
-		if err := a.Rebuild(stripes, 1, 4); err != nil {
+		if err := rebuild(a, stripes, 1, 4); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkRebuildParallel compares worker-pool rebuild against the serial
-// path at several widths.
-func BenchmarkRebuildParallel(b *testing.B) {
+// BenchmarkRebuildContext compares the rebuild at several pool widths;
+// workers=1 is the serial path.
+func BenchmarkRebuildContext(b *testing.B) {
 	const stripes = 32
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
@@ -191,7 +193,7 @@ func BenchmarkRebuildParallel(b *testing.B) {
 				a.Disks().Disk(1).Replace()
 				a.Disks().Disk(4).Replace()
 				b.StartTimer()
-				if err := a.RebuildParallel(stripes, workers, 1, 4); err != nil {
+				if err := a.RebuildContext(context.Background(), stripes, []int{1, 4}, parallel.WithWorkers(workers)); err != nil {
 					b.Fatal(err)
 				}
 			}

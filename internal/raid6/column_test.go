@@ -163,7 +163,7 @@ func TestColumnReadFallsBackToCells(t *testing.T) {
 	if got := a.Disks().Disk(0).Stats().Reads; got != rows {
 		t.Errorf("disk 0: %d blocks read, want its whole column (%d)", got, rows)
 	}
-	rep, err := a.Scrub(2)
+	rep, err := scrub(a, 2, ScrubRepair)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"code56/internal/core"
+	"code56/internal/parallel"
 	"code56/internal/telemetry"
 	"code56/internal/vdisk"
 )
@@ -63,7 +64,7 @@ func TestScrubCheckModeDetectsWithoutWriting(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	check, err := a.ScrubWithMode(4, ScrubCheck)
+	check, err := scrub(a, 4, ScrubCheck)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestScrubCheckModeDetectsWithoutWriting(t *testing.T) {
 		t.Fatalf("scrub_repairs = %d after check-only pass", c)
 	}
 
-	rep, err := a.ScrubWithMode(4, ScrubRepair)
+	rep, err := scrub(a, 4, ScrubRepair)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestScrubCheckModeDetectsWithoutWriting(t *testing.T) {
 		t.Fatalf("scrub_repairs = %d, want 2", c)
 	}
 
-	final, err := a.ScrubWithMode(4, ScrubCheck)
+	final, err := scrub(a, 4, ScrubCheck)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +109,8 @@ func TestScrubCheckModeDetectsWithoutWriting(t *testing.T) {
 	checkAll(t, a, want, "after scrub repair")
 }
 
-// TestScrubContextModeMatchesSerial: the parallel check-mode scrub produces
-// the same report as the serial one.
+// TestScrubContextModeMatchesSerial: the check-mode scrub produces the same
+// report on four workers as on the serial one-worker path.
 func TestScrubContextModeMatchesSerial(t *testing.T) {
 	build := func() *Array {
 		a := New(core.MustNew(5), 16)
@@ -118,11 +119,11 @@ func TestScrubContextModeMatchesSerial(t *testing.T) {
 		a.Disks().Disk(2).InjectLatentError(9)
 		return a
 	}
-	serial, err := build().ScrubWithMode(6, ScrubCheck)
+	serial, err := build().ScrubContextMode(context.Background(), 6, ScrubCheck, parallel.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := build().ScrubContextMode(context.Background(), 6, ScrubCheck)
+	par, err := build().ScrubContextMode(context.Background(), 6, ScrubCheck, parallel.WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,21 +1,10 @@
 package raid6
 
 import (
-	"context"
 	"fmt"
 
 	"code56/internal/layout"
-	"code56/internal/parallel"
 )
-
-// RebuildParallel is Rebuild with the per-stripe reconstructions fanned out
-// over a worker pool (stripes are independent: disjoint reads per stripe
-// row range, disjoint writes). workers <= 0 selects GOMAXPROCS. The disks
-// must have been Replace()d first. It is the pre-context form of
-// RebuildContext, kept for compatibility.
-func (a *Array) RebuildParallel(stripes int64, workers int, disks ...int) error {
-	return a.RebuildContext(context.Background(), stripes, disks, parallel.WithWorkers(workers))
-}
 
 // rebuildStripe reconstructs the given disks' cells of one stripe. It reads
 // only the other columns and runs the cached recovery schedule of the

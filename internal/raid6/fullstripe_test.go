@@ -2,11 +2,13 @@ package raid6
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
 
 	"code56/internal/core"
+	"code56/internal/parallel"
 )
 
 func randBlocks(r *rand.Rand, n, size int) [][]byte {
@@ -155,7 +157,7 @@ func TestSecondFailureDuringRebuild(t *testing.T) {
 	a.Disks().Disk(1).Fail()
 	a.Disks().Disk(1).Replace()
 	// Rebuild the first half of the stripes...
-	if err := a.Rebuild(stripes/2, 1); err != nil {
+	if err := rebuild(a, stripes/2, 1); err != nil {
 		t.Fatal(err)
 	}
 	// ...then a second disk dies mid-rebuild.
@@ -163,7 +165,7 @@ func TestSecondFailureDuringRebuild(t *testing.T) {
 	// Finishing disk 1's rebuild now needs double reconstruction on the
 	// unrebuilt half: erase both the remaining stale region and disk 3.
 	a.Disks().Disk(3).Replace()
-	if err := a.Rebuild(stripes, 1, 3); err != nil {
+	if err := rebuild(a, stripes, 1, 3); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 32)
@@ -183,8 +185,9 @@ func TestSecondFailureDuringRebuild(t *testing.T) {
 	}
 }
 
-// TestRebuildParallelMatchesSerial: parallel and serial rebuilds produce
-// identical, consistent arrays (run with -race).
+// TestRebuildParallelMatchesSerial: a rebuild on four workers and one on the
+// serial one-worker path produce identical, consistent arrays (run with
+// -race).
 func TestRebuildParallelMatchesSerial(t *testing.T) {
 	code := core.MustNew(7)
 	mk := func() (*Array, map[int64][]byte) {
@@ -204,22 +207,23 @@ func TestRebuildParallelMatchesSerial(t *testing.T) {
 		return a, want
 	}
 	serial, wantS := mk()
-	parallel, wantP := mk()
-	for _, a := range []*Array{serial, parallel} {
+	par, wantP := mk()
+	for _, a := range []*Array{serial, par} {
 		a.Disks().Disk(1).Fail()
 		a.Disks().Disk(5).Fail()
 		a.Disks().Disk(1).Replace()
 		a.Disks().Disk(5).Replace()
 	}
-	if err := serial.Rebuild(12, 1, 5); err != nil {
+	ctx := context.Background()
+	if err := serial.RebuildContext(ctx, 12, []int{1, 5}, parallel.WithWorkers(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := parallel.RebuildParallel(12, 4, 1, 5); err != nil {
+	if err := par.RebuildContext(ctx, 12, []int{1, 5}, parallel.WithWorkers(4)); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 32)
 	for L, w := range wantP {
-		if err := parallel.ReadBlock(L, buf); err != nil {
+		if err := par.ReadBlock(L, buf); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(buf, w) {
@@ -230,19 +234,19 @@ func TestRebuildParallelMatchesSerial(t *testing.T) {
 		}
 	}
 	for st := int64(0); st < 12; st++ {
-		ok, err := parallel.VerifyStripe(st)
+		ok, err := par.VerifyStripe(st)
 		if err != nil || !ok {
 			t.Fatalf("stripe %d inconsistent after parallel rebuild: %v %v", st, ok, err)
 		}
 	}
 	// Degenerate paths.
-	if err := parallel.RebuildParallel(12, 0, 1); err != nil { // auto workers
+	if err := par.RebuildContext(ctx, 12, []int{1}); err != nil { // auto workers
 		t.Fatal(err)
 	}
-	if err := parallel.RebuildParallel(2, 8, 1); err != nil { // workers > stripes
+	if err := par.RebuildContext(ctx, 2, []int{1}, parallel.WithWorkers(8)); err != nil { // workers > stripes
 		t.Fatal(err)
 	}
-	if err := parallel.RebuildParallel(12, 4, 0, 1, 2); !errors.Is(err, ErrTooManyFailures) {
+	if err := par.RebuildContext(ctx, 12, []int{0, 1, 2}, parallel.WithWorkers(4)); !errors.Is(err, ErrTooManyFailures) {
 		t.Fatalf("triple rebuild: %v", err)
 	}
 }

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"code56/internal/core"
 	"code56/internal/parallel"
+	"code56/internal/telemetry"
 )
 
 // fillStripes writes random data blocks to stripes [0, stripes) and returns
@@ -143,34 +145,48 @@ func TestRebuildContextMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestScrubContextMatchesSerialReport: a repairing scrub reports the same on
+// four workers as on the serial one-worker path, and both find exactly the
+// planted damage.
 func TestScrubContextMatchesSerialReport(t *testing.T) {
 	code, err := core.New(5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const stripes = 48
-	a := New(code, 64)
-	fillStripes(t, a, stripes, 22)
+	build := func() *Array {
+		a := New(code, 64)
+		fillStripes(t, a, stripes, 22)
 
-	// Inject latent errors on a few stripes and silent corruption on others.
-	g := code.Geometry()
-	for _, st := range []int64{3, 17, 31} {
-		a.Disks().Disk(1).InjectLatentError(st * int64(g.Rows))
-	}
-	for _, st := range []int64{7, 29} {
-		buf := make([]byte, 64)
-		if err := a.Disks().Disk(2).Read(st*int64(g.Rows)+1, buf); err != nil {
-			t.Fatal(err)
+		// Inject latent errors on a few stripes and silent corruption on others.
+		g := code.Geometry()
+		for _, st := range []int64{3, 17, 31} {
+			a.Disks().Disk(1).InjectLatentError(st * int64(g.Rows))
 		}
-		buf[0] ^= 0xFF
-		if err := a.Disks().Disk(2).Write(st*int64(g.Rows)+1, buf); err != nil {
-			t.Fatal(err)
+		for _, st := range []int64{7, 29} {
+			buf := make([]byte, 64)
+			if err := a.Disks().Disk(2).Read(st*int64(g.Rows)+1, buf); err != nil {
+				t.Fatal(err)
+			}
+			buf[0] ^= 0xFF
+			if err := a.Disks().Disk(2).Write(st*int64(g.Rows)+1, buf); err != nil {
+				t.Fatal(err)
+			}
 		}
+		return a
 	}
 
-	rep, err := a.ScrubContext(context.Background(), stripes, parallel.WithWorkers(4))
+	serial, err := build().ScrubContextMode(context.Background(), stripes, ScrubRepair, parallel.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
+	}
+	a := build()
+	rep, err := a.ScrubContextMode(context.Background(), stripes, ScrubRepair, parallel.WithWorkers(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep, serial) {
+		t.Errorf("report on 4 workers %+v diverges from the serial %+v", rep, serial)
 	}
 	if rep.LatentRepaired != 3 {
 		t.Errorf("LatentRepaired = %d, want 3", rep.LatentRepaired)
@@ -182,8 +198,60 @@ func TestScrubContextMatchesSerialReport(t *testing.T) {
 		t.Errorf("Unrecoverable = %v, want none", rep.Unrecoverable)
 	}
 	// A second pass finds a clean array.
-	rep, err = a.ScrubContext(context.Background(), stripes, parallel.WithWorkers(4))
+	rep, err = a.ScrubContextMode(context.Background(), stripes, ScrubRepair, parallel.WithWorkers(4))
 	if err != nil || rep.LatentRepaired != 0 || rep.CorruptRepaired != 0 {
 		t.Errorf("second scrub = %+v, %v; want clean", rep, err)
+	}
+}
+
+// loadRawData writes random data cells (no parity maintenance) to the array,
+// so a subsequent bulk encode does all parity work.
+func loadRawData(t *testing.T, seed int64, stripes int64, a *Array) {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	b := make([]byte, a.blockSize)
+	for st := int64(0); st < stripes; st++ {
+		for _, c := range a.dataCells {
+			r.Read(b)
+			if err := a.Disks().Disk(c.Col).Write(st*int64(a.geom.Rows)+int64(c.Row), b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestEncodeStripesContextTelemetry checks the bulk encode's accounting: one
+// stripe_encodes, the code's encode XORs and one parity update per chain, per
+// stripe.
+func TestEncodeStripesContextTelemetry(t *testing.T) {
+	code := core.MustNew(5)
+	const stripes = 16
+	a := New(code, 64)
+	a.SetTelemetry(telemetry.NewRegistry(), nil) // isolate from the global registry
+	loadRawData(t, 5, stripes, a)
+	if err := a.EncodeStripesContext(context.Background(), stripes, parallel.WithWorkers(2)); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.tel.stripeEncodes.Value(); got != stripes {
+		t.Errorf("stripe_encodes = %d, want %d", got, stripes)
+	}
+	if got, want := a.tel.xors.Value(), a.encodeXORs*stripes; got != want {
+		t.Errorf("xors = %d, want %d", got, want)
+	}
+	chains := int64(len(a.chains))
+	if got, want := a.tel.parityUpdates.Value(), chains*stripes; got != want {
+		t.Errorf("parity_updates = %d, want %d", got, want)
+	}
+}
+
+// TestEncodeStripesContextFailures: the bulk encode refuses, as EncodeStripe
+// does, to encode with failures present.
+func TestEncodeStripesContextFailures(t *testing.T) {
+	a := New(core.MustNew(5), 64)
+	loadRawData(t, 9, 8, a)
+	a.Disks().Disk(1).Fail()
+	err := a.EncodeStripesContext(context.Background(), 8, parallel.WithWorkers(2))
+	if !errors.Is(err, ErrTooManyFailures) {
+		t.Fatalf("err = %v, want ErrTooManyFailures", err)
 	}
 }

@@ -82,7 +82,7 @@ func restore(t testing.TB, a *Array, stripes int64, disks ...int) {
 	for _, d := range disks {
 		a.Disks().Disk(d).Replace()
 	}
-	if err := a.Rebuild(stripes, disks...); err != nil {
+	if err := rebuild(a, stripes, disks...); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -257,7 +257,7 @@ func TestDecodeErrorsKeepTheirCause(t *testing.T) {
 	both("ReadStripe", err)
 	a.Disks().Disk(0).Replace()
 	a.Disks().Disk(1).Replace()
-	both("Rebuild", a.Rebuild(1, 0, 1))
+	both("Rebuild", rebuild(a, 1, 0, 1))
 }
 
 // TestRebuildContextRejectsBadDisks: a disk list that cannot be rebuilt is an
@@ -286,15 +286,15 @@ func TestRebuildAroundFurtherDamage(t *testing.T) {
 		a.Disks().Disk(1).Fail()
 		a.Disks().Disk(4).Fail()
 		a.Disks().Disk(1).Replace()
-		if err := a.Rebuild(3, 1); err != nil {
+		if err := rebuild(a, 3, 1); err != nil {
 			t.Fatalf("rotate=%v: rebuilding disk 1 with disk 4 down: %v", rotate, err)
 		}
 		a.Disks().Disk(4).Replace()
 		a.Disks().Disk(2).InjectLatentError(9)
-		if err := a.Rebuild(3, 4); err != nil {
+		if err := rebuild(a, 3, 4); err != nil {
 			t.Fatalf("rotate=%v: rebuilding disk 4 around a bad sector: %v", rotate, err)
 		}
-		if rep, err := a.Scrub(3); err != nil || rep.LatentRepaired != 1 {
+		if rep, err := scrub(a, 3, ScrubRepair); err != nil || rep.LatentRepaired != 1 {
 			t.Fatalf("rotate=%v: scrub %+v, %v", rotate, rep, err)
 		}
 		buf := make([]byte, 16)

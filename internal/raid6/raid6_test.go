@@ -2,6 +2,7 @@ package raid6
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"code56/internal/codes/xcode"
 	"code56/internal/core"
 	"code56/internal/layout"
+	"code56/internal/parallel"
 	"code56/internal/vdisk"
 
 	hcodepkg "code56/internal/codes/hcode"
@@ -28,6 +30,16 @@ func codesUnderTest() []layout.Code {
 		hdp.MustNew(7),
 		pcode.MustNew(7, pcode.VariantPMinus1),
 	}
+}
+
+// rebuild and scrub call the two bulk entry points the way most tests want
+// them: serially, under the background context.
+func rebuild(a *Array, stripes int64, disks ...int) error {
+	return a.RebuildContext(context.Background(), stripes, disks, parallel.WithWorkers(1))
+}
+
+func scrub(a *Array, stripes int64, mode ScrubMode) (ScrubReport, error) {
+	return a.ScrubContextMode(context.Background(), stripes, mode, parallel.WithWorkers(1))
 }
 
 func fillRandom(t *testing.T, a *Array, stripes int, r *rand.Rand) map[int64][]byte {
@@ -117,7 +129,7 @@ func TestDegradedWriteThenRebuild(t *testing.T) {
 		checkAll(t, a, want, code.Name()+" after degraded writes")
 		a.Disks().Disk(1).Replace()
 		a.Disks().Disk(3).Replace()
-		if err := a.Rebuild(2, 1, 3); err != nil {
+		if err := rebuild(a, 2, 1, 3); err != nil {
 			t.Fatalf("%s: rebuild: %v", code.Name(), err)
 		}
 		checkAll(t, a, want, code.Name()+" after rebuild")
@@ -135,7 +147,7 @@ func TestDegradedWriteThenRebuild(t *testing.T) {
 
 func TestRebuildRejectsTooMany(t *testing.T) {
 	a := New(core.MustNew(5), 16)
-	if err := a.Rebuild(1, 0, 1, 2); !errors.Is(err, ErrTooManyFailures) {
+	if err := rebuild(a, 1, 0, 1, 2); !errors.Is(err, ErrTooManyFailures) {
 		t.Fatalf("Rebuild of 3 columns: %v", err)
 	}
 }

@@ -79,30 +79,6 @@ func (r ScrubReport) Clean() bool {
 	return r.LatentFound == 0 && r.CorruptFound == 0 && len(r.Unrecoverable) == 0
 }
 
-// Scrub verifies every stripe in [0, stripes): latent sector errors are
-// rebuilt from redundancy and rewritten; silent single-block corruptions
-// are located by intersecting the failing parity chains and repaired. A
-// stripe whose corruption cannot be pinned to one block is reported
-// unrecoverable (RAID-6 syndromes cannot always distinguish multi-block
-// corruption). ScrubContext is the concurrent, cancelable form, and
-// ScrubWithMode the detect-only variant.
-func (a *Array) Scrub(stripes int64) (ScrubReport, error) {
-	return a.ScrubWithMode(stripes, ScrubRepair)
-}
-
-// ScrubWithMode is Scrub with an explicit repair/check mode.
-func (a *Array) ScrubWithMode(stripes int64, mode ScrubMode) (ScrubReport, error) {
-	rep := ScrubReport{Stripes: stripes}
-	for st := int64(0); st < stripes; st++ {
-		res, err := a.scrubStripe(st, mode == ScrubRepair)
-		rep.add(st, res)
-		if err != nil {
-			return rep, err
-		}
-	}
-	return rep, nil
-}
-
 // scrubResult is one stripe's scrub outcome.
 type scrubResult struct {
 	latentFound, latentRepaired   int

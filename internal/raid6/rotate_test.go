@@ -54,7 +54,7 @@ func TestRotatedRoundTripDegradedRebuild(t *testing.T) {
 	checkAll(t, a, want, "rotated double-degraded")
 	a.Disks().Disk(0).Replace()
 	a.Disks().Disk(3).Replace()
-	if err := a.Rebuild(4, 0, 3); err != nil {
+	if err := rebuild(a, 4, 0, 3); err != nil {
 		t.Fatal(err)
 	}
 	checkAll(t, a, want, "rotated after rebuild")
@@ -107,7 +107,7 @@ func TestScrubHealsLatentErrors(t *testing.T) {
 		// Inject latent errors on two blocks of different stripes.
 		a.Disks().Disk(1).InjectLatentError(0)
 		a.Disks().Disk(2).InjectLatentError(5)
-		rep, err := a.Scrub(3)
+		rep, err := scrub(a, 3, ScrubRepair)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func TestScrubLocatesSilentCorruption(t *testing.T) {
 	if ok, _ := a.VerifyStripe(0); ok {
 		t.Fatal("corruption not visible to verify")
 	}
-	rep, err := a.Scrub(2)
+	rep, err := scrub(a, 2, ScrubRepair)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestScrubReportsMultiCorruption(t *testing.T) {
 	if err := a.Disks().Disk(1).Write(2, evil); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := a.Scrub(1)
+	rep, err := scrub(a, 1, ScrubRepair)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestScrubReportsMultiCorruption(t *testing.T) {
 func TestScrubCleanArrayIsNoop(t *testing.T) {
 	a := New(core.MustNew(5), 16)
 	fillRandom(t, a, 2, rand.New(rand.NewSource(6)))
-	rep, err := a.Scrub(2)
+	rep, err := scrub(a, 2, ScrubRepair)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestLocateCorruptionParityCell(t *testing.T) {
 	if err := a.Disks().Disk(4).Write(2, evil); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := a.Scrub(1)
+	rep, err := scrub(a, 1, ScrubRepair)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestStatefulInvariants(t *testing.T) {
 						a.Disks().Disk(d).Replace()
 						ds = append(ds, d)
 					}
-					if err := a.Rebuild(stripes, ds...); err != nil {
+					if err := rebuild(a, stripes, ds...); err != nil {
 						t.Fatalf("rotate=%v step %d rebuild: %v", rotate, step, err)
 					}
 					failed = map[int]bool{}
@@ -270,7 +270,7 @@ func TestStatefulInvariants(t *testing.T) {
 			default: // latent error + scrub (only when healthy)
 				if len(failed) == 0 {
 					a.Disks().Disk(r.Intn(5)).InjectLatentError(r.Int63n(stripes * 4))
-					if _, err := a.Scrub(stripes); err != nil {
+					if _, err := scrub(a, stripes, ScrubRepair); err != nil {
 						t.Fatalf("rotate=%v step %d scrub: %v", rotate, step, err)
 					}
 				}
@@ -283,7 +283,7 @@ func TestStatefulInvariants(t *testing.T) {
 				a.Disks().Disk(d).Replace()
 				ds = append(ds, d)
 			}
-			if err := a.Rebuild(stripes, ds...); err != nil {
+			if err := rebuild(a, stripes, ds...); err != nil {
 				t.Fatal(err)
 			}
 		}

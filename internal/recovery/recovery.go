@@ -12,13 +12,10 @@
 package recovery
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"code56/internal/layout"
-	"code56/internal/parallel"
 	"code56/internal/telemetry"
 )
 
@@ -182,20 +179,14 @@ func ConventionalReads(code layout.Code, failed int) (int, error) {
 }
 
 // Execute rebuilds the failed column of s in place per the plan. The failed
-// column's blocks are assumed zeroed. Chains are solved in an order that
-// respects dependencies (a chain whose parity is itself lost is solved
-// after that parity's own rebuild — cannot happen here since each chain
-// avoids the failed column except for its target cell).
+// column's blocks are assumed zeroed. Each chain avoids the failed column
+// except for its target cell, so the cells can be solved in any order. The
+// rebuild is wrapped in a "recovery.rebuild" span with one event per
+// recovered element (chain used, XORs spent) and bumps the
+// recovery.elements_rebuilt / recovery.xors / recovery.blocks_read counters
+// of the process-wide registry.
 func (p Plan) Execute(code layout.Code, s *layout.Stripe) (layout.DecodeStats, error) {
-	return p.ExecuteObserved(code, s, nil, nil)
-}
-
-// ExecuteObserved is Execute with telemetry: it wraps the rebuild in a
-// "recovery.rebuild" span with one event per recovered element (chain used,
-// XORs spent) and bumps the recovery.elements_rebuilt / recovery.xors /
-// recovery.blocks_read counters. Pass nil for either argument to use the
-// process-wide defaults.
-func (p Plan) ExecuteObserved(code layout.Code, s *layout.Stripe, reg *telemetry.Registry, tr *telemetry.Tracer) (layout.DecodeStats, error) {
+	reg, tr := telemetry.Default(), telemetry.DefaultTracer()
 	sp := tr.StartSpan("recovery.rebuild",
 		telemetry.A("code", code.Name()),
 		telemetry.A("failed_column", p.Failed),
@@ -224,40 +215,4 @@ func (p Plan) ExecuteObserved(code layout.Code, s *layout.Stripe, reg *telemetry
 	}
 	sp.End(telemetry.A("reads", st.BlocksRead), telemetry.A("xors", st.XORs))
 	return st, nil
-}
-
-// ExecuteStripes rebuilds the plan's failed column across many stripes of
-// one array concurrently: the plan is computed once per code (chain choices
-// do not depend on block contents), and each stripe's rebuild touches only
-// that stripe's blocks, so stripes fan out over internal/parallel's pool
-// per parallel.WithWorkers (in contiguous cache-budget batches, see
-// parallel.ForEachBatch / WithBatchBytes). Every stripe's failed-column
-// blocks are assumed
-// zeroed, as for Execute. It returns the aggregated DecodeStats (sums over
-// stripes) and stops at the first failing stripe or ctx cancellation.
-// Telemetry counters are bumped per stripe exactly as ExecuteObserved does;
-// pass nil reg/tr for the process-wide defaults.
-func (p Plan) ExecuteStripes(ctx context.Context, code layout.Code, stripes []*layout.Stripe, reg *telemetry.Registry, tr *telemetry.Tracer, opts ...parallel.Option) (layout.DecodeStats, error) {
-	var (
-		mu    sync.Mutex
-		total layout.DecodeStats
-	)
-	var itemBytes int64
-	if len(stripes) > 0 {
-		g := stripes[0].Geom
-		itemBytes = int64(g.Elements()) * int64(stripes[0].BlockSize)
-	}
-	err := parallel.ForEachBatch(ctx, int64(len(stripes)), itemBytes, func(i int64) error {
-		st, err := p.ExecuteObserved(code, stripes[i], reg, tr)
-		if err != nil {
-			return fmt.Errorf("recovery: stripe %d: %w", i, err)
-		}
-		mu.Lock()
-		total.XORs += st.XORs
-		total.BlocksRead += st.BlocksRead
-		total.Recovered += st.Recovered
-		mu.Unlock()
-		return nil
-	}, opts...)
-	return total, err
 }

@@ -1,8 +1,6 @@
 package recovery
 
 import (
-	"context"
-	"errors"
 	"math/rand"
 	"testing"
 
@@ -14,7 +12,6 @@ import (
 	"code56/internal/codes/xcode"
 	"code56/internal/core"
 	"code56/internal/layout"
-	"code56/internal/parallel"
 )
 
 func allCodes(p int) map[string]layout.Code {
@@ -145,60 +142,5 @@ func TestPlanColumnRejectsBadColumn(t *testing.T) {
 	}
 	if _, err := PlanColumn(core.MustNew(5), -1); err == nil {
 		t.Error("negative column accepted")
-	}
-}
-
-// TestExecuteStripesParallelMatchesSerial rebuilds a failed column across
-// many stripes with the pool and checks contents and aggregated stats equal
-// the per-stripe serial execution.
-func TestExecuteStripesParallelMatchesSerial(t *testing.T) {
-	r := rand.New(rand.NewSource(30))
-	code := core.MustNew(7)
-	g := code.Geometry()
-	const n, failed = 64, 2
-	plan, err := PlanColumn(code, failed)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	origs := make([]*layout.Stripe, n)
-	lost := make([]*layout.Stripe, n)
-	var wantStats layout.DecodeStats
-	for i := range origs {
-		origs[i] = layout.NewStripe(g, 32)
-		origs[i].FillRandom(code, r)
-		layout.Encode(code, origs[i])
-		lost[i] = origs[i].Clone()
-		lost[i].ZeroColumn(failed)
-		// Serial reference stats on a throwaway clone.
-		ref := origs[i].Clone()
-		ref.ZeroColumn(failed)
-		st, err := plan.Execute(code, ref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantStats.XORs += st.XORs
-		wantStats.BlocksRead += st.BlocksRead
-		wantStats.Recovered += st.Recovered
-	}
-
-	got, err := plan.ExecuteStripes(context.Background(), code, lost, nil, nil, parallel.WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range lost {
-		if !lost[i].Equal(origs[i]) {
-			t.Fatalf("stripe %d rebuilt wrong", i)
-		}
-	}
-	if got != wantStats {
-		t.Errorf("aggregated stats %+v, want %+v", got, wantStats)
-	}
-
-	// Cancellation propagates.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := plan.ExecuteStripes(ctx, code, lost, nil, nil, parallel.WithWorkers(2)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -28,7 +28,7 @@ import (
 //   - Close releases the backing resources; the store is unusable after.
 //
 // Implementations must be safe for concurrent use: the Disk serializes its
-// own I/O, but snapshots and syncs may run from other goroutines.
+// own I/O, but syncs may run from other goroutines.
 type BlockStore interface {
 	ReadAt(p []byte, off int64) (int, error)
 	WriteAt(p []byte, off int64) (int, error)
@@ -51,9 +51,8 @@ type (
 		Reset() error
 	}
 	// ExtentLister enumerates the allocated block addresses for the given
-	// block size, sorted ascending. Snapshots use it to stay sparse;
-	// stores without it are enumerated densely from Size, skipping
-	// all-zero blocks.
+	// block size, sorted ascending. Disk.BlocksInUse counts them; a
+	// store without it reports its high-water block count from Size.
 	ExtentLister interface {
 		Extents(blockSize int) []int64
 	}
@@ -97,8 +96,8 @@ const slabPages = 64
 
 // maxSlabs bounds the directory (8 bytes a slab, so 128 MiB at most): a
 // write past slab maxSlabs-1 is refused instead of growing the directory
-// until the process dies — a block address read from a corrupt snapshot
-// would otherwise do that. At 4 KiB pages the bound is 4 TiB per disk.
+// until the process dies — one wild block address would otherwise do that.
+// At 4 KiB pages the bound is 4 TiB per disk.
 const maxSlabs = 1 << 24
 
 // slab is slabPages contiguous pages and their occupancy word. The word is

@@ -275,64 +275,6 @@ func TestFaultInjectionUniformAcrossBackends(t *testing.T) {
 	}
 }
 
-// TestSnapshotAcrossBackends saves a file-backed array and restores it
-// onto both backends; contents, failure state and latent errors must
-// survive either direction.
-func TestSnapshotAcrossBackends(t *testing.T) {
-	src, err := filestore.NewBackend(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := vdisk.NewArrayBackend(3, 128, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blk := bytes.Repeat([]byte{9}, 128)
-	if err := a.Disk(0).Write(5, blk); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Disk(1).Write(2, blk); err != nil {
-		t.Fatal(err)
-	}
-	a.Disk(1).InjectLatentError(9)
-	a.Disk(2).Fail()
-
-	var snap bytes.Buffer
-	if err := a.Save(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	dst, err := filestore.NewBackend(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, backend := range map[string]vdisk.Backend{"mem": vdisk.MemBackend{}, "file": dst} {
-		t.Run(name, func(t *testing.T) {
-			b, err := vdisk.LoadBackend(bytes.NewReader(snap.Bytes()), backend)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer b.Close()
-			got := make([]byte, 128)
-			if err := b.Disk(0).Read(5, got); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, blk) {
-				t.Fatal("restored block mismatch")
-			}
-			if err := b.Disk(1).Read(9, got); !errors.Is(err, vdisk.ErrLatent) {
-				t.Fatalf("latent error lost in restore: %v", err)
-			}
-			if !b.Disk(2).Failed() {
-				t.Fatal("failure state lost in restore")
-			}
-		})
-	}
-}
-
 // TestAttachOverFileBackend: the migration's "add a disk" step must mint
 // a durable image, and reopening the directory must see it.
 func TestAttachOverFileBackend(t *testing.T) {

@@ -602,7 +602,7 @@ func (d *Disk) Close() error {
 	return d.store.Close()
 }
 
-// Store exposes the disk's BlockStore (snapshot plumbing and tests).
+// Store exposes the disk's BlockStore (size reporting and tests).
 func (d *Disk) Store() BlockStore { return d.store }
 
 // Fail marks the disk fail-stopped: every subsequent I/O errors until

@@ -72,56 +72,6 @@ func TestXorMultiOpCountRegression(t *testing.T) {
 	}
 }
 
-// TestXorMultiRangeMatchesWhole splits a block into chunks (including odd
-// split points) and checks the ranges compose to exactly XorMulti's result.
-func TestXorMultiRangeMatchesWhole(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	const n = 1000
-	srcs := make([][]byte, 5)
-	for i := range srcs {
-		srcs[i] = randBlock(r, n)
-	}
-	want := make([]byte, n)
-	XorMulti(want, srcs...)
-
-	for _, cuts := range [][]int{
-		{0, n},
-		{0, 1, n},
-		{0, 500, n},
-		{0, 7, 13, 512, 999, n},
-	} {
-		dst := randBlock(r, n)
-		for i := 0; i+1 < len(cuts); i++ {
-			XorMultiRange(dst, cuts[i], cuts[i+1], srcs...)
-		}
-		if !bytes.Equal(dst, want) {
-			t.Errorf("cuts %v: chunked XorMultiRange diverges from XorMulti", cuts)
-		}
-	}
-
-	// Untouched bytes outside the range must survive.
-	dst := bytes.Repeat([]byte{0xAA}, n)
-	XorMultiRange(dst, 100, 200, srcs...)
-	for i, b := range dst {
-		inRange := i >= 100 && i < 200
-		if !inRange && b != 0xAA {
-			t.Fatalf("byte %d outside [100,200) was modified", i)
-		}
-		if inRange && b != want[i] {
-			t.Fatalf("byte %d inside range wrong", i)
-		}
-	}
-
-	// Empty source list zeroes only the range.
-	XorMultiRange(dst, 0, 50)
-	if !IsZero(dst[:50]) {
-		t.Error("empty-source range not zeroed")
-	}
-	if dst[150] != want[150] {
-		t.Error("bytes beyond empty-source range modified")
-	}
-}
-
 func benchMulti(b *testing.B, k, n int, multi bool) {
 	r := rand.New(rand.NewSource(10))
 	srcs := make([][]byte, k)

@@ -32,9 +32,7 @@
 // For parity generation over many sources, XorMulti folds up to four source
 // streams per pass over dst (2/3/4-way unrolled inner loops), which cuts the
 // number of times dst is pulled through the cache compared with folding one
-// source at a time. XorMultiRange is the chunked variant: it applies the same
-// kernel to a sub-range [lo, hi) of every block, so a large block can be
-// split across goroutines (see internal/parallel.XorMulti).
+// source at a time.
 package xorblk
 
 import (
@@ -219,44 +217,6 @@ func XorMulti(dst []byte, srcs ...[]byte) int {
 	}
 	copy(dst, srcs[0])
 	foldAll(dst, srcs[1:])
-	return len(srcs) - 1
-}
-
-// XorMultiRange is the chunked variant of XorMulti: it sets dst[lo:hi] to
-// the XOR of srcs[i][lo:hi], leaving the rest of dst untouched. Disjoint
-// ranges of the same dst may be computed concurrently from different
-// goroutines — internal/parallel uses this to split one large block across
-// workers. Panics if the range is out of bounds or any source's length
-// differs from dst's. Like XorMulti it returns the source fold count
-// (len(srcs)-1, or 0 when srcs is empty). It allocates nothing.
-//
-//c56:noalloc
-func XorMultiRange(dst []byte, lo, hi int, srcs ...[]byte) int {
-	if lo < 0 || hi > len(dst) || lo > hi {
-		panic(fmt.Sprintf("xorblk: range [%d,%d) outside block of %d bytes", lo, hi, len(dst)))
-	}
-	for _, s := range srcs {
-		checkLen(dst, s)
-	}
-	if len(srcs) == 0 {
-		clear(dst[lo:hi])
-		return 0
-	}
-	d := dst[lo:hi]
-	copy(d, srcs[0][lo:hi])
-	rest := srcs[1:]
-	for len(rest) >= 4 {
-		fold4Kernel(d, rest[0][lo:hi], rest[1][lo:hi], rest[2][lo:hi], rest[3][lo:hi])
-		rest = rest[4:]
-	}
-	switch len(rest) {
-	case 3:
-		fold3Kernel(d, rest[0][lo:hi], rest[1][lo:hi], rest[2][lo:hi])
-	case 2:
-		fold2Kernel(d, rest[0][lo:hi], rest[1][lo:hi])
-	case 1:
-		xorKernel(d, rest[0][lo:hi])
-	}
 	return len(srcs) - 1
 }
 

@@ -48,10 +48,6 @@ var (
 	// NewVirtualPlan plans a Code 5-6 direct conversion for a RAID-5 of
 	// any size using virtual disks (paper §IV-B2).
 	NewVirtualPlan = migrate.NewVirtualPlan
-	// NewExecutor replays a plan against simulated disks.
-	NewExecutor = migrate.NewExecutor
-	// NewOnlineMigrator prepares an online RAID-5 → Code 5-6 migration.
-	NewOnlineMigrator = migrate.NewOnlineMigrator
 	// Downgrade converts a Code 5-6 RAID-6 back to a RAID-5 by detaching
 	// the diagonal parity disk.
 	Downgrade = migrate.Downgrade

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"code56/internal/migrate"
 	"code56/internal/parallel"
 )
 
@@ -15,17 +16,8 @@ type Settings struct {
 	// Workers bounds the goroutines a parallel entry point may use.
 	// 0 means GOMAXPROCS; 1 forces the serial in-order path.
 	Workers int
-	// ChunkSize is the per-goroutine split (bytes) for chunked multi-source
-	// XOR. 0 means the engine default (64 KiB).
-	ChunkSize int
-	// BatchBytes is the contiguous-stripe byte budget a worker claims at a
-	// time in batched bulk operations. 0 means the engine default (1 MiB,
-	// sized to a per-core L2 slice).
-	BatchBytes int
 	// BlockSize is the simulated block size in bytes (default 4096).
 	BlockSize int
-	// Orientation selects the Code 5-6 parity rotation (default Left).
-	Orientation Orientation
 	// Layout selects the RAID-5 parity rotation (default LeftAsymmetric).
 	Layout RAID5Layout
 	// Seed seeds the random data an Executor populates its disks with.
@@ -86,35 +78,6 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithChunkSize sets the per-goroutine block split, in bytes, for chunked
-// multi-source XOR. Non-positive sizes are an error (omit the option for
-// the engine default).
-func WithChunkSize(b int) Option {
-	return func(s *Settings) {
-		if b <= 0 {
-			s.setErr(fmt.Errorf("code56: WithChunkSize(%d): chunk size must be positive (omit the option for the default)", b))
-			return
-		}
-		s.ChunkSize = b
-	}
-}
-
-// WithBatchBytes sets the contiguous-work byte budget a worker claims at a
-// time in batched bulk operations (encode, rebuild, scrub, plan execution):
-// adjacent stripes are grouped until the batch reaches this many bytes, so
-// each worker streams sequentially through disk addresses and one batch
-// stays cache-resident. Non-positive sizes are an error (omit the option
-// for the engine default of 1 MiB).
-func WithBatchBytes(b int) Option {
-	return func(s *Settings) {
-		if b <= 0 {
-			s.setErr(fmt.Errorf("code56: WithBatchBytes(%d): batch budget must be positive (omit the option for the default)", b))
-			return
-		}
-		s.BatchBytes = b
-	}
-}
-
 // WithBlockSize sets the simulated block size in bytes. Non-positive sizes
 // are an error (omit the option for the 4096-byte default).
 func WithBlockSize(b int) Option {
@@ -126,9 +89,6 @@ func WithBlockSize(b int) Option {
 		s.BlockSize = b
 	}
 }
-
-// WithOrientation selects the Code 5-6 parity rotation.
-func WithOrientation(o Orientation) Option { return func(s *Settings) { s.Orientation = o } }
 
 // WithLayout selects the RAID-5 parity rotation.
 func WithLayout(l RAID5Layout) Option { return func(s *Settings) { s.Layout = l } }
@@ -180,8 +140,7 @@ func WithFaults(cfg FaultConfig) Option {
 // WithBackend selects where a constructed array's blocks live. The spec
 // grammar:
 //
-//	""           in-memory stores (the default; what the positional
-//	             constructors always use)
+//	""           in-memory stores (the default)
 //	"mem:"       in-memory stores, spelled out
 //	"file:<dir>" durable sparse image files (one per disk) in <dir>,
 //	             created if needed, alongside the directory's meta.json
@@ -221,9 +180,8 @@ func WithCheckpointInterval(stripes int64) Option {
 // check Err before using the result.
 func ApplyOptions(opts ...Option) Settings {
 	s := Settings{
-		BlockSize:   4096,
-		Orientation: Left,
-		Layout:      LeftAsymmetric,
+		BlockSize: 4096,
+		Layout:    LeftAsymmetric,
 	}
 	for _, o := range opts {
 		if o != nil {
@@ -255,31 +213,14 @@ func (s Settings) engineOpts() []parallel.Option {
 	if s.Workers > 0 {
 		out = append(out, parallel.WithWorkers(s.Workers))
 	}
-	if s.ChunkSize > 0 {
-		out = append(out, parallel.WithChunkSize(s.ChunkSize))
-	}
-	if s.BatchBytes > 0 {
-		out = append(out, parallel.WithBatchBytes(s.BatchBytes))
-	}
 	return out
 }
 
-// NewCode returns Code 5-6 for p disks (p prime), honoring WithOrientation.
-// It is the option-based form of New / NewOriented.
-func NewCode(p int, opts ...Option) (*Code56, error) {
-	s := ApplyOptions(opts...)
-	if err := s.Err(); err != nil {
-		return nil, err
-	}
-	return NewOriented(p, s.Orientation)
-}
-
 // NewRAID5Array creates a RAID-5 array of m fresh simulated disks, honoring
-// WithBackend, WithBlockSize, WithLayout, WithFaults and WithRetry. It is
-// the option-based form of NewRAID5 (which always builds in-memory disks).
-// With a "file:<dir>" backend the array's blocks live in sparse image
-// files under <dir> and the directory's meta.json identity record is
-// written, so OpenRAID5Array can reassemble the array later.
+// WithBackend, WithBlockSize, WithLayout, WithFaults and WithRetry. With a
+// "file:<dir>" backend the array's blocks live in sparse image files under
+// <dir> and the directory's meta.json identity record is written, so
+// OpenRAID5Array can reassemble the array later.
 func NewRAID5Array(m int, opts ...Option) (*RAID5, error) {
 	s := ApplyOptions(opts...)
 	if err := s.Err(); err != nil {
@@ -296,11 +237,9 @@ func NewRAID5Array(m int, opts ...Option) (*RAID5, error) {
 }
 
 // NewRAID6Array creates a RAID-6 array over fresh simulated disks, honoring
-// WithBackend, WithBlockSize, WithFaults and WithRetry. It is the
-// option-based form of NewRAID6 (which always builds in-memory disks).
-// With a "file:<dir>" backend the blocks live in sparse image files under
-// <dir> and meta.json is written, so OpenRAID6Array can reassemble the
-// array later.
+// WithBackend, WithBlockSize, WithFaults and WithRetry. With a "file:<dir>"
+// backend the blocks live in sparse image files under <dir> and meta.json is
+// written, so OpenRAID6Array can reassemble the array later.
 func NewRAID6Array(code Code, opts ...Option) (*RAID6, error) {
 	s := ApplyOptions(opts...)
 	if err := s.Err(); err != nil {
@@ -318,17 +257,17 @@ func NewRAID6Array(code Code, opts ...Option) (*RAID6, error) {
 
 // NewMigrator prepares an online RAID-5 → Code 5-6 migration, honoring
 // WithWorkers (conversion parallelism), WithThrottle and
-// WithCheckpointInterval. It is the option-based form of
-// NewOnlineMigrator, plus durability: when the array is file-backed (its
-// disks came from a "file:<dir>" backend), the migration is automatically
-// journaled through the directory's intent log, making it crash-resumable
-// via ResumeMigration.
+// WithCheckpointInterval. When the array is file-backed (its disks came
+// from a "file:<dir>" backend), the migration is automatically journaled
+// through the directory's intent log, making it crash-resumable via
+// ResumeMigration. Start it with OnlineMigrator.StartContext (or Start, its
+// background-context form).
 func NewMigrator(a *RAID5, rows int64, opts ...Option) (*OnlineMigrator, error) {
 	s := ApplyOptions(opts...)
 	if err := s.Err(); err != nil {
 		return nil, err
 	}
-	m, err := NewOnlineMigrator(a, rows)
+	m, err := migrate.NewOnlineMigrator(a, rows)
 	if err != nil {
 		return nil, err
 	}
@@ -347,44 +286,23 @@ func NewMigrator(a *RAID5, rows int64, opts ...Option) (*OnlineMigrator, error) 
 }
 
 // NewPlanExecutor sets up an Executor for a conversion plan, honoring
-// WithBlockSize and WithSeed. It is the option-based form of NewExecutor.
+// WithBlockSize and WithSeed.
 func NewPlanExecutor(plan *Plan, opts ...Option) (*Executor, error) {
 	s := ApplyOptions(opts...)
 	if err := s.Err(); err != nil {
 		return nil, err
 	}
-	return NewExecutor(plan, s.BlockSize, s.Seed), nil
+	return migrate.NewExecutor(plan, s.BlockSize, s.Seed), nil
 }
 
 // RunPlan executes a conversion plan under ctx with the plan's independent
-// stripes spread across WithWorkers goroutines. Equivalent to
-// Executor.RunContext; Executor.Run remains the serial form.
+// stripes spread across WithWorkers goroutines.
 func RunPlan(ctx context.Context, ex *Executor, opts ...Option) error {
 	s := ApplyOptions(opts...)
 	if err := s.Err(); err != nil {
 		return err
 	}
 	return ex.RunContext(ctx, s.engineOpts()...)
-}
-
-// StartMigration starts an online migration bound to ctx: cancelling ctx
-// stops the conversion at the next stripe boundary, leaving the array
-// consistent and resumable (see OnlineMigrator.StartContext). WithWorkers
-// and WithThrottle are applied before starting.
-func StartMigration(ctx context.Context, m *OnlineMigrator, opts ...Option) error {
-	s := ApplyOptions(opts...)
-	if err := s.Err(); err != nil {
-		return err
-	}
-	if s.Workers > 0 {
-		if err := m.SetParallelism(s.Workers); err != nil {
-			return err
-		}
-	}
-	if s.Throttle > 0 {
-		m.SetThrottle(s.Throttle)
-	}
-	return m.StartContext(ctx)
 }
 
 // EncodeArrayStripes (re)computes all parities of stripes 0..stripes-1 of a
@@ -397,23 +315,8 @@ func EncodeArrayStripes(ctx context.Context, a *RAID6, stripes int64, opts ...Op
 	return a.EncodeStripesContext(ctx, stripes, s.engineOpts()...)
 }
 
-// EncodeArrayStripesInterleaved is EncodeArrayStripes with interleaved
-// batches: each worker claims a contiguous run of stripes and encodes it
-// chain-by-chain across the whole run, so reads of each covering column and
-// writes of each parity column stream sequentially instead of striding a
-// full stripe between accesses. Results are bit-identical to
-// EncodeArrayStripes.
-func EncodeArrayStripesInterleaved(ctx context.Context, a *RAID6, stripes int64, opts ...Option) error {
-	s := ApplyOptions(opts...)
-	if err := s.Err(); err != nil {
-		return err
-	}
-	return a.EncodeStripesInterleavedContext(ctx, stripes, s.engineOpts()...)
-}
-
 // RebuildArray rebuilds the given replaced disks of a RAID-6 array across
-// stripes 0..stripes-1 in parallel. Equivalent to Array.RebuildContext;
-// Array.Rebuild remains the serial form.
+// stripes 0..stripes-1 in parallel.
 func RebuildArray(ctx context.Context, a *RAID6, stripes int64, disks []int, opts ...Option) error {
 	s := ApplyOptions(opts...)
 	if err := s.Err(); err != nil {
@@ -423,30 +326,13 @@ func RebuildArray(ctx context.Context, a *RAID6, stripes int64, disks []int, opt
 }
 
 // ScrubArray scans stripes 0..stripes-1 of a RAID-6 array for latent sector
-// errors and silent corruption, repairing what it can, with stripes spread
-// over WithWorkers goroutines. Equivalent to Array.ScrubContext;
-// Array.Scrub remains the serial form.
-func ScrubArray(ctx context.Context, a *RAID6, stripes int64, opts ...Option) (ScrubReport, error) {
-	return ScrubArrayMode(ctx, a, stripes, ScrubRepair, opts...)
-}
-
-// ScrubArrayMode is ScrubArray with an explicit repair/check mode:
-// ScrubRepair rewrites what it can; ScrubCheck only detects and counts.
-func ScrubArrayMode(ctx context.Context, a *RAID6, stripes int64, mode ScrubMode, opts ...Option) (ScrubReport, error) {
+// errors and silent corruption, with stripes spread over WithWorkers
+// goroutines: ScrubRepair rewrites what it can, ScrubCheck only detects and
+// counts.
+func ScrubArray(ctx context.Context, a *RAID6, stripes int64, mode ScrubMode, opts ...Option) (ScrubReport, error) {
 	s := ApplyOptions(opts...)
 	if err := s.Err(); err != nil {
 		return ScrubReport{}, err
 	}
 	return a.ScrubContextMode(ctx, stripes, mode, s.engineOpts()...)
-}
-
-// RecoverStripes rebuilds a failed column across many stripes concurrently
-// using a column-recovery plan. Equivalent to ColumnRecoveryPlan's
-// ExecuteStripes with the facade's options.
-func RecoverStripes(ctx context.Context, plan ColumnRecoveryPlan, code Code, stripes []*Stripe, opts ...Option) (DecodeStats, error) {
-	s := ApplyOptions(opts...)
-	if err := s.Err(); err != nil {
-		return DecodeStats{}, err
-	}
-	return plan.ExecuteStripes(ctx, code, stripes, nil, nil, s.engineOpts()...)
 }

@@ -14,17 +14,15 @@ import (
 // With* helper lands on its field.
 func TestOptionDefaultsAndOverrides(t *testing.T) {
 	s := ApplyOptions()
-	if s.BlockSize != 4096 || s.Workers != 0 || s.ChunkSize != 0 ||
-		s.Orientation != Left || s.Layout != LeftAsymmetric || s.Throttle != 0 {
+	if s.BlockSize != 4096 || s.Workers != 0 ||
+		s.Layout != LeftAsymmetric || s.Throttle != 0 {
 		t.Fatalf("unexpected defaults: %+v", s)
 	}
 	s = ApplyOptions(
-		WithWorkers(8), WithChunkSize(1<<20), WithBlockSize(64),
-		WithBatchBytes(1<<19), WithOrientation(Right), WithLayout(RightSymmetric),
+		WithWorkers(8), WithBlockSize(64), WithLayout(RightSymmetric),
 		WithSeed(7), WithThrottle(time.Millisecond), nil,
 	)
-	if s.Workers != 8 || s.ChunkSize != 1<<20 || s.BlockSize != 64 ||
-		s.BatchBytes != 1<<19 || s.Orientation != Right || s.Layout != RightSymmetric ||
+	if s.Workers != 8 || s.BlockSize != 64 || s.Layout != RightSymmetric ||
 		s.Seed != 7 || s.Throttle != time.Millisecond {
 		t.Fatalf("options not applied: %+v", s)
 	}
@@ -39,10 +37,6 @@ func TestOptionValidation(t *testing.T) {
 		opt  Option
 	}{
 		{"WithWorkers(-3)", WithWorkers(-3)},
-		{"WithChunkSize(0)", WithChunkSize(0)},
-		{"WithChunkSize(-1)", WithChunkSize(-1)},
-		{"WithBatchBytes(0)", WithBatchBytes(0)},
-		{"WithBatchBytes(-1)", WithBatchBytes(-1)},
 		{"WithBlockSize(0)", WithBlockSize(0)},
 		{"WithBlockSize(-1)", WithBlockSize(-1)},
 		{"WithThrottle(-1ms)", WithThrottle(-time.Millisecond)},
@@ -58,13 +52,10 @@ func TestOptionValidation(t *testing.T) {
 				t.Fatalf("%s accepted silently", tc.name)
 			}
 
-			if _, err := NewCode(5, tc.opt); err == nil {
-				t.Errorf("NewCode swallowed %s", tc.name)
-			}
 			if _, err := NewRAID5Array(4, tc.opt); err == nil {
 				t.Errorf("NewRAID5Array swallowed %s", tc.name)
 			}
-			code, err := NewCode(5)
+			code, err := New(5)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +84,7 @@ func TestOptionValidation(t *testing.T) {
 			if err := EncodeArrayStripes(ctx, a, 1, tc.opt); err == nil {
 				t.Errorf("EncodeArrayStripes swallowed %s", tc.name)
 			}
-			if _, err := ScrubArray(ctx, a, 1, tc.opt); err == nil {
+			if _, err := ScrubArray(ctx, a, 1, ScrubRepair, tc.opt); err == nil {
 				t.Errorf("ScrubArray swallowed %s", tc.name)
 			}
 			if err := RebuildArray(ctx, a, 1, nil, tc.opt); err == nil {
@@ -132,19 +123,12 @@ func TestOptionFaultsAndRetryApply(t *testing.T) {
 	}
 }
 
-// TestOptionConstructorsMatchPositional: the option-based constructors must
-// be behaviorally identical to the positional forms they wrap.
+// TestOptionConstructorsMatchPositional: the array constructors build what
+// their options say.
 func TestOptionConstructorsMatchPositional(t *testing.T) {
-	c1, err := NewCode(5, WithOrientation(Right))
-	if err != nil {
-		t.Fatal(err)
-	}
 	c2, err := NewOriented(5, Right)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if c1.Name() != c2.Name() || c1.Geometry() != c2.Geometry() {
-		t.Fatal("NewCode diverges from NewOriented")
 	}
 
 	r5, err := NewRAID5Array(4, WithBlockSize(32), WithLayout(LeftSymmetric))
@@ -168,7 +152,7 @@ func TestOptionConstructorsMatchPositional(t *testing.T) {
 // RebuildContext, which must refuse an out-of-range or repeated index with an
 // error — once, before the workers start, where a caller can still see it.
 func TestRebuildArrayRejectsBadDisks(t *testing.T) {
-	code, err := NewCode(5)
+	code, err := New(5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,11 +168,11 @@ func TestRebuildArrayRejectsBadDisks(t *testing.T) {
 	}
 }
 
-// TestFacadeParallelLifecycle drives encode → scrub → fail → rebuild →
-// recover through the option-based context entry points.
+// TestFacadeParallelLifecycle drives encode → scrub → fail → rebuild through
+// the option-based context entry points.
 func TestFacadeParallelLifecycle(t *testing.T) {
 	ctx := context.Background()
-	code, err := NewCode(7)
+	code, err := New(7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,12 +194,7 @@ func TestFacadeParallelLifecycle(t *testing.T) {
 	if err := EncodeArrayStripes(ctx, a, stripes, WithWorkers(4)); err != nil {
 		t.Fatal(err)
 	}
-	// The interleaved bulk encoder must be a drop-in: re-encoding already
-	// consistent stripes leaves the array verifying clean.
-	if err := EncodeArrayStripesInterleaved(ctx, a, stripes, WithWorkers(4)); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := ScrubArray(ctx, a, stripes, WithWorkers(4))
+	rep, err := ScrubArray(ctx, a, stripes, ScrubRepair, WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,37 +216,11 @@ func TestFacadeParallelLifecycle(t *testing.T) {
 			t.Fatalf("block %d wrong after parallel rebuild", L)
 		}
 	}
-
-	// Stripe-level recovery through the facade.
-	plan, err := PlanColumnRecovery(code, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := code.Geometry()
-	orig := NewStripe(g, 32)
-	orig.FillRandom(code, r)
-	Encode(code, orig)
-	lost := []*Stripe{orig.Clone(), orig.Clone()}
-	for _, s := range lost {
-		s.ZeroColumn(1)
-	}
-	st, err := RecoverStripes(ctx, plan, code, lost, WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.BlocksRead != 2*plan.Reads {
-		t.Fatalf("aggregated reads %d, want %d", st.BlocksRead, 2*plan.Reads)
-	}
-	for i, s := range lost {
-		if !s.Equal(orig) {
-			t.Fatalf("stripe %d rebuilt wrong", i)
-		}
-	}
 }
 
-// TestFacadeMigrationOptions: NewMigrator and StartMigration honor
-// WithWorkers/WithThrottle, run a full conversion, and propagate ctx
-// cancellation through RunPlan.
+// TestFacadeMigrationOptions: NewMigrator honors WithWorkers, a migration
+// started with StartContext runs a full conversion, and RunPlan propagates
+// ctx cancellation.
 func TestFacadeMigrationOptions(t *testing.T) {
 	r5, err := NewRAID5Array(4, WithBlockSize(32))
 	if err != nil {
@@ -288,7 +241,7 @@ func TestFacadeMigrationOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := StartMigration(context.Background(), mig); err != nil {
+	if err := mig.StartContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if err := mig.Wait(); err != nil {

@@ -1,9 +1,9 @@
 package code56
 
 import (
+	"code56/internal/durable"
 	"code56/internal/raid6"
 	"code56/internal/recovery"
-	"code56/internal/superblock"
 )
 
 // Recovery and maintenance facade.
@@ -37,19 +37,9 @@ func ConventionalRecoveryReads(code Code, failed int) (int, error) {
 	return recovery.ConventionalReads(code, failed)
 }
 
-// Array persistence (mdadm-style assembly).
-type (
-	// Manifest identifies a persisted array's code and geometry.
-	Manifest = superblock.Manifest
-)
+// Manifest identifies a durable RAID-6 directory's code and geometry (the
+// "manifest" object of its meta.json).
+type Manifest = durable.Manifest
 
-// Array persistence entry points.
-var (
-	// SaveArray persists a RAID-6 array (manifest + disk snapshot) to a
-	// writer.
-	SaveArray = superblock.SaveArray
-	// LoadArray reassembles an array saved by SaveArray.
-	LoadArray = superblock.LoadArray
-	// BuildCode reconstructs the erasure code a manifest names.
-	BuildCode = superblock.BuildCode
-)
+// BuildCode reconstructs the erasure code a manifest names.
+var BuildCode = durable.BuildCode
