@@ -312,8 +312,8 @@ func runOnline(cfg onlineConfig) error {
 	converted, total := mig.Progress()
 	st := mig.Stats()
 	fmt.Printf("conversion done: %d/%d stripes in %v, %d concurrent app ops\n", converted, total, elapsed, appOps)
-	fmt.Printf("interaction: %d write interrupts, %d diagonal updates, %d stripes redone after races\n",
-		st.WriteInterrupts, st.DiagonalUpdates, st.StripesRedone)
+	fmt.Printf("interaction: %d writes served during the conversion, %d diagonal updates\n",
+		st.WriteInterrupts, st.DiagonalUpdates)
 
 	r6, err := mig.Result()
 	if err != nil {
@@ -440,7 +440,7 @@ func runResume(dir string, workers int, throttle time.Duration, interval int64, 
 		return err
 	}
 	converted, total = mig.Progress()
-	fmt.Printf("conversion done: %d/%d stripes (%d redone this run) in %v\n",
+	fmt.Printf("conversion done: %d/%d stripes (%d converted this run) in %v\n",
 		converted, total, mig.Stats().StripesConverted, time.Since(start))
 	r6, err := mig.Result()
 	if err != nil {
@@ -494,7 +494,7 @@ func scrubResumed(r6 *code56.RAID6) error {
 
 // reportCounters prints the migration's telemetry counters and cross-checks
 // the conversion XOR tally against the offline plan's aggregate: every
-// converted stripe (including redos) costs Plan.XORs / Plan.Period XORs.
+// converted stripe costs Plan.XORs / Plan.Period XORs.
 func reportCounters(disks int, st code56.MigrationStats, base map[string]int64) error {
 	plan, err := code56.NewVirtualPlan(disks, code56.LeftAsymmetric)
 	if err != nil {

@@ -170,6 +170,7 @@ var noallocTrusted = map[string]bool{
 	"code56/internal/vdisk.Disk.Failed":         true,
 	"code56/internal/vdisk.Array.Disk":          true,
 	"code56/internal/vdisk.Array.BlockSize":     true,
+	"code56/internal/vdisk.Array.StripeLock":    true,
 	"code56/internal/vdisk.BlockStore.ReadAt":   true,
 	"code56/internal/vdisk.BlockStore.WriteAt":  true,
 	"code56/internal/vdisk.Xorer.XorAt":         true,

@@ -11,7 +11,8 @@
 //     the analysis to a real implementation);
 //   - an *online converter* implementing the paper's Algorithm 2 for
 //     Code 5-6: conversion and application I/O proceed concurrently on
-//     live disks, with write requests interrupting the conversion thread;
+//     live disks, a write and the conversion of its stripe excluding each
+//     other through the stripe's lock;
 //   - *virtual disk* support (paper §IV-B2) extending Code 5-6 migration
 //     to a RAID-5 with any number of disks.
 package migrate

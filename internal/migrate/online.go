@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"code56/internal/bufpool"
@@ -24,20 +25,21 @@ import (
 //
 //   - reads never conflict (the conversion only writes to the new disk) and
 //     proceed concurrently;
-//   - writes interrupt the conversion (they take priority, per the paper),
-//     perform the ordinary RAID-5 read-modify-write, and additionally update
-//     the diagonal parity when their stripe has already been converted. A
-//     write landing in the stripe currently being converted marks it dirty,
-//     and the conversion thread redoes that stripe before advancing.
+//   - a write is the ordinary RAID-5 small write and, once its stripe is
+//     converted, also a fold of its delta into the diagonal parity. It must
+//     not overlap the conversion of its own stripe, and that is all: the
+//     write holds the stripe's lock (vdisk.Array.StripeLock) shared, the
+//     conversion holds it exclusive and sets the stripe's bit in converted
+//     under that hold, so a write finds its stripe either untouched by the
+//     conversion or converted.
 //
 // The RAID-5's block layout is untouched — that is Code 5-6's design — so
 // application block addresses mean the same thing before, during and after
 // the migration.
 //
-// Writes take strict priority, as the paper prescribes; a saturating write
-// stream therefore stalls the conversion entirely (use Stats to observe
-// the interaction, and schedule migrations in low-traffic windows or
-// throttle the application — the migrator itself never throttles writes).
+// A write waits for no other write and for at most the conversion of its own
+// stripe; the conversion, for the writes in flight on the stripe it claims.
+// The throttle alone sets how much the conversion takes from foreground I/O.
 type OnlineMigrator struct {
 	r5      *raid5.Array
 	code    *core.Code56
@@ -46,32 +48,30 @@ type OnlineMigrator struct {
 	// runs is the conversion's read schedule for one stripe (see convRun).
 	runs []convRun
 
-	// writeMu serializes application writes: a RAID-5 read-modify-write
-	// spans several blocks and must not interleave with another write.
-	writeMu sync.Mutex
+	// converted has a bit a stripe, set once the stripe's diagonal parities are
+	// on the new disk: written under the stripe's exclusive lock, read under
+	// the shared one. live says the conversion is running. With its two
+	// tallies they are all a write touches here, so a write takes no mu.
+	converted       []atomic.Uint64
+	live            atomic.Bool
+	writeInterrupts atomic.Int64
+	diagonalUpdates atomic.Int64
 
-	mu            sync.Mutex
-	cond          *sync.Cond
-	pendingWrites int  //c56:guardedby mu
-	userPaused    bool //c56:guardedby mu
-	parallelism   int  //c56:guardedby mu
+	mu          sync.Mutex
+	cond        *sync.Cond
+	userPaused  bool //c56:guardedby mu
+	parallelism int  //c56:guardedby mu
 	// workers counts conversion goroutines still running; parked, those
-	// waiting on writes/pause. nextClaim is the next stripe a worker will
-	// claim and cursor the contiguous watermark of converted stripes.
+	// waiting out a pause. nextClaim is the next stripe a worker will claim
+	// and cursor the contiguous watermark: a scan of converted, kept.
 	workers   int   //c56:guardedby mu
 	parked    int   //c56:guardedby mu
 	nextClaim int64 //c56:guardedby mu
 	cursor    int64 //c56:guardedby mu
-	// inProgress holds stripes being converted right now; dirtySet,
-	// in-progress stripes written concurrently; doneSet, converted stripes
-	// above the watermark.
-	inProgress map[int64]bool //c56:guardedby mu
-	dirtySet   map[int64]bool //c56:guardedby mu
-	doneSet    map[int64]bool //c56:guardedby mu
-	started    bool           //c56:guardedby mu
-	finished   bool           //c56:guardedby mu
-	err        error          //c56:guardedby mu
-	done       chan struct{}
+	started   bool  //c56:guardedby mu
+	finished  bool  //c56:guardedby mu
+	err       error //c56:guardedby mu
+	done      chan struct{}
 	// wake is closed (and replaced) by interruptLocked to cut short any
 	// worker sleeping in its throttle interval when the migration must
 	// react now: cancellation, a conversion error, or Pause.
@@ -88,6 +88,7 @@ type OnlineMigrator struct {
 	// AttachJournal; nil for purely in-memory migrations).
 	journal *Journal //c56:guardedby mu
 
+	// stats lacks the write path's two tallies, the atomics above (statsLocked).
 	stats     MigrationStats //c56:guardedby mu
 	startTime time.Time      //c56:guardedby mu
 	endTime   time.Time      //c56:guardedby mu
@@ -103,9 +104,8 @@ type OnlineMigrator struct {
 // "Telemetry" for the metric reference).
 type onlineTel struct {
 	tr           *telemetry.Tracer
-	converted    *telemetry.Counter // stripes converted (incl. redone)
-	redone       *telemetry.Counter // stripes reconverted after a racing write
-	interrupts   *telemetry.Counter // app writes that interrupted the conversion
+	converted    *telemetry.Counter // stripes converted
+	interrupts   *telemetry.Counter // app writes served while the conversion ran
 	diagUpd      *telemetry.Counter // write-redirect hits on converted stripes
 	appReads     *telemetry.Counter // application reads served
 	appWrites    *telemetry.Counter // application writes served
@@ -126,7 +126,6 @@ func bindOnlineTel(reg *telemetry.Registry, tr *telemetry.Tracer) onlineTel {
 	return onlineTel{
 		tr:           tr,
 		converted:    reg.Counter("migrate.stripes_converted"),
-		redone:       reg.Counter("migrate.stripes_redone"),
 		interrupts:   reg.Counter("migrate.write_interrupts"),
 		diagUpd:      reg.Counter("migrate.diagonal_updates"),
 		appReads:     reg.Counter("migrate.app_reads"),
@@ -142,14 +141,14 @@ func bindOnlineTel(reg *telemetry.Registry, tr *telemetry.Tracer) onlineTel {
 // MigrationStats counts the online conversion's interactions with the
 // foreground workload.
 type MigrationStats struct {
-	// StripesConverted counts completed stripe conversions, including
-	// repeats of dirtied stripes.
+	// StripesConverted counts completed stripe conversions.
 	StripesConverted int64
-	// StripesRedone counts stripes that had to be reconverted because an
-	// application write raced with their conversion.
+	// StripesRedone is always 0: a write and the conversion of its stripe
+	// exclude each other, so no stripe is converted twice. (The field stays
+	// for the benchmark, which reads it.)
 	StripesRedone int64
 	// WriteInterrupts counts application writes served while the
-	// conversion was active (each interrupted it briefly).
+	// conversion was active.
 	WriteInterrupts int64
 	// DiagonalUpdates counts writes that also updated an
 	// already-converted stripe's diagonal parity.
@@ -190,9 +189,7 @@ func NewOnlineMigrator(a *raid5.Array, rows int64) (*OnlineMigrator, error) {
 		stripes:     rows / int64(p-1),
 		runs:        conversionRuns(code),
 		parallelism: 1,
-		inProgress:  make(map[int64]bool),
-		dirtySet:    make(map[int64]bool),
-		doneSet:     make(map[int64]bool),
+		converted:   make([]atomic.Uint64, (rows/int64(p-1)+63)/64),
 		done:        make(chan struct{}),
 		wake:        make(chan struct{}),
 		tel:         bindOnlineTel(nil, nil),
@@ -306,6 +303,26 @@ func (m *OnlineMigrator) ResumeFrom(stripe int64) error {
 	return nil
 }
 
+// markConverted sets stripe st's bit. The caller holds the stripe exclusive
+// (StartContext, marking the stripes a resumed migration starts above, need
+// not: writes go through the migrator once it has started). Go 1.22 has no
+// atomic Or.
+//
+//c56:noalloc
+func (m *OnlineMigrator) markConverted(st int64) {
+	w, bit := &m.converted[st/64], uint64(1)<<(st%64)
+	for old := w.Load(); old&bit == 0 && !w.CompareAndSwap(old, old|bit); old = w.Load() {
+	}
+}
+
+// isConverted reports stripe st's bit; with the stripe held, in either mode,
+// the answer stands until it is released.
+//
+//c56:noalloc
+func (m *OnlineMigrator) isConverted(st int64) bool {
+	return m.converted[st/64].Load()>>(st%64)&1 != 0
+}
+
 // interruptLocked wakes any worker sleeping in its throttle interval: the
 // current wake channel is closed (a closed channel stays readable, so no
 // wakeup is ever missed) and replaced for future sleeps. Caller holds m.mu.
@@ -403,7 +420,11 @@ func (m *OnlineMigrator) StartContext(ctx context.Context) error {
 		telemetry.A("disks", m.code.P()-1),
 		telemetry.A("resume_from", m.cursor),
 		telemetry.A("parallelism", m.parallelism))
+	for st := int64(0); st < m.cursor; st++ {
+		m.markConverted(st)
+	}
 	m.workers = m.parallelism
+	m.live.Store(true)
 	go m.convert()
 	return nil
 }
@@ -436,7 +457,7 @@ type ProgressReport struct {
 	// Paused reports an explicit Pause() in effect.
 	Paused bool
 	// Workers is how many conversion goroutines are still running; Parked
-	// is how many of them are waiting out application writes or a pause.
+	// is how many of them are waiting out a Pause.
 	Workers, Parked int
 	// Error is the terminal error's message, empty while healthy. (A
 	// string, not an error, so the report serializes cleanly over the
@@ -448,8 +469,7 @@ type ProgressReport struct {
 	StripesPerSec float64
 	// RecentStripesPerSec is the smoothed current conversion rate (the
 	// migrate.stripe_rate EWMA): unlike the lifetime mean it reacts within
-	// seconds when the conversion stalls behind foreground writes or a
-	// throttle change.
+	// seconds to a throttle change or a pause.
 	RecentStripesPerSec float64
 	// ETA estimates the remaining conversion time from the mean rate;
 	// zero when unknown (not started or no stripes converted yet).
@@ -459,9 +479,8 @@ type ProgressReport struct {
 }
 
 // State names the migration's lifecycle phase: "pending", "running",
-// "parked" (workers waiting out foreground writes), "paused", "finished"
-// or "failed". It is what the observability plane's health checker and the
-// watch mode display.
+// "paused", "finished" or "failed". It is what the observability plane's
+// health checker and the watch mode display.
 func (p ProgressReport) State() string {
 	switch {
 	case !p.Started:
@@ -472,8 +491,6 @@ func (p ProgressReport) State() string {
 		return "finished"
 	case p.Paused:
 		return "paused"
-	case p.Workers > 0 && p.Parked == p.Workers:
-		return "parked"
 	default:
 		return "running"
 	}
@@ -500,7 +517,7 @@ func (m *OnlineMigrator) ProgressSnapshot() ProgressReport {
 		Paused:    m.userPaused,
 		Workers:   m.workers,
 		Parked:    m.parked,
-		Stats:     m.stats,
+		Stats:     m.statsLocked(),
 	}
 	if m.err != nil {
 		r.Error = m.err.Error()
@@ -528,7 +545,17 @@ func (m *OnlineMigrator) ProgressSnapshot() ProgressReport {
 func (m *OnlineMigrator) Stats() MigrationStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.stats
+	return m.statsLocked()
+}
+
+// statsLocked is stats plus the write path's tallies as of now.
+//
+//c56:requires mu
+func (m *OnlineMigrator) statsLocked() MigrationStats {
+	st := m.stats
+	st.WriteInterrupts = m.writeInterrupts.Load()
+	st.DiagonalUpdates = m.diagonalUpdates.Load()
+	return st
 }
 
 // Result wraps the converted disks as a RAID-6 array. Call after Wait.
@@ -578,13 +605,13 @@ func (m *OnlineMigrator) convert() {
 		}
 	}
 	m.finished = true
+	m.live.Store(false)
 	m.endTime = time.Now()
-	span, st, err := m.span, m.stats, m.err
+	span, st, err := m.span, m.statsLocked(), m.err
 	m.cond.Broadcast()
 	m.mu.Unlock()
 	attrs := []telemetry.Attr{
 		telemetry.A("stripes_converted", st.StripesConverted),
-		telemetry.A("stripes_redone", st.StripesRedone),
 		telemetry.A("write_interrupts", st.WriteInterrupts),
 		telemetry.A("diagonal_updates", st.DiagonalUpdates),
 	}
@@ -594,19 +621,30 @@ func (m *OnlineMigrator) convert() {
 	span.End(attrs...)
 }
 
-// waitRunnable parks the calling worker while application writes are in
-// flight or the migration is paused. Caller must hold m.mu; the lock is
-// held on return. Returns false if the worker should exit (error elsewhere).
+// waitRunnable parks the calling worker while the migration is paused.
+// Caller must hold m.mu; the lock is held on return. Returns false if the
+// worker should exit (error elsewhere).
 //
 //c56:requires mu
 func (m *OnlineMigrator) waitRunnable() bool {
-	for (m.pendingWrites > 0 || m.userPaused) && m.err == nil {
+	for m.userPaused && m.err == nil {
 		m.parked++
 		m.cond.Broadcast() // unblock Pause()
 		m.cond.Wait()
 		m.parked--
 	}
 	return m.err == nil
+}
+
+// fail records the migration's first error and wakes whatever must react.
+func (m *OnlineMigrator) fail(err error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.err == nil {
+		m.err = err
+	}
+	m.interruptLocked()
+	m.cond.Broadcast()
 }
 
 // worker claims stripes and converts them until the work (or the migration)
@@ -626,48 +664,18 @@ func (m *OnlineMigrator) worker() {
 		}
 		st := m.nextClaim
 		m.nextClaim++
-		m.inProgress[st] = true
-		delete(m.dirtySet, st)
 		m.mu.Unlock()
 
-		for {
-			if err := m.convertStripe(st); err != nil {
-				m.mu.Lock()
-				if m.err == nil {
-					m.err = err
-				}
-				delete(m.inProgress, st)
-				m.interruptLocked()
-				m.cond.Broadcast()
-				m.mu.Unlock()
-				return
-			}
-			m.mu.Lock()
-			m.stats.StripesConverted++
-			m.tel.converted.Inc()
-			m.tel.stripeRate.Inc()
-			if m.dirtySet[st] {
-				// A concurrent write raced with our reads; redo the
-				// stripe (after letting pending writes drain).
-				delete(m.dirtySet, st)
-				m.stats.StripesRedone++
-				m.tel.redone.Inc()
-				m.span.Event("migrate.stripe_redone", telemetry.A("stripe", st))
-				if !m.waitRunnable() {
-					delete(m.inProgress, st)
-					m.mu.Unlock()
-					return
-				}
-				m.mu.Unlock()
-				continue
-			}
-			break
+		if err := m.convertStripe(st); err != nil {
+			m.fail(err)
+			return
 		}
 		// Stripe committed: advance the contiguous watermark.
-		delete(m.inProgress, st)
-		m.doneSet[st] = true
-		for m.doneSet[m.cursor] {
-			delete(m.doneSet, m.cursor)
+		m.mu.Lock()
+		m.stats.StripesConverted++
+		m.tel.converted.Inc()
+		m.tel.stripeRate.Inc()
+		for m.cursor < m.stripes && m.isConverted(m.cursor) {
 			m.cursor++
 		}
 		m.tel.progress.Set(m.cursor)
@@ -686,13 +694,7 @@ func (m *OnlineMigrator) worker() {
 			// progress was read before the checkpoint's disk sync, so the
 			// journaled watermark never claims unsynced stripes.
 			if err := j.maybeCheckpoint(progress); err != nil {
-				m.mu.Lock()
-				if m.err == nil {
-					m.err = err
-				}
-				m.interruptLocked()
-				m.cond.Broadcast()
-				m.mu.Unlock()
+				m.fail(err)
 				return
 			}
 		}
@@ -756,31 +758,15 @@ func conversionRuns(code *core.Code56) []convRun {
 	return runs
 }
 
-// yieldToWrites parks the calling conversion worker while application writes
-// are in flight (they take priority, per the paper). It returns the migration
-// error raised elsewhere, if any — including context cancellation — which
-// aborts the stripe being converted: its diagonal parities sit above the
-// watermark and are redone on resume.
-//
-//c56:noalloc
-func (m *OnlineMigrator) yieldToWrites() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for m.pendingWrites > 0 && m.err == nil {
-		m.cond.Wait()
-	}
-	return m.err
-}
-
 // convertStripe computes and writes the p-1 diagonal parity blocks of one
 // stripe (the conversion thread's body in Algorithm 2: read the data
 // blocks, calculate the diagonal parity per Equation 2, write it). The only
 // buffer is the new disk's column, one accumulator a chain: each column run
 // lands on its slice of it with one disk call, and the column is written with
-// one. The worker let pending writes through before claiming (or redoing) the
-// stripe; they get one more chance before the parity goes out. Writers never
-// wait for any of this: a write that lands in between marks the stripe dirty
-// and the worker redoes it.
+// one. All of it, the stripe's bit included, happens under the stripe's
+// exclusive lock: writes in flight on the stripe finish first and later ones
+// find it converted, so the parity written is that of the data on the disks
+// and a stripe is converted once.
 //
 //c56:noalloc
 func (m *OnlineMigrator) convertStripe(st int64) error {
@@ -789,6 +775,9 @@ func (m *OnlineMigrator) convertStripe(st int64) error {
 	base := st * int64(rows)
 	parity := bufpool.Get(rows * bs)
 	defer bufpool.Put(parity)
+	lk := disks.StripeLock(st)
+	lk.Lock()
+	defer lk.Unlock()
 	var xors int64
 	for i := range m.runs {
 		r := &m.runs[i]
@@ -800,12 +789,10 @@ func (m *OnlineMigrator) convertStripe(st int64) error {
 		}
 	}
 	m.tel.xors.Add(xors)
-	if err := m.yieldToWrites(); err != nil {
-		return err
-	}
 	if err := disks.Disk(rows).WriteBlocks(base, parity); err != nil {
 		return fmt.Errorf("migrate: converting stripe %d: %w", st, err)
 	}
+	m.markConverted(st)
 	return nil
 }
 
@@ -864,28 +851,15 @@ func (m *OnlineMigrator) healRun(disk int, row int64, acc []byte, first bool) er
 // it. A fail-stopped disk cannot be repaired in place: the error
 // propagates, stopping the conversion at its contiguous watermark; after
 // Replace and Rebuild a new migrator resumes from there with ResumeFrom.
+// Stripe held, exclusive (convertStripe's hold): no application write can
+// fall between the reconstruction and the rewrite.
 func (m *OnlineMigrator) readOrRepair(row int64, disk int, buf []byte) error {
 	err := m.r5.Disks().Disk(disk).Read(row, buf)
 	if err == nil || !healable(err) {
 		return err
 	}
-	// The in-place heal must not interleave with an application write to the
-	// same block: conversion I/O runs while Write() proceeds (that is the
-	// dirtySet/redo design), and a write landing between ReconstructBlock and
-	// the rewrite below would be silently overwritten with the stale
-	// reconstructed value while the RAID-5 parity — already updated for the
-	// new data — stays inconsistent with it. writeMu serializes the heal with
-	// the write path; the stripe redo only recomputes diagonal parity and
-	// could not undo either.
-	m.writeMu.Lock()
-	defer m.writeMu.Unlock()
-	// Re-check under the lock: a racing write may already have rewritten the
-	// block (clearing the latent error), in which case its current content is
-	// the value to convert and there is nothing to heal.
-	if rerr := m.r5.Disks().Disk(disk).Read(row, buf); rerr == nil || !healable(rerr) {
-		return rerr
-	}
-	if rerr := m.r5.ReconstructBlock(row, disk, buf); rerr != nil {
+	clear(buf)
+	if rerr := m.r5.FoldBlock(row, disk, buf); rerr != nil {
 		return fmt.Errorf("reconstructing after %v: %w", err, rerr)
 	}
 	// Rewriting clears the latent error (writes remap the sector).
@@ -909,9 +883,9 @@ func (m *OnlineMigrator) Read(logical int64, buf []byte) error {
 	return m.r5.ReadBlock(logical, buf)
 }
 
-// Write serves an application write: it interrupts the conversion thread,
-// performs the RAID-5 read-modify-write, updates the diagonal parity if the
-// block's stripe is already converted, and resumes the conversion.
+// Write serves an application write under the stripe's shared lock, beside
+// every other write; where that cannot be done (writeHeld reports redo) it is
+// made again under the exclusive lock.
 func (m *OnlineMigrator) Write(logical int64, data []byte) error {
 	if len(data) != m.r5.BlockSize() {
 		return fmt.Errorf("migrate: write of %d bytes, want %d", len(data), m.r5.BlockSize())
@@ -920,72 +894,62 @@ func (m *OnlineMigrator) Write(logical int64, data []byte) error {
 	if row >= m.rows {
 		return fmt.Errorf("migrate: row %d beyond migrated region (%d rows)", row, m.rows)
 	}
-
-	m.writeMu.Lock()
-	defer m.writeMu.Unlock()
-
-	m.mu.Lock()
-	m.pendingWrites++ // interrupt the conversion workers
-	st := row / int64(m.code.P()-1)
-	needDiag := m.started && (st < m.cursor || m.doneSet[st])
-	if m.inProgress[st] {
-		m.dirtySet[st] = true
-	}
-	if m.started && !m.finished {
-		m.stats.WriteInterrupts++
+	m.tel.appWrites.Inc()
+	if m.live.Load() {
+		m.writeInterrupts.Add(1)
 		m.tel.interrupts.Inc()
 	}
-	if needDiag {
-		m.stats.DiagonalUpdates++
-		m.tel.diagUpd.Inc()
+	lk := m.r5.Disks().StripeLock(row / int64(m.code.P()-1))
+	lk.RLock()
+	redo, err := m.writeHeld(logical, row, disk, data, false)
+	lk.RUnlock()
+	if redo {
+		lk.Lock()
+		_, err = m.writeHeld(logical, row, disk, data, true)
+		lk.Unlock()
 	}
-	m.tel.appWrites.Inc()
-	m.mu.Unlock()
-
-	err := m.writeLocked(logical, row, disk, data, needDiag)
-
-	m.mu.Lock()
-	m.pendingWrites--
-	m.cond.Broadcast() // resume the conversion thread
-	m.mu.Unlock()
 	return err
 }
 
-// writeLocked performs one application write under writeMu: the RAID-5 small
-// write and, for a converted stripe, the diagonal parity update.
-func (m *OnlineMigrator) writeLocked(logical, row int64, disk int, data []byte, needDiag bool) error {
-	if !needDiag {
-		return m.r5.WriteBlock(logical, data)
-	}
-	blockSize := m.r5.BlockSize()
-	// The RAID-5 write hands back the old value it swapped out (degraded if it
-	// must: the write goes on even when the block's disk failed or the sector
-	// is bad); XORed with the new data it is the delta the block's diagonal
-	// chain has to absorb.
-	delta := bufpool.Get(blockSize)
-	defer bufpool.Put(delta)
-	if err := m.r5.SwapBlock(logical, data, delta); err != nil {
-		return err
-	}
-	xorblk.Xor(delta, data)
-	m.tel.redirectXORs.Add(2) // delta + fold into the diagonal parity
+// writeHeld performs one application write with the block's stripe held as
+// exclusive says: the RAID-5 write (raid5.WriteBlockHeld has the two forms)
+// and, for a converted stripe, the diagonal parity's update. Held shared that
+// is a fold of the delta the RAID-5 write hands back, and redo reports that
+// either could not be done as a delta write. Held exclusive the diagonal parity
+// is recomputed from its chain, which holds the new data by then, and written
+// whole, which also clears a bad sector under it.
+func (m *OnlineMigrator) writeHeld(logical, row int64, disk int, data []byte, exclusive bool) (redo bool, err error) {
 	rows := int64(m.code.P() - 1)
+	if !m.isConverted(row / rows) {
+		return m.r5.WriteBlockHeld(logical, data, nil, exclusive)
+	}
 	base := (row / rows) * rows
 	chain := m.code.DiagonalChainOf(int(row%rows), disk)
 	newDisk := m.r5.Disks().Disk(m.code.P() - 1)
-	err := newDisk.Xor(base+int64(chain), delta)
-	if err == nil || !healable(err) {
-		return err
+	buf := bufpool.Get(m.r5.BlockSize()) // the delta, or the recomputed parity
+	defer bufpool.Put(buf)
+	if exclusive {
+		if _, err := m.r5.WriteBlockHeld(logical, data, nil, true); err != nil {
+			return false, err
+		}
+		clear(buf)
+		if err := m.diagonalFromChain(base, chain, buf); err != nil {
+			return false, fmt.Errorf("migrate: recomputing diagonal parity %d of stripe %d: %w", chain, row/rows, err)
+		}
+		err = newDisk.Write(base+int64(chain), buf)
+	} else {
+		if redo, err := m.r5.WriteBlockHeld(logical, data, buf, false); redo || err != nil {
+			return redo, err
+		}
+		xorblk.Xor(buf, data)
+		m.tel.redirectXORs.Add(2) // delta + fold into the diagonal parity
+		if err = newDisk.Xor(base+int64(chain), buf); healable(err) {
+			return true, nil // the old diagonal parity is unreadable
+		}
 	}
-	// The old diagonal parity is unreadable, and the data and horizontal
-	// parity are already written: recompute it from its chain, which holds the
-	// new data by now. Writing it whole clears the bad sector.
-	parity := bufpool.GetZero(blockSize)
-	defer bufpool.Put(parity)
-	if err := m.diagonalFromChain(base, chain, parity); err != nil {
-		return fmt.Errorf("migrate: recomputing diagonal parity %d of stripe %d: %w", chain, row/rows, err)
-	}
-	return newDisk.Write(base+int64(chain), parity)
+	m.diagonalUpdates.Add(1)
+	m.tel.diagUpd.Inc()
+	return false, err
 }
 
 // diagonalFromChain folds the cells one diagonal chain covers, in the stripe

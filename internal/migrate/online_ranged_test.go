@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"code56/internal/core"
@@ -315,7 +316,8 @@ func TestConversionHealsLatentMidRun(t *testing.T) {
 
 // TestConvertStripeAllocationFree is the runtime half of convertStripe's
 // //c56:noalloc: one stripe's conversion rents its parity column from the pool
-// and allocates nothing, at either benchmark geometry.
+// and allocates nothing, at either benchmark geometry; nor does the bit it
+// sets, or a write's look at it.
 func TestConvertStripeAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -328,6 +330,14 @@ func TestConvertStripeAllocationFree(t *testing.T) {
 			}
 		}); n != 0 {
 			t.Errorf("p=%d: convertStripe allocates %.1f times per stripe, want 0", g.p, n)
+		}
+		if n := testing.AllocsPerRun(50, func() {
+			mig.markConverted(2)
+			if !mig.isConverted(2) || mig.isConverted(3) {
+				t.Fatal("stripe 2's bit is not the one set")
+			}
+		}); n != 0 {
+			t.Errorf("p=%d: markConverted and isConverted allocate %.1f times, want 0", g.p, n)
 		}
 	}
 }
@@ -366,6 +376,59 @@ func BenchmarkConvertStripe(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkMigratorWrite prices a foreground write through the migrator, beside
+// raid6's BenchmarkWriteBlockRMW: random blocks of a p=5 array of 4096 stripes
+// (201 MB of data, so the blocks a write touches come from memory), before the
+// migration has started (the RAID-5 small write) and after it has finished (plus
+// the diagonal parity), from one closed-loop client and from two — ROADMAP
+// item 1's "two clients slower than one". ns/op is wall time over all writes.
+func BenchmarkMigratorWrite(b *testing.B) {
+	const stripes, bs = 4096, 4096
+	for _, state := range []string{"unconverted", "converted"} {
+		rows := int64(stripes * 4)
+		a := newFilledRAID5(b, 4, bs, raid5.LeftAsymmetric, rows, 5, nil)
+		mig, err := NewOnlineMigrator(a, rows)
+		if err != nil {
+			b.Fatal(err)
+		}
+		mig.SetTelemetry(telemetry.NewRegistry(), nil)
+		if state == "converted" {
+			if err := mig.Start(); err != nil {
+				b.Fatal(err)
+			}
+			if err := mig.Wait(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, clients := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/clients=%d", state, clients), func(b *testing.B) {
+				b.SetBytes(bs)
+				var wg sync.WaitGroup
+				b.ResetTimer()
+				for c := 0; c < clients; c++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						r := rand.New(rand.NewSource(int64(c)))
+						data := make([]byte, bs)
+						r.Read(data)
+						for i := c; i < b.N; i += clients {
+							if err := mig.Write(r.Int63n(rows*3), data); err != nil {
+								b.Error(err)
+								return
+							}
+						}
+					}()
+				}
+				wg.Wait()
+			})
+		}
+		if err := a.Disks().Close(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

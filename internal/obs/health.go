@@ -94,7 +94,7 @@ func ArrayHealth(a *vdisk.Array) CheckFunc {
 }
 
 // MigratorHealth returns a checker reporting the online migrator's
-// lifecycle: running/parked/pending/finished are ok, an explicit pause is
+// lifecycle: running/pending/finished are ok, an explicit pause is
 // degraded, and a terminal conversion error is failed.
 func MigratorHealth(m *migrate.OnlineMigrator) CheckFunc {
 	return func() Health {

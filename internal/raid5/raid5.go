@@ -11,6 +11,7 @@ package raid5
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"code56/internal/bufpool"
 	"code56/internal/telemetry"
@@ -205,7 +206,19 @@ func (a *Array) ReadBlock(logical int64, buf []byte) error {
 		return err
 	}
 	a.tel.degradedReads.Inc()
+	lk := a.stripeLock(row)
+	lk.Lock()
+	defer lk.Unlock()
 	return a.reconstructInto(row, disk, buf)
+}
+
+// stripeLock returns the lock of row's stripe (vdisk.Array.StripeLock): m rows
+// to a stripe, the p-1 of the Code 5-6 array these disks may become, so the
+// migrator and the RAID-6 view lock the same thing.
+//
+//c56:noalloc
+func (a *Array) stripeLock(row int64) *sync.RWMutex {
+	return a.disks.StripeLock(row / int64(a.m))
 }
 
 // isDegradable reports whether a read error can be served by
@@ -218,22 +231,8 @@ func isDegradable(err error) bool {
 		errors.Is(err, vdisk.ErrTransient)
 }
 
-// ReconstructBlock rebuilds the physical block at (row, disk) — data or
-// parity — from the other columns of the row into buf: a degraded read of
-// an arbitrary cell. The online migrator uses it to survive latent errors
-// in stripes it is converting.
-func (a *Array) ReconstructBlock(row int64, disk int, buf []byte) error {
-	if disk < 0 || disk >= a.m {
-		return fmt.Errorf("raid5: disk %d outside 0..%d", disk, a.m-1)
-	}
-	if len(buf) != a.blockSize {
-		return fmt.Errorf("raid5: reconstruct into %d bytes, want %d", len(buf), a.blockSize)
-	}
-	a.tel.degradedReads.Inc()
-	return a.reconstructInto(row, disk, buf)
-}
-
-// reconstructInto rebuilds (row, disk) from all other disks into buf.
+// reconstructInto rebuilds (row, disk) from all other disks into buf. Stripe
+// held, exclusive.
 func (a *Array) reconstructInto(row int64, disk int, buf []byte) error {
 	clear(buf)
 	return a.foldPeers("reconstructing", row, disk, -1, buf)
@@ -242,6 +241,7 @@ func (a *Array) reconstructInto(row int64, disk int, buf []byte) error {
 // foldRow XORs the row's block on every disk but skip and skip2 into acc, each
 // from where it lies (vdisk.Disk.ReadXor: no scratch block, no copy), counting
 // it in xors unless that is nil. A read that fails is returned with its disk.
+// Stripe held, exclusive: the blocks must be of one moment.
 func (a *Array) foldRow(row int64, skip, skip2 int, acc []byte, xors *telemetry.Counter) (int, error) {
 	for i := 0; i < a.m; i++ {
 		if i == skip || i == skip2 {
@@ -269,8 +269,11 @@ func (a *Array) foldPeers(what string, row int64, disk, skip2 int, acc []byte) e
 
 // FoldBlock XORs the physical block at (row, disk) into acc with no block of
 // scratch: from its disk, or, when that read fails as a degraded read may, as
-// the XOR of the row's other blocks, which is the same bytes: ReconstructBlock
-// for a caller that wants only a term of a parity. On error acc is unspecified.
+// the XOR of the row's other blocks, which is the same bytes: a degraded read
+// of an arbitrary cell, data or parity, into a zeroed acc, or one term of a
+// parity. On error acc is unspecified. Stripe held, exclusive: the caller is
+// the online migrator, healing a block of the stripe it is converting or
+// recomputing a diagonal parity from its chain.
 func (a *Array) FoldBlock(row int64, disk int, acc []byte) error {
 	err := a.disks.Disk(disk).ReadXor(row, acc)
 	if err == nil || !isDegradable(err) {
@@ -280,127 +283,115 @@ func (a *Array) FoldBlock(row int64, disk int, acc []byte) error {
 	return a.foldPeers("reconstructing", row, disk, -1, acc)
 }
 
-// WriteBlock writes logical data block L as a small write: the data block is
-// swapped for its new contents and the parity absorbs the XOR delta of old
-// and new. Degraded states (one failed disk) are handled by reconstruct-write.
+// WriteBlock writes logical data block L: as a small write under the stripe's
+// shared lock and, where that cannot be done (see WriteBlockHeld), again as a
+// snapshot write under its exclusive one.
 //
 //c56:noalloc
 func (a *Array) WriteBlock(logical int64, data []byte) error {
-	return a.SwapBlock(logical, data, nil)
+	lk := a.stripeLock(logical / int64(a.m-1))
+	lk.RLock()
+	redo, err := a.WriteBlockHeld(logical, data, nil, false)
+	lk.RUnlock()
+	if redo {
+		lk.Lock()
+		_, err = a.WriteBlockHeld(logical, data, nil, true)
+		lk.Unlock()
+	}
+	return err
 }
 
-// SwapBlock is WriteBlock that also hands back the block's previous contents
-// in old (one block long, or nil for none): the small write has them already,
-// so a caller maintaining a further parity over the block — the online
-// migrator's diagonal parity — need not read them again. Where the write
-// itself does without the old data (the block is unreadable, or a disk is
-// down), a non-nil old is filled by reconstruction from the row.
+// WriteBlockHeld is WriteBlock for a caller that holds the block's stripe lock
+// itself — the online migrator, which keeps its diagonal parity over the block
+// under the same hold — in the mode exclusive says.
 //
-// The healthy write is two disk operations, each atomic on its disk: Swap on
-// the data block, Xor of the delta into the parity. Folds commute, so
-// concurrent small writes to one row, even to one block, leave the parity
-// consistent with the data that ended up stored. The data is written before
-// the parity is touched: a parity that then cannot be read is recomputed from
-// the row, and a hard error from it leaves the row as a failed parity write
-// does — new data, stale parity.
+// Held shared it is the small write, two disk operations, each atomic on its
+// disk: Swap on the data block, which hands the previous contents back in old
+// (one block long, or nil for none) so the caller need not read them again,
+// then Xor of the delta into the parity. Folds commute, so concurrent small
+// writes to one row, even to one block, leave the parity consistent with the
+// data that ended up stored. redo reports that this cannot be done — a disk
+// of the two is down, or an operation met a degradable error — and the write
+// is to be made again under the exclusive lock; what was written stays. A
+// hard error from the parity leaves new data over stale parity, as a failed
+// parity write does.
+//
+// Held exclusive it is the snapshot write (see snapshotWrite), which reads
+// neither block; old must be nil, a further parity being recomputed likewise.
 //
 //c56:noalloc
-func (a *Array) SwapBlock(logical int64, data, old []byte) error {
+func (a *Array) WriteBlockHeld(logical int64, data, old []byte, exclusive bool) (redo bool, err error) {
 	if len(data) != a.blockSize {
-		return fmt.Errorf("raid5: write of %d bytes, want %d", len(data), a.blockSize)
+		return false, fmt.Errorf("raid5: write of %d bytes, want %d", len(data), a.blockSize)
 	}
-	if old != nil && len(old) != a.blockSize {
-		return fmt.Errorf("raid5: old-value buffer of %d bytes, want %d", len(old), a.blockSize)
+	if old != nil && (exclusive || len(old) != a.blockSize) {
+		return false, fmt.Errorf("raid5: old-value buffer of %d bytes, want %d, or none for a snapshot write", len(old), a.blockSize)
 	}
-	a.tel.blockWrites.Inc()
 	row, disk := a.Locate(logical)
 	pd := a.ParityDisk(row)
-
 	dataDisk := a.disks.Disk(disk)
 	parityDisk := a.disks.Disk(pd)
-
-	switch {
-	case !dataDisk.Failed() && !parityDisk.Failed():
-		delta := bufpool.Get(a.blockSize)
-		defer bufpool.Put(delta)
-		prev := old
-		if prev == nil {
-			prev = delta
-		}
-		if err := dataDisk.Swap(row, data, prev); err != nil {
-			if !isDegradable(err) {
-				return err
-			}
-			// The block cannot be swapped (latent/transient) and nothing has
-			// been written: fall back to reconstruct-write, which never needs
-			// the old data. Writing the new data clears any latent error on
-			// the block.
-			if err := a.reconstructOld(row, disk, old); err != nil {
-				return err
-			}
-			return a.reconstructWrite(row, disk, pd, data, true)
-		}
-		if old == nil {
-			xorblk.Xor(delta, data)
-		} else {
-			xorblk.XorInto(delta, old, data)
-		}
-		a.tel.xors.Inc()
-		if err := parityDisk.Xor(row, delta); err != nil {
-			if !isDegradable(err) {
-				return err
-			}
-			// The old parity is unreadable: recompute it from the row, whose
-			// data block is written already.
-			return a.reconstructWrite(row, disk, pd, data, false)
-		}
-		a.tel.xors.Inc()
-		a.tel.parityUpdates.Inc()
-		return nil
-
-	case dataDisk.Failed():
-		if err := a.reconstructOld(row, disk, old); err != nil {
-			return err
-		}
-		return a.reconstructWrite(row, disk, pd, data, false)
-
-	default:
-		// Parity disk failed: just write the data; parity is lost until
-		// rebuild.
-		if old == nil {
-			return dataDisk.Write(row, data)
-		}
-		return dataDisk.Swap(row, data, old)
+	if exclusive {
+		a.tel.blockWrites.Inc()
+		return false, a.snapshotWrite(row, disk, pd, data)
 	}
-}
-
-// reconstructOld serves SwapBlock's old value when the block cannot be read
-// directly: a degraded read of (row, disk) into old. A nil old asks for
-// nothing.
-func (a *Array) reconstructOld(row int64, disk int, old []byte) error {
+	if dataDisk.Failed() || parityDisk.Failed() {
+		return true, nil
+	}
+	delta := bufpool.Get(a.blockSize)
+	defer bufpool.Put(delta)
+	prev := old
+	if prev == nil {
+		prev = delta
+	}
+	if err := dataDisk.Swap(row, data, prev); err != nil {
+		return redoOn(err) // nothing has been written
+	}
 	if old == nil {
-		return nil
+		xorblk.Xor(delta, data)
+	} else {
+		xorblk.XorInto(delta, old, data)
 	}
-	if err := a.ReconstructBlock(row, disk, old); err != nil {
-		return fmt.Errorf("raid5: degraded old-value read: %w", err)
+	a.tel.xors.Inc()
+	if err := parityDisk.Xor(row, delta); err != nil {
+		return redoOn(err) // the data is written; the redo recomputes the parity over it
 	}
-	return nil
+	a.tel.xors.Inc()
+	a.tel.parityUpdates.Inc()
+	a.tel.blockWrites.Inc()
+	return false, nil
 }
 
-// reconstructWrite writes logical data by full-row reconstruction: the new
-// parity is the XOR of the new data and the row's other data blocks, so
-// neither the old data nor the old parity is read. writeData is false when
-// only the parity is to be written: the data disk itself is failed (the data
-// is restored at rebuild time), or the data is on its disk already.
-func (a *Array) reconstructWrite(row int64, disk, pd int, data []byte, writeData bool) error {
+// redoOn turns a delta writer's failed disk operation into its result: redo
+// if a snapshot write can get past the error, else the error.
+//
+//c56:noalloc
+func redoOn(err error) (bool, error) {
+	if isDegradable(err) {
+		return true, nil
+	}
+	return false, err
+}
+
+// snapshotWrite writes the data block (row, disk) and the row's parity without
+// reading either — the parity is the XOR of the new data and the row's other
+// data blocks — so it goes through, and clears the sector, over a bad sector
+// under either. With the parity disk down only the data is written (the parity
+// is lost until rebuild), with the data disk down only the parity (the data is
+// restored at rebuild). Stripe held, exclusive.
+func (a *Array) snapshotWrite(row int64, disk, pd int, data []byte) error {
+	dataDisk := a.disks.Disk(disk)
+	if a.disks.Disk(pd).Failed() {
+		return dataDisk.Write(row, data)
+	}
 	parity := bufpool.Get(a.blockSize)
 	defer bufpool.Put(parity)
 	copy(parity, data)
 	if err := a.foldPeers("reconstruct-write", row, disk, pd, parity); err != nil {
 		return err
 	}
-	if writeData {
-		if err := a.disks.Disk(disk).Write(row, data); err != nil {
+	if !dataDisk.Failed() {
+		if err := dataDisk.Write(row, data); err != nil {
 			return err
 		}
 	}
@@ -414,6 +405,9 @@ func (a *Array) WriteParity(row int64) error {
 	pd := a.ParityDisk(row)
 	parity := bufpool.GetZero(a.blockSize)
 	defer bufpool.Put(parity)
+	lk := a.stripeLock(row)
+	lk.Lock()
+	defer lk.Unlock()
 	if _, err := a.foldRow(row, pd, -1, parity, a.tel.xors); err != nil {
 		return err
 	}
@@ -432,11 +426,14 @@ func (a *Array) Rebuild(disk int, rows int64) error {
 	buf := bufpool.Get(a.blockSize)
 	defer bufpool.Put(buf)
 	for row := int64(0); row < rows; row++ {
-		if err := a.reconstructInto(row, disk, buf); err != nil {
-			sp.End(telemetry.A("error", err.Error()))
-			return err
+		lk := a.stripeLock(row)
+		lk.Lock()
+		err := a.reconstructInto(row, disk, buf)
+		if err == nil {
+			err = a.disks.Disk(disk).Write(row, buf)
 		}
-		if err := a.disks.Disk(disk).Write(row, buf); err != nil {
+		lk.Unlock()
+		if err != nil {
 			sp.End(telemetry.A("error", err.Error()))
 			return err
 		}
@@ -450,6 +447,9 @@ func (a *Array) Rebuild(disk int, rows int64) error {
 func (a *Array) VerifyRow(row int64) (bool, error) {
 	acc := bufpool.GetZero(a.blockSize)
 	defer bufpool.Put(acc)
+	lk := a.stripeLock(row)
+	lk.Lock()
+	defer lk.Unlock()
 	if _, err := a.foldRow(row, -1, -1, acc, nil); err != nil {
 		return false, err
 	}

@@ -261,12 +261,12 @@ func TestSecondBadBlockInRowIsDoubleFault(t *testing.T) {
 	}
 }
 
-// TestFoldBlockMatchesReconstructBlock: FoldBlock XORs into the accumulator
-// the bytes ReconstructBlock would hand back — read where the block lies while
-// it can be, folded from the rest of the row when its sector is bad or its disk
-// down, at ReconstructBlock's tallies — and a second bad block in the row is the
+// TestFoldBlockMatchesDegradedRead: FoldBlock XORs into the accumulator the
+// bytes a degraded read would hand back — read where the block lies while it
+// can be, folded from the rest of the row when its sector is bad or its disk
+// down, at a degraded read's tallies — and a second bad block in the row is the
 // same double fault.
-func TestFoldBlockMatchesReconstructBlock(t *testing.T) {
+func TestFoldBlockMatchesDegradedRead(t *testing.T) {
 	a, _ := New(4, 16, LeftAsymmetric)
 	reg := telemetry.NewRegistry()
 	a.SetTelemetry(reg, nil)
@@ -332,25 +332,44 @@ func TestRMWTouchesTwoDisks(t *testing.T) {
 	}
 }
 
-// TestSwapBlockHandsBackOldValue: SwapBlock is WriteBlock plus the block's
-// previous contents, at no extra I/O while the array is healthy (the
-// read-modify-write read them anyway), and by reconstruction or one extra
-// read in every degraded state. The row verifies and the new data reads back
-// afterwards in all of them.
-func TestSwapBlockHandsBackOldValue(t *testing.T) {
+// writeHeld is WriteBlock with the old value asked for: the small write under
+// the shared lock and, if that reports redo, the snapshot write under the
+// exclusive one. It says which form completed the write.
+func writeHeld(a *Array, logical int64, data, old []byte) (redone bool, err error) {
+	row, _ := a.Locate(logical)
+	lk := a.stripeLock(row)
+	lk.RLock()
+	redo, err := a.WriteBlockHeld(logical, data, old, false)
+	lk.RUnlock()
+	if redo {
+		lk.Lock()
+		_, err = a.WriteBlockHeld(logical, data, nil, true)
+		lk.Unlock()
+	}
+	return redo, err
+}
+
+// TestWriteBlockHeldHandsBackOldValue: held shared, WriteBlockHeld is the small
+// write plus the block's previous contents, at no extra I/O (the small write
+// read them anyway). In every degraded state it reports redo instead — having
+// written the data already when it is the parity that cannot be read — and
+// held exclusive writes the block without reading it or its parity. The row
+// verifies and the new data reads back afterwards in all of them.
+func TestWriteBlockHeldHandsBackOldValue(t *testing.T) {
 	const logical = 7
 	first := []byte("0123456789abcdef")
 	second := []byte("fedcba9876543210")
 	for _, c := range []struct {
 		name          string
 		damage        func(a *Array, row int64, disk, pd int)
-		reads, writes int64 // the swap's I/O across all disks
+		redone        bool
+		reads, writes int64 // the write's I/O across all disks, both attempts
 	}{
-		{"healthy", func(*Array, int64, int, int) {}, 2, 2},
-		{"old data latent", func(a *Array, row int64, disk, pd int) { a.Disks().Disk(disk).InjectLatentError(row) }, 4 + 3, 2}, // the failed read is not counted
-		{"old parity latent", func(a *Array, row int64, disk, pd int) { a.Disks().Disk(pd).InjectLatentError(row) }, 1 + 3, 2},
-		{"data disk failed", func(a *Array, row int64, disk, pd int) { a.Disks().Disk(disk).Fail() }, 4 + 3, 1},
-		{"parity disk failed", func(a *Array, row int64, disk, pd int) { a.Disks().Disk(pd).Fail() }, 1, 1},
+		{"healthy", func(*Array, int64, int, int) {}, false, 2, 2},
+		{"old data latent", func(a *Array, row int64, disk, pd int) { a.Disks().Disk(disk).InjectLatentError(row) }, true, 3, 2}, // the failed swap is not counted
+		{"old parity latent", func(a *Array, row int64, disk, pd int) { a.Disks().Disk(pd).InjectLatentError(row) }, true, 1 + 3, 1 + 2},
+		{"data disk failed", func(a *Array, row int64, disk, pd int) { a.Disks().Disk(disk).Fail() }, true, 3, 1},
+		{"parity disk failed", func(a *Array, row int64, disk, pd int) { a.Disks().Disk(pd).Fail() }, true, 0, 1},
 	} {
 		a, _ := New(5, 16, LeftAsymmetric)
 		for L := int64(0); L < 12; L++ { // rows 0-2, so the peers hold data too
@@ -366,14 +385,15 @@ func TestSwapBlockHandsBackOldValue(t *testing.T) {
 		c.damage(a, row, disk, pd)
 		a.Disks().ResetStats()
 		old := make([]byte, 16)
-		if err := a.SwapBlock(logical, second, old); err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+		redone, err := writeHeld(a, logical, second, old)
+		if err != nil || redone != c.redone {
+			t.Fatalf("%s: redone %v (want %v), err %v", c.name, redone, c.redone, err)
 		}
-		if !bytes.Equal(old, first) {
+		if !redone && !bytes.Equal(old, first) {
 			t.Errorf("%s: old value %q, want %q", c.name, old, first)
 		}
 		if st := a.Disks().TotalStats(); st.Reads != c.reads || st.Writes != c.writes {
-			t.Errorf("%s: swap cost %d reads / %d writes, want %d / %d", c.name, st.Reads, st.Writes, c.reads, c.writes)
+			t.Errorf("%s: write cost %d reads / %d writes, want %d / %d", c.name, st.Reads, st.Writes, c.reads, c.writes)
 		}
 		got := make([]byte, 16)
 		if err := a.ReadBlock(logical, got); err != nil || !bytes.Equal(got, second) {
@@ -381,16 +401,19 @@ func TestSwapBlockHandsBackOldValue(t *testing.T) {
 		}
 		if len(a.failedDisks()) == 0 {
 			if ok, err := a.VerifyRow(row); err != nil || !ok {
-				t.Errorf("%s: row does not verify after the swap (ok=%v err=%v)", c.name, ok, err)
+				t.Errorf("%s: row does not verify after the write (ok=%v err=%v)", c.name, ok, err)
 			}
 		}
 	}
 	a, _ := New(5, 16, LeftAsymmetric)
-	if err := a.SwapBlock(0, first, make([]byte, 8)); err == nil {
-		t.Error("SwapBlock accepted a short old-value buffer")
+	if _, err := a.WriteBlockHeld(0, first, make([]byte, 8), false); err == nil {
+		t.Error("WriteBlockHeld accepted a short old-value buffer")
 	}
-	if err := a.SwapBlock(0, first[:8], nil); err == nil {
-		t.Error("SwapBlock accepted short data")
+	if _, err := a.WriteBlockHeld(0, first, make([]byte, 16), true); err == nil {
+		t.Error("WriteBlockHeld accepted an old-value buffer for a snapshot write")
+	}
+	if _, err := a.WriteBlockHeld(0, first[:8], nil, false); err == nil {
+		t.Error("WriteBlockHeld accepted short data")
 	}
 }
 

@@ -83,8 +83,8 @@ func TestSmallWriteCounters(t *testing.T) {
 	}
 	before := reg.Snapshot().Counters
 	old := make([]byte, 16)
-	if err := a.SwapBlock(7, bytes.Repeat([]byte{2}, 16), old); err != nil {
-		t.Fatal(err)
+	if redo, err := a.WriteBlockHeld(7, bytes.Repeat([]byte{2}, 16), old, false); redo || err != nil {
+		t.Fatal(redo, err)
 	}
 	after := reg.Snapshot().Counters
 	for name, want := range map[string]int64{
@@ -114,9 +114,9 @@ func TestSmallWriteAllocationFree(t *testing.T) {
 				t.Fatal(err)
 			}
 		},
-		"SwapBlock": func() {
-			if err := a.SwapBlock(9, data, old); err != nil {
-				t.Fatal(err)
+		"WriteBlockHeld": func() {
+			if redo, err := a.WriteBlockHeld(9, data, old, false); redo || err != nil {
+				t.Fatal(redo, err)
 			}
 		},
 		"Locate":     func() { _, _ = a.Locate(9) },

@@ -19,6 +19,9 @@ func (a *Array) rebuildStripe(st int64, disks []int) error {
 	}
 	s := a.stripes.Get()
 	defer a.stripes.Put(s)
+	lk := a.disks.StripeLock(st)
+	lk.Lock()
+	defer lk.Unlock()
 	var es layout.ErasureSet
 	for j := 0; j < a.geom.Cols; j++ {
 		if cols.Has(j) {
@@ -82,6 +85,9 @@ func (a *Array) WriteStripe(stripe int64, data [][]byte) error {
 		s.SetBlock(a.dataCells[i], b)
 	}
 	a.enc.Encode(s)
+	lk := a.disks.StripeLock(stripe)
+	lk.Lock()
+	defer lk.Unlock()
 	for j := 0; j < a.geom.Cols; j++ {
 		if err := a.writeColumn(stripe, j, s); err != nil {
 			return err
@@ -93,7 +99,10 @@ func (a *Array) WriteStripe(stripe int64, data [][]byte) error {
 // ReadStripe reads all data blocks of one stripe in Locate order,
 // reconstructing if disks have failed.
 func (a *Array) ReadStripe(stripe int64) ([][]byte, error) {
+	lk := a.disks.StripeLock(stripe)
+	lk.Lock()
 	s, es, err := a.loadStripe(stripe)
+	lk.Unlock()
 	if err != nil {
 		return nil, err
 	}

@@ -345,11 +345,15 @@ func (a *Array) ReadCell(stripe int64, cell layout.Coord, buf []byte) error {
 // touches the diagonal-parity disk. If a source turns out unreadable, or the
 // columns have no plan (more of them than the code tolerates, or a pattern
 // peeling cannot solve), it falls back to loading the whole stripe and
-// running the full decoder on exactly the unreadable cells.
+// running the full decoder on exactly the unreadable cells. It holds the
+// stripe exclusive: its sources must not lie either side of a small write.
 //
 //c56:noalloc
 func (a *Array) degradedRead(stripe int64, cell layout.Coord, buf []byte) error {
 	a.tel.degradedReads.Inc()
+	lk := a.disks.StripeLock(stripe)
+	lk.Lock()
+	defer lk.Unlock()
 	if a.readFromPlan(stripe, cell, buf) {
 		a.tel.degradedFast.Inc()
 		return nil
@@ -445,8 +449,9 @@ func foldBatch(buf []byte, srcs [][]byte, first bool) {
 }
 
 // WriteBlock writes logical data block L. In a healthy array it is a small
-// write (see writeRMW); with failures present it falls back to stripe
-// reconstruct-modify-write.
+// write (see writeRMW) under the stripe's shared lock; with a disk down, or
+// when the small write meets a degradable error, it is the stripe's
+// reconstruct-modify-write (see writeDegraded) under the exclusive one.
 //
 //c56:noalloc
 func (a *Array) WriteBlock(logical int64, data []byte) error {
@@ -454,11 +459,21 @@ func (a *Array) WriteBlock(logical int64, data []byte) error {
 		return fmt.Errorf("raid6: write of %d bytes, want %d", len(data), a.blockSize)
 	}
 	a.tel.blockWrites.Inc()
-	stripe, cell := a.Locate(logical)
+	n := int64(len(a.dataCells))
+	stripe, first := logical/n, logical%n
+	lk := a.disks.StripeLock(stripe)
 	if a.failedColumns().Len() == 0 {
-		return a.writeRMW(stripe, cell, data)
+		lk.RLock()
+		err := a.writeRMW(stripe, a.dataCells[first], data)
+		lk.RUnlock()
+		if err == nil || !isDegradable(err) {
+			return err
+		}
 	}
-	return a.writeDegraded(stripe, cell, data) //lint:allow noalloc degraded writes reconstruct the whole stripe; RMW is the steady state
+	lk.Lock()
+	err := a.writeDegraded(stripe, first, data) //lint:allow noalloc degraded writes reconstruct the whole stripe; RMW is the steady state
+	lk.Unlock()
+	return err
 }
 
 // writeRMW is the small write: Swap the data cell for its new contents, turn
@@ -467,6 +482,8 @@ func (a *Array) WriteBlock(logical int64, data []byte) error {
 // data cells sit in exactly two chains. Each operation is atomic on its disk
 // and the folds commute, so concurrent small writes to one stripe, even to one
 // cell, leave every parity consistent with the data that ended up stored.
+// Stripe held, shared; after a degradable error the caller redoes the write
+// with writeDegraded, which covers whatever this one had written.
 //
 //c56:noalloc
 func (a *Array) writeRMW(stripe int64, cell layout.Coord, data []byte) error {
@@ -487,19 +504,29 @@ func (a *Array) writeRMW(stripe int64, cell layout.Coord, data []byte) error {
 	return nil
 }
 
-func (a *Array) writeDegraded(stripe int64, cell layout.Coord, data []byte) error {
+// writeDegraded is the snapshot write of a run of blocks within one stripe, from
+// data cell first on: it loads the stripe, reconstructs what cannot be read,
+// stores the new data and encodes every parity from the data, so what a delta
+// write stopped by a fault left half folded is made whole. Stripe held,
+// exclusive.
+func (a *Array) writeDegraded(stripe, first int64, data []byte) error {
 	s, es, err := a.loadStripe(stripe)
 	if err != nil {
 		return err
 	}
 	defer a.stripes.Put(s)
-	if _, err := a.dec.Reconstruct(s, es); err != nil {
-		return fmt.Errorf("%w: %w", ErrTooManyFailures, err)
+	if len(es) > 0 {
+		if _, err := a.dec.Reconstruct(s, es); err != nil {
+			return fmt.Errorf("%w: %w", ErrTooManyFailures, err)
+		}
 	}
-	s.SetBlock(cell, data)
+	cells := a.dataCells[first : first+int64(len(data)/a.blockSize)]
+	for i, c := range cells {
+		s.SetBlock(c, data[i*a.blockSize:(i+1)*a.blockSize])
+	}
 	a.enc.Encode(s)
 	a.tel.xors.Add(a.encodeXORs)
-	// Write back the changed data cell and every parity on surviving
+	// Write back the changed data cells and every parity on surviving
 	// disks; failed columns are skipped (their content is restored at
 	// rebuild time).
 	write := func(c layout.Coord) error {
@@ -508,8 +535,10 @@ func (a *Array) writeDegraded(stripe int64, cell layout.Coord, data []byte) erro
 		}
 		return a.writeCell(stripe, c, s.Block(c))
 	}
-	if err := write(cell); err != nil {
-		return err
+	for _, c := range cells {
+		if err := write(c); err != nil {
+			return err
+		}
 	}
 	for _, ch := range a.chains {
 		if err := write(ch.Parity); err != nil {
@@ -525,6 +554,9 @@ func (a *Array) writeDegraded(stripe int64, cell layout.Coord, data []byte) erro
 //
 //c56:noalloc
 func (a *Array) EncodeStripe(stripe int64) error {
+	lk := a.disks.StripeLock(stripe)
+	lk.Lock()
+	defer lk.Unlock()
 	s, es, err := a.loadStripe(stripe)
 	if err != nil {
 		return err
@@ -547,7 +579,10 @@ func (a *Array) EncodeStripe(stripe int64) error {
 
 // VerifyStripe reports whether every parity chain of stripe s holds.
 func (a *Array) VerifyStripe(stripe int64) (bool, error) {
+	lk := a.disks.StripeLock(stripe)
+	lk.Lock()
 	s, es, err := a.loadStripe(stripe)
+	lk.Unlock()
 	if err != nil {
 		return false, err
 	}

@@ -100,11 +100,16 @@ func (r *ScrubReport) add(st int64, res scrubResult) {
 // scrubStripe runs one stripe's scrub pass: latent-error healing, then a
 // parity-syndrome check locating and repairing silent single-block
 // corruption. With repair false it only detects. It touches only stripe
-// st's block range, so distinct stripes may be scrubbed concurrently.
+// st's block range, so distinct stripes may be scrubbed concurrently, and
+// holds it exclusive: to the syndrome check a stripe in the middle of a small
+// write is a corrupt one.
 func (a *Array) scrubStripe(st int64, repair bool) (res scrubResult, _ error) {
 	// Load with latent-error healing.
 	s := a.stripes.Get()
 	defer a.stripes.Put(s)
+	lk := a.disks.StripeLock(st)
+	lk.Lock()
+	defer lk.Unlock()
 	var latent []layout.Coord
 	for j := 0; j < a.geom.Cols; j++ {
 		err := a.readColumn(st, j, s)

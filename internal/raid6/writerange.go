@@ -14,8 +14,8 @@ import (
 // read-modify-write pays 2 I/Os on a parity for every block under it).
 // data's length must be a multiple of the block size. Stripes whose data
 // cells are all overwritten are encoded without reading at all, as in
-// WriteStripe. The array must be healthy; degraded ranges fall back to
-// per-block writes.
+// WriteStripe. With a disk down each stripe's share of the range is one
+// reconstruct-modify-write (see writeDegraded).
 func (a *Array) WriteRange(logical int64, data []byte) error {
 	if len(data)%a.blockSize != 0 {
 		return fmt.Errorf("raid6: range of %d bytes is not block-aligned (%d)", len(data), a.blockSize)
@@ -24,16 +24,8 @@ func (a *Array) WriteRange(logical int64, data []byte) error {
 	if nBlocks == 0 {
 		return nil
 	}
-	if a.failedColumns().Len() > 0 {
-		for i := int64(0); i < nBlocks; i++ {
-			if err := a.WriteBlock(logical+i, data[i*int64(a.blockSize):(i+1)*int64(a.blockSize)]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
 	perStripe := int64(len(a.dataCells))
+	healthy := a.failedColumns().Len() == 0
 	var blocks [][]byte // full-stripe view, allocated once for the whole range
 	for done := int64(0); done < nBlocks; {
 		stripe := (logical + done) / perStripe
@@ -43,7 +35,7 @@ func (a *Array) WriteRange(logical int64, data []byte) error {
 			count = rem
 		}
 		chunk := data[done*int64(a.blockSize) : (done+count)*int64(a.blockSize)]
-		if first == 0 && count == perStripe {
+		if first == 0 && count == perStripe && healthy {
 			// Full stripe: encode fresh, no reads.
 			if blocks == nil {
 				blocks = make([][]byte, perStripe)
@@ -62,13 +54,32 @@ func (a *Array) WriteRange(logical int64, data []byte) error {
 	return nil
 }
 
-// writePartialStripe applies a run of new blocks within one stripe: each data
-// cell is swapped for its new contents, its delta is aggregated per parity,
-// and each touched parity absorbs its aggregate with one Disk.Xor. The
-// aggregates are kept and folded in chain order — diagonal parities share a
-// disk, so the order decides that disk's injector draws and must not vary
-// from run to run.
+// writePartialStripe writes a run of new blocks within one stripe: as delta
+// writes (see foldRun) under the stripe's shared lock and, with a disk down or
+// when those meet a degradable error, as one snapshot write under the
+// exclusive one.
 func (a *Array) writePartialStripe(stripe, first int64, data []byte) error {
+	lk := a.disks.StripeLock(stripe)
+	if a.failedColumns().Len() == 0 {
+		lk.RLock()
+		err := a.foldRun(stripe, first, data)
+		lk.RUnlock()
+		if err == nil || !isDegradable(err) {
+			return err
+		}
+	}
+	lk.Lock()
+	defer lk.Unlock()
+	return a.writeDegraded(stripe, first, data)
+}
+
+// foldRun applies a run of new blocks within one stripe: each data cell is
+// swapped for its new contents, its delta is aggregated per parity, and each
+// touched parity absorbs its aggregate with one Disk.Xor. The aggregates are
+// kept and folded in chain order — diagonal parities share a disk, so the
+// order decides that disk's injector draws and must not vary from run to run.
+// Stripe held, shared.
+func (a *Array) foldRun(stripe, first int64, data []byte) error {
 	bs := int64(a.blockSize)
 	// acc[ci] is the delta chain ci's parity has to absorb, rented when the
 	// first changed cell reaches the chain.

@@ -580,3 +580,76 @@ func TestConcurrentPutsKeepParity(t *testing.T) {
 		}
 	}
 }
+
+// TestStripeLockDegradedGetsDuringPuts is the reconstructing-reader race seen
+// through the wire: with a disk of a bare RAID-5 down, every GET of a block of
+// that disk nobody writes returns the block while two clients PUT to the other
+// blocks of its row. Before the stripe lock the reconstruction read the row
+// between a PUT's Swap and its Xor and served the wrong bytes with a 200. Run
+// it under -race too.
+func TestStripeLockDegradedGetsDuringPuts(t *testing.T) {
+	// Large blocks keep each write inside the array long enough to overlap.
+	const gets, blockSize = 800, 64 << 10
+	a, err := raid5.New(4, blockSize, raid5.LeftAsymmetric)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, telemetry.NewRegistry())
+	tn, err := s.AddTenant("acme", QoS{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tn.AddVolume("vol0", a, 8*int64(a.M()-1)); err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Repeat([]byte{0xC3}, blockSize)
+	if err := a.WriteBlock(0, want); err != nil {
+		t.Fatal(err)
+	}
+	_, disk := a.Locate(0)
+	a.Disks().Disk(disk).Fail()
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for c := int64(1); c <= 2; c++ { // blocks 1 and 2 share block 0's row
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				payload := bytes.Repeat([]byte{byte(c), byte(i)}, blockSize/2)
+				req, err := http.NewRequest(http.MethodPut, blockURL(ts, "acme", "vol0", c), bytes.NewReader(payload))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusNoContent {
+					t.Errorf("PUT %d: status %d", c, resp.StatusCode)
+					return
+				}
+			}
+		}()
+	}
+	wrong := 0
+	for i := 0; i < gets; i++ {
+		if status, body := readBlock(t, blockURL(ts, "acme", "vol0", 0)); status != http.StatusOK || !bytes.Equal(body, want) {
+			wrong++
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if wrong > 0 {
+		t.Fatalf("%d of %d degraded GETs of a block nobody wrote came back wrong", wrong, gets)
+	}
+}

@@ -76,6 +76,11 @@ func TestHealthyDiskIOAllocationFree(t *testing.T) {
 		"Disk.Failed":     func() { _ = d.Failed() },
 		"Array.Disk":      func() { _ = a.Disk(0) },
 		"Array.BlockSize": func() { _ = a.BlockSize() },
+		"Array.StripeLock": func() {
+			lk := a.StripeLock(7)
+			lk.RLock()
+			lk.RUnlock()
+		},
 	} {
 		if n := testing.AllocsPerRun(200, fn); n != 0 {
 			t.Errorf("%s allocates %.1f times per call, want 0", name, n)

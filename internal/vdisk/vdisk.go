@@ -720,6 +720,48 @@ type Array struct {
 	faults    *FaultConfig  //c56:guardedby mu
 	retryMax  int           //c56:guardedby mu
 	retryBase time.Duration //c56:guardedby mu
+
+	// stripeLocks is the stripe exclusion of every driver over these disks
+	// (see StripeLock), ready at the zero value.
+	stripeLocks [stripeLockShards]stripeLock
+}
+
+// stripeLockShards is how many locks an array's stripes share. A writer waits
+// only for an exclusive holder on its own shard, and those are rare and short,
+// so the count has only to keep the workers of a bulk pass, which take runs of
+// consecutive stripes, off each other: 64 padded locks are 4 KiB an array.
+const stripeLockShards = 64
+
+// stripeLock is one shard, padded to a cache line so that shared holders of
+// different shards do not pass a line back and forth.
+type stripeLock struct {
+	sync.RWMutex
+	_ [40]byte
+}
+
+// StripeLock returns the lock of stripe st, the disk rows [st*r, (st+1)*r) of
+// every disk, r being the rows of a stripe of the code the array is or is
+// becoming: raid5 over m disks and the online migrator use r = m = p-1, raid6
+// its geometry's rows, so all three lock the same thing. Stripes 64 apart
+// share a lock.
+//
+// A delta writer — Swap on a data block, then Xor of the delta into each
+// parity — holds the stripe shared: such writers commute. Whoever computes a
+// parity or a lost block from a snapshot of other blocks — a degraded,
+// reconstruct- or full-stripe write, rebuild, scrub, conversion, a
+// reconstructing read, a verify — holds it exclusive: between a delta writer's
+// Swap and its last Xor, data and parity are one delta apart. A healthy
+// single-block read takes nothing.
+//
+// Hold at most one stripe at a time. Never re-enter: exported array operations
+// acquire, and what runs under a held stripe calls forms documented "stripe
+// held". Take the stripe before Disk.mu or a driver's own lock, never after.
+// An RWMutex does not upgrade: a delta write that meets a degradable error
+// drops shared and is made again, as a snapshot write, under exclusive.
+//
+//c56:noalloc
+func (a *Array) StripeLock(st int64) *sync.RWMutex {
+	return &a.stripeLocks[uint64(st)%stripeLockShards].RWMutex
 }
 
 // NewArray returns an array of n fresh memory-backed disks.

@@ -3,6 +3,7 @@ package vdisk
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -211,5 +212,34 @@ func TestConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if d.Stats().Total() != 8*200*2 {
 		t.Fatalf("stats %+v", d.Stats())
+	}
+}
+
+// TestStripeLockTable: a stripe has one lock, whoever asks; neighbouring
+// stripes have different ones, so holding one exclusive leaves the next free;
+// and each lock has cache lines to itself.
+func TestStripeLockTable(t *testing.T) {
+	a := NewArray(3, 16)
+	if a.StripeLock(5) != a.StripeLock(5) || a.StripeLock(5) != a.StripeLock(5+stripeLockShards) {
+		t.Error("stripe 5 does not map to one lock, shared with the stripe a table's length along")
+	}
+	seen := map[*sync.RWMutex]bool{}
+	for st := int64(0); st < stripeLockShards; st++ {
+		seen[a.StripeLock(st)] = true
+	}
+	if len(seen) != stripeLockShards {
+		t.Errorf("%d consecutive stripes share %d locks", stripeLockShards, len(seen))
+	}
+	a.StripeLock(5).Lock()
+	if !a.StripeLock(6).TryRLock() {
+		t.Fatal("stripe 6 cannot be taken while stripe 5 is held")
+	}
+	a.StripeLock(6).RUnlock()
+	if a.StripeLock(5).TryRLock() {
+		t.Fatal("stripe 5 was taken shared while held exclusive")
+	}
+	a.StripeLock(5).Unlock()
+	if size := reflect.TypeOf(stripeLock{}).Size(); size%64 != 0 {
+		t.Errorf("a stripe lock is %d bytes, not a whole number of 64-byte cache lines", size)
 	}
 }
