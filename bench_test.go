@@ -244,7 +244,7 @@ func BenchmarkAlgorithm1VsPeeling(b *testing.B) {
 			s := orig.Clone()
 			es := layout.EraseColumns(s, 2, 7)
 			b.StartTimer()
-			if _, err := layout.PeelDecode(code, s, es); err != nil {
+			if _, err := layout.Reconstruct(code, s, es); err != nil {
 				b.Fatal(err)
 			}
 		}

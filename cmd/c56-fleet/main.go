@@ -23,7 +23,6 @@ import (
 
 	"code56/internal/disksim"
 	"code56/internal/fleet"
-	"code56/internal/obs"
 	"code56/internal/telemetry"
 )
 
@@ -35,18 +34,8 @@ func main() {
 		mttr     = flag.Float64("mttr", 24, "per-disk rebuild time, hours")
 		metrics  = flag.String("metrics", "", "dump final telemetry counters to this file ('-' for stdout, '.json' suffix for JSON)")
 		traceOut = flag.String("trace", "", "write a JSON-lines span/event trace to this file ('-' for stderr)")
-		httpAddr = flag.String("http", "", "serve the observability plane (/metrics, /healthz, /debug/pprof) on this address, e.g. :8080")
 	)
 	flag.Parse()
-	_, handle, err := obs.Plane(*httpAddr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "c56-fleet:", err)
-		os.Exit(1)
-	}
-	defer handle.Drain()
-	if handle != nil {
-		fmt.Fprintf(os.Stderr, "observability plane listening on http://%s\n", handle.Addr())
-	}
 	closeTrace, err := telemetry.AttachTraceFile(telemetry.DefaultTracer(), *traceOut)
 	if err == nil {
 		err = run(*arrays, *budget, *block, *mttr)

@@ -30,7 +30,6 @@ import (
 
 	code56 "code56"
 	"code56/internal/analysis"
-	"code56/internal/obs"
 )
 
 func main() {
@@ -47,18 +46,8 @@ func main() {
 		scrub    = flag.Bool("scrub", false, "plant latent errors and silent corruption in an array, then check and repair it by scrubbing")
 		seed     = flag.Int64("seed", 23, "seed for planted faults (-scrub mode)")
 		backend  = flag.String("backend", "", "block-store backend for -rebuild/-scrub arrays: 'mem:' (default) or 'file:<dir>'")
-		httpAddr = flag.String("http", "", "serve the observability plane (/metrics, /healthz, /debug/pprof) on this address, e.g. :8080")
 	)
 	flag.Parse()
-	_, handle, err := obs.Plane(*httpAddr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "c56-recover:", err)
-		os.Exit(1)
-	}
-	defer handle.Drain()
-	if handle != nil {
-		fmt.Fprintf(os.Stderr, "observability plane listening on http://%s\n", handle.Addr())
-	}
 	if *scrub {
 		if err := runScrub(*codeName, *p, *block, *stripes, *workers, *seed, *backend); err != nil {
 			fmt.Fprintln(os.Stderr, "c56-recover:", err)

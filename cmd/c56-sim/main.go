@@ -24,7 +24,6 @@ import (
 	"code56/internal/analysis"
 	"code56/internal/disksim"
 	"code56/internal/migrate"
-	"code56/internal/obs"
 	"code56/internal/telemetry"
 	"code56/internal/trace"
 )
@@ -49,19 +48,8 @@ func main() {
 		faults    = flag.Bool("faults", false, "run the deterministic fault-injection smoke scenario and exit")
 		faultSeed = flag.Int64("fault-seed", 1, "seed for the -faults scenario")
 		backend   = flag.String("backend", "", "block-store backend for the -faults scenario: 'mem:' (default) or 'file:<dir>'")
-		httpAddr  = flag.String("http", "", "serve the observability plane (/metrics, /healthz, /debug/pprof) on this address, e.g. :8080")
 	)
 	flag.Parse()
-	_, handle, err := obs.Plane(*httpAddr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "c56-sim:", err)
-		os.Exit(1)
-	}
-	defer handle.Drain()
-	if handle != nil {
-		fmt.Fprintf(os.Stderr, "observability plane listening on http://%s\n", handle.Addr())
-	}
-
 	if *faults {
 		if err := runFaults(*faultSeed, *block, *backend); err != nil {
 			fmt.Fprintln(os.Stderr, "c56-sim:", err)

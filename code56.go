@@ -96,14 +96,12 @@ const (
 // Code 5-6 types.
 type (
 	// Code56 is the paper's code; it implements Code and adds the
-	// reconstruction algorithms of §III and the hybrid recovery of
-	// §III-E-4.
+	// reconstruction algorithms of §III (hybrid single-disk recovery,
+	// §III-E-4, is PlanColumnRecovery).
 	Code56 = core.Code56
 	// Orientation selects which RAID-5 parity rotation the layout
 	// mirrors (paper Fig. 7).
 	Orientation = core.Orientation
-	// RecoveryPlan is a read-minimizing single-disk rebuild plan.
-	RecoveryPlan = core.RecoveryPlan
 )
 
 // Orientations.

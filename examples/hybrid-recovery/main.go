@@ -18,7 +18,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		plan, err := code.PlanHybridRecovery(1)
+		plan, err := code56.PlanColumnRecovery(code, 1)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -35,21 +35,21 @@ func main() {
 	original := stripe.Clone()
 
 	const failed = 1
-	plan, err := code.PlanHybridRecovery(failed)
+	plan, err := code56.PlanColumnRecovery(code, failed)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\np=5, disk %d failed; per-row chain choice:\n", failed)
-	for row, useDiag := range plan.UseDiagonal {
+	for i, cell := range plan.Lost {
 		chain := "horizontal"
-		if useDiag {
+		if code.Chains()[plan.ChainOf[i]].Kind == code56.KindParityD {
 			chain = "diagonal"
 		}
-		fmt.Printf("  row %d -> %s\n", row, chain)
+		fmt.Printf("  row %d -> %s\n", cell.Row, chain)
 	}
 
 	stripe.ZeroColumn(failed)
-	stats, err := code.ExecuteRecoveryPlan(stripe, plan)
+	stats, err := plan.Execute(code, stripe)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"code56/internal/core"
 	"code56/internal/migrate"
 	"code56/internal/raid5"
+	"code56/internal/recovery"
 )
 
 // Ablation quantifies one design-choice question beyond the paper's own
@@ -109,7 +110,7 @@ func HybridRecoverySeries(primes []int) ([]RecoveryPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		plan, err := c.PlanHybridRecovery(0)
+		plan, err := recovery.PlanColumn(c, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -1,7 +1,6 @@
 package evenodd
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 
@@ -67,13 +66,17 @@ func TestNotPeelable(t *testing.T) {
 	layout.Encode(c, orig)
 	s := orig.Clone()
 	es := layout.EraseColumns(s, 0, 1)
-	_, err := layout.PeelDecode(c, s, es)
-	if !errors.Is(err, layout.ErrUnrecoverable) {
-		t.Fatalf("expected peeling to get stuck on EVENODD, got %v", err)
+	dec := layout.NewDecoder(c)
+	if dec.ColumnPlan(layout.Columns{}.With(0).With(1)) != nil {
+		t.Fatal("expected peeling to get stuck on EVENODD")
 	}
 	// ... and elimination finishes the job on the partial state.
-	if _, err := layout.SolveDecode(c, s, es); err != nil {
+	st, err := dec.Reconstruct(s, es)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !st.UsedElimination || len(es) != 0 {
+		t.Fatalf("stats %+v with %d cells still missing, want elimination to empty the set", st, len(es))
 	}
 	if !s.Equal(orig) {
 		t.Fatal("elimination recovery produced wrong contents")

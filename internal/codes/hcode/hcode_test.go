@@ -66,16 +66,3 @@ func TestPeelable(t *testing.T) {
 func TestExactTolerance(t *testing.T) {
 	codetest.ExactTolerance(t, MustNew(5))
 }
-
-// TestDedicatedDecoder exercises the code-specific recovery entry points.
-func TestDedicatedDecoder(t *testing.T) {
-	codetest.DedicatedDecoder(t, MustNew(5))
-	codetest.DedicatedDecoder(t, MustNew(7))
-	s := layout.NewStripe(MustNew(5).Geometry(), 8)
-	if _, err := MustNew(5).ReconstructDouble(s, 1, 1); err == nil {
-		t.Error("identical columns accepted")
-	}
-	if _, err := MustNew(5).RecoverSingle(s, 99); err == nil {
-		t.Error("out-of-range column accepted")
-	}
-}

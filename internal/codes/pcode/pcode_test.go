@@ -91,17 +91,3 @@ func TestExactTolerance(t *testing.T) {
 	codetest.ExactTolerance(t, MustNew(5, VariantPMinus1))
 	codetest.ExactTolerance(t, MustNew(5, VariantP))
 }
-
-// TestDedicatedDecoder exercises the code-specific recovery entry points
-// for both variants.
-func TestDedicatedDecoder(t *testing.T) {
-	codetest.DedicatedDecoder(t, MustNew(5, VariantPMinus1))
-	codetest.DedicatedDecoder(t, MustNew(7, VariantP))
-	s := layout.NewStripe(MustNew(5, VariantP).Geometry(), 8)
-	if _, err := MustNew(5, VariantP).ReconstructDouble(s, 1, 1); err == nil {
-		t.Error("identical columns accepted")
-	}
-	if _, err := MustNew(5, VariantP).RecoverSingle(s, 99); err == nil {
-		t.Error("out-of-range column accepted")
-	}
-}

@@ -75,6 +75,7 @@ func TestUpdateComplexity(t *testing.T) {
 func TestPeelable(t *testing.T) {
 	codetest.PeelableForColumnPairs(t, MustNew(5))
 	codetest.PeelableForColumnPairs(t, MustNew(7))
+	codetest.PeelableForColumnPairs(t, MustNew(13))
 }
 
 // TestExactTolerance: the code tolerates exactly 2 column failures.

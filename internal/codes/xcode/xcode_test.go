@@ -1,11 +1,9 @@
 package xcode
 
 import (
-	"math/rand"
 	"testing"
 
 	"code56/internal/codes/codetest"
-	"code56/internal/layout"
 )
 
 func TestConformance(t *testing.T) {
@@ -41,63 +39,10 @@ func TestUpdateComplexity(t *testing.T) {
 func TestPeelable(t *testing.T) {
 	codetest.PeelableForColumnPairs(t, MustNew(5))
 	codetest.PeelableForColumnPairs(t, MustNew(7))
+	codetest.PeelableForColumnPairs(t, MustNew(11))
 }
 
 // TestExactTolerance: the code tolerates exactly 2 column failures.
 func TestExactTolerance(t *testing.T) {
 	codetest.ExactTolerance(t, MustNew(5))
-}
-
-// TestReconstructDoubleAllPairs drives the code-specific entry point over
-// every failure pair.
-func TestReconstructDoubleAllPairs(t *testing.T) {
-	r := rand.New(rand.NewSource(8))
-	for _, p := range []int{5, 7, 11} {
-		c := MustNew(p)
-		orig := layout.NewStripe(c.Geometry(), 32)
-		orig.FillRandom(c, r)
-		layout.Encode(c, orig)
-		for f1 := 0; f1 < p; f1++ {
-			s1 := orig.Clone()
-			s1.ZeroColumn(f1)
-			if _, err := c.RecoverSingle(s1, f1); err != nil {
-				t.Fatal(err)
-			}
-			if !s1.Equal(orig) {
-				t.Fatalf("p=%d col %d: wrong single recovery", p, f1)
-			}
-			for f2 := f1 + 1; f2 < p; f2++ {
-				s := orig.Clone()
-				s.ZeroColumn(f1)
-				s.ZeroColumn(f2)
-				st, err := c.ReconstructDouble(s, f1, f2)
-				if err != nil {
-					t.Fatalf("p=%d (%d,%d): %v", p, f1, f2, err)
-				}
-				if !s.Equal(orig) {
-					t.Fatalf("p=%d (%d,%d): wrong reconstruction", p, f1, f2)
-				}
-				if st.UsedElimination {
-					t.Fatalf("p=%d (%d,%d): X-Code should never need elimination", p, f1, f2)
-				}
-				if st.Recovered != 2*p {
-					t.Errorf("p=%d (%d,%d): recovered %d, want %d", p, f1, f2, st.Recovered, 2*p)
-				}
-			}
-		}
-	}
-}
-
-func TestDecodeRejectsBadInput(t *testing.T) {
-	c := MustNew(5)
-	s := layout.NewStripe(c.Geometry(), 16)
-	if _, err := c.ReconstructDouble(s, 2, 2); err == nil {
-		t.Error("identical columns accepted")
-	}
-	if _, err := c.ReconstructDouble(s, -1, 2); err == nil {
-		t.Error("negative column accepted")
-	}
-	if _, err := c.RecoverSingle(s, 5); err == nil {
-		t.Error("out-of-range column accepted")
-	}
 }

@@ -328,8 +328,8 @@ func TestAgainstGenericDecoder(t *testing.T) {
 				}
 				b := orig.Clone()
 				es := layout.EraseColumns(b, f1, f2)
-				if _, err := layout.PeelDecode(c, b, es); err != nil {
-					t.Fatalf("p=%d (%d,%d): peeling failed: %v", p, f1, f2, err)
+				if st, err := layout.Reconstruct(c, b, es); err != nil || st.UsedElimination {
+					t.Fatalf("p=%d (%d,%d): peeling failed: %v (elimination used: %v)", p, f1, f2, err, st.UsedElimination)
 				}
 				if !a.Equal(b) {
 					t.Fatalf("p=%d (%d,%d): Algorithm 1 and peeling disagree", p, f1, f2)

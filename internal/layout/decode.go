@@ -27,43 +27,12 @@ type DecodeStats struct {
 	UsedElimination bool
 }
 
-// PeelDecode recovers erased elements by repeatedly finding a parity chain
-// with exactly one erased member and solving it: it compiles the schedule for
-// es (Decoder.Compile) and runs it. It mutates s in place and removes
-// recovered coordinates from es. It returns ErrUnrecoverable if peeling gets
-// stuck before es is empty; in that case s holds the partial recovery, es the
-// still-missing cells and the stats the work done so far.
-//
-// Peeling is exactly the recovery-chain procedure the RAID-6 papers
-// describe (e.g. Code 5-6's Algorithm 1 and RDP's zig-zag reconstruction),
-// generalized to any erasure pattern.
-func PeelDecode(code Code, s *Stripe, es ErasureSet) (DecodeStats, error) {
-	return NewDecoder(code).Compile(es).apply(s, es)
-}
-
-// SolveChain reconstructs the missing member of ch in place as the XOR of
-// all other chain members, which must all be intact. It returns the number
-// of block XOR operations performed. Code-specific reconstruction
-// algorithms (e.g. Code 5-6's two recovery chains) are built from this
-// primitive.
-func SolveChain(s *Stripe, ch Chain, missing Coord) int {
-	var st DecodeStats
-	SolveChainTracked(s, ch, missing, nil, &st)
-	return st.XORs
-}
-
-// SolveChainTracked is SolveChain with read-set and stats accounting; read
-// may be nil.
+// SolveChainTracked reconstructs the missing member of ch in place as the
+// XOR of all other chain members, which must all be intact, in one fused
+// fold. It adds the members it read to read and the work to st. The paper's
+// own recovery algorithms (core's Algorithm 1 and hybrid recovery, the
+// references the compiled plans are held to) are built from this primitive.
 func SolveChainTracked(s *Stripe, ch Chain, missing Coord, read map[Coord]bool, st *DecodeStats) {
-	if read == nil {
-		read = make(map[Coord]bool)
-	}
-	solveChain(s, ch, missing, read, st)
-}
-
-// solveChain reconstructs the missing member of ch as the XOR of all other
-// members in one fused fold, updating read-set and stats.
-func solveChain(s *Stripe, ch Chain, missing Coord, read map[Coord]bool, st *DecodeStats) {
 	srcs := make([][]byte, 0, len(ch.Covers)+1)
 	for _, m := range ch.Members() {
 		if m == missing {

@@ -222,21 +222,6 @@ func TestSolveDecodeEmpty(t *testing.T) {
 	}
 }
 
-func TestSolveChain(t *testing.T) {
-	orig := NewStripe(toy{}.Geometry(), 4)
-	orig.FillRandom(toy{}, rand.New(rand.NewSource(3)))
-	Encode(toy{}, orig)
-	s := orig.Clone()
-	s.Zero(Coord{0, 1})
-	xors := SolveChain(s, toy{}.Chains()[0], Coord{0, 1})
-	if xors != 1 {
-		t.Errorf("xors = %d, want 1", xors)
-	}
-	if !s.Equal(orig) {
-		t.Fatal("SolveChain produced wrong block")
-	}
-}
-
 func TestEraseColumns(t *testing.T) {
 	s := NewStripe(toy{}.Geometry(), 4)
 	s.FillRandom(toy{}, rand.New(rand.NewSource(4)))

@@ -7,9 +7,8 @@
 // Imports inside fixtures resolve against the same tree, so fixture
 // packages depend on small stubs of the real packages (the stubs reuse the
 // production import paths, e.g. code56/internal/bufpool, so the analyzers'
-// path matching is exercised exactly as in the real module). The import
-// "unsafe" resolves to types.Unsafe; everything else must be stubbed —
-// fixture loading is fully hermetic, with no go command and no network.
+// path matching is exercised exactly as in the real module). Fixture
+// loading is hermetic, with no go command and no network.
 //
 // Expectations are // want comments on the offending line:
 //
@@ -110,9 +109,6 @@ type loader struct {
 // Import implements types.Importer so the type-checker resolves fixture
 // imports through the loader itself.
 func (ld *loader) Import(path string) (*types.Package, error) {
-	if path == "unsafe" {
-		return types.Unsafe, nil
-	}
 	if p, err := ld.load(path); err == nil {
 		return p.pkg, nil
 	} else if _, statErr := os.Stat(filepath.Join(ld.root, filepath.FromSlash(path))); statErr == nil {

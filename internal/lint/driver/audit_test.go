@@ -2,7 +2,6 @@ package driver
 
 import (
 	"bytes"
-	"os"
 	"strings"
 	"testing"
 
@@ -32,20 +31,7 @@ func identity(n int) int {
 	return n //lint:allow noalloc audit fixture: nothing to silence here
 }
 `)
-	// `go list` resolves patterns against the process working directory's
-	// module, so run the audit from inside the fixture module.
-	cwd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chdir(dir); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := os.Chdir(cwd); err != nil {
-			t.Fatal(err)
-		}
-	}()
+	chdir(t, dir)
 
 	var buf bytes.Buffer
 	stale, err := AuditAllows(&buf, lint.Suite(), "", []string{"./..."})

@@ -1,21 +1,16 @@
 // Package driver loads, type-checks and analyzes Go packages for the
 // c56-lint suite without any dependency outside the standard library.
 //
-// Two modes share the analyzer plumbing:
-//
-//   - multichecker (`c56-lint ./...`): package metadata and compiled
-//     export data come from one `go list -deps -export -json` invocation;
-//     each root package is parsed with go/parser and type-checked with
-//     go/types against the export data through the stdlib gc importer
-//     (importer.ForCompiler with a lookup function). Dependencies are
-//     never re-type-checked from source — exactly the scheme
-//     golang.org/x/tools/go/packages uses in LoadTypes mode, shrunk to
-//     what five analyzers need.
-//
-//   - unitchecker (`go vet -vettool=$(which c56-lint) ./...`): the go
-//     command hands the tool one JSON config file per package (GoFiles,
-//     ImportMap, PackageFile) plus the -V=full/-flags handshake; see
-//     unitchecker.go.
+// Package metadata and compiled export data come from one
+// `go list -deps -export -json` invocation (with the caller's -tags, so a
+// build configuration is whatever the go command says it is); each root
+// package is parsed with go/parser and type-checked with go/types against
+// the export data through the stdlib gc importer (importer.ForCompiler with
+// a lookup function). Dependencies are never re-type-checked from source —
+// exactly the scheme golang.org/x/tools/go/packages uses in LoadTypes mode,
+// shrunk to what six analyzers need. Only a package's GoFiles are analyzed:
+// the suite's invariants are library invariants, and tests build ill-shaped
+// scaffolding (manufactured contexts, raw loops) on purpose.
 //
 // Diagnostics on a line carrying `//lint:allow <analyzer> <reason>` are
 // suppressed; a directive with no reason is itself reported. Findings
@@ -232,7 +227,7 @@ func checkPackage(fset *token.FileSet, imp types.Importer, importPath, goVersion
 }
 
 // analyzePackage parses and type-checks one package, runs every analyzer,
-// and returns the surviving (non-suppressed) findings sorted by position.
+// and returns the surviving (non-suppressed) findings.
 func analyzePackage(analyzers []*analysis.Analyzer, fset *token.FileSet, imp types.Importer,
 	importPath, goVersion string, filenames []string) ([]finding, error) {
 
@@ -266,6 +261,5 @@ func analyzePackage(analyzers []*analysis.Analyzer, fset *token.FileSet, imp typ
 			findings = append(findings, finding{pos: fset.Position(d.Pos), analyzer: a.Name, message: d.Message})
 		}
 	}
-	sortFindings(findings)
 	return findings, nil
 }

@@ -2,7 +2,6 @@ package driver
 
 import (
 	"bytes"
-	"encoding/json"
 	"go/token"
 	"os"
 	"path/filepath"
@@ -21,14 +20,22 @@ func writeFile(t *testing.T, dir, name, content string) string {
 	return path
 }
 
-// writeCfg marshals a vet config the way cmd/go does and returns its path.
-func writeCfg(t *testing.T, dir string, cfg vetConfig) string {
+// chdir runs the rest of the test inside dir: `go list` resolves patterns
+// against the process working directory's module.
+func chdir(t *testing.T, dir string) {
 	t.Helper()
-	blob, err := json.Marshal(cfg)
+	cwd, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return writeFile(t, dir, "vet.cfg", string(blob))
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := os.Chdir(cwd); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // xorViolation is a hand-rolled XOR loop the xorloop analyzer must flag.
@@ -90,101 +97,16 @@ func TestDedupFindings(t *testing.T) {
 	}
 }
 
-// A VetxOnly dependency visit must write the (empty) facts file for the
-// go command's cache and produce no diagnostics — without even needing
-// readable sources.
-func TestUnitcheckerVetxOnly(t *testing.T) {
+// Run over a throwaway module whose default-config file carries a violation
+// and whose noasm replacement is clean: -tags must reach `go list`, so the
+// finding appears for the first configuration and disappears for the second.
+// The in-package test file carries the same violation under both and is never
+// analyzed (see the package comment: GoFiles only).
+func TestRunTagsSelectFiles(t *testing.T) {
 	dir := t.TempDir()
-	vetx := filepath.Join(dir, "out.vetx")
-	cfg := writeCfg(t, dir, vetConfig{
-		ID:         "m/kern",
-		ImportPath: "m/kern",
-		GoFiles:    []string{filepath.Join(dir, "does-not-exist.go")},
-		VetxOnly:   true,
-		VetxOutput: vetx,
-	})
-	var buf bytes.Buffer
-	n, err := RunUnitchecker(&buf, lint.Suite(), cfg)
-	if err != nil || n != 0 {
-		t.Fatalf("VetxOnly visit: n=%d err=%v, want 0, nil", n, err)
-	}
-	if fi, err := os.Stat(vetx); err != nil {
-		t.Fatalf("facts file not written: %v", err)
-	} else if fi.Size() != 0 {
-		t.Errorf("facts file has %d bytes, want empty", fi.Size())
-	}
-}
-
-// Test-only units — the generated test main (ID ends in ".test") and the
-// external test package (import path ends in "_test") — are skipped even
-// when their sources would violate an invariant.
-func TestUnitcheckerSkipsTestOnlyUnits(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		id, ipath string
-	}{
-		{"test main unit", "m/kern.test", "m/kern.test"},
-		{"external test package", "m/kern [m/kern.test]", "m/kern_test"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			src := writeFile(t, dir, "kern.go", xorViolation)
-			cfg := writeCfg(t, dir, vetConfig{
-				ID:         tc.id,
-				ImportPath: tc.ipath,
-				GoFiles:    []string{src},
-				VetxOutput: filepath.Join(dir, "out.vetx"),
-			})
-			var buf bytes.Buffer
-			n, err := RunUnitchecker(&buf, lint.Suite(), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n != 0 {
-				t.Errorf("test-only unit produced %d findings, want 0:\n%s", n, buf.String())
-			}
-		})
-	}
-}
-
-// A unit whose GoFiles are empty, or shrink to empty once in-package
-// _test.go files are dropped, analyzes nothing and succeeds.
-func TestUnitcheckerEmptyPackage(t *testing.T) {
-	dir := t.TempDir()
-	testSrc := writeFile(t, dir, "kern_test.go", `package kern
-`)
-	for _, tc := range []struct {
-		name    string
-		goFiles []string
-	}{
-		{"no files at all", nil},
-		{"only in-package test files", []string{testSrc}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := writeCfg(t, t.TempDir(), vetConfig{
-				ID:         "m/kern",
-				ImportPath: "m/kern",
-				GoFiles:    tc.goFiles,
-				VetxOutput: filepath.Join(dir, "out.vetx"),
-			})
-			var buf bytes.Buffer
-			n, err := RunUnitchecker(&buf, lint.Suite(), cfg)
-			if err != nil || n != 0 {
-				t.Fatalf("empty unit: n=%d err=%v, want 0, nil", n, err)
-			}
-		})
-	}
-}
-
-// The go command encodes a -tags selection as the cfg's GoFiles list (a
-// noasm build simply lists different sources); the tool must analyze
-// exactly that list. The default-config file carries a violation, the
-// noasm replacement is clean — so the finding must appear for the first
-// config and disappear for the second.
-func TestUnitcheckerTagConfigPropagation(t *testing.T) {
-	dir := t.TempDir()
-	defSrc := writeFile(t, dir, "kern_default.go", "//go:build !noasm\n\n"+xorViolation)
-	noasmSrc := writeFile(t, dir, "kern_noasm.go", `//go:build noasm
+	writeFile(t, dir, "go.mod", "module tagfixture\n\ngo 1.22\n")
+	writeFile(t, dir, "kern_default.go", "//go:build !noasm\n\n"+xorViolation)
+	writeFile(t, dir, "kern_noasm.go", `//go:build noasm
 
 package kern
 
@@ -192,27 +114,22 @@ func XorInPlace(dst, src []byte) {
 	copy(dst, src)
 }
 `)
+	writeFile(t, dir, "kern_test.go", strings.Replace(xorViolation, "XorInPlace", "xorForTests", 1))
+	chdir(t, dir)
 
-	run := func(src string) (int, string) {
+	run := func(tags string) (int, string) {
 		t.Helper()
-		cfg := writeCfg(t, t.TempDir(), vetConfig{
-			ID:         "m/kern",
-			ImportPath: "m/kern",
-			GoFiles:    []string{src},
-			VetxOutput: filepath.Join(t.TempDir(), "out.vetx"),
-		})
 		var buf bytes.Buffer
-		n, err := RunUnitchecker(&buf, lint.Suite(), cfg)
+		n, err := Run(&buf, lint.Suite(), tags, []string{"./..."})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("Run -tags %q: %v\n%s", tags, err, buf.String())
 		}
 		return n, buf.String()
 	}
-
-	if n, out := run(defSrc); n != 1 || !strings.Contains(out, "(xorloop)") {
-		t.Errorf("default config: n=%d out=%q, want the xorloop finding", n, out)
+	if n, out := run(""); n != 1 || !strings.Contains(out, "kern_default.go") || !strings.Contains(out, "(xorloop)") {
+		t.Errorf("default config: n=%d out=%q, want the one xorloop finding in kern_default.go", n, out)
 	}
-	if n, out := run(noasmSrc); n != 0 {
+	if n, out := run("noasm"); n != 0 {
 		t.Errorf("noasm config: n=%d out=%q, want clean", n, out)
 	}
 }

@@ -1,4 +1,4 @@
-// Package lint holds the c56-lint analyzer suite: seven checks that turn
+// Package lint holds the c56-lint analyzer suite: six checks that turn
 // this repository's load-bearing conventions — invariants that previously
 // lived only in reviewers' heads — into mechanically enforced rules.
 //
@@ -8,8 +8,6 @@
 //   - bufpoolpair: every bufpool.Get/GetZero must reach a bufpool.Put on
 //     every return path (leaks silently re-inflate the allocator traffic
 //     the pool exists to remove, and bytes_in_flight drifts upward).
-//   - unsafegate: unsafe lives only in the alignment-gated wide kernel file
-//     behind the !purego build tag; everything else stays portable.
 //   - ctxflow: context-aware entry points must thread their ctx into the
 //     parallel fan-out, and library code must not invent contexts.
 //   - metricname: telemetry names are compile-time constants in
@@ -26,7 +24,9 @@
 // The analyzers are built on internal/lint/analysis (a stdlib-only
 // re-implementation of the x/tools go/analysis shape) and are exercised by
 // analysistest fixtures under testdata/src. cmd/c56-lint runs the suite
-// over the module and doubles as a `go vet -vettool`.
+// over the module. That unsafe and assembly stay inside internal/xorblk
+// behind the purego/noasm tags is not an analyzer: TestPortableBuilds asks
+// `go list` what each build configuration compiles.
 package lint
 
 import (
@@ -36,12 +36,11 @@ import (
 	"code56/internal/lint/analysis"
 )
 
-// Suite returns the seven c56-lint analyzers in reporting order.
+// Suite returns the six c56-lint analyzers in reporting order.
 func Suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		XorLoop,
 		BufPoolPair,
-		UnsafeGate,
 		CtxFlow,
 		MetricName,
 		Lockcheck,
@@ -147,19 +146,4 @@ func identObj(info *types.Info, e ast.Expr) types.Object {
 		return obj
 	}
 	return info.Defs[id]
-}
-
-// mentionsObj reports whether any identifier inside e resolves to obj.
-func mentionsObj(info *types.Info, e ast.Expr, obj types.Object) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if id, ok := n.(*ast.Ident); ok && info.Uses[id] == obj {
-			found = true
-		}
-		return !found
-	})
-	return found
 }

@@ -116,8 +116,6 @@ var noallocTrusted = map[string]bool{
 
 	// code56 hot-path APIs, cross-checked against their annotations.
 	"code56/internal/xorblk.Xor":             true,
-	"code56/internal/xorblk.XorBytes":        true,
-	"code56/internal/xorblk.XorWords":        true,
 	"code56/internal/xorblk.XorInto":         true,
 	"code56/internal/xorblk.XorMulti":        true,
 	"code56/internal/xorblk.AccumulateMulti": true,

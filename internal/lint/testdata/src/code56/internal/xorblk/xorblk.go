@@ -4,15 +4,12 @@
 // stub asserts that exemption.
 package xorblk
 
-// XorBytes is the portable byte-at-a-time reference kernel.
-func XorBytes(dst, src []byte) {
+// Xor dispatches to the widest kernel the build allows.
+func Xor(dst, src []byte) {
 	for i := range src {
 		dst[i] ^= src[i]
 	}
 }
-
-// Xor dispatches to the widest kernel the build allows.
-func Xor(dst, src []byte) { XorBytes(dst, src) }
 
 // XorInto writes a^b into dst.
 func XorInto(dst, a, b []byte) {
@@ -28,6 +25,3 @@ func XorMulti(dst []byte, srcs ...[]byte) int {
 	}
 	return len(srcs) - 1
 }
-
-// XorWords is the word-at-a-time reference kernel.
-func XorWords(dst, src []byte) { XorBytes(dst, src) }

@@ -64,16 +64,3 @@ func suppressed(dst, src []byte) {
 		dst[i] ^= src[i] //lint:allow xorloop microbenchmark baseline for the naive loop
 	}
 }
-
-// viaReference pins block XOR to the slow reference tiers, bypassing the
-// runtime SIMD dispatch; library code must not call these.
-func viaReference(dst, src []byte) {
-	xorblk.XorBytes(dst, src) // want `reference kernel for tests and benchmarks`
-	xorblk.XorWords(dst, src) // want `reference kernel for tests and benchmarks`
-}
-
-// tableOfKernels stores a reference kernel as a function value — just as
-// slow at the eventual call site, so references are reported too.
-var tableOfKernels = []func(dst, src []byte){
-	xorblk.XorBytes, // want `reference kernel for tests and benchmarks`
-}

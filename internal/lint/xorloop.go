@@ -26,17 +26,14 @@ import (
 // avoid. Bitset algebra over non-byte slices (layout's Gaussian
 // elimination over []uint64) is deliberately out of scope.
 //
-// The analyzer also reports calls to xorblk's exported reference kernels
-// (XorBytes, XorWords) outside xorblk itself and outside _test.go files:
-// they exist for benchmarks and equivalence tests to compare tiers
-// against, and a library call site pins a block operation to a slow tier,
-// silently bypassing the runtime SIMD dispatch. Benchmarks enumerate
-// xorblk.Tiers() instead, which includes both reference tiers.
+// xorblk's own reference tiers (the byte and word loops the dispatched
+// kernels are compared against) are unexported, so no caller outside the
+// package can pin a block operation to one; benchmarks enumerate
+// xorblk.Tiers(), which lists both.
 var XorLoop = &analysis.Analyzer{
 	Name: "xorloop",
-	Doc: "flag hand-rolled byte/word XOR loops and reference-kernel calls " +
-		"(XorBytes/XorWords) outside internal/xorblk; block XOR must go " +
-		"through the dispatched xorblk kernels (Xor, XorInto, XorMulti)",
+	Doc: "flag hand-rolled byte/word XOR loops outside internal/xorblk; block " +
+		"XOR must go through the dispatched xorblk kernels (Xor, XorInto, XorMulti)",
 	Run: runXorLoop,
 }
 
@@ -45,18 +42,6 @@ func runXorLoop(pass *analysis.Pass) error {
 		return nil
 	}
 	for _, f := range pass.Files {
-		if !isTestFile(pass, f) {
-			ast.Inspect(f, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				if d := refKernelUse(pass, sel); d != nil {
-					pass.Report(*d)
-				}
-				return true
-			})
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			var body *ast.BlockStmt
 			switch loop := n.(type) {
@@ -156,25 +141,6 @@ func xorPutCall(pass *analysis.Pass, call *ast.CallExpr) *analysis.Diagnostic {
 		}
 	}
 	return nil
-}
-
-// refKernelUse matches any use — call or function-value reference — of
-// xorblk's reference kernels (XorBytes, XorWords), sanctioned only inside
-// xorblk and in test files. References count too: storing the function in
-// a table pins later calls to the slow tier just as surely as calling it.
-func refKernelUse(pass *analysis.Pass, sel *ast.SelectorExpr) *analysis.Diagnostic {
-	if sel.Sel.Name != "XorBytes" && sel.Sel.Name != "XorWords" {
-		return nil
-	}
-	obj := identObj(pass.TypesInfo, sel.Sel)
-	if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != xorblkPath {
-		return nil
-	}
-	return &analysis.Diagnostic{
-		Pos: sel.Pos(),
-		Message: "xorblk." + sel.Sel.Name + " is a reference kernel for tests and benchmarks; " +
-			"call Xor/XorInto/XorMulti (runtime-dispatched) or enumerate xorblk.Tiers() instead",
-	}
 }
 
 // containsXor reports whether e contains a ^ binary operation.

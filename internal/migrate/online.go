@@ -162,18 +162,23 @@ type MigrationStats struct {
 // NewOnlineMigrator prepares a migration of the given RAID-5 array to a
 // Code 5-6 RAID-6. rows is the number of RAID-5 stripe rows holding data;
 // it must be a positive multiple of p-1 (one Code 5-6 stripe absorbs p-1
-// rows). The array must have p-1 disks, p prime. Left-oriented layouts use
-// the paper's default Code 5-6; right-oriented layouts use the mirrored
-// orientation of the paper's Fig. 7 — either way the existing parities are
-// already in place.
+// rows). The array must have p-1 disks, p prime. LeftAsymmetric uses the
+// paper's default Code 5-6, RightAsymmetric the mirrored orientation of the
+// paper's Fig. 7 — either way the existing parities are already in place.
+// The symmetric layouts are refused: raid6 numbers a stripe's data cells
+// row-major and records no other order, so the converted array would hand
+// back another block's contents for half the logical addresses.
 func NewOnlineMigrator(a *raid5.Array, rows int64) (*OnlineMigrator, error) {
 	p := a.M() + 1
 	if !layout.IsPrime(p) {
 		return nil, fmt.Errorf("migrate: %d disks + 1 = %d is not prime; use NewVirtualPlan for arbitrary sizes", a.M(), p)
 	}
 	orient := core.Left
-	if a.Layout() == raid5.RightAsymmetric || a.Layout() == raid5.RightSymmetric {
+	switch a.Layout() {
+	case raid5.RightAsymmetric:
 		orient = core.Right
+	case raid5.LeftSymmetric, raid5.RightSymmetric:
+		return nil, fmt.Errorf("migrate: a %s RAID-5 cannot be migrated: the RAID-6 it becomes numbers data blocks row-major, the asymmetric order, and would permute this array's logical blocks", a.Layout())
 	}
 	if rows <= 0 || rows%int64(p-1) != 0 {
 		return nil, fmt.Errorf("migrate: rows = %d must be a positive multiple of %d", rows, p-1)

@@ -174,7 +174,7 @@ func TestConversionImagesMatchPerBlockReference(t *testing.T) {
 		stripes int64
 	}{
 		{5, core.Left, raid5.LeftAsymmetric, 257},
-		{7, core.Right, raid5.RightSymmetric, 31},
+		{7, core.Right, raid5.RightAsymmetric, 31},
 	} {
 		const block = 64
 		rows := c.stripes * int64(c.p-1)

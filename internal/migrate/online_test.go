@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -610,9 +611,9 @@ func TestParallelQuietMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestOnlineMigrationRightLayouts: the paper's Fig. 7 — right-oriented
-// RAID-5 arrays migrate with the mirrored Code 5-6 orientation, parities in
-// place.
+// TestOnlineMigrationRightLayouts: the paper's Fig. 7 — a right-asymmetric
+// RAID-5 migrates with the mirrored Code 5-6 orientation, parities in place;
+// a right-symmetric one is refused.
 func TestOnlineMigrationRightLayouts(t *testing.T) {
 	for _, l := range []raid5.Layout{raid5.RightAsymmetric, raid5.RightSymmetric} {
 		const rows = 16
@@ -631,6 +632,13 @@ func TestOnlineMigrationRightLayouts(t *testing.T) {
 			}
 		}
 		mig, err := NewOnlineMigrator(a, rows)
+		if l == raid5.RightSymmetric {
+			// raid6 would number its data blocks in another order.
+			if err == nil || !strings.Contains(err.Error(), "right-symmetric RAID-5 cannot be migrated") {
+				t.Fatalf("%v: NewOnlineMigrator = %v, want the symmetric-layout refusal", l, err)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatal(err)
 		}

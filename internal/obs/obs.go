@@ -398,7 +398,7 @@ func (s *Server) StartListener(ln net.Listener) *Handle {
 	return &Handle{srv: s, ln: ln, hs: hs}
 }
 
-// Plane is the CLIs' -http implementation: for a non-empty addr it serves
+// Plane is c56-migrate's -http implementation: for a non-empty addr it serves
 // the default registry's plane and attaches a TimelineSink to the default
 // tracer, so every span-instrumented phase gains a trace.span_us.<name>
 // histogram for free. An empty addr returns (nil, nil, nil) — the nil

@@ -68,9 +68,10 @@ func TestPlanAndExecuteEveryCodeEveryColumn(t *testing.T) {
 }
 
 // TestMatchesCode56Specialized: the generic planner must find the same
-// minimum as Code 5-6's dedicated hybrid planner on data columns.
+// minimum as core's paper-shaped hybrid planner (§III-E-4) on data columns,
+// at every prime the tools report (both search exhaustively there).
 func TestMatchesCode56Specialized(t *testing.T) {
-	for _, p := range []int{5, 7, 11} {
+	for _, p := range []int{5, 7, 11, 13} {
 		c := core.MustNew(p)
 		for failed := 0; failed < p-1; failed++ {
 			generic, err := PlanColumn(c, failed)

@@ -7,7 +7,7 @@ import (
 
 // FuzzXorMulti feeds arbitrary bytes through the unrolled multi-source
 // kernel and cross-checks it against the portable byte-at-a-time reference
-// (zero dst, fold each source with XorBytes). The fuzzer's pool is carved
+// (zero dst, fold each source with xorBytes). The fuzzer's pool is carved
 // from one input buffer at varying counts, lengths and offsets, so odd
 // lengths and unaligned slice starts (relative to the 8-byte word stride)
 // are exercised heavily. Run with `go test -fuzz=FuzzXorMulti` to explore;
@@ -43,7 +43,7 @@ func FuzzXorMulti(f *testing.F) {
 
 		want := foldedRef(n, srcs)
 		if !bytes.Equal(dst, want) {
-			t.Fatalf("XorMulti (n=%d, k=%d, off=%d) disagrees with folded XorBytes", n, count, start)
+			t.Fatalf("XorMulti (n=%d, k=%d, off=%d) disagrees with folded xorBytes", n, count, start)
 		}
 	})
 }

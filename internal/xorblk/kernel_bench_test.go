@@ -28,10 +28,10 @@ func BenchmarkXorKernel(b *testing.B) {
 			benchXor(b, size, Xor)
 		})
 		b.Run(fmt.Sprintf("path=word/size=%d", size), func(b *testing.B) {
-			benchXor(b, size, XorWords)
+			benchXor(b, size, xorWords)
 		})
 		b.Run(fmt.Sprintf("path=byte/size=%d", size), func(b *testing.B) {
-			benchXor(b, size, XorBytes)
+			benchXor(b, size, xorBytes)
 		})
 	}
 }

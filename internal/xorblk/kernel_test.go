@@ -26,7 +26,7 @@ func slab(t *testing.T, n int, seed int64) []byte {
 func refFold(n int, srcs [][]byte) []byte {
 	out := make([]byte, n)
 	for _, s := range srcs {
-		XorBytes(out, s[:n])
+		xorBytes(out, s[:n])
 	}
 	return out
 }
@@ -46,7 +46,7 @@ func TestKernelsMatchReferenceAcrossAlignments(t *testing.T) {
 					// Accumulating form: dst ^= XOR of srcs.
 					dst := slab(t, size, int64(size+dstOff))[dstOff : dstOff+size]
 					ref := append([]byte(nil), dst...)
-					XorBytes(ref, want)
+					xorBytes(ref, want)
 					AccumulateMulti(dst, srcs...)
 					if !bytes.Equal(dst, ref) {
 						t.Fatalf("AccumulateMulti size=%d dstOff=%d srcOff=%d arity=%d diverges from reference",
@@ -74,7 +74,7 @@ func TestXorIntoMatchesReferenceAcrossAlignments(t *testing.T) {
 			dst := make([]byte, size)
 			XorInto(dst, a, b)
 			want := append([]byte(nil), a...)
-			XorBytes(want, b)
+			xorBytes(want, b)
 			if !bytes.Equal(dst, want) {
 				t.Fatalf("XorInto size=%d off=%d diverges from reference", size, off)
 			}
@@ -87,10 +87,10 @@ func TestXorWordsMatchesBytes(t *testing.T) {
 		d1 := slab(t, size, 3)[:size]
 		d2 := append([]byte(nil), d1...)
 		s := slab(t, size, 4)[:size]
-		XorWords(d1, s)
-		XorBytes(d2, s)
+		xorWords(d1, s)
+		xorBytes(d2, s)
 		if !bytes.Equal(d1, d2) {
-			t.Fatalf("XorWords diverges from XorBytes at size %d", size)
+			t.Fatalf("xorWords diverges from xorBytes at size %d", size)
 		}
 	}
 }
@@ -104,8 +104,8 @@ func TestKernelAllocations(t *testing.T) {
 		make([]byte, 4096), make([]byte, 4096)}
 	for name, fn := range map[string]func(){
 		"Xor":        func() { Xor(dst, srcs[0]) },
-		"XorBytes":   func() { XorBytes(dst, srcs[0]) },
-		"XorWords":   func() { XorWords(dst, srcs[0]) },
+		"xorBytes":   func() { xorBytes(dst, srcs[0]) },
+		"xorWords":   func() { xorWords(dst, srcs[0]) },
 		"XorInto":    func() { XorInto(dst, srcs[0], srcs[1]) },
 		"XorMulti":   func() { XorMulti(dst, srcs...) },
 		"Accumulate": func() { AccumulateMulti(dst, srcs...) },
@@ -119,7 +119,7 @@ func TestKernelAllocations(t *testing.T) {
 }
 
 // FuzzXorKernel cross-checks the dispatching Xor (wide under the default
-// build, word under -tags purego) against XorBytes at fuzzer-chosen
+// build, word under -tags purego) against xorBytes at fuzzer-chosen
 // alignments and lengths, including the aligned-head/ragged-tail split the
 // wide path carves.
 func FuzzXorKernel(f *testing.F) {
@@ -141,9 +141,9 @@ func FuzzXorKernel(f *testing.F) {
 		copy(dst, rest[n:])
 		ref := append([]byte(nil), dst...)
 		Xor(dst, src)
-		XorBytes(ref, src)
+		xorBytes(ref, src)
 		if !bytes.Equal(dst, ref) {
-			t.Fatalf("Xor (n=%d, dstOff=%d, srcOff=%d) disagrees with XorBytes", n, do, so)
+			t.Fatalf("Xor (n=%d, dstOff=%d, srcOff=%d) disagrees with xorBytes", n, do, so)
 		}
 	})
 }

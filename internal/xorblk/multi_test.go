@@ -11,7 +11,7 @@ import (
 func foldedRef(n int, srcs [][]byte) []byte {
 	want := make([]byte, n)
 	for _, s := range srcs {
-		XorBytes(want, s)
+		xorBytes(want, s)
 	}
 	return want
 }
@@ -30,7 +30,7 @@ func TestXorMultiManySources(t *testing.T) {
 			dst := randBlock(r, n) // prior contents must be ignored
 			ops := XorMulti(dst, srcs...)
 			if !bytes.Equal(dst, foldedRef(n, srcs)) {
-				t.Errorf("n=%d k=%d: XorMulti disagrees with folded XorBytes", n, k)
+				t.Errorf("n=%d k=%d: XorMulti disagrees with folded xorBytes", n, k)
 			}
 			wantOps := k - 1
 			if k == 0 {

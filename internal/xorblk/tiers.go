@@ -62,5 +62,5 @@ func Tiers() []KernelTier {
 	for _, k := range ks {
 		out = append(out, KernelTier{Name: k.name, Xor: k.xor})
 	}
-	return append(out, KernelTier{Name: "byte", Xor: XorBytes})
+	return append(out, KernelTier{Name: "byte", Xor: xorBytes})
 }

@@ -31,7 +31,7 @@ func runTierShapes(t *testing.T, k kernelSet, size, dstOff int, srcs [][]byte) {
 	dst := slab(t, size+dstOff, int64(size+dstOff))[dstOff : dstOff+size]
 	ref := append([]byte(nil), dst...)
 	k.xor(dst, srcs[0])
-	XorBytes(ref, srcs[0])
+	xorBytes(ref, srcs[0])
 	if !bytes.Equal(dst, ref) {
 		t.Fatalf("%s xor size=%d dstOff=%d diverges from reference", k.name, size, dstOff)
 	}
@@ -40,7 +40,7 @@ func runTierShapes(t *testing.T, k kernelSet, size, dstOff int, srcs [][]byte) {
 	dst = slab(t, size+dstOff, 11)[dstOff : dstOff+size]
 	k.into(dst, srcs[0], srcs[1])
 	ref = append([]byte(nil), srcs[0]...)
-	XorBytes(ref, srcs[1])
+	xorBytes(ref, srcs[1])
 	if !bytes.Equal(dst, ref) {
 		t.Fatalf("%s into size=%d dstOff=%d diverges from reference", k.name, size, dstOff)
 	}
@@ -49,7 +49,7 @@ func runTierShapes(t *testing.T, k kernelSet, size, dstOff int, srcs [][]byte) {
 	for arity := 2; arity <= 4; arity++ {
 		dst = slab(t, size+dstOff, int64(13+arity))[dstOff : dstOff+size]
 		ref = append([]byte(nil), dst...)
-		XorBytes(ref, refFold(size, srcs[:arity]))
+		xorBytes(ref, refFold(size, srcs[:arity]))
 		switch arity {
 		case 2:
 			k.fold2(dst, srcs[0], srcs[1])
@@ -157,7 +157,7 @@ func FuzzKernelTiers(f *testing.F) {
 			copy(dst, seed)
 			ref := append([]byte(nil), dst...)
 			k.xor(dst, srcs[0])
-			XorBytes(ref, srcs[0])
+			xorBytes(ref, srcs[0])
 			if !bytes.Equal(dst, ref) {
 				t.Fatalf("%s xor (n=%d, dstOff=%d, srcOff=%d) diverges", k.name, n, do, so)
 			}
@@ -165,7 +165,7 @@ func FuzzKernelTiers(f *testing.F) {
 			dst = make([]byte, n+do)[do:]
 			k.into(dst, srcs[0], srcs[1])
 			ref = append([]byte(nil), srcs[0]...)
-			XorBytes(ref, srcs[1])
+			xorBytes(ref, srcs[1])
 			if !bytes.Equal(dst, ref) {
 				t.Fatalf("%s into (n=%d, dstOff=%d, srcOff=%d) diverges", k.name, n, do, so)
 			}
@@ -174,7 +174,7 @@ func FuzzKernelTiers(f *testing.F) {
 				dst = make([]byte, n+do)[do:]
 				copy(dst, seed)
 				ref = append([]byte(nil), dst...)
-				XorBytes(ref, refFold(n, srcs[:arity]))
+				xorBytes(ref, refFold(n, srcs[:arity]))
 				switch arity {
 				case 2:
 					k.fold2(dst, srcs[0], srcs[1])

@@ -21,7 +21,7 @@
 //     endianness-agnostic because XOR commutes with any byte permutation.
 //     The fallback for unaligned operands and ragged asm tails, and the
 //     only fast path under -tags purego.
-//   - the byte path (XorBytes): one byte per iteration; the reference
+//   - the byte path (xorBytes): one byte per iteration; the reference
 //     implementation everything else is verified against.
 //
 // Every tier is bit-identical for all lengths and alignments — the
@@ -64,29 +64,21 @@ func Xor(dst, src []byte) {
 	xorKernel(dst, src)
 }
 
-// XorBytes is the portable byte-at-a-time kernel. It is exported as the
-// reference implementation that benchmarks and fuzz tests compare the word
-// and wide paths against; library code should call Xor.
+// xorBytes is the portable byte-at-a-time kernel: the reference
+// implementation this package's benchmarks and fuzz tests compare every
+// other tier against, and the last entry of Tiers. It is unexported so that
+// no caller can pin a block operation to it; library code calls Xor.
 //
 //c56:noalloc
-func XorBytes(dst, src []byte) {
+func xorBytes(dst, src []byte) {
 	checkLen(dst, src)
 	for i := range dst {
 		dst[i] ^= src[i]
 	}
 }
 
-// XorWords is the word-at-a-time kernel: eight bytes per iteration through
-// encoding/binary. It is exported so benchmarks can compare it against the
-// wide path; library code should call Xor, which selects the fastest kernel.
-//
-//c56:noalloc
-func XorWords(dst, src []byte) {
-	checkLen(dst, src)
-	xorWords(dst, src)
-}
-
-// xorWords is the word path body (no length check).
+// xorWords is the word path: eight bytes per iteration through
+// encoding/binary, no length check. Tiers lists it as "word".
 //
 //c56:noalloc
 func xorWords(dst, src []byte) {

@@ -22,11 +22,11 @@ func TestXorMatchesBytes(t *testing.T) {
 		a := randBlock(r, n)
 		b := randBlock(r, n)
 		want := append([]byte(nil), a...)
-		XorBytes(want, b)
+		xorBytes(want, b)
 		got := append([]byte(nil), a...)
 		Xor(got, b)
 		if !bytes.Equal(got, want) {
-			t.Errorf("n=%d: Xor disagrees with XorBytes", n)
+			t.Errorf("n=%d: Xor disagrees with xorBytes", n)
 		}
 	}
 }
@@ -102,7 +102,7 @@ func TestXorMulti(t *testing.T) {
 	XorMulti(dst, srcs...)
 	want := make([]byte, 128)
 	for _, s := range srcs {
-		XorBytes(want, s)
+		xorBytes(want, s)
 	}
 	if !bytes.Equal(dst, want) {
 		t.Error("XorMulti wrong")
@@ -188,7 +188,7 @@ func TestEqual(t *testing.T) {
 func TestXorPanicsOnMismatch(t *testing.T) {
 	for name, f := range map[string]func(){
 		"Xor":      func() { Xor(make([]byte, 3), make([]byte, 4)) },
-		"XorBytes": func() { XorBytes(make([]byte, 3), make([]byte, 4)) },
+		"xorBytes": func() { xorBytes(make([]byte, 3), make([]byte, 4)) },
 		"XorInto":  func() { XorInto(make([]byte, 3), make([]byte, 3), make([]byte, 4)) },
 		"XorMulti": func() { XorMulti(make([]byte, 3), make([]byte, 3), make([]byte, 4)) },
 	} {
