@@ -6,14 +6,13 @@
 //	c56-lint -audit-allows ./...    # audit //lint:allow directives
 //	c56-lint help                   # describe the analyzers
 //
-// The six analyzers enforce conventions that correctness and
+// The five analyzers enforce conventions that correctness and
 // performance work in this repository depend on: XOR through the xorblk
-// kernels (xorloop), balanced buffer-pool rentals (bufpoolpair), context
-// threading into the parallel engine (ctxflow), constant pkg.snake_case
-// telemetry names (metricname), mutex-guarded field access per
-// //c56:guardedby annotations (lockcheck), and statically allocation-free
-// //c56:noalloc functions (noalloc). Exit status: 0 clean, 1 findings or
-// stale allows, 2 usage or load error.
+// kernels (xorloop), no manufactured contexts in library code (ctxflow),
+// constant pkg.snake_case telemetry names (metricname), mutex-guarded field
+// access per //c56:guardedby annotations (lockcheck), and statically
+// allocation-free //c56:noalloc functions (noalloc). Exit status: 0 clean,
+// 1 findings or stale allows, 2 usage or load error.
 package main
 
 import (

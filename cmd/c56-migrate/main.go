@@ -69,15 +69,23 @@ func main() {
 		retry:     *retry,
 		retryBase: *retryBase,
 	}
-	plane, handle, err := obs.Plane(*httpAddr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "c56-migrate:", err)
-		os.Exit(1)
-	}
-	defer handle.Drain()
-	if handle != nil {
+	// -http serves the default registry's plane, with a TimelineSink on the
+	// default tracer so that every span-instrumented phase gains a
+	// trace.span_us.<name> histogram; without it the nil server and handle are
+	// inert.
+	var plane *obs.Server
+	var handle *obs.Handle
+	if *httpAddr != "" {
+		telemetry.DefaultTracer().AddSink(telemetry.NewTimelineSink(nil))
+		plane = obs.New(nil)
+		var err error
+		if handle, err = plane.Start(*httpAddr); err != nil {
+			fmt.Fprintln(os.Stderr, "c56-migrate:", err)
+			os.Exit(1)
+		}
 		fmt.Fprintf(os.Stderr, "observability plane listening on http://%s\n", handle.Addr())
 	}
+	defer handle.Drain()
 	closeTrace, err := telemetry.AttachTraceFile(telemetry.DefaultTracer(), *traceOut)
 	if err == nil {
 		switch {

@@ -84,7 +84,8 @@ func TestRunOnlineWithFaults(t *testing.T) {
 // scrapes it afterwards: the acceptance-criteria smoke that -http serves
 // the migration's own series.
 func TestRunOnlineWithPlane(t *testing.T) {
-	srv, handle, err := obs.Plane("127.0.0.1:0")
+	srv := obs.New(nil)
+	handle, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

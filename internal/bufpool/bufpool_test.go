@@ -39,9 +39,11 @@ func TestReuseSameClass(t *testing.T) {
 	// The very next same-class Get should be served from the pool. sync.Pool
 	// gives no hard guarantee, but single-goroutine put-then-get on the same
 	// P is its happy path; if this flakes, the pool is broken in practice.
+	// Except under the race detector, which makes the pool drop Puts at
+	// random: there TestInFlightBalances is the check that must hold.
 	b2 := Get(2500) // rounds up to the same 4096-byte class
 	defer Put(b2)
-	if &b2[0] != p {
+	if &b2[0] != p && !raceEnabled {
 		t.Errorf("Get after Put did not reuse the pooled buffer")
 	}
 }

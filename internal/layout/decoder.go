@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"code56/internal/xorblk"
 )
@@ -150,11 +151,19 @@ type Plan struct {
 	read  []uint64 // bitset over cells: the distinct cells read
 	stuck int      // lost cells peeling cannot reach; 0 for a complete plan
 
-	// Whole-column plans also hold, for each lost cell, the surviving cells
-	// whose XOR equals it: the schedule substituted into itself, duplicates
-	// cancelled.
-	slot   []int32 // cell → index into direct, -1 for cells that are not lost
-	direct [][]ColumnRun
+	// Whole-column plans also hold their fold schedule (fold.go): folds lands
+	// each step's surviving sources on the accumulator of the cell it recovers,
+	// accOf maps a lost cell to its accumulator (-1 for any other cell), and
+	// unfed lists the accumulators of steps with no surviving source (a
+	// two-member chain, both members lost).
+	folds []ColumnFold
+	accOf []int32
+	unfed []int32
+
+	// And, for each lost cell, by accumulator, the surviving cells whose XOR
+	// equals it (see substitute): what a degraded read wants and a rebuild never
+	// does, so compiled when the first one asks.
+	perCell atomic.Pointer[[][]ColumnFold]
 }
 
 type planStep struct {
@@ -203,7 +212,7 @@ func (d *Decoder) compileColumns(cols Columns) *Plan {
 	if p.stuck > 0 {
 		return noPlan
 	}
-	p.substitute()
+	p.schedule(cols)
 	return p
 }
 
@@ -303,45 +312,35 @@ func soleLost(g Geometry, ch *Chain, lost []bool) (int, bool) {
 	return missing, count == 1
 }
 
-// substitute derives every lost cell's surviving sources: a step's sources
+// substitute derives every lost cell's surviving sources — a step's sources
 // that were themselves recovered are replaced by their own, and a cell met
-// twice cancels.
-func (p *Plan) substitute() {
+// twice cancels — as the fold schedule of those cells onto one accumulator.
+func (p *Plan) substitute() [][]ColumnFold {
 	g := p.dec.geom
 	words := len(p.read)
-	p.slot = make([]int32, g.Elements())
-	for i := range p.slot {
-		p.slot[i] = -1
-	}
-	p.direct = make([][]ColumnRun, len(p.steps))
+	folds := make([][]ColumnFold, len(p.steps))
 	exprs := make([]uint64, len(p.steps)*words)
-	for i, st := range p.steps {
-		expr := exprs[i*words : (i+1)*words]
+	for _, st := range p.steps {
+		acc := int(p.accOf[st.missing])
+		expr := exprs[acc*words : (acc+1)*words]
 		for _, m := range p.cells[st.lo:st.hi] {
-			if j := p.slot[m]; j >= 0 {
-				for w, bitsOf := range exprs[int(j)*words : (int(j)+1)*words] {
+			if j := int(p.accOf[m]); j >= 0 {
+				for w, bitsOf := range exprs[j*words : (j+1)*words] {
 					expr[w] ^= bitsOf
 				}
 			} else {
 				expr[m/64] ^= 1 << (m % 64)
 			}
 		}
-		p.slot[st.missing] = int32(i)
-		// Column by column, so that adjacent rows of a column share a run.
-		for col := 0; col < g.Cols; col++ {
-			for row := 0; row < g.Rows; row++ {
-				if !bitGet(expr, g.Index(Coord{Row: row, Col: col})) {
-					continue
-				}
-				runs := p.direct[i]
-				if k := len(runs) - 1; k >= 0 && runs[k].Col == col && runs[k].Row+runs[k].N == row {
-					runs[k].N++
-				} else {
-					p.direct[i] = append(runs, ColumnRun{Col: col, Row: row, N: 1})
-				}
+		var terms []foldTerm
+		for m := 0; m < g.Elements(); m++ {
+			if bitGet(expr, m) {
+				terms = append(terms, foldTerm{cell: int32(m)})
 			}
 		}
+		folds[acc], _ = buildFolds(g, terms, 1)
 	}
+	return folds
 }
 
 // Complete reports whether the plan recovers every cell of its pattern. An
@@ -370,9 +369,11 @@ func (p *Plan) Steps() []Step {
 // It is SourceRuns spelled out cell by cell, for inspection.
 func (p *Plan) Sources(c Coord) []Coord {
 	var out []Coord
-	for _, run := range p.SourceRuns(c) {
-		for k := 0; k < run.N; k++ {
-			out = append(out, Coord{Row: run.Row + k, Col: run.Col})
+	for _, cf := range p.SourceRuns(c) {
+		for _, run := range cf.Runs {
+			for k := 0; k < run.N; k++ {
+				out = append(out, Coord{Row: run.Row + k, Col: cf.Col})
+			}
 		}
 	}
 	return out
@@ -380,19 +381,31 @@ func (p *Plan) Sources(c Coord) []Coord {
 
 // SourceRuns returns, for a lost cell c of a whole-column plan, the
 // surviving cells whose XOR equals it — its stretch of the recovery chains —
-// as column runs, one ranged disk read each. It returns nil for any other
-// cell. The slice belongs to the plan.
+// as a fold schedule onto one accumulator: column runs, one ranged disk read
+// each, which is what a degraded read of c runs. It returns nil for any other
+// cell. The schedules are compiled on first use, under the decoder's lock;
+// the slice belongs to the plan.
 //
 //c56:noalloc
-func (p *Plan) SourceRuns(c Coord) []ColumnRun {
-	if p.slot == nil || !p.dec.geom.Contains(c) {
+func (p *Plan) SourceRuns(c Coord) []ColumnFold {
+	if p.accOf == nil || !p.dec.geom.Contains(c) {
 		return nil
 	}
-	i := p.slot[p.dec.geom.Index(c)]
-	if i < 0 {
+	acc := p.accOf[p.dec.geom.Index(c)]
+	if acc < 0 {
 		return nil
 	}
-	return p.direct[i]
+	t := p.perCell.Load()
+	if t == nil {
+		p.dec.mu.Lock()
+		if t = p.perCell.Load(); t == nil {
+			folds := p.substitute() //lint:allow noalloc a plan's per-cell schedules are compiled once; every later call finds them
+			t = &folds
+			p.perCell.Store(t)
+		}
+		p.dec.mu.Unlock()
+	}
+	return (*t)[acc]
 }
 
 // Run executes the schedule on s: every lost cell the plan reaches is

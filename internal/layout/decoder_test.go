@@ -68,8 +68,8 @@ func eachColumnSet(g layout.Geometry, fn func(cols []int)) {
 }
 
 // checkSources checks every lost cell's direct sources against orig: none of
-// them lost, none twice, their XOR the cell, and SourceRuns the same cells as
-// maximal runs of adjacent rows.
+// them lost, none twice, their XOR the cell, and SourceRuns the same cells read
+// as maximal runs of adjacent rows.
 func checkSources(t *testing.T, ctx string, plan *layout.Plan, orig *layout.Stripe, cols []int) (total int) {
 	t.Helper()
 	g := orig.Geom
@@ -94,16 +94,19 @@ func checkSources(t *testing.T, ctx string, plan *layout.Plan, orig *layout.Stri
 			if !bytes.Equal(got, orig.Block(cell)) {
 				t.Fatalf("%s: cell %v: sources do not XOR to the cell", ctx, cell)
 			}
-			runs := plan.SourceRuns(cell)
-			n := 0
-			for i, run := range runs {
-				if i > 0 && runs[i-1].Col == run.Col && runs[i-1].Row+runs[i-1].N >= run.Row {
-					t.Fatalf("%s: cell %v: runs %v and %v should be one", ctx, cell, runs[i-1], run)
-				}
-				n += run.N
-			}
+			calls, n := diskCalls(plan.SourceRuns(cell))
 			if n != len(srcs) {
 				t.Fatalf("%s: cell %v: runs hold %d cells, sources %d", ctx, cell, n, len(srcs))
+			}
+			// One disk call a maximal run of adjacent rows of a column.
+			want := 0
+			for i, m := range srcs {
+				if i == 0 || srcs[i-1].Col != m.Col || srcs[i-1].Row+1 != m.Row {
+					want++
+				}
+			}
+			if calls != want {
+				t.Fatalf("%s: cell %v: %d disk calls for %d runs of adjacent sources", ctx, cell, calls, want)
 			}
 		}
 	}
@@ -230,6 +233,144 @@ func TestDecoderOtherCodes(t *testing.T) {
 			}
 			checkSources(t, ctx, plan, orig, cols)
 		})
+	}
+}
+
+// runFolds runs a fold schedule over an in-memory stripe the way raid6's
+// executor runs it over the disks, checking what that one relies on: a column
+// without Reads is covered by its runs cell for cell, once; a column with them
+// is read into scratch once, and its runs fold only what was read.
+func runFolds(t *testing.T, ctx string, s *layout.Stripe, folds []layout.ColumnFold, acc []byte) {
+	t.Helper()
+	bs := s.BlockSize
+	for i, cf := range folds {
+		if i > 0 && folds[i-1].Col >= cf.Col {
+			t.Fatalf("%s: column %d scheduled after column %d", ctx, cf.Col, folds[i-1].Col)
+		}
+		read := make([]int, s.Geom.Rows)
+		for _, rd := range cf.Reads {
+			for k := 0; k < rd.N; k++ {
+				read[rd.Row+k]++
+			}
+		}
+		taken := make([]int, s.Geom.Rows)
+		for _, r := range cf.Runs {
+			src, dst := s.Column(cf.Col)[r.Row*bs:(r.Row+r.N)*bs], acc[r.Acc*bs:(r.Acc+r.N)*bs]
+			if r.First {
+				copy(dst, src)
+			} else {
+				xorblk.Xor(dst, src)
+			}
+			for k := 0; k < r.N; k++ {
+				taken[r.Row+k]++
+			}
+		}
+		for row := range taken {
+			if cf.Reads == nil && taken[row] > 1 {
+				t.Fatalf("%s: cell (%d,%d) is read from its disk %d times", ctx, row, cf.Col, taken[row])
+			}
+			if cf.Reads != nil && (read[row] > 1 || (read[row] == 1) != (taken[row] > 0)) {
+				t.Fatalf("%s: cell (%d,%d) is read into scratch %d times and folded %d times", ctx, row, cf.Col, read[row], taken[row])
+			}
+		}
+	}
+}
+
+// diskCalls counts the disk calls a schedule makes and the blocks they move: a
+// call a run where the runs are read straight onto the accumulators, a call a
+// read where the column goes through scratch.
+func diskCalls(folds []layout.ColumnFold) (calls, blocks int) {
+	for _, cf := range folds {
+		for _, rd := range cf.Reads {
+			calls, blocks = calls+1, blocks+rd.N
+		}
+		for _, r := range cf.Runs {
+			if cf.Reads == nil {
+				calls, blocks = calls+1, blocks+r.N
+			}
+		}
+	}
+	return calls, blocks
+}
+
+// TestFoldSchedules: for every code and every column set with a plan, the
+// plan's fold schedule run over the surviving columns and finished in memory
+// leaves the lost columns in the buffer, reading each surviving cell the steps
+// name exactly once (for one lost column, the plan's BlocksRead); each lost
+// cell's SourceRuns fold to the cell; and the syndrome schedule folds a
+// consistent stripe to zero and one flipped byte to something else. The
+// buffers start as garbage: a first contributor overwrites, and only an
+// accumulator no surviving cell feeds is ever zeroed.
+func TestFoldSchedules(t *testing.T) {
+	codes := []layout.Code{
+		core.MustNew(3), core.MustNew(5), mustOriented(7, core.Right), core.MustNew(13), evenodd.MustNew(5),
+		rdp.MustNew(5), rdp.MustNew(7), hcode.MustNew(5), hcode.MustNew(7), hdp.MustNew(7),
+		xcode.MustNew(5), xcode.MustNew(7), pcode.MustNew(7, pcode.VariantPMinus1), pcode.MustNew(7, pcode.VariantP),
+	}
+	for _, code := range codes {
+		g := code.Geometry()
+		dec := layout.NewDecoder(code)
+		orig := encoded(code, 24, 7)
+		bs := orig.BlockSize
+		r := rand.New(rand.NewSource(8))
+		garbage := func(blocks int) []byte {
+			b := make([]byte, blocks*bs)
+			r.Read(b)
+			return b
+		}
+		eachColumnSet(g, func(cols []int) {
+			ctx := fmt.Sprintf("%s columns %v", code.Name(), cols)
+			plan := dec.ColumnPlan(columnsOf(cols...))
+			if plan == nil {
+				if code.Name() != "evenodd" {
+					t.Fatalf("%s: no plan", ctx)
+				}
+				return
+			}
+			s := orig.Clone()
+			garble(s, r, cols...)
+			acc := garbage(len(cols) * g.Rows)
+			runFolds(t, ctx, s, plan.Folds(), acc)
+			plan.Finish(acc)
+			_, reads := diskCalls(plan.Folds())
+			surviving := map[layout.Coord]bool{}
+			for _, st := range plan.Steps() {
+				for _, src := range st.Sources {
+					if !columnsOf(cols...).Has(src.Col) {
+						surviving[src] = true
+					}
+				}
+			}
+			if reads != len(surviving) || (len(cols) == 1 && reads != plan.Stats().BlocksRead) {
+				t.Fatalf("%s: the schedule reads %d blocks, the steps name %d surviving ones (BlocksRead %d)", ctx, reads, len(surviving), plan.Stats().BlocksRead)
+			}
+			for k, col := range cols {
+				if !bytes.Equal(acc[k*g.Rows*bs:(k+1)*g.Rows*bs], orig.Column(col)) {
+					t.Fatalf("%s: the finished buffer does not hold column %d", ctx, col)
+				}
+				for row := 0; row < g.Rows; row++ {
+					cell := layout.Coord{Row: row, Col: col}
+					one := garbage(1)
+					runFolds(t, fmt.Sprintf("%s cell %v", ctx, cell), s, plan.SourceRuns(cell), one)
+					if !bytes.Equal(one, orig.Block(cell)) {
+						t.Fatalf("%s: cell %v's own schedule does not fold to the cell", ctx, cell)
+					}
+				}
+			}
+			checkSources(t, ctx, plan, orig, cols)
+		})
+
+		syn := garbage(len(code.Chains()))
+		runFolds(t, code.Name()+" syndromes", orig, dec.Syndromes(), syn)
+		if !xorblk.IsZero(syn) {
+			t.Fatalf("%s: a consistent stripe has a non-zero syndrome", code.Name())
+		}
+		bad := orig.Clone()
+		bad.Block(layout.Coord{Row: g.Rows - 1, Col: 1})[3] ^= 0x40
+		runFolds(t, code.Name()+" syndromes", bad, dec.Syndromes(), syn)
+		if xorblk.IsZero(syn) {
+			t.Fatalf("%s: a flipped byte leaves every syndrome zero", code.Name())
+		}
 	}
 }
 
@@ -387,6 +528,7 @@ func TestDecoderExecuteAllocationFree(t *testing.T) {
 	s := encoded(code, 4096, 1)
 	cell := layout.Coord{Row: 3, Col: 2}
 	dec.ColumnPlan(columnsOf(0, 2))
+	acc := make([]byte, 2*code.Geometry().Rows*4096)
 	if n := testing.AllocsPerRun(50, func() {
 		cols := layout.Columns{}.With(2).With(0)
 		if cols.Len() != 2 || cols.At(0) != 0 || !cols.Has(2) {
@@ -397,6 +539,10 @@ func TestDecoderExecuteAllocationFree(t *testing.T) {
 		if len(plan.SourceRuns(cell)) == 0 {
 			t.Fatal("no runs")
 		}
+		if len(plan.Folds()) != 11 {
+			t.Fatal("the schedule does not visit every surviving column")
+		}
+		plan.Finish(acc)
 	}); n != 0 {
 		t.Errorf("plan lookup and execution allocate %.1f times per call, want 0", n)
 	}

@@ -35,7 +35,7 @@ func TestSuppressions(t *testing.T) {
 
 func f() {
 	_ = 1 //lint:allow xorloop benchmark baseline
-	_ = 2 //lint:allow bufpoolpair
+	_ = 2 //lint:allow lockcheck
 	_ = 3
 }
 `

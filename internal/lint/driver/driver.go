@@ -8,7 +8,7 @@
 // the export data through the stdlib gc importer (importer.ForCompiler with
 // a lookup function). Dependencies are never re-type-checked from source —
 // exactly the scheme golang.org/x/tools/go/packages uses in LoadTypes mode,
-// shrunk to what six analyzers need. Only a package's GoFiles are analyzed:
+// shrunk to what five analyzers need. Only a package's GoFiles are analyzed:
 // the suite's invariants are library invariants, and tests build ill-shaped
 // scaffolding (manufactured contexts, raw loops) on purpose.
 //

@@ -1,15 +1,12 @@
-// Package lint holds the c56-lint analyzer suite: six checks that turn
+// Package lint holds the c56-lint analyzer suite: five checks that turn
 // this repository's load-bearing conventions — invariants that previously
 // lived only in reviewers' heads — into mechanically enforced rules.
 //
 //   - xorloop: block XOR must go through internal/xorblk's kernels. The
 //     paper's optimal XOR counts are tallied there, and the zero-alloc wide
 //     kernels only help if nothing bypasses them.
-//   - bufpoolpair: every bufpool.Get/GetZero must reach a bufpool.Put on
-//     every return path (leaks silently re-inflate the allocator traffic
-//     the pool exists to remove, and bytes_in_flight drifts upward).
-//   - ctxflow: context-aware entry points must thread their ctx into the
-//     parallel fan-out, and library code must not invent contexts.
+//   - ctxflow: library code must not invent contexts — no context.TODO,
+//     and context.Background only in the serial-wrapper shape.
 //   - metricname: telemetry names are compile-time constants in
 //     pkg.snake_case with no cross-package duplicates, so dashboards and
 //     the README metric reference cannot drift from the code.
@@ -36,11 +33,10 @@ import (
 	"code56/internal/lint/analysis"
 )
 
-// Suite returns the six c56-lint analyzers in reporting order.
+// Suite returns the five c56-lint analyzers in reporting order.
 func Suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		XorLoop,
-		BufPoolPair,
 		CtxFlow,
 		MetricName,
 		Lockcheck,
@@ -54,8 +50,6 @@ func Suite() []*analysis.Analyzer {
 // the production matching logic.
 const (
 	xorblkPath    = "code56/internal/xorblk"
-	bufpoolPath   = "code56/internal/bufpool"
-	parallelPath  = "code56/internal/parallel"
 	telemetryPath = "code56/internal/telemetry"
 )
 

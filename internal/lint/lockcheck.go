@@ -25,8 +25,7 @@ import (
 //     checked to hold them (so the obligation propagates transitively
 //     through annotated helpers).
 //
-// The checker walks each function body path-sensitively, in the style the
-// repository's bufpoolpair analyzer established: `mu.Lock()`/`RLock()`
+// The checker walks each function body path-sensitively: `mu.Lock()`/`RLock()`
 // acquire, `Unlock()`/`RUnlock()` release, `defer mu.Unlock()` holds the
 // lock to every exit of the path, `cond.Wait()` is lock-preserving, branch
 // joins intersect the held sets (a lock is held after an if/switch only

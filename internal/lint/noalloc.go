@@ -155,6 +155,8 @@ var noallocTrusted = map[string]bool{
 	"code56/internal/layout.Columns.With":       true,
 	"code56/internal/layout.Decoder.ColumnPlan": true,
 	"code56/internal/layout.Plan.SourceRuns":    true,
+	"code56/internal/layout.Plan.Folds":         true,
+	"code56/internal/layout.Plan.Finish":        true,
 	"code56/internal/layout.Plan.Run":           true,
 	"code56/internal/core.Code56.P":             true,
 	"code56/internal/raid5.Array.Disks":         true,
@@ -174,6 +176,8 @@ var noallocTrusted = map[string]bool{
 	"code56/internal/vdisk.Xorer.XorAt":         true,
 	"code56/internal/vdisk.Xorer.ReadXorAt":     true,
 	"code56/internal/vdisk.MemStore.XorAt":      true,
+
+	"code56/internal/raid6.Array.RebuildColumnsHeld": true,
 }
 
 // noallocTrustedPkgs are packages trusted wholesale: pure-computation

@@ -1,6 +1,6 @@
 // Package bufpool stubs the production buffer pool at its real import
-// path, so the bufpoolpair analyzer's path matching is exercised exactly
-// as in the main module.
+// path, so the noalloc analyzer's trusted-table matching is exercised
+// exactly as in the main module.
 package bufpool
 
 // Get rents a buffer of length n.

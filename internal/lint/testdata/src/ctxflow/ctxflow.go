@@ -1,18 +1,11 @@
-// Package ctxflow exercises the ctxflow analyzer: context-aware entry
-// points must thread their ctx into the parallel engine, and library code
-// must not manufacture contexts outside the serial-wrapper shape.
+// Package ctxflow exercises the ctxflow analyzer: library code must not
+// manufacture contexts outside the serial-wrapper shape.
 package ctxflow
 
-import (
-	"context"
+import "context"
 
-	"code56/internal/parallel"
-)
-
-// EncodeContext threads its ctx into the fan-out; clean.
-func EncodeContext(ctx context.Context, n int) error {
-	return parallel.ForEach(ctx, n, func(int) error { return nil })
-}
+// EncodeContext is a context-aware entry point.
+func EncodeContext(ctx context.Context, n int) error { return ctx.Err() }
 
 // Encode is the sanctioned serial compat wrapper: no ctx parameter, and
 // Background passed directly as a call argument.
@@ -20,49 +13,24 @@ func Encode(n int) error {
 	return EncodeContext(context.Background(), n)
 }
 
-// BatchContext covers ForEachBatch threading; clean.
-func BatchContext(ctx context.Context, n int) error {
-	return parallel.ForEachBatch(ctx, n, 4096, func(lo, hi int) error { return nil })
-}
-
-// DerivedContext threads a context derived from its ctx; clean.
+// DerivedContext derives from its ctx; clean.
 func DerivedContext(ctx context.Context, n int) error {
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	return parallel.ForEach(cctx, n, func(int) error { return nil })
+	return EncodeContext(cctx, n)
 }
 
-// closureThreading: a literal capturing the enclosing ctx threads it;
-// clean.
-func closureThreading(ctx context.Context, n int) func() error {
-	return func() error {
-		return parallel.ForEach(ctx, n, func(int) error { return nil })
-	}
-}
-
-// ManufacturedForEach severs cancellation despite having a ctx.
-func ManufacturedForEach(ctx context.Context, n int) error {
-	return parallel.ForEach(context.Background(), n, func(int) error { return nil }) // want `manufactured context`
-}
-
-// rootCtx stands in for any unrelated stored context.
-var rootCtx context.Context
-
-// StaleContext threads a stored global instead of its own ctx.
-func StaleContext(ctx context.Context, n int) error {
-	return parallel.ForEach(rootCtx, n, func(int) error { return nil }) // want `does not thread this function's ctx`
-}
-
-// BatchStale covers ForEachBatch with an unthreaded first argument.
-func BatchStale(ctx context.Context, n int) error {
-	return parallel.ForEachBatch(rootCtx, n, 4096, func(lo, hi int) error { return nil }) // want `does not thread this function's ctx`
+// healStripesDetached is the PR 3 heal shape: the repair runs on a fresh
+// root, so cancelling the migration does not stop in-flight heals.
+func healStripesDetached(ctx context.Context, stripes int) error {
+	return EncodeContext(context.Background(), stripes) // want `already has a ctx in scope`
 }
 
 // closureManufactured: a literal under a ctx-bearing function makes its
 // own root.
 func closureManufactured(ctx context.Context, n int) func() error {
 	return func() error {
-		return parallel.ForEach(context.Background(), n, func(int) error { return nil }) // want `manufactured context`
+		return EncodeContext(context.Background(), n) // want `already has a ctx in scope`
 	}
 }
 

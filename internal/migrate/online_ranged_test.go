@@ -11,6 +11,9 @@ import (
 	"sync"
 	"testing"
 
+	"code56/internal/codes/hdp"
+	"code56/internal/codes/rdp"
+	"code56/internal/codes/xcode"
 	"code56/internal/core"
 	"code56/internal/layout"
 	"code56/internal/parallel"
@@ -204,11 +207,26 @@ func TestConversionImagesMatchPerBlockReference(t *testing.T) {
 	}
 }
 
+// conversionFolds is the conversion's read schedule: the fold schedule of the
+// plan that rebuilds column p-1, the diagonal-parity disk.
+func conversionFolds(t *testing.T, code *core.Code56) []layout.ColumnFold {
+	t.Helper()
+	plan := layout.NewDecoder(code).ColumnPlan(layout.Columns{}.With(code.P() - 1))
+	if plan == nil {
+		t.Fatalf("p=%d: column p-1 has no plan", code.P())
+	}
+	return plan.Folds()
+}
+
 // TestConversionRunsInvariant: every run of the schedule feeds consecutive
 // chains — a contiguous slice of the parity column — and is all first
 // contributors or all later ones; together the runs cover every data cell
 // once, each chain's first contributor ahead of its others; and there are
-// 2(p-1)-2 of them, the fewest disk calls the layout allows (6 at p=5).
+// 2(p-1)-2 of them, the fewest disk calls the layout allows (6 at p=5), each
+// folded from where it lies. The other codes get runs of whatever length their
+// geometry allows, held to the same rule: every surviving member of every
+// chain a plan uses lands on that chain's accumulator exactly once, the first
+// contributor first, and a column read through scratch is read once.
 func TestConversionRunsInvariant(t *testing.T) {
 	for _, p := range []int{5, 7, 11, 13} {
 		for _, orient := range []core.Orientation{core.Left, core.Right} {
@@ -216,30 +234,37 @@ func TestConversionRunsInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			runs := conversionRuns(code)
-			if got, want := len(runs), 2*(p-1)-2; got != want {
-				t.Errorf("p=%d orient=%d: %d runs a stripe, want %d", p, orient, got, want)
-			}
+			folds := conversionFolds(t, code)
+			runs := 0
 			covered := map[layout.Coord]bool{}
 			fed := make([]int, p-1) // contributors seen, per chain
-			for _, r := range runs {
-				if r.n < 1 || r.chain < 0 || r.chain+r.n > p-1 {
-					t.Fatalf("p=%d orient=%d: run %+v lies outside the parity column", p, orient, r)
+			for _, cf := range folds {
+				if cf.Reads != nil {
+					t.Errorf("p=%d orient=%d: column %d goes through scratch, its cells have one taker each", p, orient, cf.Col)
 				}
-				for k := 0; k < r.n; k++ {
-					cell := layout.Coord{Row: r.row + k, Col: r.col}
-					if covered[cell] {
-						t.Errorf("p=%d orient=%d: cell %v is read twice", p, orient, cell)
+				runs += len(cf.Runs)
+				for _, r := range cf.Runs {
+					if r.N < 1 || r.Acc < 0 || r.Acc+r.N > p-1 {
+						t.Fatalf("p=%d orient=%d: run %+v lies outside the parity column", p, orient, r)
 					}
-					covered[cell] = true
-					if got := code.DiagonalChainOf(cell.Row, cell.Col); got != r.chain+k {
-						t.Errorf("p=%d orient=%d: run %+v block %d feeds chain %d, its cell lies on chain %d", p, orient, r, k, r.chain+k, got)
+					for k := 0; k < r.N; k++ {
+						cell := layout.Coord{Row: r.Row + k, Col: cf.Col}
+						if covered[cell] {
+							t.Errorf("p=%d orient=%d: cell %v is read twice", p, orient, cell)
+						}
+						covered[cell] = true
+						if got := code.DiagonalChainOf(cell.Row, cell.Col); got != r.Acc+k {
+							t.Errorf("p=%d orient=%d: run %+v block %d feeds chain %d, its cell lies on chain %d", p, orient, r, k, r.Acc+k, got)
+						}
+						if first := fed[r.Acc+k] == 0; first != r.First {
+							t.Errorf("p=%d orient=%d: run %+v block %d: first contributor %v, run says %v", p, orient, r, k, first, r.First)
+						}
+						fed[r.Acc+k]++
 					}
-					if first := fed[r.chain+k] == 0; first != r.first {
-						t.Errorf("p=%d orient=%d: run %+v block %d: first contributor %v, run says %v", p, orient, r, k, first, r.first)
-					}
-					fed[r.chain+k]++
 				}
+			}
+			if want := 2*(p-1) - 2; runs != want {
+				t.Errorf("p=%d orient=%d: %d runs a stripe, want %d", p, orient, runs, want)
 			}
 			for i, ch := range code.Chains()[p-1:] {
 				if fed[i] != len(ch.Covers) {
@@ -253,13 +278,87 @@ func TestConversionRunsInvariant(t *testing.T) {
 			}
 		}
 	}
+
+	for _, code := range []layout.Code{rdp.MustNew(7), xcode.MustNew(7), hdp.MustNew(7)} {
+		g := code.Geometry()
+		dec := layout.NewDecoder(code)
+		for a := 0; a < g.Cols; a++ {
+			for b := a; b < g.Cols; b++ {
+				cols := layout.Columns{}.With(a).With(b)
+				plan := dec.ColumnPlan(cols)
+				if plan == nil {
+					t.Fatalf("%s columns %d,%d: no plan", code.Name(), a, b)
+				}
+				// What the schedule must hold: each step's surviving sources on
+				// the accumulator of the cell it recovers.
+				type term struct {
+					cell layout.Coord
+					acc  int
+				}
+				accOf := func(c layout.Coord) int {
+					for k := 0; k < cols.Len(); k++ {
+						if cols.At(k) == c.Col {
+							return k*g.Rows + c.Row
+						}
+					}
+					return -1
+				}
+				want := map[term]bool{}
+				for _, st := range plan.Steps() {
+					for _, src := range st.Sources {
+						if accOf(src) < 0 {
+							want[term{src, accOf(st.Missing)}] = true
+						}
+					}
+				}
+				fed := map[int]bool{}
+				for _, cf := range plan.Folds() {
+					inReads := map[int]int{} // row → reads holding it
+					for _, rd := range cf.Reads {
+						for k := 0; k < rd.N; k++ {
+							inReads[rd.Row+k]++
+						}
+					}
+					perRow := map[int]int{}
+					for _, r := range cf.Runs {
+						for k := 0; k < r.N; k++ {
+							tm := term{layout.Coord{Row: r.Row + k, Col: cf.Col}, r.Acc + k}
+							if !want[tm] {
+								t.Fatalf("%s columns %d,%d: %v lands on accumulator %d twice, or has no business there", code.Name(), a, b, tm.cell, tm.acc)
+							}
+							delete(want, tm)
+							if r.First == fed[tm.acc] {
+								t.Fatalf("%s columns %d,%d: %v on accumulator %d: First=%v, accumulator already fed=%v", code.Name(), a, b, tm.cell, tm.acc, r.First, fed[tm.acc])
+							}
+							fed[tm.acc] = true
+							perRow[tm.cell.Row]++
+							if cf.Reads != nil && inReads[tm.cell.Row] != 1 {
+								t.Fatalf("%s columns %d,%d: %v is read into scratch %d times, want once", code.Name(), a, b, tm.cell, inReads[tm.cell.Row])
+							}
+						}
+					}
+					for row, n := range perRow {
+						if cf.Reads == nil && n != 1 {
+							t.Fatalf("%s columns %d,%d: cell (%d,%d) is read from its disk %d times", code.Name(), a, b, row, cf.Col, n)
+						}
+					}
+					if len(inReads) > len(perRow) {
+						t.Fatalf("%s columns %d,%d: column %d reads %d cells and folds %d", code.Name(), a, b, cf.Col, len(inReads), len(perRow))
+					}
+				}
+				if len(want) != 0 {
+					t.Fatalf("%s columns %d,%d: %d surviving chain members are never folded", code.Name(), a, b, len(want))
+				}
+			}
+		}
+	}
 }
 
 // TestConversionHealsLatentMidRun: a latent sector in the middle of a column
 // run fails the ranged call — the read of a first-contributor run, the
-// read-fold of a later one — and leaves the accumulators as they were; the run
-// is taken again block by block through readOrRepair, and exactly that one
-// block is healed, once, and folded, once.
+// read-fold of a later one — and with it the stripe's compiled schedule; the
+// stripe is converted again block by block through readOrRepair, and exactly
+// that one block is healed, once, and every block folded, once.
 func TestConversionHealsLatentMidRun(t *testing.T) {
 	const rows = 8 // two stripes at p=5
 	for _, c := range []struct {
@@ -283,13 +382,14 @@ func TestConversionHealsLatentMidRun(t *testing.T) {
 			mig := convertQuiet(t, a, rows, reg)
 
 			found := false
-			for _, r := range mig.runs {
-				if r.col == c.disk && r.row <= c.row && c.row < r.row+r.n {
-					found = r.n > 1 && r.first == c.first
+			folds := conversionFolds(t, mig.Code())
+			for _, r := range folds[c.disk].Runs {
+				if folds[c.disk].Col == c.disk && r.Row <= c.row && c.row < r.Row+r.N {
+					found = r.N > 1 && r.First == c.first
 				}
 			}
 			if !found {
-				t.Fatalf("disk %d row %d is not inside a multi-block run with first=%v: %+v", c.disk, c.row, c.first, mig.runs)
+				t.Fatalf("disk %d row %d is not inside a multi-block run with first=%v: %+v", c.disk, c.row, c.first, folds)
 			}
 			if got := mig.Stats().FaultsRepaired; got != 1 {
 				t.Errorf("FaultsRepaired = %d, want 1", got)
@@ -307,8 +407,8 @@ func TestConversionHealsLatentMidRun(t *testing.T) {
 			if err := a.Disks().Disk(c.disk).Read(int64(c.row), buf); err != nil {
 				t.Fatalf("latent block not rewritten: %v", err)
 			}
-			// The accumulators are right only if the fallback folded each block of
-			// the run exactly once, onto what the refused call had left alone.
+			// The parity is right only if the fallback folded each block of the
+			// stripe exactly once, whatever the refused schedule had folded.
 			verifyConverted(t, mig, want, rows/4, "latent-mid-run")
 		})
 	}
@@ -355,6 +455,9 @@ func newStripeConverter(t testing.TB, p, blockSize int) *OnlineMigrator {
 	}
 	mig.SetTelemetry(telemetry.NewRegistry(), nil)
 	a.Disks().Add()
+	if mig.r6, err = raid6.Wrap(mig.code, a.Disks()); err != nil {
+		t.Fatal(err)
+	}
 	return mig
 }
 

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"code56/internal/bufpool"
 	"code56/internal/core"
 	"code56/internal/layout"
 	"code56/internal/parallel"
@@ -21,10 +22,25 @@ import (
 	"code56/internal/vdisk/filestore"
 )
 
+// poolBalanced checks, when the test ends, that bufpool.InFlight() is back where
+// it was: every buffer rented on the way — on the error returns an injected
+// fault takes, above all — went back to the pool.
+func poolBalanced(t testing.TB) {
+	t.Helper()
+	base := bufpool.InFlight()
+	t.Cleanup(func() {
+		if got := bufpool.InFlight(); got != base {
+			t.Errorf("bufpool.InFlight() = %d at the end of the test, %d at its start: a rental leaked", got, base)
+		}
+	})
+}
+
 // newLoadedRAID5 builds a RAID-5 of m disks with `rows` rows of random data
-// and returns the array plus the expected block contents.
+// and returns the array plus the expected block contents. The test it builds
+// it for must leave the buffer pool balanced.
 func newLoadedRAID5(t *testing.T, m int, rows int64, seed int64) (*raid5.Array, map[int64][]byte) {
 	t.Helper()
+	poolBalanced(t)
 	a, err := raid5.New(m, 32, raid5.LeftAsymmetric)
 	if err != nil {
 		t.Fatal(err)

@@ -397,22 +397,3 @@ func (s *Server) StartListener(ln net.Listener) *Handle {
 	go func() { _ = hs.Serve(ln) }()
 	return &Handle{srv: s, ln: ln, hs: hs}
 }
-
-// Plane is c56-migrate's -http implementation: for a non-empty addr it serves
-// the default registry's plane and attaches a TimelineSink to the default
-// tracer, so every span-instrumented phase gains a trace.span_us.<name>
-// histogram for free. An empty addr returns (nil, nil, nil) — the nil
-// server and handle are inert, letting callers register and defer
-// unconditionally.
-func Plane(addr string) (*Server, *Handle, error) {
-	if addr == "" {
-		return nil, nil, nil
-	}
-	telemetry.DefaultTracer().AddSink(telemetry.NewTimelineSink(nil))
-	s := New(nil)
-	h, err := s.Start(addr)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s, h, nil
-}

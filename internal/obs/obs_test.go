@@ -499,14 +499,3 @@ func TestStartServesAndCloses(t *testing.T) {
 		t.Fatal("listener still serving after Close")
 	}
 }
-
-func TestPlaneEmptyAddrIsNoop(t *testing.T) {
-	s, h, err := Plane("")
-	if err != nil || s != nil || h != nil {
-		t.Fatalf("Plane(\"\") = %v %v %v, want all nil", s, h, err)
-	}
-	s.RegisterHealth("x", func() Health { return Health{} }) // must not panic
-	if err := h.Close(); err != nil {
-		t.Fatal(err)
-	}
-}

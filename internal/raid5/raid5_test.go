@@ -6,9 +6,23 @@ import (
 	"math/rand"
 	"testing"
 
+	"code56/internal/bufpool"
 	"code56/internal/telemetry"
 	"code56/internal/vdisk"
 )
+
+// poolBalanced checks, when the test ends, that bufpool.InFlight() is back where
+// it was: every buffer rented on the way — on the error returns an injected
+// fault takes, above all — went back to the pool.
+func poolBalanced(t testing.TB) {
+	t.Helper()
+	base := bufpool.InFlight()
+	t.Cleanup(func() {
+		if got := bufpool.InFlight(); got != base {
+			t.Errorf("bufpool.InFlight() = %d at the end of the test, %d at its start: a rental leaked", got, base)
+		}
+	})
+}
 
 var layouts = []Layout{LeftAsymmetric, LeftSymmetric, RightAsymmetric, RightSymmetric}
 
@@ -112,6 +126,7 @@ func TestWriteRejectsBadSize(t *testing.T) {
 }
 
 func TestDegradedRead(t *testing.T) {
+	poolBalanced(t)
 	a, _ := New(4, 16, LeftSymmetric)
 	r := rand.New(rand.NewSource(2))
 	want := make(map[int64][]byte)
@@ -136,6 +151,7 @@ func TestDegradedRead(t *testing.T) {
 }
 
 func TestDegradedWriteAndRebuild(t *testing.T) {
+	poolBalanced(t)
 	a, _ := New(4, 16, LeftAsymmetric)
 	r := rand.New(rand.NewSource(3))
 	want := make(map[int64][]byte)
@@ -182,6 +198,7 @@ func TestDegradedWriteAndRebuild(t *testing.T) {
 }
 
 func TestDoubleFailure(t *testing.T) {
+	poolBalanced(t)
 	a, _ := New(4, 16, LeftAsymmetric)
 	for L := int64(0); L < 12; L++ {
 		if err := a.WriteBlock(L, make([]byte, 16)); err != nil {
@@ -208,6 +225,7 @@ func TestDoubleFailure(t *testing.T) {
 // TestLatentErrorRecovery: a latent sector error on a data block is
 // transparently recovered through parity.
 func TestLatentErrorRecovery(t *testing.T) {
+	poolBalanced(t)
 	a, _ := New(4, 16, LeftAsymmetric)
 	want := []byte("0123456789abcdef")
 	if err := a.WriteBlock(5, want); err != nil {
@@ -229,6 +247,7 @@ func TestLatentErrorRecovery(t *testing.T) {
 // and for both reconstruct-write entries, and says so with ErrDoubleFault
 // around the disk's own error.
 func TestSecondBadBlockInRowIsDoubleFault(t *testing.T) {
+	poolBalanced(t)
 	a, _ := New(4, 16, LeftAsymmetric)
 	for L := int64(0); L < 12; L++ {
 		if err := a.WriteBlock(L, bytes.Repeat([]byte{byte(L + 1)}, 16)); err != nil {
@@ -267,6 +286,7 @@ func TestSecondBadBlockInRowIsDoubleFault(t *testing.T) {
 // down, at a degraded read's tallies — and a second bad block in the row is the
 // same double fault.
 func TestFoldBlockMatchesDegradedRead(t *testing.T) {
+	poolBalanced(t)
 	a, _ := New(4, 16, LeftAsymmetric)
 	reg := telemetry.NewRegistry()
 	a.SetTelemetry(reg, nil)

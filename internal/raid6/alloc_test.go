@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"code56/internal/core"
+	"code56/internal/layout"
 )
 
 // The steady-state hot paths must not allocate: stripes come from the
@@ -107,8 +108,9 @@ func TestDegradedReadDoubleFailureAllocationFree(t *testing.T) {
 	}
 }
 
-// TestRebuildStripeAllocationFree: rebuilding two replaced disks runs the
-// cached schedule over a pooled stripe.
+// TestRebuildStripeAllocationFree: rebuilding two replaced disks, or one, runs
+// the cached fold schedule onto a pooled buffer, under the array's own stripe
+// hold or a caller's; so does the check of a clean stripe's scrub.
 func TestRebuildStripeAllocationFree(t *testing.T) {
 	skipIfRace(t)
 	a := newWarmArray(t, 2)
@@ -126,6 +128,21 @@ func TestRebuildStripeAllocationFree(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("rebuildStripe allocates %.1f times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := a.RebuildColumnsHeld(1, layout.Columns{}.With(a.geom.Cols-1)); err != nil {
+			t.Fatalf("RebuildColumnsHeld: %v", err)
+		}
+	}); n != 0 {
+		t.Errorf("RebuildColumnsHeld allocates %.1f times per call, want 0", n)
+	}
+	check := a.dec.Syndromes()
+	if n := testing.AllocsPerRun(100, func() {
+		if res, err := a.scrubStripe(1, true, check); err != nil || res != (scrubResult{}) {
+			t.Fatalf("scrubStripe: %+v, %v", res, err)
+		}
+	}); n != 0 {
+		t.Errorf("scrubStripe of a clean stripe allocates %.1f times per call, want 0", n)
 	}
 	if ok, err := a.VerifyStripe(1); err != nil || !ok {
 		t.Fatalf("stripe 1 after rebuilds: ok=%v err=%v", ok, err)

@@ -3,11 +3,13 @@ package raid6
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"sync/atomic"
 	"testing"
 
 	"code56/internal/core"
+	"code56/internal/layout"
 	"code56/internal/parallel"
 	"code56/internal/telemetry"
 	"code56/internal/vdisk"
@@ -33,6 +35,13 @@ func (s countedStore) WriteAt(p []byte, off int64) (int, error) {
 	return s.MemStore.WriteAt(p, off)
 }
 
+// ReadXorAt is a read call too: the fold-in-place form of ReadAt, which the
+// embedded MemStore would otherwise serve uncounted.
+func (s countedStore) ReadXorAt(p []byte, off int64) (int, error) {
+	s.c.reads.Add(1)
+	return s.MemStore.ReadXorAt(p, off)
+}
+
 func (c *callCounter) Open(id, blockSize int) (vdisk.BlockStore, error) {
 	return countedStore{vdisk.NewMemStore(blockSize), c}, nil
 }
@@ -46,6 +55,7 @@ func (c *callCounter) take() (reads, writes int64) {
 // stores, holding `stripes` stripes written with WriteStripe.
 func newCountedArray(t *testing.T, stripes int64, rotate bool) (*Array, *callCounter, [][][]byte) {
 	t.Helper()
+	poolBalanced(t)
 	code := core.MustNew(5)
 	c := &callCounter{}
 	disks, err := vdisk.NewArrayBackend(code.Geometry().Cols, 64, c)
@@ -70,8 +80,8 @@ func newCountedArray(t *testing.T, stripes int64, rotate bool) (*Array, *callCou
 
 // TestStripeOpsMoveOneColumnPerStoreCall: full-stripe write, stripe load,
 // scrub and rebuild move a column's rows with one store call, while Stats
-// goes on counting every block; a rebuild reads only the columns it is not
-// rebuilding.
+// goes on counting every block; a rebuild reads only the columns its plan
+// names, each block once.
 func TestStripeOpsMoveOneColumnPerStoreCall(t *testing.T) {
 	const stripes = 3
 	for _, rotate := range []bool{false, true} {
@@ -111,6 +121,51 @@ func TestStripeOpsMoveOneColumnPerStoreCall(t *testing.T) {
 		}
 		expect("rebuild of two disks", stripes*(cols-2), stripes*2, stripes*rows*(cols-2), stripes*rows*2)
 
+		// One disk: the plan's columns and no others. A data column is rebuilt
+		// from its rows' horizontal chains, which never touch the diagonal-parity
+		// column; the diagonal-parity column from the data cells, the conversion's
+		// reads, and no horizontal-parity cell.
+		for _, d := range []int{1, 4} {
+			a.Disks().Disk(d).Fail()
+			a.Disks().Disk(d).Replace()
+			var calls, blocks int64
+			for st := int64(0); st < stripes; st++ {
+				plan := a.dec.ColumnPlan(layout.Columns{}.With(a.colOnDisk(st, d)))
+				for _, cf := range plan.Folds() {
+					if cf.Reads != nil {
+						t.Fatalf("rotate=%v disk %d stripe %d: column %d goes through scratch, its cells have one taker each", rotate, d, st, cf.Col)
+					}
+					calls += int64(len(cf.Runs))
+				}
+				blocks += int64(plan.Stats().BlocksRead)
+			}
+			if err := a.RebuildContext(context.Background(), stripes, []int{d}, parallel.WithWorkers(1)); err != nil {
+				t.Fatal(err)
+			}
+			if !rotate {
+				// Blocks a stripe from each disk, and runs a stripe: a data
+				// disk's row chains skip the diagonal-parity disk, one run a
+				// column; the diagonal-parity disk's chains skip each data disk's
+				// horizontal-parity cell, 2(p-1)-2 runs.
+				perDisk, runs := []int64{rows, 0, rows, rows, 0}, cols-2
+				if d == 4 {
+					perDisk, runs = []int64{rows - 1, rows - 1, rows - 1, rows - 1, 0}, 2*(cols-1)-2
+				}
+				for i, want := range perDisk {
+					if got := a.Disks().Disk(i).Stats().Reads; got != stripes*want {
+						t.Errorf("rebuild of disk %d: %d blocks read from disk %d, want %d", d, got, i, stripes*want)
+					}
+				}
+				if calls != stripes*runs {
+					t.Errorf("rebuild of disk %d: the plans list %d runs, want %d", d, calls, stripes*runs)
+				}
+			}
+			if want := stripes * rows * (cols - 2); blocks != want {
+				t.Errorf("rotate=%v: the plans for disk %d read %d blocks, want the paper's (p-1)(p-2) a stripe, %d", rotate, d, blocks, want)
+			}
+			expect(fmt.Sprintf("rebuild of disk %d", d), calls, stripes, blocks, stripes*rows)
+		}
+
 		for st := int64(0); st < stripes; st++ {
 			got, err := a.ReadStripe(st)
 			if err != nil {
@@ -120,6 +175,9 @@ func TestStripeOpsMoveOneColumnPerStoreCall(t *testing.T) {
 				if !bytes.Equal(got[i], data[st][i]) {
 					t.Fatalf("rotate=%v: stripe %d block %d wrong after rebuild", rotate, st, i)
 				}
+			}
+			if ok, err := a.VerifyStripe(st); err != nil || !ok {
+				t.Fatalf("rotate=%v: stripe %d after the rebuilds: ok=%v err=%v", rotate, st, ok, err)
 			}
 		}
 	}

@@ -135,3 +135,18 @@ func TestScrubContextModeMatchesSerial(t *testing.T) {
 		t.Fatalf("LatentFound = %d, want 2", serial.LatentFound)
 	}
 }
+
+// TestScrubRefusesFailedDisk: a scrub of an array with a disk down stops with
+// the disk's error whichever column the check meets first — it does not report
+// the dead disk's column as so many bad sectors.
+func TestScrubRefusesFailedDisk(t *testing.T) {
+	a := New(core.MustNew(5), 16)
+	fillRandom(t, a, 2, rand.New(rand.NewSource(37)))
+	a.Disks().Disk(0).InjectLatentError(1)
+	a.Disks().Disk(3).Fail()
+	for _, mode := range []ScrubMode{ScrubCheck, ScrubRepair} {
+		if rep, err := scrub(a, 2, mode); !errors.Is(err, vdisk.ErrFailed) || rep.LatentFound != 0 {
+			t.Errorf("mode %d: report %+v, err %v: want ErrFailed and nothing found", mode, rep, err)
+		}
+	}
+}

@@ -1,67 +1,6 @@
 package raid6
 
-import (
-	"fmt"
-
-	"code56/internal/layout"
-)
-
-// rebuildStripe reconstructs the given disks' cells of one stripe. It reads
-// only the other columns and runs the cached recovery schedule of the
-// rebuilt ones; if some other cell is unreadable too, or the columns have no
-// plan, the full decoder takes the exact erasure set.
-//
-//c56:noalloc
-func (a *Array) rebuildStripe(st int64, disks []int) error {
-	var cols layout.Columns
-	for _, d := range disks {
-		cols = cols.With(a.colOnDisk(st, d))
-	}
-	s := a.stripes.Get()
-	defer a.stripes.Put(s)
-	lk := a.disks.StripeLock(st)
-	lk.Lock()
-	defer lk.Unlock()
-	var es layout.ErasureSet
-	for j := 0; j < a.geom.Cols; j++ {
-		if cols.Has(j) {
-			continue
-		}
-		var err error
-		if es, err = a.loadColumn(st, j, s, es); err != nil {
-			return err
-		}
-	}
-	if plan := a.dec.ColumnPlan(cols); plan != nil && es == nil {
-		plan.Run(s)
-	} else if err := a.reconstructColumns(st, s, es, cols); err != nil { //lint:allow noalloc a rebuild around further damage decodes the exact erasure set; the cached schedule is the steady state
-		return err
-	}
-	for i := 0; i < cols.Len(); i++ {
-		if err := a.writeColumn(st, cols.At(i), s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// reconstructColumns is rebuildStripe's fallback: the general decoder over
-// the rebuilt columns plus whatever else loading found unreadable (es, which
-// may be nil).
-func (a *Array) reconstructColumns(st int64, s *layout.Stripe, es layout.ErasureSet, cols layout.Columns) error {
-	if es == nil {
-		es = make(layout.ErasureSet, cols.Len()*a.geom.Rows)
-	}
-	for i := 0; i < cols.Len(); i++ {
-		for r := 0; r < a.geom.Rows; r++ {
-			es[layout.Coord{Row: r, Col: cols.At(i)}] = true
-		}
-	}
-	if _, err := a.dec.Reconstruct(s, es); err != nil {
-		return fmt.Errorf("%w: stripe %d: %w", ErrTooManyFailures, st, err)
-	}
-	return nil
-}
+import "fmt"
 
 // WriteStripe writes all data blocks of one stripe at once and encodes its
 // parities in a single pass — the full-stripe write optimization: no block

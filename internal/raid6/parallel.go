@@ -97,9 +97,10 @@ func (a *Array) RebuildContext(ctx context.Context, stripes int64, disks []int, 
 // returns the partial report.
 func (a *Array) ScrubContextMode(ctx context.Context, stripes int64, mode ScrubMode, opts ...parallel.Option) (ScrubReport, error) {
 	rep := ScrubReport{Stripes: stripes}
+	check := a.dec.Syndromes()
 	var mu sync.Mutex
 	err := parallel.ForEachBatch(ctx, stripes, a.stripeBytes(), func(st int64) error {
-		res, err := a.scrubStripe(st, mode == ScrubRepair)
+		res, err := a.scrubStripe(st, mode == ScrubRepair, check)
 		if err != nil {
 			return err
 		}

@@ -111,6 +111,49 @@ func TestEncodeStripesContextCancelled(t *testing.T) {
 	}
 }
 
+// TestRebuildContextCancelled: a rebuild handed a context that is already
+// cancelled returns its error and touches no disk, on the serial path as on
+// the pooled one — the ctx it is given is the one the stripe loop runs under.
+func TestRebuildContextCancelled(t *testing.T) {
+	a, _, _ := newFilledArray(t, core.MustNew(5), 64, 8, false)
+	a.Disks().Disk(1).Fail()
+	a.Disks().Disk(1).Replace()
+	a.Disks().ResetStats()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 2} {
+		if err := a.RebuildContext(ctx, 8, []int{1}, parallel.WithWorkers(workers)); !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+	}
+	if st := a.Disks().TotalStats(); st.Total() != 0 {
+		t.Errorf("a cancelled rebuild made %d reads and %d writes, want none", st.Reads, st.Writes)
+	}
+}
+
+// TestScrubContextModeCancelled: a scrub handed a cancelled context returns
+// its error, an empty report and touches no disk, though the array has damage
+// a pass would find.
+func TestScrubContextModeCancelled(t *testing.T) {
+	a, _, _ := newFilledArray(t, core.MustNew(5), 64, 8, false)
+	a.Disks().Disk(2).InjectLatentError(5)
+	a.Disks().ResetStats()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 2} {
+		rep, err := a.ScrubContextMode(ctx, 8, ScrubRepair, parallel.WithWorkers(workers))
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		if !rep.Clean() || rep.Stripes != 8 {
+			t.Errorf("workers=%d: a cancelled scrub reports %+v, want nothing found in its 8 stripes", workers, rep)
+		}
+	}
+	if st := a.Disks().TotalStats(); st.Total() != 0 {
+		t.Errorf("a cancelled scrub made %d reads and %d writes, want none", st.Reads, st.Writes)
+	}
+}
+
 func TestRebuildContextMatchesSerial(t *testing.T) {
 	code, err := core.New(7)
 	if err != nil {

@@ -23,6 +23,7 @@ import (
 // logical block.
 func newFilledArray(t testing.TB, code layout.Code, blockSize int, stripes int64, rotate bool) (*Array, *telemetry.Registry, [][]byte) {
 	t.Helper()
+	poolBalanced(t)
 	a := New(code, blockSize)
 	a.SetRotation(rotate)
 	reg := telemetry.NewRegistry()
@@ -45,32 +46,34 @@ func lostCols(a *Array, stripe int64, cell layout.Coord) layout.Columns {
 }
 
 // TestDegradedReadEveryPairEveryBlock: with any two disks down, every
-// logical block of a Code 5-6 array reads back its bytes, and every one of
-// those degraded reads is served from a recovery plan.
+// logical block of an array of any code reads back its bytes, and for Code 5-6
+// every one of those degraded reads is served from a recovery plan.
 func TestDegradedReadEveryPairEveryBlock(t *testing.T) {
-	for _, p := range []int{5, 7, 13} {
+	codes := append([]layout.Code{core.MustNew(3), core.MustNew(7), core.MustNew(13)}, codesUnderTest()...)
+	for _, code := range codes {
+		n := code.Geometry().Cols
 		for _, rotate := range []bool{false, true} {
-			a, reg, want := newFilledArray(t, core.MustNew(p), 16, 3, rotate)
+			a, reg, want := newFilledArray(t, code, 16, 3, rotate)
 			buf := make([]byte, 16)
-			for d1 := 0; d1 < p; d1++ {
-				for d2 := d1 + 1; d2 < p; d2++ {
+			for d1 := 0; d1 < n; d1++ {
+				for d2 := d1 + 1; d2 < n; d2++ {
 					a.Disks().Disk(d1).Fail()
 					a.Disks().Disk(d2).Fail()
 					for l, w := range want {
 						if err := a.ReadBlock(int64(l), buf); err != nil {
-							t.Fatalf("p=%d rotate=%v disks (%d,%d): block %d: %v", p, rotate, d1, d2, l, err)
+							t.Fatalf("%s p=%d rotate=%v disks (%d,%d): block %d: %v", code.Name(), code.Geometry().P, rotate, d1, d2, l, err)
 						}
 						if !bytes.Equal(buf, w) {
-							t.Fatalf("p=%d rotate=%v disks (%d,%d): block %d wrong", p, rotate, d1, d2, l)
+							t.Fatalf("%s p=%d rotate=%v disks (%d,%d): block %d wrong", code.Name(), code.Geometry().P, rotate, d1, d2, l)
 						}
 					}
 					restore(t, a, 3, d1, d2)
 				}
 			}
 			c := reg.Snapshot().Counters
-			if c["raid6.degraded_reads"] == 0 || c["raid6.degraded_fast_path"] != c["raid6.degraded_reads"] {
+			if _, ok := code.(*core.Code56); ok && (c["raid6.degraded_reads"] == 0 || c["raid6.degraded_fast_path"] != c["raid6.degraded_reads"]) {
 				t.Fatalf("p=%d rotate=%v: %d of %d degraded reads served from a plan, want all",
-					p, rotate, c["raid6.degraded_fast_path"], c["raid6.degraded_reads"])
+					code.Geometry().P, rotate, c["raid6.degraded_fast_path"], c["raid6.degraded_reads"])
 			}
 		}
 	}
@@ -113,8 +116,9 @@ func TestDegradedReadServedFromPlan(t *testing.T) {
 }
 
 // TestDegradedReadCostMatchesPlan: one degraded read makes exactly the disk
-// reads its plan lists and sources-1 XORs — against the whole stripe (20
-// blocks at p=5, 156 at p=13) the old fallback loaded.
+// reads its plan lists, with one store call a run of them, and sources-1 XORs
+// — against the whole stripe (20 blocks at p=5, 156 at p=13) the old fallback
+// loaded.
 func TestDegradedReadCostMatchesPlan(t *testing.T) {
 	type cost struct {
 		cell    layout.Coord
@@ -179,6 +183,44 @@ func TestDegradedReadCostMatchesPlan(t *testing.T) {
 		if reads, x := a.Disks().TotalStats().Reads, reg.Counter("raid6.xors").Value()-xors; reads != int64(tc.p-2) || x != int64(tc.p-3) {
 			t.Errorf("p=%d single failure: %d reads and %d XORs, want %d and %d", tc.p, reads, x, tc.p-2, tc.p-3)
 		}
+	}
+
+	// And one store call a source run, however many blocks the run holds: on a
+	// file store a degraded read is that many preads, not one a block.
+	a, calls, _ := newCountedArray(t, 2, false)
+	a.Disks().Disk(0).Fail()
+	a.Disks().Disk(2).Fail()
+	buf := make([]byte, a.BlockSize())
+	longRuns := 0
+	for l := int64(a.DataPerStripe()); l < 2*int64(a.DataPerStripe()); l++ {
+		_, cell := a.Locate(l)
+		if cell.Col != 0 && cell.Col != 2 {
+			continue
+		}
+		// One call a run where the runs land straight on buf, one a read where
+		// the column goes through scratch: either way one a run of adjacent
+		// sources.
+		runs, blocks := 0, 0
+		for _, cf := range a.dec.ColumnPlan(lostCols(a, 1, cell)).SourceRuns(cell) {
+			for _, rd := range cf.Reads {
+				runs, blocks = runs+1, blocks+rd.N
+			}
+			if cf.Reads == nil {
+				runs, blocks = runs+len(cf.Runs), blocks+len(cf.Runs)
+			}
+		}
+		longRuns += blocks - runs
+		calls.take()
+		a.Disks().ResetStats()
+		if err := a.ReadBlock(l, buf); err != nil {
+			t.Fatal(err)
+		}
+		if reads, _ := calls.take(); reads != int64(runs) || a.Disks().TotalStats().Reads != int64(blocks) {
+			t.Errorf("cell %v: %d store calls for %d blocks, want %d calls, one a source run, for %d", cell, reads, a.Disks().TotalStats().Reads, runs, blocks)
+		}
+	}
+	if longRuns == 0 {
+		t.Error("no source run of the cells read holds two blocks: the call count proves nothing")
 	}
 }
 

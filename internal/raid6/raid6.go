@@ -354,9 +354,18 @@ func (a *Array) degradedRead(stripe int64, cell layout.Coord, buf []byte) error 
 	lk := a.disks.StripeLock(stripe)
 	lk.Lock()
 	defer lk.Unlock()
-	if a.readFromPlan(stripe, cell, buf) {
-		a.tel.degradedFast.Inc()
-		return nil
+	if plan := a.dec.ColumnPlan(a.lostColumns(stripe, a.failedColumns(), cell.Col)); plan != nil {
+		if folds := plan.SourceRuns(cell); folds != nil && a.fold(stripe, folds, buf) == nil {
+			xors := int64(-1) // the XOR of n sources is n-1 XORs
+			for i := range folds {
+				for _, r := range folds[i].Runs {
+					xors += int64(r.N)
+				}
+			}
+			a.tel.xors.Add(xors)
+			a.tel.degradedFast.Inc()
+			return nil
+		}
 	}
 	s, es, err := a.loadStripe(stripe)
 	if err != nil {
@@ -384,68 +393,6 @@ func (a *Array) lostColumns(stripe int64, failed layout.Columns, col int) layout
 		cols = cols.With(a.colOnDisk(stripe, failed.At(i)))
 	}
 	return cols.With(col)
-}
-
-// readFromPlan rebuilds one cell into buf from its plan sources. It reports
-// false, leaving buf dirty, if there is no plan or a source read fails.
-//
-//c56:noalloc
-func (a *Array) readFromPlan(stripe int64, cell layout.Coord, buf []byte) bool {
-	plan := a.dec.ColumnPlan(a.lostColumns(stripe, a.failedColumns(), cell.Col))
-	if plan == nil {
-		return false
-	}
-	// The sources pass through a scratch of a few blocks, each batch folded
-	// into buf while it is still in cache: a cell deep in the recovery chains
-	// of a wide array has more sources than a cache level holds.
-	bs := a.blockSize
-	var batch [foldBatchMax][]byte
-	k := min(max(foldBatchBytes/bs, 4), foldBatchMax)
-	scratch := bufpool.Get(k * bs)
-	defer bufpool.Put(scratch)
-	n, folded := 0, 0 // blocks waiting in scratch, blocks folded into buf
-	for _, run := range plan.SourceRuns(cell) {
-		disk := a.diskFor(stripe, run.Col)
-		for row, end := run.Row, run.Row+run.N; row < end; {
-			take := min(end-row, k-n)
-			dst := scratch[n*bs : (n+take)*bs]
-			if disk.ReadBlocks(a.blockAddr(stripe, layout.Coord{Row: row, Col: run.Col}), dst) != nil {
-				return false
-			}
-			for i := 0; i < take; i++ {
-				batch[n+i] = dst[i*bs : (i+1)*bs]
-			}
-			n, row = n+take, row+take
-			if n == k {
-				foldBatch(buf, batch[:n], folded == 0)
-				n, folded = 0, folded+n
-			}
-		}
-	}
-	if n > 0 || folded == 0 { // no source at all is the zero block
-		foldBatch(buf, batch[:n], folded == 0)
-		folded += n
-	}
-	a.tel.xors.Add(int64(max(folded-1, 0)))
-	return true
-}
-
-// A degraded read folds its sources in batches of foldBatchBytes, at least 4
-// and at most foldBatchMax blocks.
-const (
-	foldBatchBytes = 64 << 10
-	foldBatchMax   = 16
-)
-
-// foldBatch XORs srcs into buf, which the first batch of a fold overwrites.
-//
-//c56:noalloc
-func foldBatch(buf []byte, srcs [][]byte, first bool) {
-	if first {
-		xorblk.XorMulti(buf, srcs...)
-	} else {
-		xorblk.AccumulateMulti(buf, srcs...)
-	}
 }
 
 // WriteBlock writes logical data block L. In a healthy array it is a small

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"code56/internal/bufpool"
 	"code56/internal/codes/evenodd"
 	"code56/internal/codes/hdp"
 	"code56/internal/codes/pcode"
@@ -32,6 +33,19 @@ func codesUnderTest() []layout.Code {
 	}
 }
 
+// poolBalanced checks, when the test ends, that bufpool.InFlight() is back where
+// it was: every buffer rented on the way — on the error returns an injected
+// fault takes, above all — went back to the pool.
+func poolBalanced(t testing.TB) {
+	t.Helper()
+	base := bufpool.InFlight()
+	t.Cleanup(func() {
+		if got := bufpool.InFlight(); got != base {
+			t.Errorf("bufpool.InFlight() = %d at the end of the test, %d at its start: a rental leaked", got, base)
+		}
+	})
+}
+
 // rebuild and scrub call the two bulk entry points the way most tests want
 // them: serially, under the background context.
 func rebuild(a *Array, stripes int64, disks ...int) error {
@@ -44,6 +58,7 @@ func scrub(a *Array, stripes int64, mode ScrubMode) (ScrubReport, error) {
 
 func fillRandom(t *testing.T, a *Array, stripes int, r *rand.Rand) map[int64][]byte {
 	t.Helper()
+	poolBalanced(t)
 	want := make(map[int64][]byte)
 	n := int64(a.DataPerStripe() * stripes)
 	for L := int64(0); L < n; L++ {

@@ -2,6 +2,7 @@ package raid6
 
 import (
 	"errors"
+	"fmt"
 
 	"code56/internal/bufpool"
 	"code56/internal/layout"
@@ -97,47 +98,51 @@ func (r *ScrubReport) add(st int64, res scrubResult) {
 	}
 }
 
-// scrubStripe runs one stripe's scrub pass: latent-error healing, then a
-// parity-syndrome check locating and repairing silent single-block
-// corruption. With repair false it only detects. It touches only stripe
-// st's block range, so distinct stripes may be scrubbed concurrently, and
-// holds it exclusive: to the syndrome check a stripe in the middle of a small
-// write is a corrupt one.
-func (a *Array) scrubStripe(st int64, repair bool) (res scrubResult, _ error) {
-	// Load with latent-error healing.
-	s := a.stripes.Get()
-	defer a.stripes.Put(s)
+// scrubStripe runs one stripe's scrub pass. The check is every chain's
+// syndrome folded straight from the disks (see fold; check is the decoder's
+// Syndromes schedule, compiled once a pass): a stripe that reads and folds to
+// zero is clean, and nothing more is done; any other is loaded and looked into
+// (scrubDamaged). It touches only stripe st's block range, so
+// distinct stripes may be scrubbed concurrently, and holds it exclusive: to the
+// syndrome check a stripe in the middle of a small write is a corrupt one.
+//
+//c56:noalloc
+func (a *Array) scrubStripe(st int64, repair bool, check []layout.ColumnFold) (scrubResult, error) {
 	lk := a.disks.StripeLock(st)
 	lk.Lock()
 	defer lk.Unlock()
-	var latent []layout.Coord
-	for j := 0; j < a.geom.Cols; j++ {
-		err := a.readColumn(st, j, s)
-		if err == nil {
-			continue
-		}
-		if !errors.Is(err, vdisk.ErrLatent) {
-			return res, err
-		}
-		// A bad sector somewhere in the column: find it cell by cell.
-		for r := 0; r < a.geom.Rows; r++ {
-			c := layout.Coord{Row: r, Col: j}
-			err := a.readCell(st, c, s.Block(c))
-			switch {
-			case err == nil:
-			case errors.Is(err, vdisk.ErrLatent):
-				s.Zero(c)
-				latent = append(latent, c)
-			default:
-				return res, err
-			}
-		}
+	syndromes := bufpool.Get(len(a.chains) * a.blockSize)
+	err := a.fold(st, check, syndromes)
+	clean := err == nil && xorblk.IsZero(syndromes)
+	bufpool.Put(syndromes)
+	if clean {
+		return scrubResult{}, nil
 	}
-	res.latentFound = len(latent)
-	if len(latent) > 0 {
-		es := make(layout.ErasureSet, len(latent))
-		for _, c := range latent {
-			es[c] = true
+	if err != nil && !errors.Is(err, vdisk.ErrLatent) {
+		return scrubResult{}, err
+	}
+	return a.scrubDamaged(st, repair) //lint:allow noalloc a stripe that fails the check is loaded and decoded; clean stripes are the steady state
+}
+
+// scrubDamaged loads a stripe that failed scrubStripe's check: latent sectors
+// are healed, then the parity-syndrome check locates and repairs silent
+// single-block corruption. With repair false it only detects. A disk that is
+// down is an error, not a column of bad sectors. Stripe held, exclusive.
+func (a *Array) scrubDamaged(st int64, repair bool) (res scrubResult, _ error) {
+	if a.failedColumns().Len() > 0 {
+		return res, fmt.Errorf("raid6: scrubbing stripe %d with a disk down: %w", st, vdisk.ErrFailed)
+	}
+	s, es, err := a.loadStripe(st)
+	if err != nil {
+		return res, err
+	}
+	defer a.stripes.Put(s)
+	if res.latentFound = len(es); res.latentFound > 0 {
+		latent := make([]layout.Coord, 0, len(es))
+		for i := 0; i < a.geom.Elements(); i++ {
+			if c := a.geom.CoordOf(i); es[c] {
+				latent = append(latent, c)
+			}
 		}
 		if _, err := a.dec.Reconstruct(s, es); err != nil {
 			res.unrecoverable = true
@@ -163,9 +168,8 @@ func (a *Array) scrubStripe(st int64, repair bool) (res scrubResult, _ error) {
 		res.unrecoverable = true
 		return res, nil
 	}
-	es := layout.ErasureSet{cell: true}
 	s.Zero(cell)
-	if _, err := a.dec.Reconstruct(s, es); err != nil {
+	if _, err := a.dec.Reconstruct(s, layout.ErasureSet{cell: true}); err != nil {
 		res.unrecoverable = true
 		return res, nil
 	}
