@@ -197,11 +197,7 @@ func runOnline(cfg onlineConfig) error {
 			faults.latent, faults.transient, faults.seed, faults.retry, faults.retryBase)
 	}
 
-	migOpts := []code56.Option{}
-	if cfg.interval > 0 {
-		migOpts = append(migOpts, code56.WithCheckpointInterval(cfg.interval))
-	}
-	mig, err := code56.NewMigrator(r5, rows, migOpts...)
+	mig, err := code56.NewMigrator(r5, rows, migratorOpts(cfg.workers, cfg.throttle, cfg.interval)...)
 	if err != nil {
 		return err
 	}
@@ -212,14 +208,6 @@ func runOnline(cfg onlineConfig) error {
 	}
 	cfg.plane.RegisterHealth("migrate", obs.MigratorHealth(mig))
 	cfg.plane.RegisterProgress("r5tor6", mig)
-	if cfg.throttle > 0 {
-		mig.SetThrottle(cfg.throttle)
-	}
-	if cfg.workers > 1 {
-		if err := mig.SetParallelism(cfg.workers); err != nil {
-			return err
-		}
-	}
 	var kind trace.WorkloadKind
 	runApp := true
 	switch cfg.workload {
@@ -254,38 +242,9 @@ func runOnline(cfg onlineConfig) error {
 		mig.Wait()
 	}()
 
-	stopProgress := make(chan struct{})
-	var progWG sync.WaitGroup
+	stopProgress := func() {}
 	if cfg.progress || cfg.watch {
-		// Bytes of application data one converted stripe carries, for the
-		// watch line's MB/s (derived from the same stripe-rate EWMA the
-		// /progress endpoint serves).
-		stripeBytes := float64((p - 1) * (disks - 1) * block)
-		progWG.Add(1)
-		go func() {
-			defer progWG.Done()
-			tick := time.NewTicker(150 * time.Millisecond)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stopProgress:
-					fmt.Fprintf(os.Stderr, "\r%110s\r", "")
-					return
-				case <-tick.C:
-					pr := mig.ProgressSnapshot()
-					if cfg.watch {
-						fmt.Fprintf(os.Stderr, "\r%-8s %5.1f%% (%d/%d stripes) %7.0f stripes/s %7.1f MB/s  repairs %d  ETA %-12s",
-							pr.State(), 100*pr.Fraction(), pr.Converted, pr.Total,
-							pr.RecentStripesPerSec, pr.RecentStripesPerSec*stripeBytes/1e6,
-							pr.Stats.FaultsRepaired, pr.ETA.Truncate(time.Millisecond))
-					} else {
-						fmt.Fprintf(os.Stderr, "\rmigrating: %5.1f%% (%d/%d stripes) %8.0f stripes/s ETA %-12s",
-							100*pr.Fraction(), pr.Converted, pr.Total, pr.StripesPerSec,
-							pr.ETA.Truncate(time.Millisecond))
-					}
-				}
-			}
-		}()
+		stopProgress = showProgress(mig, cfg.watch)
 	}
 
 	appOps := 0
@@ -311,8 +270,7 @@ func runOnline(cfg onlineConfig) error {
 	}
 
 	err = mig.Wait()
-	close(stopProgress)
-	progWG.Wait()
+	stopProgress()
 	if err != nil {
 		return err
 	}
@@ -381,13 +339,9 @@ func runOnline(cfg onlineConfig) error {
 	return nil
 }
 
-// runResume restarts a parked file-backed migration: it replays the
-// directory's intent log, reopens the RAID-5, resumes the conversion at
-// the journaled watermark, and verifies the finished RAID-6 with a full
-// scrub. A directory whose migration already committed is reported as
-// complete (after the same scrub); a directory that never began one is an
-// error — start it with -backend file:<dir>.
-func runResume(dir string, workers int, throttle time.Duration, interval int64, progress bool, plane *obs.Server) error {
+// migratorOpts turns the -workers, -throttle and -checkpoint flags into the
+// migrator's options.
+func migratorOpts(workers int, throttle time.Duration, interval int64) []code56.Option {
 	opts := []code56.Option{}
 	if workers > 1 {
 		opts = append(opts, code56.WithWorkers(workers))
@@ -398,7 +352,17 @@ func runResume(dir string, workers int, throttle time.Duration, interval int64, 
 	if interval > 0 {
 		opts = append(opts, code56.WithCheckpointInterval(interval))
 	}
-	mig, err := code56.ResumeMigration(dir, opts...)
+	return opts
+}
+
+// runResume restarts a parked file-backed migration: it replays the
+// directory's intent log, reopens the RAID-5, resumes the conversion at
+// the journaled watermark, and verifies the finished RAID-6 with a full
+// scrub. A directory whose migration already committed is reported as
+// complete (after the same scrub); a directory that never began one is an
+// error — start it with -backend file:<dir>.
+func runResume(dir string, workers int, throttle time.Duration, interval int64, progress bool, plane *obs.Server) error {
+	mig, err := code56.ResumeMigration(dir, migratorOpts(workers, throttle, interval)...)
 	if err != nil {
 		if errors.Is(err, code56.ErrMigrationComplete) {
 			fmt.Printf("%s: migration already committed; verifying the RAID-6\n", dir)
@@ -420,30 +384,12 @@ func runResume(dir string, workers int, throttle time.Duration, interval int64, 
 	if err := mig.Start(); err != nil {
 		return err
 	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
+	stop := func() {}
 	if progress {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tick := time.NewTicker(150 * time.Millisecond)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stop:
-					fmt.Fprintf(os.Stderr, "\r%110s\r", "")
-					return
-				case <-tick.C:
-					pr := mig.ProgressSnapshot()
-					fmt.Fprintf(os.Stderr, "\rmigrating: %5.1f%% (%d/%d stripes) ETA %-12s",
-						100*pr.Fraction(), pr.Converted, pr.Total, pr.ETA.Truncate(time.Millisecond))
-				}
-			}
-		}()
+		stop = showProgress(mig, false)
 	}
 	err = mig.Wait()
-	close(stop)
-	wg.Wait()
+	stop()
 	if err != nil {
 		return err
 	}
@@ -456,6 +402,43 @@ func runResume(dir string, workers int, throttle time.Duration, interval int64, 
 	}
 	defer r6.Disks().Close()
 	return scrubResumed(r6)
+}
+
+// showProgress prints mig's progress line on stderr every 150 ms — the
+// status line of -watch, or percent, mean rate and ETA — until the returned
+// function is called, which clears the line.
+func showProgress(mig *code56.OnlineMigrator, watch bool) (stop func()) {
+	// Bytes of application data one converted stripe carries, for the watch
+	// line's MB/s (derived from the same stripe-rate EWMA the /progress
+	// endpoint serves).
+	p := mig.Code().P()
+	stripeBytes := float64((p - 1) * (p - 2) * mig.BlockSize())
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(150 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-quit:
+				fmt.Fprintf(os.Stderr, "\r%110s\r", "")
+				return
+			case <-tick.C:
+				pr := mig.ProgressSnapshot()
+				if watch {
+					fmt.Fprintf(os.Stderr, "\r%-8s %5.1f%% (%d/%d stripes) %7.0f stripes/s %7.1f MB/s  repairs %d  ETA %-12s",
+						pr.State(), 100*pr.Fraction(), pr.Converted, pr.Total,
+						pr.RecentStripesPerSec, pr.RecentStripesPerSec*stripeBytes/1e6,
+						pr.Stats.FaultsRepaired, pr.ETA.Truncate(time.Millisecond))
+				} else {
+					fmt.Fprintf(os.Stderr, "\rmigrating: %5.1f%% (%d/%d stripes) %8.0f stripes/s ETA %-12s",
+						100*pr.Fraction(), pr.Converted, pr.Total, pr.StripesPerSec,
+						pr.ETA.Truncate(time.Millisecond))
+				}
+			}
+		}
+	}()
+	return func() { close(quit); <-done }
 }
 
 // scrubResumed proves a resumed (or already-committed) conversion left a

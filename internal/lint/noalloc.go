@@ -122,9 +122,11 @@ var noallocTrusted = map[string]bool{
 	"code56/internal/xorblk.IsZero":          true,
 	"code56/internal/xorblk.Equal":           true,
 
-	"code56/internal/bufpool.Get":     true,
-	"code56/internal/bufpool.GetZero": true,
-	"code56/internal/bufpool.Put":     true,
+	"code56/internal/bufpool.Get":        true,
+	"code56/internal/bufpool.GetZero":    true,
+	"code56/internal/bufpool.Put":        true,
+	"code56/internal/parallel.Pass.Mark": true,
+	"code56/internal/parallel.Pass.Done": true,
 
 	"code56/internal/telemetry.Counter.Inc":        true,
 	"code56/internal/telemetry.Counter.Add":        true,

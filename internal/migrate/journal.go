@@ -313,8 +313,8 @@ func (m *OnlineMigrator) AttachJournal(j *Journal) error {
 		if st.Begin.BlockSize != m.r5.BlockSize() {
 			return fmt.Errorf("migrate: journal block size %d vs array %d", st.Begin.BlockSize, m.r5.BlockSize())
 		}
-		if st.Cursor != m.cursor {
-			return fmt.Errorf("migrate: journal cursor %d vs migrator resume point %d (pass State().Cursor to ResumeFrom)", st.Cursor, m.cursor)
+		if from := m.pass.Report().Done; st.Cursor != from {
+			return fmt.Errorf("migrate: journal cursor %d vs migrator resume point %d (pass State().Cursor to ResumeFrom)", st.Cursor, from)
 		}
 	}
 	j.mu.Lock()

@@ -11,6 +11,7 @@ import (
 	"code56/internal/bufpool"
 	"code56/internal/core"
 	"code56/internal/layout"
+	"code56/internal/parallel"
 	"code56/internal/raid5"
 	"code56/internal/raid6"
 	"code56/internal/telemetry"
@@ -20,8 +21,9 @@ import (
 
 // OnlineMigrator implements the paper's Algorithm 2: bidirectional online
 // conversion between a RAID-5 and a Code 5-6 RAID-6. While the conversion
-// goroutine fills the added diagonal-parity disk stripe by stripe, the
-// application keeps reading and writing through the migrator:
+// thread — a parallel.Pass over the stripes — fills the added diagonal-parity
+// disk stripe by stripe, the application keeps reading and writing through the
+// migrator:
 //
 //   - reads never conflict (the conversion only writes to the new disk) and
 //     proceed concurrently;
@@ -29,7 +31,7 @@ import (
 //     converted, also a fold of its delta into the diagonal parity. It must
 //     not overlap the conversion of its own stripe, and that is all: the
 //     write holds the stripe's lock (vdisk.Array.StripeLock) shared, the
-//     conversion holds it exclusive and sets the stripe's bit in converted
+//     conversion holds it exclusive and sets the stripe's bit in the pass
 //     under that hold, so a write finds its stripe either untouched by the
 //     conversion or converted.
 //
@@ -49,38 +51,19 @@ type OnlineMigrator struct {
 	// diagonal-parity disk is there: the conversion is its rebuild of column p-1.
 	r6 *raid6.Array
 
-	// converted has a bit a stripe, set once the stripe's diagonal parities are
-	// on the new disk: written under the stripe's exclusive lock, read under
-	// the shared one. live says the conversion is running. With its two
-	// tallies they are all a write touches here, so a write takes no mu.
-	converted       []atomic.Uint64
+	// pass walks the stripes: its do is convertStripe, its after stripeDone,
+	// and a stripe's bit in it says the stripe's diagonal parities are on the
+	// new disk. live says the conversion is running. With its two tallies
+	// they are all a write touches here, so a write takes no mu.
+	pass            *parallel.Pass
 	live            atomic.Bool
 	writeInterrupts atomic.Int64
 	diagonalUpdates atomic.Int64
 
-	mu          sync.Mutex
-	cond        *sync.Cond
-	userPaused  bool //c56:guardedby mu
-	parallelism int  //c56:guardedby mu
-	// workers counts conversion goroutines still running; parked, those
-	// waiting out a pause. nextClaim is the next stripe a worker will claim
-	// and cursor the contiguous watermark: a scan of converted, kept.
-	workers   int   //c56:guardedby mu
-	parked    int   //c56:guardedby mu
-	nextClaim int64 //c56:guardedby mu
-	cursor    int64 //c56:guardedby mu
-	started   bool  //c56:guardedby mu
-	finished  bool  //c56:guardedby mu
-	err       error //c56:guardedby mu
-	done      chan struct{}
-	// wake is closed (and replaced) by interruptLocked to cut short any
-	// worker sleeping in its throttle interval when the migration must
-	// react now: cancellation, a conversion error, or Pause.
-	wake chan struct{} //c56:guardedby mu
-
-	// throttle, if positive, is slept between stripes to bound the
-	// conversion's interference with foreground I/O.
-	throttle time.Duration //c56:guardedby mu
+	mu       sync.Mutex
+	started  bool //c56:guardedby mu
+	finished bool //c56:guardedby mu
+	done     chan struct{}
 	// onProgress, if set, is called (without locks held) after each
 	// stripe completes.
 	onProgress func(converted, total int64) //c56:guardedby mu
@@ -88,11 +71,8 @@ type OnlineMigrator struct {
 	// so a crash mid-migration reopens to a resumable state (see
 	// AttachJournal; nil for purely in-memory migrations).
 	journal *Journal //c56:guardedby mu
-
-	// stats lacks the write path's two tallies, the atomics above (statsLocked).
-	stats     MigrationStats //c56:guardedby mu
-	startTime time.Time      //c56:guardedby mu
-	endTime   time.Time      //c56:guardedby mu
+	// faultsRepaired is MigrationStats.FaultsRepaired.
+	faultsRepaired int64 //c56:guardedby mu
 
 	// tel is rebound only before Start (see SetTelemetry), so the running
 	// migration reads it without the lock.
@@ -189,17 +169,14 @@ func NewOnlineMigrator(a *raid5.Array, rows int64) (*OnlineMigrator, error) {
 		return nil, err
 	}
 	m := &OnlineMigrator{
-		r5:          a,
-		code:        code,
-		rows:        rows,
-		stripes:     rows / int64(p-1),
-		parallelism: 1,
-		converted:   make([]atomic.Uint64, (rows/int64(p-1)+63)/64),
-		done:        make(chan struct{}),
-		wake:        make(chan struct{}),
-		tel:         bindOnlineTel(nil, nil),
+		r5:      a,
+		code:    code,
+		rows:    rows,
+		stripes: rows / int64(p-1),
+		done:    make(chan struct{}),
+		tel:     bindOnlineTel(nil, nil),
 	}
-	m.cond = sync.NewCond(&m.mu)
+	m.pass = parallel.NewPass(m.stripes, m.convertStripe, m.stripeDone)
 	return m, nil
 }
 
@@ -243,27 +220,10 @@ func (m *OnlineMigrator) StripeConversionBytes() int64 {
 // takes effect immediately: workers sleeping out the old interval are
 // woken, re-read the new value, and pace their next stripes by it, so
 // switching to a faster rate (or to off) never waits out a stale sleep.
-func (m *OnlineMigrator) SetThrottle(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if d == m.throttle {
-		return // no change: don't wake sleepers for nothing
-	}
-	m.throttle = d
-	if m.started && !m.finished {
-		m.interruptLocked()
-	}
-}
+func (m *OnlineMigrator) SetThrottle(d time.Duration) { m.pass.SetThrottle(d) }
 
 // Throttle returns the current per-stripe pacing sleep (0 = unthrottled).
-func (m *OnlineMigrator) Throttle() time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.throttle
-}
+func (m *OnlineMigrator) Throttle() time.Duration { return m.pass.Report().Throttle }
 
 // SetParallelism sets how many stripes are converted concurrently (each by
 // its own goroutine; default 1, matching the paper's single conversion
@@ -279,7 +239,7 @@ func (m *OnlineMigrator) SetParallelism(k int) error {
 	if k < 1 {
 		return fmt.Errorf("migrate: parallelism %d must be >= 1", k)
 	}
-	m.parallelism = k
+	m.pass.SetWorkers(k)
 	return nil
 }
 
@@ -303,63 +263,36 @@ func (m *OnlineMigrator) ResumeFrom(stripe int64) error {
 	if stripe < 0 || stripe > m.stripes {
 		return fmt.Errorf("migrate: resume stripe %d outside [0,%d]", stripe, m.stripes)
 	}
-	m.cursor = stripe
-	m.nextClaim = stripe
+	m.pass.ResumeFrom(stripe)
 	return nil
-}
-
-// markConverted sets stripe st's bit. The caller holds the stripe exclusive
-// (StartContext, marking the stripes a resumed migration starts above, need
-// not: writes go through the migrator once it has started). Go 1.22 has no
-// atomic Or.
-//
-//c56:noalloc
-func (m *OnlineMigrator) markConverted(st int64) {
-	w, bit := &m.converted[st/64], uint64(1)<<(st%64)
-	for old := w.Load(); old&bit == 0 && !w.CompareAndSwap(old, old|bit); old = w.Load() {
-	}
 }
 
 // isConverted reports stripe st's bit; with the stripe held, in either mode,
 // the answer stands until it is released.
 //
 //c56:noalloc
-func (m *OnlineMigrator) isConverted(st int64) bool {
-	return m.converted[st/64].Load()>>(st%64)&1 != 0
-}
-
-// interruptLocked wakes any worker sleeping in its throttle interval: the
-// current wake channel is closed (a closed channel stays readable, so no
-// wakeup is ever missed) and replaced for future sleeps. Caller holds m.mu.
-//
-//c56:requires mu
-func (m *OnlineMigrator) interruptLocked() {
-	close(m.wake)
-	m.wake = make(chan struct{})
-}
+func (m *OnlineMigrator) isConverted(st int64) bool { return m.pass.Done(st) }
 
 // Pause blocks the conversion at the next stripe boundaries and returns
 // once every conversion worker is parked (or the conversion finished).
 // Application I/O continues; Resume restarts the conversion.
 func (m *OnlineMigrator) Pause() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.userPaused = true
-	m.interruptLocked()
-	m.span.Event("migrate.pause", telemetry.A("at_stripe", m.cursor))
-	m.cond.Broadcast()
-	for m.started && !m.finished && m.parked < m.workers {
-		m.cond.Wait()
-	}
+	m.pass.Pause()
+	m.event("migrate.pause")
 }
 
 // Resume releases a Pause.
 func (m *OnlineMigrator) Resume() {
+	m.event("migrate.resume")
+	m.pass.Resume()
+}
+
+// event records name on the migration's span, with the watermark.
+func (m *OnlineMigrator) event(name string) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.userPaused = false
-	m.span.Event("migrate.resume", telemetry.A("at_stripe", m.cursor))
-	m.cond.Broadcast()
+	span := m.span
+	m.mu.Unlock()
+	span.Event(name, telemetry.A("at_stripe", m.pass.Report().Done))
 }
 
 // Start adds the diagonal-parity disk (Algorithm 2, Step 2) — unless a
@@ -377,40 +310,21 @@ func (m *OnlineMigrator) Start() error {
 // application reads and writes keep working throughout. A cancelled
 // migration is resumed by creating a new migrator and calling
 // ResumeFrom(converted) with the watermark (any partially written diagonal
-// blocks above it are simply rewritten).
+// blocks above it are simply rewritten). A StartContext that fails has
+// started nothing and may be called again.
 func (m *OnlineMigrator) StartContext(ctx context.Context) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.started {
 		return errors.New("migrate: already started")
 	}
-	m.started = true
-	if ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				m.mu.Lock()
-				if !m.finished && m.err == nil {
-					m.err = ctx.Err()
-					m.span.Event("migrate.cancelled", telemetry.A("at_stripe", m.cursor))
-				}
-				m.interruptLocked()
-				m.cond.Broadcast()
-				m.mu.Unlock()
-			case <-m.done:
-			}
-		}()
-	}
-	m.startTime = time.Now()
 	if m.r5.Disks().Len() < m.code.P() {
 		if _, err := m.r5.Disks().Attach(); err != nil {
-			m.started = false
 			return fmt.Errorf("migrate: adding diagonal-parity disk: %w", err)
 		}
 	}
 	var err error
 	if m.r6, err = raid6.Wrap(m.code, m.r5.Disks()); err != nil {
-		m.started = false
 		return err
 	}
 	if m.journal != nil {
@@ -421,43 +335,35 @@ func (m *OnlineMigrator) StartContext(ctx context.Context) error {
 			Layout:    m.r5.Layout().String(),
 		})
 		if err != nil {
-			m.started = false
 			return err
 		}
 	}
+	rep := m.pass.Report()
 	m.span = m.tel.tr.StartSpan("migrate.online",
 		telemetry.A("stripes", m.stripes),
 		telemetry.A("disks", m.code.P()-1),
-		telemetry.A("resume_from", m.cursor),
-		telemetry.A("parallelism", m.parallelism))
-	for st := int64(0); st < m.cursor; st++ {
-		m.markConverted(st)
-	}
-	m.workers = m.parallelism
+		telemetry.A("resume_from", rep.Done),
+		telemetry.A("parallelism", rep.Workers))
+	m.started = true
 	m.live.Store(true)
-	go m.convert()
+	go m.run(ctx)
 	return nil
 }
 
 // Wait blocks until the conversion thread finishes and returns its error.
 func (m *OnlineMigrator) Wait() error {
 	<-m.done
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.err
+	return m.pass.Report().Err
 }
 
 // Progress returns how many of the total stripes are fully converted.
 func (m *OnlineMigrator) Progress() (converted, total int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.cursor, m.stripes
+	rep := m.pass.Report()
+	return rep.Done, rep.Total
 }
 
-// ProgressReport is a coherent point-in-time view of a running (or
-// finished) migration, taken under the migrator's lock: every field
-// describes the same instant, so Converted, Stats and the derived
-// rate/ETA never disagree with each other.
+// ProgressReport is a point-in-time view of a running (or finished)
+// migration: the conversion pass's report and the interaction counters.
 type ProgressReport struct {
 	// Converted is the contiguous converted-stripe watermark; Total is
 	// the migration's stripe count.
@@ -475,10 +381,11 @@ type ProgressReport struct {
 	Error string
 	// Elapsed is the time since Start (frozen once the conversion ends).
 	Elapsed time.Duration
-	// StripesPerSec is the mean conversion rate so far (0 before Start).
+	// StripesPerSec is the mean conversion rate since Start (0 before it);
+	// the stripes a resumed migration found converted do not count.
 	StripesPerSec float64
 	// RecentStripesPerSec is the smoothed current conversion rate (the
-	// migrate.stripe_rate EWMA): unlike the lifetime mean it reacts within
+	// migrate.stripe_rate EWMA): unlike the mean it reacts within
 	// seconds to a throttle change or a pause.
 	RecentStripesPerSec float64
 	// ETA estimates the remaining conversion time from the mean rate;
@@ -514,59 +421,41 @@ func (p ProgressReport) Fraction() float64 {
 	return float64(p.Converted) / float64(p.Total)
 }
 
-// ProgressSnapshot returns a coherent progress report for live reporting
-// (the CLIs' percent / stripes-per-second / ETA line).
+// ProgressSnapshot returns a progress report for live reporting (the CLIs'
+// percent / stripes-per-second / ETA line).
 func (m *OnlineMigrator) ProgressSnapshot() ProgressReport {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	rep := m.pass.Report()
 	r := ProgressReport{
-		Converted: m.cursor,
-		Total:     m.stripes,
-		Started:   m.started,
-		Finished:  m.finished,
-		Paused:    m.userPaused,
-		Workers:   m.workers,
-		Parked:    m.parked,
-		Stats:     m.statsLocked(),
+		Converted:     rep.Done,
+		Total:         rep.Total,
+		Started:       m.started,
+		Finished:      m.finished,
+		Paused:        rep.Paused,
+		Workers:       rep.Workers,
+		Parked:        rep.Parked,
+		Elapsed:       rep.Elapsed,
+		StripesPerSec: rep.PerSec,
+		ETA:           rep.ETA,
+		Stats: MigrationStats{
+			StripesConverted: rep.Ran,
+			WriteInterrupts:  m.writeInterrupts.Load(),
+			DiagonalUpdates:  m.diagonalUpdates.Load(),
+			FaultsRepaired:   m.faultsRepaired,
+		},
 	}
-	if m.err != nil {
-		r.Error = m.err.Error()
+	if rep.Err != nil {
+		r.Error = rep.Err.Error()
 	}
-	if !m.started {
-		return r
-	}
-	r.RecentStripesPerSec = m.tel.stripeRate.Snapshot().EWMA
-	switch {
-	case m.finished:
-		r.Elapsed = m.endTime.Sub(m.startTime)
-	default:
-		r.Elapsed = time.Since(m.startTime)
-	}
-	if secs := r.Elapsed.Seconds(); secs > 0 && r.Converted > 0 {
-		r.StripesPerSec = float64(r.Converted) / secs
-		if remaining := r.Total - r.Converted; remaining > 0 {
-			r.ETA = time.Duration(float64(remaining) / r.StripesPerSec * float64(time.Second))
-		}
+	if m.started {
+		r.RecentStripesPerSec = m.tel.stripeRate.Snapshot().EWMA
 	}
 	return r
 }
 
 // Stats returns a snapshot of the migration's interaction counters.
-func (m *OnlineMigrator) Stats() MigrationStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.statsLocked()
-}
-
-// statsLocked is stats plus the write path's tallies as of now.
-//
-//c56:requires mu
-func (m *OnlineMigrator) statsLocked() MigrationStats {
-	st := m.stats
-	st.WriteInterrupts = m.writeInterrupts.Load()
-	st.DiagonalUpdates = m.diagonalUpdates.Load()
-	return st
-}
+func (m *OnlineMigrator) Stats() MigrationStats { return m.ProgressSnapshot().Stats }
 
 // Result wraps the converted disks as a RAID-6 array. Call after Wait.
 func (m *OnlineMigrator) Result() (*raid6.Array, error) {
@@ -575,51 +464,38 @@ func (m *OnlineMigrator) Result() (*raid6.Array, error) {
 	if !m.finished {
 		return nil, errors.New("migrate: conversion not finished")
 	}
-	if m.err != nil {
-		return nil, m.err
+	if err := m.pass.Report().Err; err != nil {
+		return nil, err
 	}
 	return m.r6, nil
 }
 
-// convert runs the conversion workers of Algorithm 2 (one per unit of
-// parallelism) and marks the migration finished when they drain.
-func (m *OnlineMigrator) convert() {
+// run is the conversion thread of Algorithm 2: the pass and, once every
+// stripe is converted, the journal's commit.
+func (m *OnlineMigrator) run(ctx context.Context) {
 	defer close(m.done)
-	// Snapshot the worker count under the lock: SetParallelism rejects
-	// changes after Start, but convert runs on its own goroutine and must
-	// not read the field while another Start-era caller still holds mu.
+	err := m.pass.Run(ctx)
 	m.mu.Lock()
-	workers := m.parallelism
+	j, span := m.journal, m.span
 	m.mu.Unlock()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m.worker()
-		}()
-	}
-	wg.Wait()
-	m.mu.Lock()
-	if m.journal != nil && m.err == nil && m.cursor == m.stripes {
-		// Commit the completed conversion while still unfinished: the
-		// final checkpoint, the finish record, and the atomic meta flip
-		// to RAID-6 (all idempotent; a crash inside redoes the remainder
-		// on the next ResumeMigration).
-		j, total := m.journal, m.stripes
-		m.mu.Unlock()
-		err := j.finish(total)
-		m.mu.Lock()
-		if err != nil && m.err == nil {
-			m.err = err
+	switch {
+	case err == nil && j != nil:
+		// The final checkpoint, the finish record, and the atomic meta flip
+		// to RAID-6 (all idempotent; a crash inside redoes the remainder on
+		// the next ResumeMigration).
+		if err = j.finish(m.stripes); err != nil {
+			m.pass.Fail(err)
 		}
+	case err != nil && errors.Is(err, ctx.Err()):
+		m.event("migrate.cancelled")
 	}
-	m.finished = true
 	m.live.Store(false)
-	m.endTime = time.Now()
-	span, st, err := m.span, m.statsLocked(), m.err
-	m.cond.Broadcast()
+	m.mu.Lock()
+	m.finished = true
 	m.mu.Unlock()
+	pr := m.ProgressSnapshot()
+	m.tel.progress.Set(pr.Converted) // stripeDone's watermarks may land out of order
+	st := pr.Stats
 	attrs := []telemetry.Attr{
 		telemetry.A("stripes_converted", st.StripesConverted),
 		telemetry.A("write_interrupts", st.WriteInterrupts),
@@ -631,98 +507,26 @@ func (m *OnlineMigrator) convert() {
 	span.End(attrs...)
 }
 
-// waitRunnable parks the calling worker while the migration is paused.
-// Caller must hold m.mu; the lock is held on return. Returns false if the
-// worker should exit (error elsewhere).
-//
-//c56:requires mu
-func (m *OnlineMigrator) waitRunnable() bool {
-	for m.userPaused && m.err == nil {
-		m.parked++
-		m.cond.Broadcast() // unblock Pause()
-		m.cond.Wait()
-		m.parked--
-	}
-	return m.err == nil
-}
-
-// fail records the migration's first error and wakes whatever must react.
-func (m *OnlineMigrator) fail(err error) {
+// stripeDone follows each converted stripe, with the watermark as of it:
+// telemetry, the journal's checkpoint, the progress callback.
+func (m *OnlineMigrator) stripeDone(watermark int64) error {
+	m.tel.converted.Inc()
+	m.tel.stripeRate.Inc()
+	m.tel.progress.Set(watermark)
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.err == nil {
-		m.err = err
-	}
-	m.interruptLocked()
-	m.cond.Broadcast()
-}
-
-// worker claims stripes and converts them until the work (or the migration)
-// is over.
-func (m *OnlineMigrator) worker() {
-	defer func() {
-		m.mu.Lock()
-		m.workers--
-		m.cond.Broadcast()
-		m.mu.Unlock()
-	}()
-	for {
-		m.mu.Lock()
-		if !m.waitRunnable() || m.nextClaim >= m.stripes {
-			m.mu.Unlock()
-			return
-		}
-		st := m.nextClaim
-		m.nextClaim++
-		m.mu.Unlock()
-
-		if err := m.convertStripe(st); err != nil {
-			m.fail(err)
-			return
-		}
-		// Stripe committed: advance the contiguous watermark.
-		m.mu.Lock()
-		m.stats.StripesConverted++
-		m.tel.converted.Inc()
-		m.tel.stripeRate.Inc()
-		for m.cursor < m.stripes && m.isConverted(m.cursor) {
-			m.cursor++
-		}
-		m.tel.progress.Set(m.cursor)
-		progress, total := m.cursor, m.stripes
-		fn := m.onProgress
-		j := m.journal
-		throttle := m.throttle
-		wake := m.wake // captured under the same lock as throttle
-		if m.err != nil || m.userPaused {
-			throttle = 0 // don't sleep into a state we must react to
-		}
-		m.cond.Broadcast()
-		m.mu.Unlock()
-
-		if j != nil {
-			// progress was read before the checkpoint's disk sync, so the
-			// journaled watermark never claims unsynced stripes.
-			if err := j.maybeCheckpoint(progress); err != nil {
-				m.fail(err)
-				return
-			}
-		}
-		if fn != nil {
-			fn(progress, total)
-		}
-		if throttle > 0 {
-			// Interruptible throttle: cancellation, errors and Pause close
-			// wake, so a worker never holds up Wait (or Pause) for a full
-			// throttle interval.
-			t := time.NewTimer(throttle)
-			select {
-			case <-t.C:
-			case <-wake:
-				t.Stop()
-			}
+	fn, j := m.onProgress, m.journal
+	m.mu.Unlock()
+	if j != nil {
+		// watermark was read before the checkpoint's disk sync, so the
+		// journaled watermark never claims unsynced stripes.
+		if err := j.maybeCheckpoint(watermark); err != nil {
+			return err
 		}
 	}
+	if fn != nil {
+		fn(watermark, m.stripes)
+	}
+	return nil
 }
 
 // convertStripe computes and writes the p-1 diagonal parity blocks of one
@@ -749,7 +553,7 @@ func (m *OnlineMigrator) convertStripe(st int64) error {
 		return fmt.Errorf("migrate: converting stripe %d: %w", st, err)
 	}
 	m.tel.xors.Add(int64((p - 1) * (p - 3))) // Equation 2: a chain of p-2 blocks is p-3 XORs, on either path
-	m.markConverted(st)
+	m.pass.Mark(st)
 	return nil
 }
 
@@ -807,7 +611,7 @@ func (m *OnlineMigrator) readOrRepair(row int64, disk int, buf []byte) error {
 		return werr
 	}
 	m.mu.Lock()
-	m.stats.FaultsRepaired++
+	m.faultsRepaired++
 	span := m.span
 	m.mu.Unlock()
 	m.tel.faultRepairs.Inc()

@@ -432,12 +432,12 @@ func TestConvertStripeAllocationFree(t *testing.T) {
 			t.Errorf("p=%d: convertStripe allocates %.1f times per stripe, want 0", g.p, n)
 		}
 		if n := testing.AllocsPerRun(50, func() {
-			mig.markConverted(2)
+			mig.pass.Mark(2)
 			if !mig.isConverted(2) || mig.isConverted(3) {
 				t.Fatal("stripe 2's bit is not the one set")
 			}
 		}); n != 0 {
-			t.Errorf("p=%d: markConverted and isConverted allocate %.1f times, want 0", g.p, n)
+			t.Errorf("p=%d: Mark and isConverted allocate %.1f times, want 0", g.p, n)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -412,6 +413,51 @@ func TestPauseResumeAndProgress(t *testing.T) {
 	verifyConverted(t, mig, want, 8, "pause/resume")
 }
 
+// TestResumedMigrationReportsThisRunsRate: the mean rate and the ETA of a
+// resumed migration come from the stripes this run converted, not from the
+// watermark it resumed at (90 of 100 here, which read as ninety stripes
+// converted in the first milliseconds).
+func TestResumedMigrationReportsThisRunsRate(t *testing.T) {
+	const m, stripes, from = 4, 100, 90
+	a, _ := newLoadedRAID5(t, m, m*stripes, 25)
+	mig, err := NewOnlineMigrator(a, m*stripes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mig.ResumeFrom(from); err != nil {
+		t.Fatal(err)
+	}
+	mig.SetThrottle(time.Millisecond)
+	some := make(chan struct{})
+	var once sync.Once
+	mig.SetProgressFunc(func(done, total int64) {
+		if done >= from+3 {
+			once.Do(func() { close(some) })
+		}
+	})
+	if err := mig.Start(); err != nil {
+		t.Fatal(err)
+	}
+	<-some
+	mig.Pause()
+	pr := mig.ProgressSnapshot()
+	mig.Resume()
+	if err := mig.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	ran := float64(pr.Stats.StripesConverted)
+	if pr.Converted < from+3 || ran < 3 || ran > stripes-from {
+		t.Fatalf("snapshot %+v: want a resumed migration a few stripes in", pr)
+	}
+	if got := pr.StripesPerSec * pr.Elapsed.Seconds(); got > ran+0.5 {
+		t.Errorf("mean rate %.0f stripes/s over %v is %.1f stripes; this run converted %.0f (watermark %d)",
+			pr.StripesPerSec, pr.Elapsed, got, ran, pr.Converted)
+	}
+	if want := time.Duration(float64(pr.Total-pr.Converted) / ran * float64(pr.Elapsed)); pr.ETA < want*9/10 {
+		t.Errorf("ETA %v for %d stripes at %.0f stripes in %v, want about %v", pr.ETA, pr.Total-pr.Converted, ran, pr.Elapsed, want)
+	}
+}
+
 // TestPauseBeforeFinishIsSafe: pausing right around completion must not
 // hang.
 func TestPauseAroundCompletion(t *testing.T) {
@@ -792,6 +838,57 @@ func TestStartContextPreCancelled(t *testing.T) {
 		}
 		if !bytes.Equal(buf, w) {
 			t.Fatalf("block %d corrupted", L)
+		}
+	}
+}
+
+// TestStartContextFailureStartsNothing: a StartContext that fails — here the
+// new disk's image cannot be created — leaves no goroutine behind (it used to
+// leave one watching ctx, and one more per retry) and a migrator that starts
+// once the cause is gone.
+func TestStartContextFailureStartsNothing(t *testing.T) {
+	dir := t.TempDir()
+	const p, rows, bs = 5, 8, 512
+	a := newFileRAID5(t, dir, p, rows, bs)
+	defer a.Disks().Close()
+	mig, err := NewOnlineMigrator(a, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inTheWay := filepath.Join(dir, filestore.DiskFileName(p-1))
+	if err := os.Mkdir(inTheWay, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	before := runtime.NumGoroutine()
+	for try := 0; try < 3; try++ {
+		if err := mig.StartContext(ctx); err == nil || !strings.Contains(err.Error(), "adding diagonal-parity disk") {
+			t.Fatalf("StartContext over a blocked disk image = %v, want the attach error", err)
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines after three failed starts, %d before", after, before)
+	}
+	if pr := mig.ProgressSnapshot(); pr.Started || pr.State() != "pending" {
+		t.Errorf("after a failed start: %+v", pr)
+	}
+	if err := os.Remove(inTheWay); err != nil {
+		t.Fatal(err)
+	}
+	if err := mig.StartContext(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := mig.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	r6, err := mig.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for st := int64(0); st < rows/(p-1); st++ {
+		if ok, err := r6.VerifyStripe(st); err != nil || !ok {
+			t.Fatalf("stripe %d: ok=%v err=%v", st, ok, err)
 		}
 	}
 }

@@ -1,23 +1,20 @@
-// Package parallel is the stripe engine's scheduling substrate: a bounded
-// worker pool with first-error cancellation and context support.
+// Package parallel is the stripe engine's scheduling substrate: Pass, the one
+// loop every bulk and background operation in this repository runs.
 //
 // Stripes of an array are independent — encode, scrub, rebuild and
-// migration all read and write disjoint per-stripe block ranges — so every
-// bulk operation in this repository reduces to "run f(stripe) for stripes
-// [0, n) on at most W goroutines, stop at the first error". ForEach is that
-// loop. Work is claimed from a shared atomic counter rather than
+// migration all read and write disjoint per-stripe block ranges — so each
+// reduces to "run do(stripe) for stripes [from, n) on at most W workers, stop
+// at the first error". Work is claimed from a shared counter rather than
 // pre-partitioned, so a slow stripe (e.g. one needing reconstruction)
 // doesn't leave its worker's whole shard waiting behind it.
 //
 // The one knob, WithWorkers, is re-exported by the public code56 facade, so
-// one option reaches from the CLI flags down to this pool.
+// one option reaches from the CLI flags down to this loop.
 package parallel
 
 import (
 	"context"
 	"runtime"
-	"sync"
-	"sync/atomic"
 )
 
 // batchBytes is the per-claim byte budget of ForEachBatch: a worker takes as
@@ -57,99 +54,28 @@ func Resolve(opts ...Option) Config {
 }
 
 // ForEach runs fn(i) for every i in [0, n) across at most Workers
-// goroutines and returns the first error. The first failure (or ctx
-// becoming done) stops further claims; workers finish their in-flight item
-// and exit, so when ForEach returns no fn is still running. With one worker
-// (or n <= 1) everything runs on the calling goroutine in index order:
+// goroutines and returns the first error: a Pass nobody pauses. The first
+// failure (or ctx becoming done) stops further claims; workers finish their
+// in-flight item and exit, so when ForEach returns no fn is still running.
+// With one worker everything runs on the calling goroutine in index order:
 // WithWorkers(1) is every bulk entry point's serial path.
 func ForEach(ctx context.Context, n int64, fn func(i int64) error, opts ...Option) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
-	cfg := Resolve(opts...)
-	workers := cfg.Workers
-	if int64(workers) > n {
-		workers = int(n)
-	}
-	if workers <= 1 {
-		for i := int64(0); i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	var (
-		next     atomic.Int64
-		stopped  atomic.Bool
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		stopped.Store(true)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stopped.Load() {
-				if err := ctx.Err(); err != nil {
-					fail(err)
-					return
-				}
-				i := next.Add(1) - 1
-				if i >= n {
-					return
-				}
-				if err := fn(i); err != nil {
-					fail(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	return firstErr
+	return ForEachBatch(ctx, n, 0, fn, opts...)
 }
 
-// ForEachBatch is ForEach with cache-aware claiming: items are grouped into
-// batches of contiguous indices sized so one batch's data fits the
-// batchBytes budget (itemBytes is the caller's per-item working-set size,
-// e.g. one stripe's bytes), and a worker claims a whole batch at a time.
-// Per-stripe work items are small relative to scheduling cost — claiming
-// them one by one thrashes the shared counter and bounces adjacent stripes
-// between cores, which is what made tiny-stripe parallel sweeps collapse
-// below 1x. Batching restores streaming access within each worker while
-// keeping work stealing at batch granularity. Results and error semantics
-// are identical to ForEach for any item size; itemBytes <= 0 or an item
+// ForEachBatch is ForEach with cache-aware claiming: a worker claims a run of
+// contiguous indices sized so the run's data fits the batchBytes budget
+// (itemBytes is the caller's per-item working-set size, e.g. one stripe's
+// bytes). Per-stripe work items are small relative to scheduling cost —
+// claiming them one by one bounces adjacent stripes between cores, which is
+// what made tiny-stripe parallel sweeps collapse below 1x. Results and error
+// semantics are ForEach's for any item size — cancellation and the first error
+// take effect at the next item, not the next run; itemBytes <= 0 or an item
 // larger than the budget degrades to per-item claiming.
 func ForEachBatch(ctx context.Context, n, itemBytes int64, fn func(i int64) error, opts ...Option) error {
-	batch := int64(1)
+	p := Pass{n: n, batch: 1, workers: Resolve(opts...).Workers, do: fn}
 	if itemBytes > 0 {
-		batch = max(batchBytes/itemBytes, 1)
+		p.batch = max(batchBytes/itemBytes, 1)
 	}
-	batches := (n + batch - 1) / batch
-	return ForEach(ctx, batches, func(b int64) error {
-		for i, hi := b*batch, min((b+1)*batch, n); i < hi; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}, opts...)
+	return p.Run(ctx)
 }

@@ -186,7 +186,7 @@ func (tt *Timetable) String() string {
 	return strings.Join(parts, " ")
 }
 
-// Throttler is the seam into OnlineMigrator: a per-stripe pause length.
+// Throttler is the seam into parallel.Pass.SetThrottle: a per-stripe pause length.
 type Throttler interface {
 	SetThrottle(d time.Duration)
 }
