@@ -237,12 +237,17 @@ func TestDecoderOtherCodes(t *testing.T) {
 }
 
 // runFolds runs a fold schedule over an in-memory stripe the way raid6's
-// executor runs it over the disks, checking what that one relies on: a column
-// without Reads is covered by its runs cell for cell, once; a column with them
-// is read into scratch once, and its runs fold only what was read.
+// executor runs it over the disks — a column's runs in reads, a run starting
+// past the rows taken so far opening the next, and each read block by block,
+// a block onto every run that takes it — checking what that relies on: the
+// reads are Reads, or the runs where Reads is nil; a column without Reads is
+// covered by its runs cell for cell, once; a column with them has each cell
+// read once, and its runs fold only what was read; and every accumulator meets
+// its first contributor before anything is XORed into it.
 func runFolds(t *testing.T, ctx string, s *layout.Stripe, folds []layout.ColumnFold, acc []byte) {
 	t.Helper()
 	bs := s.BlockSize
+	fed := make([]bool, len(acc)/bs)
 	for i, cf := range folds {
 		if i > 0 && folds[i-1].Col >= cf.Col {
 			t.Fatalf("%s: column %d scheduled after column %d", ctx, cf.Col, folds[i-1].Col)
@@ -254,16 +259,39 @@ func runFolds(t *testing.T, ctx string, s *layout.Stripe, folds []layout.ColumnF
 			}
 		}
 		taken := make([]int, s.Geom.Rows)
-		for _, r := range cf.Runs {
-			src, dst := s.Column(cf.Col)[r.Row*bs:(r.Row+r.N)*bs], acc[r.Acc*bs:(r.Acc+r.N)*bs]
-			if r.First {
-				copy(dst, src)
-			} else {
-				xorblk.Xor(dst, src)
+		reads, runs := 0, cf.Runs
+		for lo := 0; lo < len(runs); reads++ {
+			hi, first, end := lo+1, runs[lo].Row, runs[lo].Row+runs[lo].N
+			for ; hi < len(runs) && runs[hi].Row <= end; hi++ {
+				first, end = min(first, runs[hi].Row), max(end, runs[hi].Row+runs[hi].N)
 			}
-			for k := 0; k < r.N; k++ {
-				taken[r.Row+k]++
+			for row := first; row < end; row++ {
+				src := s.Block(layout.Coord{Row: row, Col: cf.Col})
+				for _, r := range runs[lo:hi] {
+					if row < r.Row || row >= r.Row+r.N {
+						continue
+					}
+					a := r.Acc + row - r.Row
+					if r.First == fed[a] {
+						t.Fatalf("%s: cell (%d,%d) meets accumulator %d with First %v, fed before: %v", ctx, row, cf.Col, a, r.First, fed[a])
+					}
+					fed[a] = true
+					if r.First {
+						copy(acc[a*bs:(a+1)*bs], src)
+					} else {
+						xorblk.Xor(acc[a*bs:(a+1)*bs], src)
+					}
+					taken[row]++
+				}
 			}
+			lo = hi
+		}
+		want := len(cf.Reads)
+		if cf.Reads == nil {
+			want = len(cf.Runs)
+		}
+		if reads != want {
+			t.Fatalf("%s: column %d falls into %d reads, schedule lists %d reads and %d runs", ctx, cf.Col, reads, len(cf.Reads), len(cf.Runs))
 		}
 		for row := range taken {
 			if cf.Reads == nil && taken[row] > 1 {

@@ -11,25 +11,28 @@ import (
 // stripe: which surviving cells to read, as column runs, and which accumulator
 // — one block a chain, side by side in one buffer — each lands on. It is
 // compiled once, from coordinates only, reads every cell it names exactly once
-// with one disk call a run, and raid6's one executor (fold) runs it for
-// conversion, rebuild, degraded reads and scrub's check alike (DESIGN §4.20).
+// with one disk call a run of adjacent cells, and raid6's one executor (fold)
+// runs it for conversion, rebuild, degraded reads and scrub's check alike
+// (DESIGN §4.20).
 
-// FoldRun is one stretch of a column's part in a schedule: the N cells from
-// Row on land on the N consecutive accumulators from Acc on, one each. First
-// says they are their accumulators' first contributors in schedule order:
-// stored there, where later ones are XORed in, so no accumulator is zeroed and
-// a chain of n members costs n-1 XORs, the planner's count.
+// FoldRun is one stretch of a column's part in a schedule, and one lane of the
+// disk call that reads it (vdisk.Disk.ReadFold): the N cells from Row on land
+// on the N consecutive accumulators from Acc on, one each. First says they are
+// their accumulators' first contributors in the order the schedule runs —
+// columns ascending, a column's cells in row order, each onto the runs that
+// take it: stored there, where later ones are XORed in, so no accumulator is
+// zeroed and a chain of n members costs n-1 XORs, the planner's count.
 type FoldRun struct {
 	Row, N, Acc int
 	First       bool
 }
 
-// ColumnFold is one column's part in a schedule. With Reads nil every run is
-// one disk call that lands the cells straight on their accumulators. Otherwise
-// the runs are not what is contiguous on the disk — a cell feeds two chains,
-// or adjacent cells feed one — and Reads lists the column's distinct cells as
-// maximal runs: each is read once into a column of scratch, at its row, and
-// Runs fold from there.
+// ColumnFold is one column's part in a schedule. Each maximal run of the
+// column's cells it names is read with one disk call whose lanes are the runs
+// that take it, one or, where a cell feeds two chains or adjacent cells feed
+// one, several; the runs come in read order, a read's runs consecutive and the
+// first run of the next starting past the rows they take. Reads lists those
+// reads, or is nil when they are the runs themselves, one taker a cell.
 type ColumnFold struct {
 	Col   int
 	Reads []ColumnRun
@@ -41,9 +44,10 @@ type foldTerm struct{ cell, acc int32 }
 
 // buildFolds lays the terms out column by column. Within a column a run
 // continues while the next row feeds the next accumulator, and breaks where
-// first contributors meet later ones (in the order the schedule will run:
-// columns ascending, a column's runs as they start). It also reports which of
-// the accs accumulators the terms feed.
+// first contributors meet later ones. First is given lane by lane, a column's
+// lanes as they start; for every code here that is also the order a
+// block-by-block walk meets them in, which TestFoldSchedules holds each
+// schedule to. It also reports which of the accs accumulators the terms feed.
 func buildFolds(g Geometry, terms []foldTerm, accs int) ([]ColumnFold, []bool) {
 	slices.SortFunc(terms, func(a, b foldTerm) int {
 		ca, cb := g.CoordOf(int(a.cell)), g.CoordOf(int(b.cell))

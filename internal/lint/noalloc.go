@@ -165,7 +165,7 @@ var noallocTrusted = map[string]bool{
 	"code56/internal/vdisk.Disk.Read":           true,
 	"code56/internal/vdisk.Disk.Write":          true,
 	"code56/internal/vdisk.Disk.ReadBlocks":     true,
-	"code56/internal/vdisk.Disk.ReadXor":        true,
+	"code56/internal/vdisk.Disk.ReadFold":       true,
 	"code56/internal/vdisk.Disk.WriteBlocks":    true,
 	"code56/internal/vdisk.Disk.Swap":           true,
 	"code56/internal/vdisk.Disk.Xor":            true,
@@ -176,7 +176,7 @@ var noallocTrusted = map[string]bool{
 	"code56/internal/vdisk.BlockStore.ReadAt":   true,
 	"code56/internal/vdisk.BlockStore.WriteAt":  true,
 	"code56/internal/vdisk.Xorer.XorAt":         true,
-	"code56/internal/vdisk.Xorer.ReadXorAt":     true,
+	"code56/internal/vdisk.Xorer.ReadFoldAt":    true,
 	"code56/internal/vdisk.MemStore.XorAt":      true,
 
 	"code56/internal/raid6.Array.RebuildColumnsHeld": true,

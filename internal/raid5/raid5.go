@@ -14,6 +14,7 @@ import (
 	"sync"
 
 	"code56/internal/bufpool"
+	"code56/internal/layout"
 	"code56/internal/telemetry"
 	"code56/internal/vdisk"
 	"code56/internal/xorblk"
@@ -238,8 +239,11 @@ func (a *Array) reconstructInto(row int64, disk int, buf []byte) error {
 	return a.foldPeers("reconstructing", row, disk, -1, buf)
 }
 
+// rowLane is the one-lane vdisk.Disk.ReadFold of a row's block: acc ^= it.
+var rowLane = []layout.FoldRun{{N: 1}}
+
 // foldRow XORs the row's block on every disk but skip and skip2 into acc, each
-// from where it lies (vdisk.Disk.ReadXor: no scratch block, no copy), counting
+// from where it lies (vdisk.Disk.ReadFold: no scratch block, no copy), counting
 // it in xors unless that is nil. A read that fails is returned with its disk.
 // Stripe held, exclusive: the blocks must be of one moment.
 func (a *Array) foldRow(row int64, skip, skip2 int, acc []byte, xors *telemetry.Counter) (int, error) {
@@ -247,7 +251,7 @@ func (a *Array) foldRow(row int64, skip, skip2 int, acc []byte, xors *telemetry.
 		if i == skip || i == skip2 {
 			continue
 		}
-		if err := a.disks.Disk(i).ReadXor(row, acc); err != nil {
+		if err := a.disks.Disk(i).ReadFold(row, acc, rowLane); err != nil {
 			return i, err
 		}
 		xors.Inc()
@@ -275,7 +279,7 @@ func (a *Array) foldPeers(what string, row int64, disk, skip2 int, acc []byte) e
 // the online migrator, healing a block of the stripe it is converting or
 // recomputing a diagonal parity from its chain.
 func (a *Array) FoldBlock(row int64, disk int, acc []byte) error {
-	err := a.disks.Disk(disk).ReadXor(row, acc)
+	err := a.disks.Disk(disk).ReadFold(row, acc, rowLane)
 	if err == nil || !isDegradable(err) {
 		return err
 	}

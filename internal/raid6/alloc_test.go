@@ -179,3 +179,46 @@ func TestLocateAllocationFree(t *testing.T) {
 		t.Errorf("Locate allocates %.1f times per call, want 0", n)
 	}
 }
+
+// TestStripeOpsAllocationFreeAtP13: the pins above at the geometry of the repo
+// benchmark's array_ops workload, p=13 with 16 KiB blocks, on stripe 5, whose
+// columns are disk blocks 60-71 and cross the boundary of two MemStore slabs:
+// the check of a clean stripe's scrub, a two-disk rebuild, and a degraded read
+// around two failed disks.
+func TestStripeOpsAllocationFreeAtP13(t *testing.T) {
+	skipIfRace(t)
+	const st = 5
+	a, _, _ := newFilledArray(t, core.MustNew(13), 16384, st+1, false)
+	check := a.dec.Syndromes()
+	if n := testing.AllocsPerRun(20, func() {
+		if res, err := a.scrubStripe(st, false, check); err != nil || res != (scrubResult{}) {
+			t.Fatalf("scrubStripe: %+v, %v", res, err)
+		}
+	}); n != 0 {
+		t.Errorf("scrubStripe of a clean stripe allocates %.1f times per call, want 0", n)
+	}
+	disks := []int{0, 2}
+	for _, d := range disks {
+		a.Disks().Disk(d).Fail()
+		a.Disks().Disk(d).Replace()
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if err := a.rebuildStripe(st, disks); err != nil {
+			t.Fatalf("rebuildStripe: %v", err)
+		}
+	}); n != 0 {
+		t.Errorf("two-disk rebuildStripe allocates %.1f times per call, want 0", n)
+	}
+	for _, d := range disks {
+		a.Disks().Disk(d).Fail()
+	}
+	cell := layout.Coord{Row: 7, Col: 2}
+	buf := make([]byte, a.BlockSize())
+	if n := testing.AllocsPerRun(20, func() {
+		if err := a.degradedRead(st, cell, buf); err != nil {
+			t.Fatalf("degradedRead: %v", err)
+		}
+	}); n != 0 {
+		t.Errorf("degradedRead around two failed disks allocates %.1f times per call, want 0", n)
+	}
+}

@@ -11,14 +11,16 @@ import (
 	"code56/internal/vdisk"
 )
 
-func benchArray(b *testing.B, stripes int) *Array {
+// benchArray is a Code 5-6 array of the given shape holding stripes full
+// stripes of random data, written a stripe a call.
+func benchArray(b *testing.B, p, blockSize, stripes int) *Array {
 	b.Helper()
-	a := New(core.MustNew(7), 4096)
+	a := New(core.MustNew(p), blockSize)
 	r := rand.New(rand.NewSource(1))
-	buf := make([]byte, 4096)
-	for L := int64(0); L < int64(a.DataPerStripe()*stripes); L++ {
-		r.Read(buf)
-		if err := a.WriteBlock(L, buf); err != nil {
+	full := make([]byte, a.DataPerStripe()*blockSize)
+	for st := 0; st < stripes; st++ {
+		r.Read(full)
+		if err := a.WriteRange(int64(st*a.DataPerStripe()), full); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -32,7 +34,7 @@ func benchArray(b *testing.B, stripes int) *Array {
 // and once with their in-place fold hidden.
 func BenchmarkWriteBlockRMW(b *testing.B) {
 	b.Run("warm_p7_4k", func(b *testing.B) {
-		a := benchArray(b, 4)
+		a := benchArray(b, 7, 4096, 4)
 		blocks := int64(a.DataPerStripe() * 4)
 		data := make([]byte, 4096)
 		rand.New(rand.NewSource(2)).Read(data)
@@ -84,7 +86,7 @@ func BenchmarkWriteBlockRMW(b *testing.B) {
 }
 
 func BenchmarkWriteRangePartialStripe(b *testing.B) {
-	a := benchArray(b, 4)
+	a := benchArray(b, 7, 4096, 4)
 	n := a.DataPerStripe() / 2
 	data := make([]byte, n*4096)
 	rand.New(rand.NewSource(3)).Read(data)
@@ -98,7 +100,7 @@ func BenchmarkWriteRangePartialStripe(b *testing.B) {
 }
 
 func BenchmarkWriteFullStripe(b *testing.B) {
-	a := benchArray(b, 4)
+	a := benchArray(b, 7, 4096, 4)
 	blocks := make([][]byte, a.DataPerStripe())
 	r := rand.New(rand.NewSource(4))
 	for i := range blocks {
@@ -115,7 +117,7 @@ func BenchmarkWriteFullStripe(b *testing.B) {
 }
 
 func BenchmarkReadBlockHealthy(b *testing.B) {
-	a := benchArray(b, 4)
+	a := benchArray(b, 7, 4096, 4)
 	blocks := int64(a.DataPerStripe() * 4)
 	buf := make([]byte, 4096)
 	b.SetBytes(4096)
@@ -157,22 +159,60 @@ func BenchmarkReadBlockDegraded(b *testing.B) {
 	}
 }
 
+// diskShapes are the two array shapes the rebuild and scrub benchmarks run:
+// p=7 over four stripes that stay in cache, and the repo benchmark's
+// array_ops shape over 96 stripes, 252 MB of disks, which do not.
+var diskShapes = []struct {
+	name                  string
+	p, blockSize, stripes int
+}{
+	{"p7_4k", 7, 4096, 4},
+	{"p13_16k", 13, 16384, 96},
+}
+
+// BenchmarkRebuildDoubleFailure rebuilds two replaced disks with one worker.
 func BenchmarkRebuildDoubleFailure(b *testing.B) {
-	const stripes = 4
-	a := benchArray(b, stripes)
-	bytes := int64(2 * stripes * a.Code().Geometry().Rows * 4096)
-	b.SetBytes(bytes)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		a.Disks().Disk(1).Fail()
-		a.Disks().Disk(4).Fail()
-		a.Disks().Disk(1).Replace()
-		a.Disks().Disk(4).Replace()
-		b.StartTimer()
-		if err := rebuild(a, stripes, 1, 4); err != nil {
-			b.Fatal(err)
-		}
+	for _, tc := range diskShapes {
+		b.Run(tc.name, func(b *testing.B) {
+			if tc.stripes > 4 && testing.Short() {
+				b.Skip("252 MB of disks")
+			}
+			a := benchArray(b, tc.p, tc.blockSize, tc.stripes)
+			b.SetBytes(int64(2 * tc.stripes * a.Code().Geometry().Rows * tc.blockSize))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				a.Disks().Disk(1).Fail()
+				a.Disks().Disk(4).Fail()
+				a.Disks().Disk(1).Replace()
+				a.Disks().Disk(4).Replace()
+				b.StartTimer()
+				if err := rebuild(a, int64(tc.stripes), 1, 4); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkScrubCheck scrubs a clean array with one worker, counting every
+// block it reads.
+func BenchmarkScrubCheck(b *testing.B) {
+	for _, tc := range diskShapes {
+		b.Run(tc.name, func(b *testing.B) {
+			if tc.stripes > 4 && testing.Short() {
+				b.Skip("252 MB of disks")
+			}
+			a := benchArray(b, tc.p, tc.blockSize, tc.stripes)
+			g := a.Code().Geometry()
+			b.SetBytes(int64(tc.stripes * g.Rows * g.Cols * tc.blockSize))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if rep, err := scrub(a, int64(tc.stripes), ScrubCheck); err != nil || !rep.Clean() {
+					b.Fatalf("scrub: %+v, %v", rep, err)
+				}
+			}
+		})
 	}
 }
 
@@ -182,7 +222,7 @@ func BenchmarkRebuildContext(b *testing.B) {
 	const stripes = 32
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			a := benchArray(b, stripes)
+			a := benchArray(b, 7, 4096, stripes)
 			bts := int64(2 * stripes * a.Code().Geometry().Rows * 4096)
 			b.SetBytes(bts)
 			b.ResetTimer()

@@ -35,11 +35,11 @@ func (s countedStore) WriteAt(p []byte, off int64) (int, error) {
 	return s.MemStore.WriteAt(p, off)
 }
 
-// ReadXorAt is a read call too: the fold-in-place form of ReadAt, which the
+// ReadFoldAt is a read call too: the fold-in-place form of ReadAt, which the
 // embedded MemStore would otherwise serve uncounted.
-func (s countedStore) ReadXorAt(p []byte, off int64) (int, error) {
+func (s countedStore) ReadFoldAt(acc []byte, off int64, bs int, lanes []layout.FoldRun) error {
 	s.c.reads.Add(1)
-	return s.MemStore.ReadXorAt(p, off)
+	return s.MemStore.ReadFoldAt(acc, off, bs, lanes)
 }
 
 func (c *callCounter) Open(id, blockSize int) (vdisk.BlockStore, error) {
@@ -244,5 +244,78 @@ func TestColumnReadFallsBackToCells(t *testing.T) {
 	check("disk failing mid-column")
 	if !a.Disks().Disk(4).Failed() {
 		t.Error("disk 4 should have fail-stopped at its third block")
+	}
+}
+
+// TestFoldInPlaceMatchesPortable: every schedule the executor runs — each
+// column set's Folds, each lost cell's SourceRuns, the Syndromes — lands the
+// same accumulators over MemStores, which fold each block onto its takers
+// where it lies, as over stores that cannot and go through scratch; a written
+// stripe and one never written alike. The finished Folds buffer holds the lost
+// columns, a SourceRuns accumulator its cell, and the syndromes are zero.
+func TestFoldInPlaceMatchesPortable(t *testing.T) {
+	const bs = 64
+	for _, code := range append([]layout.Code{core.MustNew(3), core.MustNew(13)}, codesUnderTest()...) {
+		g := code.Geometry()
+		var arrays [2]*Array
+		for i, backend := range []vdisk.Backend{vdisk.MemBackend{}, foldless{}} {
+			disks, err := vdisk.NewArrayBackend(g.Cols, bs, backend)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if arrays[i], err = Wrap(code, disks); err != nil {
+				t.Fatal(err)
+			}
+			if err := arrays[i].WriteStripe(1, randBlocks(rand.New(rand.NewSource(int64(g.P))), arrays[i].DataPerStripe(), bs)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a := arrays[0]
+		run := func(ctx string, st int64, folds []layout.ColumnFold, blocks int) []byte {
+			t.Helper()
+			var acc [2][]byte
+			for i, arr := range arrays {
+				acc[i] = bytes.Repeat([]byte{0xA5}, blocks*bs)
+				if err := arr.fold(st, folds, acc[i]); err != nil {
+					t.Fatalf("%s: %v", ctx, err)
+				}
+			}
+			if !bytes.Equal(acc[0], acc[1]) {
+				t.Fatalf("%s: the accumulators folded in place differ from the portable ones", ctx)
+			}
+			return acc[0]
+		}
+		cell := make([]byte, bs)
+		for st := int64(1); st <= 2; st++ { // stripe 2 was never written
+			if syn := run(fmt.Sprintf("%s stripe %d syndromes", code.Name(), st), st, a.dec.Syndromes(), len(a.chains)); !bytes.Equal(syn, make([]byte, len(syn))) {
+				t.Fatalf("%s stripe %d: a consistent stripe has a non-zero syndrome", code.Name(), st)
+			}
+			for c0 := 0; c0 < g.Cols; c0++ {
+				for c1 := c0; c1 < g.Cols; c1++ {
+					cols := layout.Columns{}.With(c0).With(c1)
+					plan := a.dec.ColumnPlan(cols)
+					if plan == nil {
+						continue // EVENODD's double data-column loss has none
+					}
+					ctx := fmt.Sprintf("%s stripe %d columns %d,%d", code.Name(), st, c0, c1)
+					acc := run(ctx, st, plan.Folds(), cols.Len()*g.Rows)
+					plan.Finish(acc)
+					for k := 0; k < cols.Len(); k++ {
+						for r := 0; r < g.Rows; r++ {
+							c := layout.Coord{Row: r, Col: cols.At(k)}
+							if err := a.readCell(st, c, cell); err != nil {
+								t.Fatal(err)
+							}
+							if !bytes.Equal(acc[(k*g.Rows+r)*bs:(k*g.Rows+r+1)*bs], cell) {
+								t.Fatalf("%s: the finished buffer does not hold cell %v", ctx, c)
+							}
+							if !bytes.Equal(run(fmt.Sprintf("%s cell %v", ctx, c), st, plan.SourceRuns(c), 1), cell) {
+								t.Fatalf("%s: cell %v's sources do not fold to it", ctx, c)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package raid6
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand"
@@ -44,6 +45,44 @@ func TestReadSurvivesTransientErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkAll(t, a, want, "transient faults")
+}
+
+// TestScrubServesTransientErrors: a disk whose reads fail transiently, with
+// no retries to absorb it, is read around by scrub as it is by reads and
+// rebuild — its unserved cells are reconstructed, not the end of the pass —
+// and a latent sector found beside them is the only block scrub counts as
+// latent.
+func TestScrubServesTransientErrors(t *testing.T) {
+	a := newWarmArray(t, 8)
+	poolBalanced(t)
+	want := make([][]byte, 8*a.DataPerStripe())
+	for l := range want {
+		want[l] = make([]byte, a.BlockSize())
+		if err := a.ReadBlock(int64(l), want[l]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.Disks().Disk(2).SetFaults(vdisk.FaultConfig{Seed: 4, ReadTransientProb: 0.3}); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, a.BlockSize())
+	for l := range want {
+		if err := a.ReadBlock(int64(l), buf); err != nil || !bytes.Equal(buf, want[l]) {
+			t.Fatalf("block %d: %v", l, err)
+		}
+	}
+	if err := rebuild(a, 8, 1); err != nil {
+		t.Fatalf("rebuild: %v", err)
+	}
+	for _, mode := range []ScrubMode{ScrubCheck, ScrubRepair} {
+		if rep, err := scrub(a, 8, mode); err != nil || !rep.Clean() || rep.Stripes != 8 {
+			t.Errorf("mode %d: report %+v, err %v: want all 8 stripes clean", mode, rep, err)
+		}
+	}
+	a.Disks().Disk(0).InjectLatentError(int64(a.geom.Rows) + 1)
+	if rep, err := scrub(a, 8, ScrubRepair); err != nil || rep.LatentFound != 1 || rep.LatentRepaired != 1 || rep.CorruptFound != 0 {
+		t.Errorf("one latent sector: report %+v, err %v: want it found and repaired, nothing else", rep, err)
+	}
 }
 
 // TestScrubCheckModeDetectsWithoutWriting: ScrubCheck counts the damage

@@ -6,53 +6,36 @@ import (
 
 	"code56/internal/bufpool"
 	"code56/internal/layout"
-	"code56/internal/xorblk"
 )
 
 // fold is the one place parity chains are evaluated over the disks (DESIGN
 // §4.20): it runs a compiled fold schedule on stripe st, landing every run on
-// its accumulators in acc, one block each. A column whose runs are what lies
-// contiguous on the disk is folded from where it lies — first contributors read
-// in, the rest XORed in by Disk.ReadXor, which alone decides whether its store
-// folds in place — and a column whose cells have two takers is read once into a
-// pooled column of scratch and folded from there: each block is read once, each
-// run is one disk call. The first disk error ends it, acc then unspecified.
-// Stripe held by the caller, exclusive: the cells must be of one moment.
+// its accumulators in acc, one block each. Each distinct read of a column is
+// one Disk.ReadFold whose lanes are the runs that take it, so every block is
+// read once and lands, while it is in L1, on each of its takers, and the store
+// alone decides whether it is folded where it lies. The runs of a read are
+// consecutive in the column's schedule, and one starting past the rows taken
+// so far opens the next read. The first disk error ends it, acc then
+// unspecified. Stripe held by the caller, exclusive: the cells must be of one
+// moment.
 //
 //c56:noalloc
 func (a *Array) fold(st int64, folds []layout.ColumnFold, acc []byte) error {
-	bs, base := a.blockSize, st*int64(a.geom.Rows)
-	var scratch []byte
-	var err error
-	for i := 0; i < len(folds) && err == nil; i++ {
-		cf := &folds[i]
-		disk := a.diskFor(st, cf.Col)
-		if cf.Reads != nil && scratch == nil {
-			scratch = bufpool.Get(a.geom.Rows * bs)
-		}
-		for k := 0; k < len(cf.Reads) && err == nil; k++ {
-			rd := &cf.Reads[k]
-			err = disk.ReadBlocks(base+int64(rd.Row), scratch[rd.Row*bs:(rd.Row+rd.N)*bs])
-		}
-		for k := 0; k < len(cf.Runs) && err == nil; k++ {
-			r := &cf.Runs[k]
-			dst := acc[r.Acc*bs : (r.Acc+r.N)*bs]
-			switch {
-			case cf.Reads != nil && r.First:
-				copy(dst, scratch[r.Row*bs:(r.Row+r.N)*bs])
-			case cf.Reads != nil:
-				xorblk.Xor(dst, scratch[r.Row*bs:(r.Row+r.N)*bs])
-			case r.First:
-				err = disk.ReadBlocks(base+int64(r.Row), dst)
-			default:
-				err = disk.ReadXor(base+int64(r.Row), dst)
+	base := st * int64(a.geom.Rows)
+	for i := range folds {
+		runs, disk := folds[i].Runs, a.diskFor(st, folds[i].Col)
+		for lo := 0; lo < len(runs); {
+			hi, end := lo+1, runs[lo].Row+runs[lo].N
+			for ; hi < len(runs) && runs[hi].Row <= end; hi++ {
+				end = max(end, runs[hi].Row+runs[hi].N)
 			}
+			if err := disk.ReadFold(base, acc, runs[lo:hi]); err != nil {
+				return err
+			}
+			lo = hi
 		}
 	}
-	if scratch != nil {
-		bufpool.Put(scratch)
-	}
-	return err
+	return nil
 }
 
 // errNoPlan is RebuildColumnsHeld's answer for a column set peeling cannot
@@ -108,7 +91,7 @@ func (a *Array) rebuildStripe(st int64, disks []int) error {
 	if err == nil || !isDegradable(err) && !errors.Is(err, errNoPlan) {
 		return err
 	}
-	s, es, err := a.loadStripe(st)
+	s, es, err := a.loadStripe(st, nil)
 	if err != nil {
 		return err
 	}

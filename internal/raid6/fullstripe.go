@@ -40,7 +40,7 @@ func (a *Array) WriteStripe(stripe int64, data [][]byte) error {
 func (a *Array) ReadStripe(stripe int64) ([][]byte, error) {
 	lk := a.disks.StripeLock(stripe)
 	lk.Lock()
-	s, es, err := a.loadStripe(stripe)
+	s, es, err := a.loadStripe(stripe, nil)
 	lk.Unlock()
 	if err != nil {
 		return nil, err

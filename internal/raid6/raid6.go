@@ -243,18 +243,19 @@ func (a *Array) writeColumn(stripe int64, col int, s *layout.Stripe) error {
 }
 
 // loadStripe reads every column of stripe s from non-failed disks and returns
-// the stripe plus the erasure set of unreadable cells. The stripe comes from
-// the array's pool — callers hand it back with a.stripes.Put when done. The
-// erasure set is nil while the stripe is fully readable, so the healthy path
-// allocates nothing.
+// the stripe plus the erasure set of unreadable cells; those whose read
+// returned ErrLatent are also appended to latent, unless it is nil. The stripe
+// comes from the array's pool — callers hand it back with a.stripes.Put when
+// done. The erasure set is nil while the stripe is fully readable, so the
+// healthy path allocates nothing.
 //
 //c56:noalloc
-func (a *Array) loadStripe(stripe int64) (*layout.Stripe, layout.ErasureSet, error) {
+func (a *Array) loadStripe(stripe int64, latent *[]layout.Coord) (*layout.Stripe, layout.ErasureSet, error) {
 	s := a.stripes.Get()
 	var es layout.ErasureSet
 	for j := 0; j < a.geom.Cols; j++ {
 		var err error
-		if es, err = a.loadColumn(stripe, j, s, es); err != nil {
+		if es, err = a.loadColumn(stripe, j, s, es, latent); err != nil {
 			a.stripes.Put(s)
 			return nil, nil, err
 		}
@@ -268,7 +269,7 @@ func (a *Array) loadStripe(stripe int64) (*layout.Stripe, layout.ErasureSet, err
 // are really unreadable are erased.
 //
 //c56:noalloc
-func (a *Array) loadColumn(stripe int64, col int, s *layout.Stripe, es layout.ErasureSet) (layout.ErasureSet, error) {
+func (a *Array) loadColumn(stripe int64, col int, s *layout.Stripe, es layout.ErasureSet, latent *[]layout.Coord) (layout.ErasureSet, error) {
 	colErr := a.readColumn(stripe, col, s)
 	if colErr == nil || !isDegradable(colErr) {
 		return es, colErr
@@ -283,6 +284,9 @@ func (a *Array) loadColumn(stripe int64, col int, s *layout.Stripe, es layout.Er
 			}
 			if !isDegradable(err) {
 				return es, err
+			}
+			if latent != nil && errors.Is(err, vdisk.ErrLatent) {
+				*latent = append(*latent, c) //lint:allow noalloc only scrub keeps this list, and only of a stripe with bad sectors
 			}
 		}
 		s.Zero(c)
@@ -367,7 +371,7 @@ func (a *Array) degradedRead(stripe int64, cell layout.Coord, buf []byte) error 
 			return nil
 		}
 	}
-	s, es, err := a.loadStripe(stripe)
+	s, es, err := a.loadStripe(stripe, nil)
 	if err != nil {
 		return err
 	}
@@ -457,7 +461,7 @@ func (a *Array) writeRMW(stripe int64, cell layout.Coord, data []byte) error {
 // write stopped by a fault left half folded is made whole. Stripe held,
 // exclusive.
 func (a *Array) writeDegraded(stripe, first int64, data []byte) error {
-	s, es, err := a.loadStripe(stripe)
+	s, es, err := a.loadStripe(stripe, nil)
 	if err != nil {
 		return err
 	}
@@ -504,7 +508,7 @@ func (a *Array) EncodeStripe(stripe int64) error {
 	lk := a.disks.StripeLock(stripe)
 	lk.Lock()
 	defer lk.Unlock()
-	s, es, err := a.loadStripe(stripe)
+	s, es, err := a.loadStripe(stripe, nil)
 	if err != nil {
 		return err
 	}
@@ -528,7 +532,7 @@ func (a *Array) EncodeStripe(stripe int64) error {
 func (a *Array) VerifyStripe(stripe int64) (bool, error) {
 	lk := a.disks.StripeLock(stripe)
 	lk.Lock()
-	s, es, err := a.loadStripe(stripe)
+	s, es, err := a.loadStripe(stripe, nil)
 	lk.Unlock()
 	if err != nil {
 		return false, err

@@ -101,10 +101,11 @@ func (r *ScrubReport) add(st int64, res scrubResult) {
 // scrubStripe runs one stripe's scrub pass. The check is every chain's
 // syndrome folded straight from the disks (see fold; check is the decoder's
 // Syndromes schedule, compiled once a pass): a stripe that reads and folds to
-// zero is clean, and nothing more is done; any other is loaded and looked into
-// (scrubDamaged). It touches only stripe st's block range, so
-// distinct stripes may be scrubbed concurrently, and holds it exclusive: to the
-// syndrome check a stripe in the middle of a small write is a corrupt one.
+// zero is clean, and nothing more is done; any other, or one whose read met a
+// bad sector or a transient error, is loaded and looked into (scrubDamaged).
+// It touches only stripe st's block range, so distinct stripes may be
+// scrubbed concurrently, and holds it exclusive: to the syndrome check a
+// stripe in the middle of a small write is a corrupt one.
 //
 //c56:noalloc
 func (a *Array) scrubStripe(st int64, repair bool, check []layout.ColumnFold) (scrubResult, error) {
@@ -118,32 +119,30 @@ func (a *Array) scrubStripe(st int64, repair bool, check []layout.ColumnFold) (s
 	if clean {
 		return scrubResult{}, nil
 	}
-	if err != nil && !errors.Is(err, vdisk.ErrLatent) {
+	if err != nil && !errors.Is(err, vdisk.ErrLatent) && !errors.Is(err, vdisk.ErrTransient) {
 		return scrubResult{}, err
 	}
 	return a.scrubDamaged(st, repair) //lint:allow noalloc a stripe that fails the check is loaded and decoded; clean stripes are the steady state
 }
 
-// scrubDamaged loads a stripe that failed scrubStripe's check: latent sectors
-// are healed, then the parity-syndrome check locates and repairs silent
+// scrubDamaged loads a stripe that failed scrubStripe's check: the cells it
+// cannot read are reconstructed and the latent sectors among them — those
+// whose read returned ErrLatent, not a transient error — are counted and
+// healed, then the parity-syndrome check locates and repairs silent
 // single-block corruption. With repair false it only detects. A disk that is
 // down is an error, not a column of bad sectors. Stripe held, exclusive.
 func (a *Array) scrubDamaged(st int64, repair bool) (res scrubResult, _ error) {
 	if a.failedColumns().Len() > 0 {
 		return res, fmt.Errorf("raid6: scrubbing stripe %d with a disk down: %w", st, vdisk.ErrFailed)
 	}
-	s, es, err := a.loadStripe(st)
+	var latent []layout.Coord
+	s, es, err := a.loadStripe(st, &latent)
 	if err != nil {
 		return res, err
 	}
 	defer a.stripes.Put(s)
-	if res.latentFound = len(es); res.latentFound > 0 {
-		latent := make([]layout.Coord, 0, len(es))
-		for i := 0; i < a.geom.Elements(); i++ {
-			if c := a.geom.CoordOf(i); es[c] {
-				latent = append(latent, c)
-			}
-		}
+	res.latentFound = len(latent)
+	if len(es) > 0 {
 		if _, err := a.dec.Reconstruct(s, es); err != nil {
 			res.unrecoverable = true
 			return res, nil

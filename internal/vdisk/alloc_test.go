@@ -1,6 +1,10 @@
 package vdisk
 
-import "testing"
+import (
+	"testing"
+
+	"code56/internal/layout"
+)
 
 // The healthy-path disk I/O methods carry //c56:noalloc annotations —
 // raid6's zero-allocation stripe paths sit directly on top of them — and
@@ -23,6 +27,7 @@ func TestHealthyDiskIOAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := make([]byte, a.BlockSize())
+	lanes := []layout.FoldRun{{N: 3, First: true}, {Row: 1, N: 2}} // blocks 5 and 6 taken twice
 	portable := NewDiskStore(9, a.BlockSize(), noFold{NewMemStore(a.BlockSize())})
 	if err := portable.Write(5, buf); err != nil {
 		t.Fatal(err)
@@ -43,14 +48,14 @@ func TestHealthyDiskIOAllocationFree(t *testing.T) {
 				t.Fatalf("ReadBlocks: %v", err)
 			}
 		},
-		"Disk.ReadXor": func() {
-			if err := d.ReadXor(4, run); err != nil {
-				t.Fatalf("ReadXor: %v", err)
+		"Disk.ReadFold": func() {
+			if err := d.ReadFold(4, run, lanes); err != nil {
+				t.Fatalf("ReadFold: %v", err)
 			}
 		},
-		"Disk.ReadXor/portable": func() {
-			if err := portable.ReadXor(4, run); err != nil {
-				t.Fatalf("ReadXor over a store without ReadXorAt: %v", err)
+		"Disk.ReadFold/portable": func() {
+			if err := portable.ReadFold(4, run, lanes); err != nil {
+				t.Fatalf("ReadFold over a store without ReadFoldAt: %v", err)
 			}
 		},
 		"Disk.WriteBlocks": func() {

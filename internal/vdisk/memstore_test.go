@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"code56/internal/layout"
 	"code56/internal/telemetry"
 	"code56/internal/xorblk"
 )
@@ -182,19 +183,21 @@ func (r *modelRun) compare(off int64, n int) {
 	r.equal("ReadAt", off, got, want)
 }
 
-// readFold holds ReadXorAt to what a store without it gets from Disk.ReadXor:
-// read, then XOR into the accumulator.
+// readFold holds ReadFoldAt to what a store without it gets from
+// Disk.ReadFold: the range read as one block of n bytes, then stored on a
+// first contributor's accumulator and XORed into another's.
 func (r *modelRun) readFold(off int64, n int) {
 	r.t.Helper()
 	r.fill++
-	got, want := bytes.Repeat([]byte{r.fill}, n), bytes.Repeat([]byte{r.fill}, n)
-	if k, err := r.s.ReadXorAt(got, off); err != nil || k != n {
-		r.t.Fatalf("ReadXorAt(%d bytes, %d) = %d, %v", n, off, k, err)
+	got := bytes.Repeat([]byte{r.fill}, 2*n)
+	if err := r.s.ReadFoldAt(got, off, n, []layout.FoldRun{{N: 1, First: true}, {N: 1, Acc: 1}}); err != nil {
+		r.t.Fatalf("ReadFoldAt(%d bytes, %d): %v", n, off, err)
 	}
-	cur := make([]byte, n)
-	r.m.read(cur, off)
-	xorblk.Xor(want, cur)
-	r.equal("ReadXorAt", off, got, want)
+	want := make([]byte, 2*n)
+	r.m.read(want[:n], off)
+	copy(want[n:], bytes.Repeat([]byte{r.fill}, n))
+	xorblk.Xor(want[n:], want[:n])
+	r.equal("ReadFoldAt", off, got, want)
 }
 
 func (r *modelRun) equal(op string, off int64, got, want []byte) {
@@ -435,6 +438,7 @@ func TestMemStoreIOAllocationFree(t *testing.T) {
 	if _, err := s.WriteAt(run, off); err != nil {
 		t.Fatal(err)
 	}
+	acc, lanes := make([]byte, 4*ps), []layout.FoldRun{{N: 4, First: true}, {Row: 1, N: 3}}
 	for name, fn := range map[string]func(){
 		"MemStore.ReadAt": func() {
 			if _, err := s.ReadAt(run, off); err != nil {
@@ -456,8 +460,8 @@ func TestMemStoreIOAllocationFree(t *testing.T) {
 				t.Fatal(err)
 			}
 		},
-		"MemStore.ReadXorAt": func() {
-			if _, err := s.ReadXorAt(run, off); err != nil {
+		"MemStore.ReadFoldAt": func() {
+			if err := s.ReadFoldAt(acc, off, ps, lanes); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -768,26 +772,27 @@ func BenchmarkDiskOverStore(b *testing.B) {
 		}
 	})
 	// The same blocks folded into buf from where they lie, and through the
-	// scratch copy a store without ReadXorAt costs.
+	// scratch copy a store without ReadFoldAt costs: ReadFold's one-lane call.
 	portable := NewDiskStore(0, bs, noFold{store})
 	portable.SetTelemetry(telemetry.NewRegistry(), nil)
+	lane := []layout.FoldRun{{N: 1}}
 	for _, c := range []struct {
 		name string
 		d    *Disk
-	}{{"disk_readxor", d}, {"disk_readxor_portable", portable}} {
+	}{{"disk_readfold", d}, {"disk_readfold_portable", portable}} {
 		b.Run(c.name, func(b *testing.B) {
 			b.SetBytes(bs)
 			for i := 0; i < b.N; i++ {
-				if err := c.d.ReadXor(int64(addrs[i%pages]), buf); err != nil {
+				if err := c.d.ReadFold(int64(addrs[i%pages]), buf, lane); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
-	b.Run("store_readxor", func(b *testing.B) {
+	b.Run("store_readfold", func(b *testing.B) {
 		b.SetBytes(bs)
 		for i := 0; i < b.N; i++ {
-			if _, err := store.ReadXorAt(buf, int64(addrs[i%pages])*bs); err != nil {
+			if err := store.ReadFoldAt(buf, int64(addrs[i%pages])*bs, bs, lane); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -10,28 +10,58 @@ import (
 	"sync"
 	"testing"
 
+	"code56/internal/layout"
 	"code56/internal/telemetry"
 	"code56/internal/xorblk"
 )
 
-// refReadXor is what a parity computation did before ReadXor existed: the run
-// copied out into scratch, the scratch folded into the accumulator.
-func refReadXor(d *Disk, b int64, acc []byte) error {
-	run := make([]byte, len(acc))
-	if err := d.ReadBlocks(b, run); err != nil {
+// refReadFold is ReadFold spelled out the way a parity computation would do it
+// without one: the run the lanes span copied out with ReadBlocks, then each
+// lane, one after the other, stored or XORed from that copy.
+func refReadFold(d *Disk, b int64, acc []byte, lanes []layout.FoldRun) error {
+	bs, lo, hi := d.BlockSize(), lanes[0].Row, 0
+	for _, l := range lanes {
+		lo, hi = min(lo, l.Row), max(hi, l.Row+l.N)
+	}
+	run := make([]byte, (hi-lo)*bs)
+	if err := d.ReadBlocks(b+int64(lo), run); err != nil {
 		return err
 	}
-	xorblk.Xor(acc, run)
+	for _, l := range lanes {
+		src, dst := run[(l.Row-lo)*bs:(l.Row-lo+l.N)*bs], acc[l.Acc*bs:(l.Acc+l.N)*bs]
+		if l.First {
+			copy(dst, src)
+		} else {
+			xorblk.Xor(dst, src)
+		}
+	}
 	return nil
 }
 
-// TestReadXorMatchesReadThenFold: under a seeded fault scenario ReadXor is the
-// ReadBlocks-into-scratch and fold it replaces — the same error run by run, the
-// same accumulator (untouched by a run that failed), the same block-I/O
+// randomLanes returns the lanes of one read-fold over a run of n blocks whose
+// rows start at sh, onto 2n accumulators: one lane over the whole run onto the
+// first n, a first contributor or not, and up to two XOR lanes onto the last n
+// that take some of the same blocks again and may meet each other there — so
+// the order the lanes are run in cannot change the result, and some blocks
+// have two or three takers. One op in three is the one-lane read-XOR.
+func randomLanes(rng *rand.Rand, n, sh int) []layout.FoldRun {
+	lanes := []layout.FoldRun{{Row: sh, N: n, First: rng.Intn(2) == 0}}
+	for k := rng.Intn(3); k > 0; k-- {
+		row := rng.Intn(n)
+		m := 1 + rng.Intn(n-row)
+		lanes = append(lanes, layout.FoldRun{Row: sh + row, N: m, Acc: n + rng.Intn(n-m+1)})
+	}
+	return lanes
+}
+
+// TestReadXorMatchesReadThenFold: under a seeded fault scenario ReadFold is the
+// ReadBlocks-into-scratch and fold it replaces — the same error run by run,
+// the same accumulators (untouched by a run that failed), the same block-I/O
 // accounting and latency observations, the same injector position and next
 // draw — for runs of one block and of several, some across the boundary of two
-// slabs and some over blocks never written, on a store that folds in place and
-// on one that does not.
+// slabs and some over blocks never written, with one lane and with several
+// that take a block twice, with no retry policy and with one, on a store that
+// folds in place and on one that does not.
 func TestReadXorMatchesReadThenFold(t *testing.T) {
 	const bs, blocks, ops = 32, 80, 150 // one page a block, so blocks 63 and 64 lie in different slabs
 	outcomes := map[string]int{}
@@ -51,12 +81,15 @@ func TestReadXorMatchesReadThenFold(t *testing.T) {
 			if err := d.SetFaults(cfg); err != nil {
 				t.Fatal(err)
 			}
+			if err := d.SetRetry(int(seed%3), 0); err != nil {
+				t.Fatal(err)
+			}
 			d.ResetStats()
 		}
 		rng := rand.New(rand.NewSource(seed + 1000))
 		var acc [3][]byte
 		for i := range acc {
-			acc[i] = make([]byte, 6*bs)
+			acc[i] = make([]byte, 12*bs)
 		}
 		for op := 0; op < ops; op++ {
 			n := 1
@@ -64,34 +97,38 @@ func TestReadXorMatchesReadThenFold(t *testing.T) {
 				n = 2 + rng.Intn(5)
 			}
 			b := rng.Int63n(int64(blocks - n + 1))
-			rng.Read(acc[0][:n*bs])
-			before := bytes.Clone(acc[0][:n*bs])
+			sh := int(min(b, rng.Int63n(3))) // lane rows count from b-sh, so the run starts at row sh
+			lanes := randomLanes(rng, n, sh)
+			rng.Read(acc[0][:2*n*bs])
+			before := bytes.Clone(acc[0][:2*n*bs])
 			var errs [3]error
 			for i, d := range disks {
 				copy(acc[i], before)
 				if i == 0 {
-					errs[i] = refReadXor(d, b, acc[i][:n*bs])
+					errs[i] = refReadFold(d, b-int64(sh), acc[i][:2*n*bs], lanes)
 				} else {
-					errs[i] = d.ReadXor(b, acc[i][:n*bs])
+					errs[i] = d.ReadFold(b-int64(sh), acc[i][:2*n*bs], lanes)
 				}
 			}
 			for i := 1; i < 3; i++ {
 				if fmt.Sprint(errs[i]) != fmt.Sprint(errs[0]) {
 					t.Fatalf("seed %d op %d (%d blocks at %d): reference %v, disk %d %v", seed, op, n, b, errs[0], i, errs[i])
 				}
-				if !bytes.Equal(acc[i][:n*bs], acc[0][:n*bs]) {
-					t.Fatalf("seed %d op %d (%d blocks at %d): disk %d's accumulator differs from the reference's", seed, op, n, b, i)
+				if !bytes.Equal(acc[i][:2*n*bs], acc[0][:2*n*bs]) {
+					t.Fatalf("seed %d op %d (%d blocks at %d, lanes %v): disk %d's accumulators differ from the reference's", seed, op, n, b, lanes, i)
 				}
 			}
 			switch err := errs[0]; {
-			case err != nil && !bytes.Equal(acc[0][:n*bs], before):
-				t.Fatalf("seed %d op %d: a run that failed (%v) changed the accumulator", seed, op, err)
+			case err != nil && !bytes.Equal(acc[0][:2*n*bs], before):
+				t.Fatalf("seed %d op %d: a run that failed (%v) changed the accumulators", seed, op, err)
 			case err == nil && n == 1:
 				outcomes["ok, one block"]++
 			case err == nil && b < slabPages && b+int64(n) > slabPages:
 				outcomes["ok, two slabs"]++
 			case err == nil && b+int64(n) > blocks-4:
 				outcomes["ok, unwritten blocks"]++
+			case err == nil && len(lanes) > 1:
+				outcomes["ok, blocks with two takers"]++
 			case err == nil:
 				outcomes["ok"]++
 			case errors.Is(err, ErrLatent):
@@ -124,20 +161,81 @@ func TestReadXorMatchesReadThenFold(t *testing.T) {
 			}
 		}
 	}
-	for _, kind := range []string{"ok", "ok, one block", "ok, two slabs", "ok, unwritten blocks", "latent", "transient", "failed"} {
+	for _, kind := range []string{"ok", "ok, one block", "ok, two slabs", "ok, unwritten blocks", "ok, blocks with two takers", "latent", "transient", "failed"} {
 		if outcomes[kind] == 0 {
 			t.Errorf("no run ended %q: the scenario does not cover it (%v)", kind, outcomes)
 		}
 	}
 }
 
+// TestReadFoldMatchesPortable: ReadFold over a MemStore lands the same bytes
+// as over the same store with ReadFoldAt hidden, and as refReadFold, whatever
+// the store's page size is to the disk's block size — a p=13 stripe's column
+// across the boundary of two slabs, taken by two chains a cell as scrub's
+// check takes it; first contributors over blocks never written and trimmed;
+// lanes that meet on one block and on one accumulator.
+func TestReadFoldMatchesPortable(t *testing.T) {
+	const bs = 32
+	cases := []struct {
+		name  string
+		b     int64
+		lanes []layout.FoldRun
+	}{
+		{"p=13 column, blocks 60-71", 60, []layout.FoldRun{{N: 12, First: true}, {N: 5, Acc: 19}, {Row: 5, N: 7, Acc: 12, First: true}}},
+		{"one lane", 62, []layout.FoldRun{{N: 4}}},
+		{"first contributors over holes", 124, []layout.FoldRun{{Row: 2, N: 6, First: true}, {Row: 2, N: 6, Acc: 6}}},
+		{"first contributors over trims", 18, []layout.FoldRun{{N: 6, First: true}, {Row: 3, N: 1, Acc: 7, First: true}}},
+		{"two takers of one block, one accumulator", 7, []layout.FoldRun{{N: 1, First: true}, {Row: 1, N: 1}, {Row: 1, N: 1, Acc: 1, First: true}, {Row: 3, N: 1}}},
+	}
+	fill := make([]byte, 120*bs) // blocks 120 on stay unwritten
+	rand.New(rand.NewSource(5)).Read(fill)
+	for _, ps := range []int{bs, bs / 4, 2 * bs} {
+		var disks [3]*Disk // in place, portable, and the reference's
+		for i := range disks {
+			var store BlockStore = NewMemStore(ps)
+			if i == 1 {
+				store = noFold{store}
+			}
+			disks[i] = NewDiskStore(0, bs, store)
+			disks[i].SetTelemetry(telemetry.NewRegistry(), nil)
+			if err := disks[i].WriteBlocks(0, fill); err != nil {
+				t.Fatal(err)
+			}
+			disks[i].Trim(20)
+			disks[i].Trim(21)
+		}
+		for _, c := range cases {
+			ctx := fmt.Sprintf("pages of %d bytes, %s", ps, c.name)
+			var acc [3][]byte
+			acc[0] = make([]byte, 32*bs)
+			rand.New(rand.NewSource(6)).Read(acc[0])
+			acc[1], acc[2] = bytes.Clone(acc[0]), bytes.Clone(acc[0])
+			for i, d := range disks[:2] {
+				if err := d.ReadFold(c.b, acc[i], c.lanes); err != nil {
+					t.Fatalf("%s: disk %d: %v", ctx, i, err)
+				}
+			}
+			if err := refReadFold(disks[2], c.b, acc[2], c.lanes); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(acc[0], acc[1]) || !bytes.Equal(acc[0], acc[2]) {
+				t.Errorf("%s: in place, portable and reference disagree", ctx)
+			}
+		}
+		if st := disks[0].Stats(); st != disks[1].Stats() || st != disks[2].Stats() {
+			t.Errorf("pages of %d bytes: Stats %+v in place, %+v portable, %+v reference", ps, st, disks[1].Stats(), disks[2].Stats())
+		}
+	}
+}
+
 // TestReadXorRefusalsLeaveAccumulator: a latent block in the middle of the
 // run, a fail-stopped disk, a closed store and a malformed request each fail
-// the whole call, count nothing and leave the accumulator as it was — which is
-// what lets a caller take the run again block by block.
+// the whole call, count nothing and leave the accumulators as they were —
+// which is what lets a caller take the run again block by block.
 func TestReadXorRefusalsLeaveAccumulator(t *testing.T) {
 	const bs, n = 32, 4
 	disks, regs := swapXorDisks(bs)
+	one := []layout.FoldRun{{N: n}}
 	for i, d := range disks[1:] {
 		data := make([]byte, n*bs)
 		rand.New(rand.NewSource(2)).Read(data)
@@ -146,21 +244,21 @@ func TestReadXorRefusalsLeaveAccumulator(t *testing.T) {
 		}
 		d.InjectLatentError(12)
 		d.ResetStats()
-		was := bytes.Repeat([]byte{0x5A}, n*bs)
+		was := bytes.Repeat([]byte{0x5A}, 2*n*bs)
 		acc := bytes.Clone(was)
 		refused := func(what string, err, want error) {
 			t.Helper()
 			if !errors.Is(err, want) {
-				t.Errorf("disk %d: ReadXor %s = %v, want %v", i+1, what, err, want)
+				t.Errorf("disk %d: ReadFold %s = %v, want %v", i+1, what, err, want)
 			}
 			if !bytes.Equal(acc, was) {
-				t.Fatalf("disk %d: ReadXor %s changed the accumulator", i+1, what)
+				t.Fatalf("disk %d: ReadFold %s changed the accumulators", i+1, what)
 			}
 			if st := d.Stats(); st.Total() != 0 {
-				t.Fatalf("disk %d: ReadXor %s counted I/O: %+v", i+1, what, st)
+				t.Fatalf("disk %d: ReadFold %s counted I/O: %+v", i+1, what, st)
 			}
 		}
-		err := d.ReadXor(10, acc)
+		err := d.ReadFold(10, acc, []layout.FoldRun{{N: n, First: true}, {Row: 1, N: 2, Acc: n}})
 		refused("over a latent block", err, ErrLatent)
 		if want := "disk 0 block 12"; err == nil || !bytes.Contains([]byte(err.Error()), []byte(want)) {
 			t.Errorf("error %q does not name %s", err, want)
@@ -168,20 +266,22 @@ func TestReadXorRefusalsLeaveAccumulator(t *testing.T) {
 		if got := regs[i+1].Counter("vdisk.latent_errors").Value(); got != 1 {
 			t.Errorf("vdisk.latent_errors = %d, want 1", got)
 		}
-		refused("of no blocks", d.ReadXor(10, acc[:0]), ErrBadBlock)
-		refused("short of a block", d.ReadXor(10, acc[:bs-1]), ErrBadBlock)
-		refused("of a block and a half", d.ReadXor(10, acc[:bs+bs/2]), ErrBadBlock)
-		refused("at a negative address", d.ReadXor(-1, acc), ErrBadBlock)
+		refused("with no lanes", d.ReadFold(10, acc, nil), ErrBadBlock)
+		refused("of no blocks", d.ReadFold(10, acc, []layout.FoldRun{{N: 0}}), ErrBadBlock)
+		refused("past the accumulators", d.ReadFold(10, acc[:n*bs-1], one), ErrBadBlock)
+		refused("onto a negative accumulator", d.ReadFold(10, acc, []layout.FoldRun{{N: 1, Acc: -1}}), ErrBadBlock)
+		refused("from a negative row", d.ReadFold(10, acc, []layout.FoldRun{{Row: -1, N: 1}}), ErrBadBlock)
+		refused("at a negative address", d.ReadFold(-1, acc, one), ErrBadBlock)
 
 		// The blocks either side of the latent one fold on their own.
-		if err := d.ReadXor(10, acc[:2*bs]); err != nil {
+		if err := d.ReadFold(10, acc, []layout.FoldRun{{N: 2}}); err != nil {
 			t.Errorf("run ahead of the latent block: %v", err)
 		}
-		if err := d.ReadXor(13, acc[3*bs:]); err != nil {
+		if err := d.ReadFold(10, acc, []layout.FoldRun{{Row: 3, N: 1, Acc: 3}}); err != nil {
 			t.Errorf("block behind the latent block: %v", err)
 		}
 		xorblk.Xor(was[:2*bs], data[:2*bs])
-		xorblk.Xor(was[3*bs:], data[3*bs:])
+		xorblk.Xor(was[3*bs:n*bs], data[3*bs:])
 		if !bytes.Equal(acc, was) {
 			t.Errorf("disk %d: three served blocks folded wrongly", i+1)
 		}
@@ -191,12 +291,12 @@ func TestReadXorRefusalsLeaveAccumulator(t *testing.T) {
 		d.ResetStats()
 
 		d.Fail()
-		refused("on a failed disk", d.ReadXor(10, acc), ErrFailed)
+		refused("on a failed disk", d.ReadFold(10, acc, one), ErrFailed)
 		d.Replace()
 		if err := d.Close(); err != nil {
 			t.Fatal(err)
 		}
-		refused("on a closed store", d.ReadXor(10, acc), os.ErrClosed)
+		refused("on a closed store", d.ReadFold(10, acc, one), os.ErrClosed)
 	}
 }
 
@@ -206,6 +306,7 @@ func TestReadXorRefusalsLeaveAccumulator(t *testing.T) {
 func TestReadXorRetriesTransients(t *testing.T) {
 	const bs, n, calls = 16, 8, 21 // an odd number of folds leaves the data in the accumulator
 	disks, regs := swapXorDisks(bs)
+	one := []layout.FoldRun{{N: n}}
 	for i, d := range disks[1:] {
 		data := make([]byte, n*bs)
 		rand.New(rand.NewSource(3)).Read(data)
@@ -221,7 +322,7 @@ func TestReadXorRetriesTransients(t *testing.T) {
 		d.ResetStats()
 		acc := make([]byte, n*bs)
 		for c := 0; c < calls; c++ {
-			if err := d.ReadXor(0, acc); err != nil {
+			if err := d.ReadFold(0, acc, one); err != nil {
 				t.Fatalf("run %d not absorbed by 50 retries: %v", c, err)
 			}
 		}
@@ -241,7 +342,7 @@ func TestReadXorRetriesTransients(t *testing.T) {
 		var err error
 		for c := 0; c < 200 && err == nil; c++ {
 			copy(acc, data)
-			if err = d.ReadXor(0, acc); err == nil && !xorblk.IsZero(acc) {
+			if err = d.ReadFold(0, acc, one); err == nil && !xorblk.IsZero(acc) {
 				t.Fatal("a served fold of the data into itself left something")
 			}
 		}
@@ -253,9 +354,10 @@ func TestReadXorRetriesTransients(t *testing.T) {
 
 // TestReadXorFoldsNothingFromUnusedPages: a page that was never written, one
 // that was trimmed and one that belongs to a slab the store does not have fold
-// nothing, whatever bytes lie there — on a slab another store filled and the
-// free pool handed over poisoned, where only the occupancy word says which
-// pages hold data. (Make readSlab trust the bytes and this fails on 0xA5.)
+// nothing and give a first contributor zeros, whatever bytes lie there — on a
+// slab another store filled and the free pool handed over poisoned, where only
+// the occupancy word says which pages hold data. (Make ReadFoldAt trust the
+// bytes and this fails on 0xA5.)
 func TestReadXorFoldsNothingFromUnusedPages(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops a share of what it is given")
@@ -300,19 +402,22 @@ func TestReadXorFoldsNothingFromUnusedPages(t *testing.T) {
 	if err := d.Write(63, full[63*ps:64*ps]); err != nil {
 		t.Fatal(err)
 	}
+	// Each run is folded onto one accumulator and stored on a second.
 	fold := func(b int64, n int, inUse ...int64) {
 		t.Helper()
-		acc := bytes.Repeat([]byte{0x0F}, n*ps)
+		acc := bytes.Repeat([]byte{0x0F}, 2*n*ps)
 		want := bytes.Clone(acc)
+		clear(want[n*ps:])
 		for _, pg := range inUse {
 			xorblk.Xor(want[(pg-b)*ps:(pg-b+1)*ps], full[pg*ps:(pg+1)*ps])
+			copy(want[(int64(n)+pg-b)*ps:], full[pg*ps:(pg+1)*ps])
 		}
-		if err := d.ReadXor(b, acc); err != nil {
+		if err := d.ReadFold(b, acc, []layout.FoldRun{{N: n}, {N: n, Acc: n, First: true}}); err != nil {
 			t.Fatal(err)
 		}
 		for i := range acc {
 			if acc[i] != want[i] {
-				t.Fatalf("ReadXor(%d, %d blocks): byte %d of block %d folded to %#x, want %#x", b, n, i%ps, b+int64(i/ps), acc[i], want[i])
+				t.Fatalf("ReadFold(%d, %d blocks): byte %d of accumulator %d landed as %#x, want %#x", b, n, i%ps, i/ps, acc[i], want[i])
 			}
 		}
 	}
@@ -320,7 +425,7 @@ func TestReadXorFoldsNothingFromUnusedPages(t *testing.T) {
 	fold(5, 1)      // the trimmed page alone
 	fold(60, 8, 63) // across the boundary into a slab the store never had
 	fold(1<<20, 4)  // far past the directory
-	fold(3, 1, 3)   // all in use: the one-piece path
+	fold(3, 1, 3)   // all in use
 	if err := d.WriteBlocks(64, full[64*ps:66*ps]); err != nil {
 		t.Fatal(err)
 	}
@@ -335,6 +440,7 @@ func TestReadXorFoldsNothingFromUnusedPages(t *testing.T) {
 // the only error there is) leaves the accumulator alone.
 func TestReadXorAgainstWriters(t *testing.T) {
 	const bs, n, rounds = 64, 4, 1500
+	one := []layout.FoldRun{{N: n}}
 	for name, store := range map[string]BlockStore{"in-place": NewMemStore(bs), "portable": noFold{NewMemStore(bs)}} {
 		t.Run(name, func(t *testing.T) {
 			d := NewDiskStore(0, bs, store)
@@ -354,7 +460,7 @@ func TestReadXorAgainstWriters(t *testing.T) {
 							for i := range acc {
 								acc[i] = c
 							}
-							if err = d.ReadXor(8, acc); err != nil && !bytes.Equal(acc, bytes.Repeat([]byte{c}, n*bs)) {
+							if err = d.ReadFold(8, acc, one); err != nil && !bytes.Equal(acc, bytes.Repeat([]byte{c}, n*bs)) {
 								t.Errorf("a refused run (%v) changed the accumulator", err)
 								return
 							}

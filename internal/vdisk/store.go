@@ -6,6 +6,7 @@ import (
 	"os"
 	"sync"
 
+	"code56/internal/layout"
 	"code56/internal/xorblk"
 )
 
@@ -59,15 +60,17 @@ type (
 	// Xorer is a store that can XOR where the bytes lie, in either direction,
 	// so that no copy of them passes through scratch. XorAt folds p into the
 	// bytes at off (store ^= p) with WriteAt's effect on Size and allocation:
-	// unwritten bytes count as zero, so folding into them stores p. ReadXorAt
-	// folds the bytes at off into p (p ^= store) with ReadAt's view of the
-	// store: unwritten bytes fold nothing, and a call that fails has not
-	// touched p. Without the capability Disk.Xor reads the block, folds it in
-	// scratch and writes it back, and Disk.ReadXor reads the run into scratch
-	// and folds that.
+	// unwritten bytes count as zero, so folding into them stores p.
+	// ReadFoldAt is Disk.ReadFold's store call, its blocks bs bytes long and
+	// their rows counted from off: it lands each block of the lanes' run on
+	// every lane that takes it, with ReadAt's view of the store — unwritten
+	// bytes fold nothing and give a first contributor zeros — and a call that
+	// fails has not touched acc. Without the capability Disk.Xor reads the
+	// block, folds it in scratch and writes it back, and Disk.ReadFold reads
+	// the run into scratch and lands it from there.
 	Xorer interface {
 		XorAt(p []byte, off int64) (int, error)
-		ReadXorAt(p []byte, off int64) (int, error)
+		ReadFoldAt(acc []byte, off int64, bs int, lanes []layout.FoldRun) error
 	}
 )
 
@@ -171,23 +174,6 @@ func NewMemStore(pageSize int) *MemStore {
 //
 //c56:noalloc
 func (s *MemStore) ReadAt(p []byte, off int64) (int, error) {
-	return s.get(p, off, false)
-}
-
-// ReadXorAt folds the bytes at offset off into p (the Xorer capability): one
-// XOR straight out of the slab, where a ReadAt and a fold would move the run
-// twice. Unwritten ranges fold nothing.
-//
-//c56:noalloc
-func (s *MemStore) ReadXorAt(p []byte, off int64) (int, error) {
-	return s.get(p, off, true)
-}
-
-// get is ReadAt (fold false) and ReadXorAt (fold true): the same walk, and
-// the occupancy word decides what is there either way.
-//
-//c56:noalloc
-func (s *MemStore) get(p []byte, off int64, fold bool) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("vdisk: mem store read at negative offset %d", off)
 	}
@@ -199,55 +185,71 @@ func (s *MemStore) get(p []byte, off int64, fold bool) (int, error) {
 	for n := 0; n < len(p); {
 		si, so, c := s.locate(off+int64(n), int64(len(p)-n))
 		if si < int64(len(s.slabs)) && s.slabs[si] != nil {
-			s.readSlab(s.slabs[si], p[n:n+c], so, fold)
+			s.readSlab(s.slabs[si], p[n:n+c], so)
 		} else {
-			hole(p[n:n+c], fold)
+			clear(p[n : n+c])
 		}
 		n += c
 	}
 	return len(p), nil
 }
 
-// readSlab moves the bytes at offset so of sl to dst: in one piece when every
-// page of the range is in use, otherwise page by page, the pages that are not
-// being holes.
+// ReadFoldAt lands a run on its lanes (the Xorer capability) straight out of
+// the slabs, block by block, so that a block's second taker finds it in L1
+// where a ReadAt and a fold would move the run twice. A block is taken in
+// pieces split at page boundaries; a piece of a page not in use folds nothing
+// and gives a first contributor zeros.
 //
 //c56:noalloc
-func (s *MemStore) readSlab(sl *slab, dst []byte, so int, fold bool) {
+func (s *MemStore) ReadFoldAt(acc []byte, off int64, bs int, lanes []layout.FoldRun) error {
+	if off < 0 {
+		return fmt.Errorf("vdisk: mem store read at negative offset %d", off)
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.closed {
+		return errMemClosed
+	}
+	lo, hi := span(lanes)
+	pos := off + int64(lo*bs)
+	pg, in := pos/int64(s.pageSize), int(pos%int64(s.pageSize)) // the page and offset the walk is at
+	for row := lo; row < hi; row++ {
+		for at := 0; at < bs; {
+			c := min(bs-at, s.pageSize-in)
+			var src []byte
+			if si := pg / slabPages; si < int64(len(s.slabs)) && s.slabs[si] != nil && s.slabs[si].used>>(pg%slabPages)&1 != 0 {
+				so := int(pg%slabPages)*s.pageSize + in
+				src = s.slabs[si].data[so : so+c]
+			}
+			landPiece(acc, src, row, at, c, bs, lanes)
+			if at, in = at+c, in+c; in == s.pageSize {
+				pg, in = pg+1, 0
+			}
+		}
+	}
+	return nil
+}
+
+// readSlab copies the bytes at offset so of sl to dst: in one piece when every
+// page of the range is in use, otherwise page by page, the pages that are not
+// reading as zeros.
+//
+//c56:noalloc
+func (s *MemStore) readSlab(sl *slab, dst []byte, so int) {
 	ps := s.pageSize
 	if mask := pageMask(so/ps, (so+len(dst)-1)/ps); sl.used&mask == mask {
-		take(dst, sl.data[so:so+len(dst)], fold)
+		copy(dst, sl.data[so:so+len(dst)])
 		return
 	}
 	for n := 0; n < len(dst); {
 		pos := so + n
 		c := min(len(dst)-n, ps-pos%ps)
 		if sl.used>>(pos/ps)&1 != 0 {
-			take(dst[n:n+c], sl.data[pos:pos+c], fold)
+			copy(dst[n:n+c], sl.data[pos:pos+c])
 		} else {
-			hole(dst[n:n+c], fold)
+			clear(dst[n : n+c])
 		}
 		n += c
-	}
-}
-
-// take moves stored bytes to a reader: copied, or folded in.
-//
-//c56:noalloc
-func take(dst, src []byte, fold bool) {
-	if fold {
-		xorblk.Xor(dst, src)
-	} else {
-		copy(dst, src)
-	}
-}
-
-// hole is take for bytes never written: they read as zero and fold nothing.
-//
-//c56:noalloc
-func hole(dst []byte, fold bool) {
-	if !fold {
-		clear(dst)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"code56/internal/layout"
 	"code56/internal/vdisk"
 	"code56/internal/vdisk/filestore"
 )
@@ -139,7 +140,7 @@ func TestStoreContract(t *testing.T) {
 			x, ok := s.(vdisk.Xorer)
 			if !ok {
 				if name == "mem" {
-					t.Error("the memory store does not offer XorAt and ReadXorAt")
+					t.Error("the memory store does not offer XorAt and ReadFoldAt")
 				}
 				return
 			}
@@ -147,7 +148,7 @@ func TestStoreContract(t *testing.T) {
 				t.Errorf("fold after close: %v, want os.ErrClosed", err)
 			}
 			acc := bytes.Repeat([]byte{0xAA}, 512)
-			if _, err := x.ReadXorAt(acc, 512); !errors.Is(err, os.ErrClosed) {
+			if err := x.ReadFoldAt(acc, 512, 512, []layout.FoldRun{{N: 1}}); !errors.Is(err, os.ErrClosed) {
 				t.Errorf("read-fold after close: %v, want os.ErrClosed", err)
 			}
 			if !bytes.Equal(acc, bytes.Repeat([]byte{0xAA}, 512)) {

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"code56/internal/bufpool"
+	"code56/internal/layout"
 	"code56/internal/telemetry"
 	"code56/internal/xorblk"
 )
@@ -162,28 +163,36 @@ func (d *Disk) ReadBlocks(b int64, buf []byte) error {
 	if b < 0 || len(buf) == 0 || len(buf)%d.blockSize != 0 {
 		return fmt.Errorf("%w: read block %d, buf %d", ErrBadBlock, b, len(buf))
 	}
-	return d.do(opRead, b, buf, nil)
+	return d.do(opRead, b, buf, nil, nil)
 }
 
-// ReadXor folds the n = len(acc)/BlockSize consecutive blocks starting at b
-// into acc (acc ^= blocks) from where they lie: the read side of a parity
-// computation, whose data is wanted only as a term of a sum. To the disk it is
-// ReadBlocks of the same run — n reads everywhere ReadBlocks counts them, one
-// latency observation, the same checks on every block in address order before
-// the store is touched, the same retry policy, the same position left on the
-// injector's clock by a run that fails — and it is all or nothing: a call
-// that fails leaves acc as it was, so the caller can take the run again block
-// by block. A store that can XOR in place (Xorer) folds straight into acc; any
-// other is read into pooled scratch and folded from there inside the same
-// operation. Blocks never written fold nothing. acc must hold a positive whole
-// number of blocks.
+// ReadFold reads a run of blocks and lands each on every lane that takes it:
+// the read side of parity computations, whose data is wanted only as terms of
+// sums. Lane l takes blocks b+l.Row .. b+l.Row+l.N-1 onto acc's blocks l.Acc
+// .. l.Acc+l.N-1, stored there if l.First (a first contributor) and XORed in
+// otherwise; the run is the rows the lanes span, and lanes may share a block
+// (a cell in two chains) or an accumulator. It works block by block, so the
+// second taker of a block finds it in L1. To the disk it is ReadBlocks of the
+// run — n reads everywhere ReadBlocks counts them, one latency observation,
+// the same checks on every block in address order before the store is
+// touched, the same retry policy, the same position left on the injector's
+// clock by a run that fails — and it is all or nothing: a call that fails
+// leaves acc as it was, so the caller can take the run again block by block.
+// A store that can fold in place (Xorer) lands the blocks from where they lie;
+// any other is read into pooled scratch and landed from there inside the same
+// operation. A block never written folds nothing and gives a first
+// contributor zeros. One lane {N: n} is acc ^= the n blocks from b.
 //
 //c56:noalloc
-func (d *Disk) ReadXor(b int64, acc []byte) error {
-	if b < 0 || len(acc) == 0 || len(acc)%d.blockSize != 0 {
-		return fmt.Errorf("%w: read-xor block %d, acc %d", ErrBadBlock, b, len(acc))
+func (d *Disk) ReadFold(b int64, acc []byte, lanes []layout.FoldRun) error {
+	ok := b >= 0 && len(lanes) > 0
+	for _, l := range lanes {
+		ok = ok && l.Row >= 0 && l.N > 0 && l.Acc >= 0 && (l.Acc+l.N)*d.blockSize <= len(acc)
 	}
-	return d.do(opReadXor, b, acc, nil)
+	if !ok {
+		return fmt.Errorf("%w: read-fold block %d, acc %d, %d lanes", ErrBadBlock, b, len(acc), len(lanes))
+	}
+	return d.do(opRead, b, acc, nil, lanes)
 }
 
 // Write stores data as block b. data must be exactly one block long. It is
@@ -210,7 +219,7 @@ func (d *Disk) WriteBlocks(b int64, data []byte) error {
 	if b < 0 || len(data) == 0 || len(data)%d.blockSize != 0 {
 		return fmt.Errorf("%w: write block %d, data %d", ErrBadBlock, b, len(data))
 	}
-	return d.do(opWrite, b, data, nil)
+	return d.do(opWrite, b, data, nil, nil)
 }
 
 // Swap stores data as block b and hands the block's previous contents back in
@@ -232,7 +241,7 @@ func (d *Disk) Swap(b int64, data, old []byte) error {
 	if b < 0 || len(data) != d.blockSize || len(old) != d.blockSize {
 		return fmt.Errorf("%w: swap block %d, data %d, old %d", ErrBadBlock, b, len(data), len(old))
 	}
-	return d.do(opSwap, b, data, old)
+	return d.do(opSwap, b, data, old, nil)
 }
 
 // Xor folds delta into block b where it lies (block ^= delta): the other half
@@ -251,15 +260,15 @@ func (d *Disk) Xor(b int64, delta []byte) error {
 	if b < 0 || len(delta) != d.blockSize {
 		return fmt.Errorf("%w: xor block %d, delta %d", ErrBadBlock, b, len(delta))
 	}
-	return d.do(opXor, b, delta, nil)
+	return d.do(opXor, b, delta, nil, nil)
 }
 
-// ioOp selects one of the disk's five block operations.
+// ioOp selects one of the disk's block operations; a read with lanes is
+// ReadFold.
 type ioOp uint8
 
 const (
 	opRead ioOp = iota
-	opReadXor
 	opWrite
 	opSwap
 	opXor
@@ -270,8 +279,8 @@ const (
 // I/O never takes the lock a second time to read it.
 //
 //c56:noalloc
-func (d *Disk) do(op ioOp, b int64, p, old []byte) error {
-	err := d.attempt(op, b, p, old)
+func (d *Disk) do(op ioOp, b int64, p, old []byte, lanes []layout.FoldRun) error {
+	err := d.attempt(op, b, p, old, lanes)
 	if err == nil || !errors.Is(err, ErrTransient) {
 		return err
 	}
@@ -279,7 +288,7 @@ func (d *Disk) do(op ioOp, b int64, p, old []byte) error {
 	for retry := 1; retry <= max; retry++ {
 		d.tel.retries.Inc()
 		time.Sleep(backoff(base, retry))
-		if err = d.attempt(op, b, p, old); err == nil || !errors.Is(err, ErrTransient) {
+		if err = d.attempt(op, b, p, old, lanes); err == nil || !errors.Is(err, ErrTransient) {
 			break
 		}
 	}
@@ -291,13 +300,13 @@ func (d *Disk) do(op ioOp, b int64, p, old []byte) error {
 // service time only, excluding queueing behind other callers (see diskTel).
 //
 //c56:noalloc
-func (d *Disk) attempt(op ioOp, b int64, p, old []byte) error {
+func (d *Disk) attempt(op ioOp, b int64, p, old []byte, lanes []layout.FoldRun) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	start := ioClock()
 	switch op {
-	case opRead, opReadXor:
-		return d.readLocked(b, p, op == opReadXor, start)
+	case opRead:
+		return d.readLocked(b, p, lanes, start)
 	case opWrite:
 		return d.writeLocked(b, p, start)
 	case opSwap:
@@ -331,37 +340,77 @@ func unixSecond(t time.Duration) int64 {
 //c56:noalloc
 func micros(d time.Duration) float64 { return float64(d) / 1e3 }
 
-// readLocked is ReadBlocks (fold false) and ReadXor (fold true): one store
-// call between the same checks and the same accounting.
+// readLocked is ReadBlocks (lanes nil) and ReadFold: one store call between
+// the same checks and the same accounting.
 //
 //c56:requires mu
 //c56:noalloc
-func (d *Disk) readLocked(b int64, buf []byte, fold bool, start time.Duration) error {
-	n := int64(len(buf) / d.blockSize)
-	if err := d.checkRead(b, n); err != nil {
+func (d *Disk) readLocked(b int64, buf []byte, lanes []layout.FoldRun, start time.Duration) error {
+	bs := d.blockSize
+	lo, hi := 0, len(buf)/bs
+	if lanes != nil {
+		lo, hi = span(lanes)
+	}
+	first := b + int64(lo)
+	if err := d.checkRead(first, int64(hi-lo)); err != nil {
 		return err
 	}
-	off := b * int64(d.blockSize)
 	var err error
 	switch {
-	case !fold:
-		_, err = d.store.ReadAt(buf, off)
+	case lanes == nil:
+		_, err = d.store.ReadAt(buf, b*int64(bs))
 	case d.xorer != nil:
-		_, err = d.xorer.ReadXorAt(buf, off)
+		err = d.xorer.ReadFoldAt(buf, b*int64(bs), bs, lanes)
 	default:
-		run := bufpool.Get(len(buf))
-		if _, err = d.store.ReadAt(run, off); err == nil {
-			xorblk.Xor(buf, run)
+		run := bufpool.Get((hi - lo) * bs)
+		if _, err = d.store.ReadAt(run, first*int64(bs)); err == nil {
+			for row := lo; row < hi; row++ {
+				landPiece(buf, run[(row-lo)*bs:(row-lo+1)*bs], row, 0, bs, bs, lanes)
+			}
 		}
 		bufpool.Put(run)
 	}
 	if err != nil {
-		return d.storeErr(d.tel.readErrs, b, err)
+		return d.storeErr(d.tel.readErrs, first, err)
 	}
 	end := ioClock() // read once: the rate's second and the latency's end
-	d.served(n, 0, end)
+	d.served(int64(hi-lo), 0, end)
 	d.tel.readLat.Observe(micros(end - start))
 	return nil
+}
+
+// span returns the rows [lo, hi) a ReadFold's lanes take: the run it reads.
+//
+//c56:noalloc
+func span(lanes []layout.FoldRun) (lo, hi int) {
+	lo = lanes[0].Row
+	for _, l := range lanes {
+		lo, hi = min(lo, l.Row), max(hi, l.Row+l.N)
+	}
+	return lo, hi
+}
+
+// landPiece lands bytes [at, at+n) of block row of a ReadFold's run on every
+// lane that takes the block: stored on a first contributor, XORed in
+// otherwise. src holds them, or is nil where they were never written, which
+// folds nothing and gives a first contributor zeros.
+//
+//c56:noalloc
+func landPiece(acc, src []byte, row, at, n, bs int, lanes []layout.FoldRun) {
+	for _, l := range lanes {
+		if row < l.Row || row >= l.Row+l.N {
+			continue
+		}
+		dst := acc[(l.Acc+row-l.Row)*bs+at:][:n]
+		switch {
+		case l.First && src == nil:
+			clear(dst)
+		case l.First:
+			copy(dst, src)
+		case src != nil:
+			xorblk.Xor(dst, src)
+		}
+	}
 }
 
 //c56:requires mu
