@@ -107,7 +107,7 @@ func (c *Code56) ExecuteRecoveryPlan(s *layout.Stripe, plan RecoveryPlan) (layou
 		} else {
 			ch = c.hChain(i)
 		}
-		layout.SolveChainTracked(s, ch, missing, read, &st)
+		layout.SolveChain(s, ch, missing, read, &st)
 	}
 	st.BlocksRead = len(read)
 	return st, nil

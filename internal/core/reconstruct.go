@@ -37,11 +37,11 @@ func (c *Code56) RecoverSingle(s *layout.Stripe, failed int) (layout.DecodeStats
 	read := make(map[layout.Coord]bool)
 	if failed == p-1 {
 		for i := 0; i < p-1; i++ {
-			layout.SolveChainTracked(s, c.dChain(i), layout.Coord{Row: i, Col: p - 1}, read, &st)
+			layout.SolveChain(s, c.dChain(i), layout.Coord{Row: i, Col: p - 1}, read, &st)
 		}
 	} else {
 		for i := 0; i < p-1; i++ {
-			layout.SolveChainTracked(s, c.hChain(i), layout.Coord{Row: i, Col: failed}, read, &st)
+			layout.SolveChain(s, c.hChain(i), layout.Coord{Row: i, Col: failed}, read, &st)
 		}
 	}
 	st.BlocksRead = len(read)
@@ -88,11 +88,11 @@ func (c *Code56) reconstructDouble(s *layout.Stripe, colA, colB int, parallel bo
 		// f1 (data or the row's horizontal parity); its horizontal chain
 		// recovers it.
 		for i := 0; i < p-1; i++ {
-			layout.SolveChainTracked(s, c.hChain(i), layout.Coord{Row: i, Col: c.col(f1)}, read, &st)
+			layout.SolveChain(s, c.hChain(i), layout.Coord{Row: i, Col: c.col(f1)}, read, &st)
 		}
 		// Step 2-IB: re-encode the diagonal parity column.
 		for i := 0; i < p-1; i++ {
-			layout.SolveChainTracked(s, c.dChain(i), layout.Coord{Row: i, Col: p - 1}, read, &st)
+			layout.SolveChain(s, c.dChain(i), layout.Coord{Row: i, Col: p - 1}, read, &st)
 		}
 		st.BlocksRead = len(read)
 		return st, nil
@@ -135,11 +135,11 @@ func (c *Code56) recoveryChainA(s *layout.Stripe, f1, f2 int, read map[layout.Co
 	r := f2 - f1 - 1
 	// Starting point: C[f2-f1-1][f1] is the only lost member of diagonal
 	// chain f2 (that chain skips logical column f2 entirely).
-	layout.SolveChainTracked(s, c.dChain(f2), layout.Coord{Row: r, Col: c.col(f1)}, read, st)
+	layout.SolveChain(s, c.dChain(f2), layout.Coord{Row: r, Col: c.col(f1)}, read, st)
 	for {
 		// Horizontal solve: row r's element in column f2 (the endpoint
 		// iteration recovers the horizontal parity of row p-2-f2 itself).
-		layout.SolveChainTracked(s, c.hChain(r), layout.Coord{Row: r, Col: c.col(f2)}, read, st)
+		layout.SolveChain(s, c.hChain(r), layout.Coord{Row: r, Col: c.col(f2)}, read, st)
 		if r == p-2-f2 {
 			return
 		}
@@ -147,7 +147,7 @@ func (c *Code56) recoveryChainA(s *layout.Stripe, f1, f2 int, read map[layout.Co
 		// diagonal chain i = <r+f2+1>_p with the element just recovered;
 		// within chain i, column f1's member sits at row <i-f1-1>_p.
 		r = ((r+f2-f1)%p + p) % p
-		layout.SolveChainTracked(s, c.dChain((r+f1+1)%p), layout.Coord{Row: r, Col: c.col(f1)}, read, st)
+		layout.SolveChain(s, c.dChain((r+f1+1)%p), layout.Coord{Row: r, Col: c.col(f1)}, read, st)
 	}
 }
 
@@ -158,13 +158,13 @@ func (c *Code56) recoveryChainA(s *layout.Stripe, f1, f2 int, read map[layout.Co
 func (c *Code56) recoveryChainB(s *layout.Stripe, f1, f2 int, read map[layout.Coord]bool, st *layout.DecodeStats) {
 	p := c.p
 	r := p - 1 - f2 + f1
-	layout.SolveChainTracked(s, c.dChain(f1), layout.Coord{Row: r, Col: c.col(f2)}, read, st)
+	layout.SolveChain(s, c.dChain(f1), layout.Coord{Row: r, Col: c.col(f2)}, read, st)
 	for {
-		layout.SolveChainTracked(s, c.hChain(r), layout.Coord{Row: r, Col: c.col(f1)}, read, st)
+		layout.SolveChain(s, c.hChain(r), layout.Coord{Row: r, Col: c.col(f1)}, read, st)
 		if r == p-2-f1 {
 			return
 		}
 		r = ((r+f1-f2)%p + p) % p
-		layout.SolveChainTracked(s, c.dChain((r+f2+1)%p), layout.Coord{Row: r, Col: c.col(f2)}, read, st)
+		layout.SolveChain(s, c.dChain((r+f2+1)%p), layout.Coord{Row: r, Col: c.col(f2)}, read, st)
 	}
 }

@@ -27,12 +27,12 @@ type DecodeStats struct {
 	UsedElimination bool
 }
 
-// SolveChainTracked reconstructs the missing member of ch in place as the
+// SolveChain reconstructs the missing member of ch in place as the
 // XOR of all other chain members, which must all be intact, in one fused
 // fold. It adds the members it read to read and the work to st. The paper's
 // own recovery algorithms (core's Algorithm 1 and hybrid recovery, the
 // references the compiled plans are held to) are built from this primitive.
-func SolveChainTracked(s *Stripe, ch Chain, missing Coord, read map[Coord]bool, st *DecodeStats) {
+func SolveChain(s *Stripe, ch Chain, missing Coord, read map[Coord]bool, st *DecodeStats) {
 	srcs := make([][]byte, 0, len(ch.Covers)+1)
 	for _, m := range ch.Members() {
 		if m == missing {

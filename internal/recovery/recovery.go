@@ -197,7 +197,7 @@ func (p Plan) Execute(code layout.Code, s *layout.Stripe) (layout.DecodeStats, e
 	for i, c := range p.Lost {
 		ch := chains[p.ChainOf[i]]
 		before := st.XORs
-		layout.SolveChainTracked(s, ch, c, read, &st)
+		layout.SolveChain(s, ch, c, read, &st)
 		sp.Event("recovery.element",
 			telemetry.A("row", c.Row),
 			telemetry.A("chain", p.ChainOf[i]),

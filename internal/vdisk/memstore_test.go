@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"code56/internal/layout"
 	"code56/internal/telemetry"
@@ -484,8 +485,8 @@ func TestMemStoreRecyclesSlabs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection between release and refill empties the pool
 	blk := bytes.Repeat([]byte{0x3C}, ps)
 	// released holds every slab this test has had a store release: a refill
-	// made of these alone allocated nothing. (As map keys they stay live, so no
-	// fresh slab can have the address of one.)
+	// made of these alone mapped nothing. (With the collector off, no finalizer
+	// unmaps one of them, so no fresh slab can have the address of one.)
 	released := map[*byte]bool{}
 	fill := func(s *MemStore) (recycled bool) {
 		for _, pg := range []int64{1, slabPages + 2, 2*slabPages + 3} {
@@ -623,11 +624,14 @@ func heapGrowth[T any](build func() T) (int64, T) {
 	return int64(after.HeapAlloc) - int64(before.HeapAlloc), v
 }
 
-// TestMemStoreStaysSparse: one block far out costs one slab and the directory
-// up to it, not the address space before it.
+// TestMemStoreStaysSparse: one block far out maps one slab and costs the heap
+// the directory up to it, not the address space before it. The slabs are off
+// the heap, so only vdisk.mem_mapped_bytes sees what the store mapped; slabs
+// other tests drop can only lower it meanwhile.
 func TestMemStoreStaysSparse(t *testing.T) {
 	const ps, far, limit = 4096, int64(1) << 24, 4 << 20
 	blk := bytes.Repeat([]byte{0x5A}, ps)
+	before := mappedBytes.Value()
 	grew, a := heapGrowth(func() *Array {
 		a := NewArray(1, ps)
 		if err := a.Disk(0).Write(far, blk); err != nil {
@@ -638,6 +642,9 @@ func TestMemStoreStaysSparse(t *testing.T) {
 	if got := a.Disk(0).BlocksInUse(); got != 1 {
 		t.Errorf("BlocksInUse = %d, want 1", got)
 	}
+	if mapped := mappedBytes.Value() - before; mapped > slabPages*ps {
+		t.Errorf("one block at block %d mapped %d bytes, want at most one %d-byte slab", far, mapped, slabPages*ps)
+	}
 	if grew >= limit {
 		t.Errorf("one block at block %d grew the heap by %d bytes, want < %d", far, grew, limit)
 	}
@@ -645,6 +652,75 @@ func TestMemStoreStaysSparse(t *testing.T) {
 	got := make([]byte, ps)
 	if err := a.Disk(0).Read(far, got); err != nil || !bytes.Equal(got, blk) {
 		t.Errorf("block read back differs (err %v)", err)
+	}
+}
+
+// TestMemStoreFillLeavesHeapFlat: a store's contents are not Go heap, so
+// filling one leaves the collector's heap goal where it was. The heap pays
+// for the directory and the slab headers only.
+func TestMemStoreFillLeavesHeapFlat(t *testing.T) {
+	const ps, fill, limit = 4096, 64 << 20, 1 << 20
+	blk := bytes.Repeat([]byte{0x6B}, 16*ps)
+	grew, s := heapGrowth(func() *MemStore {
+		s := NewMemStore(ps)
+		for off := int64(0); off < fill; off += int64(len(blk)) {
+			if _, err := s.WriteAt(blk, off); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s
+	})
+	defer s.Close()
+	if grew >= limit {
+		t.Errorf("writing %d bytes grew the heap by %d bytes, want < %d", fill, grew, limit)
+	}
+	got := make([]byte, len(blk))
+	if _, err := s.ReadAt(got, fill-int64(len(blk))); err != nil || !bytes.Equal(got, blk) {
+		t.Errorf("last run read back differs (err %v)", err)
+	}
+}
+
+// settledMapped collects until no unreachable slab is left to unmap, and
+// returns vdisk.mem_mapped_bytes then.
+func settledMapped() int64 {
+	v := mappedBytes.Value()
+	for stable := 0; stable < 3; {
+		runtime.GC() // the pool moves its slabs to its victim cache, then drops them
+		time.Sleep(time.Millisecond)
+		if w := mappedBytes.Value(); w == v {
+			stable++
+		} else {
+			v, stable = w, 0
+		}
+	}
+	return v
+}
+
+// TestMemStoreRecyclingUnmaps: slabs a closed store leaves in the free pool go
+// back to the OS once collections drop them from the pool.
+func TestMemStoreRecyclingUnmaps(t *testing.T) {
+	const ps, slabs = 1536, 8 // a page size of this test's own: the pool holds nobody else's slabs
+	sb := int64(slabPages * ps)
+	base := settledMapped()
+	s := NewMemStore(ps)
+	blk := bytes.Repeat([]byte{0x1E}, ps)
+	for i := int64(0); i < slabs; i++ {
+		if _, err := s.WriteAt(blk, i*sb+ps); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := mappedBytes.Value() - base; got != slabs*sb {
+		t.Errorf("%d slabs in use: %d bytes mapped, want %d", slabs, got, slabs*sb)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); mappedBytes.Value() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("after Close and collections, %d bytes still mapped over the baseline", mappedBytes.Value()-base)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
 	}
 }
 

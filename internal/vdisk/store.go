@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"os"
+	"runtime"
 	"sync"
 
 	"code56/internal/layout"
@@ -107,7 +108,9 @@ const maxSlabs = 1 << 24
 // the truth: the bytes of a page whose bit is clear are unspecified — a slab
 // comes from the free pool as its last owner left it — so a read answers
 // zeros for them without looking, and a write that brings a page into use
-// clears whatever part of it the write does not cover.
+// clears whatever part of it the write does not cover. data is a mapping the
+// collector does not keep alive (mapSlab): no slice of it may outlive the
+// store's lock, or it may outlive the mapping.
 type slab struct {
 	used uint64 // bit i set: page i was written and not trimmed since
 	data []byte // slabPages*pageSize bytes
@@ -116,7 +119,7 @@ type slab struct {
 // slabPools holds the slabs no store is using, one sync.Pool per slab size
 // in bytes (DESIGN §4.13). A slab outlives the store that filled it: Reset,
 // Close and a Trim that empties a slab put it here, addSlab takes from here
-// before it allocates, and what nobody takes the collector frees.
+// before it maps one, and what nobody takes the collector drops and unmaps.
 var slabPools sync.Map // int -> *sync.Pool of *slab
 
 func slabPool(slabBytes int) *sync.Pool {
@@ -299,7 +302,9 @@ func (s *MemStore) put(p []byte, off int64, fold bool) (int, error) {
 	for n := 0; n < len(p); {
 		si, so, c := s.locate(off+int64(n), int64(len(p)-n))
 		if si >= int64(len(s.slabs)) || s.slabs[si] == nil {
-			s.addSlab(si) //lint:allow noalloc first write into a slab: once per 64 pages, not steady state
+			if err := s.addSlab(si); err != nil { //lint:allow noalloc first write into a slab: once per 64 pages, not steady state
+				return 0, err
+			}
 		}
 		sl := s.slabs[si]
 		if fresh := pageMask(so/s.pageSize, (so+c-1)/s.pageSize) &^ sl.used; fresh != 0 {
@@ -349,15 +354,41 @@ func (s *MemStore) admit(sl *slab, so, c int, fresh uint64, fold bool) {
 // has one, growing the directory to reach it.
 //
 //c56:requires mu
-func (s *MemStore) addSlab(si int64) {
+func (s *MemStore) addSlab(si int64) error {
+	sl, _ := s.free.Get().(*slab)
+	if sl == nil {
+		var err error
+		if sl, err = mapSlab(s.slabBytes); err != nil {
+			return err
+		}
+	}
 	if grow := si + 1 - int64(len(s.slabs)); grow > 0 {
 		s.slabs = append(s.slabs, make([]*slab, grow)...)
 	}
-	sl, _ := s.free.Get().(*slab)
-	if sl == nil {
-		sl = &slab{data: make([]byte, s.slabBytes)}
-	}
 	s.slabs[si] = sl
+	return nil
+}
+
+// mapSlab mints a slab of n bytes outside the Go heap, so that the disks'
+// contents do not count toward the collector's heap goal (DESIGN §4.13). Its
+// finalizer unmaps the bytes once nothing holds the slab: no store, and no
+// free pool since a collection dropped it.
+func mapSlab(n int) (*slab, error) {
+	data, err := mapMem(n)
+	if err != nil {
+		return nil, fmt.Errorf("vdisk: mem store: map a %d-byte slab: %w", n, err)
+	}
+	mappedBytes.Add(int64(n))
+	sl := &slab{data: data}
+	runtime.SetFinalizer(sl, unmapSlab)
+	return sl, nil
+}
+
+// unmapSlab is the finalizer of every slab mapSlab made.
+func unmapSlab(sl *slab) {
+	if unmapMem(sl.data) == nil {
+		mappedBytes.Add(-int64(len(sl.data)))
+	}
 }
 
 // release hands slab si to the free pool, bytes as they are.

@@ -21,9 +21,10 @@ import (
 //	vdisk.disk.<id>.reads / .writes      gauges, mirror Stats (resettable)
 //	vdisk.disk.<id>.read_latency_us      histogram, per-disk read latency
 //	vdisk.disk.<id>.write_latency_us     histogram, per-disk write latency
+//	vdisk.mem_mapped_bytes               gauge, MemStore slab bytes mapped
 //
 // Everything above counts blocks — a ranged call of n blocks adds n — except
-// the two latency histograms, which take one observation per store call.
+// the latency histograms (one observation per store call) and mem_mapped_bytes.
 //
 // Trace events: vdisk.fail, vdisk.replace, vdisk.scheduled_fail,
 // vdisk.latent_injected, vdisk.latent_hit — each with a "disk" attribute.
@@ -35,6 +36,10 @@ var latencyBucketsUS = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500,
 // sizeBuckets covers the block sizes the paper evaluates (4 KB and 8 KB)
 // plus the neighbors tests use.
 var sizeBuckets = []float64{512, 1024, 2048, 4096, 8192, 16384, 65536}
+
+// mappedBytes counts the bytes of MemStore slabs mapped and not yet unmapped,
+// in use or pooled: the in-memory medium, which the heap statistics omit.
+var mappedBytes = telemetry.Default().Gauge("vdisk.mem_mapped_bytes")
 
 // diskTel holds one disk's bound instruments. All fields are resolved at
 // bind time so the hot path performs no registry lookups.
