@@ -170,6 +170,7 @@ var noallocTrusted = map[string]bool{
 	"code56/internal/vdisk.Disk.Swap":           true,
 	"code56/internal/vdisk.Disk.Xor":            true,
 	"code56/internal/vdisk.Disk.Failed":         true,
+	"code56/internal/vdisk.IsDegradable":        true,
 	"code56/internal/vdisk.Array.Disk":          true,
 	"code56/internal/vdisk.Array.BlockSize":     true,
 	"code56/internal/vdisk.Array.StripeLock":    true,

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"code56/internal/bufpool"
 	"code56/internal/core"
 	"code56/internal/layout"
 	"code56/internal/parallel"
@@ -16,39 +15,38 @@ import (
 	"code56/internal/raid6"
 	"code56/internal/telemetry"
 	"code56/internal/vdisk"
-	"code56/internal/xorblk"
 )
 
 // OnlineMigrator implements the paper's Algorithm 2: bidirectional online
-// conversion between a RAID-5 and a Code 5-6 RAID-6. While the conversion
-// thread — a parallel.Pass over the stripes — fills the added diagonal-parity
-// disk stripe by stripe, the application keeps reading and writing through the
-// migrator:
+// conversion between a RAID-5 and a Code 5-6 RAID-6. From the moment it is
+// built the disks are served as the RAID-6 they are becoming, a raid6.Array
+// whose diagonal-parity disk holds nothing yet above the converted stripes:
+// its blocks there are stale (vdisk.Disk.MarkStale). The conversion thread —
+// a parallel.Pass over the stripes — is that array's rebuild of the disk,
+// stripe by stripe, and the application keeps reading and writing through
+// the migrator, which is the array's ReadBlock and WriteBlock:
 //
-//   - reads never conflict (the conversion only writes to the new disk) and
-//     proceed concurrently;
-//   - a write is the ordinary RAID-5 small write and, once its stripe is
-//     converted, also a fold of its delta into the diagonal parity. It must
-//     not overlap the conversion of its own stripe, and that is all: the
-//     write holds the stripe's lock (vdisk.Array.StripeLock) shared, the
-//     conversion holds it exclusive and sets the stripe's bit in the pass
-//     under that hold, so a write finds its stripe either untouched by the
-//     conversion or converted.
+//   - a read touches the block's disk alone and, if that fails, decodes
+//     around it: around up to two lost disks on a converted stripe, one on a
+//     stripe whose diagonal parities are still stale;
+//   - a write is the RAID-6 small write, whose fold into a stale diagonal
+//     parity is dropped — the RAID-5 two reads and two writes until its
+//     stripe is converted, three and three after. It holds the stripe's lock
+//     (vdisk.Array.StripeLock) shared and the conversion holds it exclusive,
+//     so the parity the conversion writes is that of the data on the disks,
+//     and every write after it folds into it.
 //
 // The RAID-5's block layout is untouched — that is Code 5-6's design — so
 // application block addresses mean the same thing before, during and after
-// the migration.
-//
-// A write waits for no other write and for at most the conversion of its own
-// stripe; the conversion, for the writes in flight on the stripe it claims.
-// The throttle alone sets how much the conversion takes from foreground I/O.
+// the migration. The throttle alone sets how much the conversion takes from
+// foreground I/O.
 type OnlineMigrator struct {
 	r5      *raid5.Array
 	code    *core.Code56
 	rows    int64 // RAID-5 rows covered by the conversion
 	stripes int64
-	// r6 is the RAID-6 view of the disks, wrapped by StartContext once the
-	// diagonal-parity disk is there: the conversion is its rebuild of column p-1.
+	// r6 is the RAID-6 view of the disks, diagonal-parity disk included, that
+	// serves the application: the conversion is its rebuild of column p-1.
 	r6 *raid6.Array
 
 	// pass walks the stripes: its do is convertStripe, its after stripeDone,
@@ -67,9 +65,8 @@ type OnlineMigrator struct {
 	// onProgress, if set, is called (without locks held) after each
 	// stripe completes.
 	onProgress func(converted, total int64) //c56:guardedby mu
-	// journal, if attached, records begin/watermark/finish intent records
-	// so a crash mid-migration reopens to a resumable state (see
-	// AttachJournal; nil for purely in-memory migrations).
+	// journal, if attached, records begin/watermark/finish intent records so a
+	// crash mid-migration reopens to a resumable state (nil in memory).
 	journal *Journal //c56:guardedby mu
 	// faultsRepaired is MigrationStats.FaultsRepaired.
 	faultsRepaired int64 //c56:guardedby mu
@@ -87,19 +84,14 @@ type onlineTel struct {
 	tr           *telemetry.Tracer
 	converted    *telemetry.Counter // stripes converted
 	interrupts   *telemetry.Counter // app writes served while the conversion ran
-	diagUpd      *telemetry.Counter // write-redirect hits on converted stripes
+	diagUpd      *telemetry.Counter // writes that folded into a diagonal parity
 	appReads     *telemetry.Counter // application reads served
 	appWrites    *telemetry.Counter // application writes served
 	faultRepairs *telemetry.Counter // faulty blocks healed by the conversion
 	xors         *telemetry.Counter // conversion XORs (Equation 2 evaluations)
-	// redirectXORs counts the extra XORs write redirects spend updating
-	// already-converted diagonal parities (kept separate so xors matches
-	// the plan's conversion-only accounting).
-	redirectXORs *telemetry.Counter
-	progress     *telemetry.Gauge // contiguous converted-stripe watermark
-	// stripeRate feeds the live stripes/s windows (1 s/10 s/60 s + EWMA)
-	// behind ProgressReport.RecentStripesPerSec and the migrate.stripe_rate
-	// series of the observability plane.
+	progress     *telemetry.Gauge   // contiguous converted-stripe watermark
+	// stripeRate feeds the live stripes/s windows behind
+	// ProgressReport.RecentStripesPerSec and the migrate.stripe_rate series.
 	stripeRate *telemetry.Rate
 }
 
@@ -113,7 +105,6 @@ func bindOnlineTel(reg *telemetry.Registry, tr *telemetry.Tracer) onlineTel {
 		appWrites:    reg.Counter("migrate.app_writes"),
 		faultRepairs: reg.Counter("migrate.fault_repairs"),
 		xors:         reg.Counter("migrate.conversion_xors"),
-		redirectXORs: reg.Counter("migrate.redirect_xors"),
 		progress:     reg.Gauge("migrate.progress_stripes"),
 		stripeRate:   reg.Rate("migrate.stripe_rate"),
 	}
@@ -131,12 +122,12 @@ type MigrationStats struct {
 	// WriteInterrupts counts application writes served while the
 	// conversion was active.
 	WriteInterrupts int64
-	// DiagonalUpdates counts writes that also updated an
-	// already-converted stripe's diagonal parity.
+	// DiagonalUpdates counts writes that also updated the diagonal parity
+	// of a stripe converted before they began.
 	DiagonalUpdates int64
 	// FaultsRepaired counts blocks the conversion found unreadable (latent
-	// or persistent-transient errors), reconstructed from RAID-5
-	// redundancy, and rewrote in place.
+	// or persistent-transient errors), decoded from the stripe's redundancy,
+	// and rewrote in place.
 	FaultsRepaired int64
 }
 
@@ -147,8 +138,11 @@ type MigrationStats struct {
 // paper's default Code 5-6, RightAsymmetric the mirrored orientation of the
 // paper's Fig. 7 — either way the existing parities are already in place.
 // The symmetric layouts are refused: raid6 numbers a stripe's data cells
-// row-major and records no other order, so the converted array would hand
-// back another block's contents for half the logical addresses.
+// row-major, so it would hand back another block for half the addresses.
+//
+// It adds the diagonal-parity disk (Algorithm 2, Step 2) — unless a resumed
+// migration already has it — and marks its blocks stale from the first row
+// of stripe 0 (ResumeFrom moves the mark to its stripe).
 func NewOnlineMigrator(a *raid5.Array, rows int64) (*OnlineMigrator, error) {
 	p := a.M() + 1
 	if !layout.IsPrime(p) {
@@ -168,16 +162,34 @@ func NewOnlineMigrator(a *raid5.Array, rows int64) (*OnlineMigrator, error) {
 	if err != nil {
 		return nil, err
 	}
+	disks := a.Disks()
+	if disks.Len() < p {
+		if _, err := disks.Attach(); err != nil {
+			return nil, fmt.Errorf("migrate: adding diagonal-parity disk: %w", err)
+		}
+	}
+	r6, err := raid6.Wrap(code, disks)
+	if err != nil {
+		return nil, err
+	}
 	m := &OnlineMigrator{
 		r5:      a,
 		code:    code,
 		rows:    rows,
 		stripes: rows / int64(p-1),
+		r6:      r6,
 		done:    make(chan struct{}),
 		tel:     bindOnlineTel(nil, nil),
 	}
 	m.pass = parallel.NewPass(m.stripes, m.convertStripe, m.stripeDone)
+	m.markStaleFrom(0)
 	return m, nil
+}
+
+// markStaleFrom declares the diagonal parities from stripe st on not yet
+// written, and those below written: the conversion's watermark on the disk.
+func (m *OnlineMigrator) markStaleFrom(st int64) {
+	m.r5.Disks().Disk(m.code.P() - 1).MarkStale(st * int64(m.code.P()-1))
 }
 
 // SetTelemetry rebinds the migrator's counters, progress gauge and tracer.
@@ -198,10 +210,8 @@ func (m *OnlineMigrator) BlockSize() int { return m.r5.BlockSize() }
 
 // StripeConversionBytes returns how many bytes of disk I/O converting one
 // stripe costs: the data blocks each diagonal chain reads plus the parity
-// block it writes. It is the unit a bandwidth timetable divides a target
-// rate by to derive the per-stripe throttle sleep (rate shaping happens in
-// units of conversion I/O, the quantity that actually contends with
-// foreground traffic).
+// block it writes — the unit a bandwidth timetable divides a target rate by
+// to derive the per-stripe throttle sleep.
 func (m *OnlineMigrator) StripeConversionBytes() int64 {
 	p := m.code.P()
 	blocks := 0
@@ -212,24 +222,18 @@ func (m *OnlineMigrator) StripeConversionBytes() int64 {
 }
 
 // SetThrottle makes each conversion worker sleep d between stripes,
-// bounding its interference with foreground I/O. Zero disables throttling;
-// negative durations are treated as zero.
-//
-// SetThrottle is safe to call while the migration runs — the bandwidth
-// timetable retunes it on schedule boundaries — and a mid-flight change
-// takes effect immediately: workers sleeping out the old interval are
-// woken, re-read the new value, and pace their next stripes by it, so
-// switching to a faster rate (or to off) never waits out a stale sleep.
+// bounding its interference with foreground I/O; zero or less disables it.
+// It is safe to call while the migration runs, and a change takes effect at
+// once: workers sleeping out the old interval are woken and pace their next
+// stripes by the new one, so a faster rate never waits out a stale sleep.
 func (m *OnlineMigrator) SetThrottle(d time.Duration) { m.pass.SetThrottle(d) }
 
 // Throttle returns the current per-stripe pacing sleep (0 = unthrottled).
 func (m *OnlineMigrator) Throttle() time.Duration { return m.pass.Report().Throttle }
 
-// SetParallelism sets how many stripes are converted concurrently (each by
-// its own goroutine; default 1, matching the paper's single conversion
-// thread). Stripe conversions are independent — they read disjoint rows
-// and write disjoint diagonal-parity blocks — so parallelism trades
-// foreground interference for conversion speed. Call before Start.
+// SetParallelism sets how many stripes are converted concurrently (default
+// 1, the paper's single conversion thread): parallelism trades foreground
+// interference for conversion speed. Call before Start.
 func (m *OnlineMigrator) SetParallelism(k int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -251,9 +255,9 @@ func (m *OnlineMigrator) SetProgressFunc(fn func(converted, total int64)) {
 	m.onProgress = fn
 }
 
-// ResumeFrom sets the conversion cursor before Start, for resuming an
-// interrupted migration (e.g. after restoring a disk snapshot): stripes
-// below the cursor are assumed already converted.
+// ResumeFrom sets the conversion cursor for resuming an interrupted migration:
+// stripes below it are taken as converted, their diagonal parities written,
+// and those from it on as stale. Call it before Start and any I/O.
 func (m *OnlineMigrator) ResumeFrom(stripe int64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -264,14 +268,9 @@ func (m *OnlineMigrator) ResumeFrom(stripe int64) error {
 		return fmt.Errorf("migrate: resume stripe %d outside [0,%d]", stripe, m.stripes)
 	}
 	m.pass.ResumeFrom(stripe)
+	m.markStaleFrom(stripe)
 	return nil
 }
-
-// isConverted reports stripe st's bit; with the stripe held, in either mode,
-// the answer stands until it is released.
-//
-//c56:noalloc
-func (m *OnlineMigrator) isConverted(st int64) bool { return m.pass.Done(st) }
 
 // Pause blocks the conversion at the next stripe boundaries and returns
 // once every conversion worker is parked (or the conversion finished).
@@ -295,37 +294,24 @@ func (m *OnlineMigrator) event(name string) {
 	span.Event(name, telemetry.A("at_stripe", m.pass.Report().Done))
 }
 
-// Start adds the diagonal-parity disk (Algorithm 2, Step 2) — unless a
-// resumed migration already has it — and launches the conversion goroutine
-// (Step 3).
+// Start launches the conversion goroutine (Algorithm 2, Step 3).
 func (m *OnlineMigrator) Start() error {
 	return m.StartContext(context.Background())
 }
 
 // StartContext is Start bound to a context: when ctx is cancelled the
 // conversion workers stop at the next stripe boundary and Wait returns
-// ctx's error. Cancellation never corrupts the array — the contiguous
-// converted-stripe watermark (Progress) only advances over fully converted
-// stripes, the RAID-5 data and parity layout is untouched by design, and
-// application reads and writes keep working throughout. A cancelled
-// migration is resumed by creating a new migrator and calling
-// ResumeFrom(converted) with the watermark (any partially written diagonal
-// blocks above it are simply rewritten). A StartContext that fails has
-// started nothing and may be called again.
+// ctx's error. Cancellation never corrupts the array — the watermark
+// (Progress) only advances over fully converted stripes, and application
+// reads and writes keep working throughout. A cancelled migration is resumed
+// by a new migrator's ResumeFrom(watermark); diagonal blocks written above it
+// are simply rewritten. A StartContext that fails has started nothing and may
+// be called again.
 func (m *OnlineMigrator) StartContext(ctx context.Context) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.started {
 		return errors.New("migrate: already started")
-	}
-	if m.r5.Disks().Len() < m.code.P() {
-		if _, err := m.r5.Disks().Attach(); err != nil {
-			return fmt.Errorf("migrate: adding diagonal-parity disk: %w", err)
-		}
-	}
-	var err error
-	if m.r6, err = raid6.Wrap(m.code, m.r5.Disks()); err != nil {
-		return err
 	}
 	if m.journal != nil {
 		err := m.journal.begin(BeginRecord{
@@ -375,9 +361,8 @@ type ProgressReport struct {
 	// Workers is how many conversion goroutines are still running; Parked
 	// is how many of them are waiting out a Pause.
 	Workers, Parked int
-	// Error is the terminal error's message, empty while healthy. (A
-	// string, not an error, so the report serializes cleanly over the
-	// observability plane's /progress endpoint.)
+	// Error is the terminal error's message, empty while healthy (a string,
+	// so the report serializes over the observability plane's /progress).
 	Error string
 	// Elapsed is the time since Start (frozen once the conversion ends).
 	Elapsed time.Duration
@@ -530,14 +515,14 @@ func (m *OnlineMigrator) stripeDone(watermark int64) error {
 }
 
 // convertStripe computes and writes the p-1 diagonal parity blocks of one
-// stripe (the conversion thread's body in Algorithm 2: read the data
-// blocks, calculate the diagonal parity per Equation 2, write it): the rebuild
-// of column p-1 of the Code 5-6 stripe, which the RAID-6 view does from its
-// compiled schedule (raid6.RebuildColumnsHeld), or block by block when a block
-// needs healing (convertHealing). All of it, the stripe's bit included, happens
-// under the stripe's exclusive lock: writes in flight on the stripe finish first
-// and later ones find it converted, so the parity written is that of the data
-// on the disks and a stripe is converted once.
+// stripe (Algorithm 2's conversion thread: read the data blocks, calculate
+// the diagonal parity per Equation 2, write it): the RAID-6 view's rebuild of
+// column p-1 from its compiled schedule, or, when a read meets a bad sector
+// or a transient error, from a decode of the stripe (repair). A fail-stopped
+// disk stops the conversion at its watermark; after Replace and Rebuild a new
+// migrator resumes from there. All of it, the stripe's bit included, happens
+// under the stripe's exclusive lock, so the parity written is that of the
+// data on the disks and every later write folds into it.
 //
 //c56:noalloc
 func (m *OnlineMigrator) convertStripe(st int64) error {
@@ -545,9 +530,10 @@ func (m *OnlineMigrator) convertStripe(st int64) error {
 	lk.Lock()
 	defer lk.Unlock()
 	p := m.code.P()
-	err := m.r6.RebuildColumnsHeld(st, layout.Columns{}.With(p-1))
-	if healable(err) {
-		err = m.convertHealing(st) //lint:allow noalloc a stripe with a bad sector is converted block by block; the compiled schedule is the steady state
+	diagonal := layout.Columns{}.With(p - 1)
+	err := m.r6.RebuildColumnsHeld(st, diagonal)
+	if vdisk.IsDegradable(err) && !errors.Is(err, vdisk.ErrFailed) {
+		err = m.repair(st, diagonal) //lint:allow noalloc a stripe with a bad sector is decoded whole; the compiled schedule is the steady state
 	}
 	if err != nil {
 		return fmt.Errorf("migrate: converting stripe %d: %w", st, err)
@@ -557,156 +543,61 @@ func (m *OnlineMigrator) convertStripe(st int64) error {
 	return nil
 }
 
-// healable reports whether a read error is one the RAID-5 redundancy can
-// repair in place: a latent sector error, or a transient that survived the
-// disk's retry policy.
-//
-//c56:noalloc
-func healable(err error) bool {
-	return errors.Is(err, vdisk.ErrLatent) || errors.Is(err, vdisk.ErrTransient)
-}
-
-// convertHealing is convertStripe as Algorithm 2 states it, one diagonal chain
-// at a time and one block per disk call, each block through readOrRepair and
-// folded into the chain's parity. Stripe held, exclusive.
-func (m *OnlineMigrator) convertHealing(st int64) error {
-	disks := m.r5.Disks()
-	bs, rows := disks.BlockSize(), m.code.P()-1
-	base := st * int64(rows)
-	parity := bufpool.GetZero(rows * bs) // folding into zeros is reading
-	defer bufpool.Put(parity)
-	blk := bufpool.Get(bs)
-	defer bufpool.Put(blk)
-	for i, ch := range m.code.Chains()[rows:] {
-		for _, c := range ch.Covers {
-			if err := m.readOrRepair(base+int64(c.Row), c.Col, blk); err != nil {
-				return err
-			}
-			xorblk.Xor(parity[i*bs:(i+1)*bs], blk)
-		}
+// repair converts stripe st by decoding it whole (raid6.RepairColumnsHeld),
+// which also rewrites the blocks it could not read, so the conversion leaves
+// the array healthier than it found it. Stripe held, exclusive.
+func (m *OnlineMigrator) repair(st int64, diagonal layout.Columns) error {
+	healed, err := m.r6.RepairColumnsHeld(st, diagonal)
+	if healed > 0 {
+		m.mu.Lock()
+		m.faultsRepaired += int64(healed)
+		span := m.span
+		m.mu.Unlock()
+		m.tel.faultRepairs.Add(int64(healed))
+		span.Event("migrate.fault_repaired", telemetry.A("stripe", st), telemetry.A("blocks", healed))
 	}
-	return disks.Disk(rows).WriteBlocks(base, parity)
+	return err
 }
 
-// readOrRepair reads one RAID-5 cell for the conversion. A latent sector
-// error (or a transient that survived the disk's retry policy) is served
-// by RAID-5 reconstruction and the block is rewritten in place — healing
-// the medium, so the conversion leaves the array healthier than it found
-// it. A fail-stopped disk cannot be repaired in place: the error
-// propagates, stopping the conversion at its contiguous watermark; after
-// Replace and Rebuild a new migrator resumes from there with ResumeFrom.
-// Stripe held, exclusive (convertStripe's hold): no application write can
-// fall between the reconstruction and the rewrite.
-func (m *OnlineMigrator) readOrRepair(row int64, disk int, buf []byte) error {
-	err := m.r5.Disks().Disk(disk).Read(row, buf)
-	if err == nil || !healable(err) {
+// rowOf returns the RAID-5 row of an application block in the migrated region.
+func (m *OnlineMigrator) rowOf(logical int64) (int64, error) {
+	row, _ := m.r5.Locate(logical)
+	if logical < 0 || row >= m.rows {
+		return 0, fmt.Errorf("migrate: block %d beyond migrated region (%d rows)", logical, m.rows)
+	}
+	return row, nil
+}
+
+// Read serves an application read (Algorithm 2's online thread): the RAID-6
+// view's, which waits for the conversion only to decode on its stripe.
+func (m *OnlineMigrator) Read(logical int64, buf []byte) error {
+	if _, err := m.rowOf(logical); err != nil {
 		return err
 	}
-	clear(buf)
-	if rerr := m.r5.FoldBlock(row, disk, buf); rerr != nil {
-		return fmt.Errorf("reconstructing after %v: %w", err, rerr)
-	}
-	// Rewriting clears the latent error (writes remap the sector).
-	if werr := m.r5.Disks().Disk(disk).Write(row, buf); werr != nil {
-		return werr
-	}
-	m.mu.Lock()
-	m.faultsRepaired++
-	span := m.span
-	m.mu.Unlock()
-	m.tel.faultRepairs.Inc()
-	span.Event("migrate.fault_repaired",
-		telemetry.A("row", row), telemetry.A("disk", disk))
-	return nil
-}
-
-// Read serves an application read (Algorithm 2's online thread): it never
-// conflicts with the conversion.
-func (m *OnlineMigrator) Read(logical int64, buf []byte) error {
 	m.tel.appReads.Inc()
-	return m.r5.ReadBlock(logical, buf)
+	return m.r6.ReadBlock(logical, buf)
 }
 
-// Write serves an application write under the stripe's shared lock, beside
-// every other write; where that cannot be done (writeHeld reports redo) it is
-// made again under the exclusive lock.
+// Write serves an application write: the RAID-6 view's, a small write beside
+// every other one (see OnlineMigrator).
 func (m *OnlineMigrator) Write(logical int64, data []byte) error {
-	if len(data) != m.r5.BlockSize() {
-		return fmt.Errorf("migrate: write of %d bytes, want %d", len(data), m.r5.BlockSize())
-	}
-	row, disk := m.r5.Locate(logical)
-	if row >= m.rows {
-		return fmt.Errorf("migrate: row %d beyond migrated region (%d rows)", row, m.rows)
+	row, err := m.rowOf(logical)
+	if err != nil {
+		return err
 	}
 	m.tel.appWrites.Inc()
 	if m.live.Load() {
 		m.writeInterrupts.Add(1)
 		m.tel.interrupts.Inc()
 	}
-	lk := m.r5.Disks().StripeLock(row / int64(m.code.P()-1))
-	lk.RLock()
-	redo, err := m.writeHeld(logical, row, disk, data, false)
-	lk.RUnlock()
-	if redo {
-		lk.Lock()
-		_, err = m.writeHeld(logical, row, disk, data, true)
-		lk.Unlock()
+	converted := m.pass.Done(row / int64(m.code.P()-1))
+	if err := m.r6.WriteBlock(logical, data); err != nil {
+		return err
 	}
-	return err
-}
-
-// writeHeld performs one application write with the block's stripe held as
-// exclusive says: the RAID-5 write (raid5.WriteBlockHeld has the two forms)
-// and, for a converted stripe, the diagonal parity's update. Held shared that
-// is a fold of the delta the RAID-5 write hands back, and redo reports that
-// either could not be done as a delta write. Held exclusive the diagonal parity
-// is recomputed from its chain, which holds the new data by then, and written
-// whole, which also clears a bad sector under it.
-func (m *OnlineMigrator) writeHeld(logical, row int64, disk int, data []byte, exclusive bool) (redo bool, err error) {
-	rows := int64(m.code.P() - 1)
-	if !m.isConverted(row / rows) {
-		return m.r5.WriteBlockHeld(logical, data, nil, exclusive)
+	if converted {
+		m.diagonalUpdates.Add(1)
+		m.tel.diagUpd.Inc()
 	}
-	base := (row / rows) * rows
-	chain := m.code.DiagonalChainOf(int(row%rows), disk)
-	newDisk := m.r5.Disks().Disk(m.code.P() - 1)
-	buf := bufpool.Get(m.r5.BlockSize()) // the delta, or the recomputed parity
-	defer bufpool.Put(buf)
-	if exclusive {
-		if _, err := m.r5.WriteBlockHeld(logical, data, nil, true); err != nil {
-			return false, err
-		}
-		clear(buf)
-		if err := m.diagonalFromChain(base, chain, buf); err != nil {
-			return false, fmt.Errorf("migrate: recomputing diagonal parity %d of stripe %d: %w", chain, row/rows, err)
-		}
-		err = newDisk.Write(base+int64(chain), buf)
-	} else {
-		if redo, err := m.r5.WriteBlockHeld(logical, data, buf, false); redo || err != nil {
-			return redo, err
-		}
-		xorblk.Xor(buf, data)
-		m.tel.redirectXORs.Add(2) // delta + fold into the diagonal parity
-		if err = newDisk.Xor(base+int64(chain), buf); healable(err) {
-			return true, nil // the old diagonal parity is unreadable
-		}
-	}
-	m.diagonalUpdates.Add(1)
-	m.tel.diagUpd.Inc()
-	return false, err
-}
-
-// diagonalFromChain folds the cells one diagonal chain covers, in the stripe
-// starting at row base, into parity, which the caller zeroed: each from where
-// it lies, or through the RAID-5 redundancy if it must be.
-func (m *OnlineMigrator) diagonalFromChain(base int64, chain int, parity []byte) error {
-	covers := m.code.Chains()[m.code.P()-1+chain].Covers
-	for _, c := range covers {
-		if err := m.r5.FoldBlock(base+int64(c.Row), c.Col, parity); err != nil {
-			return err
-		}
-	}
-	m.tel.redirectXORs.Add(int64(len(covers) - 1)) // the first cell is a copy in all but name
 	return nil
 }
 

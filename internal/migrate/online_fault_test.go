@@ -390,3 +390,78 @@ func TestKillAndResumeSurvivesDiskFailure(t *testing.T) {
 		t.Fatalf("final scrub found damage: %+v", rep)
 	}
 }
+
+// TestSecondFailureMidMigration: with half the stripes converted, two data
+// disks fail. Every block of a converted stripe still reads back and takes
+// writes through the migrator, as RAID-6 does; a block of a stripe not yet
+// converted reads right or returns an error, never wrong bytes, and a write
+// to such a stripe is refused whole. The conversion then stops on the dead
+// disks.
+func TestSecondFailureMidMigration(t *testing.T) {
+	const m, stripes = 4, 16
+	rows := int64(m * stripes)
+	a, want := newLoadedRAID5(t, m, rows, 79)
+	mig, err := NewOnlineMigrator(a, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mig.SetThrottle(time.Millisecond)
+	half := make(chan struct{})
+	var once sync.Once
+	mig.SetProgressFunc(func(done, total int64) {
+		if done >= stripes/2 {
+			once.Do(func() { close(half) })
+		}
+	})
+	if err := mig.Start(); err != nil {
+		t.Fatal(err)
+	}
+	<-half
+	mig.Pause()
+	converted, _ := mig.Progress()
+	a.Disks().Disk(0).Fail()
+	a.Disks().Disk(2).Fail()
+
+	buf := make([]byte, 32)
+	for L, w := range want {
+		row, disk := a.Locate(L)
+		err := mig.Read(L, buf)
+		switch {
+		case row/m < converted:
+			if err != nil || !bytes.Equal(buf, w) {
+				t.Fatalf("block %d of converted stripe %d with disks 0 and 2 down: err=%v, right bytes=%v", L, row/m, err, bytes.Equal(buf, w))
+			}
+		case err == nil && !bytes.Equal(buf, w):
+			t.Fatalf("block %d of unconverted stripe %d read wrong bytes", L, row/m)
+		case err == nil && (disk == 0 || disk == 2):
+			t.Fatalf("block %d of unconverted stripe %d on a dead disk read without an error", L, row/m)
+		}
+	}
+	r := rand.New(rand.NewSource(80))
+	for L := range want {
+		row, _ := a.Locate(L)
+		data := make([]byte, 32)
+		r.Read(data)
+		err := mig.Write(L, data)
+		if row/m < converted {
+			if err != nil {
+				t.Fatalf("write of block %d of converted stripe %d: %v", L, row/m, err)
+			}
+			want[L] = data
+		} else if err == nil {
+			t.Fatalf("write of block %d of unconverted stripe %d with two disks down succeeded", L, row/m)
+		}
+	}
+	for L, w := range want {
+		if row, _ := a.Locate(L); row/m >= converted {
+			continue
+		}
+		if err := mig.Read(L, buf); err != nil || !bytes.Equal(buf, w) {
+			t.Fatalf("block %d after the writes: err=%v", L, err)
+		}
+	}
+	mig.Resume()
+	if err := mig.Wait(); !errors.Is(err, vdisk.ErrFailed) {
+		t.Fatalf("Wait = %v, want the conversion stopped on a dead disk", err)
+	}
+}

@@ -357,8 +357,8 @@ func TestConversionRunsInvariant(t *testing.T) {
 // TestConversionHealsLatentMidRun: a latent sector in the middle of a column
 // run fails the ranged call — the read of a first-contributor run, the
 // read-fold of a later one — and with it the stripe's compiled schedule; the
-// stripe is converted again block by block through readOrRepair, and exactly
-// that one block is healed, once, and every block folded, once.
+// stripe is decoded whole instead (raid6.RepairColumnsHeld), and exactly that
+// one block is healed, once, and every block folded, once.
 func TestConversionHealsLatentMidRun(t *testing.T) {
 	const rows = 8 // two stripes at p=5
 	for _, c := range []struct {
@@ -433,11 +433,11 @@ func TestConvertStripeAllocationFree(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(50, func() {
 			mig.pass.Mark(2)
-			if !mig.isConverted(2) || mig.isConverted(3) {
+			if !mig.pass.Done(2) || mig.pass.Done(3) {
 				t.Fatal("stripe 2's bit is not the one set")
 			}
 		}); n != 0 {
-			t.Errorf("p=%d: Mark and isConverted allocate %.1f times, want 0", g.p, n)
+			t.Errorf("p=%d: Mark and Done allocate %.1f times, want 0", g.p, n)
 		}
 	}
 }
@@ -454,10 +454,6 @@ func newStripeConverter(t testing.TB, p, blockSize int) *OnlineMigrator {
 		t.Fatal(err)
 	}
 	mig.SetTelemetry(telemetry.NewRegistry(), nil)
-	a.Disks().Add()
-	if mig.r6, err = raid6.Wrap(mig.code, a.Disks()); err != nil {
-		t.Fatal(err)
-	}
 	return mig
 }
 
@@ -539,8 +535,9 @@ func BenchmarkMigratorWrite(b *testing.B) {
 // TestRunOnlineWithFaults "flake": a write below the watermark whose
 // diagonal-parity read on the added disk hit a latent (or persistent
 // transient) error returned that error after the data and horizontal parity
-// were already on disk, leaving the stripe inconsistent. The parity is now
-// recomputed from its chain and written whole, which also clears the sector.
+// were already on disk, leaving the stripe inconsistent. The stripe is now
+// written again from a decode of it, every parity whole, which also clears
+// the sector; and with the added disk down a write is served degraded.
 func TestWriteRecomputesUnreadableDiagonalParity(t *testing.T) {
 	const rows = 8
 	a, want := newLoadedRAID5(t, 4, rows, 82)
@@ -581,10 +578,16 @@ func TestWriteRecomputesUnreadableDiagonalParity(t *testing.T) {
 	}
 	verifyConverted(t, mig, want, rows/stripeRows, "diagonal-recompute")
 
-	// A fail-stopped added disk is not healable: the error surfaces.
+	// With the added disk fail-stopped the write is a degraded one, like a
+	// write with any other column lost.
 	newDisk.Fail()
-	if err := mig.Write(logical, data); !errors.Is(err, vdisk.ErrFailed) {
-		t.Errorf("write with the added disk failed = %v, want ErrFailed", err)
+	data = bytes.Repeat([]byte{0xD7}, 32)
+	if err := mig.Write(logical, data); err != nil {
+		t.Fatalf("write with the added disk down: %v", err)
+	}
+	got := make([]byte, 32)
+	if err := mig.Read(logical, got); err != nil || !bytes.Equal(got, data) {
+		t.Errorf("read back with the added disk down: %x (%v)", got[:4], err)
 	}
 }
 

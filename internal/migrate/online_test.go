@@ -843,28 +843,46 @@ func TestStartContextPreCancelled(t *testing.T) {
 }
 
 // TestStartContextFailureStartsNothing: a StartContext that fails — here the
-// new disk's image cannot be created — leaves no goroutine behind (it used to
-// leave one watching ctx, and one more per retry) and a migrator that starts
-// once the cause is gone.
+// journal cannot take the begin record — leaves no goroutine behind (it used
+// to leave one watching ctx, and one more per retry) and a migrator that
+// starts once the cause is gone. A migrator whose diagonal-parity disk cannot
+// be added is not built at all, and adds nothing.
 func TestStartContextFailureStartsNothing(t *testing.T) {
 	dir := t.TempDir()
 	const p, rows, bs = 5, 8, 512
 	a := newFileRAID5(t, dir, p, rows, bs)
 	defer a.Disks().Close()
-	mig, err := NewOnlineMigrator(a, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
 	inTheWay := filepath.Join(dir, filestore.DiskFileName(p-1))
 	if err := os.Mkdir(inTheWay, 0o755); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := NewOnlineMigrator(a, rows); err == nil || !strings.Contains(err.Error(), "adding diagonal-parity disk") {
+		t.Fatalf("NewOnlineMigrator over a blocked disk image = %v, want the attach error", err)
+	}
+	if got := a.Disks().Len(); got != p-1 {
+		t.Fatalf("%d disks after a failed attach, want %d", got, p-1)
+	}
+	if err := os.Remove(inTheWay); err != nil {
+		t.Fatal(err)
+	}
+	mig, err := NewOnlineMigrator(a, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mig.AttachJournal(closed); err != nil {
+		t.Fatal(err)
+	}
+	closed.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	before := runtime.NumGoroutine()
 	for try := 0; try < 3; try++ {
-		if err := mig.StartContext(ctx); err == nil || !strings.Contains(err.Error(), "adding diagonal-parity disk") {
-			t.Fatalf("StartContext over a blocked disk image = %v, want the attach error", err)
+		if err := mig.StartContext(ctx); err == nil {
+			t.Fatal("StartContext over a closed journal succeeded")
 		}
 	}
 	if after := runtime.NumGoroutine(); after > before {
@@ -873,7 +891,12 @@ func TestStartContextFailureStartsNothing(t *testing.T) {
 	if pr := mig.ProgressSnapshot(); pr.Started || pr.State() != "pending" {
 		t.Errorf("after a failed start: %+v", pr)
 	}
-	if err := os.Remove(inTheWay); err != nil {
+	j, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if err := mig.AttachJournal(j); err != nil {
 		t.Fatal(err)
 	}
 	if err := mig.StartContext(ctx); err != nil {

@@ -203,7 +203,7 @@ func (a *Array) ReadBlock(logical int64, buf []byte) error {
 	if err == nil {
 		return nil
 	}
-	if !isDegradable(err) {
+	if !vdisk.IsDegradable(err) {
 		return err
 	}
 	a.tel.degradedReads.Inc()
@@ -220,16 +220,6 @@ func (a *Array) ReadBlock(logical int64, buf []byte) error {
 //c56:noalloc
 func (a *Array) stripeLock(row int64) *sync.RWMutex {
 	return a.disks.StripeLock(row / int64(a.m))
-}
-
-// isDegradable reports whether a read error can be served by
-// reconstruction: fail-stopped disks, latent sector errors, and transient
-// faults that survived the disk's retry policy.
-//
-//c56:noalloc
-func isDegradable(err error) bool {
-	return errors.Is(err, vdisk.ErrFailed) || errors.Is(err, vdisk.ErrLatent) ||
-		errors.Is(err, vdisk.ErrTransient)
 }
 
 // reconstructInto rebuilds (row, disk) from all other disks into buf. Stripe
@@ -271,66 +261,45 @@ func (a *Array) foldPeers(what string, row int64, disk, skip2 int, acc []byte) e
 	return nil
 }
 
-// FoldBlock XORs the physical block at (row, disk) into acc with no block of
-// scratch: from its disk, or, when that read fails as a degraded read may, as
-// the XOR of the row's other blocks, which is the same bytes: a degraded read
-// of an arbitrary cell, data or parity, into a zeroed acc, or one term of a
-// parity. On error acc is unspecified. Stripe held, exclusive: the caller is
-// the online migrator, healing a block of the stripe it is converting or
-// recomputing a diagonal parity from its chain.
-func (a *Array) FoldBlock(row int64, disk int, acc []byte) error {
-	err := a.disks.Disk(disk).ReadFold(row, acc, rowLane)
-	if err == nil || !isDegradable(err) {
-		return err
-	}
-	a.tel.degradedReads.Inc()
-	return a.foldPeers("reconstructing", row, disk, -1, acc)
-}
-
 // WriteBlock writes logical data block L: as a small write under the stripe's
-// shared lock and, where that cannot be done (see WriteBlockHeld), again as a
+// shared lock and, where that cannot be done (see writeBlockHeld), again as a
 // snapshot write under its exclusive one.
 //
 //c56:noalloc
 func (a *Array) WriteBlock(logical int64, data []byte) error {
+	if len(data) != a.blockSize {
+		return fmt.Errorf("raid5: write of %d bytes, want %d", len(data), a.blockSize)
+	}
 	lk := a.stripeLock(logical / int64(a.m-1))
 	lk.RLock()
-	redo, err := a.WriteBlockHeld(logical, data, nil, false)
+	redo, err := a.writeBlockHeld(logical, data, false)
 	lk.RUnlock()
 	if redo {
 		lk.Lock()
-		_, err = a.WriteBlockHeld(logical, data, nil, true)
+		_, err = a.writeBlockHeld(logical, data, true)
 		lk.Unlock()
 	}
 	return err
 }
 
-// WriteBlockHeld is WriteBlock for a caller that holds the block's stripe lock
-// itself — the online migrator, which keeps its diagonal parity over the block
-// under the same hold — in the mode exclusive says.
+// writeBlockHeld is WriteBlock with the block's stripe held as exclusive says.
 //
 // Held shared it is the small write, two disk operations, each atomic on its
-// disk: Swap on the data block, which hands the previous contents back in old
-// (one block long, or nil for none) so the caller need not read them again,
-// then Xor of the delta into the parity. Folds commute, so concurrent small
-// writes to one row, even to one block, leave the parity consistent with the
-// data that ended up stored. redo reports that this cannot be done — a disk
-// of the two is down, or an operation met a degradable error — and the write
-// is to be made again under the exclusive lock; what was written stays. A
-// hard error from the parity leaves new data over stale parity, as a failed
-// parity write does.
+// disk: Swap on the data block, which hands the previous contents back, then
+// Xor of the delta into the parity. Folds commute, so concurrent small writes
+// to one row, even to one block, leave the parity consistent with the data
+// that ended up stored; and a parity not yet rebuilt takes no fold, its
+// rebuild recomputing it whole under the exclusive hold. redo reports that
+// this cannot be done — a disk of the two is down, or an operation met a
+// degradable error — and the write is to be made again under the exclusive
+// lock; what was written stays. A hard error from the parity leaves new data
+// over stale parity, as a failed parity write does.
 //
 // Held exclusive it is the snapshot write (see snapshotWrite), which reads
-// neither block; old must be nil, a further parity being recomputed likewise.
+// neither block.
 //
 //c56:noalloc
-func (a *Array) WriteBlockHeld(logical int64, data, old []byte, exclusive bool) (redo bool, err error) {
-	if len(data) != a.blockSize {
-		return false, fmt.Errorf("raid5: write of %d bytes, want %d", len(data), a.blockSize)
-	}
-	if old != nil && (exclusive || len(old) != a.blockSize) {
-		return false, fmt.Errorf("raid5: old-value buffer of %d bytes, want %d, or none for a snapshot write", len(old), a.blockSize)
-	}
+func (a *Array) writeBlockHeld(logical int64, data []byte, exclusive bool) (redo bool, err error) {
 	row, disk := a.Locate(logical)
 	pd := a.ParityDisk(row)
 	dataDisk := a.disks.Disk(disk)
@@ -344,18 +313,10 @@ func (a *Array) WriteBlockHeld(logical int64, data, old []byte, exclusive bool) 
 	}
 	delta := bufpool.Get(a.blockSize)
 	defer bufpool.Put(delta)
-	prev := old
-	if prev == nil {
-		prev = delta
-	}
-	if err := dataDisk.Swap(row, data, prev); err != nil {
+	if err := dataDisk.Swap(row, data, delta); err != nil {
 		return redoOn(err) // nothing has been written
 	}
-	if old == nil {
-		xorblk.Xor(delta, data)
-	} else {
-		xorblk.XorInto(delta, old, data)
-	}
+	xorblk.Xor(delta, data)
 	a.tel.xors.Inc()
 	if err := parityDisk.Xor(row, delta); err != nil {
 		return redoOn(err) // the data is written; the redo recomputes the parity over it
@@ -371,7 +332,7 @@ func (a *Array) WriteBlockHeld(logical int64, data, old []byte, exclusive bool) 
 //
 //c56:noalloc
 func redoOn(err error) (bool, error) {
-	if isDegradable(err) {
+	if vdisk.IsDegradable(err) {
 		return true, nil
 	}
 	return false, err

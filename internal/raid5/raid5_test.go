@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"code56/internal/bufpool"
-	"code56/internal/telemetry"
 	"code56/internal/vdisk"
 )
 
@@ -172,12 +171,18 @@ func TestDegradedWriteAndRebuild(t *testing.T) {
 	for L := int64(0); L < 24; L += 2 {
 		write(L)
 	}
-	// Replace and rebuild.
+	// Replace and rebuild. Until the rebuild the new drive's blocks read as
+	// what was written to them, decoded from their rows, not as its zeros.
 	a.Disks().Disk(1).Replace()
+	buf := make([]byte, 16)
+	for L, w := range want {
+		if err := a.ReadBlock(L, buf); err != nil || !bytes.Equal(buf, w) {
+			t.Fatalf("block %d before the rebuild: %v (err %v)", L, buf, err)
+		}
+	}
 	if err := a.Rebuild(1, 8); err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, 16)
 	for L, w := range want {
 		if err := a.ReadBlock(L, buf); err != nil {
 			t.Fatal(err)
@@ -280,49 +285,6 @@ func TestSecondBadBlockInRowIsDoubleFault(t *testing.T) {
 	}
 }
 
-// TestFoldBlockMatchesDegradedRead: FoldBlock XORs into the accumulator the
-// bytes a degraded read would hand back — read where the block lies while it
-// can be, folded from the rest of the row when its sector is bad or its disk
-// down, at a degraded read's tallies — and a second bad block in the row is the
-// same double fault.
-func TestFoldBlockMatchesDegradedRead(t *testing.T) {
-	poolBalanced(t)
-	a, _ := New(4, 16, LeftAsymmetric)
-	reg := telemetry.NewRegistry()
-	a.SetTelemetry(reg, nil)
-	for L := int64(0); L < 12; L++ {
-		if err := a.WriteBlock(L, bytes.Repeat([]byte{byte(L + 1)}, 16)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	row, disk := a.Locate(5)
-	want := bytes.Repeat([]byte{0xF0 ^ 6}, 16)
-	folds := func(state string, xors, degraded int64) {
-		t.Helper()
-		x0, d0 := reg.Counter("raid5.xors").Value(), reg.Counter("raid5.degraded_reads").Value()
-		acc := bytes.Repeat([]byte{0xF0}, 16)
-		if err := a.FoldBlock(row, disk, acc); err != nil || !bytes.Equal(acc, want) {
-			t.Errorf("%s: FoldBlock = %v, accumulator %x, want %x", state, err, acc[:2], want[:2])
-		}
-		if x, d := reg.Counter("raid5.xors").Value()-x0, reg.Counter("raid5.degraded_reads").Value()-d0; x != xors || d != degraded {
-			t.Errorf("%s: %d XORs and %d degraded reads counted, want %d and %d", state, x, d, xors, degraded)
-		}
-	}
-	folds("healthy", 0, 0)
-	a.Disks().Disk(disk).InjectLatentError(row)
-	folds("latent sector", 3, 1)
-	a.Disks().Disk(disk).Fail()
-	folds("failed disk", 3, 1)
-	a.Disks().Disk((disk + 1) % 4).InjectLatentError(row)
-	if err := a.FoldBlock(row, disk, make([]byte, 16)); !errors.Is(err, ErrDoubleFault) || !errors.Is(err, vdisk.ErrLatent) {
-		t.Errorf("FoldBlock with a bad peer: %v, want ErrDoubleFault around ErrLatent", err)
-	}
-	a.Disks().Disk((disk + 1) % 4).Fail()
-	if err := a.FoldBlock(row, disk, make([]byte, 16)); !errors.Is(err, ErrDoubleFailure) {
-		t.Errorf("FoldBlock with a second failed disk: %v, want ErrDoubleFailure", err)
-	}
-}
-
 // TestRMWTouchesTwoDisks asserts the single-write I/O profile the paper's
 // Table III builds on: an update in a healthy array costs 2 reads + 2
 // writes on exactly the data disk and the parity disk.
@@ -352,30 +314,30 @@ func TestRMWTouchesTwoDisks(t *testing.T) {
 	}
 }
 
-// writeHeld is WriteBlock with the old value asked for: the small write under
-// the shared lock and, if that reports redo, the snapshot write under the
-// exclusive one. It says which form completed the write.
-func writeHeld(a *Array, logical int64, data, old []byte) (redone bool, err error) {
+// writeOnce is WriteBlock saying which form completed the write: the small
+// write under the shared lock and, if that reports redo, the snapshot write
+// under the exclusive one.
+func writeOnce(a *Array, logical int64, data []byte) (redone bool, err error) {
 	row, _ := a.Locate(logical)
 	lk := a.stripeLock(row)
 	lk.RLock()
-	redo, err := a.WriteBlockHeld(logical, data, old, false)
+	redo, err := a.writeBlockHeld(logical, data, false)
 	lk.RUnlock()
 	if redo {
 		lk.Lock()
-		_, err = a.WriteBlockHeld(logical, data, nil, true)
+		_, err = a.writeBlockHeld(logical, data, true)
 		lk.Unlock()
 	}
 	return redo, err
 }
 
-// TestWriteBlockHeldHandsBackOldValue: held shared, WriteBlockHeld is the small
-// write plus the block's previous contents, at no extra I/O (the small write
-// read them anyway). In every degraded state it reports redo instead — having
-// written the data already when it is the parity that cannot be read — and
-// held exclusive writes the block without reading it or its parity. The row
-// verifies and the new data reads back afterwards in all of them.
-func TestWriteBlockHeldHandsBackOldValue(t *testing.T) {
+// TestWriteBlockRedoesDegradedWrites: held shared, writeBlockHeld is the small
+// write, at two reads and two writes. In every degraded state it reports redo
+// instead — having written the data already when it is the parity that cannot
+// be read — and held exclusive writes the block without reading it or its
+// parity. The row verifies and the new data reads back afterwards in all of
+// them.
+func TestWriteBlockRedoesDegradedWrites(t *testing.T) {
 	const logical = 7
 	first := []byte("0123456789abcdef")
 	second := []byte("fedcba9876543210")
@@ -390,6 +352,8 @@ func TestWriteBlockHeldHandsBackOldValue(t *testing.T) {
 		{"old parity latent", func(a *Array, row int64, disk, pd int) { a.Disks().Disk(pd).InjectLatentError(row) }, true, 1 + 3, 1 + 2},
 		{"data disk failed", func(a *Array, row int64, disk, pd int) { a.Disks().Disk(disk).Fail() }, true, 3, 1},
 		{"parity disk failed", func(a *Array, row int64, disk, pd int) { a.Disks().Disk(pd).Fail() }, true, 0, 1},
+		{"data disk replaced", func(a *Array, row int64, disk, pd int) { a.Disks().Disk(disk).Replace() }, true, 3, 2},
+		{"parity disk replaced", func(a *Array, row int64, disk, pd int) { a.Disks().Disk(pd).Replace() }, false, 1, 1}, // the fold into the stale parity is dropped
 	} {
 		a, _ := New(5, 16, LeftAsymmetric)
 		for L := int64(0); L < 12; L++ { // rows 0-2, so the peers hold data too
@@ -404,13 +368,9 @@ func TestWriteBlockHeldHandsBackOldValue(t *testing.T) {
 		pd := a.ParityDisk(row)
 		c.damage(a, row, disk, pd)
 		a.Disks().ResetStats()
-		old := make([]byte, 16)
-		redone, err := writeHeld(a, logical, second, old)
+		redone, err := writeOnce(a, logical, second)
 		if err != nil || redone != c.redone {
 			t.Fatalf("%s: redone %v (want %v), err %v", c.name, redone, c.redone, err)
-		}
-		if !redone && !bytes.Equal(old, first) {
-			t.Errorf("%s: old value %q, want %q", c.name, old, first)
 		}
 		if st := a.Disks().TotalStats(); st.Reads != c.reads || st.Writes != c.writes {
 			t.Errorf("%s: write cost %d reads / %d writes, want %d / %d", c.name, st.Reads, st.Writes, c.reads, c.writes)
@@ -419,21 +379,15 @@ func TestWriteBlockHeldHandsBackOldValue(t *testing.T) {
 		if err := a.ReadBlock(logical, got); err != nil || !bytes.Equal(got, second) {
 			t.Errorf("%s: read back %q (err %v), want %q", c.name, got, err, second)
 		}
-		if len(a.failedDisks()) == 0 {
+		if len(a.failedDisks()) == 0 && c.name != "parity disk replaced" {
 			if ok, err := a.VerifyRow(row); err != nil || !ok {
 				t.Errorf("%s: row does not verify after the write (ok=%v err=%v)", c.name, ok, err)
 			}
 		}
 	}
 	a, _ := New(5, 16, LeftAsymmetric)
-	if _, err := a.WriteBlockHeld(0, first, make([]byte, 8), false); err == nil {
-		t.Error("WriteBlockHeld accepted a short old-value buffer")
-	}
-	if _, err := a.WriteBlockHeld(0, first, make([]byte, 16), true); err == nil {
-		t.Error("WriteBlockHeld accepted an old-value buffer for a snapshot write")
-	}
-	if _, err := a.WriteBlockHeld(0, first[:8], nil, false); err == nil {
-		t.Error("WriteBlockHeld accepted short data")
+	if err := a.WriteBlock(0, first[:8]); err == nil {
+		t.Error("WriteBlock accepted short data")
 	}
 }
 

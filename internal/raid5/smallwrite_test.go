@@ -82,9 +82,8 @@ func TestSmallWriteCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := reg.Snapshot().Counters
-	old := make([]byte, 16)
-	if redo, err := a.WriteBlockHeld(7, bytes.Repeat([]byte{2}, 16), old, false); redo || err != nil {
-		t.Fatal(redo, err)
+	if err := a.WriteBlock(7, bytes.Repeat([]byte{2}, 16)); err != nil {
+		t.Fatal(err)
 	}
 	after := reg.Snapshot().Counters
 	for name, want := range map[string]int64{
@@ -97,14 +96,14 @@ func TestSmallWriteCounters(t *testing.T) {
 	}
 }
 
-// TestSmallWriteAllocationFree pins the healthy small write, with and without
-// the old value handed back, and the address arithmetic under it.
+// TestSmallWriteAllocationFree pins the healthy small write and the address
+// arithmetic under it.
 func TestSmallWriteAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
 	}
 	a, _ := New(5, 4096, LeftAsymmetric)
-	data, old := bytes.Repeat([]byte{7}, 4096), make([]byte, 4096)
+	data := bytes.Repeat([]byte{7}, 4096)
 	if err := a.WriteBlock(9, data); err != nil { // allocate the slabs
 		t.Fatal(err)
 	}
@@ -112,11 +111,6 @@ func TestSmallWriteAllocationFree(t *testing.T) {
 		"WriteBlock": func() {
 			if err := a.WriteBlock(9, data); err != nil {
 				t.Fatal(err)
-			}
-		},
-		"WriteBlockHeld": func() {
-			if redo, err := a.WriteBlockHeld(9, data, old, false); redo || err != nil {
-				t.Fatal(redo, err)
 			}
 		},
 		"Locate":     func() { _, _ = a.Locate(9) },

@@ -184,3 +184,81 @@ func TestStripeLockSnapshotWritesDuringSmallWrites(t *testing.T) {
 		})
 	}
 }
+
+// TestStripeLockRebuildUnderWriters: while Rebuild restores a replaced disk,
+// writers go for it — small writes to blocks it holds, which go the snapshot
+// way since its blocks are stale, and small writes to a row whose parity it
+// holds, whose fold into the stale parity is dropped — beside a writer that
+// keeps off it. Once all have stopped every block reads its last acknowledged
+// write and every row verifies.
+func TestStripeLockRebuildUnderWriters(t *testing.T) {
+	const bs, m, rows, rounds, writes = 256, 5, 10, 100, 10
+	a, _ := New(m, bs, LeftAsymmetric)
+	a.SetTelemetry(telemetry.NewRegistry(), nil)
+	blocks := int64(rows * (m - 1))
+	last := make([][]byte, blocks)
+	for L := range last {
+		last[L] = stamp(bs, L, 0, 0)
+		if err := a.WriteBlock(int64(L), last[L]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const disk = 0
+	// Each writer owns its blocks: on the replaced disk, in rows whose parity
+	// it holds, and elsewhere.
+	var on, parity, off []int64
+	for L := int64(0); L < blocks; L++ {
+		row, d := a.Locate(L)
+		switch {
+		case d == disk:
+			on = append(on, L)
+		case a.ParityDisk(row) == disk:
+			parity = append(parity, L)
+		default:
+			off = append(off, L)
+		}
+	}
+	for round := 1; round <= rounds; round++ {
+		a.Disks().Disk(disk).Fail()
+		a.Disks().Disk(disk).Replace()
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if err := a.Rebuild(disk, rows); err != nil {
+				t.Errorf("rebuild: %v", err)
+			}
+		}()
+		for g, mine := range [][]int64{on, parity, off} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for i := 0; i < writes; i++ {
+					L := mine[(round+i)%len(mine)]
+					blk := stamp(bs, 100+g, round, i)
+					if err := a.WriteBlock(L, blk); err != nil {
+						t.Errorf("writer %d, block %d: %v", g, L, err)
+						return
+					}
+					last[L] = blk
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		got := make([]byte, bs)
+		for L, want := range last {
+			if err := a.ReadBlock(int64(L), got); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("round %d: block %d reads %v (err %v), its last acknowledged write was %v", round, L, got[:4], err, want[:4])
+			}
+		}
+		for row := int64(0); row < rows; row++ {
+			if ok, err := a.VerifyRow(row); err != nil || !ok {
+				t.Fatalf("round %d: row %d's parity does not match its data (ok=%v err=%v)", round, row, ok, err)
+			}
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 
 	"code56/internal/bufpool"
 	"code56/internal/layout"
+	"code56/internal/vdisk"
 )
 
 // fold is the one place parity chains are evaluated over the disks (DESIGN
@@ -45,11 +46,12 @@ var errNoPlan = errors.New("raid6: no recovery plan for these columns")
 // RebuildColumnsHeld recomputes the logical columns cols of stripe st from
 // their compiled recovery plan and writes them: the plan's fold schedule run
 // over the surviving columns it names, no others; its steps finished on the
-// accumulators in memory; and the buffer, then the lost columns, written with
-// one disk call a column. It has no fallback: an unreadable source is returned
-// as the disk's error, nothing written, for the caller to serve its own way —
-// the online migrator, whose conversion of a stripe is this rebuild of column
-// p-1 under the hold that also sets the stripe's bit. Stripe held, exclusive.
+// accumulators in memory; and the lost columns written with one disk call a
+// column. It has no fallback: an unreadable source is returned as the disk's
+// error, nothing written, and the caller goes on with RepairColumnsHeld — the
+// rebuild does, and so does the online migrator, whose conversion of a stripe
+// is this rebuild of column p-1 under the hold that also sets the stripe's
+// bit. Stripe held, exclusive.
 //
 //c56:noalloc
 func (a *Array) RebuildColumnsHeld(st int64, cols layout.Columns) error {
@@ -88,21 +90,33 @@ func (a *Array) rebuildStripe(st int64, disks []int) error {
 	lk.Lock()
 	defer lk.Unlock()
 	err := a.RebuildColumnsHeld(st, cols)
-	if err == nil || !isDegradable(err) && !errors.Is(err, errNoPlan) {
+	if err == nil || !vdisk.IsDegradable(err) && !errors.Is(err, errNoPlan) {
 		return err
 	}
-	s, es, err := a.loadStripe(st, nil)
-	if err != nil {
-		return err
-	}
-	defer a.stripes.Put(s)
-	return a.reconstructColumns(st, s, es, cols) //lint:allow noalloc a rebuild around further damage decodes the exact erasure set; the plan is the steady state
+	_, err = a.RepairColumnsHeld(st, cols) //lint:allow noalloc a rebuild around further damage decodes the exact erasure set; the plan is the steady state
+	return err
 }
 
-// reconstructColumns is rebuildStripe's fallback: the general decoder over
-// the rebuilt columns plus whatever else loading found unreadable (es, which
-// may be nil).
-func (a *Array) reconstructColumns(st int64, s *layout.Stripe, es layout.ErasureSet, cols layout.Columns) error {
+// RepairColumnsHeld is RebuildColumnsHeld's fallback: it loads stripe st, runs
+// the general decoder over the logical columns cols plus every cell the load
+// could not read, and writes cols; then it rewrites the other cells it decoded
+// on disks that are up — a bad sector, a transient that outlived the retries,
+// a block not yet rebuilt — which heals them, and returns how many. Stripe
+// held, exclusive: nothing can fall between the decode and the rewrites.
+func (a *Array) RepairColumnsHeld(st int64, cols layout.Columns) (healed int, err error) {
+	s, es, err := a.loadStripe(st, nil)
+	if err != nil {
+		return 0, err
+	}
+	defer a.stripes.Put(s)
+	var heal []layout.Coord // in address order, not es's, so a seeded fault run replays
+	for j := 0; j < a.geom.Cols; j++ {
+		for r := 0; r < a.geom.Rows; r++ {
+			if c := (layout.Coord{Row: r, Col: j}); es[c] && !cols.Has(j) && !a.diskFor(st, j).Failed() {
+				heal = append(heal, c)
+			}
+		}
+	}
 	if es == nil {
 		es = make(layout.ErasureSet, cols.Len()*a.geom.Rows)
 	}
@@ -112,12 +126,18 @@ func (a *Array) reconstructColumns(st int64, s *layout.Stripe, es layout.Erasure
 		}
 	}
 	if _, err := a.dec.Reconstruct(s, es); err != nil {
-		return fmt.Errorf("%w: stripe %d: %w", ErrTooManyFailures, st, err)
+		return 0, fmt.Errorf("%w: stripe %d: %w", ErrTooManyFailures, st, err)
 	}
 	for i := 0; i < cols.Len(); i++ {
 		if err := a.writeColumn(st, cols.At(i), s); err != nil {
-			return err
+			return 0, err
 		}
 	}
-	return nil
+	for _, c := range heal {
+		if err := a.writeCell(st, c, s.Block(c)); err != nil {
+			return healed, err
+		}
+		healed++
+	}
+	return healed, nil
 }

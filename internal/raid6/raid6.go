@@ -265,13 +265,13 @@ func (a *Array) loadStripe(stripe int64, latent *[]layout.Coord) (*layout.Stripe
 
 // loadColumn reads one column of the stripe into s and adds its unreadable
 // cells to es. A fail-stopped disk erases the whole column; a column that
-// fails on a bad sector is read again cell by cell, so only the cells that
-// are really unreadable are erased.
+// fails on a bad sector, or on a block not yet rebuilt, is read again cell by
+// cell, so only the cells that are really unreadable are erased.
 //
 //c56:noalloc
 func (a *Array) loadColumn(stripe int64, col int, s *layout.Stripe, es layout.ErasureSet, latent *[]layout.Coord) (layout.ErasureSet, error) {
 	colErr := a.readColumn(stripe, col, s)
-	if colErr == nil || !isDegradable(colErr) {
+	if colErr == nil || !vdisk.IsDegradable(colErr) {
 		return es, colErr
 	}
 	diskFailed := errors.Is(colErr, vdisk.ErrFailed)
@@ -282,7 +282,7 @@ func (a *Array) loadColumn(stripe int64, col int, s *layout.Stripe, es layout.Er
 			if err == nil {
 				continue
 			}
-			if !isDegradable(err) {
+			if !vdisk.IsDegradable(err) {
 				return es, err
 			}
 			if latent != nil && errors.Is(err, vdisk.ErrLatent) {
@@ -298,16 +298,6 @@ func (a *Array) loadColumn(stripe int64, col int, s *layout.Stripe, es layout.Er
 	return es, nil
 }
 
-// isDegradable reports whether a read error can be served by
-// reconstruction: fail-stopped disks, latent sector errors, and transient
-// faults that survived the disk's retry policy.
-//
-//c56:noalloc
-func isDegradable(err error) bool {
-	return errors.Is(err, vdisk.ErrFailed) || errors.Is(err, vdisk.ErrLatent) ||
-		errors.Is(err, vdisk.ErrTransient)
-}
-
 // ReadBlock reads logical data block L, reconstructing if the holding disk
 // (or a needed block) is unavailable (see degradedRead).
 //
@@ -319,7 +309,7 @@ func (a *Array) ReadBlock(logical int64, buf []byte) error {
 	if err == nil {
 		return nil
 	}
-	if !isDegradable(err) {
+	if !vdisk.IsDegradable(err) {
 		return err
 	}
 	return a.degradedRead(stripe, cell, buf)
@@ -334,7 +324,7 @@ func (a *Array) ReadCell(stripe int64, cell layout.Coord, buf []byte) error {
 	if err == nil {
 		return nil
 	}
-	if !isDegradable(err) {
+	if !vdisk.IsDegradable(err) {
 		return err
 	}
 	return a.degradedRead(stripe, cell, buf)
@@ -417,7 +407,7 @@ func (a *Array) WriteBlock(logical int64, data []byte) error {
 		lk.RLock()
 		err := a.writeRMW(stripe, a.dataCells[first], data)
 		lk.RUnlock()
-		if err == nil || !isDegradable(err) {
+		if err == nil || !vdisk.IsDegradable(err) {
 			return err
 		}
 	}
@@ -434,7 +424,10 @@ func (a *Array) WriteBlock(logical int64, data []byte) error {
 // and the folds commute, so concurrent small writes to one stripe, even to one
 // cell, leave every parity consistent with the data that ended up stored.
 // Stripe held, shared; after a degradable error the caller redoes the write
-// with writeDegraded, which covers whatever this one had written.
+// with writeDegraded, which covers whatever this one had written. A fold that
+// fails does not stop the others — the redo decodes the stripe from its
+// parities, which must hold every delta they can — and the first error is
+// returned.
 //
 //c56:noalloc
 func (a *Array) writeRMW(stripe int64, cell layout.Coord, data []byte) error {
@@ -445,14 +438,18 @@ func (a *Array) writeRMW(stripe int64, cell layout.Coord, data []byte) error {
 	}
 	xorblk.Xor(delta, data)
 	a.tel.xors.Inc()
+	var err error
 	for _, ci := range a.cascade[a.geom.Index(cell)] {
-		if err := a.xorCell(stripe, a.chains[ci].Parity, delta); err != nil {
-			return err
+		if ferr := a.xorCell(stripe, a.chains[ci].Parity, delta); ferr != nil {
+			if err == nil {
+				err = ferr
+			}
+			continue
 		}
 		a.tel.xors.Inc()
 		a.tel.parityUpdates.Inc()
 	}
-	return nil
+	return err
 }
 
 // writeDegraded is the snapshot write of a run of blocks within one stripe, from

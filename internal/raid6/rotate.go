@@ -1,7 +1,6 @@
 package raid6
 
 import (
-	"errors"
 	"fmt"
 
 	"code56/internal/bufpool"
@@ -101,8 +100,8 @@ func (r *ScrubReport) add(st int64, res scrubResult) {
 // scrubStripe runs one stripe's scrub pass. The check is every chain's
 // syndrome folded straight from the disks (see fold; check is the decoder's
 // Syndromes schedule, compiled once a pass): a stripe that reads and folds to
-// zero is clean, and nothing more is done; any other, or one whose read met a
-// bad sector or a transient error, is loaded and looked into (scrubDamaged).
+// zero is clean, and nothing more is done; any other, or one whose read met an
+// error redundancy serves, is loaded and looked into (scrubDamaged).
 // It touches only stripe st's block range, so distinct stripes may be
 // scrubbed concurrently, and holds it exclusive: to the syndrome check a
 // stripe in the middle of a small write is a corrupt one.
@@ -119,7 +118,7 @@ func (a *Array) scrubStripe(st int64, repair bool, check []layout.ColumnFold) (s
 	if clean {
 		return scrubResult{}, nil
 	}
-	if err != nil && !errors.Is(err, vdisk.ErrLatent) && !errors.Is(err, vdisk.ErrTransient) {
+	if err != nil && !vdisk.IsDegradable(err) {
 		return scrubResult{}, err
 	}
 	return a.scrubDamaged(st, repair) //lint:allow noalloc a stripe that fails the check is loaded and decoded; clean stripes are the steady state
@@ -127,10 +126,11 @@ func (a *Array) scrubStripe(st int64, repair bool, check []layout.ColumnFold) (s
 
 // scrubDamaged loads a stripe that failed scrubStripe's check: the cells it
 // cannot read are reconstructed and the latent sectors among them — those
-// whose read returned ErrLatent, not a transient error — are counted and
-// healed, then the parity-syndrome check locates and repairs silent
-// single-block corruption. With repair false it only detects. A disk that is
-// down is an error, not a column of bad sectors. Stripe held, exclusive.
+// whose read returned ErrLatent, not a transient error or a block not yet
+// rebuilt — are counted and healed, then the parity-syndrome check locates
+// and repairs silent single-block corruption. With repair false it only
+// detects. A disk that is down is an error, not a column of bad sectors.
+// Stripe held, exclusive.
 func (a *Array) scrubDamaged(st int64, repair bool) (res scrubResult, _ error) {
 	if a.failedColumns().Len() > 0 {
 		return res, fmt.Errorf("raid6: scrubbing stripe %d with a disk down: %w", st, vdisk.ErrFailed)

@@ -137,7 +137,10 @@ func TestStripeLockReconstructingReadsDuringWrites(t *testing.T) {
 // repair scrub finds nothing to repair on an array that only took acknowledged
 // writes, and once all have stopped every stripe verifies and every block
 // reads its last acknowledged write: its own writer's, or the full-stripe
-// writer's if that one got there later.
+// writer's if that one got there later. Beside the rebuild the writers go for
+// the replaced disk: a small write to a row whose parity it holds, a degraded
+// write to a data block on it, a partial WriteRange over one more, all before
+// the rebuild reaches them or after.
 func TestStripeLockSnapshotWritesDuringSmallWrites(t *testing.T) {
 	const bs, rounds, writes = 1024, 120, 10
 	fullStripe := func(a *Array, round, i int) [][]byte {
@@ -156,6 +159,7 @@ func TestStripeLockSnapshotWritesDuringSmallWrites(t *testing.T) {
 		arm      func(a *Array, disk int)
 		snapshot func(a *Array, base int64, disk, round, i int) ([][]byte, error)
 		down     bool // the round leaves a disk down
+		replaced bool // the writers go for the disk arm replaced
 	}{
 		{"repair scrub", nil, func(a *Array, base int64, disk, round, i int) ([][]byte, error) {
 			rep, err := scrub(a, 4, ScrubRepair)
@@ -163,24 +167,20 @@ func TestStripeLockSnapshotWritesDuringSmallWrites(t *testing.T) {
 				err = fmt.Errorf("repair scrub of a healthy array found %+v", rep)
 			}
 			return nil, err
-		}, false},
+		}, false, false},
 		{"WriteStripe", nil, func(a *Array, base int64, disk, round, i int) ([][]byte, error) {
 			blocks := fullStripe(a, round, i)
 			return blocks, a.WriteStripe(1, blocks)
-		}, false},
+		}, false, false},
 		{"full-stripe WriteRange", nil, func(a *Array, base int64, disk, round, i int) ([][]byte, error) {
 			blocks := fullStripe(a, round, i)
 			return blocks, a.WriteRange(base, bytes.Join(blocks, nil))
-		}, false},
+		}, false, false},
 		{"degraded writes, one disk down", func(a *Array, disk int) { a.Disks().Disk(disk).Fail() }, func(a *Array, base int64, disk, round, i int) ([][]byte, error) {
 			blocks := make([][]byte, a.DataPerStripe())
 			blocks[0] = stamp(bs, 100, round, i)
 			return blocks, a.WriteBlock(base, blocks[0])
-		}, true},
-		// The disk is swapped before the writers start: one that saw it down
-		// would go the degraded way and, once it is replaced, load its blank
-		// blocks as data (it reads as healthy from Replace on, not from its
-		// rebuild: DESIGN §4.18, "not covered").
+		}, true, false},
 		{"rebuild of a replaced disk", func(a *Array, disk int) {
 			a.Disks().Disk(disk).Fail()
 			a.Disks().Disk(disk).Replace()
@@ -189,12 +189,24 @@ func TestStripeLockSnapshotWritesDuringSmallWrites(t *testing.T) {
 				return nil, nil // one pass a round: a second would put right what the first got wrong
 			}
 			return nil, rebuild(a, 4, disk)
-		}, false},
+		}, false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a, base := lockArray(t, bs)
 			_, cell := a.Locate(base)
 			targets := blocksOff(a, base, 3, cell.Col)
+			var ranged int64 // the first of two blocks a WriteRange writer takes, if any
+			if tc.replaced {
+				// Code 5-6 at p=5 with base's cell on disk 0: base+3 is the data cell
+				// (1,0), base+9 lies in row 3, whose horizontal parity is on disk 0,
+				// and the range base+5, base+6 ends on the data cell (2,0).
+				targets, ranged = []int64{base + 1, base + 3, base + 9}, base+5
+				for _, L := range []int64{base + 3, base + 6} {
+					if _, c := a.Locate(L); c.Col != cell.Col {
+						t.Fatalf("block %d lies on disk %d, not on the replaced disk %d", L, c.Col, cell.Col)
+					}
+				}
+			}
 			// Stripe 1 as last acknowledged: by the single-block writers, and by
 			// the snapshot writer if it writes blocks. A block neither has
 			// written holds its first stamp.
@@ -232,6 +244,21 @@ func TestStripeLockSnapshotWritesDuringSmallWrites(t *testing.T) {
 								return
 							}
 							last[L-base] = blk
+						}
+					}()
+				}
+				if ranged != 0 {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						<-start
+						for i := 0; i < writes; i++ {
+							two := [][]byte{stamp(bs, 50, round, i), stamp(bs, 51, round, i)}
+							if err := a.WriteRange(ranged, bytes.Join(two, nil)); err != nil {
+								t.Errorf("the range writer: %v", err)
+								return
+							}
+							last[ranged-base], last[ranged+1-base] = two[0], two[1]
 						}
 					}()
 				}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"code56/internal/bufpool"
+	"code56/internal/vdisk"
 	"code56/internal/xorblk"
 )
 
@@ -64,7 +65,7 @@ func (a *Array) writePartialStripe(stripe, first int64, data []byte) error {
 		lk.RLock()
 		err := a.foldRun(stripe, first, data)
 		lk.RUnlock()
-		if err == nil || !isDegradable(err) {
+		if err == nil || !vdisk.IsDegradable(err) {
 			return err
 		}
 	}
@@ -78,7 +79,10 @@ func (a *Array) writePartialStripe(stripe, first int64, data []byte) error {
 // touched parity absorbs its aggregate with one Disk.Xor. The aggregates are
 // kept and folded in chain order — diagonal parities share a disk, so the
 // order decides that disk's injector draws and must not vary from run to run.
-// Stripe held, shared.
+// A swap that fails ends the run, but what was swapped before it is folded
+// all the same, and a fold that fails does not stop the others: the redo
+// decodes the stripe from its parities, which must hold every delta they can.
+// The first error is returned. Stripe held, shared.
 func (a *Array) foldRun(stripe, first int64, data []byte) error {
 	bs := int64(a.blockSize)
 	// acc[ci] is the delta chain ci's parity has to absorb, rented when the
@@ -93,11 +97,12 @@ func (a *Array) foldRun(stripe, first int64, data []byte) error {
 	}()
 	delta := bufpool.Get(a.blockSize)
 	defer bufpool.Put(delta)
+	var err error
 	for i := int64(0); i < int64(len(data))/bs; i++ {
 		cell := a.dataCells[first+i]
 		b := data[i*bs : (i+1)*bs]
-		if err := a.swapCell(stripe, cell, b, delta); err != nil {
-			return err
+		if err = a.swapCell(stripe, cell, b, delta); err != nil {
+			break
 		}
 		xorblk.Xor(delta, b)
 		for _, ci := range a.cascade[a.geom.Index(cell)] {
@@ -111,9 +116,9 @@ func (a *Array) foldRun(stripe, first int64, data []byte) error {
 		if d == nil {
 			continue
 		}
-		if err := a.xorCell(stripe, a.chains[ci].Parity, d); err != nil {
-			return err
+		if ferr := a.xorCell(stripe, a.chains[ci].Parity, d); err == nil {
+			err = ferr
 		}
 	}
-	return nil
+	return err
 }

@@ -1,6 +1,7 @@
 package vdisk
 
 import (
+	"fmt"
 	"testing"
 
 	"code56/internal/layout"
@@ -32,6 +33,9 @@ func TestHealthyDiskIOAllocationFree(t *testing.T) {
 	if err := portable.Write(5, buf); err != nil {
 		t.Fatal(err)
 	}
+	stale := NewDisk(8, a.BlockSize())
+	stale.MarkStale(0)
+	staleErr := fmt.Errorf("%w: disk 8 block 5", ErrStale)
 	for name, fn := range map[string]func(){
 		"Disk.Read": func() {
 			if err := d.Read(5, buf); err != nil {
@@ -76,6 +80,16 @@ func TestHealthyDiskIOAllocationFree(t *testing.T) {
 		"Disk.Xor/portable": func() {
 			if err := portable.Xor(5, buf); err != nil {
 				t.Fatalf("Xor over a store without XorAt: %v", err)
+			}
+		},
+		"Disk.Xor/stale": func() {
+			if err := stale.Xor(5, buf); err != nil {
+				t.Fatalf("Xor into a stale block: %v", err)
+			}
+		},
+		"IsDegradable": func() {
+			if !IsDegradable(staleErr) {
+				t.Fatal("ErrStale is not degradable")
 			}
 		},
 		"Disk.Failed":     func() { _ = d.Failed() },

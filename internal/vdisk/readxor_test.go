@@ -293,6 +293,11 @@ func TestReadXorRefusalsLeaveAccumulator(t *testing.T) {
 		d.Fail()
 		refused("on a failed disk", d.ReadFold(10, acc, one), ErrFailed)
 		d.Replace()
+		refused("on a replaced disk", d.ReadFold(10, acc, one), ErrStale)
+		if err := d.WriteBlocks(10, data); err != nil {
+			t.Fatal(err)
+		}
+		d.ResetStats()
 		if err := d.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -480,7 +485,7 @@ func TestReadXorAgainstWriters(t *testing.T) {
 								err = d.Write(8+rng.Int63n(n), blk)
 							}
 						}
-						if err != nil && !errors.Is(err, ErrFailed) {
+						if err != nil && !errors.Is(err, ErrFailed) && !errors.Is(err, ErrStale) {
 							t.Errorf("worker %d: %v", w, err)
 							return
 						}

@@ -201,7 +201,8 @@ func TestDiskOverBackends(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Fail-stop and replace: contents wiped, I/O resumes.
+			// Fail-stop and replace: contents wiped, the block stale until
+			// written, I/O resumes.
 			d.Fail()
 			if err := d.Read(7, got); !errors.Is(err, vdisk.ErrFailed) {
 				t.Fatalf("failed read: %v", err)
@@ -210,11 +211,17 @@ func TestDiskOverBackends(t *testing.T) {
 				t.Fatalf("failed sync: %v", err)
 			}
 			d.Replace()
-			if err := d.Read(7, got); err != nil {
+			if err := d.Read(7, got); !errors.Is(err, vdisk.ErrStale) {
+				t.Fatalf("read of a replaced disk's block: %v, want ErrStale", err)
+			}
+			if _, err := d.Store().ReadAt(got, 7*256); err != nil || !bytes.Equal(got, make([]byte, 256)) {
+				t.Fatalf("replaced medium kept old contents (%v)", err)
+			}
+			if err := d.Write(7, blk); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got, make([]byte, 256)) {
-				t.Fatal("replaced disk kept old contents")
+			if err := d.Read(7, got); err != nil || !bytes.Equal(got, blk) {
+				t.Fatalf("read after rewrite: %v", err)
 			}
 
 			// Trim reads back as zeros and is not counted as I/O.

@@ -12,6 +12,7 @@ package vdisk
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -34,10 +35,24 @@ var (
 	// transiently; the same operation may succeed when retried (see
 	// SetRetry for the built-in retry-with-backoff policy).
 	ErrTransient = errors.New("vdisk: transient I/O error")
+	// ErrStale is returned when reading a block not written since its disk
+	// was replaced, or since MarkStale: the block holds no data yet, and only
+	// the array's redundancy can say what it should hold.
+	ErrStale = errors.New("vdisk: block not yet rebuilt")
 	// ErrBadBlock is returned for negative block addresses or size
 	// mismatches.
 	ErrBadBlock = errors.New("vdisk: bad block request")
 )
+
+// IsDegradable reports whether an I/O error is one an array's redundancy can
+// serve: a fail-stopped disk, a latent sector, a transient fault that outlived
+// the retry policy, or a block not yet rebuilt.
+//
+//c56:noalloc
+func IsDegradable(err error) bool {
+	return errors.Is(err, ErrFailed) || errors.Is(err, ErrLatent) ||
+		errors.Is(err, ErrTransient) || errors.Is(err, ErrStale)
+}
 
 // Stats counts the I/O a disk has served. Failed operations are not
 // counted.
@@ -61,8 +76,9 @@ func (s Stats) Total() int64 { return s.Reads + s.Writes }
 // pluggable BlockStore (in-memory by default; see NewDiskStore and the
 // filestore package for durable backends). Unwritten blocks read as zero,
 // matching the NULL/virtual-element semantics the migration algorithms
-// rely on. The zero value is not usable; construct with NewDisk or
-// NewDiskStore.
+// rely on — except on a disk that was replaced, or marked (MarkStale), whose
+// blocks are stale until written. The zero value is not usable; construct
+// with NewDisk or NewDiskStore.
 type Disk struct {
 	id        int
 	blockSize int
@@ -86,6 +102,17 @@ type Disk struct {
 	latent    map[int64]bool //c56:guardedby mu
 	stats     Stats          //c56:guardedby mu
 	tel       diskTel
+	// staleFrom and fresh are the blocks not yet written since Replace or
+	// MarkStale: block b is stale when b >= staleFrom and bit b-staleFrom of
+	// fresh is clear. Words of fresh filled from the front move staleFrom on,
+	// so a disk rebuilt in address order keeps a few words; one with nothing
+	// stale has staleFrom = noStale.
+	staleFrom int64    //c56:guardedby mu
+	fresh     []uint64 //c56:guardedby mu
+	// staleEnd is staleFrom + 64·len(fresh), stored under mu: no block at or
+	// past it has been written since the mark, so Xor drops a fold there
+	// without the lock, which a rebuild may be holding across a store call.
+	staleEnd atomic.Int64
 
 	// faults, when non-nil, is the armed fault injector (see faults.go).
 	faults *faultState //c56:guardedby mu
@@ -119,7 +146,9 @@ func NewDiskStore(id, blockSize int, store BlockStore) *Disk {
 		blockSize: blockSize,
 		store:     store,
 		latent:    make(map[int64]bool),
+		staleFrom: noStale,
 	}
+	d.staleEnd.Store(noStale)
 	d.xorer, _ = store.(Xorer)
 	d.bindTelemetry(nil, nil)
 	return d
@@ -146,17 +175,18 @@ func (d *Disk) Read(b int64, buf []byte) error {
 // b into buf with a single store call. It counts as n block I/Os everywhere
 // the paper's accounting looks (Stats, vdisk.reads, vdisk.io_rate,
 // vdisk.io_bytes, FailAtIO); only the per-disk latency histogram sees one
-// observation, the store call's. The run is all or nothing: every block
-// passes the fault and latent checks, in address order, before the store is
-// touched, so the first bad block fails the whole call with the error a
-// single Read of it would return, and no I/O is counted. The injector has
-// still been consulted for every block up to and including that one, as the
-// one-block reads up to it would have: each is an attempt on FailAtIO's clock
-// and a draw that may have discovered a latent sector, so a caller that falls
-// back to reading the run block by block meets the injector further along
-// than Stats shows. Transient faults from the injector are retried per the
-// SetRetry policy before the error is surfaced. buf must hold a positive
-// whole number of blocks.
+// observation, the store call's. The run is all or nothing: a stale block
+// anywhere in it fails the call with ErrStale before anything else is asked
+// (see MarkStale), and every block passes the fault and latent checks, in
+// address order, before the store is touched, so the first bad block fails
+// the whole call with the error a single Read of it would return, and no I/O
+// is counted. The injector has still been consulted for every block up to and
+// including that one, as the one-block reads up to it would have: each is an
+// attempt on FailAtIO's clock and a draw that may have discovered a latent
+// sector, so a caller that falls back to reading the run block by block meets
+// the injector further along than Stats shows. Transient faults from the
+// injector are retried per the SetRetry policy before the error is surfaced.
+// buf must hold a positive whole number of blocks.
 //
 //c56:noalloc
 func (d *Disk) ReadBlocks(b int64, buf []byte) error {
@@ -210,9 +240,9 @@ func (d *Disk) Write(b int64, data []byte) error {
 // starting at b with a single store call, counted as n block I/Os (see
 // ReadBlocks, also for what a failed run leaves on the injector's clock).
 // Every block passes the fault check before the store is touched, so a
-// faulted run writes nothing. Writing clears any latent error
-// on the blocks. Transient faults from the injector are retried per the
-// SetRetry policy. data must hold a positive whole number of blocks.
+// faulted run writes nothing. Writing clears any latent error on the blocks,
+// and their stale state. Transient faults from the injector are retried per
+// the SetRetry policy. data must hold a positive whole number of blocks.
 //
 //c56:noalloc
 func (d *Disk) WriteBlocks(b int64, data []byte) error {
@@ -251,7 +281,8 @@ func (d *Disk) Swap(b int64, data, old []byte) error {
 // sector fails it with ErrLatent, since the old contents are part of the
 // result. A store that can fold in place (Xorer) is asked to; any other is
 // read, folded in pooled scratch and written back inside the same operation.
-// A block never written reads as zero, so folding into it stores delta. Folds
+// A block never written reads as zero, so folding into it stores delta; a
+// stale one (see MarkStale) takes nothing and counts nothing. Folds
 // commute, so concurrent Xors of one block leave the same bytes in either
 // order. delta must be one block long.
 //
@@ -259,6 +290,9 @@ func (d *Disk) Swap(b int64, data, old []byte) error {
 func (d *Disk) Xor(b int64, delta []byte) error {
 	if b < 0 || len(delta) != d.blockSize {
 		return fmt.Errorf("%w: xor block %d, delta %d", ErrBadBlock, b, len(delta))
+	}
+	if b >= d.staleEnd.Load() && !d.Failed() {
+		return nil // stale (see MarkStale); a write of b would have moved staleEnd past it
 	}
 	return d.do(opXor, b, delta, nil, nil)
 }
@@ -429,6 +463,7 @@ func (d *Disk) writeLocked(b int64, data []byte, start time.Duration) error {
 	for blk := b; blk < b+n; blk++ {
 		delete(d.latent, blk)
 	}
+	d.written(b, n)
 	return nil
 }
 
@@ -456,6 +491,9 @@ func (d *Disk) swapLocked(b int64, data, old []byte, start time.Duration) error 
 //c56:requires mu
 //c56:noalloc
 func (d *Disk) xorLocked(b int64, delta []byte, start time.Duration) error {
+	if _, stale := d.staleIn(b, 1); stale && !d.failed {
+		return nil // the block's rebuild writes it whole (see MarkStale)
+	}
 	if err := d.checkRead(b, 1); err != nil {
 		return err
 	}
@@ -501,12 +539,16 @@ func (d *Disk) servedPair(start, mid time.Duration) {
 	d.tel.writeLat.Observe(micros(end - mid))
 }
 
-// checkRead runs the read side's checks on blocks [b, b+n) in address order:
-// fail-stop state and injector, then the latent-sector table.
+// checkRead runs the read side's checks on blocks [b, b+n): on a disk that is
+// up, whether any is stale, then in address order fail-stop state and
+// injector, then the latent-sector table.
 //
 //c56:requires mu
 //c56:noalloc
 func (d *Disk) checkRead(b, n int64) error {
+	if blk, stale := d.staleIn(b, n); stale && !d.failed {
+		return fmt.Errorf("%w: disk %d block %d", ErrStale, d.id, blk)
+	}
 	for blk := b; blk < b+n; blk++ {
 		if err := d.faultCheck(blk, false); err != nil {
 			d.tel.readErrs.Inc()
@@ -599,6 +641,72 @@ func (d *Disk) faultCheck(b int64, write bool) error {
 	return nil
 }
 
+// noStale is staleFrom on a disk with no stale block.
+const noStale = math.MaxInt64
+
+// MarkStale declares every block from b on not yet written: until a write
+// covers it, a read, ReadFold or Swap that touches it fails with ErrStale, and
+// an Xor into it is dropped, counted nowhere — whoever rebuilds the block
+// writes it whole, under the exclusive hold of its stripe that keeps the small
+// writes out. Blocks below b are valid, whatever an earlier call said. Replace
+// marks a new drive from block 0; the online migrator marks its diagonal-parity
+// disk from the first row it has yet to convert. The state is kept in memory
+// only: a reopened store's blocks are all valid.
+func (d *Disk) MarkStale(b int64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.markStale(b)
+}
+
+//c56:requires mu
+func (d *Disk) markStale(b int64) {
+	d.staleFrom, d.fresh = b, d.fresh[:0]
+	d.staleEnd.Store(b)
+}
+
+// staleIn returns the first stale block of [b, b+n), if there is one.
+//
+//c56:requires mu
+//c56:noalloc
+func (d *Disk) staleIn(b, n int64) (int64, bool) {
+	for blk := max(b, d.staleFrom); blk < b+n; blk++ {
+		i := blk - d.staleFrom
+		if w := int(i >> 6); w >= len(d.fresh) || d.fresh[w]&(1<<(i&63)) == 0 {
+			return blk, true
+		}
+	}
+	return 0, false
+}
+
+// written ends the stale state of blocks [b, b+n), which a write has just
+// stored.
+//
+//c56:requires mu
+//c56:noalloc
+func (d *Disk) written(b, n int64) {
+	for blk := max(b, d.staleFrom); blk < b+n; blk++ {
+		i := blk - d.staleFrom
+		w := int(i >> 6)
+		if w >= len(d.fresh) {
+			had := len(d.fresh)
+			d.fresh = slices.Grow(d.fresh, w+1-had)[:w+1] //lint:allow noalloc the stale map grows a word per 64 blocks rebuilt out of order; a disk with none never gets here
+			clear(d.fresh[had:])
+		}
+		d.fresh[w] |= 1 << (i & 63)
+	}
+	full := 0
+	for full < len(d.fresh) && d.fresh[full] == math.MaxUint64 {
+		full++
+	}
+	if full > 0 {
+		d.fresh = d.fresh[:copy(d.fresh, d.fresh[full:])]
+		d.staleFrom += int64(full) * 64
+	}
+	if d.staleFrom != noStale {
+		d.staleEnd.Store(d.staleFrom + int64(len(d.fresh))*64)
+	}
+}
+
 // setFailed changes the fail-stop state and its lock-free mirror together.
 //
 //c56:requires mu
@@ -674,7 +782,9 @@ func (d *Disk) Failed() bool { return d.isFailed.Load() }
 // Replace swaps in a fresh drive: contents, latent errors and any armed
 // fault injector are discarded (new hardware does not inherit the old
 // drive's fault scenario — re-arm with SetFaults if desired) and the disk
-// accepts I/O again. Stats are preserved (they describe the slot, which is
+// accepts I/O again, every block stale until written (see MarkStale): a
+// read of one is ErrStale, which the arrays serve from redundancy, never the
+// blank drive's zeros. Stats are preserved (they describe the slot, which is
 // how the migration cost accounting uses them), as is the retry policy
 // (it describes the controller, not the drive).
 //
@@ -695,6 +805,7 @@ func (d *Disk) Replace() {
 	d.setFailed(false)
 	d.failedErr = nil
 	clear(d.latent)
+	d.markStale(0)
 	d.faults = nil
 	d.tel.replaces.Inc()
 	d.tel.tr.Event("vdisk.replace", telemetry.A("disk", d.id))

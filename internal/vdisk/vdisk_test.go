@@ -85,12 +85,20 @@ func TestFailAndReplace(t *testing.T) {
 	if d.Failed() {
 		t.Fatal("still failed after Replace")
 	}
+	// The new drive holds nothing yet: its blocks are stale, not zeros, until
+	// written, and its medium kept nothing of the old one.
 	buf := make([]byte, 4)
-	if err := d.Read(0, buf); err != nil {
+	if err := d.Read(0, buf); !errors.Is(err, ErrStale) || !IsDegradable(err) {
+		t.Fatalf("read of a replaced disk's block = %v, want ErrStale", err)
+	}
+	if _, err := d.Store().ReadAt(buf, 0); err != nil || !bytes.Equal(buf, make([]byte, 4)) {
+		t.Fatalf("replacement medium reads %v (%v), want zeros", buf, err)
+	}
+	if err := d.Write(0, []byte{5, 6, 7, 8}); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf, make([]byte, 4)) {
-		t.Fatal("replacement disk kept old contents")
+	if err := d.Read(0, buf); err != nil || !bytes.Equal(buf, []byte{5, 6, 7, 8}) {
+		t.Fatalf("read after rewrite: %v (%v)", buf, err)
 	}
 }
 
