@@ -269,6 +269,11 @@ func OpenRAID6Array(dir string, opts ...Option) (*RAID6, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Only a RAID-5 mid-migration carries an image past its columns.
+	if disks.Len() != code.Geometry().Cols {
+		disks.Close()
+		return nil, fmt.Errorf("code56: %s: %d disk images for a %d-column code", dir, disks.Len(), code.Geometry().Cols)
+	}
 	a, err := raid6.Wrap(code, disks)
 	if err != nil {
 		disks.Close()

@@ -108,6 +108,27 @@ func TestFileBackedRAID6RoundTrip(t *testing.T) {
 	}
 }
 
+// A RAID-6 directory holding a disk image past the code's columns is refused,
+// not opened with the image ignored.
+func TestOpenRAID6ArrayRefusesExtraDisks(t *testing.T) {
+	dir := t.TempDir()
+	code, _ := New(5)
+	a, err := NewRAID6Array(code, WithBackend("file:"+dir), WithBlockSize(512))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Disks().Attach(); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Disks().Close(); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := OpenRAID6Array(dir); err == nil {
+		b.Disks().Close()
+		t.Fatal("OpenRAID6Array opened 6 disk images for a 5-column code")
+	}
+}
+
 func TestResumeMigrationErrors(t *testing.T) {
 	// No meta.json at all.
 	if _, err := ResumeMigration(t.TempDir()); !errors.Is(err, durable.ErrNoMeta) {

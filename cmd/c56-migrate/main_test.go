@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"code56/internal/obs"
-	"code56/internal/raid5"
 	"code56/internal/raid6"
 )
 
@@ -63,9 +62,9 @@ func TestRunDurableDirectory(t *testing.T) {
 // on a stripe not yet converted (measured: 12 runs in 300, 25 while the
 // migrator served every stripe as a RAID-5) — two bad blocks in one RAID-5
 // row, which nothing above the watermark survives. That outcome must say what
-// it is (raid6.ErrTooManyFailures, or raid5.ErrDoubleFault from the RAID-5
-// itself); the run is then made again on the next seed, and one has to come
-// through clean. Any other error fails the test.
+// it is (raid6.ErrTooManyFailures, which a RAID-5 row's double fault is too);
+// the run is then made again on the next seed, and one has to come through
+// clean. Any other error fails the test.
 func TestRunOnlineWithFaults(t *testing.T) {
 	cfg := online(4, 8, "random", 100)
 	cfg.faults = faultOpts{latent: 0.01, transient: 0.02, seed: 3, retry: 4}
@@ -74,7 +73,7 @@ func TestRunOnlineWithFaults(t *testing.T) {
 		if err == nil {
 			return
 		}
-		if !errors.Is(err, raid6.ErrTooManyFailures) && !errors.Is(err, raid5.ErrDoubleFault) {
+		if !errors.Is(err, raid6.ErrTooManyFailures) {
 			t.Fatal(err)
 		}
 		t.Logf("seed %d ran into a double fault: %v", cfg.faults.seed, err)

@@ -106,11 +106,12 @@ func main() {
 	}
 	fmt.Printf("degraded service: all %d blocks readable with disk 2 failed\n", blocks)
 
-	// Hot-swap: replace the disk and rebuild its RAID-5 contents, then
-	// resume the conversion from the watermark. Partial diagonal writes
-	// above the watermark are simply redone.
+	// Hot-swap: replace the disk and rebuild its RAID-5 contents (a RAID-5
+	// is a RAID-6 array over a one-parity code, its stripe one rotation of
+	// `disks` rows), then resume the conversion from the watermark. Partial
+	// diagonal writes above the watermark are simply redone.
 	r5.Disks().Disk(2).Replace()
-	if err := r5.Rebuild(2, rows); err != nil {
+	if err := code56.RebuildArray(context.Background(), r5.Array, rows/disks, []int{2}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("disk 2 replaced and rebuilt")

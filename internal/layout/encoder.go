@@ -76,6 +76,10 @@ func NewEncoder(code Code) *Encoder {
 // Code returns the code the encoder was built for.
 func (e *Encoder) Code() Code { return e.code }
 
+// Order returns the chain indices in dependency order: every chain after the
+// chains whose parities it covers. Callers must not modify it.
+func (e *Encoder) Order() []int { return e.order }
+
 // Encode computes every parity element of the stripe from the data
 // elements, like the package-level Encode, and returns the block XOR count.
 // The stripe must have the encoder's code's geometry.

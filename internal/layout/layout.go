@@ -141,9 +141,14 @@ type Code interface {
 	FaultTolerance() int
 }
 
-// DataElements returns the coordinates of every data cell of the code, in
-// row-major order.
+// DataElements returns the coordinates of every data cell of the code: in the
+// code's own order if it declares one with a DataOrder() []Coord method (a
+// symmetric RAID-5 numbers a row's blocks from its parity disk on), else in
+// row-major order. It is the order logical blocks fill a stripe.
 func DataElements(c Code) []Coord {
+	if o, ok := c.(interface{ DataOrder() []Coord }); ok {
+		return o.DataOrder()
+	}
 	g := c.Geometry()
 	var out []Coord
 	for r := 0; r < g.Rows; r++ {

@@ -161,7 +161,6 @@ var noallocTrusted = map[string]bool{
 	"code56/internal/layout.Plan.Finish":        true,
 	"code56/internal/layout.Plan.Run":           true,
 	"code56/internal/core.Code56.P":             true,
-	"code56/internal/raid5.Array.Disks":         true,
 	"code56/internal/vdisk.Disk.Read":           true,
 	"code56/internal/vdisk.Disk.Write":          true,
 	"code56/internal/vdisk.Disk.ReadBlocks":     true,
@@ -180,6 +179,7 @@ var noallocTrusted = map[string]bool{
 	"code56/internal/vdisk.Xorer.ReadFoldAt":    true,
 	"code56/internal/vdisk.MemStore.XorAt":      true,
 
+	"code56/internal/raid6.Array.Disks":              true,
 	"code56/internal/raid6.Array.RebuildColumnsHeld": true,
 }
 

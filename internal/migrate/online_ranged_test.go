@@ -659,8 +659,8 @@ func TestDowngradeClosesDetachedDisk(t *testing.T) {
 		t.Errorf("removing the detached image: %v", err)
 	}
 	// The RAID-5 that remains is untouched and serves on.
-	if ok, err := a.VerifyRow(0); err != nil || !ok {
-		t.Errorf("remaining RAID-5 row 0: ok=%v err=%v", ok, err)
+	if ok, err := a.VerifyStripe(0); err != nil || !ok {
+		t.Errorf("remaining RAID-5 stripe 0: ok=%v err=%v", ok, err)
 	}
 
 	// A close that fails is reported: an image already closed cannot be

@@ -1,9 +1,6 @@
 package migrate
 
-import (
-	"code56/internal/layout"
-	"code56/internal/raid5"
-)
+import "code56/internal/layout"
 
 // CellClass says what a target-stripe cell contains at the moment the
 // conversion starts.
@@ -67,12 +64,7 @@ type Overlay struct {
 // source row R: the raid5 rotation over the M real source disks, offset by
 // the virtual columns.
 func sourceParityCol(c Conversion, virtual int, globalRow int64) int {
-	// Reuse raid5's rotation arithmetic through a throwaway descriptor.
-	a, err := raid5.New(c.M, 1, c.SourceLayout)
-	if err != nil {
-		panic(err) // Conversion.Validate rejects M < 3 first
-	}
-	return virtual + a.ParityDisk(globalRow)
+	return virtual + c.SourceLayout.ParityDisk(c.M, globalRow)
 }
 
 // dataRowsOf returns the target rows that hold data cells. Under the

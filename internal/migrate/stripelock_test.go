@@ -219,9 +219,9 @@ func TestStripeLockPauseResumeCancelUnderWriters(t *testing.T) {
 			t.Fatalf("block %d does not read its last acknowledged write (err %v)", L, err)
 		}
 	}
-	for row := int64(0); row < rows; row++ {
-		if ok, err := a.VerifyRow(row); err != nil || !ok {
-			t.Fatalf("row %d inconsistent (ok=%v err=%v)", row, ok, err)
+	for st := int64(0); st < rows/m; st++ {
+		if ok, err := a.VerifyStripe(st); err != nil || !ok {
+			t.Fatalf("RAID-5 stripe %d inconsistent (ok=%v err=%v)", st, ok, err)
 		}
 	}
 }

@@ -157,7 +157,7 @@ func TestHealthzFlipsOnDiskFailure(t *testing.T) {
 	}
 
 	a.Disks().Disk(2).Replace()
-	if err := a.Rebuild(2, rows); err != nil {
+	if err := a.RebuildContext(context.Background(), rows/4, []int{2}); err != nil {
 		t.Fatal(err)
 	}
 	if code, rep := getHealth(); code != http.StatusOK || rep.Status != StatusOK {

@@ -2,12 +2,16 @@ package raid5
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"code56/internal/bufpool"
-	"code56/internal/vdisk"
+	"code56/internal/layout"
+	"code56/internal/parallel"
+	"code56/internal/xorblk"
 )
 
 // poolBalanced checks, when the test ends, that bufpool.InFlight() is back where
@@ -24,6 +28,26 @@ func poolBalanced(t testing.TB) {
 }
 
 var layouts = []Layout{LeftAsymmetric, LeftSymmetric, RightAsymmetric, RightSymmetric}
+
+// rebuild restores the given disk over the array's first stripes (m rows each)
+// on one worker.
+func rebuild(a *Array, stripes int64, disk int) error {
+	return a.RebuildContext(context.Background(), stripes, []int{disk}, parallel.WithWorkers(1))
+}
+
+// rowHolds reads a row's blocks straight off the disks and reports whether
+// they XOR to zero: the row's one parity chain.
+func rowHolds(t *testing.T, a *Array, row int64) bool {
+	t.Helper()
+	acc, buf := make([]byte, a.BlockSize()), make([]byte, a.BlockSize())
+	for d := 0; d < a.M(); d++ {
+		if err := a.Disks().Disk(d).Read(row, buf); err != nil {
+			t.Fatalf("row %d, disk %d: %v", row, d, err)
+		}
+		xorblk.Xor(acc, buf)
+	}
+	return xorblk.IsZero(acc)
+}
 
 func TestLayoutStrings(t *testing.T) {
 	want := map[Layout]string{
@@ -83,6 +107,83 @@ func TestPlacement(t *testing.T) {
 	}
 }
 
+// refParityDisk and refDataDisk are the md rotation as raid5 computed it while
+// it was its own array: the reference the code's address map is held to.
+func refParityDisk(l Layout, m int, row int64) int {
+	r := int(row % int64(m))
+	switch l {
+	case LeftAsymmetric, LeftSymmetric:
+		return m - 1 - r
+	default:
+		return r
+	}
+}
+
+func refDataDisk(l Layout, m int, row int64, k int) int {
+	pd := refParityDisk(l, m, row)
+	switch l {
+	case LeftSymmetric, RightSymmetric:
+		return (pd + 1 + k) % m
+	default:
+		if k < pd {
+			return k
+		}
+		return k + 1
+	}
+}
+
+// TestCodeConformance: for every layout and m from 3 to 8 the RAID-5 code is
+// a valid one-parity code — it survives any one lost column and not every
+// pair — and raid6's logical numbering over it is the md address map: block L
+// is the cell at row L/(m-1), on the disk the reference rotation names, for
+// 10,000 blocks. And a block written reads back.
+func TestCodeConformance(t *testing.T) {
+	for _, l := range layouts {
+		for m := 3; m <= 8; m++ {
+			name := fmt.Sprintf("%v/m=%d", l, m)
+			a, err := New(m, 16, l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			code := a.Code()
+			if err := layout.ValidateStructure(code); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if got, _ := layout.MeasureTolerance(code, 2, 1); got != 1 || code.FaultTolerance() != 1 {
+				t.Fatalf("%s: measured tolerance %d, declared %d, want 1", name, got, code.FaultTolerance())
+			}
+			for L := int64(0); L < 10000; L++ {
+				row, disk := a.Locate(L)
+				k := int(L % int64(m-1))
+				wantRow, wantDisk := L/int64(m-1), refDataDisk(l, m, L/int64(m-1), k)
+				stripe, cell := a.Array.Locate(L)
+				if row != wantRow || disk != wantDisk || stripe*int64(m)+int64(cell.Row) != row || cell.Col != disk {
+					t.Fatalf("%s: block %d at (row %d, disk %d), raid6 (stripe %d, %v); want (row %d, disk %d)", name, L, row, disk, stripe, cell, wantRow, wantDisk)
+				}
+				if pd := a.ParityDisk(row); pd != refParityDisk(l, m, row) {
+					t.Fatalf("%s: row %d parity on disk %d, want %d", name, row, pd, refParityDisk(l, m, row))
+				}
+			}
+			blocks := int64(2 * m * (m - 1)) // two stripes
+			for L := int64(0); L < blocks; L++ {
+				if err := a.WriteBlock(L, bytes.Repeat([]byte{byte(L + 1)}, 16)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			buf := make([]byte, 16)
+			for L := int64(0); L < blocks; L++ {
+				row, disk := a.Locate(L)
+				if err := a.ReadBlock(L, buf); err != nil || !bytes.Equal(buf, bytes.Repeat([]byte{byte(L + 1)}, 16)) {
+					t.Fatalf("%s: block %d reads %v (err %v)", name, L, buf[:2], err)
+				}
+				if err := a.Disks().Disk(disk).Read(row, buf); err != nil || buf[0] != byte(L+1) {
+					t.Fatalf("%s: block %d is not at (row %d, disk %d) on the media", name, L, row, disk)
+				}
+			}
+		}
+	}
+}
+
 func TestReadWriteRoundTrip(t *testing.T) {
 	for _, l := range layouts {
 		a, _ := New(4, 16, l)
@@ -105,13 +206,13 @@ func TestReadWriteRoundTrip(t *testing.T) {
 				t.Fatalf("%v block %d mismatch", l, L)
 			}
 		}
-		for row := int64(0); row < 10; row++ {
-			ok, err := a.VerifyRow(row)
+		for st := int64(0); st < 3; st++ {
+			ok, err := a.VerifyStripe(st)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !ok {
-				t.Fatalf("%v row %d parity inconsistent", l, row)
+				t.Fatalf("%v stripe %d parity inconsistent", l, st)
 			}
 		}
 	}
@@ -124,27 +225,36 @@ func TestWriteRejectsBadSize(t *testing.T) {
 	}
 }
 
+// TestDegradedRead: with one disk down every block reads back, and a block
+// of that disk is read from its row alone: m-1 reads.
 func TestDegradedRead(t *testing.T) {
 	poolBalanced(t)
-	a, _ := New(4, 16, LeftSymmetric)
-	r := rand.New(rand.NewSource(2))
-	want := make(map[int64][]byte)
-	for L := int64(0); L < 24; L++ {
-		b := make([]byte, 16)
-		r.Read(b)
-		want[L] = b
-		if err := a.WriteBlock(L, b); err != nil {
-			t.Fatal(err)
+	for _, l := range layouts {
+		a, _ := New(4, 16, l)
+		r := rand.New(rand.NewSource(2))
+		want := make(map[int64][]byte)
+		for L := int64(0); L < 24; L++ {
+			b := make([]byte, 16)
+			r.Read(b)
+			want[L] = b
+			if err := a.WriteBlock(L, b); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	a.Disks().Disk(2).Fail()
-	buf := make([]byte, 16)
-	for L, w := range want {
-		if err := a.ReadBlock(L, buf); err != nil {
-			t.Fatalf("degraded read %d: %v", L, err)
-		}
-		if !bytes.Equal(buf, w) {
-			t.Fatalf("degraded read %d mismatch", L)
+		a.Disks().Disk(2).Fail()
+		buf := make([]byte, 16)
+		for L, w := range want {
+			_, disk := a.Locate(L)
+			a.Disks().ResetStats()
+			if err := a.ReadBlock(L, buf); err != nil {
+				t.Fatalf("%v: degraded read %d: %v", l, L, err)
+			}
+			if !bytes.Equal(buf, w) {
+				t.Fatalf("%v: degraded read %d mismatch", l, L)
+			}
+			if reads := a.Disks().TotalStats().Reads; disk == 2 && reads != 3 {
+				t.Fatalf("%v: degraded read of block %d took %d reads, want its row's other 3", l, L, reads)
+			}
 		}
 	}
 }
@@ -166,8 +276,8 @@ func TestDegradedWriteAndRebuild(t *testing.T) {
 		write(L)
 	}
 	a.Disks().Disk(1).Fail()
-	// Degraded writes: some land on the failed disk (reconstruct-write),
-	// some on parity rows whose parity disk failed.
+	// Degraded writes: some land on the failed disk (their parity recomputed
+	// from the row), some on rows whose parity disk failed.
 	for L := int64(0); L < 24; L += 2 {
 		write(L)
 	}
@@ -180,7 +290,7 @@ func TestDegradedWriteAndRebuild(t *testing.T) {
 			t.Fatalf("block %d before the rebuild: %v (err %v)", L, buf, err)
 		}
 	}
-	if err := a.Rebuild(1, 8); err != nil {
+	if err := rebuild(a, 2, 1); err != nil {
 		t.Fatal(err)
 	}
 	for L, w := range want {
@@ -191,39 +301,46 @@ func TestDegradedWriteAndRebuild(t *testing.T) {
 			t.Fatalf("block %d mismatch after rebuild", L)
 		}
 	}
-	for row := int64(0); row < 8; row++ {
-		ok, err := a.VerifyRow(row)
+	for st := int64(0); st < 2; st++ {
+		ok, err := a.VerifyStripe(st)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
-			t.Fatalf("row %d inconsistent after rebuild", row)
+			t.Fatalf("stripe %d inconsistent after rebuild", st)
 		}
 	}
 }
 
+// TestDoubleFailure: with two disks down a read that needs both says so with
+// ErrDoubleFailure, and no read returns wrong bytes; a rebuild cannot run.
 func TestDoubleFailure(t *testing.T) {
 	poolBalanced(t)
-	a, _ := New(4, 16, LeftAsymmetric)
-	for L := int64(0); L < 12; L++ {
-		if err := a.WriteBlock(L, make([]byte, 16)); err != nil {
-			t.Fatal(err)
+	for _, l := range layouts {
+		a, _ := New(4, 16, l)
+		for L := int64(0); L < 12; L++ {
+			if err := a.WriteBlock(L, bytes.Repeat([]byte{byte(L + 1)}, 16)); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	a.Disks().Disk(0).Fail()
-	a.Disks().Disk(2).Fail()
-	sawDouble := false
-	buf := make([]byte, 16)
-	for L := int64(0); L < 12; L++ {
-		if err := a.ReadBlock(L, buf); errors.Is(err, ErrDoubleFailure) {
-			sawDouble = true
+		a.Disks().Disk(0).Fail()
+		a.Disks().Disk(2).Fail()
+		sawDouble := false
+		buf := make([]byte, 16)
+		for L := int64(0); L < 12; L++ {
+			err := a.ReadBlock(L, buf)
+			if errors.Is(err, ErrDoubleFailure) {
+				sawDouble = true
+			} else if err != nil || !bytes.Equal(buf, bytes.Repeat([]byte{byte(L + 1)}, 16)) {
+				t.Fatalf("%v: block %d reads %v (err %v)", l, L, buf[:2], err)
+			}
 		}
-	}
-	if !sawDouble {
-		t.Fatal("double failure never surfaced — RAID-5 should not survive two failed disks")
-	}
-	if err := a.Rebuild(0, 3); !errors.Is(err, ErrDoubleFailure) {
-		t.Fatalf("Rebuild with failed disks: %v", err)
+		if !sawDouble {
+			t.Fatalf("%v: double failure never surfaced — RAID-5 should not survive two failed disks", l)
+		}
+		if err := rebuild(a, 1, 0); !errors.Is(err, ErrDoubleFailure) {
+			t.Fatalf("%v: rebuild with failed disks: %v", l, err)
+		}
 	}
 }
 
@@ -249,8 +366,8 @@ func TestLatentErrorRecovery(t *testing.T) {
 
 // TestSecondBadBlockInRowIsDoubleFault: a bad sector on a peer read to
 // reconstruct another block of the row is beyond single parity, for a read
-// and for both reconstruct-write entries, and says so with ErrDoubleFault
-// around the disk's own error.
+// and for writes over a bad block or a bad parity, and says so with
+// ErrDoubleFailure.
 func TestSecondBadBlockInRowIsDoubleFault(t *testing.T) {
 	poolBalanced(t)
 	a, _ := New(4, 16, LeftAsymmetric)
@@ -264,79 +381,62 @@ func TestSecondBadBlockInRowIsDoubleFault(t *testing.T) {
 	for peer == disk || peer == a.ParityDisk(row) {
 		peer++
 	}
-	isDouble := func(err error) bool {
-		return errors.Is(err, ErrDoubleFault) && errors.Is(err, vdisk.ErrLatent)
-	}
 	buf := make([]byte, 16)
 	a.Disks().Disk(peer).InjectLatentError(row)
 	a.Disks().Disk(disk).InjectLatentError(row)
-	if err := a.ReadBlock(5, buf); !isDouble(err) {
+	if err := a.ReadBlock(5, buf); !errors.Is(err, ErrDoubleFailure) {
 		t.Errorf("read with a bad peer: %v", err)
 	}
-	if err := a.WriteBlock(5, buf); !isDouble(err) {
+	if err := a.WriteBlock(5, buf); !errors.Is(err, ErrDoubleFailure) {
 		t.Errorf("write over a bad block with a bad peer: %v", err)
 	}
 	if err := a.Disks().Disk(disk).Write(row, buf); err != nil { // clears the sector
 		t.Fatal(err)
 	}
 	a.Disks().Disk(a.ParityDisk(row)).InjectLatentError(row)
-	if err := a.WriteBlock(5, buf); !isDouble(err) {
+	if err := a.WriteBlock(5, buf); !errors.Is(err, ErrDoubleFailure) {
 		t.Errorf("write with bad parity and a bad peer: %v", err)
 	}
 }
 
 // TestRMWTouchesTwoDisks asserts the single-write I/O profile the paper's
 // Table III builds on: an update in a healthy array costs 2 reads + 2
-// writes on exactly the data disk and the parity disk.
+// writes on exactly the data disk and the parity disk, on every layout.
 func TestRMWTouchesTwoDisks(t *testing.T) {
-	a, _ := New(5, 16, LeftAsymmetric)
-	if err := a.WriteBlock(7, make([]byte, 16)); err != nil {
-		t.Fatal(err)
-	}
-	a.Disks().ResetStats()
-	if err := a.WriteBlock(7, []byte("0123456789abcdef")); err != nil {
-		t.Fatal(err)
-	}
-	row, disk := a.Locate(7)
-	pd := a.ParityDisk(row)
-	for i := 0; i < 5; i++ {
-		s := a.Disks().Disk(i).Stats()
-		switch i {
-		case disk, pd:
-			if s.Reads != 1 || s.Writes != 1 {
-				t.Errorf("disk %d stats %+v, want 1r/1w", i, s)
-			}
-		default:
-			if s.Total() != 0 {
-				t.Errorf("disk %d touched: %+v", i, s)
+	for _, l := range layouts {
+		a, _ := New(5, 16, l)
+		if err := a.WriteBlock(7, make([]byte, 16)); err != nil {
+			t.Fatal(err)
+		}
+		a.Disks().ResetStats()
+		if err := a.WriteBlock(7, []byte("0123456789abcdef")); err != nil {
+			t.Fatal(err)
+		}
+		row, disk := a.Locate(7)
+		pd := a.ParityDisk(row)
+		for i := 0; i < 5; i++ {
+			s := a.Disks().Disk(i).Stats()
+			switch i {
+			case disk, pd:
+				if s.Reads != 1 || s.Writes != 1 {
+					t.Errorf("%v: disk %d stats %+v, want 1r/1w", l, i, s)
+				}
+			default:
+				if s.Total() != 0 {
+					t.Errorf("%v: disk %d touched: %+v", l, i, s)
+				}
 			}
 		}
 	}
 }
 
-// writeOnce is WriteBlock saying which form completed the write: the small
-// write under the shared lock and, if that reports redo, the snapshot write
-// under the exclusive one.
-func writeOnce(a *Array, logical int64, data []byte) (redone bool, err error) {
-	row, _ := a.Locate(logical)
-	lk := a.stripeLock(row)
-	lk.RLock()
-	redo, err := a.writeBlockHeld(logical, data, false)
-	lk.RUnlock()
-	if redo {
-		lk.Lock()
-		_, err = a.writeBlockHeld(logical, data, true)
-		lk.Unlock()
-	}
-	return redo, err
-}
-
-// TestWriteBlockRedoesDegradedWrites: held shared, writeBlockHeld is the small
-// write, at two reads and two writes. In every degraded state it reports redo
-// instead — having written the data already when it is the parity that cannot
-// be read — and held exclusive writes the block without reading it or its
-// parity. The row verifies and the new data reads back afterwards in all of
-// them.
+// TestWriteBlockRedoesDegradedWrites: a healthy write is the small write, two
+// reads and two writes. With the parity's disk down the small write skips its
+// fold; in every other degraded state the write is made again under the
+// stripe's exclusive hold, recomputing the parity from the row's other data
+// blocks, without reading the block or its parity — having written the data
+// already when it is the parity that cannot be read. The row's chain holds
+// and the new data reads back afterwards in all of them.
 func TestWriteBlockRedoesDegradedWrites(t *testing.T) {
 	const logical = 7
 	first := []byte("0123456789abcdef")
@@ -344,16 +444,16 @@ func TestWriteBlockRedoesDegradedWrites(t *testing.T) {
 	for _, c := range []struct {
 		name          string
 		damage        func(a *Array, row int64, disk, pd int)
-		redone        bool
 		reads, writes int64 // the write's I/O across all disks, both attempts
+		verify        bool  // the row's blocks can all be read afterwards
 	}{
-		{"healthy", func(*Array, int64, int, int) {}, false, 2, 2},
-		{"old data latent", func(a *Array, row int64, disk, pd int) { a.Disks().Disk(disk).InjectLatentError(row) }, true, 3, 2}, // the failed swap is not counted
-		{"old parity latent", func(a *Array, row int64, disk, pd int) { a.Disks().Disk(pd).InjectLatentError(row) }, true, 1 + 3, 1 + 2},
-		{"data disk failed", func(a *Array, row int64, disk, pd int) { a.Disks().Disk(disk).Fail() }, true, 3, 1},
-		{"parity disk failed", func(a *Array, row int64, disk, pd int) { a.Disks().Disk(pd).Fail() }, true, 0, 1},
-		{"data disk replaced", func(a *Array, row int64, disk, pd int) { a.Disks().Disk(disk).Replace() }, true, 3, 2},
-		{"parity disk replaced", func(a *Array, row int64, disk, pd int) { a.Disks().Disk(pd).Replace() }, false, 1, 1}, // the fold into the stale parity is dropped
+		{"healthy", func(*Array, int64, int, int) {}, 2, 2, true},
+		{"old data latent", func(a *Array, row int64, disk, pd int) { a.Disks().Disk(disk).InjectLatentError(row) }, 3, 2, true}, // the failed swap is not counted
+		{"old parity latent", func(a *Array, row int64, disk, pd int) { a.Disks().Disk(pd).InjectLatentError(row) }, 1 + 3, 1 + 2, true},
+		{"data disk failed", func(a *Array, row int64, disk, pd int) { a.Disks().Disk(disk).Fail() }, 3, 1, false},
+		{"parity disk failed", func(a *Array, row int64, disk, pd int) { a.Disks().Disk(pd).Fail() }, 1, 1, false}, // the fold into the dead disk is skipped
+		{"data disk replaced", func(a *Array, row int64, disk, pd int) { a.Disks().Disk(disk).Replace() }, 3, 2, true},
+		{"parity disk replaced", func(a *Array, row int64, disk, pd int) { a.Disks().Disk(pd).Replace() }, 1, 1, false}, // the fold into the stale parity is dropped
 	} {
 		a, _ := New(5, 16, LeftAsymmetric)
 		for L := int64(0); L < 12; L++ { // rows 0-2, so the peers hold data too
@@ -368,9 +468,8 @@ func TestWriteBlockRedoesDegradedWrites(t *testing.T) {
 		pd := a.ParityDisk(row)
 		c.damage(a, row, disk, pd)
 		a.Disks().ResetStats()
-		redone, err := writeOnce(a, logical, second)
-		if err != nil || redone != c.redone {
-			t.Fatalf("%s: redone %v (want %v), err %v", c.name, redone, c.redone, err)
+		if err := a.WriteBlock(logical, second); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
 		if st := a.Disks().TotalStats(); st.Reads != c.reads || st.Writes != c.writes {
 			t.Errorf("%s: write cost %d reads / %d writes, want %d / %d", c.name, st.Reads, st.Writes, c.reads, c.writes)
@@ -379,10 +478,8 @@ func TestWriteBlockRedoesDegradedWrites(t *testing.T) {
 		if err := a.ReadBlock(logical, got); err != nil || !bytes.Equal(got, second) {
 			t.Errorf("%s: read back %q (err %v), want %q", c.name, got, err, second)
 		}
-		if len(a.failedDisks()) == 0 && c.name != "parity disk replaced" {
-			if ok, err := a.VerifyRow(row); err != nil || !ok {
-				t.Errorf("%s: row does not verify after the write (ok=%v err=%v)", c.name, ok, err)
-			}
+		if c.verify && !rowHolds(t, a, row) {
+			t.Errorf("%s: the row's parity does not match its data after the write", c.name)
 		}
 	}
 	a, _ := New(5, 16, LeftAsymmetric)
@@ -391,6 +488,8 @@ func TestWriteBlockRedoesDegradedWrites(t *testing.T) {
 	}
 }
 
+// TestAccessorsAndWrap: Wrap reuses the disk set, refuses too few disks, and
+// leaves disks past the RAID-5's alone.
 func TestAccessorsAndWrap(t *testing.T) {
 	a, _ := New(5, 32, LeftSymmetric)
 	if a.M() != 5 || a.Layout() != LeftSymmetric || a.BlockSize() != 32 {
@@ -409,11 +508,53 @@ func TestAccessorsAndWrap(t *testing.T) {
 	if _, err := Wrap(a.Disks(), 9, LeftSymmetric); err == nil {
 		t.Error("Wrap with too few disks accepted")
 	}
+	four, err := Wrap(a.Disks(), 4, LeftAsymmetric)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Disks().ResetStats()
+	for L := int64(0); L < 24; L++ {
+		if err := four.WriteBlock(L, make([]byte, 32)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rebuild(four, 2, 1); err != nil {
+		t.Fatal(err)
+	}
+	if st := a.Disks().Disk(4).Stats(); st.Total() != 0 {
+		t.Errorf("a 4-disk RAID-5 over 5 disks touched the fifth: %+v", st)
+	}
 }
 
-// TestWriteParity regenerates a row's parity wholesale after direct data
-// manipulation.
-func TestWriteParity(t *testing.T) {
+// A RAID-5 cannot be rotated: its layout is the rotation, and Locate is the
+// map every block is read by.
+func TestRotationIsRefused(t *testing.T) {
+	for _, l := range []Layout{LeftAsymmetric, LeftSymmetric, RightAsymmetric, RightSymmetric} {
+		a, _ := New(4, 16, l)
+		if err := a.SetRotation(true); err == nil {
+			t.Errorf("%v: SetRotation(true) accepted", l)
+		}
+		if err := a.SetRotation(false); err != nil {
+			t.Errorf("%v: SetRotation(false): %v", l, err)
+		}
+		if a.Rotated() {
+			t.Errorf("%v: rotated after a refused SetRotation", l)
+		}
+		buf := []byte("0123456789abcdef")
+		if err := a.WriteBlock(5, buf); err != nil {
+			t.Fatal(err)
+		}
+		row, disk := a.Locate(5)
+		got := make([]byte, 16)
+		if err := a.Disks().Disk(disk).Read(row, got); err != nil || !bytes.Equal(got, buf) {
+			t.Errorf("%v: block 5 not on disk %d row %d where Locate puts it: %q, %v", l, disk, row, got, err)
+		}
+	}
+}
+
+// TestEncodeStripeRewritesParity regenerates a row's parity wholesale after
+// direct data manipulation.
+func TestEncodeStripeRewritesParity(t *testing.T) {
 	a, _ := New(4, 16, LeftAsymmetric)
 	// Write data blocks directly to the disks, skipping parity upkeep.
 	row := int64(2)
@@ -424,14 +565,17 @@ func TestWriteParity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if ok, _ := a.VerifyRow(row); ok {
-		t.Fatal("row should be inconsistent before WriteParity")
+	if ok, _ := a.VerifyStripe(0); ok {
+		t.Fatal("stripe should be inconsistent before EncodeStripe")
 	}
-	if err := a.WriteParity(row); err != nil {
+	if err := a.EncodeStripe(0); err != nil {
 		t.Fatal(err)
 	}
-	ok, err := a.VerifyRow(row)
+	ok, err := a.VerifyStripe(0)
 	if err != nil || !ok {
-		t.Fatalf("row inconsistent after WriteParity: %v %v", ok, err)
+		t.Fatalf("stripe inconsistent after EncodeStripe: %v %v", ok, err)
+	}
+	if !rowHolds(t, a, row) {
+		t.Fatal("row 2's parity does not match its data")
 	}
 }

@@ -48,7 +48,7 @@ func TestConcurrentSmallWritesKeepParity(t *testing.T) {
 				}
 				close(start)
 				wg.Wait()
-				if ok, err := a.VerifyRow(0); err != nil || !ok {
+				if ok, err := a.VerifyStripe(0); err != nil || !ok {
 					t.Fatalf("round %d: the row's parity does not match its data (ok=%v err=%v)", round, ok, err)
 				}
 				got := make([]byte, bs)
@@ -73,7 +73,8 @@ func TestConcurrentSmallWritesKeepParity(t *testing.T) {
 
 // TestSmallWriteCounters: the healthy small write is one Swap and one Xor —
 // two reads and two writes on two disks (TestRMWTouchesTwoDisks) — and still
-// counts two block XORs and one parity update.
+// counts two block XORs and one parity update, under raid6's names: a RAID-5
+// is a raid6.Array.
 func TestSmallWriteCounters(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	a, _ := New(5, 16, LeftAsymmetric)
@@ -87,7 +88,7 @@ func TestSmallWriteCounters(t *testing.T) {
 	}
 	after := reg.Snapshot().Counters
 	for name, want := range map[string]int64{
-		"raid5.xors": 2, "raid5.parity_updates": 1, "raid5.block_writes": 1,
+		"raid6.xors": 2, "raid6.parity_updates": 1, "raid6.block_writes": 1,
 		"vdisk.reads": 2, "vdisk.writes": 2,
 	} {
 		if got := after[name] - before[name]; got != want {
@@ -97,29 +98,33 @@ func TestSmallWriteCounters(t *testing.T) {
 }
 
 // TestSmallWriteAllocationFree pins the healthy small write and the address
-// arithmetic under it.
+// arithmetic under it, on every layout.
 func TestSmallWriteAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
 	}
-	a, _ := New(5, 4096, LeftAsymmetric)
-	data := bytes.Repeat([]byte{7}, 4096)
-	if err := a.WriteBlock(9, data); err != nil { // allocate the slabs
-		t.Fatal(err)
-	}
-	for name, fn := range map[string]func(){
-		"WriteBlock": func() {
-			if err := a.WriteBlock(9, data); err != nil {
-				t.Fatal(err)
+	for _, l := range layouts {
+		a, _ := New(5, 4096, l)
+		data := bytes.Repeat([]byte{7}, 4096)
+		if err := a.WriteBlock(9, data); err != nil { // allocate the slabs
+			t.Fatal(err)
+		}
+		for name, fn := range map[string]func(){
+			"WriteBlock": func() {
+				if err := a.WriteBlock(9, data); err != nil {
+					t.Fatal(err)
+				}
+			},
+			"Locate":            func() { _, _ = a.Locate(9) },
+			"ParityDisk":        func() { _ = a.ParityDisk(2) },
+			"DataDisk":          func() { _ = a.DataDisk(2, 1) },
+			"Layout.ParityDisk": func() { _ = l.ParityDisk(5, 2) },
+			"Layout.DataDisk":   func() { _ = l.DataDisk(5, 2, 1) },
+			"Disks":             func() { _ = a.Disks() },
+		} {
+			if n := testing.AllocsPerRun(100, fn); n != 0 {
+				t.Errorf("%v: %s allocates %.1f times per call, want 0", l, name, n)
 			}
-		},
-		"Locate":     func() { _, _ = a.Locate(9) },
-		"ParityDisk": func() { _ = a.ParityDisk(2) },
-		"DataDisk":   func() { _ = a.DataDisk(2, 1) },
-		"Disks":      func() { _ = a.Disks() },
-	} {
-		if n := testing.AllocsPerRun(100, fn); n != 0 {
-			t.Errorf("%s allocates %.1f times per call, want 0", name, n)
 		}
 	}
 }

@@ -2,10 +2,12 @@ package raid5
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"code56/internal/parallel"
 	"code56/internal/telemetry"
 )
 
@@ -46,11 +48,11 @@ func raceUntil(fn func(), background ...func(i int)) {
 
 // TestStripeLockDegradedReadDuringSmallWrites: a degraded read of a block
 // nobody writes returns that block every time while another block of its row
-// takes small writes, whether the block's disk is down or its sector bad. A
-// row verifies all the while, too.
+// takes small writes, whether the block's disk is down or its sector bad. The
+// stripe verifies all the while, too.
 func TestStripeLockDegradedReadDuringSmallWrites(t *testing.T) {
 	const bs, rounds, reads = 1024, 10, 400
-	for _, damage := range []string{"disk down", "latent sector", "none: VerifyRow"} {
+	for _, damage := range []string{"disk down", "latent sector", "none: VerifyStripe"} {
 		t.Run(damage, func(t *testing.T) {
 			a, _ := New(5, bs, LeftAsymmetric)
 			a.SetTelemetry(telemetry.NewRegistry(), nil)
@@ -71,8 +73,8 @@ func TestStripeLockDegradedReadDuringSmallWrites(t *testing.T) {
 				wrong := 0
 				raceUntil(func() {
 					for i := 0; i < reads; i++ {
-						if damage == "none: VerifyRow" {
-							if ok, err := a.VerifyRow(row); err != nil || !ok {
+						if damage == "none: VerifyStripe" {
+							if ok, err := a.VerifyStripe(0); err != nil || !ok {
 								wrong++
 							}
 						} else if err := a.ReadBlock(0, got); err != nil || !bytes.Equal(got, want) {
@@ -93,19 +95,19 @@ func TestStripeLockDegradedReadDuringSmallWrites(t *testing.T) {
 }
 
 // TestStripeLockSnapshotWritesDuringSmallWrites: writes that compute the row's
-// parity from a snapshot of its blocks — a reconstruct-write to a block whose
-// disk is down, the redo of a small write that met a bad parity sector, the
-// rebuild of a replaced disk, WriteParity — run beside small writes to other
-// blocks of the row, and once all have stopped every block reads its last
-// acknowledged write, the one on the dead disk included, and the row verifies
-// where it can be read.
+// parity from a snapshot of its blocks — a write to a block whose disk is
+// down, the redo of a small write that met a bad parity sector, the rebuild of
+// a replaced disk, EncodeStripe — run beside small writes to other blocks of
+// the row, and once all have stopped every block reads its last acknowledged
+// write, the one on the dead disk included, and the stripe verifies where it
+// can be read.
 func TestStripeLockSnapshotWritesDuringSmallWrites(t *testing.T) {
 	const bs, rounds, writes = 1024, 100, 20
 	for _, tc := range []struct {
 		name string
 		// snapshot is the snapshot writer's i-th step, and the block it wrote.
 		snapshot func(a *Array, row int64, disk, round, i int) ([]byte, error)
-		dead     bool // the array is left with a disk down: no VerifyRow
+		dead     bool // the array is left with a disk down: no VerifyStripe
 	}{
 		{"reconstruct-write, disk down",
 			func(a *Array, row int64, disk, round, i int) ([]byte, error) {
@@ -123,10 +125,10 @@ func TestStripeLockSnapshotWritesDuringSmallWrites(t *testing.T) {
 			func(a *Array, row int64, disk, round, i int) ([]byte, error) {
 				a.Disks().Disk(disk).Fail()
 				a.Disks().Disk(disk).Replace()
-				return nil, a.Rebuild(disk, row+1)
+				return nil, a.RebuildContext(context.Background(), 1, []int{disk})
 			}, false},
-		{"WriteParity",
-			func(a *Array, row int64, disk, round, i int) ([]byte, error) { return nil, a.WriteParity(row) },
+		{"EncodeStripe",
+			func(a *Array, row int64, disk, round, i int) ([]byte, error) { return nil, a.EncodeStripe(0) },
 			false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -176,7 +178,7 @@ func TestStripeLockSnapshotWritesDuringSmallWrites(t *testing.T) {
 					}
 				}
 				if !tc.dead {
-					if ok, err := a.VerifyRow(row); err != nil || !ok {
+					if ok, err := a.VerifyStripe(0); err != nil || !ok {
 						t.Fatalf("round %d: the row's parity does not match its data (ok=%v err=%v)", round, ok, err)
 					}
 				}
@@ -185,14 +187,16 @@ func TestStripeLockSnapshotWritesDuringSmallWrites(t *testing.T) {
 	}
 }
 
-// TestStripeLockRebuildUnderWriters: while Rebuild restores a replaced disk,
-// writers go for it — small writes to blocks it holds, which go the snapshot
-// way since its blocks are stale, and small writes to a row whose parity it
-// holds, whose fold into the stale parity is dropped — beside a writer that
-// keeps off it. Once all have stopped every block reads its last acknowledged
-// write and every row verifies.
+// TestStripeLockRebuildUnderWriters: while a rebuild on two workers restores a
+// replaced disk, writers go for it — small writes to blocks it holds, which
+// are recomputed under the exclusive hold since its blocks are stale, and
+// small writes to a row whose parity it holds, whose fold into the stale
+// parity is dropped — beside a writer that keeps off it. Once all have stopped
+// every block reads its last acknowledged write and every stripe verifies.
+// The blocks are large enough that a stripe fills a worker's claim, so the two
+// stripes are rebuilt by two workers at once.
 func TestStripeLockRebuildUnderWriters(t *testing.T) {
-	const bs, m, rows, rounds, writes = 256, 5, 10, 100, 10
+	const bs, m, rows, rounds, writes = 64 << 10, 5, 10, 100, 10
 	a, _ := New(m, bs, LeftAsymmetric)
 	a.SetTelemetry(telemetry.NewRegistry(), nil)
 	blocks := int64(rows * (m - 1))
@@ -227,7 +231,7 @@ func TestStripeLockRebuildUnderWriters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			if err := a.Rebuild(disk, rows); err != nil {
+			if err := a.RebuildContext(context.Background(), rows/m, []int{disk}, parallel.WithWorkers(2)); err != nil {
 				t.Errorf("rebuild: %v", err)
 			}
 		}()
@@ -255,9 +259,9 @@ func TestStripeLockRebuildUnderWriters(t *testing.T) {
 				t.Fatalf("round %d: block %d reads %v (err %v), its last acknowledged write was %v", round, L, got[:4], err, want[:4])
 			}
 		}
-		for row := int64(0); row < rows; row++ {
-			if ok, err := a.VerifyRow(row); err != nil || !ok {
-				t.Fatalf("round %d: row %d's parity does not match its data (ok=%v err=%v)", round, row, ok, err)
+		for st := int64(0); st < rows/m; st++ {
+			if ok, err := a.VerifyStripe(st); err != nil || !ok {
+				t.Fatalf("round %d: stripe %d's parity does not match its data (ok=%v err=%v)", round, st, ok, err)
 			}
 		}
 	}

@@ -1,19 +1,23 @@
 package raid6
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+
+	"code56/internal/vdisk"
+)
 
 // WriteStripe writes all data blocks of one stripe at once and encodes its
 // parities in a single pass — the full-stripe write optimization: no block
 // is read, every cell is written exactly once (2 writes per data block at
 // MDS rates, versus up to 6 I/Os per block through read-modify-write).
-// data must contain exactly DataPerStripe() blocks, in Locate order. The
-// array must be healthy.
+// data must contain exactly DataPerStripe() blocks, in Locate order. A column
+// whose disk is down, or goes down under the write, is skipped — it comes back
+// at rebuild — and the write fails only if more disks are down than the code
+// tolerates.
 func (a *Array) WriteStripe(stripe int64, data [][]byte) error {
 	if len(data) != len(a.dataCells) {
 		return fmt.Errorf("raid6: full-stripe write of %d blocks, want %d", len(data), len(a.dataCells))
-	}
-	if a.failedColumns().Len() > 0 {
-		return fmt.Errorf("%w: full-stripe write needs a healthy array", ErrTooManyFailures)
 	}
 	s := a.stripes.Get()
 	defer a.stripes.Put(s)
@@ -28,9 +32,12 @@ func (a *Array) WriteStripe(stripe int64, data [][]byte) error {
 	lk.Lock()
 	defer lk.Unlock()
 	for j := 0; j < a.geom.Cols; j++ {
-		if err := a.writeColumn(stripe, j, s); err != nil {
+		if err := a.writeColumn(stripe, j, s); err != nil && !errors.Is(err, vdisk.ErrFailed) {
 			return err
 		}
+	}
+	if f := a.failedColumns(); f.Len() > a.code.FaultTolerance() {
+		return fmt.Errorf("%w: full-stripe write with %d disks down", ErrTooManyFailures, f.Len())
 	}
 	return nil
 }

@@ -109,10 +109,21 @@ func TestWriteStripeValidation(t *testing.T) {
 	if err := a.WriteStripe(0, bad); err == nil {
 		t.Error("short block accepted")
 	}
-	a.Disks().Disk(1).Fail()
+	// With disks down up to the tolerance a full-stripe write goes through and
+	// reads back; past it, it is refused.
 	good := randBlocks(rand.New(rand.NewSource(4)), a.DataPerStripe(), 32)
+	for _, d := range []int{1, 3} {
+		a.Disks().Disk(d).Fail()
+		if err := a.WriteStripe(0, good); err != nil {
+			t.Fatalf("full-stripe write with disk %d down: %v", d, err)
+		}
+		if got, err := a.ReadStripe(0); err != nil || !bytes.Equal(got[5], good[5]) {
+			t.Fatalf("degraded full-stripe write reads back %v (err %v)", got, err)
+		}
+	}
+	a.Disks().Disk(0).Fail()
 	if err := a.WriteStripe(0, good); !errors.Is(err, ErrTooManyFailures) {
-		t.Errorf("degraded full-stripe write: %v", err)
+		t.Errorf("full-stripe write with three disks down: %v", err)
 	}
 }
 

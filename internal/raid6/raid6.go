@@ -9,11 +9,9 @@ import (
 	"errors"
 	"fmt"
 
-	"code56/internal/bufpool"
 	"code56/internal/layout"
 	"code56/internal/telemetry"
 	"code56/internal/vdisk"
-	"code56/internal/xorblk"
 )
 
 // ErrTooManyFailures is returned when an operation needs more surviving
@@ -144,12 +142,13 @@ func (a *Array) SetTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) {
 	a.disks.SetTelemetry(reg, tr)
 }
 
-// Wrap builds an Array over an existing disk array (used by the migration
-// engine after a conversion completes). The disk array must have exactly
-// Geometry().Cols disks.
+// Wrap builds an Array over an existing disk array (the migration engine's,
+// a RAID-5's). Its first Geometry().Cols disks hold the code's columns; any
+// past them — a RAID-5's half-filled diagonal-parity disk mid-migration — are
+// left alone.
 func Wrap(code layout.Code, disks *vdisk.Array) (*Array, error) {
 	g := code.Geometry()
-	if disks.Len() != g.Cols {
+	if disks.Len() < g.Cols {
 		return nil, fmt.Errorf("raid6: %d disks for a %d-column code", disks.Len(), g.Cols)
 	}
 	return newArray(code, disks, disks.BlockSize()), nil
@@ -159,6 +158,8 @@ func Wrap(code layout.Code, disks *vdisk.Array) (*Array, error) {
 func (a *Array) Code() layout.Code { return a.code }
 
 // Disks exposes the underlying disk array.
+//
+//c56:noalloc
 func (a *Array) Disks() *vdisk.Array { return a.disks }
 
 // BlockSize returns the block size in bytes.
@@ -213,8 +214,7 @@ func (a *Array) xorCell(stripe int64, c layout.Coord, delta []byte) error {
 
 // failedColumns returns the failed disks. It stops at layout.MaxColumns of
 // them, one past any code's fault tolerance: beyond that the set only has to
-// say "too many". Every write asks it to learn "none"; Disk.Failed is an
-// atomic load, so that answer costs one load a column.
+// say "too many".
 //
 //c56:noalloc
 func (a *Array) failedColumns() layout.Columns {
@@ -389,10 +389,7 @@ func (a *Array) lostColumns(stripe int64, failed layout.Columns, col int) layout
 	return cols.With(col)
 }
 
-// WriteBlock writes logical data block L. In a healthy array it is a small
-// write (see writeRMW) under the stripe's shared lock; with a disk down, or
-// when the small write meets a degradable error, it is the stripe's
-// reconstruct-modify-write (see writeDegraded) under the exclusive one.
+// WriteBlock writes logical data block L: writePartialStripe of one block.
 //
 //c56:noalloc
 func (a *Array) WriteBlock(logical int64, data []byte) error {
@@ -401,100 +398,7 @@ func (a *Array) WriteBlock(logical int64, data []byte) error {
 	}
 	a.tel.blockWrites.Inc()
 	n := int64(len(a.dataCells))
-	stripe, first := logical/n, logical%n
-	lk := a.disks.StripeLock(stripe)
-	if a.failedColumns().Len() == 0 {
-		lk.RLock()
-		err := a.writeRMW(stripe, a.dataCells[first], data)
-		lk.RUnlock()
-		if err == nil || !vdisk.IsDegradable(err) {
-			return err
-		}
-	}
-	lk.Lock()
-	err := a.writeDegraded(stripe, first, data) //lint:allow noalloc degraded writes reconstruct the whole stripe; RMW is the steady state
-	lk.Unlock()
-	return err
-}
-
-// writeRMW is the small write: Swap the data cell for its new contents, turn
-// the old contents into the delta, and fold the delta into every parity of the
-// cell's cascade with Disk.Xor — three disk operations for Code 5-6, whose
-// data cells sit in exactly two chains. Each operation is atomic on its disk
-// and the folds commute, so concurrent small writes to one stripe, even to one
-// cell, leave every parity consistent with the data that ended up stored.
-// Stripe held, shared; after a degradable error the caller redoes the write
-// with writeDegraded, which covers whatever this one had written. A fold that
-// fails does not stop the others — the redo decodes the stripe from its
-// parities, which must hold every delta they can — and the first error is
-// returned.
-//
-//c56:noalloc
-func (a *Array) writeRMW(stripe int64, cell layout.Coord, data []byte) error {
-	delta := bufpool.Get(a.blockSize)
-	defer bufpool.Put(delta)
-	if err := a.swapCell(stripe, cell, data, delta); err != nil {
-		return err
-	}
-	xorblk.Xor(delta, data)
-	a.tel.xors.Inc()
-	var err error
-	for _, ci := range a.cascade[a.geom.Index(cell)] {
-		if ferr := a.xorCell(stripe, a.chains[ci].Parity, delta); ferr != nil {
-			if err == nil {
-				err = ferr
-			}
-			continue
-		}
-		a.tel.xors.Inc()
-		a.tel.parityUpdates.Inc()
-	}
-	return err
-}
-
-// writeDegraded is the snapshot write of a run of blocks within one stripe, from
-// data cell first on: it loads the stripe, reconstructs what cannot be read,
-// stores the new data and encodes every parity from the data, so what a delta
-// write stopped by a fault left half folded is made whole. Stripe held,
-// exclusive.
-func (a *Array) writeDegraded(stripe, first int64, data []byte) error {
-	s, es, err := a.loadStripe(stripe, nil)
-	if err != nil {
-		return err
-	}
-	defer a.stripes.Put(s)
-	if len(es) > 0 {
-		if _, err := a.dec.Reconstruct(s, es); err != nil {
-			return fmt.Errorf("%w: %w", ErrTooManyFailures, err)
-		}
-	}
-	cells := a.dataCells[first : first+int64(len(data)/a.blockSize)]
-	for i, c := range cells {
-		s.SetBlock(c, data[i*a.blockSize:(i+1)*a.blockSize])
-	}
-	a.enc.Encode(s)
-	a.tel.xors.Add(a.encodeXORs)
-	// Write back the changed data cells and every parity on surviving
-	// disks; failed columns are skipped (their content is restored at
-	// rebuild time).
-	write := func(c layout.Coord) error {
-		if a.diskFor(stripe, c.Col).Failed() {
-			return nil
-		}
-		return a.writeCell(stripe, c, s.Block(c))
-	}
-	for _, c := range cells {
-		if err := write(c); err != nil {
-			return err
-		}
-	}
-	for _, ch := range a.chains {
-		if err := write(ch.Parity); err != nil {
-			return err
-		}
-		a.tel.parityUpdates.Inc()
-	}
-	return nil
+	return a.writePartialStripe(logical/n, logical%n, data)
 }
 
 // EncodeStripe recomputes and writes all parities of stripe s from its data
