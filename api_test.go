@@ -202,6 +202,20 @@ func TestPublicPlansAndCodes(t *testing.T) {
 	}
 }
 
+// TestPlanColumnRecoveryRejectsBadColumn: a column outside the code has no
+// plan, and says so.
+func TestPlanColumnRecoveryRejectsBadColumn(t *testing.T) {
+	code, err := New(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, col := range []int{-1, 5, 9} {
+		if plan, err := PlanColumnRecovery(code, col); err == nil || plan != nil {
+			t.Errorf("column %d: plan %v, err %v; want an error", col, plan, err)
+		}
+	}
+}
+
 // TestPublicRecoveryAndScrub exercises the maintenance facade: optimized
 // column recovery planning and array scrubbing with rotation.
 func TestPublicRecoveryAndScrub(t *testing.T) {
@@ -213,12 +227,8 @@ func TestPublicRecoveryAndScrub(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conv, err := ConventionalRecoveryReads(code, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Reads != 9 || conv != 12 {
-		t.Errorf("recovery reads %d/%d, want 9/12", plan.Reads, conv)
+	if reads, conv := plan.Stats().BlocksRead, code.ConventionalReads(); reads != 9 || conv != 12 {
+		t.Errorf("recovery reads %d/%d, want 9/12", reads, conv)
 	}
 
 	a, err := NewRAID6Array(code, WithBlockSize(64))

@@ -101,8 +101,7 @@ func ExampleNewVirtualPlan() {
 func ExamplePlanColumnRecovery() {
 	code, _ := code56.New(5)
 	plan, _ := code56.PlanColumnRecovery(code, 1)
-	conventional, _ := code56.ConventionalRecoveryReads(code, 1)
-	fmt.Printf("reads: %d hybrid vs %d conventional\n", plan.Reads, conventional)
+	fmt.Printf("reads: %d hybrid vs %d conventional\n", plan.Stats().BlocksRead, code.ConventionalReads())
 	// Output:
 	// reads: 9 hybrid vs 12 conventional
 }

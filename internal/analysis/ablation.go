@@ -7,7 +7,6 @@ import (
 	"code56/internal/core"
 	"code56/internal/migrate"
 	"code56/internal/raid5"
-	"code56/internal/recovery"
 )
 
 // Ablation quantifies one design-choice question beyond the paper's own
@@ -110,7 +109,7 @@ func HybridRecoverySeries(primes []int) ([]RecoveryPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		plan, err := recovery.PlanColumn(c, 0)
+		_, hybrid, err := recoveryReads(c, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -118,8 +117,8 @@ func HybridRecoverySeries(primes []int) ([]RecoveryPoint, error) {
 		out = append(out, RecoveryPoint{
 			P:                 p,
 			ConventionalReads: conv,
-			HybridReads:       plan.Reads,
-			Saving:            1 - float64(plan.Reads)/float64(conv),
+			HybridReads:       hybrid,
+			Saving:            1 - float64(hybrid)/float64(conv),
 		})
 	}
 	return out, nil

@@ -7,16 +7,7 @@ import (
 	"sort"
 	"text/tabwriter"
 
-	"code56/internal/codes/evenodd"
-	"code56/internal/codes/hdp"
-	"code56/internal/codes/pcode"
-	"code56/internal/codes/rdp"
-	"code56/internal/codes/xcode"
-	"code56/internal/core"
-	"code56/internal/layout"
 	"code56/internal/raid6"
-
-	hcodepkg "code56/internal/codes/hcode"
 )
 
 // DegradedRead reports the measured cost of serving reads with one failed
@@ -38,17 +29,8 @@ type DegradedRead struct {
 // MeasureDegradedReads fails disk 0 of each code's array and reads every
 // logical block once, reporting the observed I/O amplification.
 func MeasureDegradedReads(p int, seed int64) ([]DegradedRead, error) {
-	codes := map[string]layout.Code{
-		"code56":  core.MustNew(p),
-		"rdp":     rdp.MustNew(p),
-		"evenodd": evenodd.MustNew(p),
-		"xcode":   xcode.MustNew(p),
-		"hcode":   hcodepkg.MustNew(p),
-		"hdp":     hdp.MustNew(p),
-		"pcode":   pcode.MustNew(p, pcode.VariantPMinus1),
-	}
 	var out []DegradedRead
-	for name, code := range codes {
+	for name, code := range comparisonCodes(p) {
 		a := raid6.New(code, 64)
 		r := rand.New(rand.NewSource(seed))
 		const stripes = 2

@@ -13,7 +13,6 @@ import (
 	"code56/internal/codes/xcode"
 	"code56/internal/core"
 	"code56/internal/layout"
-	"code56/internal/recovery"
 
 	hcodepkg "code56/internal/codes/hcode"
 )
@@ -29,11 +28,31 @@ type CrossCodeRecovery struct {
 	Saving            float64
 }
 
-// RecoveryAcrossCodes measures conventional vs optimized single-disk
-// rebuild reads per stripe for every code at the given prime (worst data
-// column: column 0 unless it holds no data).
+// RecoveryAcrossCodes measures conventional vs hybrid single-disk rebuild
+// reads per stripe for every code at the given prime (failed column 0; see
+// recoveryReads).
 func RecoveryAcrossCodes(p int) ([]CrossCodeRecovery, error) {
-	codes := map[string]layout.Code{
+	var out []CrossCodeRecovery
+	for name, code := range comparisonCodes(p) {
+		conv, hybrid, err := recoveryReads(code, 0)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
+		out = append(out, CrossCodeRecovery{
+			Code:              name,
+			P:                 p,
+			ConventionalReads: conv,
+			HybridReads:       hybrid,
+			Saving:            1 - float64(hybrid)/float64(conv),
+		})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Code < out[j].Code })
+	return out, nil
+}
+
+// comparisonCodes is the line-up of the cross-code studies at prime p.
+func comparisonCodes(p int) map[string]layout.Code {
+	return map[string]layout.Code{
 		"code56":  core.MustNew(p),
 		"rdp":     rdp.MustNew(p),
 		"evenodd": evenodd.MustNew(p),
@@ -42,27 +61,24 @@ func RecoveryAcrossCodes(p int) ([]CrossCodeRecovery, error) {
 		"hdp":     hdp.MustNew(p),
 		"pcode":   pcode.MustNew(p, pcode.VariantPMinus1),
 	}
-	var out []CrossCodeRecovery
-	for name, code := range codes {
-		col := 0
-		conv, err := recovery.ConventionalReads(code, col)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		plan, err := recovery.PlanColumn(code, col)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		out = append(out, CrossCodeRecovery{
-			Code:              name,
-			P:                 p,
-			ConventionalReads: conv,
-			HybridReads:       plan.Reads,
-			Saving:            1 - float64(plan.Reads)/float64(conv),
-		})
+}
+
+// recoveryReads returns how many distinct blocks of a stripe a rebuild of
+// column failed reads: conventionally, every cell through its horizontal
+// chain where it has one (the decoder's peeling, which visits those first),
+// and by the hybrid recovery, the one-column plan a RAID-6 array rebuilds a
+// disk with.
+func recoveryReads(code layout.Code, failed int) (conventional, hybrid int, err error) {
+	dec := layout.NewDecoder(code)
+	es := layout.ErasureSet{}
+	for r := 0; r < code.Geometry().Rows; r++ {
+		es[layout.Coord{Row: r, Col: failed}] = true
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Code < out[j].Code })
-	return out, nil
+	peeled, plan := dec.Compile(es), dec.ColumnPlan(layout.Columns{}.With(failed))
+	if plan == nil || !peeled.Complete() {
+		return 0, 0, fmt.Errorf("column %d has no recovery plan", failed)
+	}
+	return peeled.Stats().BlocksRead, plan.Stats().BlocksRead, nil
 }
 
 // RenderRecoveryAcrossCodes writes the cross-code recovery study.

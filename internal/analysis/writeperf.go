@@ -7,16 +7,7 @@ import (
 	"sort"
 	"text/tabwriter"
 
-	"code56/internal/codes/evenodd"
-	"code56/internal/codes/hdp"
-	"code56/internal/codes/pcode"
-	"code56/internal/codes/rdp"
-	"code56/internal/codes/xcode"
-	"code56/internal/core"
-	"code56/internal/layout"
 	"code56/internal/raid6"
-
-	hcodepkg "code56/internal/codes/hcode"
 )
 
 // WritePerf measures the small-write cost of a live RAID-6 array after
@@ -40,17 +31,8 @@ type WritePerf struct {
 // MeasureWritePerformance runs nWrites random single-block updates against
 // each code's array at the given prime and reports the measured costs.
 func MeasureWritePerformance(p int, nWrites int, seed int64) ([]WritePerf, error) {
-	codes := map[string]layout.Code{
-		"code56":  core.MustNew(p),
-		"rdp":     rdp.MustNew(p),
-		"evenodd": evenodd.MustNew(p),
-		"xcode":   xcode.MustNew(p),
-		"hcode":   hcodepkg.MustNew(p),
-		"hdp":     hdp.MustNew(p),
-		"pcode":   pcode.MustNew(p, pcode.VariantPMinus1),
-	}
 	var out []WritePerf
-	for name, code := range codes {
+	for name, code := range comparisonCodes(p) {
 		a := raid6.New(code, 64)
 		r := rand.New(rand.NewSource(seed))
 		blocks := int64(a.DataPerStripe() * 4)

@@ -1,6 +1,7 @@
 package evenodd
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -49,7 +50,7 @@ func TestSAdjuster(t *testing.T) {
 				xorblk.Xor(want, s.Block(co))
 			}
 			got := s.Block(layout.Coord{Row: d, Col: p + 1})
-			if !xorblk.Equal(got, want) {
+			if !bytes.Equal(got, want) {
 				t.Errorf("p=%d: diagonal parity %d does not match S-adjusted definition", p, d)
 			}
 		}

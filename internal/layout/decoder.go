@@ -2,7 +2,9 @@ package layout
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -65,9 +67,10 @@ func (cs Columns) With(col int) Columns {
 }
 
 // Decoder is the decode-side twin of Encoder. For an erasure pattern it
-// peels on coordinates only, once, and keeps the result as a Plan; running a
-// plan on a stripe is one fused XorMulti fold per recovered cell, with no
-// map, no zeroing pass and no allocation.
+// solves on coordinates only, once — by peeling, or for one lost column by
+// the hybrid recovery's chain choice (see compileColumn) — and keeps the
+// result as a Plan; running a plan on a stripe is one fused XorMulti fold per
+// recovered cell, with no map, no zeroing pass and no allocation.
 //
 // Plans for whole-column patterns of up to FaultTolerance columns are
 // compiled on first use and kept for the Decoder's lifetime, behind the
@@ -80,10 +83,10 @@ type Decoder struct {
 	geom   Geometry
 	tol    int
 	chains []Chain
-	// order is the chain visiting order of one peeling pass: horizontal
-	// chains first, otherwise as the code declares them. A horizontal solve
-	// never touches the diagonal-parity disk, and for one lost column of
-	// Code 5-6 it is the paper's single-erasure bound (p-2 reads, p-3 XORs).
+	// order is the chain visiting order of one peeling pass, which compiles
+	// every pattern but a single column (see compileColumn): horizontal chains
+	// first, otherwise as the code declares them, so a cell with a horizontal
+	// chain to itself is recovered by it, p-2 reads and p-3 XORs in Code 5-6.
 	order []int
 	// scratch pools *coverScratch (cover-pointer slices) across Runs.
 	scratch sync.Pool
@@ -202,14 +205,19 @@ func (d *Decoder) ColumnPlan(cols Columns) *Plan {
 
 // compileColumns compiles the plan for cols, or returns noPlan.
 func (d *Decoder) compileColumns(cols Columns) *Plan {
-	lost := make([]bool, d.geom.Elements())
-	for i := 0; i < cols.n; i++ {
-		for r := 0; r < d.geom.Rows; r++ {
-			lost[d.geom.Index(Coord{Row: r, Col: cols.col[i]})] = true
+	var p *Plan
+	if cols.n == 1 {
+		p = d.compileColumn(cols.col[0])
+	} else {
+		lost := make([]bool, d.geom.Elements())
+		for i := 0; i < cols.n; i++ {
+			for r := 0; r < d.geom.Rows; r++ {
+				lost[d.geom.Index(Coord{Row: r, Col: cols.col[i]})] = true
+			}
 		}
+		p = d.compile(lost, cols.n*d.geom.Rows)
 	}
-	p := d.compile(lost, cols.n*d.geom.Rows)
-	if p.stuck > 0 {
+	if p == noPlan || p.stuck > 0 {
 		return noPlan
 	}
 	p.schedule(cols)
@@ -262,36 +270,155 @@ func (d *Decoder) compile(lost []bool, nLost int) *Plan {
 	for progress := true; nLost > 0 && progress; {
 		progress = false
 		for _, ci := range d.order {
-			ch := &d.chains[ci]
-			missing, ok := soleLost(g, ch, lost)
+			missing, ok := soleLost(g, &d.chains[ci], lost)
 			if !ok {
 				continue
 			}
-			lo := len(p.cells)
-			if m := g.Index(ch.Parity); m != missing {
-				p.cells = append(p.cells, int32(m))
-			}
-			for _, c := range ch.Covers {
-				if m := g.Index(c); m != missing {
-					p.cells = append(p.cells, int32(m))
-				}
-			}
-			p.steps = append(p.steps, planStep{missing: int32(missing), chain: int32(ci), lo: int32(lo), hi: int32(len(p.cells))})
-			if n := len(p.cells) - lo; n > 1 {
-				p.stats.XORs += n - 1
-			}
+			p.step(ci, missing)
 			lost[missing] = false
 			nLost--
 			progress = true
 		}
 	}
+	p.seal(nLost)
+	return p
+}
+
+// exhaustiveLimit bounds the chain choices compileColumn tries one by one.
+const exhaustiveLimit = 1 << 16
+
+// compileColumn compiles the plan for one lost column, the paper's hybrid
+// recovery (§III-E-4) for any code: every cell is recovered by one of its
+// shortest chains that meets the column nowhere else, so a degraded read of
+// it costs its cheapest chain, and across the column the choice reads the
+// fewest distinct cells: 9 a stripe for Code 5-6 at p = 5, not the rows' 12.
+func (d *Decoder) compileColumn(col int) *Plan {
+	g := d.geom
+	cands := make([][]int, g.Rows)    // by row, the chains the cell may take
+	srcs := make([][][]int32, g.Rows) // and the sources each would read
+	for ci := range d.chains {
+		r, hits := 0, 0
+		var s []int32
+		for _, m := range d.chains[ci].Members() {
+			if m.Col == col {
+				r, hits = m.Row, hits+1
+			} else {
+				s = append(s, int32(g.Index(m)))
+			}
+		}
+		switch {
+		case hits != 1: // it misses the column, or meets it twice
+		case len(srcs[r]) == 0 || len(s) < len(srcs[r][0]):
+			cands[r], srcs[r] = []int{ci}, [][]int32{s}
+		case len(s) == len(srcs[r][0]):
+			cands[r], srcs[r] = append(cands[r], ci), append(srcs[r], s)
+		}
+	}
+	if slices.ContainsFunc(cands, func(c []int) bool { return len(c) == 0 }) {
+		return noPlan // a cell with no chain to itself alone
+	}
+	p := &Plan{dec: d, read: make([]uint64, (g.Elements()+63)/64)}
+	for r, k := range chooseChains(g.Elements(), srcs) {
+		p.step(cands[r][k], g.Index(Coord{Row: r, Col: col}))
+	}
+	p.seal(0)
+	return p
+}
+
+// chooseChains picks one source set a row, srcs[row][pick], so that together
+// they read the fewest distinct of the cells, and returns the picks. Up to
+// exhaustiveLimit combinations it searches them all, the last row's choice
+// outermost, and keeps the first minimum it meets (for Code 5-6 the choice of
+// the paper's own planner, core.PlanHybridRecovery); beyond that it climbs
+// from every row's first set, taking any one change that reads fewer, until
+// none does.
+func chooseChains(cells int, srcs [][][]int32) []int {
+	readers := make([]int32, cells)  // how many picked sets read each cell
+	add := func(s []int32) (n int) { // returns how many cells s adds to the read
+		for _, m := range s {
+			if readers[m]++; readers[m] == 1 {
+				n++
+			}
+		}
+		return n
+	}
+	drop := func(s []int32) {
+		for _, m := range s {
+			readers[m]--
+		}
+	}
+	fresh := func(s []int32) int { n := add(s); drop(s); return n }
+	pick := make([]int, len(srcs))
+	combos := 1.0
+	for _, c := range srcs {
+		combos *= float64(len(c))
+	}
+	if combos <= exhaustiveLimit {
+		best, bestReads := make([]int, len(srcs)), math.MaxInt
+		var search func(r, reads int)
+		search = func(r, reads int) {
+			switch {
+			case reads >= bestReads: // reads only grow from here
+			case r < 0:
+				bestReads = reads
+				copy(best, pick)
+			default:
+				for k, s := range srcs[r] {
+					pick[r] = k
+					search(r-1, reads+add(s))
+					drop(s)
+				}
+			}
+		}
+		search(len(srcs)-1, 0)
+		return best
+	}
+	for _, c := range srcs {
+		add(c[0])
+	}
+	for improved := true; improved; {
+		improved = false
+		for r, c := range srcs {
+			drop(c[pick[r]])
+			for k, s := range c {
+				if fresh(s) < fresh(c[pick[r]]) {
+					pick[r], improved = k, true
+				}
+			}
+			add(c[pick[r]])
+		}
+	}
+	return pick
+}
+
+// step appends the recovery of cell missing (a Geometry.Index) through chain
+// ci: its sources are the chain's other members.
+func (p *Plan) step(ci, missing int) {
+	g, ch := p.dec.geom, &p.dec.chains[ci]
+	lo := len(p.cells)
+	if m := g.Index(ch.Parity); m != missing {
+		p.cells = append(p.cells, int32(m))
+	}
+	for _, c := range ch.Covers {
+		if m := g.Index(c); m != missing {
+			p.cells = append(p.cells, int32(m))
+		}
+	}
+	p.steps = append(p.steps, planStep{missing: int32(missing), chain: int32(ci), lo: int32(lo), hi: int32(len(p.cells))})
+	if n := len(p.cells) - lo; n > 1 {
+		p.stats.XORs += n - 1
+	}
+}
+
+// seal records what the steps read and how many lost cells, stuck, they do
+// not reach.
+func (p *Plan) seal(stuck int) {
 	for _, m := range p.cells {
 		p.read[m/64] |= 1 << (m % 64)
 	}
 	p.stats.BlocksRead = popcount(p.read)
 	p.stats.Recovered = len(p.steps)
-	p.stuck = nLost
-	return p
+	p.stuck = stuck
 }
 
 // soleLost returns the index of the chain's single lost member, if exactly

@@ -127,9 +127,11 @@ func survivor(g layout.Geometry, cols []int) int {
 }
 
 // TestDecoderMatchesAlgorithm1: for every single column and column pair of
-// Code 5-6 the compiled schedule solves each lost cell through the chain
-// core.RecoverSingle / core.ReconstructDouble (the paper's Algorithm 1)
-// solves it through, at the same cost.
+// Code 5-6 the compiled schedule solves each lost cell through the chain the
+// paper's algorithms solve it through, at the same cost: a lost data column
+// through core.PlanHybridRecovery's choice (§III-E-4), the diagonal-parity
+// column through core.RecoverSingle, a pair through core.ReconstructDouble
+// (Algorithm 1).
 func TestDecoderMatchesAlgorithm1(t *testing.T) {
 	for _, p := range []int{5, 7, 11, 13} {
 		for _, orient := range []core.Orientation{core.Left, core.Right} {
@@ -152,9 +154,15 @@ func TestDecoderMatchesAlgorithm1(t *testing.T) {
 				reference := func(s *layout.Stripe) layout.DecodeStats {
 					var st layout.DecodeStats
 					var err error
-					if len(cols) == 1 {
+					switch {
+					case len(cols) == 1 && cols[0] < p-1:
+						var hp core.RecoveryPlan
+						if hp, err = code.PlanHybridRecovery(cols[0]); err == nil {
+							st, err = code.ExecuteRecoveryPlan(s, hp)
+						}
+					case len(cols) == 1:
 						st, err = code.RecoverSingle(s, cols[0])
-					} else {
+					default:
 						st, err = code.ReconstructDouble(s, cols[0], cols[1])
 					}
 					if err != nil {
@@ -184,11 +192,11 @@ func TestDecoderMatchesAlgorithm1(t *testing.T) {
 				if len(plan.Steps()) != len(cols)*g.Rows {
 					t.Fatalf("%s: %d steps for %d lost cells", ctx, len(plan.Steps()), len(cols)*g.Rows)
 				}
-				if len(cols) == 1 && cols[0] < p-1 {
-					// One lost data column: every cell is its horizontal
-					// chain, the paper's p-2 reads and p-3 XORs.
+				if len(cols) == 1 {
+					// One lost column: every cell is one chain, the paper's
+					// p-2 reads and p-3 XORs.
 					for _, st := range plan.Steps() {
-						if code.Chains()[st.Chain].Kind != layout.ParityH || len(st.Sources) != p-2 {
+						if len(st.Sources) != p-2 {
 							t.Fatalf("%s: cell %v solved by chain %d with %d sources", ctx, st.Missing, st.Chain, len(st.Sources))
 						}
 					}

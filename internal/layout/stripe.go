@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -152,7 +153,7 @@ func (s *Stripe) Equal(o *Stripe) bool {
 	if s.Geom != o.Geom || s.BlockSize != o.BlockSize {
 		return false
 	}
-	return xorblk.Equal(s.backing, o.backing)
+	return bytes.Equal(s.backing, o.backing)
 }
 
 // Encode computes every parity element of the stripe from the data elements

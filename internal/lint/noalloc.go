@@ -120,7 +120,6 @@ var noallocTrusted = map[string]bool{
 	"code56/internal/xorblk.XorMulti":        true,
 	"code56/internal/xorblk.AccumulateMulti": true,
 	"code56/internal/xorblk.IsZero":          true,
-	"code56/internal/xorblk.Equal":           true,
 
 	"code56/internal/bufpool.Get":        true,
 	"code56/internal/bufpool.GetZero":    true,
@@ -169,6 +168,7 @@ var noallocTrusted = map[string]bool{
 	"code56/internal/vdisk.Disk.Swap":           true,
 	"code56/internal/vdisk.Disk.Xor":            true,
 	"code56/internal/vdisk.Disk.Failed":         true,
+	"code56/internal/vdisk.Disk.Stale":          true,
 	"code56/internal/vdisk.IsDegradable":        true,
 	"code56/internal/vdisk.Array.Disk":          true,
 	"code56/internal/vdisk.Array.BlockSize":     true,

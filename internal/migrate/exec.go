@@ -1,6 +1,7 @@
 package migrate
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -255,7 +256,7 @@ func (e *Executor) VerifyResult() error {
 			return fmt.Errorf("migrate: stripe %d of %s is not a consistent RAID-6 stripe", st, e.plan.Conv.Label())
 		}
 		for c, want := range e.want[st] {
-			if !xorblk.Equal(s.Block(c), want) {
+			if !bytes.Equal(s.Block(c), want) {
 				return fmt.Errorf("migrate: stripe %d: data block %v corrupted by conversion", st, c)
 			}
 		}

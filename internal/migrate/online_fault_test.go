@@ -11,6 +11,7 @@ import (
 
 	"code56/internal/parallel"
 	"code56/internal/raid6"
+	"code56/internal/telemetry"
 	"code56/internal/vdisk"
 )
 
@@ -388,6 +389,39 @@ func TestKillAndResumeSurvivesDiskFailure(t *testing.T) {
 	}
 	if !rep.Clean() {
 		t.Fatalf("final scrub found damage: %+v", rep)
+	}
+}
+
+// TestDegradedReadAboveTheWatermarkSkipsTheStaleDiagonal: a migrator that has
+// converted nothing, one data disk failed. Every block of that disk reads back
+// from a recovery plan with p-2 disk reads, its row's: the diagonal-parity
+// disk, stale in every stripe, counts as lost, so no plan asks it for a block
+// (one that did would meet ErrStale and load the stripe).
+func TestDegradedReadAboveTheWatermarkSkipsTheStaleDiagonal(t *testing.T) {
+	const m, stripes, failed = 4, 4, 1
+	rows := int64(m * stripes)
+	a, want := newLoadedRAID5(t, m, rows, 81)
+	mig, err := NewOnlineMigrator(a, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	mig.r6.SetTelemetry(reg, nil)
+	fast := reg.Counter("raid6.degraded_fast_path")
+	a.Disks().Disk(failed).Fail()
+	buf := make([]byte, 32)
+	for L, w := range want {
+		if _, disk := a.Locate(L); disk != failed {
+			continue
+		}
+		a.Disks().ResetStats()
+		before := fast.Value()
+		if err := mig.Read(L, buf); err != nil || !bytes.Equal(buf, w) {
+			t.Fatalf("block %d: err=%v", L, err)
+		}
+		if reads := a.Disks().TotalStats().Reads; reads != m-1 || fast.Value() != before+1 {
+			t.Fatalf("block %d: %d disk reads, from a plan: %v; want %d from a plan", L, reads, fast.Value() == before+1, m-1)
+		}
 	}
 }
 

@@ -42,7 +42,7 @@ func newFilledArray(t testing.TB, code layout.Code, blockSize int, stripes int64
 
 // lostCols is the plan key degradedRead uses for a cell of the stripe.
 func lostCols(a *Array, stripe int64, cell layout.Coord) layout.Columns {
-	return a.lostColumns(stripe, a.failedColumns(), cell.Col)
+	return a.lostColumns(stripe, cell.Col)
 }
 
 // TestDegradedReadEveryPairEveryBlock: with any two disks down, every
@@ -112,6 +112,37 @@ func TestDegradedReadServedFromPlan(t *testing.T) {
 		if fast, all := c["raid6.degraded_fast_path"], c["raid6.degraded_reads"]; all == 0 || (fast == all) != tc.allFast {
 			t.Fatalf("%s: %d of %d degraded reads served from a plan", tc.code.Name(), fast, all)
 		}
+	}
+}
+
+// TestDegradedReadAroundAStaleDisk: with disk 1 replaced but not yet rebuilt
+// and disk 3 failed, every block of disk 3 is served from the plan of both
+// columns, which reads nothing of the stale disk. Taken for healthy, disk 1
+// would be a source of disk 3's chains, and each read would meet ErrStale and
+// load the stripe.
+func TestDegradedReadAroundAStaleDisk(t *testing.T) {
+	a, reg, want := newFilledArray(t, core.MustNew(5), 16, 3, false)
+	a.Disks().Disk(1).Fail()
+	a.Disks().Disk(1).Replace()
+	a.Disks().Disk(3).Fail()
+	fast := reg.Counter("raid6.degraded_fast_path")
+	buf := make([]byte, 16)
+	served := 0
+	for l, w := range want {
+		if _, cell := a.Locate(int64(l)); cell.Col != 3 {
+			continue
+		}
+		before := fast.Value()
+		if err := a.ReadBlock(int64(l), buf); err != nil || !bytes.Equal(buf, w) {
+			t.Fatalf("block %d: err=%v", l, err)
+		}
+		if fast.Value() != before+1 {
+			t.Fatalf("block %d was not served from a recovery plan", l)
+		}
+		served++
+	}
+	if served == 0 {
+		t.Fatal("no block lies on disk 3")
 	}
 }
 

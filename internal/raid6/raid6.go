@@ -331,16 +331,18 @@ func (a *Array) ReadCell(stripe int64, cell layout.Coord, buf []byte) error {
 }
 
 // degradedRead serves a read whose direct cell access failed, from the
-// recovery plan of the failed columns plus the cell's own: it reads only the
-// surviving cells whose XOR is the cell — its stretch of the recovery chains,
-// a run of adjacent rows of a column per disk call — and folds them into buf.
-// With one column lost that is the cell's horizontal chain, p-2 reads and
-// p-3 XORs in Code 5-6, the paper's single-block decode bound, and it never
-// touches the diagonal-parity disk. If a source turns out unreadable, or the
+// recovery plan of the lost columns (see lostColumns) plus the cell's own: it
+// reads only the surviving cells whose XOR is the cell — its stretch of the
+// recovery chains, a run of adjacent rows of a column per disk call — and
+// folds them into buf. With one column lost that is one of the cell's
+// shortest chains, p-2 reads and p-3 XORs in Code 5-6, the paper's
+// single-block decode bound; the chain may be diagonal, which is why a disk
+// stale in the stripe counts as lost. If a source turns out unreadable, or the
 // columns have no plan (more of them than the code tolerates, or a pattern
-// peeling cannot solve), it falls back to loading the whole stripe and
-// running the full decoder on exactly the unreadable cells. It holds the
-// stripe exclusive: its sources must not lie either side of a small write.
+// peeling cannot solve), it falls back to loading the whole stripe and running
+// the full decoder on exactly the unreadable cells; the cell is served once
+// decoded, whatever else of the stripe is not. It holds the stripe exclusive:
+// its sources must not lie either side of a small write.
 //
 //c56:noalloc
 func (a *Array) degradedRead(stripe int64, cell layout.Coord, buf []byte) error {
@@ -348,7 +350,7 @@ func (a *Array) degradedRead(stripe int64, cell layout.Coord, buf []byte) error 
 	lk := a.disks.StripeLock(stripe)
 	lk.Lock()
 	defer lk.Unlock()
-	if plan := a.dec.ColumnPlan(a.lostColumns(stripe, a.failedColumns(), cell.Col)); plan != nil {
+	if plan := a.dec.ColumnPlan(a.lostColumns(stripe, cell.Col)); plan != nil {
 		if folds := plan.SourceRuns(cell); folds != nil && a.fold(stripe, folds, buf) == nil {
 			xors := int64(-1) // the XOR of n sources is n-1 XORs
 			for i := range folds {
@@ -366,27 +368,33 @@ func (a *Array) degradedRead(stripe int64, cell layout.Coord, buf []byte) error 
 		return err
 	}
 	defer a.stripes.Put(s)
-	if _, err := a.dec.Reconstruct(s, es); err != nil { //lint:allow noalloc the fallback decodes the whole stripe; reads served from a plan are the steady state
+	if _, err := a.dec.Reconstruct(s, es); err != nil && es[cell] { //lint:allow noalloc the fallback decodes the whole stripe; reads served from a plan are the steady state
 		return fmt.Errorf("%w: %w", ErrTooManyFailures, err)
 	}
 	copy(buf, s.Block(cell))
 	return nil
 }
 
-// lostColumns maps failed disks to the logical columns they hold in the
-// stripe and adds col. It returns the empty set when the result would not
-// fit, which no plan serves either.
+// lostColumns returns col and the logical columns the stripe has on disks
+// that cannot serve it: failed ones, and ones with a block of the stripe not
+// yet rebuilt (a replaced disk, the migrator's diagonal-parity disk above its
+// watermark). It returns the empty set when the result would not fit, which
+// no plan serves either.
 //
 //c56:noalloc
-func (a *Array) lostColumns(stripe int64, failed layout.Columns, col int) layout.Columns {
-	if failed.Len() >= layout.MaxColumns {
-		return layout.Columns{}
+func (a *Array) lostColumns(stripe int64, col int) layout.Columns {
+	cols := layout.Columns{}.With(col)
+	base, rows := a.blockAddr(stripe, layout.Coord{}), int64(a.geom.Rows)
+	for i := 0; i < a.geom.Cols; i++ {
+		if d := a.disks.Disk(i); d.Failed() || d.Stale(base, rows) {
+			c := a.colOnDisk(stripe, i)
+			if !cols.Has(c) && cols.Len() == layout.MaxColumns {
+				return layout.Columns{}
+			}
+			cols = cols.With(c)
+		}
 	}
-	var cols layout.Columns
-	for i := 0; i < failed.Len(); i++ {
-		cols = cols.With(a.colOnDisk(stripe, failed.At(i)))
-	}
-	return cols.With(col)
+	return cols
 }
 
 // WriteBlock writes logical data block L: writePartialStripe of one block.

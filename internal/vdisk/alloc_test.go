@@ -92,9 +92,11 @@ func TestHealthyDiskIOAllocationFree(t *testing.T) {
 				t.Fatal("ErrStale is not degradable")
 			}
 		},
-		"Disk.Failed":     func() { _ = d.Failed() },
-		"Array.Disk":      func() { _ = a.Disk(0) },
-		"Array.BlockSize": func() { _ = a.BlockSize() },
+		"Disk.Failed":       func() { _ = d.Failed() },
+		"Disk.Stale":        func() { _ = d.Stale(0, 8) },
+		"Disk.Stale/marked": func() { _ = stale.Stale(0, 8) },
+		"Array.Disk":        func() { _ = a.Disk(0) },
+		"Array.BlockSize":   func() { _ = a.BlockSize() },
 		"Array.StripeLock": func() {
 			lk := a.StripeLock(7)
 			lk.RLock()

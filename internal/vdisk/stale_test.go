@@ -173,3 +173,31 @@ func TestStaleXorTakesNoLock(t *testing.T) {
 		t.Fatal("an Xor into a stale block waited for the disk's lock")
 	}
 }
+
+// TestStaleReportsTheRange: Stale says whether a range holds a block not
+// written since the mark, and a disk with nothing stale answers while its
+// lock is held elsewhere.
+func TestStaleReportsTheRange(t *testing.T) {
+	d := staleDisk(t, NewMemStore(16))
+	for _, tc := range []struct {
+		b, n  int64
+		stale bool
+	}{{0, 4, false}, {4, 2, false}, {7, 1, false}, {4, 4, true}, {6, 1, true}, {8, 1, true}} {
+		if got := d.Stale(tc.b, tc.n); got != tc.stale {
+			t.Errorf("Stale(%d, %d) = %v, want %v", tc.b, tc.n, got, tc.stale)
+		}
+	}
+	fresh := NewDisk(1, 16)
+	fresh.mu.Lock()
+	defer fresh.mu.Unlock()
+	done := make(chan bool, 1)
+	go func() { done <- fresh.Stale(0, 1<<20) }()
+	select {
+	case stale := <-done:
+		if stale {
+			t.Fatal("a disk never marked reports a stale block")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Stale on a disk with nothing stale waited for the disk's lock")
+	}
+}

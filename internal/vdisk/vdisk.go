@@ -678,6 +678,20 @@ func (d *Disk) staleIn(b, n int64) (int64, bool) {
 	return 0, false
 }
 
+// Stale reports whether any block of [b, b+n) is stale (see MarkStale). A
+// disk with nothing stale answers without taking its lock.
+//
+//c56:noalloc
+func (d *Disk) Stale(b, n int64) bool {
+	if d.staleEnd.Load() == noStale {
+		return false
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	_, stale := d.staleIn(b, n)
+	return stale
+}
+
 // written ends the stale state of blocks [b, b+n), which a write has just
 // stored.
 //

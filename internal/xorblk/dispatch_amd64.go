@@ -14,14 +14,6 @@
 // the byte reference for all lengths and alignments — the same contract
 // the wide kernels honor, enforced by the cross-tier fuzz tests.
 //
-// Above NonTemporalThreshold (an LLC-sized working set — see the variable
-// for why it must clear the last-level cache, not just L2) the kernels
-// switch to non-temporal stores (VMOVNTDQ): a block that large is leaving
-// cache anyway, and streaming stores stop the destination from evicting
-// the source columns. Non-temporal stores require a 64-byte-aligned
-// destination, so the dispatcher peels the unaligned head (< 64 bytes)
-// through the word path first.
-//
 // Build with -tags noasm to exclude this file and all assembly while
 // keeping the unsafe wide kernels; -tags purego excludes both.
 
@@ -40,21 +32,8 @@ const (
 // the wide kernel's plain loop.
 const asmMinLen = 64
 
-// NonTemporalThreshold is the block size, in bytes, at and above which the
-// assembly kernels use non-temporal stores. VMOVNTDQ bypasses every cache
-// level, not just L1/L2, so streaming pays off only once a block exceeds
-// its share of the last-level cache — below that, cached stores keep the
-// destination LLC-resident for its next use and win by a wide margin
-// (measured on an AVX-512 host: cached 50 GB/s vs non-temporal 6.4 GB/s at
-// 1 MiB). The default therefore clears any plausible shared-LLC slice;
-// hosts whose steady-state XOR working sets truly exceed the LLC can lower
-// it. It is a variable (not a const) for that tuning and so tests can
-// drive the non-temporal path with affordable buffer sizes.
-var NonTemporalThreshold = 32 << 20
-
 var (
 	asmLevel = levelNone
-	features []string
 
 	// KernelName identifies the fast path selected for this binary on
 	// this host: "avx512", "avx2", or "wide" when the probe finds no
@@ -63,8 +42,7 @@ var (
 )
 
 func init() {
-	avx2, avx512, feats := probeCPU()
-	features = feats
+	avx2, avx512 := probeCPU()
 	switch {
 	case avx512:
 		asmLevel, KernelName = levelAVX512, "avx512"
@@ -73,15 +51,11 @@ func init() {
 	}
 }
 
-// Features lists the CPU SIMD features the init-time probe detected,
-// whether or not the selected kernel uses them.
-func Features() []string { return append([]string(nil), features...) }
-
 // probeCPU interrogates CPUID and XCR0 for the vector extensions the
 // assembly kernels need. AVX2 requires the OS to save YMM state (OSXSAVE +
 // XCR0 bits 1-2); AVX-512 additionally requires the F foundation and XCR0
 // bits 5-7 (opmask, ZMM hi256, hi16 ZMM).
-func probeCPU() (avx2, avx512 bool, feats []string) {
+func probeCPU() (avx2, avx512 bool) {
 	maxID, _, _, _ := cpuid(0, 0)
 	if maxID < 7 {
 		return
@@ -98,22 +72,9 @@ func probeCPU() (avx2, avx512 bool, feats []string) {
 	if xlo&0x6 != 0x6 { // XMM and YMM state enabled
 		return
 	}
-	feats = append(feats, "avx")
 	_, b7, _, _ := cpuid(7, 0)
-	if b7&(1<<5) != 0 {
-		avx2 = true
-		feats = append(feats, "avx2")
-	}
-	if avx2 && b7&(1<<16) != 0 && xlo&0xe0 == 0xe0 {
-		avx512 = true
-		feats = append(feats, "avx512f")
-		if b7&(1<<30) != 0 {
-			feats = append(feats, "avx512bw")
-		}
-		if b7&(1<<31) != 0 {
-			feats = append(feats, "avx512vl")
-		}
-	}
+	avx2 = b7&(1<<5) != 0
+	avx512 = avx2 && b7&(1<<16) != 0 && xlo&0xe0 == 0xe0
 	return
 }
 
@@ -144,19 +105,6 @@ func asmKernels(level int, name string) kernelSet {
 	}
 }
 
-// ntPeel decides the non-temporal question for one call: a negative result
-// keeps cached stores; otherwise the returned count (< 64, possibly 0) is
-// the number of leading bytes the caller must fold through the word path
-// so dst reaches the 64-byte alignment VMOVNTDQ requires.
-//
-//c56:noalloc
-func ntPeel(dst []byte) int {
-	if len(dst) < NonTemporalThreshold {
-		return -1
-	}
-	return int(-ptr(dst) & 63)
-}
-
 // Package-level kernel bindings: dispatch on the init-selected level.
 
 //c56:noalloc
@@ -181,22 +129,13 @@ func xorLevel(level int, dst, src []byte) {
 		xorWide(dst, src)
 		return
 	}
-	nt := false
-	if h := ntPeel(dst); h >= 0 {
-		nt = true
-		if h > 0 {
-			xorWords(dst[:h], src[:h])
-			dst, src = dst[h:], src[h:]
-			n -= h
-		}
-	}
 	var m int
 	if level == levelAVX512 {
 		m = n &^ 63
-		avx512Xor(&dst[0], &src[0], m, nt)
+		avx512Xor(&dst[0], &src[0], m)
 	} else {
 		m = n &^ 31
-		avx2Xor(&dst[0], &src[0], m, nt)
+		avx2Xor(&dst[0], &src[0], m)
 	}
 	if m < n {
 		xorWords(dst[m:], src[m:])
@@ -210,22 +149,13 @@ func xorIntoLevel(level int, dst, a, b []byte) {
 		xorIntoWide(dst, a, b)
 		return
 	}
-	nt := false
-	if h := ntPeel(dst); h >= 0 {
-		nt = true
-		if h > 0 {
-			xorIntoWords(dst[:h], a[:h], b[:h])
-			dst, a, b = dst[h:], a[h:], b[h:]
-			n -= h
-		}
-	}
 	var m int
 	if level == levelAVX512 {
 		m = n &^ 63
-		avx512Into(&dst[0], &a[0], &b[0], m, nt)
+		avx512Into(&dst[0], &a[0], &b[0], m)
 	} else {
 		m = n &^ 31
-		avx2Into(&dst[0], &a[0], &b[0], m, nt)
+		avx2Into(&dst[0], &a[0], &b[0], m)
 	}
 	if m < n {
 		xorIntoWords(dst[m:], a[m:], b[m:])
@@ -239,22 +169,13 @@ func fold2Level(level int, dst, a, b []byte) {
 		fold2Wide(dst, a, b)
 		return
 	}
-	nt := false
-	if h := ntPeel(dst); h >= 0 {
-		nt = true
-		if h > 0 {
-			fold2Words(dst[:h], a[:h], b[:h])
-			dst, a, b = dst[h:], a[h:], b[h:]
-			n -= h
-		}
-	}
 	var m int
 	if level == levelAVX512 {
 		m = n &^ 63
-		avx512Fold2(&dst[0], &a[0], &b[0], m, nt)
+		avx512Fold2(&dst[0], &a[0], &b[0], m)
 	} else {
 		m = n &^ 31
-		avx2Fold2(&dst[0], &a[0], &b[0], m, nt)
+		avx2Fold2(&dst[0], &a[0], &b[0], m)
 	}
 	if m < n {
 		fold2Words(dst[m:], a[m:], b[m:])
@@ -268,22 +189,13 @@ func fold3Level(level int, dst, a, b, c []byte) {
 		fold3Wide(dst, a, b, c)
 		return
 	}
-	nt := false
-	if h := ntPeel(dst); h >= 0 {
-		nt = true
-		if h > 0 {
-			fold3Words(dst[:h], a[:h], b[:h], c[:h])
-			dst, a, b, c = dst[h:], a[h:], b[h:], c[h:]
-			n -= h
-		}
-	}
 	var m int
 	if level == levelAVX512 {
 		m = n &^ 63
-		avx512Fold3(&dst[0], &a[0], &b[0], &c[0], m, nt)
+		avx512Fold3(&dst[0], &a[0], &b[0], &c[0], m)
 	} else {
 		m = n &^ 31
-		avx2Fold3(&dst[0], &a[0], &b[0], &c[0], m, nt)
+		avx2Fold3(&dst[0], &a[0], &b[0], &c[0], m)
 	}
 	if m < n {
 		fold3Words(dst[m:], a[m:], b[m:], c[m:])
@@ -297,22 +209,13 @@ func fold4Level(level int, dst, a, b, c, e []byte) {
 		fold4Wide(dst, a, b, c, e)
 		return
 	}
-	nt := false
-	if h := ntPeel(dst); h >= 0 {
-		nt = true
-		if h > 0 {
-			fold4Words(dst[:h], a[:h], b[:h], c[:h], e[:h])
-			dst, a, b, c, e = dst[h:], a[h:], b[h:], c[h:], e[h:]
-			n -= h
-		}
-	}
 	var m int
 	if level == levelAVX512 {
 		m = n &^ 63
-		avx512Fold4(&dst[0], &a[0], &b[0], &c[0], &e[0], m, nt)
+		avx512Fold4(&dst[0], &a[0], &b[0], &c[0], &e[0], m)
 	} else {
 		m = n &^ 31
-		avx2Fold4(&dst[0], &a[0], &b[0], &c[0], &e[0], m, nt)
+		avx2Fold4(&dst[0], &a[0], &b[0], &c[0], &e[0], m)
 	}
 	if m < n {
 		fold4Words(dst[m:], a[m:], b[m:], c[m:], e[m:])

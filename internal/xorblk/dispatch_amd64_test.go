@@ -14,7 +14,7 @@ import (
 // a seeded corpus. A host without AVX2 skips — the generic wide selection
 // is still covered by TestTierSelection.
 func TestAsmKernelSelectedOnCapableHost(t *testing.T) {
-	avx2, avx512, _ := probeCPU()
+	avx2, avx512 := probeCPU()
 	if !avx2 {
 		t.Skip("host CPU lacks AVX2; asm tier not expected")
 	}
@@ -49,115 +49,18 @@ func TestAsmKernelSelectedOnCapableHost(t *testing.T) {
 	}
 }
 
-// TestProbeFeatureConsistency pins invariants of the CPUID probe: AVX-512
-// implies AVX2 (the dispatcher's fold-back chain depends on it), and the
-// feature list mirrors the returned booleans.
+// TestProbeFeatureConsistency pins an invariant of the CPUID probe: AVX-512
+// implies AVX2 (the dispatcher's fold-back chain depends on it).
 func TestProbeFeatureConsistency(t *testing.T) {
-	avx2, avx512, feats := probeCPU()
-	if avx512 && !avx2 {
+	if avx2, avx512 := probeCPU(); avx512 && !avx2 {
 		t.Fatal("probe reports AVX-512 without AVX2; dispatcher assumes avx512 ⇒ avx2")
 	}
-	has := func(s string) bool {
-		for _, f := range feats {
-			if f == s {
-				return true
-			}
-		}
-		return false
-	}
-	if avx2 != has("avx2") {
-		t.Fatalf("avx2=%v but features=%v", avx2, feats)
-	}
-	if avx512 != has("avx512f") {
-		t.Fatalf("avx512=%v but features=%v", avx512, feats)
-	}
-	// Features() must return a copy, not the backing array.
-	got := Features()
-	if len(got) > 0 {
-		got[0] = "clobbered"
-		if Features()[0] == "clobbered" {
-			t.Fatal("Features() exposes internal state; must return a copy")
-		}
-	}
 }
 
-// TestNonTemporalPathMatchesReference lowers NonTemporalThreshold so the
-// streaming-store main loops run at test-sized buffers, then sweeps all
-// five shapes across sizes and alignments — including unaligned
-// destinations, which exercise the ntPeel head that realigns dst to the
-// 64-byte boundary VMOVNTDQ requires. Safe to mutate the threshold: the
-// package's tests don't run in parallel.
-func TestNonTemporalPathMatchesReference(t *testing.T) {
-	if asmLevel == levelNone {
-		t.Skip("no asm tier on this host; NT path unreachable")
-	}
-	saved := NonTemporalThreshold
-	NonTemporalThreshold = 256
-	defer func() { NonTemporalThreshold = saved }()
-
-	sizes := []int{256, 257, 300, 319, 320, 511, 512, 1024, 4096, 4099}
-	for _, size := range sizes {
-		for _, dstOff := range []int{0, 1, 7, 8, 33, 63} {
-			runTierShapes(t, availableKernels()[0], size, dstOff, tierSrcs(t, 4, size, 3))
-		}
-	}
-}
-
-// TestNonTemporalAtProductionSizes runs one large pass (4 MiB) per shape
-// with the threshold lowered to 1 MiB, so the streaming-store main loops
-// are covered at production-scale buffers — many megabytes, many unrolled
-// iterations — not just the small slabs the sweep above uses. The default
-// threshold itself (32 MiB, past any LLC) is deliberately not crossed
-// here: allocating >32 MiB per source slab is test overkill when the NT
-// code path is identical at any size past the peel.
-func TestNonTemporalAtProductionSizes(t *testing.T) {
-	if asmLevel == levelNone {
-		t.Skip("no asm tier on this host; NT path unreachable")
-	}
-	saved := NonTemporalThreshold
-	NonTemporalThreshold = 1 << 20
-	defer func() { NonTemporalThreshold = saved }()
-
-	const size = 4 << 20
-	for _, dstOff := range []int{0, 5} {
-		runTierShapes(t, availableKernels()[0], size, dstOff, tierSrcs(t, 4, size, 0))
-	}
-}
-
-// TestNtPeel pins the alignment-peel arithmetic: below the threshold it
-// declines; at or above it, it returns however many bytes bring dst to a
-// 64-byte boundary (zero when already aligned).
-func TestNtPeel(t *testing.T) {
-	saved := NonTemporalThreshold
-	NonTemporalThreshold = 128
-	defer func() { NonTemporalThreshold = saved }()
-
-	raw := make([]byte, 512)
-	// Find a 64-byte-aligned origin inside raw.
-	origin := int(-ptr(raw) & 63)
-	aligned := raw[origin:]
-	if h := ntPeel(aligned[:64]); h != -1 {
-		t.Fatalf("ntPeel below threshold = %d, want -1", h)
-	}
-	if h := ntPeel(aligned[:256]); h != 0 {
-		t.Fatalf("ntPeel aligned = %d, want 0", h)
-	}
-	for _, off := range []int{1, 17, 63} {
-		if h := ntPeel(aligned[off : off+256]); h != 64-off {
-			t.Fatalf("ntPeel off=%d = %d, want %d", off, h, 64-off)
-		}
-	}
-}
-
-// TestDispatchAllocations pins the full dispatch chain — level branch, NT
-// peel, asm stub call, word-path tail — at zero allocations for every
-// shape, both below and above the streaming threshold (lowered so the
-// 2 MiB size engages the non-temporal branch).
+// TestDispatchAllocations pins the full dispatch chain — level branch, asm
+// stub call, word-path tail — at zero allocations for every shape, at a
+// cache-resident and a streaming size.
 func TestDispatchAllocations(t *testing.T) {
-	saved := NonTemporalThreshold
-	NonTemporalThreshold = 1 << 20
-	defer func() { NonTemporalThreshold = saved }()
-
 	for _, size := range []int{4096, 2 << 20} {
 		dst := make([]byte, size)
 		a, b, c, e := make([]byte, size), make([]byte, size), make([]byte, size), make([]byte, size)

@@ -6,9 +6,7 @@
 // (kernel_arm64.s) process 64 bytes per iteration through four 128-bit
 // vector registers per stream; the dispatcher folds the ragged tail
 // through the word path, keeping every shape bit-identical to the byte
-// reference for all lengths and alignments. arm64 has no cache-bypassing
-// store with VMOVNTDQ's semantics (STNP is only a non-temporal hint), so
-// there is no separate streaming path on this architecture.
+// reference for all lengths and alignments.
 //
 // Build with -tags noasm to exclude this file and the assembly while
 // keeping the unsafe wide kernels; -tags purego excludes both.
@@ -17,10 +15,6 @@ package xorblk
 
 // KernelName identifies the fast path selected for this binary.
 var KernelName = "neon"
-
-// Features lists the CPU SIMD features in use. NEON is architecturally
-// guaranteed on arm64, so no runtime probe is involved.
-func Features() []string { return []string{"neon"} }
 
 // neonMinLen is the block size below which the NEON kernels are skipped:
 // under one 64-byte iteration the wide kernel's plain loop wins.

@@ -10,10 +10,6 @@ package xorblk
 // KernelName identifies the fast path selected for this binary.
 var KernelName = "wide"
 
-// Features lists the detected CPU SIMD features. This build runs no
-// feature-specific code, so nothing is probed.
-func Features() []string { return nil }
-
 // availableKernels lists the tiers this build can run, fastest first.
 func availableKernels() []kernelSet { return []kernelSet{wideKernels, wordKernels} }
 

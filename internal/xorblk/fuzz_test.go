@@ -48,8 +48,7 @@ func FuzzXorMulti(f *testing.F) {
 	})
 }
 
-// FuzzIsZero holds IsZero to the scalar loop it replaced, and Equal to
-// bytes.Equal, on arbitrary bytes at every alignment, zero-padded on both
+// FuzzIsZero holds IsZero to the scalar loop it replaced on arbitrary bytes at every alignment, zero-padded on both
 // sides so the set bits land anywhere in a block of up to five zero pages.
 func FuzzIsZero(f *testing.F) {
 	f.Add([]byte{}, uint16(0), uint16(0))
@@ -63,16 +62,6 @@ func FuzzIsZero(f *testing.F) {
 		for start := 0; start < 8 && start <= len(b); start++ {
 			if got, want := IsZero(b[start:]), isZeroRef(b[start:]); got != want {
 				t.Fatalf("IsZero(%d bytes from offset %d) = %v, the scalar loop says %v", len(b)-start, start, got, want)
-			}
-		}
-		c := bytes.Clone(b)
-		if !Equal(b, c) {
-			t.Fatalf("Equal says a copy of %d bytes differs", len(b))
-		}
-		if len(mid) > 0 {
-			c[lead] ^= 0x10
-			if Equal(b, c) {
-				t.Fatalf("Equal missed a flipped bit at %d of %d", lead, len(b))
 			}
 		}
 	})

@@ -7,31 +7,24 @@
 //     kernels, 64 for AVX-512); the dispatcher folds the ragged tail
 //     through the word path.
 //   - Sources and destination may be unaligned (VMOVDQU/VMOVDQU64 loads
-//     and stores), except under nt, where the destination must be 64-byte
-//     aligned for VMOVNTDQ; the dispatcher peels the head to guarantee it.
+//     and stores).
 //   - The main loops process four vector registers per iteration (128 B
 //     for AVX2, 256 B for AVX-512); the remainder loop finishes one lane
-//     at a time with cached stores (at most three lanes, not worth a
-//     streaming variant).
-//   - nt selects the non-temporal main loop, ending with SFENCE so the
-//     weakly-ordered streaming stores are globally visible before return.
+//     at a time (at most three lanes).
 //   - Every kernel ends with VZEROUPPER so the caller's SSE code pays no
 //     AVX transition penalty.
 
 #include "textflag.h"
 
-// func avx2Xor(dst, src *byte, n int, nt bool)
+// func avx2Xor(dst, src *byte, n int)
 // dst[i] ^= src[i]
-TEXT ·avx2Xor(SB), NOSPLIT, $0-25
+TEXT ·avx2Xor(SB), NOSPLIT, $0-24
 	MOVQ    dst+0(FP), DI
 	MOVQ    src+8(FP), SI
 	MOVQ    n+16(FP), CX
-	MOVBQZX nt+24(FP), AX
 	MOVQ    CX, DX
 	SHRQ    $7, CX            // CX = 128-byte iterations
 	ANDQ    $127, DX          // DX = remainder bytes (multiple of 32)
-	TESTQ   AX, AX
-	JNZ     ntloop
 
 loop:
 	TESTQ   CX, CX
@@ -53,29 +46,6 @@ loop:
 	DECQ    CX
 	JMP     loop
 
-ntloop:
-	TESTQ    CX, CX
-	JZ       ntdone
-	VMOVDQU  (SI), Y0
-	VMOVDQU  32(SI), Y1
-	VMOVDQU  64(SI), Y2
-	VMOVDQU  96(SI), Y3
-	VPXOR    (DI), Y0, Y0
-	VPXOR    32(DI), Y1, Y1
-	VPXOR    64(DI), Y2, Y2
-	VPXOR    96(DI), Y3, Y3
-	VMOVNTDQ Y0, (DI)
-	VMOVNTDQ Y1, 32(DI)
-	VMOVNTDQ Y2, 64(DI)
-	VMOVNTDQ Y3, 96(DI)
-	ADDQ     $128, SI
-	ADDQ     $128, DI
-	DECQ     CX
-	JMP      ntloop
-
-ntdone:
-	SFENCE
-
 rem:
 	TESTQ   DX, DX
 	JZ      done
@@ -91,19 +61,16 @@ done:
 	VZEROUPPER
 	RET
 
-// func avx2Into(dst, a, b *byte, n int, nt bool)
+// func avx2Into(dst, a, b *byte, n int)
 // dst[i] = a[i] ^ b[i] (dst is not read)
-TEXT ·avx2Into(SB), NOSPLIT, $0-33
+TEXT ·avx2Into(SB), NOSPLIT, $0-32
 	MOVQ    dst+0(FP), DI
 	MOVQ    a+8(FP), SI
 	MOVQ    b+16(FP), R8
 	MOVQ    n+24(FP), CX
-	MOVBQZX nt+32(FP), AX
 	MOVQ    CX, DX
 	SHRQ    $7, CX
 	ANDQ    $127, DX
-	TESTQ   AX, AX
-	JNZ     ntloop
 
 loop:
 	TESTQ   CX, CX
@@ -126,30 +93,6 @@ loop:
 	DECQ    CX
 	JMP     loop
 
-ntloop:
-	TESTQ    CX, CX
-	JZ       ntdone
-	VMOVDQU  (SI), Y0
-	VMOVDQU  32(SI), Y1
-	VMOVDQU  64(SI), Y2
-	VMOVDQU  96(SI), Y3
-	VPXOR    (R8), Y0, Y0
-	VPXOR    32(R8), Y1, Y1
-	VPXOR    64(R8), Y2, Y2
-	VPXOR    96(R8), Y3, Y3
-	VMOVNTDQ Y0, (DI)
-	VMOVNTDQ Y1, 32(DI)
-	VMOVNTDQ Y2, 64(DI)
-	VMOVNTDQ Y3, 96(DI)
-	ADDQ     $128, SI
-	ADDQ     $128, R8
-	ADDQ     $128, DI
-	DECQ     CX
-	JMP      ntloop
-
-ntdone:
-	SFENCE
-
 rem:
 	TESTQ   DX, DX
 	JZ      done
@@ -166,19 +109,16 @@ done:
 	VZEROUPPER
 	RET
 
-// func avx2Fold2(dst, a, b *byte, n int, nt bool)
+// func avx2Fold2(dst, a, b *byte, n int)
 // dst[i] ^= a[i] ^ b[i]
-TEXT ·avx2Fold2(SB), NOSPLIT, $0-33
+TEXT ·avx2Fold2(SB), NOSPLIT, $0-32
 	MOVQ    dst+0(FP), DI
 	MOVQ    a+8(FP), SI
 	MOVQ    b+16(FP), R8
 	MOVQ    n+24(FP), CX
-	MOVBQZX nt+32(FP), AX
 	MOVQ    CX, DX
 	SHRQ    $7, CX
 	ANDQ    $127, DX
-	TESTQ   AX, AX
-	JNZ     ntloop
 
 loop:
 	TESTQ   CX, CX
@@ -205,34 +145,6 @@ loop:
 	DECQ    CX
 	JMP     loop
 
-ntloop:
-	TESTQ    CX, CX
-	JZ       ntdone
-	VMOVDQU  (SI), Y0
-	VMOVDQU  32(SI), Y1
-	VMOVDQU  64(SI), Y2
-	VMOVDQU  96(SI), Y3
-	VPXOR    (R8), Y0, Y0
-	VPXOR    32(R8), Y1, Y1
-	VPXOR    64(R8), Y2, Y2
-	VPXOR    96(R8), Y3, Y3
-	VPXOR    (DI), Y0, Y0
-	VPXOR    32(DI), Y1, Y1
-	VPXOR    64(DI), Y2, Y2
-	VPXOR    96(DI), Y3, Y3
-	VMOVNTDQ Y0, (DI)
-	VMOVNTDQ Y1, 32(DI)
-	VMOVNTDQ Y2, 64(DI)
-	VMOVNTDQ Y3, 96(DI)
-	ADDQ     $128, SI
-	ADDQ     $128, R8
-	ADDQ     $128, DI
-	DECQ     CX
-	JMP      ntloop
-
-ntdone:
-	SFENCE
-
 rem:
 	TESTQ   DX, DX
 	JZ      done
@@ -250,20 +162,17 @@ done:
 	VZEROUPPER
 	RET
 
-// func avx2Fold3(dst, a, b, c *byte, n int, nt bool)
+// func avx2Fold3(dst, a, b, c *byte, n int)
 // dst[i] ^= a[i] ^ b[i] ^ c[i]
-TEXT ·avx2Fold3(SB), NOSPLIT, $0-41
+TEXT ·avx2Fold3(SB), NOSPLIT, $0-40
 	MOVQ    dst+0(FP), DI
 	MOVQ    a+8(FP), SI
 	MOVQ    b+16(FP), R8
 	MOVQ    c+24(FP), R9
 	MOVQ    n+32(FP), CX
-	MOVBQZX nt+40(FP), AX
 	MOVQ    CX, DX
 	SHRQ    $7, CX
 	ANDQ    $127, DX
-	TESTQ   AX, AX
-	JNZ     ntloop
 
 loop:
 	TESTQ   CX, CX
@@ -295,39 +204,6 @@ loop:
 	DECQ    CX
 	JMP     loop
 
-ntloop:
-	TESTQ    CX, CX
-	JZ       ntdone
-	VMOVDQU  (SI), Y0
-	VMOVDQU  32(SI), Y1
-	VMOVDQU  64(SI), Y2
-	VMOVDQU  96(SI), Y3
-	VPXOR    (R8), Y0, Y0
-	VPXOR    32(R8), Y1, Y1
-	VPXOR    64(R8), Y2, Y2
-	VPXOR    96(R8), Y3, Y3
-	VPXOR    (R9), Y0, Y0
-	VPXOR    32(R9), Y1, Y1
-	VPXOR    64(R9), Y2, Y2
-	VPXOR    96(R9), Y3, Y3
-	VPXOR    (DI), Y0, Y0
-	VPXOR    32(DI), Y1, Y1
-	VPXOR    64(DI), Y2, Y2
-	VPXOR    96(DI), Y3, Y3
-	VMOVNTDQ Y0, (DI)
-	VMOVNTDQ Y1, 32(DI)
-	VMOVNTDQ Y2, 64(DI)
-	VMOVNTDQ Y3, 96(DI)
-	ADDQ     $128, SI
-	ADDQ     $128, R8
-	ADDQ     $128, R9
-	ADDQ     $128, DI
-	DECQ     CX
-	JMP      ntloop
-
-ntdone:
-	SFENCE
-
 rem:
 	TESTQ   DX, DX
 	JZ      done
@@ -347,21 +223,18 @@ done:
 	VZEROUPPER
 	RET
 
-// func avx2Fold4(dst, a, b, c, e *byte, n int, nt bool)
+// func avx2Fold4(dst, a, b, c, e *byte, n int)
 // dst[i] ^= a[i] ^ b[i] ^ c[i] ^ e[i]
-TEXT ·avx2Fold4(SB), NOSPLIT, $0-49
+TEXT ·avx2Fold4(SB), NOSPLIT, $0-48
 	MOVQ    dst+0(FP), DI
 	MOVQ    a+8(FP), SI
 	MOVQ    b+16(FP), R8
 	MOVQ    c+24(FP), R9
 	MOVQ    e+32(FP), R10
 	MOVQ    n+40(FP), CX
-	MOVBQZX nt+48(FP), AX
 	MOVQ    CX, DX
 	SHRQ    $7, CX
 	ANDQ    $127, DX
-	TESTQ   AX, AX
-	JNZ     ntloop
 
 loop:
 	TESTQ   CX, CX
@@ -398,44 +271,6 @@ loop:
 	DECQ    CX
 	JMP     loop
 
-ntloop:
-	TESTQ    CX, CX
-	JZ       ntdone
-	VMOVDQU  (SI), Y0
-	VMOVDQU  32(SI), Y1
-	VMOVDQU  64(SI), Y2
-	VMOVDQU  96(SI), Y3
-	VPXOR    (R8), Y0, Y0
-	VPXOR    32(R8), Y1, Y1
-	VPXOR    64(R8), Y2, Y2
-	VPXOR    96(R8), Y3, Y3
-	VPXOR    (R9), Y0, Y0
-	VPXOR    32(R9), Y1, Y1
-	VPXOR    64(R9), Y2, Y2
-	VPXOR    96(R9), Y3, Y3
-	VPXOR    (R10), Y0, Y0
-	VPXOR    32(R10), Y1, Y1
-	VPXOR    64(R10), Y2, Y2
-	VPXOR    96(R10), Y3, Y3
-	VPXOR    (DI), Y0, Y0
-	VPXOR    32(DI), Y1, Y1
-	VPXOR    64(DI), Y2, Y2
-	VPXOR    96(DI), Y3, Y3
-	VMOVNTDQ Y0, (DI)
-	VMOVNTDQ Y1, 32(DI)
-	VMOVNTDQ Y2, 64(DI)
-	VMOVNTDQ Y3, 96(DI)
-	ADDQ     $128, SI
-	ADDQ     $128, R8
-	ADDQ     $128, R9
-	ADDQ     $128, R10
-	ADDQ     $128, DI
-	DECQ     CX
-	JMP      ntloop
-
-ntdone:
-	SFENCE
-
 rem:
 	TESTQ   DX, DX
 	JZ      done
@@ -457,18 +292,15 @@ done:
 	VZEROUPPER
 	RET
 
-// func avx512Xor(dst, src *byte, n int, nt bool)
+// func avx512Xor(dst, src *byte, n int)
 // dst[i] ^= src[i]
-TEXT ·avx512Xor(SB), NOSPLIT, $0-25
+TEXT ·avx512Xor(SB), NOSPLIT, $0-24
 	MOVQ    dst+0(FP), DI
 	MOVQ    src+8(FP), SI
 	MOVQ    n+16(FP), CX
-	MOVBQZX nt+24(FP), AX
 	MOVQ    CX, DX
 	SHRQ    $8, CX            // CX = 256-byte iterations
 	ANDQ    $255, DX          // DX = remainder bytes (multiple of 64)
-	TESTQ   AX, AX
-	JNZ     ntloop
 
 loop:
 	TESTQ     CX, CX
@@ -490,29 +322,6 @@ loop:
 	DECQ      CX
 	JMP       loop
 
-ntloop:
-	TESTQ     CX, CX
-	JZ        ntdone
-	VMOVDQU64 (SI), Z0
-	VMOVDQU64 64(SI), Z1
-	VMOVDQU64 128(SI), Z2
-	VMOVDQU64 192(SI), Z3
-	VPXORQ    (DI), Z0, Z0
-	VPXORQ    64(DI), Z1, Z1
-	VPXORQ    128(DI), Z2, Z2
-	VPXORQ    192(DI), Z3, Z3
-	VMOVNTDQ  Z0, (DI)
-	VMOVNTDQ  Z1, 64(DI)
-	VMOVNTDQ  Z2, 128(DI)
-	VMOVNTDQ  Z3, 192(DI)
-	ADDQ      $256, SI
-	ADDQ      $256, DI
-	DECQ      CX
-	JMP       ntloop
-
-ntdone:
-	SFENCE
-
 rem:
 	TESTQ     DX, DX
 	JZ        done
@@ -528,19 +337,16 @@ done:
 	VZEROUPPER
 	RET
 
-// func avx512Into(dst, a, b *byte, n int, nt bool)
+// func avx512Into(dst, a, b *byte, n int)
 // dst[i] = a[i] ^ b[i] (dst is not read)
-TEXT ·avx512Into(SB), NOSPLIT, $0-33
+TEXT ·avx512Into(SB), NOSPLIT, $0-32
 	MOVQ    dst+0(FP), DI
 	MOVQ    a+8(FP), SI
 	MOVQ    b+16(FP), R8
 	MOVQ    n+24(FP), CX
-	MOVBQZX nt+32(FP), AX
 	MOVQ    CX, DX
 	SHRQ    $8, CX
 	ANDQ    $255, DX
-	TESTQ   AX, AX
-	JNZ     ntloop
 
 loop:
 	TESTQ     CX, CX
@@ -563,30 +369,6 @@ loop:
 	DECQ      CX
 	JMP       loop
 
-ntloop:
-	TESTQ     CX, CX
-	JZ        ntdone
-	VMOVDQU64 (SI), Z0
-	VMOVDQU64 64(SI), Z1
-	VMOVDQU64 128(SI), Z2
-	VMOVDQU64 192(SI), Z3
-	VPXORQ    (R8), Z0, Z0
-	VPXORQ    64(R8), Z1, Z1
-	VPXORQ    128(R8), Z2, Z2
-	VPXORQ    192(R8), Z3, Z3
-	VMOVNTDQ  Z0, (DI)
-	VMOVNTDQ  Z1, 64(DI)
-	VMOVNTDQ  Z2, 128(DI)
-	VMOVNTDQ  Z3, 192(DI)
-	ADDQ      $256, SI
-	ADDQ      $256, R8
-	ADDQ      $256, DI
-	DECQ      CX
-	JMP       ntloop
-
-ntdone:
-	SFENCE
-
 rem:
 	TESTQ     DX, DX
 	JZ        done
@@ -603,19 +385,16 @@ done:
 	VZEROUPPER
 	RET
 
-// func avx512Fold2(dst, a, b *byte, n int, nt bool)
+// func avx512Fold2(dst, a, b *byte, n int)
 // dst[i] ^= a[i] ^ b[i]
-TEXT ·avx512Fold2(SB), NOSPLIT, $0-33
+TEXT ·avx512Fold2(SB), NOSPLIT, $0-32
 	MOVQ    dst+0(FP), DI
 	MOVQ    a+8(FP), SI
 	MOVQ    b+16(FP), R8
 	MOVQ    n+24(FP), CX
-	MOVBQZX nt+32(FP), AX
 	MOVQ    CX, DX
 	SHRQ    $8, CX
 	ANDQ    $255, DX
-	TESTQ   AX, AX
-	JNZ     ntloop
 
 loop:
 	TESTQ     CX, CX
@@ -642,34 +421,6 @@ loop:
 	DECQ      CX
 	JMP       loop
 
-ntloop:
-	TESTQ     CX, CX
-	JZ        ntdone
-	VMOVDQU64 (SI), Z0
-	VMOVDQU64 64(SI), Z1
-	VMOVDQU64 128(SI), Z2
-	VMOVDQU64 192(SI), Z3
-	VPXORQ    (R8), Z0, Z0
-	VPXORQ    64(R8), Z1, Z1
-	VPXORQ    128(R8), Z2, Z2
-	VPXORQ    192(R8), Z3, Z3
-	VPXORQ    (DI), Z0, Z0
-	VPXORQ    64(DI), Z1, Z1
-	VPXORQ    128(DI), Z2, Z2
-	VPXORQ    192(DI), Z3, Z3
-	VMOVNTDQ  Z0, (DI)
-	VMOVNTDQ  Z1, 64(DI)
-	VMOVNTDQ  Z2, 128(DI)
-	VMOVNTDQ  Z3, 192(DI)
-	ADDQ      $256, SI
-	ADDQ      $256, R8
-	ADDQ      $256, DI
-	DECQ      CX
-	JMP       ntloop
-
-ntdone:
-	SFENCE
-
 rem:
 	TESTQ     DX, DX
 	JZ        done
@@ -687,20 +438,17 @@ done:
 	VZEROUPPER
 	RET
 
-// func avx512Fold3(dst, a, b, c *byte, n int, nt bool)
+// func avx512Fold3(dst, a, b, c *byte, n int)
 // dst[i] ^= a[i] ^ b[i] ^ c[i]
-TEXT ·avx512Fold3(SB), NOSPLIT, $0-41
+TEXT ·avx512Fold3(SB), NOSPLIT, $0-40
 	MOVQ    dst+0(FP), DI
 	MOVQ    a+8(FP), SI
 	MOVQ    b+16(FP), R8
 	MOVQ    c+24(FP), R9
 	MOVQ    n+32(FP), CX
-	MOVBQZX nt+40(FP), AX
 	MOVQ    CX, DX
 	SHRQ    $8, CX
 	ANDQ    $255, DX
-	TESTQ   AX, AX
-	JNZ     ntloop
 
 loop:
 	TESTQ     CX, CX
@@ -731,39 +479,6 @@ loop:
 	ADDQ      $256, DI
 	DECQ      CX
 	JMP       loop
-
-ntloop:
-	TESTQ     CX, CX
-	JZ        ntdone
-	VMOVDQU64 (SI), Z0
-	VMOVDQU64 64(SI), Z1
-	VMOVDQU64 128(SI), Z2
-	VMOVDQU64 192(SI), Z3
-	VPXORQ    (R8), Z0, Z0
-	VPXORQ    64(R8), Z1, Z1
-	VPXORQ    128(R8), Z2, Z2
-	VPXORQ    192(R8), Z3, Z3
-	VPXORQ    (R9), Z0, Z0
-	VPXORQ    64(R9), Z1, Z1
-	VPXORQ    128(R9), Z2, Z2
-	VPXORQ    192(R9), Z3, Z3
-	VPXORQ    (DI), Z0, Z0
-	VPXORQ    64(DI), Z1, Z1
-	VPXORQ    128(DI), Z2, Z2
-	VPXORQ    192(DI), Z3, Z3
-	VMOVNTDQ  Z0, (DI)
-	VMOVNTDQ  Z1, 64(DI)
-	VMOVNTDQ  Z2, 128(DI)
-	VMOVNTDQ  Z3, 192(DI)
-	ADDQ      $256, SI
-	ADDQ      $256, R8
-	ADDQ      $256, R9
-	ADDQ      $256, DI
-	DECQ      CX
-	JMP       ntloop
-
-ntdone:
-	SFENCE
 
 rem:
 	TESTQ     DX, DX
@@ -784,21 +499,18 @@ done:
 	VZEROUPPER
 	RET
 
-// func avx512Fold4(dst, a, b, c, e *byte, n int, nt bool)
+// func avx512Fold4(dst, a, b, c, e *byte, n int)
 // dst[i] ^= a[i] ^ b[i] ^ c[i] ^ e[i]
-TEXT ·avx512Fold4(SB), NOSPLIT, $0-49
+TEXT ·avx512Fold4(SB), NOSPLIT, $0-48
 	MOVQ    dst+0(FP), DI
 	MOVQ    a+8(FP), SI
 	MOVQ    b+16(FP), R8
 	MOVQ    c+24(FP), R9
 	MOVQ    e+32(FP), R10
 	MOVQ    n+40(FP), CX
-	MOVBQZX nt+48(FP), AX
 	MOVQ    CX, DX
 	SHRQ    $8, CX
 	ANDQ    $255, DX
-	TESTQ   AX, AX
-	JNZ     ntloop
 
 loop:
 	TESTQ     CX, CX
@@ -834,44 +546,6 @@ loop:
 	ADDQ      $256, DI
 	DECQ      CX
 	JMP       loop
-
-ntloop:
-	TESTQ     CX, CX
-	JZ        ntdone
-	VMOVDQU64 (SI), Z0
-	VMOVDQU64 64(SI), Z1
-	VMOVDQU64 128(SI), Z2
-	VMOVDQU64 192(SI), Z3
-	VPXORQ    (R8), Z0, Z0
-	VPXORQ    64(R8), Z1, Z1
-	VPXORQ    128(R8), Z2, Z2
-	VPXORQ    192(R8), Z3, Z3
-	VPXORQ    (R9), Z0, Z0
-	VPXORQ    64(R9), Z1, Z1
-	VPXORQ    128(R9), Z2, Z2
-	VPXORQ    192(R9), Z3, Z3
-	VPXORQ    (R10), Z0, Z0
-	VPXORQ    64(R10), Z1, Z1
-	VPXORQ    128(R10), Z2, Z2
-	VPXORQ    192(R10), Z3, Z3
-	VPXORQ    (DI), Z0, Z0
-	VPXORQ    64(DI), Z1, Z1
-	VPXORQ    128(DI), Z2, Z2
-	VPXORQ    192(DI), Z3, Z3
-	VMOVNTDQ  Z0, (DI)
-	VMOVNTDQ  Z1, 64(DI)
-	VMOVNTDQ  Z2, 128(DI)
-	VMOVNTDQ  Z3, 192(DI)
-	ADDQ      $256, SI
-	ADDQ      $256, R8
-	ADDQ      $256, R9
-	ADDQ      $256, R10
-	ADDQ      $256, DI
-	DECQ      CX
-	JMP       ntloop
-
-ntdone:
-	SFENCE
 
 rem:
 	TESTQ     DX, DX

@@ -3,17 +3,13 @@
 // Portable kernel bindings: with -tags purego no unsafe code and no
 // assembly is compiled and every kernel resolves to the encoding/binary
 // word path. Every dispatch file must define exactly the same symbols
-// (xorKernel..., KernelName, Features, availableKernels) — CI builds and
+// (xorKernel..., KernelName, availableKernels) — CI builds and
 // tests every tag set so none can rot.
 
 package xorblk
 
 // KernelName identifies the fast path compiled into this binary.
 const KernelName = "word"
-
-// Features lists the detected CPU SIMD features. The purego build probes
-// nothing and uses none.
-func Features() []string { return nil }
 
 // availableKernels lists the tiers this build can run: the word path only.
 func availableKernels() []kernelSet { return []kernelSet{wordKernels} }

@@ -110,7 +110,6 @@ func TestKernelAllocations(t *testing.T) {
 		"XorMulti":   func() { XorMulti(dst, srcs...) },
 		"Accumulate": func() { AccumulateMulti(dst, srcs...) },
 		"IsZero":     func() { IsZero(dst) },
-		"Equal":      func() { Equal(dst, srcs[0]) },
 	} {
 		if n := testing.AllocsPerRun(100, fn); n != 0 {
 			t.Errorf("%s allocates %.1f times per call, want 0", name, n)

@@ -9,13 +9,12 @@ package xorblk
 //     word set. The cross-tier equivalence tests iterate it so every tier
 //     the host can execute is verified bit-identical against the byte
 //     reference, and Tiers() projects it for benchmarks.
-//   - KernelName / Features(): what the dispatcher selected, so benchmark
-//     reports (BENCH_xor.json, BENCH_parallel.json) record which kernel
-//     produced their numbers.
+//   - KernelName: what the dispatcher selected, so benchmark reports
+//     record which kernel produced their numbers.
 //
 // The dispatch files (kernel_purego.go, dispatch_generic.go,
 // dispatch_amd64.go, dispatch_arm64.go) each define availableKernels,
-// KernelName, Features and the xorKernel/... bindings for exactly one
+// KernelName and the xorKernel/... bindings for exactly one
 // build-tag combination; CI builds and tests all of them so none can rot.
 
 // kernelSet bundles the five kernel shapes of one dispatch tier. Every

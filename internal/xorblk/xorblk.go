@@ -9,8 +9,7 @@
 //   - the asm tiers (amd64: avx512, avx2; arm64: neon): hand-written
 //     assembly kernels processing 256/128/64 bytes per unrolled iteration.
 //     A stdlib-only CPUID/XGETBV probe (dispatch_amd64.go) picks the widest
-//     tier the CPU and OS support; KernelName reports the choice. On amd64,
-//     blocks at or above NonTemporalThreshold use non-temporal stores.
+//     tier the CPU and OS support; KernelName reports the choice.
 //     Excluded by the noasm and purego build tags.
 //   - the wide path: 64-byte unrolled uint64×8 inner loops over
 //     unsafe-reinterpreted word slices, taken when every operand is 8-byte
@@ -244,8 +243,3 @@ func IsZero(b []byte) bool {
 	}
 	return bytes.Equal(b, zeroPage[:len(b)])
 }
-
-// Equal reports whether a and b have identical length and contents.
-//
-//c56:noalloc
-func Equal(a, b []byte) bool { return bytes.Equal(a, b) }

@@ -173,18 +173,6 @@ func TestIsZero(t *testing.T) {
 	}
 }
 
-func TestEqual(t *testing.T) {
-	if !Equal([]byte{1, 2}, []byte{1, 2}) {
-		t.Error("equal slices reported unequal")
-	}
-	if Equal([]byte{1, 2}, []byte{1, 3}) {
-		t.Error("unequal contents reported equal")
-	}
-	if Equal([]byte{1}, []byte{1, 2}) {
-		t.Error("unequal lengths reported equal")
-	}
-}
-
 func TestXorPanicsOnMismatch(t *testing.T) {
 	for name, f := range map[string]func(){
 		"Xor":      func() { Xor(make([]byte, 3), make([]byte, 4)) },

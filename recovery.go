@@ -1,16 +1,19 @@
 package code56
 
 import (
+	"fmt"
+
 	"code56/internal/durable"
+	"code56/internal/layout"
 	"code56/internal/raid6"
-	"code56/internal/recovery"
 )
 
 // Recovery and maintenance facade.
 type (
-	// ColumnRecoveryPlan is a read-minimizing single-disk rebuild plan
-	// usable with any Code (the §III-E-4 hybrid recovery generalized).
-	ColumnRecoveryPlan = recovery.Plan
+	// ColumnRecoveryPlan is the compiled rebuild of one failed column, the
+	// §III-E-4 hybrid recovery generalized to any Code: Steps lists each lost
+	// cell's chain, and Stats the distinct blocks read and XORs a stripe.
+	ColumnRecoveryPlan = layout.Plan
 	// ScrubReport summarizes a RAID-6 scrub pass: latent-sector-error
 	// repairs, located silent corruptions, unrecoverable stripes.
 	ScrubReport = raid6.ScrubReport
@@ -25,16 +28,15 @@ const (
 	ScrubCheck  = raid6.ScrubCheck
 )
 
-// PlanColumnRecovery computes a read-minimizing plan for rebuilding one
-// failed column of any code.
-func PlanColumnRecovery(code Code, failed int) (ColumnRecoveryPlan, error) {
-	return recovery.PlanColumn(code, failed)
-}
-
-// ConventionalRecoveryReads returns the read cost of the baseline rebuild
-// strategy for comparison with PlanColumnRecovery.
-func ConventionalRecoveryReads(code Code, failed int) (int, error) {
-	return recovery.ConventionalReads(code, failed)
+// PlanColumnRecovery returns the plan a RAID-6 array of the code rebuilds
+// one failed column with (RebuildArray): every lost cell through one of its
+// shortest chains, the choice reading the fewest distinct blocks.
+func PlanColumnRecovery(code Code, failed int) (*ColumnRecoveryPlan, error) {
+	plan := layout.NewDecoder(code).ColumnPlan(layout.Columns{}.With(failed))
+	if plan == nil {
+		return nil, fmt.Errorf("code56: %s has no recovery plan for column %d", code.Name(), failed)
+	}
+	return plan, nil
 }
 
 // Manifest identifies a durable RAID-6 directory's code and geometry (the

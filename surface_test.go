@@ -17,7 +17,6 @@ var facadeSurface = []string{
 	"ApplyOptions",
 	"BuildCode",
 	"Code56StorageEfficiency",
-	"ConventionalRecoveryReads",
 	"Downgrade",
 	"Encode",
 	"EncodeArrayStripes",
