@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"code56/internal/durable"
@@ -126,6 +128,44 @@ func TestOpenRAID6ArrayRefusesExtraDisks(t *testing.T) {
 	if b, err := OpenRAID6Array(dir); err == nil {
 		b.Disks().Close()
 		t.Fatal("OpenRAID6Array opened 6 disk images for a 5-column code")
+	}
+}
+
+// TestReopenIgnoresStrayImageCopies: backups beside a RAID-5's disk images
+// are not disks — one of a member is not a duplicate, and one of a disk past
+// the array is not an added disk to open, or to create empty.
+func TestReopenIgnoresStrayImageCopies(t *testing.T) {
+	dir := t.TempDir()
+	a, err := NewRAID5Array(4, WithBackend("file:"+dir), WithBlockSize(512))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Repeat([]byte{7}, 512)
+	if err := a.WriteBlock(5, want); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Disks().Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"disk-0003.img.bak", "disk-0004.img.bak"} {
+		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b, err := OpenRAID5Array(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Disks().Close()
+	if n := b.Disks().Len(); n != 4 {
+		t.Errorf("reopened %d disks, want 4", n)
+	}
+	got := make([]byte, 512)
+	if err := b.ReadBlock(5, got); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("block 5 after reopen: %v, equal %v", err, bytes.Equal(got, want))
+	}
+	if _, err := os.Stat(filepath.Join(dir, "disk-0004.img")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("reopen made disk-0004.img: %v", err)
 	}
 }
 

@@ -30,9 +30,9 @@ type FoldRun struct {
 // ColumnFold is one column's part in a schedule. Each maximal run of the
 // column's cells it names is read with one disk call whose lanes are the runs
 // that take it, one or, where a cell feeds two chains or adjacent cells feed
-// one, several; the runs come in read order, a read's runs consecutive and the
-// first run of the next starting past the rows they take. Reads lists those
-// reads, or is nil when they are the runs themselves, one taker a cell.
+// one, several; the runs come in row order, so a read's runs are consecutive
+// and the first run of the next starts past the rows they take. Reads lists
+// those reads, or is nil when they are the runs themselves, one taker a cell.
 type ColumnFold struct {
 	Col   int
 	Reads []ColumnRun
@@ -85,6 +85,9 @@ func buildFolds(g Geometry, terms []foldTerm, accs int) ([]ColumnFold, []bool) {
 				}
 			}
 		}
+		// In row order: a block's takers are different accumulators, so the
+		// order they are landed in within a row cannot change a First.
+		slices.SortStableFunc(cf.Runs, func(a, b FoldRun) int { return cmp.Compare(a.Row, b.Row) })
 		if len(cf.Runs) == len(cf.Reads) {
 			cf.Reads = nil // every cell has one taker: the runs are the reads
 		}

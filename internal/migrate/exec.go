@@ -157,8 +157,13 @@ func (e *Executor) RunContext(ctx context.Context, opts ...parallel.Option) erro
 		// One stripe group's working set spans the stripe's rows on every
 		// real disk; batch claims to that footprint (parallel.ForEachBatch).
 		stripeBytes := int64(e.geom.Rows) * int64(e.disks.Len()) * int64(e.blockSize)
-		err := parallel.ForEachBatch(ctx, int64(len(pg.stripes)), stripeBytes, func(i int64) error {
-			return e.runStripeOps(pg.stripes[i], reads, writes, xors)
+		err := parallel.ForEachBatch(ctx, int64(len(pg.stripes)), stripeBytes, func(lo, hi int64) error {
+			for i := lo; i < hi; i++ {
+				if err := e.runStripeOps(pg.stripes[i], reads, writes, xors); err != nil {
+					return err
+				}
+			}
+			return nil
 		}, opts...)
 		if err != nil {
 			phaseSpan.End(telemetry.A("error", err.Error()))

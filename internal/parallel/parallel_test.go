@@ -24,23 +24,30 @@ func TestResolveDefaults(t *testing.T) {
 	}
 }
 
-// The batch is batchBytes/itemBytes items, so the tests steer it through
-// itemBytes.
+// The batch is batchBytes/itemBytes items, at most MaxBatch, so the tests
+// steer it through itemBytes.
 func TestForEachBatchCoversEveryIndexOnce(t *testing.T) {
 	for _, tc := range []struct {
 		workers   int
 		itemBytes int64
+		run       int64 // the items fn is handed at once
 	}{
-		{1, batchBytes / 64}, // serial, 64 items per batch
-		{4, batchBytes / 64}, // parallel, 64 items per batch
-		{4, 2 * batchBytes},  // item bigger than budget: per-item claims
-		{4, 0},               // unknown item size: per-item claims
-		{16, 12052},          // 87 items per batch: the tail batch is short
+		{1, batchBytes / 64, 64},  // serial, 64 items per batch
+		{4, batchBytes / 64, 64},  // parallel, 64 items per batch
+		{4, batchBytes / 128, 64}, // the budget holds 128: capped at MaxBatch
+		{4, 2 * batchBytes, 1},    // item bigger than budget: per-item claims
+		{4, 0, 1},                 // unknown item size: per-item claims
+		{16, 21000, 49},           // 49 items per batch: the tail batch is short
 	} {
 		const n = 1000
 		var hits [n]atomic.Int32
-		err := ForEachBatch(context.Background(), n, tc.itemBytes, func(i int64) error {
-			hits[i].Add(1)
+		err := ForEachBatch(context.Background(), n, tc.itemBytes, func(lo, hi int64) error {
+			if hi-lo > tc.run || hi < n && hi-lo != tc.run {
+				t.Errorf("%+v: run [%d, %d), want %d items (fewer only at the end)", tc, lo, hi, tc.run)
+			}
+			for i := lo; i < hi; i++ {
+				hits[i].Add(1)
+			}
 			return nil
 		}, WithWorkers(tc.workers))
 		if err != nil {
@@ -57,18 +64,20 @@ func TestForEachBatchCoversEveryIndexOnce(t *testing.T) {
 func TestForEachBatchStopsOnError(t *testing.T) {
 	sentinel := errors.New("boom")
 	var ran atomic.Int64
-	err := ForEachBatch(context.Background(), 1000, batchBytes/64, func(i int64) error {
-		ran.Add(1)
-		if i == 100 {
-			return sentinel
+	err := ForEachBatch(context.Background(), 1000, batchBytes/64, func(lo, hi int64) error {
+		for i := lo; i < hi; i++ {
+			ran.Add(1)
+			if i == 100 {
+				return sentinel
+			}
 		}
 		return nil
 	}, WithWorkers(1))
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want sentinel", err)
 	}
-	// Serial execution claims batches in order, so nothing past the failing
-	// index runs.
+	// Serial execution claims batches in order, and fn stops its run at its
+	// error, so nothing past the failing index runs.
 	if got := ran.Load(); got != 101 {
 		t.Fatalf("ran %d items before stopping, want 101", got)
 	}
@@ -77,14 +86,14 @@ func TestForEachBatchStopsOnError(t *testing.T) {
 func TestForEachBatchHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := ForEachBatch(ctx, 1000, 1024, func(i int64) error {
+	err := ForEachBatch(ctx, 1000, 1024, func(lo, hi int64) error {
 		t.Error("fn ran under a cancelled context")
 		return nil
 	}, WithWorkers(4))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if err := ForEachBatch(context.Background(), 0, 1024, func(i int64) error {
+	if err := ForEachBatch(context.Background(), 0, 1024, func(lo, hi int64) error {
 		t.Error("fn ran for an empty index space")
 		return nil
 	}); err != nil {

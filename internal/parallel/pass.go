@@ -7,13 +7,14 @@ import (
 	"time"
 )
 
-// Pass is one walk over the items [from, n): at most W workers claim items
-// from one counter and run do on each; the first error (or ctx becoming done)
-// stops further claims. A pass that runs in the background beside other work —
-// the online conversion — is paced and held from outside: SetThrottle is slept
-// between a worker's items, Pause parks the workers, and both, like
-// cancellation and a failure, take effect at the next item boundary, cutting
-// any throttle sleep short.
+// Pass is one walk over the items [from, n): at most W workers claim runs of
+// batch contiguous items from one counter and run do once a run; the first
+// error (or ctx becoming done) stops further claims. A pass that runs in the
+// background beside other work — the online conversion, whose runs are one
+// item — is paced and held from outside: SetThrottle is slept between a
+// worker's runs, Pause parks the workers, and both, like cancellation and a
+// failure, take effect at the next run boundary, cutting any throttle sleep
+// short.
 //
 // A pass made by NewPass also keeps one bit an item, which do sets (Mark)
 // while it still holds whatever excludes the item's other users, so that Done
@@ -21,9 +22,9 @@ import (
 // items done, is a scan of the bits.
 type Pass struct {
 	n, batch int64 // batch: the contiguous items a worker claims at a time
-	do       func(i int64) error
-	// after, if set, is called without the lock after each item that
-	// succeeded, with the watermark as of that item; its error fails the pass.
+	do       func(lo, hi int64) error
+	// after, if set, is called without the lock after each run that
+	// succeeded, with the watermark as of that run; its error fails the pass.
 	after func(watermark int64) error
 	bits  []atomic.Uint64
 
@@ -43,10 +44,11 @@ type Pass struct {
 	wake chan struct{} //c56:guardedby mu
 }
 
-// NewPass returns a pass over [0, n) with one worker, the item bits and the
-// watermark. after may be nil.
+// NewPass returns a pass over [0, n) whose runs are one item, with one
+// worker, the item bits and the watermark. after may be nil.
 func NewPass(n int64, do func(i int64) error, after func(watermark int64) error) *Pass {
-	return &Pass{n: n, batch: 1, workers: 1, do: do, after: after, bits: make([]atomic.Uint64, (n+63)/64)}
+	return &Pass{n: n, batch: 1, workers: 1, do: func(i, _ int64) error { return do(i) }, after: after,
+		bits: make([]atomic.Uint64, (n+63)/64)}
 }
 
 // SetWorkers sets how many workers Run starts. Call before Run.
@@ -81,9 +83,9 @@ func (p *Pass) Mark(i int64) {
 //c56:noalloc
 func (p *Pass) Done(i int64) bool { return p.bits[i/64].Load()>>(i%64)&1 != 0 }
 
-// SetThrottle makes each worker sleep d between items (zero or less: none).
+// SetThrottle makes each worker sleep d between runs (zero or less: none).
 // Safe while the pass runs: workers sleeping out the old interval are woken
-// and pace their next items by the new one.
+// and pace their next runs by the new one.
 func (p *Pass) SetThrottle(d time.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -93,7 +95,7 @@ func (p *Pass) SetThrottle(d time.Duration) {
 	}
 }
 
-// Pause stops the workers at their next item boundaries and returns once every
+// Pause stops the workers at their next run boundaries and returns once every
 // one is parked (or gone, or a Resume overtook it).
 func (p *Pass) Pause() {
 	p.mu.Lock()
@@ -155,7 +157,7 @@ func (p *Pass) wait(done <-chan struct{}, timer <-chan time.Time) {
 
 // Run walks the pass and returns its first error, ctx's if that came first;
 // when it returns no do is running. The calling goroutine is one of the
-// workers: a pass of one worker starts none and runs in index order.
+// workers: a pass of one worker starts none and runs its runs in index order.
 func (p *Pass) Run(ctx context.Context) error {
 	p.mu.Lock()
 	claims := (p.n - p.next + p.batch - 1) / p.batch
@@ -175,12 +177,11 @@ func (p *Pass) Run(ctx context.Context) error {
 	return p.Report().Err
 }
 
-// work is one worker: at each item boundary it parks while the pass is paused,
+// work is one worker: at each run boundary it parks while the pass is paused,
 // leaves if the pass failed, ctx is done or nothing is left, and claims.
 func (p *Pass) work(ctx context.Context) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var i, hi int64 // the claimed run [i, hi)
 	for {
 		if p.paused && p.err == nil {
 			p.parked++
@@ -193,19 +194,16 @@ func (p *Pass) work(ctx context.Context) {
 		if err := ctx.Err(); err != nil {
 			p.fail(err)
 		}
-		if i == hi {
-			i, hi = p.next, min(p.next+p.batch, p.n)
-			p.next = hi
-		}
-		if p.err != nil || i >= hi {
+		lo, hi := p.next, min(p.next+p.batch, p.n) // the claimed run
+		if p.err != nil || lo >= hi {
 			break
 		}
+		p.next = hi
 		p.mu.Unlock()
-		err := p.do(i)
+		err := p.do(lo, hi)
 		p.mu.Lock()
 		if err == nil {
-			i++
-			p.ran++
+			p.ran += hi - lo
 			for p.bits != nil && p.mark < p.n && p.Done(p.mark) {
 				p.mark++
 			}

@@ -32,7 +32,7 @@ func TestPassStops(t *testing.T) {
 			const n = 1 << 40 // too long to run dry
 			var calls atomic.Int64
 			p := &Pass{n: n, batch: 1}
-			p.do = func(i int64) error {
+			p.do = func(i, _ int64) error {
 				calls.Add(1)
 				if i == 5 {
 					return boom

@@ -2,6 +2,7 @@ package raid6
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"code56/internal/core"
@@ -123,11 +124,11 @@ func TestRebuildStripeAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		if err := a.rebuildStripe(1, disks); err != nil {
-			t.Fatalf("rebuildStripe: %v", err)
+		if err := a.rebuildDisks(1, 2, disks); err != nil {
+			t.Fatalf("rebuildDisks: %v", err)
 		}
 	}); n != 0 {
-		t.Errorf("rebuildStripe allocates %.1f times per call, want 0", n)
+		t.Errorf("rebuildDisks of one stripe allocates %.1f times per call, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		if err := a.RebuildColumnsHeld(1, layout.Columns{}.With(a.geom.Cols-1)); err != nil {
@@ -136,17 +137,62 @@ func TestRebuildStripeAllocationFree(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("RebuildColumnsHeld allocates %.1f times per call, want 0", n)
 	}
-	check := a.dec.Syndromes()
-	if n := testing.AllocsPerRun(100, func() {
-		if res, err := a.scrubStripe(1, true, check); err != nil || res != (scrubResult{}) {
-			t.Fatalf("scrubStripe: %+v, %v", res, err)
-		}
-	}); n != 0 {
-		t.Errorf("scrubStripe of a clean stripe allocates %.1f times per call, want 0", n)
+	scrubClean := cleanScrubber(t, a, a.dec.Syndromes())
+	if n := testing.AllocsPerRun(100, func() { scrubClean(1, 2) }); n != 0 {
+		t.Errorf("scrubRun of a clean stripe allocates %.1f times per call, want 0", n)
 	}
 	if ok, err := a.VerifyStripe(1); err != nil || !ok {
 		t.Fatalf("stripe 1 after rebuilds: ok=%v err=%v", ok, err)
 	}
+}
+
+// cleanScrubber returns a check that scrubs the run [lo, hi) and fails t
+// unless it is clean. The report and its lock are made here, once: the lock
+// escapes, and is the caller's, made once a pass.
+func cleanScrubber(t *testing.T, a *Array, check []layout.ColumnFold) func(lo, hi int64) {
+	var rep ScrubReport
+	var mu sync.Mutex
+	return func(lo, hi int64) {
+		t.Helper()
+		if err := a.scrubRun(lo, hi, false, check, &rep, &mu); err != nil || !rep.Clean() {
+			t.Fatalf("scrubRun [%d, %d): %+v, %v", lo, hi, rep, err)
+		}
+	}
+}
+
+// TestRunsAllocationFree: a pass's run of k stripes — 12 at p=5 with 4 KiB
+// blocks, what parallel.ForEachBatch claims there, and a run across the
+// stripe locks' wrap at 64 — is checked and rebuilt with no allocation: the
+// lane lists come from a pool, the per-stripe schedules and plans live on the
+// stack, and the run's holds are the array's own locks.
+func TestRunsAllocationFree(t *testing.T) {
+	skipIfRace(t)
+	const k = 12
+	a := newWarmArray(t, 70)
+	scrubClean := cleanScrubber(t, a, a.dec.Syndromes())
+	for _, lo := range []int64{0, 58} {
+		if n := testing.AllocsPerRun(50, func() { scrubClean(lo, lo+k) }); n != 0 {
+			t.Errorf("scrubRun of %d clean stripes from %d allocates %.1f times per call, want 0", k, lo, n)
+		}
+	}
+	disks := []int{0, 4}
+	for _, d := range disks {
+		a.Disks().Disk(d).Fail()
+		a.Disks().Disk(d).Replace()
+	}
+	if err := rebuild(a, 70, disks...); err != nil {
+		t.Fatal(err)
+	}
+	for _, lo := range []int64{0, 58} {
+		if n := testing.AllocsPerRun(50, func() {
+			if err := a.rebuildDisks(lo, lo+k, disks); err != nil {
+				t.Fatalf("rebuildDisks: %v", err)
+			}
+		}); n != 0 {
+			t.Errorf("rebuildDisks of %d stripes from %d allocates %.1f times per call, want 0", k, lo, n)
+		}
+	}
+	scrubClean(0, 64)
 }
 
 func TestWriteBlockRMWAllocationFree(t *testing.T) {
@@ -189,13 +235,9 @@ func TestStripeOpsAllocationFreeAtP13(t *testing.T) {
 	skipIfRace(t)
 	const st = 5
 	a, _, _ := newFilledArray(t, core.MustNew(13), 16384, st+1, false)
-	check := a.dec.Syndromes()
-	if n := testing.AllocsPerRun(20, func() {
-		if res, err := a.scrubStripe(st, false, check); err != nil || res != (scrubResult{}) {
-			t.Fatalf("scrubStripe: %+v, %v", res, err)
-		}
-	}); n != 0 {
-		t.Errorf("scrubStripe of a clean stripe allocates %.1f times per call, want 0", n)
+	scrubClean := cleanScrubber(t, a, a.dec.Syndromes())
+	if n := testing.AllocsPerRun(20, func() { scrubClean(st, st+1) }); n != 0 {
+		t.Errorf("scrubRun of a clean stripe allocates %.1f times per call, want 0", n)
 	}
 	disks := []int{0, 2}
 	for _, d := range disks {
@@ -203,11 +245,11 @@ func TestStripeOpsAllocationFreeAtP13(t *testing.T) {
 		a.Disks().Disk(d).Replace()
 	}
 	if n := testing.AllocsPerRun(20, func() {
-		if err := a.rebuildStripe(st, disks); err != nil {
-			t.Fatalf("rebuildStripe: %v", err)
+		if err := a.rebuildDisks(st, st+1, disks); err != nil {
+			t.Fatalf("rebuildDisks: %v", err)
 		}
 	}); n != 0 {
-		t.Errorf("two-disk rebuildStripe allocates %.1f times per call, want 0", n)
+		t.Errorf("two-disk rebuildDisks allocates %.1f times per call, want 0", n)
 	}
 	for _, d := range disks {
 		a.Disks().Disk(d).Fail()

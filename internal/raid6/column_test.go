@@ -52,13 +52,14 @@ func (c *callCounter) take() (reads, writes int64) {
 }
 
 // newCountedArray is a Code 5-6 array (p=5: 4 rows, 5 columns) over counting
-// stores, holding `stripes` stripes written with WriteStripe.
-func newCountedArray(t *testing.T, stripes int64, rotate bool) (*Array, *callCounter, [][][]byte) {
+// stores, holding `stripes` stripes of bs-byte blocks written with
+// WriteStripe.
+func newCountedArray(t *testing.T, stripes int64, bs int, rotate bool) (*Array, *callCounter, [][][]byte) {
 	t.Helper()
 	poolBalanced(t)
 	code := core.MustNew(5)
 	c := &callCounter{}
-	disks, err := vdisk.NewArrayBackend(code.Geometry().Cols, 64, c)
+	disks, err := vdisk.NewArrayBackend(code.Geometry().Cols, bs, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func newCountedArray(t *testing.T, stripes int64, rotate bool) (*Array, *callCou
 	r := rand.New(rand.NewSource(9))
 	data := make([][][]byte, stripes)
 	for st := range data {
-		data[st] = randBlocks(r, a.DataPerStripe(), 64)
+		data[st] = randBlocks(r, a.DataPerStripe(), bs)
 		if err := a.WriteStripe(int64(st), data[st]); err != nil {
 			t.Fatal(err)
 		}
@@ -78,123 +79,165 @@ func newCountedArray(t *testing.T, stripes int64, rotate bool) (*Array, *callCou
 	return a, c, data
 }
 
-// TestStripeOpsMoveOneColumnPerStoreCall: full-stripe write, stripe load,
-// scrub and rebuild move a column's rows with one store call, while Stats
-// goes on counting every block; a rebuild reads only the columns its plan
-// names, each block once.
+// TestStripeOpsMoveOneColumnPerStoreCall: full-stripe write and stripe load
+// move a column's rows with one store call, and scrub and rebuild a disk's
+// rows of a whole run of stripes — the k a pass claims at once — with one call
+// per run of adjacent rows, while Stats goes on counting every block; a
+// rebuild reads only the columns its plan names, each block once, and writes
+// one column of one stripe a call. The second pass is 70 stripes of 4 KiB
+// blocks, runs of 12: its length is not a multiple of k, and its last run
+// crosses stripe 64, where the stripe locks wrap.
 func TestStripeOpsMoveOneColumnPerStoreCall(t *testing.T) {
-	const stripes = 3
-	for _, rotate := range []bool{false, true} {
-		a, c, data := newCountedArray(t, stripes, rotate)
-		rows, cols := int64(a.geom.Rows), int64(a.geom.Cols)
-		expect := func(what string, wantReads, wantWrites, blockReads, blockWrites int64) {
-			t.Helper()
-			reads, writes := c.take()
-			st := a.Disks().TotalStats()
-			a.Disks().ResetStats()
-			if reads != wantReads || writes != wantWrites {
-				t.Errorf("rotate=%v %s: %d read / %d write store calls, want %d / %d", rotate, what, reads, writes, wantReads, wantWrites)
+	for _, tc := range []struct {
+		stripes, k int64
+		bs         int
+	}{{3, 64, 64}, {70, 12, 4096}} {
+		for _, rotate := range []bool{false, true} {
+			testStoreCalls(t, tc.stripes, tc.k, tc.bs, rotate)
+		}
+	}
+}
+
+func testStoreCalls(t *testing.T, stripes, k int64, bs int, rotate bool) {
+	a, c, data := newCountedArray(t, stripes, bs, rotate)
+	rows, cols := int64(a.geom.Rows), int64(a.geom.Cols)
+	if got := min(1<<20/a.stripeBytes(), parallel.MaxBatch); got != k {
+		t.Fatalf("%d-byte blocks: runs of %d stripes, want %d", bs, got, k)
+	}
+	runs := (stripes + k - 1) / k
+	expect := func(what string, wantReads, wantWrites, blockReads, blockWrites int64) {
+		t.Helper()
+		reads, writes := c.take()
+		st := a.Disks().TotalStats()
+		a.Disks().ResetStats()
+		if reads != wantReads || writes != wantWrites {
+			t.Errorf("%d stripes, rotate=%v %s: %d read / %d write store calls, want %d / %d", stripes, rotate, what, reads, writes, wantReads, wantWrites)
+		}
+		if st.Reads != blockReads || st.Writes != blockWrites {
+			t.Errorf("%d stripes, rotate=%v %s: Stats %d reads / %d writes, want %d / %d", stripes, rotate, what, st.Reads, st.Writes, blockReads, blockWrites)
+		}
+	}
+	expect("WriteStripe", 0, stripes*cols, 0, stripes*rows*cols)
+
+	if ok, err := a.VerifyStripe(1); err != nil || !ok {
+		t.Fatalf("VerifyStripe: ok=%v err=%v", ok, err)
+	}
+	expect("VerifyStripe", cols, 0, rows*cols, 0)
+
+	// A run's rows on a disk are adjacent: every disk is read whole, one call
+	// a disk a run.
+	rep, err := a.ScrubContextMode(context.Background(), stripes, ScrubCheck, parallel.WithWorkers(1))
+	if err != nil || !rep.Clean() {
+		t.Fatalf("scrub: %+v, %v", rep, err)
+	}
+	expect("scrub", runs*cols, 0, stripes*rows*cols, 0)
+
+	for _, d := range []int{0, 2} {
+		a.Disks().Disk(d).Fail()
+		a.Disks().Disk(d).Replace()
+	}
+	if err := a.RebuildContext(context.Background(), stripes, []int{0, 2}, parallel.WithWorkers(1)); err != nil {
+		t.Fatal(err)
+	}
+	expect("rebuild of two disks", runs*(cols-2), stripes*2, stripes*rows*(cols-2), stripes*rows*2)
+
+	// One disk: the plan's columns and no others, each block read once. A
+	// data column is rebuilt by the paper's hybrid recovery (§III-E-4), its
+	// rows' horizontal and diagonal chains mixed so that they share reads;
+	// the diagonal-parity column from the data cells, the conversion's
+	// reads, and no horizontal-parity cell. Either way a cell costs p-3
+	// XORs. A disk's reads of one stripe join the next stripe's where one
+	// ends at the last row and the other begins at row 0 of the same run.
+	code := a.code.(*core.Code56)
+	for _, d := range []int{1, 4} {
+		a.Disks().Disk(d).Fail()
+		a.Disks().Disk(d).Replace()
+		var reads, joins, blocks, want int64
+		for st := int64(0); st < stripes; st++ {
+			col := a.colOnDisk(st, d)
+			plan := a.dec.ColumnPlan(layout.Columns{}.With(col))
+			reads += int64(len(planReads(plan, -1)))
+			if st%k != 0 {
+				prev := a.dec.ColumnPlan(layout.Columns{}.With(a.colOnDisk(st-1, d)))
+				for disk := 0; disk < int(cols); disk++ {
+					before, after := planReads(prev, a.colOnDisk(st-1, disk)), planReads(plan, a.colOnDisk(st, disk))
+					if len(before) > 0 && len(after) > 0 && before[len(before)-1].Row+before[len(before)-1].N == int(rows) && after[0].Row == 0 {
+						joins++
+					}
+				}
 			}
-			if st.Reads != blockReads || st.Writes != blockWrites {
-				t.Errorf("rotate=%v %s: Stats %d reads / %d writes, want %d / %d", rotate, what, st.Reads, st.Writes, blockReads, blockWrites)
+			blocks += int64(plan.Stats().BlocksRead)
+			if xors := plan.Stats().XORs; int64(xors) != rows*(cols-3) {
+				t.Errorf("rotate=%v: the plan for column %d costs %d XORs, want %d", rotate, col, xors, rows*(cols-3))
+			}
+			if hp, err := code.PlanHybridRecovery(col); err == nil {
+				want += int64(hp.Reads)
+			} else {
+				want += rows * (cols - 2) // the diagonal-parity column: one chain a cell
 			}
 		}
-		expect("WriteStripe x3", 0, stripes*cols, 0, stripes*rows*cols)
-
-		if ok, err := a.VerifyStripe(1); err != nil || !ok {
-			t.Fatalf("VerifyStripe: ok=%v err=%v", ok, err)
-		}
-		expect("VerifyStripe", cols, 0, rows*cols, 0)
-
-		rep, err := a.ScrubContextMode(context.Background(), stripes, ScrubCheck, parallel.WithWorkers(1))
-		if err != nil || !rep.Clean() {
-			t.Fatalf("scrub: %+v, %v", rep, err)
-		}
-		expect("scrub", stripes*cols, 0, stripes*rows*cols, 0)
-
-		for _, d := range []int{0, 2} {
-			a.Disks().Disk(d).Fail()
-			a.Disks().Disk(d).Replace()
-		}
-		if err := a.RebuildContext(context.Background(), stripes, []int{0, 2}, parallel.WithWorkers(1)); err != nil {
+		if err := a.RebuildContext(context.Background(), stripes, []int{d}, parallel.WithWorkers(1)); err != nil {
 			t.Fatal(err)
 		}
-		expect("rebuild of two disks", stripes*(cols-2), stripes*2, stripes*rows*(cols-2), stripes*rows*2)
-
-		// One disk: the plan's columns and no others, each block read once. A
-		// data column is rebuilt by the paper's hybrid recovery (§III-E-4), its
-		// rows' horizontal and diagonal chains mixed so that they share reads;
-		// the diagonal-parity column from the data cells, the conversion's
-		// reads, and no horizontal-parity cell. Either way a cell costs p-3
-		// XORs.
-		code := a.code.(*core.Code56)
-		for _, d := range []int{1, 4} {
-			a.Disks().Disk(d).Fail()
-			a.Disks().Disk(d).Replace()
-			var calls, blocks, want int64
-			for st := int64(0); st < stripes; st++ {
-				col := a.colOnDisk(st, d)
-				plan := a.dec.ColumnPlan(layout.Columns{}.With(col))
-				for _, cf := range plan.Folds() {
-					if cf.Reads != nil {
-						calls += int64(len(cf.Reads))
-					} else {
-						calls += int64(len(cf.Runs))
-					}
-				}
-				blocks += int64(plan.Stats().BlocksRead)
-				if xors := plan.Stats().XORs; int64(xors) != rows*(cols-3) {
-					t.Errorf("rotate=%v: the plan for column %d costs %d XORs, want %d", rotate, col, xors, rows*(cols-3))
-				}
-				if hp, err := code.PlanHybridRecovery(col); err == nil {
-					want += int64(hp.Reads)
-				} else {
-					want += rows * (cols - 2) // the diagonal-parity column: one chain a cell
+		if !rotate {
+			// Blocks a stripe from each disk, and reads a stripe: a data
+			// disk's rows 0 and 3 go by their diagonal chains, 1 and 2 by
+			// their rows, 9 blocks in 5 reads, none of them reaching both
+			// ends of a column; the diagonal-parity disk's chains skip each
+			// data disk's horizontal-parity cell, 2(p-1)-2 reads, and the two
+			// data disks whose skipped cell is a middle one read rows 0 and 3,
+			// so their reads join at each stripe boundary inside a run.
+			perDisk, perStripe, perBoundary := []int64{2, 0, 2, 3, 2}, int64(5), int64(0)
+			if d == 4 {
+				perDisk, perStripe, perBoundary = []int64{rows - 1, rows - 1, rows - 1, rows - 1, 0}, 2*(cols-1)-2, 2
+			}
+			for i, want := range perDisk {
+				if got := a.Disks().Disk(i).Stats().Reads; got != stripes*want {
+					t.Errorf("rebuild of disk %d: %d blocks read from disk %d, want %d", d, got, i, stripes*want)
 				}
 			}
-			if err := a.RebuildContext(context.Background(), stripes, []int{d}, parallel.WithWorkers(1)); err != nil {
-				t.Fatal(err)
+			if reads != stripes*perStripe || joins != (stripes-runs)*perBoundary {
+				t.Errorf("rebuild of disk %d: the plans list %d reads and %d joins, want %d and %d", d, reads, joins, stripes*perStripe, (stripes-runs)*perBoundary)
 			}
-			if !rotate {
-				// Blocks a stripe from each disk, and reads a stripe: a data
-				// disk's rows 0 and 3 go by their diagonal chains, 1 and 2 by
-				// their rows, 9 blocks in 5 reads, the diagonal-parity disk's
-				// two not adjacent; the diagonal-parity disk's chains skip each
-				// data disk's horizontal-parity cell, 2(p-1)-2 runs.
-				perDisk, runs := []int64{2, 0, 2, 3, 2}, int64(5)
-				if d == 4 {
-					perDisk, runs = []int64{rows - 1, rows - 1, rows - 1, rows - 1, 0}, 2*(cols-1)-2
-				}
-				for i, want := range perDisk {
-					if got := a.Disks().Disk(i).Stats().Reads; got != stripes*want {
-						t.Errorf("rebuild of disk %d: %d blocks read from disk %d, want %d", d, got, i, stripes*want)
-					}
-				}
-				if calls != stripes*runs {
-					t.Errorf("rebuild of disk %d: the plans list %d reads, want %d", d, calls, stripes*runs)
-				}
-			}
-			if blocks != want {
-				t.Errorf("rotate=%v: the plans for disk %d read %d blocks, want the paper's hybrid recovery's %d", rotate, d, blocks, want)
-			}
-			expect(fmt.Sprintf("rebuild of disk %d", d), calls, stripes, blocks, stripes*rows)
 		}
+		if blocks != want {
+			t.Errorf("rotate=%v: the plans for disk %d read %d blocks, want the paper's hybrid recovery's %d", rotate, d, blocks, want)
+		}
+		expect(fmt.Sprintf("rebuild of disk %d", d), reads-joins, stripes, blocks, stripes*rows)
+	}
 
-		for st := int64(0); st < stripes; st++ {
-			got, err := a.ReadStripe(st)
-			if err != nil {
-				t.Fatal(err)
+	for st := int64(0); st < stripes; st++ {
+		got, err := a.ReadStripe(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if !bytes.Equal(got[i], data[st][i]) {
+				t.Fatalf("rotate=%v: stripe %d block %d wrong after rebuild", rotate, st, i)
 			}
-			for i := range got {
-				if !bytes.Equal(got[i], data[st][i]) {
-					t.Fatalf("rotate=%v: stripe %d block %d wrong after rebuild", rotate, st, i)
-				}
-			}
-			if ok, err := a.VerifyStripe(st); err != nil || !ok {
-				t.Fatalf("rotate=%v: stripe %d after the rebuilds: ok=%v err=%v", rotate, st, ok, err)
+		}
+		if ok, err := a.VerifyStripe(st); err != nil || !ok {
+			t.Fatalf("rotate=%v: stripe %d after the rebuilds: ok=%v err=%v", rotate, st, ok, err)
+		}
+	}
+}
+
+// planReads lists the reads a plan's schedule makes of column col, or of
+// every column for col < 0.
+func planReads(plan *layout.Plan, col int) []layout.ColumnRun {
+	var out []layout.ColumnRun
+	for _, cf := range plan.Folds() {
+		switch {
+		case col >= 0 && cf.Col != col:
+		case cf.Reads != nil:
+			out = append(out, cf.Reads...)
+		default:
+			for _, r := range cf.Runs {
+				out = append(out, layout.ColumnRun{Col: cf.Col, Row: r.Row, N: r.N})
 			}
 		}
 	}
+	return out
 }
 
 // TestColumnReadFallsBackToCells: a column that fails on one bad sector is
@@ -202,7 +245,7 @@ func TestStripeOpsMoveOneColumnPerStoreCall(t *testing.T) {
 // its whole column to a single refused call; and a disk that dies in the
 // middle of its column's run is treated like the failed disk it has become.
 func TestColumnReadFallsBackToCells(t *testing.T) {
-	a, _, data := newCountedArray(t, 2, false)
+	a, _, data := newCountedArray(t, 2, 64, false)
 	reg := telemetry.NewRegistry()
 	a.SetTelemetry(reg, nil)
 	rows := int64(a.geom.Rows)
@@ -290,7 +333,9 @@ func TestFoldInPlaceMatchesPortable(t *testing.T) {
 			var acc [2][]byte
 			for i, arr := range arrays {
 				acc[i] = bytes.Repeat([]byte{0xA5}, blocks*bs)
-				if err := arr.fold(st, folds, acc[i]); err != nil {
+				r := &run{}
+				r.scheds[0] = folds
+				if err := arr.fold(st, 1, r, acc[i]); err != nil {
 					t.Fatalf("%s: %v", ctx, err)
 				}
 			}

@@ -3,41 +3,72 @@ package raid6
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"code56/internal/bufpool"
 	"code56/internal/layout"
+	"code56/internal/parallel"
 	"code56/internal/vdisk"
 )
 
 // fold is the one place parity chains are evaluated over the disks (DESIGN
-// §4.20): it runs a compiled fold schedule on stripe st, landing every run on
-// its accumulators in acc, one block each. Each distinct read of a column is
-// one Disk.ReadFold whose lanes are the runs that take it, so every block is
-// read once and lands, while it is in L1, on each of its takers, and the store
-// alone decides whether it is folded where it lies. The runs of a read are
-// consecutive in the column's schedule, and one starting past the rows taken
-// so far opens the next read. The first disk error ends it, acc then
-// unspecified. Stripe held by the caller, exclusive: the cells must be of one
-// moment.
+// §4.20): it runs stripe lo+j's schedule r.scheds[j], j < k, onto the j-th of
+// k equal parts of acc, one block an accumulator. Each disk's lanes for all k
+// stripes go to Disk.ReadFold, one call per maximal run of adjacent rows, so
+// a read ending one stripe and one beginning the next are one call, and every
+// block is read once and lands, in L1, on each of its takers. Disks go in
+// index order, on a rotated array not the column order First assumes, so
+// there acc is cleared and every lane XORs in. The first disk error ends it,
+// acc then unspecified. Stripes held, exclusive: cells of one moment.
 //
 //c56:noalloc
-func (a *Array) fold(st int64, folds []layout.ColumnFold, acc []byte) error {
-	base := st * int64(a.geom.Rows)
-	for i := range folds {
-		runs, disk := folds[i].Runs, a.diskFor(st, folds[i].Col)
-		for lo := 0; lo < len(runs); {
-			hi, end := lo+1, runs[lo].Row+runs[lo].N
-			for ; hi < len(runs) && runs[hi].Row <= end; hi++ {
-				end = max(end, runs[hi].Row+runs[hi].N)
+func (a *Array) fold(lo int64, k int, r *run, acc []byte) error {
+	rows, stride := a.geom.Rows, len(acc)/k/a.blockSize
+	if a.rotate {
+		clear(acc)
+	}
+	for d := 0; d < a.geom.Cols; d++ {
+		lanes := r.lanes[:0]
+		for j, folds := range r.scheds[:k] {
+			col := a.colOnDisk(lo+int64(j), d)
+			for i := range folds {
+				switch {
+				case folds[i].Col != col:
+				case k == 1 && !a.rotate:
+					lanes = folds[i].Runs // a run of one stripe reads its schedule as it is
+				default:
+					for _, l := range folds[i].Runs {
+						l.Row, l.Acc, l.First = l.Row+j*rows, l.Acc+j*stride, l.First && !a.rotate
+						lanes = append(lanes, l) //lint:allow noalloc the pooled list grows to the widest run once
+					}
+					r.lanes = lanes
+				}
 			}
-			if err := disk.ReadFold(base, acc, runs[lo:hi]); err != nil {
+		}
+		for i := 0; i < len(lanes); {
+			h, end := i+1, lanes[i].Row+lanes[i].N
+			for ; h < len(lanes) && lanes[h].Row <= end; h++ {
+				end = max(end, lanes[h].Row+lanes[h].N)
+			}
+			if err := a.disks.Disk(d).ReadFold(lo*int64(rows), acc, lanes[i:h]); err != nil {
 				return err
 			}
-			lo = hi
+			i = h
 		}
 	}
 	return nil
 }
+
+// A run is a run of stripes' lost columns, plans and schedules, stripe lo+j's
+// at j, and fold's lane list; pooled, not cleared on the stack for each call.
+type run struct {
+	lost   [parallel.MaxBatch]layout.Columns
+	plans  [parallel.MaxBatch]*layout.Plan
+	scheds [parallel.MaxBatch][]layout.ColumnFold
+	lanes  []layout.FoldRun
+}
+
+var runs = sync.Pool{New: func() any { return new(run) }}
 
 // errNoPlan is RebuildColumnsHeld's answer for a column set peeling cannot
 // solve, or one beyond the code's tolerance.
@@ -55,46 +86,80 @@ var errNoPlan = errors.New("raid6: no recovery plan for these columns")
 //
 //c56:noalloc
 func (a *Array) RebuildColumnsHeld(st int64, cols layout.Columns) error {
-	plan := a.dec.ColumnPlan(cols)
-	if plan == nil {
-		return errNoPlan
+	return a.rebuildRun(st, st+1, cols, nil)
+}
+
+// rebuildRun is RebuildColumnsHeld of stripes [lo, hi) with one fold, stripe
+// st's lost columns cols or, given disks, those the disks hold in st.
+//
+//c56:noalloc
+func (a *Array) rebuildRun(lo, hi int64, cols layout.Columns, disks []int) error {
+	r, k := runs.Get().(*run), int(hi-lo)
+	defer runs.Put(r)
+	for j := range k {
+		if r.lost[j] = cols; disks != nil {
+			r.lost[j] = a.columnsOn(lo+int64(j), disks)
+		}
+		if r.plans[j] = a.dec.ColumnPlan(r.lost[j]); r.plans[j] == nil {
+			return errNoPlan
+		}
+		r.scheds[j] = r.plans[j].Folds()
 	}
 	colBytes := a.geom.Rows * a.blockSize
-	acc := bufpool.Get(cols.Len() * colBytes)
+	stride := r.lost[0].Len() * colBytes
+	acc := bufpool.Get(k * stride)
 	defer bufpool.Put(acc)
-	if err := a.fold(st, plan.Folds(), acc); err != nil {
+	if err := a.fold(lo, k, r, acc); err != nil {
 		return err
 	}
-	plan.Finish(acc)
-	for i := 0; i < cols.Len(); i++ {
-		col := cols.At(i)
-		if err := a.diskFor(st, col).WriteBlocks(a.blockAddr(st, layout.Coord{Col: col}), acc[i*colBytes:(i+1)*colBytes]); err != nil {
-			return err
+	for j := range k {
+		st, part := lo+int64(j), acc[j*stride:(j+1)*stride]
+		r.plans[j].Finish(part)
+		for i := 0; i < r.lost[j].Len(); i++ {
+			col := r.lost[j].At(i)
+			if err := a.diskFor(st, col).WriteBlocks(a.blockAddr(st, layout.Coord{Col: col}), part[i*colBytes:(i+1)*colBytes]); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// rebuildStripe reconstructs the given disks' cells of one stripe from the
-// plan of the columns they hold; if a source is unreadable too, or the columns
-// have no plan, it loads the stripe and the full decoder takes the exact
-// erasure set.
+// columnsOn returns the logical columns the given disks hold in stripe st.
 //
 //c56:noalloc
-func (a *Array) rebuildStripe(st int64, disks []int) error {
+func (a *Array) columnsOn(st int64, disks []int) layout.Columns {
 	var cols layout.Columns
 	for _, d := range disks {
 		cols = cols.With(a.colOnDisk(st, d))
 	}
-	lk := a.disks.StripeLock(st)
-	lk.Lock()
-	defer lk.Unlock()
-	err := a.RebuildColumnsHeld(st, cols)
+	return cols
+}
+
+// rebuildDisks rebuilds the given disks' cells of stripes [lo, hi), held as
+// one run (LockRun), with one fold; if a source is unreadable, or a stripe's
+// columns have no plan, stripe by stripe, a stripe that fails again loaded
+// and decoded on the exact erasure set (RepairColumnsHeld).
+//
+//c56:noalloc
+func (a *Array) rebuildDisks(lo, hi int64, disks []int) error {
+	a.disks.LockRun(lo, hi)
+	defer a.disks.UnlockRun(lo, hi)
+	err := a.rebuildRun(lo, hi, layout.Columns{}, disks)
 	if err == nil || !vdisk.IsDegradable(err) && !errors.Is(err, errNoPlan) {
 		return err
 	}
-	_, err = a.RepairColumnsHeld(st, cols) //lint:allow noalloc a rebuild around further damage decodes the exact erasure set; the plan is the steady state
-	return err
+	for st := lo; st < hi; st++ {
+		cols := a.columnsOn(st, disks)
+		err := a.RebuildColumnsHeld(st, cols)
+		if err != nil && (vdisk.IsDegradable(err) || errors.Is(err, errNoPlan)) {
+			_, err = a.RepairColumnsHeld(st, cols) //lint:allow noalloc a rebuild around further damage decodes the exact erasure set; the plan is the steady state
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // RepairColumnsHeld is RebuildColumnsHeld's fallback: it loads stripe st, runs

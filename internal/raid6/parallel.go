@@ -19,7 +19,8 @@ import (
 // Fan-out is batched (parallel.ForEachBatch): workers claim runs of
 // contiguous stripes sized to a 1 MiB cache budget instead of one stripe at
 // a time, so each worker streams sequentially through disk addresses and the
-// claim counter stops being a contention point for small stripes.
+// claim counter stops being a contention point for small stripes. Rebuild and
+// scrub hold and fold a claimed run at once: it is their unit of cancellation.
 
 // stripeBytes is the byte footprint of one stripe across all columns — the
 // per-item size batched bulk loops hand to parallel.ForEachBatch.
@@ -34,8 +35,13 @@ func (a *Array) stripeBytes() int64 {
 // stops the operation.
 func (a *Array) EncodeStripesContext(ctx context.Context, stripes int64, opts ...parallel.Option) error {
 	sp := a.tel.tr.StartSpan("raid6.encode_stripes", telemetry.A("stripes", stripes))
-	err := parallel.ForEachBatch(ctx, stripes, a.stripeBytes(), func(st int64) error {
-		return a.EncodeStripe(st)
+	err := parallel.ForEachBatch(ctx, stripes, a.stripeBytes(), func(lo, hi int64) error {
+		for st := lo; st < hi; st++ {
+			if err := a.EncodeStripe(st); err != nil {
+				return err
+			}
+		}
+		return nil
 	}, opts...)
 	if err != nil {
 		sp.End(telemetry.A("error", err.Error()))
@@ -70,11 +76,11 @@ func (a *Array) RebuildContext(ctx context.Context, stripes int64, disks []int, 
 	}
 	sp := a.tel.tr.StartSpan("raid6.rebuild",
 		telemetry.A("disks", fmt.Sprint(disks)), telemetry.A("stripes", stripes))
-	err := parallel.ForEachBatch(ctx, stripes, a.stripeBytes(), func(st int64) error {
-		if err := a.rebuildStripe(st, disks); err != nil {
+	err := parallel.ForEachBatch(ctx, stripes, a.stripeBytes(), func(lo, hi int64) error {
+		if err := a.rebuildDisks(lo, hi, disks); err != nil {
 			return err
 		}
-		a.tel.rebuilt.Add(int64(len(disks) * a.geom.Rows))
+		a.tel.rebuilt.Add((hi - lo) * int64(len(disks)*a.geom.Rows))
 		return nil
 	}, opts...)
 	if err != nil {
@@ -99,15 +105,8 @@ func (a *Array) ScrubContextMode(ctx context.Context, stripes int64, mode ScrubM
 	rep := ScrubReport{Stripes: stripes}
 	check := a.dec.Syndromes()
 	var mu sync.Mutex
-	err := parallel.ForEachBatch(ctx, stripes, a.stripeBytes(), func(st int64) error {
-		res, err := a.scrubStripe(st, mode == ScrubRepair, check)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		rep.add(st, res)
-		mu.Unlock()
-		return nil
+	err := parallel.ForEachBatch(ctx, stripes, a.stripeBytes(), func(lo, hi int64) error {
+		return a.scrubRun(lo, hi, mode == ScrubRepair, check, &rep, &mu)
 	}, opts...)
 	sort.Slice(rep.Unrecoverable, func(i, j int) bool {
 		return rep.Unrecoverable[i] < rep.Unrecoverable[j]

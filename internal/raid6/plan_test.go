@@ -218,7 +218,7 @@ func TestDegradedReadCostMatchesPlan(t *testing.T) {
 
 	// And one store call a source run, however many blocks the run holds: on a
 	// file store a degraded read is that many preads, not one a block.
-	a, calls, _ := newCountedArray(t, 2, false)
+	a, calls, _ := newCountedArray(t, 2, 64, false)
 	a.Disks().Disk(0).Fail()
 	a.Disks().Disk(2).Fail()
 	buf := make([]byte, a.BlockSize())

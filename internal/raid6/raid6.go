@@ -351,11 +351,14 @@ func (a *Array) degradedRead(stripe int64, cell layout.Coord, buf []byte) error 
 	lk.Lock()
 	defer lk.Unlock()
 	if plan := a.dec.ColumnPlan(a.lostColumns(stripe, cell.Col)); plan != nil {
-		if folds := plan.SourceRuns(cell); folds != nil && a.fold(stripe, folds, buf) == nil {
+		r := runs.Get().(*run)
+		defer runs.Put(r)
+		if r.scheds[0] = plan.SourceRuns(cell); r.scheds[0] != nil && a.fold(stripe, 1, r, buf) == nil {
+			folds := r.scheds[0]
 			xors := int64(-1) // the XOR of n sources is n-1 XORs
 			for i := range folds {
-				for _, r := range folds[i].Runs {
-					xors += int64(r.N)
+				for _, l := range folds[i].Runs {
+					xors += int64(l.N)
 				}
 			}
 			a.tel.xors.Add(xors)

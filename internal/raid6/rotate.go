@@ -2,6 +2,7 @@ package raid6
 
 import (
 	"fmt"
+	"sync"
 
 	"code56/internal/bufpool"
 	"code56/internal/layout"
@@ -97,34 +98,52 @@ func (r *ScrubReport) add(st int64, res scrubResult) {
 	}
 }
 
-// scrubStripe runs one stripe's scrub pass. The check is every chain's
-// syndrome folded straight from the disks (see fold; check is the decoder's
-// Syndromes schedule, compiled once a pass): a stripe that reads and folds to
-// zero is clean, and nothing more is done; any other, or one whose read met an
-// error redundancy serves, is loaded and looked into (scrubDamaged).
-// It touches only stripe st's block range, so distinct stripes may be
-// scrubbed concurrently, and holds it exclusive: to the syndrome check a
-// stripe in the middle of a small write is a corrupt one.
+// scrubRun scrubs stripes [lo, hi), held as one run (LockRun: to the check a
+// stripe mid small write is a corrupt one), with one fold of every chain's
+// syndrome (check, the decoder's Syndromes). A stripe folding to zero is
+// clean; any other is loaded and looked into (scrubDamaged), its result added
+// to rep under mu. After an error redundancy serves, each is checked alone.
 //
 //c56:noalloc
-func (a *Array) scrubStripe(st int64, repair bool, check []layout.ColumnFold) (scrubResult, error) {
-	lk := a.disks.StripeLock(st)
-	lk.Lock()
-	defer lk.Unlock()
-	syndromes := bufpool.Get(len(a.chains) * a.blockSize)
-	err := a.fold(st, check, syndromes)
-	clean := err == nil && xorblk.IsZero(syndromes)
-	bufpool.Put(syndromes)
-	if clean {
-		return scrubResult{}, nil
+func (a *Array) scrubRun(lo, hi int64, repair bool, check []layout.ColumnFold, rep *ScrubReport, mu *sync.Mutex) error {
+	a.disks.LockRun(lo, hi)
+	defer a.disks.UnlockRun(lo, hi)
+	r, k := runs.Get().(*run), int(hi-lo)
+	defer runs.Put(r)
+	for j := range k {
+		r.scheds[j] = check
 	}
-	if err != nil && !vdisk.IsDegradable(err) {
-		return scrubResult{}, err
+	stride := len(a.chains) * a.blockSize
+	syndromes := bufpool.Get(k * stride)
+	defer bufpool.Put(syndromes)
+	runErr := a.fold(lo, k, r, syndromes)
+	if runErr != nil && !vdisk.IsDegradable(runErr) {
+		return runErr
 	}
-	return a.scrubDamaged(st, repair) //lint:allow noalloc a stripe that fails the check is loaded and decoded; clean stripes are the steady state
+	for j := range k {
+		st, syn := lo+int64(j), syndromes[j*stride:(j+1)*stride]
+		err := runErr
+		if err != nil {
+			err = a.fold(st, 1, r, syn)
+		}
+		if err == nil && xorblk.IsZero(syn) {
+			continue
+		}
+		if err != nil && !vdisk.IsDegradable(err) {
+			return err
+		}
+		res, err := a.scrubDamaged(st, repair) //lint:allow noalloc a stripe that fails the check is loaded and decoded; clean stripes are the steady state
+		if err != nil {
+			return err
+		}
+		mu.Lock()
+		rep.add(st, res) //lint:allow noalloc a stripe found damaged is recorded; clean stripes are the steady state
+		mu.Unlock()
+	}
+	return nil
 }
 
-// scrubDamaged loads a stripe that failed scrubStripe's check: the cells it
+// scrubDamaged loads a stripe that failed scrubRun's check: the cells it
 // cannot read are reconstructed and the latent sectors among them — those
 // whose read returned ErrLatent, not a transient error or a block not yet
 // rebuilt — are counted and healed, then the parity-syndrome check locates

@@ -2,12 +2,14 @@ package raid6
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"code56/internal/core"
+	"code56/internal/parallel"
 	"code56/internal/telemetry"
 )
 
@@ -287,5 +289,115 @@ func TestStripeLockSnapshotWritesDuringSmallWrites(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestStripeLockRunsUnderWriters: a pass holds a run of stripes at once —
+// twelve at p=5 with 4 KiB blocks, so over 80 stripes the run [60, 72)
+// crosses the stripe locks' wrap at 64 and shares its shards with [0, 12). A
+// rebuild of a replaced disk and a check scrub, two workers each, run beside
+// small, degraded and ranged writers of stripes 2, 63 and 64. No pair of
+// holders waits on the other for good; the scrub, which reads around the
+// replaced disk's stale blocks, finds nothing; and once all have stopped
+// every stripe verifies and every block reads its last acknowledged write.
+func TestStripeLockRunsUnderWriters(t *testing.T) {
+	const bs, stripes, rounds, writes, disk = 4096, 80, 6, 8, 0
+	a := New(core.MustNew(5), bs)
+	a.SetTelemetry(telemetry.NewRegistry(), nil)
+	dps := int64(a.DataPerStripe())
+	for L := int64(0); L < stripes*dps; L++ {
+		if err := a.WriteBlock(L, stamp(bs, int(L%251), 0, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var singles, ranges []int64 // a ranged writer takes two blocks
+	degraded := 0
+	for _, st := range []int64{2, 63, 64} {
+		for _, k := range []int64{0, 3, 8} {
+			singles = append(singles, st*dps+k)
+			if _, c := a.Locate(st*dps + k); c.Col == disk {
+				degraded++
+			}
+		}
+		ranges = append(ranges, st*dps+5)
+	}
+	if degraded == 0 || degraded == len(singles) {
+		t.Fatalf("%d of %d single-block writers write the replaced disk: want small and degraded writes both", degraded, len(singles))
+	}
+	last := map[int64][]byte{}
+	var mu sync.Mutex
+	ack := func(L int64, b []byte) {
+		mu.Lock()
+		last[L] = b
+		mu.Unlock()
+	}
+	for round := 1; round <= rounds; round++ {
+		a.Disks().Disk(disk).Fail()
+		a.Disks().Disk(disk).Replace()
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		run := func(f func()) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				f()
+			}()
+		}
+		run(func() {
+			if err := a.RebuildContext(context.Background(), stripes, []int{disk}, parallel.WithWorkers(2)); err != nil {
+				t.Errorf("rebuild: %v", err)
+			}
+		})
+		run(func() {
+			if rep, err := a.ScrubContextMode(context.Background(), stripes, ScrubCheck, parallel.WithWorkers(2)); err != nil || !rep.Clean() {
+				t.Errorf("scrub: %+v, %v", rep, err)
+			}
+		})
+		for g, L := range singles {
+			run(func() {
+				for i := 0; i < writes; i++ {
+					blk := stamp(bs, g+1, round, i)
+					if err := a.WriteBlock(L, blk); err != nil {
+						t.Errorf("block %d's writer: %v", L, err)
+						return
+					}
+					ack(L, blk)
+				}
+			})
+		}
+		for g, L := range ranges {
+			run(func() {
+				for i := 0; i < writes; i++ {
+					two := [][]byte{stamp(bs, 50+g, round, i), stamp(bs, 60+g, round, i)}
+					if err := a.WriteRange(L, bytes.Join(two, nil)); err != nil {
+						t.Errorf("the range writer at %d: %v", L, err)
+						return
+					}
+					ack(L, two[0])
+					ack(L+1, two[1])
+				}
+			})
+		}
+		close(start)
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+		got := make([]byte, bs)
+		for L := int64(0); L < stripes*dps; L++ {
+			want, ok := last[L]
+			if !ok {
+				want = stamp(bs, int(L%251), 0, 0)
+			}
+			if err := a.ReadBlock(L, got); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("round %d: block %d reads %v (%v), not its last acknowledged write", round, L, got[:4], err)
+			}
+		}
+		for st := int64(0); st < stripes; st++ {
+			if ok, err := a.VerifyStripe(st); err != nil || !ok {
+				t.Fatalf("round %d: stripe %d's parities do not match its data (ok=%v err=%v)", round, st, ok, err)
+			}
+		}
 	}
 }

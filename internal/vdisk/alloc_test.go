@@ -102,6 +102,10 @@ func TestHealthyDiskIOAllocationFree(t *testing.T) {
 			lk.RLock()
 			lk.RUnlock()
 		},
+		"Array.LockRun and UnlockRun": func() {
+			a.LockRun(60, 72)
+			a.UnlockRun(60, 72)
+		},
 	} {
 		if n := testing.AllocsPerRun(200, fn); n != 0 {
 			t.Errorf("%s allocates %.1f times per call, want 0", name, n)

@@ -150,7 +150,9 @@ func DiskFileName(id int) string { return fmt.Sprintf("disk-%04d.img", id) }
 
 // Scan returns the disk slot ids with image files present in dir, sorted
 // ascending — how reopen discovers the on-media geometry (including a
-// diagonal-parity disk added by an interrupted migration).
+// diagonal-parity disk added by an interrupted migration). An image file is
+// named exactly DiskFileName(id): a backup such as disk-0003.img.bak, or
+// disk-3.img, is not one.
 func Scan(dir string) ([]int, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -162,7 +164,7 @@ func Scan(dir string) ([]int, error) {
 			continue
 		}
 		var id int
-		if _, err := fmt.Sscanf(e.Name(), "disk-%d.img", &id); err == nil {
+		if _, err := fmt.Sscanf(e.Name(), "disk-%d.img", &id); err == nil && id >= 0 && e.Name() == DiskFileName(id) {
 			ids = append(ids, id)
 		}
 	}

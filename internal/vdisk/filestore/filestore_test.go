@@ -211,6 +211,25 @@ func TestScanAndNames(t *testing.T) {
 	}
 }
 
+// TestScanTakesOnlyImageNames: a name Sscanf half-matches — a backup, an
+// editor's copy, an unpadded or signed number — is not a disk image.
+func TestScanTakesOnlyImageNames(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{DiskFileName(0), DiskFileName(1), "disk-0001.img.bak", "disk-0004.img.bak",
+		"disk-3.img", "disk-0001.img~", "disk-+2.img", "disk--001.img", "disk-00001.img"} {
+		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ids, err := Scan(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(ids) != "[0 1]" {
+		t.Fatalf("scan: %v, want [0 1]", ids)
+	}
+}
+
 func TestBackendOpenRejectsNegativeID(t *testing.T) {
 	b, err := NewBackend(t.TempDir())
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 
@@ -43,7 +44,8 @@ func refReadFold(d *Disk, b int64, acc []byte, lanes []layout.FoldRun) error {
 // first n, a first contributor or not, and up to two XOR lanes onto the last n
 // that take some of the same blocks again and may meet each other there — so
 // the order the lanes are run in cannot change the result, and some blocks
-// have two or three takers. One op in three is the one-lane read-XOR.
+// have two or three takers — in row order. One op in three is the one-lane
+// read-XOR.
 func randomLanes(rng *rand.Rand, n, sh int) []layout.FoldRun {
 	lanes := []layout.FoldRun{{Row: sh, N: n, First: rng.Intn(2) == 0}}
 	for k := rng.Intn(3); k > 0; k-- {
@@ -51,6 +53,7 @@ func randomLanes(rng *rand.Rand, n, sh int) []layout.FoldRun {
 		m := 1 + rng.Intn(n-row)
 		lanes = append(lanes, layout.FoldRun{Row: sh + row, N: m, Acc: n + rng.Intn(n-m+1)})
 	}
+	slices.SortStableFunc(lanes, func(a, b layout.FoldRun) int { return a.Row - b.Row }) // ReadFold takes them in row order
 	return lanes
 }
 
@@ -271,6 +274,7 @@ func TestReadXorRefusalsLeaveAccumulator(t *testing.T) {
 		refused("past the accumulators", d.ReadFold(10, acc[:n*bs-1], one), ErrBadBlock)
 		refused("onto a negative accumulator", d.ReadFold(10, acc, []layout.FoldRun{{N: 1, Acc: -1}}), ErrBadBlock)
 		refused("from a negative row", d.ReadFold(10, acc, []layout.FoldRun{{Row: -1, N: 1}}), ErrBadBlock)
+		refused("with lanes out of row order", d.ReadFold(10, acc, []layout.FoldRun{{Row: 1, N: 1, First: true}, {N: 1, Acc: 1, First: true}}), ErrBadBlock)
 		refused("at a negative address", d.ReadFold(-1, acc, one), ErrBadBlock)
 
 		// The blocks either side of the latent one fold on their own.
@@ -509,5 +513,48 @@ func TestReadXorAgainstWriters(t *testing.T) {
 			close(stop)
 			<-stopped
 		})
+	}
+}
+
+// TestReadFoldWalksManyLanes: a call with the lanes of a pass's run — a first
+// contributor a stripe of four rows, and scores of XOR lanes, some over the
+// stripe boundaries — lands on every accumulator what the lane-by-lane
+// reference does, on a store that folds in place and on one that does not,
+// with the run starting at a slab boundary and inside a block's page.
+func TestReadFoldWalksManyLanes(t *testing.T) {
+	const bs, n = 64, 48
+	rng := rand.New(rand.NewSource(3))
+	disks, _ := swapXorDisks(bs)
+	fill := make([]byte, 200*bs)
+	rng.Read(fill)
+	for _, d := range disks {
+		if err := d.WriteBlocks(0, fill[:150*bs]); err != nil { // the run's last blocks are holes
+			t.Fatal(err)
+		}
+	}
+	for _, b := range []int64{0, 120, 130} {
+		var lanes []layout.FoldRun
+		for j := 0; j < n/4; j++ {
+			lanes = append(lanes, layout.FoldRun{Row: 4 * j, N: 4, Acc: 4 * j, First: true})
+		}
+		for i := 0; i < 60; i++ {
+			row := rng.Intn(n)
+			m := 1 + rng.Intn(min(6, n-row))
+			lanes = append(lanes, layout.FoldRun{Row: row, N: m, Acc: n + rng.Intn(n-m+1)})
+		}
+		slices.SortStableFunc(lanes, func(a, b layout.FoldRun) int { return a.Row - b.Row })
+		want := bytes.Repeat([]byte{0x5a}, 2*n*bs)
+		if err := refReadFold(disks[1], b, want, lanes); err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range []int{0, 2} {
+			got := bytes.Repeat([]byte{0x5a}, 2*n*bs)
+			if err := disks[i].ReadFold(b, got, lanes); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("disk %d, run at block %d: the accumulators differ from the lane-by-lane reference", i, b)
+			}
+		}
 	}
 }

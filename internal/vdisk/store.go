@@ -62,13 +62,14 @@ type (
 	// so that no copy of them passes through scratch. XorAt folds p into the
 	// bytes at off (store ^= p) with WriteAt's effect on Size and allocation:
 	// unwritten bytes count as zero, so folding into them stores p.
-	// ReadFoldAt is Disk.ReadFold's store call, its blocks bs bytes long and
-	// their rows counted from off: it lands each block of the lanes' run on
-	// every lane that takes it, with ReadAt's view of the store — unwritten
-	// bytes fold nothing and give a first contributor zeros — and a call that
-	// fails has not touched acc. Without the capability Disk.Xor reads the
-	// block, folds it in scratch and writes it back, and Disk.ReadFold reads
-	// the run into scratch and lands it from there.
+	// ReadFoldAt is Disk.ReadFold's store call, its blocks bs bytes long,
+	// their rows counted from off and its lanes in row order: it lands each
+	// block of the lanes' run on every lane that takes it, with ReadAt's
+	// view of the store — unwritten bytes fold nothing and give a first
+	// contributor zeros — and a call that fails has not touched acc. Without
+	// the capability Disk.Xor reads the block, folds it in scratch and
+	// writes it back, and Disk.ReadFold reads the run into scratch and lands
+	// it from there.
 	Xorer interface {
 		XorAt(p []byte, off int64) (int, error)
 		ReadFoldAt(acc []byte, off int64, bs int, lanes []layout.FoldRun) error
@@ -216,7 +217,8 @@ func (s *MemStore) ReadFoldAt(acc []byte, off int64, bs int, lanes []layout.Fold
 	lo, hi := span(lanes)
 	pos := off + int64(lo*bs)
 	pg, in := pos/int64(s.pageSize), int(pos%int64(s.pageSize)) // the page and offset the walk is at
-	for row := lo; row < hi; row++ {
+	for row, l, h := lo, 0, 0; row < hi; row++ {
+		l, h = lanesAt(lanes, l, h, row)
 		for at := 0; at < bs; {
 			c := min(bs-at, s.pageSize-in)
 			var src []byte
@@ -224,7 +226,7 @@ func (s *MemStore) ReadFoldAt(acc []byte, off int64, bs int, lanes []layout.Fold
 				so := int(pg%slabPages)*s.pageSize + in
 				src = s.slabs[si].data[so : so+c]
 			}
-			landPiece(acc, src, row, at, c, bs, lanes)
+			landPiece(acc, src, row, at, c, bs, lanes[l:h])
 			if at, in = at+c, in+c; in == s.pageSize {
 				pg, in = pg+1, 0
 			}

@@ -201,9 +201,10 @@ func (d *Disk) ReadBlocks(b int64, buf []byte) error {
 // sums. Lane l takes blocks b+l.Row .. b+l.Row+l.N-1 onto acc's blocks l.Acc
 // .. l.Acc+l.N-1, stored there if l.First (a first contributor) and XORed in
 // otherwise; the run is the rows the lanes span, and lanes may share a block
-// (a cell in two chains) or an accumulator. It works block by block, so the
-// second taker of a block finds it in L1. To the disk it is ReadBlocks of the
-// run — n reads everywhere ReadBlocks counts them, one latency observation,
+// (a cell in two chains) or an accumulator. Lanes come in row order, so a
+// block is offered only to the lanes begun and not passed. It works block by
+// block, so the second taker of a block finds it in L1. To the disk it is
+// ReadBlocks of the run — n reads everywhere ReadBlocks counts them, one latency observation,
 // the same checks on every block in address order before the store is
 // touched, the same retry policy, the same position left on the injector's
 // clock by a run that fails — and it is all or nothing: a call that fails
@@ -216,8 +217,9 @@ func (d *Disk) ReadBlocks(b int64, buf []byte) error {
 //c56:noalloc
 func (d *Disk) ReadFold(b int64, acc []byte, lanes []layout.FoldRun) error {
 	ok := b >= 0 && len(lanes) > 0
-	for _, l := range lanes {
-		ok = ok && l.Row >= 0 && l.N > 0 && l.Acc >= 0 && (l.Acc+l.N)*d.blockSize <= len(acc)
+	for i, l := range lanes {
+		ok = ok && l.Row >= 0 && l.N > 0 && l.Acc >= 0 && (l.Acc+l.N)*d.blockSize <= len(acc) &&
+			(i == 0 || lanes[i-1].Row <= l.Row)
 	}
 	if !ok {
 		return fmt.Errorf("%w: read-fold block %d, acc %d, %d lanes", ErrBadBlock, b, len(acc), len(lanes))
@@ -398,8 +400,9 @@ func (d *Disk) readLocked(b int64, buf []byte, lanes []layout.FoldRun, start tim
 	default:
 		run := bufpool.Get((hi - lo) * bs)
 		if _, err = d.store.ReadAt(run, first*int64(bs)); err == nil {
-			for row := lo; row < hi; row++ {
-				landPiece(buf, run[(row-lo)*bs:(row-lo+1)*bs], row, 0, bs, bs, lanes)
+			for row, l, h := lo, 0, 0; row < hi; row++ {
+				l, h = lanesAt(lanes, l, h, row)
+				landPiece(buf, run[(row-lo)*bs:(row-lo+1)*bs], row, 0, bs, bs, lanes[l:h])
 			}
 		}
 		bufpool.Put(run)
@@ -424,9 +427,23 @@ func span(lanes []layout.FoldRun) (lo, hi int) {
 	return lo, hi
 }
 
+// lanesAt moves a walk of a ReadFold's run, at lanes [lo, hi) for the row
+// before, to block row: the lanes from the first not yet passed to the last
+// begun. Lanes come in row order, so none outside them takes the block.
+//
+//c56:noalloc
+func lanesAt(lanes []layout.FoldRun, lo, hi, row int) (int, int) {
+	for lo < len(lanes) && lanes[lo].Row+lanes[lo].N <= row {
+		lo++
+	}
+	for hi = max(hi, lo); hi < len(lanes) && lanes[hi].Row <= row; hi++ {
+	}
+	return lo, hi
+}
+
 // landPiece lands bytes [at, at+n) of block row of a ReadFold's run on every
-// lane that takes the block: stored on a first contributor, XORed in
-// otherwise. src holds them, or is nil where they were never written, which
+// lane of lanes, the lanesAt window, that takes the block: stored on a first
+// contributor, XORed in otherwise. src holds them, or is nil where they were never written, which
 // folds nothing and gives a first contributor zeros.
 //
 //c56:noalloc
@@ -927,15 +944,41 @@ type stripeLock struct {
 // Swap and its last Xor, data and parity are one delta apart. A healthy
 // single-block read takes nothing.
 //
-// Hold at most one stripe at a time. Never re-enter: exported array operations
-// acquire, and what runs under a held stripe calls forms documented "stripe
-// held". Take the stripe before Disk.mu or a driver's own lock, never after.
+// A pass holds its run of stripes, all at once and in ascending shard order
+// (LockRun); everyone else holds one stripe at a time. Never re-enter:
+// exported array operations acquire, and what runs under a held stripe calls
+// forms documented "stripe held". Take the stripe before Disk.mu or a driver's own lock, never after.
 // An RWMutex does not upgrade: a delta write that meets a degradable error
 // drops shared and is made again, as a snapshot write, under exclusive.
 //
 //c56:noalloc
 func (a *Array) StripeLock(st int64) *sync.RWMutex {
 	return &a.stripeLocks[uint64(st)%stripeLockShards].RWMutex
+}
+
+// LockRun holds stripes [lo, hi) exclusive for a pass that reads them as one
+// run: each of their locks once, in ascending shard order, the one order every
+// run is taken in, so that two passes' runs cannot wait on each other. A run
+// of 64 stripes or more takes every shard. UnlockRun releases it.
+//
+//c56:noalloc
+func (a *Array) LockRun(lo, hi int64) {
+	for s := range a.stripeLocks {
+		if (uint64(s)-uint64(lo))%stripeLockShards < uint64(hi-lo) { // shard s is a stripe's of [lo, hi)
+			a.stripeLocks[s].Lock()
+		}
+	}
+}
+
+// UnlockRun releases a LockRun.
+//
+//c56:noalloc
+func (a *Array) UnlockRun(lo, hi int64) {
+	for s := range a.stripeLocks {
+		if (uint64(s)-uint64(lo))%stripeLockShards < uint64(hi-lo) {
+			a.stripeLocks[s].Unlock()
+		}
+	}
 }
 
 // NewArray returns an array of n fresh memory-backed disks.

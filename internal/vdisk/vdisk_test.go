@@ -251,3 +251,32 @@ func TestStripeLockTable(t *testing.T) {
 		t.Errorf("a stripe lock is %d bytes, not a whole number of 64-byte cache lines", size)
 	}
 }
+
+// TestLockRunHoldsItsStripes: a run holds exactly its stripes' shards — across
+// the wrap at 64 too — and a run of 64 stripes or more holds every shard.
+func TestLockRunHoldsItsStripes(t *testing.T) {
+	a := NewArray(1, 512)
+	for _, run := range [][2]int64{{3, 4}, {60, 72}, {0, 64}, {130, 250}} {
+		a.LockRun(run[0], run[1])
+		for s := int64(0); s < stripeLockShards; s++ {
+			want := run[1]-run[0] >= stripeLockShards
+			for st := run[0]; st < run[1]; st++ {
+				want = want || st%stripeLockShards == s
+			}
+			lk := a.StripeLock(s)
+			if held := !lk.TryLock(); held != want {
+				t.Errorf("run [%d, %d): shard %d held %v, want %v", run[0], run[1], s, held, want)
+			} else if !held {
+				lk.Unlock()
+			}
+		}
+		a.UnlockRun(run[0], run[1])
+		for s := int64(0); s < stripeLockShards; s++ {
+			if lk := a.StripeLock(s); !lk.TryLock() {
+				t.Fatalf("run [%d, %d): shard %d still held after UnlockRun", run[0], run[1], s)
+			} else {
+				lk.Unlock()
+			}
+		}
+	}
+}
